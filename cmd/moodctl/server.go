@@ -109,7 +109,7 @@ func datasetCmd(args []string) error {
 		pages++
 		traces = append(traces, page.Traces...)
 	}
-	ds := trace.Dataset{Name: "published", Traces: traces}
+	ds := trace.Dataset{Name: service.PublishedDatasetName, Traces: traces}
 
 	w := os.Stdout
 	if *out != "" {

@@ -1,0 +1,381 @@
+package cluster
+
+import (
+	"bytes"
+	"encoding/base64"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"strconv"
+	"strings"
+
+	"mood/internal/service"
+)
+
+// GET /v2/dataset through the router: a scatter of the page request —
+// same cursor, same filters — to every member and a k-way merge of the
+// returned pages by published pseudonym. Each node's page is its first
+// `limit` matching traces after the cursor, so the smallest `limit` of
+// the union is exactly the global page and the cursor contract
+// (next_cursor = last emitted pseudonym, opaque base64) is preserved
+// bit-for-bit.
+//
+// The bytes of a trace cross this tier unparsed. The router asks the
+// nodes for the line-framed dialect (NDJSON: one json.Encoder-encoded
+// trace per line, the envelope's cursor and total in headers), reads
+// nothing of a line but the pseudonym at its fixed {"user":"…" prefix,
+// merges the lines as byte slices and writes the DatasetPage envelope by
+// hand around them. The node's encoder and the router's old one are the
+// same encoder, so the page is byte for byte what decoding the node
+// pages and re-encoding the merge produced (the _test.go oracle).
+//
+// Nothing but the prefix being parsed, a short body would be forwarded
+// where it used to fail to decode; so the merge fails closed on framing
+// (openNodePage) and fetchOne on transport errors and the body cap.
+
+func (rt *Router) handleDataset(w http.ResponseWriter, r *http.Request) {
+	if !acceptsJSON(r.Header.Get("Accept")) {
+		writeProblem(w, service.NewProblem(http.StatusNotAcceptable, service.CodeNotAcceptable,
+			"the cluster router serves application/json only (CSV/NDJSON are single-node formats)"))
+		return
+	}
+	limit := 100
+	if raw := r.URL.Query().Get("limit"); raw != "" {
+		n, err := strconv.Atoi(raw)
+		if err != nil || n < 1 || n > 1000 {
+			writeProblem(w, service.NewProblem(http.StatusBadRequest, service.CodeBadRequest,
+				"limit must be an integer in 1..1000"))
+			return
+		}
+		limit = n
+	}
+	path := "/v2/dataset"
+	if q := r.URL.RawQuery; q != "" {
+		path += "?" + q
+	}
+	ring, ok := rt.wholeCluster(w)
+	if !ok {
+		return
+	}
+
+	// Each node revalidates against its own part of the client's
+	// validator, so a polling consumer whose dataset has not moved costs
+	// the cluster N empty 304s, not N pages built, shipped and dropped.
+	ask := func(inm string) func(Node) http.Header {
+		return func(n Node) http.Header {
+			h := http.Header{"Accept": {service.NDJSONContentType}}
+			if v := nodeValidators(inm, n.ID); v != "" {
+				h.Set("If-None-Match", v)
+			}
+			return h
+		}
+	}
+	inm := r.Header.Get("If-None-Match")
+	results := rt.fanout(r, ring.Nodes(), ring.Epoch(), http.MethodGet, path, ask(inm))
+	defer freeBodies(results) // sees the answers swapped in below: same backing array
+	if !allAnswered(w, results, http.StatusOK, http.StatusNotModified) {
+		return
+	}
+	etag := clusterETag(results)
+	if inmMatches(inm, etag) {
+		w.Header().Set("ETag", etag)
+		w.Header().Set("Vary", "Accept")
+		w.WriteHeader(http.StatusNotModified)
+		return
+	}
+	// Some node moved on (or the validator was not ours): the nodes that
+	// answered 304 still owe their page. Only they are asked again.
+	var stale []Node
+	for _, fr := range results {
+		if fr.status == http.StatusNotModified {
+			stale = append(stale, fr.node)
+		}
+	}
+	if len(stale) > 0 {
+		again := rt.fanout(r, stale, ring.Epoch(), http.MethodGet, path, ask(""))
+		for i, j := 0, 0; i < len(results); i++ {
+			if results[i].status == http.StatusNotModified {
+				service.PutBuffer(results[i].body)
+				results[i], j = again[j], j+1
+			}
+		}
+		if !allAnswered(w, results, http.StatusOK) {
+			return
+		}
+		etag = clusterETag(results)
+	}
+
+	out := service.GetBuffer()
+	defer service.PutBuffer(out)
+	if err := spliceDatasetPage(out, results, limit); err != nil {
+		fmt.Fprintf(rt.log, "cluster: dataset merge refused: %v\n", err)
+		routingUnavailable(w, err.Error())
+		return
+	}
+	w.Header().Set("ETag", etag)
+	w.Header().Set("Vary", "Accept")
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(out.Len()))
+	w.WriteHeader(http.StatusOK)
+	w.Write(out.Bytes()) //nolint:errcheck // headers are gone
+}
+
+// clusterETag concatenates the per-node validators in node-ID order: it
+// changes iff any node's dataset version changes.
+func clusterETag(results []fanResult) string {
+	parts := make([]string, len(results))
+	for i, fr := range results {
+		parts[i] = fr.node.ID + ":" + strings.Trim(strings.TrimPrefix(fr.header.Get("ETag"), "W/"), `"`)
+	}
+	return `W/"mood-cluster-` + strings.Join(parts, "+") + `"`
+}
+
+// nodeValidators picks node id's own validators out of a client's
+// If-None-Match: the `<id>:<validator>` part of every cluster tag listed,
+// re-quoted as the node serves it ("*" passes through). A tag that is
+// not one of ours yields nothing and the node is asked unconditionally;
+// a wrong pick costs a second request, never a wrong answer, because the
+// router's own 304 is decided on the tag recombined from the nodes'
+// answers.
+func nodeValidators(inm, id string) string {
+	var out []string
+	for _, cand := range strings.Split(inm, ",") {
+		cand = strings.TrimSpace(cand)
+		if cand == "*" {
+			return "*"
+		}
+		tag, ok := strings.CutPrefix(strings.TrimPrefix(cand, "W/"), `"mood-cluster-`)
+		if !ok {
+			continue
+		}
+		for _, part := range strings.Split(strings.TrimSuffix(tag, `"`), "+") {
+			if v, ok := strings.CutPrefix(part, id+":"); ok {
+				out = append(out, `W/"`+v+`"`)
+			}
+		}
+	}
+	return strings.Join(out, ", ")
+}
+
+// ---------------------------------------------------------------------------
+// The splice.
+
+// nodePage is one node's NDJSON page under the merge.
+type nodePage struct {
+	rest []byte // the lines after the head, each with its '\n'
+	line []byte // the head line without its '\n'; nil once drained
+	key  []byte // the head's pseudonym
+	more bool   // the node holds further pages
+}
+
+// The fixed frame of a line, as json.Encoder writes a trace.Trace.
+var (
+	linePrefix = []byte(`{"user":"`)
+	lineMiddle = []byte(`,"records":[`)
+	lineSuffix = []byte(`]}`)
+	newline    = []byte{'\n'}
+)
+
+// framingError refuses a node page whose bytes are not the page its
+// headers describe.
+func framingError(n Node) error {
+	return fmt.Errorf("node %s answered an undecodable dataset page", n.ID)
+}
+
+// openNodePage checks one gathered page's framing against its headers
+// and positions the merge on its first line. A page is refused when it
+// is not NDJSON, when it ends mid-line, when it holds more lines than
+// were asked for or than the node says match, or when the next cursor
+// does not name its limit-th line — each the signature of a body cut
+// short or padded on the way.
+func openNodePage(fr fanResult, limit int) (p nodePage, totalUsers int, ok bool) {
+	body := fr.body.Bytes()
+	totalUsers, err := strconv.Atoi(fr.header.Get(service.TotalUsersHeader))
+	if err != nil || totalUsers < 0 ||
+		!strings.HasPrefix(fr.header.Get("Content-Type"), service.NDJSONContentType) ||
+		(len(body) > 0 && body[len(body)-1] != '\n') {
+		return p, 0, false
+	}
+	lines := bytes.Count(body, newline)
+	if lines > limit || lines > totalUsers {
+		return p, 0, false
+	}
+	if cursor := fr.header.Get(service.NextCursorHeader); cursor != "" {
+		last := bytes.TrimSuffix(body, newline)
+		last = last[bytes.LastIndexByte(last, '\n')+1:]
+		key, ok := lineKey(last)
+		if !ok || lines != limit || base64.RawURLEncoding.EncodeToString(key) != cursor {
+			return p, 0, false
+		}
+		p.more = true
+	}
+	p.rest = body
+	return p, totalUsers, p.advance()
+}
+
+// advance moves the head to the next line; false means that line does
+// not have a trace's frame.
+func (p *nodePage) advance() bool {
+	if len(p.rest) == 0 {
+		p.line, p.key = nil, nil
+		return true
+	}
+	nl := bytes.IndexByte(p.rest, '\n') // present: openNodePage saw the final one
+	p.line, p.rest = p.rest[:nl], p.rest[nl+1:]
+	var ok bool
+	p.key, ok = lineKey(p.line)
+	return ok
+}
+
+// lineKey reads the sort key of one line — the pseudonym — out of the
+// fixed {"user":"…","records":[…]} frame, without decoding anything
+// else. The key aliases the line unless the encoder escaped something in
+// it (quotes, backslashes, <, >, &, U+2028/9), which is rare enough to
+// pay for a real unquote.
+func lineKey(line []byte) ([]byte, bool) {
+	if !bytes.HasPrefix(line, linePrefix) || !bytes.HasSuffix(line, lineSuffix) {
+		return nil, false
+	}
+	start := len(linePrefix)
+	end, escaped := start, false
+	for end < len(line) && line[end] != '"' {
+		if line[end] == '\\' {
+			escaped = true
+			end++
+		}
+		end++
+	}
+	if end >= len(line) || !bytes.HasPrefix(line[end+1:], lineMiddle) {
+		return nil, false
+	}
+	if escaped {
+		return unquoteKey(line[start-1 : end+1])
+	}
+	return line[start:end], true
+}
+
+// unquoteKey is lineKey's cold path.
+func unquoteKey(quoted []byte) ([]byte, bool) {
+	var s string
+	if err := json.Unmarshal(quoted, &s); err != nil {
+		return nil, false
+	}
+	return []byte(s), true
+}
+
+// splice is the page being written: the envelope around the lines
+// emitted so far.
+type splice struct {
+	out     *bytes.Buffer
+	emitted int
+	last    []byte // the pseudonym emitted last
+}
+
+// emit appends p's head line to the page and moves p on.
+func (s *splice) emit(p *nodePage) bool {
+	if s.emitted > 0 {
+		s.out.WriteByte(',')
+	}
+	s.out.Write(p.line)
+	s.emitted++
+	s.last = p.key
+	return p.advance()
+}
+
+// spliceDatasetPage k-way merges the gathered node pages into out as
+// one DatasetPage body, capped at limit.
+func spliceDatasetPage(out *bytes.Buffer, results []fanResult, limit int) error {
+	pages := make([]nodePage, len(results))
+	totalUsers := 0
+	for i, fr := range results {
+		p, total, ok := openNodePage(fr, limit)
+		if !ok {
+			return framingError(fr.node)
+		}
+		pages[i] = p
+		totalUsers += total
+	}
+
+	out.WriteString(`{"name":"` + service.PublishedDatasetName + `","traces":[`)
+	s := splice{out: out}
+	for s.emitted < limit {
+		best := -1
+		for i := range pages {
+			if pages[i].line == nil {
+				continue
+			}
+			if best < 0 || bytes.Compare(pages[i].key, pages[best].key) < 0 {
+				best = i
+			}
+		}
+		if best < 0 {
+			break
+		}
+		if !s.emit(&pages[best]) {
+			return framingError(results[best].node)
+		}
+	}
+	// Never split a cross-node tie across the page boundary: each node
+	// numbers its own pub-NNNNNN pseudonym sequence, so distinct users
+	// on different nodes routinely share a pseudonym, and the cursor
+	// means "resume strictly after this pseudonym" — cutting the page
+	// between tied entries would silently skip the unsent ones on
+	// resume. Within a node pseudonyms are unique and sorted, so every
+	// tied entry sits at a current head; draining them overflows the
+	// requested limit by at most one entry per remaining node.
+	more := false
+	for i := range pages {
+		p := &pages[i]
+		if s.emitted > 0 && p.line != nil && bytes.Equal(p.key, s.last) && !s.emit(p) {
+			return framingError(results[i].node)
+		}
+		if p.line != nil || p.more {
+			more = true
+		}
+	}
+	out.WriteByte(']')
+	if more && s.emitted > 0 {
+		out.WriteString(`,"next_cursor":"`)
+		out.WriteString(base64.RawURLEncoding.EncodeToString(s.last))
+		out.WriteByte('"')
+	}
+	out.WriteString(`,"total_users":`)
+	out.WriteString(strconv.Itoa(totalUsers))
+	out.WriteString("}\n")
+	return nil
+}
+
+// acceptsJSON mirrors the nodes' negotiation for the one format the
+// router can merge.
+func acceptsJSON(accept string) bool {
+	if accept == "" {
+		return true
+	}
+	for _, part := range strings.Split(accept, ",") {
+		mt := strings.TrimSpace(part)
+		if i := strings.IndexByte(mt, ';'); i >= 0 {
+			mt = strings.TrimSpace(mt[:i])
+		}
+		switch strings.ToLower(mt) {
+		case "application/json", "application/*", "*/*":
+			return true
+		}
+	}
+	return false
+}
+
+// inmMatches implements the weak If-None-Match comparison (RFC 9110
+// §13.1.2), as the nodes do.
+func inmMatches(header, etag string) bool {
+	if header == "" {
+		return false
+	}
+	opaque := strings.TrimPrefix(etag, "W/")
+	for _, cand := range strings.Split(header, ",") {
+		cand = strings.TrimSpace(cand)
+		if cand == "*" || strings.TrimPrefix(cand, "W/") == opaque {
+			return true
+		}
+	}
+	return false
+}

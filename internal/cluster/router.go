@@ -1,18 +1,18 @@
 package cluster
 
 import (
-	"encoding/base64"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 
 	"mood/internal/service"
-	"mood/internal/trace"
 )
 
 // Router is the thin forwarding tier in front of the sharded
@@ -24,16 +24,22 @@ import (
 // because an aggregate silently missing one node's counters would break
 // every conservation law downstream.
 //
-// The router speaks the v2 surface only, and only the JSON dialect of
-// GET /v2/dataset (CSV/NDJSON negotiation remains a single-node
-// feature).
+// The router speaks the v2 surface only, and answers only the JSON
+// dialect of GET /v2/dataset (CSV/NDJSON negotiation remains a
+// single-node feature; the router itself reads the nodes' NDJSON).
 type Router struct {
 	m     *Membership
 	mux   *http.ServeMux
 	proxy *http.Client
 	token string
 	log   io.Writer
+	// bodyCap is maxNodeBody, but for the tests that overrun it.
+	bodyCap int64
 }
+
+// maxNodeBody is the most a node may answer a router-originated request
+// with: a longer body is refused, never cut short.
+const maxNodeBody = 64 << 20
 
 // RouterConfig wires a Router.
 type RouterConfig struct {
@@ -62,7 +68,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if cfg.Log == nil {
 		cfg.Log = io.Discard
 	}
-	rt := &Router{m: cfg.Membership, proxy: cfg.HTTPClient, token: cfg.Token, log: cfg.Log}
+	rt := &Router{m: cfg.Membership, proxy: cfg.HTTPClient, token: cfg.Token, log: cfg.Log, bodyCap: maxNodeBody}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", rt.handleHealthz)
 	mux.HandleFunc("POST /v2/traces", rt.handleTraces)
@@ -238,34 +244,53 @@ type fanResult struct {
 	node   Node
 	status int
 	header http.Header
-	body   []byte
-	err    error
+	// body is pooled: whoever holds the results hands them to freeBodies
+	// once nothing references the bytes any more. nil when err is set.
+	body *bytes.Buffer
+	err  error
+}
+
+func freeBodies(results []fanResult) {
+	for _, fr := range results {
+		service.PutBuffer(fr.body)
+	}
 }
 
 // fanout issues method+path (path includes the query) to every node in
 // parallel and returns the answers in node order. Router-originated
 // requests authenticate with the router's token and are stamped with
 // the ring epoch (but no owner: they are deliberately node-agnostic).
-func (rt *Router) fanout(r *http.Request, nodes []Node, epoch int64, method, path string) []fanResult {
+// hdr, when non-nil, supplies request headers of a node's own.
+func (rt *Router) fanout(r *http.Request, nodes []Node, epoch int64, method, path string, hdr func(Node) http.Header) []fanResult {
 	out := make([]fanResult, len(nodes))
 	var wg sync.WaitGroup
 	for i, n := range nodes {
 		wg.Add(1)
 		go func(i int, n Node) {
 			defer wg.Done()
-			out[i] = rt.fetchOne(r, n, epoch, method, path)
+			var h http.Header
+			if hdr != nil {
+				h = hdr(n)
+			}
+			out[i] = rt.fetchOne(r, n, epoch, method, path, h)
 		}(i, n)
 	}
 	wg.Wait()
 	return out
 }
 
-func (rt *Router) fetchOne(r *http.Request, n Node, epoch int64, method, path string) fanResult {
+// fetchOne gathers one node's whole answer. The body is read to its end
+// or not at all: a transport error mid-body and a body over the cap are
+// both failures of the node, never a shorter body.
+func (rt *Router) fetchOne(r *http.Request, n Node, epoch int64, method, path string, hdr http.Header) fanResult {
 	req, err := http.NewRequestWithContext(r.Context(), method, n.URL+path, nil)
 	if err != nil {
 		return fanResult{node: n, err: err}
 	}
 	req.Header.Set("Accept", "application/json")
+	for k, vs := range hdr {
+		req.Header[k] = vs
+	}
 	req.Header.Set(service.RingEpochHeader, strconv.FormatInt(epoch, 10))
 	if rt.token != "" {
 		req.Header.Set("Authorization", "Bearer "+rt.token)
@@ -275,7 +300,7 @@ func (rt *Router) fetchOne(r *http.Request, n Node, epoch int64, method, path st
 		return fanResult{node: n, err: err}
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	body, err := service.ReadBody(resp, rt.bodyCap)
 	if err != nil {
 		return fanResult{node: n, err: err}
 	}
@@ -311,31 +336,44 @@ func relay(w http.ResponseWriter, fr fanResult) {
 		w.Header()[k] = vs
 	}
 	w.WriteHeader(fr.status)
-	w.Write(fr.body) //nolint:errcheck // headers are gone
+	w.Write(fr.body.Bytes()) //nolint:errcheck // headers are gone
 }
 
 // gatherWhole runs a fan-out across the whole cluster and hands back
 // the results only when every node answered wantStatus; a transport
 // failure answers the routing refusal, any other status is relayed
 // verbatim (first failing node in ID order). Reported false means the
-// response has been written.
+// response has been written; reported true, the caller owns the
+// results' bodies (freeBodies).
 func (rt *Router) gatherWhole(w http.ResponseWriter, r *http.Request, method, path string, wantStatus int) ([]fanResult, *Ring, bool) {
 	ring, ok := rt.wholeCluster(w)
 	if !ok {
 		return nil, nil, false
 	}
-	results := rt.fanout(r, ring.Nodes(), ring.Epoch(), method, path)
-	for _, fr := range results {
-		if fr.err != nil {
-			routingUnavailable(w, "node "+fr.node.ID+" unreachable; retry")
-			return nil, nil, false
-		}
-		if fr.status != wantStatus {
-			relay(w, fr)
-			return nil, nil, false
-		}
+	results := rt.fanout(r, ring.Nodes(), ring.Epoch(), method, path, nil)
+	if !allAnswered(w, results, wantStatus) {
+		freeBodies(results)
+		return nil, nil, false
 	}
 	return results, ring, true
+}
+
+// allAnswered reports whether every node answered, with one of the
+// wanted statuses; if not it writes the response: the routing refusal
+// for an unreachable node (or one whose body broke off or overran the
+// cap), the node's own answer for any other status.
+func allAnswered(w http.ResponseWriter, results []fanResult, want ...int) bool {
+	for _, fr := range results {
+		if fr.err != nil {
+			routingUnavailable(w, "node "+fr.node.ID+" unreachable or its answer unreadable; retry")
+			return false
+		}
+		if !slices.Contains(want, fr.status) {
+			relay(w, fr)
+			return false
+		}
+	}
+	return true
 }
 
 // ---------------------------------------------------------------------------
@@ -370,10 +408,11 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	defer freeBodies(results)
 	agg := ClusterStatsPayload{Cluster: ClusterSection{RingEpoch: ring.Epoch()}}
 	for _, fr := range results {
 		var sp service.StatsPayload
-		if err := json.Unmarshal(fr.body, &sp); err != nil {
+		if err := json.Unmarshal(fr.body.Bytes(), &sp); err != nil {
 			routingUnavailable(w, "node "+fr.node.ID+" answered an undecodable stats payload")
 			return
 		}
@@ -398,10 +437,11 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	defer freeBodies(results)
 	agg := service.MetricsSnapshot{Routes: map[string]service.RouteMetrics{}}
 	for _, fr := range results {
 		var ms service.MetricsSnapshot
-		if err := json.Unmarshal(fr.body, &ms); err != nil {
+		if err := json.Unmarshal(fr.body.Bytes(), &ms); err != nil {
 			routingUnavailable(w, "node "+fr.node.ID+" answered an undecodable metrics payload")
 			return
 		}
@@ -436,10 +476,11 @@ func (rt *Router) handleJobs(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	defer freeBodies(results)
 	var merged service.JobList
 	for _, fr := range results {
 		var jl service.JobList
-		if err := json.Unmarshal(fr.body, &jl); err != nil {
+		if err := json.Unmarshal(fr.body.Bytes(), &jl); err != nil {
 			routingUnavailable(w, "node "+fr.node.ID+" answered an undecodable job list")
 			return
 		}
@@ -475,7 +516,8 @@ func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
 		}
 		up = append(up, n)
 	}
-	results := rt.fanout(r, up, ring.Epoch(), http.MethodGet, "/v2/jobs/"+r.PathValue("id"))
+	results := rt.fanout(r, up, ring.Epoch(), http.MethodGet, "/v2/jobs/"+r.PathValue("id"), nil)
+	defer freeBodies(results)
 	var firstOther *fanResult
 	for i := range results {
 		fr := &results[i]
@@ -507,10 +549,11 @@ func (rt *Router) handleRetrain(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	defer freeBodies(results)
 	var agg service.RetrainReport
 	for _, fr := range results {
 		var rr service.RetrainReport
-		if err := json.Unmarshal(fr.body, &rr); err != nil {
+		if err := json.Unmarshal(fr.body.Bytes(), &rr); err != nil {
 			routingUnavailable(w, "node "+fr.node.ID+" answered an undecodable retrain report")
 			return
 		}
@@ -535,9 +578,10 @@ func (rt *Router) handleOpenAPI(w http.ResponseWriter, r *http.Request) {
 		if ring.Down(n.ID) {
 			continue
 		}
-		fr := rt.fetchOne(r, n, ring.Epoch(), http.MethodGet, "/v2/openapi.json")
+		fr := rt.fetchOne(r, n, ring.Epoch(), http.MethodGet, "/v2/openapi.json", nil)
 		if fr.err == nil {
 			relay(w, fr)
+			service.PutBuffer(fr.body)
 			return
 		}
 	}
@@ -548,147 +592,4 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(v) //nolint:errcheck // headers are gone
-}
-
-// ---------------------------------------------------------------------------
-// Dataset page merge.
-
-// handleDataset scatters the page request — same cursor, same filters —
-// to every member and k-way merges the returned pages by published
-// pseudonym. Each node's page is its first `limit` matching traces
-// after the cursor, so the smallest `limit` of the union is exactly the
-// global page and the cursor contract (next_cursor = last emitted
-// pseudonym, opaque base64) is preserved bit-for-bit. The merged ETag
-// concatenates the per-node validators in node-ID order: it changes iff
-// any node's dataset version changes.
-func (rt *Router) handleDataset(w http.ResponseWriter, r *http.Request) {
-	if !acceptsJSON(r.Header.Get("Accept")) {
-		writeProblem(w, service.NewProblem(http.StatusNotAcceptable, service.CodeNotAcceptable,
-			"the cluster router serves application/json only (CSV/NDJSON are single-node formats)"))
-		return
-	}
-	limit := 100
-	if raw := r.URL.Query().Get("limit"); raw != "" {
-		n, err := strconv.Atoi(raw)
-		if err != nil || n < 1 || n > 1000 {
-			writeProblem(w, service.NewProblem(http.StatusBadRequest, service.CodeBadRequest,
-				"limit must be an integer in 1..1000"))
-			return
-		}
-		limit = n
-	}
-	path := "/v2/dataset"
-	if q := r.URL.RawQuery; q != "" {
-		path += "?" + q
-	}
-	results, _, ok := rt.gatherWhole(w, r, http.MethodGet, path, http.StatusOK)
-	if !ok {
-		return
-	}
-
-	pages := make([]service.DatasetPage, len(results))
-	etags := make([]string, 0, len(results))
-	merged := service.DatasetPage{}
-	for i, fr := range results {
-		if err := json.Unmarshal(fr.body, &pages[i]); err != nil {
-			routingUnavailable(w, "node "+fr.node.ID+" answered an undecodable dataset page")
-			return
-		}
-		if merged.Name == "" {
-			merged.Name = pages[i].Name
-		}
-		merged.TotalUsers += pages[i].TotalUsers
-		etags = append(etags, fr.node.ID+":"+strings.Trim(strings.TrimPrefix(fr.header.Get("ETag"), "W/"), `"`))
-	}
-	etag := `W/"mood-cluster-` + strings.Join(etags, "+") + `"`
-	w.Header().Set("ETag", etag)
-	w.Header().Set("Vary", "Accept")
-	if inmMatches(r.Header.Get("If-None-Match"), etag) {
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-
-	// K-way merge by pseudonym, capped at limit.
-	heads := make([]int, len(pages))
-	more := false
-	for len(merged.Traces) < limit {
-		best := -1
-		for i := range pages {
-			if heads[i] >= len(pages[i].Traces) {
-				continue
-			}
-			if best < 0 || pages[i].Traces[heads[i]].User < pages[best].Traces[heads[best]].User {
-				best = i
-			}
-		}
-		if best < 0 {
-			break
-		}
-		merged.Traces = append(merged.Traces, pages[best].Traces[heads[best]])
-		heads[best]++
-	}
-	// Never split a cross-node tie across the page boundary: each node
-	// numbers its own pub-NNNNNN pseudonym sequence, so distinct users
-	// on different nodes routinely share a pseudonym, and the cursor
-	// means "resume strictly after this pseudonym" — cutting the page
-	// between tied entries would silently skip the unsent ones on
-	// resume. Within a node pseudonyms are unique and sorted, so every
-	// tied entry sits at a current head; draining them overflows the
-	// requested limit by at most one entry per remaining node.
-	if last := len(merged.Traces) - 1; last >= 0 {
-		for i := range pages {
-			if heads[i] < len(pages[i].Traces) && pages[i].Traces[heads[i]].User == merged.Traces[last].User {
-				merged.Traces = append(merged.Traces, pages[i].Traces[heads[i]])
-				heads[i]++
-			}
-		}
-	}
-	for i := range pages {
-		if heads[i] < len(pages[i].Traces) || pages[i].NextCursor != "" {
-			more = true
-		}
-	}
-	if merged.Traces == nil {
-		merged.Traces = []trace.Trace{}
-	}
-	if more && len(merged.Traces) > 0 {
-		merged.NextCursor = base64.RawURLEncoding.EncodeToString(
-			[]byte(merged.Traces[len(merged.Traces)-1].User))
-	}
-	writeJSON(w, http.StatusOK, merged)
-}
-
-// acceptsJSON mirrors the nodes' negotiation for the one format the
-// router can merge.
-func acceptsJSON(accept string) bool {
-	if accept == "" {
-		return true
-	}
-	for _, part := range strings.Split(accept, ",") {
-		mt := strings.TrimSpace(part)
-		if i := strings.IndexByte(mt, ';'); i >= 0 {
-			mt = strings.TrimSpace(mt[:i])
-		}
-		switch strings.ToLower(mt) {
-		case "application/json", "application/*", "*/*":
-			return true
-		}
-	}
-	return false
-}
-
-// inmMatches implements the weak If-None-Match comparison (RFC 9110
-// §13.1.2), as the nodes do.
-func inmMatches(header, etag string) bool {
-	if header == "" {
-		return false
-	}
-	opaque := strings.TrimPrefix(etag, "W/")
-	for _, cand := range strings.Split(header, ",") {
-		cand = strings.TrimSpace(cand)
-		if cand == "*" || strings.TrimPrefix(cand, "W/") == opaque {
-			return true
-		}
-	}
-	return false
 }

@@ -19,8 +19,8 @@ import (
 // hot packages must report no "escapes to heap"/"moved to heap" inside
 // a hot function's line range, except the pinned allowlist of
 // intentional allocations (the codec's single sized output buffer, the
-// decoder's single sized fragment slice, and the waived cold error
-// branch). This keeps two views honest at once: the analyzer's static
+// decoders' single sized slices and kept strings, and the waived cold
+// error branch). This keeps two views honest at once: the analyzer's static
 // rules cannot silently diverge from what the optimizer actually does,
 // and a new allocation slipped into a hot body fails here even if it
 // dodges every hotalloc pattern.
@@ -85,6 +85,12 @@ func TestHotPathEscapes(t *testing.T) {
 		{"encodeUploadCommit", "make([]byte"},          // the single sized output buffer, returned by design
 		{"decodeUploadCommit", "make([]persistedFrag"}, // the single sized fragment slice
 		{"decodeUploadCommit", "payload[0]"},           // cold version-error branch, waived for hotalloc too
+		{"scanPageTraces", "make([]trace.Trace"},       // the page's single sized trace slice, returned by design
+		// The strings a decoded value keeps (user, key, name, cursor),
+		// copied out of the request or response body by parseString.
+		{"parseBatchChunkFast", "string(s)"},
+		{"scanDatasetPage", "string(s)"},
+		{"scanPageTrace", "string(s)"},
 	}
 
 	cmd := exec.Command("go", "build", "-gcflags=-m", "-o", os.DevNull)

@@ -9,8 +9,9 @@ import (
 
 // hotalloc guards the declared hot paths — the Frozen heatmap scans the
 // attack kernels spin on, the WAL codec that runs once per acked
-// upload, and the batch fast-path parser — against the allocation
-// patterns that keep showing up in profiles:
+// upload, the batch fast-path parser, and the dataset page's path
+// through the router's splice and the client's scanner — against the
+// allocation patterns that keep showing up in profiles:
 //
 //   - fmt.* calls (Sprintf boxes every argument and formats through
 //     reflection);
@@ -33,7 +34,8 @@ type HotAllocConfig struct {
 }
 
 // DefaultHotAlloc declares the repo's hot paths: the Frozen scan
-// methods, the WAL codec, and the batch chunk fast parser.
+// methods, the WAL codec, the batch chunk fast parser, the router's
+// dataset line splitter and the client's dataset page scanner.
 func DefaultHotAlloc() *analysis.Analyzer {
 	return HotAlloc(DefaultHotAllocConfig())
 }
@@ -61,6 +63,15 @@ func DefaultHotAllocConfig() HotAllocConfig {
 				"parseBatchChunkFast": true,
 				"encodeUploadCommit":  true, "decodeUploadCommit": true,
 				"appendString": true, "appendRecords": true,
+				// The client's dataset page scanner: once per trace of
+				// every page read.
+				"scanDatasetPage": true, "scanPageTraces": true, "scanPageTrace": true,
+			},
+			"mood/internal/cluster": {
+				// The router's dataset splice: the line splitter and the
+				// key extractor run once per line merged, and must stay
+				// the only per-line cost of a page.
+				"advance": true, "lineKey": true,
 			},
 		},
 	}
@@ -72,7 +83,7 @@ func HotAlloc(cfg HotAllocConfig) *analysis.Analyzer {
 		Name: "hotalloc",
 		Doc: "forbid fmt calls, by-reference closure captures, appends without " +
 			"preallocation and scalar interface boxing inside the declared hot paths " +
-			"(Frozen scans, WAL codec, batch fast parser)",
+			"(Frozen scans, WAL codec, batch fast parser, dataset page splice and scanner)",
 	}
 	a.Run = func(pass *analysis.Pass) error {
 		hot := cfg.HotFuncs[pass.PkgPath()]

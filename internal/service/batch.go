@@ -428,23 +428,30 @@ func (sc *chunkScanner) eat(b byte) bool {
 // bytes (the stdlib rejects raw controls and rewrites invalid UTF-8,
 // so both defer to it).
 func (sc *chunkScanner) parseString() (string, bool) {
+	s, ok := sc.parseRawString()
+	return string(s), ok
+}
+
+// parseRawString is parseString without the copy: the bytes between the
+// quotes, aliasing the input. For object keys, which are only compared.
+func (sc *chunkScanner) parseRawString() ([]byte, bool) {
 	if !sc.eat('"') {
-		return "", false
+		return nil, false
 	}
 	start := sc.i
 	for sc.i < sc.n && sc.line[sc.i] != '"' {
 		if sc.line[sc.i] == '\\' || sc.line[sc.i] < 0x20 {
-			return "", false
+			return nil, false
 		}
 		sc.i++
 	}
 	if sc.i >= sc.n {
-		return "", false
+		return nil, false
 	}
 	s := sc.line[start:sc.i]
 	sc.i++
 	if !utf8.Valid(s) {
-		return "", false
+		return nil, false
 	}
-	return string(s), true
+	return s, true
 }

@@ -184,6 +184,9 @@ type ClientDatasetPage struct {
 	NotModified bool
 }
 
+// maxDatasetPageBody bounds what the client buffers for one page.
+const maxDatasetPageBody = 1 << 30
+
 // DatasetPageV2 fetches one page of the published dataset.
 func (c *Client) DatasetPageV2(q DatasetQuery) (ClientDatasetPage, error) {
 	u := c.BaseURL + "/v2/dataset"
@@ -214,7 +217,15 @@ func (c *Client) DatasetPageV2(q DatasetQuery) (ClientDatasetPage, error) {
 		io.Copy(io.Discard, resp.Body) //nolint:errcheck
 		return page, nil
 	case http.StatusOK:
-		if err := json.NewDecoder(resp.Body).Decode(&page.DatasetPage); err != nil {
+		buf, err := ReadBody(resp, maxDatasetPageBody)
+		if err != nil {
+			return ClientDatasetPage{}, fmt.Errorf("service: reading dataset page: %w", err)
+		}
+		// The decoded page copies what it keeps, so the buffer goes
+		// straight back to the pool.
+		page.DatasetPage, err = decodeDatasetPage(buf.Bytes())
+		PutBuffer(buf)
+		if err != nil {
 			return ClientDatasetPage{}, fmt.Errorf("service: decoding dataset page: %w", err)
 		}
 		return page, nil

@@ -23,9 +23,17 @@ import (
 // the corpus. The v1 endpoints stay mounted as shims over the same
 // cached assembly.
 
-// NextCursorHeader carries the next page cursor on non-JSON formats
-// (CSV and NDJSON bodies have no envelope to put it in).
-const NextCursorHeader = "X-Mood-Next-Cursor"
+// NextCursorHeader and TotalUsersHeader carry the envelope's
+// next_cursor and total_users on non-JSON formats (CSV and NDJSON bodies
+// have no envelope to put them in). The cluster router reads both off
+// the nodes' NDJSON pages.
+const (
+	NextCursorHeader = "X-Mood-Next-Cursor"
+	TotalUsersHeader = "X-Mood-Total-Users"
+)
+
+// PublishedDatasetName is the name every dataset page carries.
+const PublishedDatasetName = "published"
 
 // Dataset page defaults.
 const (
@@ -75,7 +83,7 @@ func (s *Server) publishedDataset() (trace.Dataset, string) {
 	if e := s.dsCache.Load(); e != nil && e.version == version {
 		return e.ds, version
 	}
-	ds := trace.NewDataset("published", s.publishedSnapshot())
+	ds := trace.NewDataset(PublishedDatasetName, s.publishedSnapshot())
 	if s.datasetVersion() == version {
 		// Nothing changed while assembling: the cache entry is exact.
 		s.dsCache.Store(&dsCacheEntry{version: version, ds: ds})
@@ -145,17 +153,17 @@ func (s *Server) handleDatasetV2(w http.ResponseWriter, r *http.Request) {
 	}
 
 	page := paginateDataset(ds, q)
-	switch q.format {
-	case formatCSV:
+	if q.format != formatJSON {
 		if page.NextCursor != "" {
 			w.Header().Set(NextCursorHeader, page.NextCursor)
 		}
+		w.Header().Set(TotalUsersHeader, strconv.Itoa(page.TotalUsers))
+	}
+	switch q.format {
+	case formatCSV:
 		w.Header().Set("Content-Type", "text/csv")
 		traceio.WriteCSV(w, trace.Dataset{Name: page.Name, Traces: page.Traces}) //nolint:errcheck // headers are gone
 	case formatNDJSON:
-		if page.NextCursor != "" {
-			w.Header().Set(NextCursorHeader, page.NextCursor)
-		}
 		w.Header().Set("Content-Type", NDJSONContentType)
 		traceio.WriteJSONL(w, trace.Dataset{Name: page.Name, Traces: page.Traces}) //nolint:errcheck
 	default:

@@ -91,7 +91,7 @@ var (
 			{name: "If-None-Match", in: "header", typ: "string", desc: "Revalidate against the dataset ETag; 304 on match."},
 		},
 		responses: []docResp{
-			{status: 200, desc: "One dataset page (ETag and, on non-JSON formats, X-Mood-Next-Cursor headers set)", contentType: "application/json", schema: "DatasetPage"},
+			{status: 200, desc: "One dataset page (ETag set; on the CSV and NDJSON formats the envelope travels in headers: X-Mood-Next-Cursor when a further page exists, X-Mood-Total-Users always)", contentType: "application/json", schema: "DatasetPage"},
 			{status: 304, desc: "Dataset unchanged since the presented ETag"},
 			problemResp(400, "Bad cursor, limit or time range"),
 			problemResp(406, "Unsupported Accept media type"),

@@ -487,6 +487,9 @@ func TestDatasetContentNegotiation(t *testing.T) {
 		if resp.Header.Get(NextCursorHeader) == "" {
 			t.Fatal("csv page did not carry the next cursor header")
 		}
+		if got := resp.Header.Get(TotalUsersHeader); got != "4" {
+			t.Fatalf("csv page: %s = %q, want 4", TotalUsersHeader, got)
+		}
 		ds, err := traceio.ReadCSV(resp.Body, "page")
 		if err != nil {
 			t.Fatalf("csv page unparseable: %v", err)
@@ -497,9 +500,14 @@ func TestDatasetContentNegotiation(t *testing.T) {
 	}
 	if resp := get(NDJSONContentType); resp.Header.Get("Content-Type") != NDJSONContentType {
 		t.Fatalf("ndjson negotiation: Content-Type = %q", resp.Header.Get("Content-Type"))
+	} else if resp.Header.Get(NextCursorHeader) == "" || resp.Header.Get(TotalUsersHeader) != "4" {
+		t.Fatalf("ndjson page envelope headers: %s = %q, %s = %q", NextCursorHeader,
+			resp.Header.Get(NextCursorHeader), TotalUsersHeader, resp.Header.Get(TotalUsersHeader))
 	}
 	if resp := get(""); resp.Header.Get("Content-Type") != "application/json" {
 		t.Fatalf("default negotiation: Content-Type = %q", resp.Header.Get("Content-Type"))
+	} else if resp.Header.Get(TotalUsersHeader) != "" {
+		t.Fatal("json page repeats its envelope in headers")
 	}
 	if resp := get("application/xml"); resp.StatusCode != http.StatusNotAcceptable {
 		t.Fatalf("unsupported Accept: status = %d, want 406", resp.StatusCode)

@@ -86,11 +86,21 @@ func ScanRecords(data []byte) (recs Records, n int, ok bool) {
 	if !p.eat('[') {
 		return nil, 0, false
 	}
-	out := Records{}
 	p.skipWS()
 	if p.eat(']') {
-		return out, p.i, true
+		return Records{}, p.i, true
 	}
+	// A canonical array holds no bracket but its own and one brace pair
+	// per record, so the records can be counted before they are parsed
+	// and the slice allocated once, at its final size — or at the number
+	// of full records that fit, so that a line of bare braces cannot ask
+	// for more memory than it occupies.
+	end := bytes.IndexByte(data[p.i:], ']')
+	if end < 0 {
+		return nil, 0, false
+	}
+	count := min(bytes.Count(data[p.i:p.i+end], openBrace), end/len(`{"lat":0,"lon":0,"ts":0}`)+1)
+	out := make(Records, 0, count)
 	for {
 		rec, recOK := p.parseRecord(Record{})
 		if !recOK {
@@ -319,6 +329,8 @@ func (p *recParser) parseRecord(base Record) (Record, bool) {
 }
 
 var (
+	openBrace = []byte{'{'}
+
 	keyLat = []byte("lat")
 	keyLon = []byte("lon")
 	keyTS  = []byte("ts")
