@@ -32,7 +32,7 @@ import (
 //
 // Helpers are summarised through the intra-package call graph:
 // "durableOrErr" (every return is durable or carries a non-nil error —
-// commitDurable's contract) lets a caller guard on the helper's error;
+// appendAndApply's contract) lets a caller guard on the helper's error;
 // "alwaysDurable" (durable at every exit) makes a bare call a
 // durability source. Recovery/replay entry points and the raw apply
 // helpers themselves are exempt: replay IS the durability mechanism,

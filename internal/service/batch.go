@@ -9,18 +9,22 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
+	"time"
 	"unicode/utf8"
 
+	"mood/internal/store"
 	"mood/internal/trace"
 )
 
 // POST /v2/traces: the streaming batch upload. The request body is an
 // NDJSON stream — one BatchChunk JSON document per line — and the
 // response is an NDJSON stream of one BatchResult per chunk, in input
-// order, flushed as chunks complete. A single connection therefore
-// carries an arbitrarily long upload session while auth, rate limiting
-// and connection overhead are paid once per batch instead of once per
-// chunk, and the chunks fan out into the sharded worker pool in bulk.
+// order, flushed as commit windows complete. A single connection
+// therefore carries an arbitrarily long upload session while auth, rate
+// limiting and connection overhead are paid once per batch instead of
+// once per chunk, and the chunks fan out into the sharded worker pool in
+// bulk.
 //
 // Unlike the v1 single-chunk endpoint, a full queue exerts
 // backpressure on the stream (reading pauses until a slot frees)
@@ -28,6 +32,13 @@ import (
 // are still individually validated, individually idempotent (per-line
 // "key") and individually async-able (per-line "async": the result
 // line carries the job handle instead of the outcome).
+//
+// A chunk is acknowledged only once its commit is durable, and the one
+// cost of that a chunk cannot avoid — the sync — is shared: the
+// synchronous chunks of a batch commit through the request's commit
+// window (commitWindow below), which appends every chunk that is ready
+// as one WAL frame under one sync and only then lets their result lines
+// go.
 
 // NDJSONContentType is the newline-delimited JSON media type of the
 // batch request and response streams.
@@ -40,6 +51,20 @@ const (
 	maxBatchLineBytes = 8 << 20
 	// maxBatchChunks bounds one batch request.
 	maxBatchChunks = 100000
+	// batchWindow is the in-flight window of one batch request in chunks:
+	// lines dispatched whose result has not been written yet. It is also
+	// the most chunks one commit window holds. A chunk parked on a sync
+	// holds no CPU, so the window is sized for sharing syncs, not by the
+	// worker count (the pool bounds the CPU-heavy part).
+	batchWindow = 64
+	// batchInflightBytes bounds the same window in bytes of request
+	// lines, so that batchWindow maximum-size lines cannot be parked in
+	// memory at once; any single line fits.
+	batchInflightBytes = 4 * maxBatchLineBytes
+	// maxGroupBytes closes a commit window by record payload, keeping a
+	// group's frame far below the WAL's frame limit whatever its chunks
+	// weigh (a chunk heavier than this commits alone).
+	maxGroupBytes = 4 << 20
 )
 
 // BatchChunk is one line of the POST /v2/traces request stream.
@@ -141,23 +166,18 @@ func (s *Server) handleBatchUpload(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 
-	// The pipeline: the main loop parses lines and spawns one bounded
-	// worker per chunk; the writer goroutine emits results strictly in
-	// input order, flushing after each line so slow chunks do not gate
-	// the results of earlier ones reaching the client. The pending
-	// buffer is the in-flight window — when the writer falls behind
-	// (client backpressure) or the pool is saturated, the main loop
-	// stops reading, which pushes the backpressure to the sender.
-	window := 2 * s.opts.Workers
-	if window < 4 {
-		window = 4
-	}
-	if window > 64 {
-		window = 64
-	}
-	type slot struct{ res chan BatchResult }
-	pending := make(chan *slot, window)
+	// The pipeline: the main loop splits lines and spawns one goroutine
+	// per chunk; the writer goroutine emits results strictly in input
+	// order, flushing whenever the head result is not ready yet so slow
+	// chunks do not gate the results of earlier ones reaching the client.
+	// The pending buffer is the in-flight window — when the writer falls
+	// behind (client backpressure) or the chunks ahead are still being
+	// protected or committed, the main loop stops reading, which pushes
+	// the backpressure to the sender.
+	pending := make(chan *batchSlot, batchWindow)
 	done := make(chan struct{})
+	cw := s.newCommitWindow()
+	defer cw.close()
 	go func() {
 		defer close(done)
 		enc := json.NewEncoder(w)
@@ -169,7 +189,21 @@ func (s *Server) handleBatchUpload(w http.ResponseWriter, r *http.Request) {
 			dirty = false
 		}
 		defer flush()
-		for sl := range pending {
+		for {
+			var sl *batchSlot
+			var open bool
+			select {
+			case sl, open = <-pending:
+			default:
+				// Nothing else is in flight: what is buffered is all this
+				// client gets until it sends more (a lock-step sender waits
+				// for exactly these lines).
+				flush()
+				sl, open = <-pending
+			}
+			if !open {
+				return
+			}
 			var res BatchResult
 			select {
 			case res = <-sl.res:
@@ -178,7 +212,9 @@ func (s *Server) handleBatchUpload(w http.ResponseWriter, r *http.Request) {
 				// buffered to the client before blocking, so finished
 				// chunks are visible while stragglers grind.
 				flush()
+				cw.setAwaited(sl.idx)
 				res = <-sl.res
+				cw.setAwaited(-1)
 			}
 			if err := enc.Encode(res); err != nil {
 				// The client is gone; keep draining so chunk workers
@@ -190,18 +226,30 @@ func (s *Server) handleBatchUpload(w http.ResponseWriter, r *http.Request) {
 	}()
 
 	ctx := r.Context()
-	// emit hands one pre-resolved result line to the writer, respecting
-	// the same in-flight window as real chunks; false means the client
-	// is gone.
-	emit := func(res BatchResult) bool {
-		sl := &slot{res: make(chan BatchResult, 1)}
-		sl.res <- res
+	budget := byteBudget{free: batchInflightBytes, freed: make(chan struct{}, 1)}
+	// send hands one slot to the writer, respecting the in-flight
+	// window; false means the client is gone. While it waits for the
+	// window to move, the reader has nothing to dispatch.
+	send := func(sl *batchSlot) bool {
+		select {
+		case pending <- sl:
+			return true
+		default:
+		}
+		cw.setStalled(true)
+		defer cw.setStalled(false)
 		select {
 		case pending <- sl:
 			return true
 		case <-ctx.Done():
 			return false
 		}
+	}
+	// emit hands one pre-resolved result line to the writer.
+	emit := func(res BatchResult) bool {
+		sl := &batchSlot{res: make(chan BatchResult, 1), idx: res.Index}
+		sl.res <- res
+		return send(sl)
 	}
 	idx := 0
 loop:
@@ -222,15 +270,18 @@ loop:
 					"batch exceeds "+strconv.Itoa(maxBatchChunks)+" chunks; split the upload"))
 				break loop
 			}
-			sl := &slot{res: make(chan BatchResult, 1)}
-			select {
-			case pending <- sl:
-			case <-ctx.Done():
+			if !budget.acquire(ctx, cw, len(line)) {
 				break loop
 			}
-			go func(i int, ln []byte) {
-				sl.res <- s.processBatchChunk(ctx, i, ln, hdrUser)
-			}(idx, line)
+			sl := &batchSlot{res: make(chan BatchResult, 1), cw: cw, idx: idx}
+			if !send(sl) {
+				break loop
+			}
+			cw.dispatch()
+			go func(ln []byte) {
+				sl.res <- s.processBatchChunk(ctx, sl, ln, hdrUser)
+				budget.release(len(ln))
+			}(line)
 			idx++
 		}
 		if readErr != nil {
@@ -240,10 +291,317 @@ loop:
 			}
 			break
 		}
-		line, readErr = readBatchLine(br)
+		if lineBuffered(br) {
+			line, readErr = readBatchLine(br)
+		} else {
+			// The next line is still on the wire (or never coming): the
+			// commit window need not wait for it.
+			cw.setIdle(true)
+			line, readErr = readBatchLine(br)
+			cw.setIdle(false)
+		}
 	}
+	cw.setIdle(true)
 	close(pending)
 	<-done
+}
+
+// lineBuffered reports whether br holds a complete line, so that reading
+// it cannot block on the connection.
+func lineBuffered(br *bufio.Reader) bool {
+	buffered, _ := br.Peek(br.Buffered())
+	return bytes.IndexByte(buffered, '\n') >= 0
+}
+
+// byteBudget is the byte side of a batch's in-flight window: the reader
+// charges every line it dispatches and stalls once the budget is spent,
+// and a chunk hands its line's bytes back with its result. One reader
+// acquires; any chunk releases.
+type byteBudget struct {
+	mu    sync.Mutex
+	free  int
+	freed chan struct{} // buffered(1): a release happened since the last wait
+}
+
+func (b *byteBudget) take(n int) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.free < n {
+		return false
+	}
+	b.free -= n
+	return true
+}
+
+// acquire charges n bytes, waiting for releases while the budget is
+// short; the reader has nothing to dispatch meanwhile. False means the
+// context ended first.
+func (b *byteBudget) acquire(ctx context.Context, cw *commitWindow, n int) bool {
+	if b.take(n) {
+		return true
+	}
+	cw.setIdle(true)
+	defer cw.setIdle(false)
+	for !b.take(n) {
+		select {
+		case <-b.freed:
+		case <-ctx.Done():
+			return false
+		}
+	}
+	return true
+}
+
+func (b *byteBudget) release(n int) {
+	b.mu.Lock()
+	b.free += n
+	b.mu.Unlock()
+	select {
+	case b.freed <- struct{}{}:
+	default:
+	}
+}
+
+// ---------------------------------------------------------------------------
+// The commit window.
+
+// batchSlot is one chunk's place in its batch's in-flight window: where
+// its result line goes, and — for a chunk that is executed — the commit
+// window of its request and its position in the stream.
+type batchSlot struct {
+	res chan BatchResult // buffered(1): the chunk's result line
+	cw  *commitWindow
+	idx int
+}
+
+// settle counts the chunk out of its window's upstream tally: it will
+// not reach the window. A nil slot (the v1 surface) counts nothing.
+func (sl *batchSlot) settle() {
+	if sl != nil {
+		sl.cw.settle()
+	}
+}
+
+// replayed settles a chunk that turned out to be a retry, and stops its
+// window holding anything back from then on: a replay may wait for the
+// commit of an original that is parked in this window or in another
+// request's, and a window that held its group for the sake of a chunk
+// that waits on another window could wait in a circle. (Every other
+// settled chunk delivers its result without waiting on a commit.)
+func (sl *batchSlot) replayed() {
+	if sl != nil {
+		sl.cw.replayed()
+	}
+}
+
+// submit hands the chunk's staged commit to its window; the committer
+// will make it durable, apply it and deliver the outcome. False means
+// there is no window to take it — the upload is not part of a batch, or
+// its request has finished — and the caller commits the job itself.
+func (sl *batchSlot) submit(j *uploadJob) bool {
+	return sl != nil && sl.cw.submit(j, sl.idx)
+}
+
+// commitWindow is the request-scoped group commit of one batch upload.
+// Workers still run Protect on the pool, but a synchronous chunk's
+// staged commit is handed to the window (submit) instead of being synced
+// by its worker; the window's committer goroutine appends the records of
+// every chunk it holds as ONE store.Append — one frame, one sync — and
+// only then applies each commit and delivers each outcome (commitGroup),
+// so the writer releases the result lines after the covering sync, still
+// in input order.
+//
+// The window is held open to fill and closes — commits what it holds —
+// on the first of:
+//
+//   - it holds batchWindow chunks or maxGroupBytes of records;
+//   - it cannot grow: every dispatched chunk that can still reach it has
+//     (upstream == 0), and the reader will not dispatch another before
+//     the window's results are out — it is waiting for a line that is
+//     not buffered or has seen the stream end (idle), or it is waiting
+//     for an in-flight slot (stalled) while the writer waits for the
+//     result of a chunk the window holds (awaited == first; results go
+//     out in input order, so no slot frees before that chunk commits);
+//   - a chunk arrives that cost more to protect than the last durable
+//     append took: a sync shared with that chunk's neighbours would save
+//     less than waiting for their protection costs, so a slow engine's
+//     chunk is never held behind one;
+//   - holding is off: the batch contains a replay (see replayed), or the
+//     server is closing.
+//
+// Every rule is evaluated on events, never on a timer: with a clock that
+// does not advance the third simply never fires, and the second is
+// always reached, because every upstream chunk settles — it reaches the
+// window, fails, or turns out not to need it — and a reader that cannot
+// dispatch is idle or stalled. A batch of one therefore commits the
+// moment its chunk is protected, as a single upload does; coalescing
+// across requests stays the WAL flusher's job.
+//
+// upstream is an exact tally. The reader counts a chunk in when it
+// dispatches it; exactly one of these counts it out: a rejected line, a
+// replay, a key reuse, an async chunk or a shed one (settle, from the
+// chunk's own goroutine, before it blocks on anything); a failed
+// protection (settle, from the worker); or its arrival (submit).
+//
+// The window outlives no request: the handler closes it once every
+// result line is written, and a chunk that is still on the pool then
+// (its request was cancelled) finds submit refused and commits as a
+// group of one on its worker.
+type commitWindow struct {
+	s *Server
+
+	mu       sync.Mutex
+	upstream int
+	idle     bool // the reader waits for the wire, or has finished
+	stalled  bool // the reader waits for an in-flight slot
+	awaited  int  // stream index of the result the writer waits for; -1: none
+	closed   bool
+	// eager is set by a chunk that outweighs a sync (the third rule) and
+	// cleared with the group it closes; unheld is for good.
+	eager  bool
+	unheld bool
+	// group is what the window holds, recs the concatenation of its
+	// records, bytes their payload size and first the lowest stream index
+	// among its chunks.
+	group []*uploadJob
+	recs  []store.Record
+	bytes int
+	first int
+
+	kick chan struct{} // buffered(1): something the committer decides on changed
+	done chan struct{} // closed when the committer has exited
+}
+
+func (s *Server) newCommitWindow() *commitWindow {
+	cw := &commitWindow{s: s, awaited: -1, kick: make(chan struct{}, 1), done: make(chan struct{})}
+	go cw.run()
+	return cw
+}
+
+// note applies one change to what the committer decides on and wakes it
+// if the window should now close.
+func (cw *commitWindow) note(change func()) {
+	cw.mu.Lock()
+	change()
+	wake := cw.ripe()
+	cw.mu.Unlock()
+	if wake {
+		cw.wake()
+	}
+}
+
+func (cw *commitWindow) wake() {
+	select {
+	case cw.kick <- struct{}{}:
+	default:
+	}
+}
+
+// ripe reports whether the window should commit what it holds now (the
+// rules in the type comment). Callers hold mu.
+func (cw *commitWindow) ripe() bool {
+	if len(cw.group) == 0 {
+		return false
+	}
+	full := len(cw.group) >= batchWindow || cw.bytes >= maxGroupBytes
+	sealed := cw.upstream == 0 && (cw.idle || cw.stalled && cw.awaited == cw.first)
+	return full || sealed || cw.eager || cw.unheld || cw.closed || cw.s.closed.Load()
+}
+
+// dispatch counts one chunk in: the reader is about to start it.
+func (cw *commitWindow) dispatch() { cw.note(func() { cw.upstream++ }) }
+
+// settle counts one chunk out: it will not reach the window.
+func (cw *commitWindow) settle() { cw.note(func() { cw.upstream-- }) }
+
+// replayed counts out a chunk that turned out to be a retry and turns
+// holding off for good (see batchSlot.replayed).
+func (cw *commitWindow) replayed() { cw.note(func() { cw.upstream--; cw.unheld = true }) }
+
+// setIdle records whether the reader is waiting for the wire.
+func (cw *commitWindow) setIdle(idle bool) { cw.note(func() { cw.idle = idle }) }
+
+// setStalled records whether the reader is waiting for an in-flight slot.
+func (cw *commitWindow) setStalled(stalled bool) { cw.note(func() { cw.stalled = stalled }) }
+
+// setAwaited records the stream index of the result the writer is
+// waiting for, -1 when it is not waiting.
+func (cw *commitWindow) setAwaited(idx int) { cw.note(func() { cw.awaited = idx }) }
+
+// submit adds a staged commit (the chunk at stream index idx) to the
+// group; false once the window is closed.
+func (cw *commitWindow) submit(j *uploadJob, idx int) (taken bool) {
+	cw.note(func() {
+		if cw.closed {
+			return
+		}
+		taken = true
+		cw.upstream--
+		cw.s.parked.Add(1)
+		if len(cw.group) == 0 || idx < cw.first {
+			cw.first = idx
+		}
+		cw.group = append(cw.group, j)
+		cw.recs = append(cw.recs, j.recs...)
+		for _, r := range j.recs {
+			cw.bytes += len(r.Payload)
+		}
+		if j.cost > time.Duration(cw.s.lastAppend.Load()) {
+			cw.eager = true
+		}
+	})
+	return taken
+}
+
+// take returns the group to commit now, nil to keep holding; exit
+// reports a closed, empty window. The window goes on filling the spare
+// buffers, which the committer hands back emptied from its last group.
+func (cw *commitWindow) take(spareGroup []*uploadJob, spareRecs []store.Record) (group []*uploadJob, recs []store.Record, exit bool) {
+	cw.mu.Lock()
+	defer cw.mu.Unlock()
+	if !cw.ripe() {
+		return nil, nil, cw.closed && len(cw.group) == 0
+	}
+	group, recs = cw.group, cw.recs
+	cw.group, cw.recs = spareGroup, spareRecs
+	cw.bytes, cw.eager = 0, false
+	return group, recs, false
+}
+
+// run is the committer: one goroutine per batch request, so the groups
+// of a batch commit one after the other, in arrival order.
+func (cw *commitWindow) run() {
+	defer close(cw.done)
+	var spareGroup []*uploadJob
+	var spareRecs []store.Record
+	for range cw.kick {
+		for {
+			group, recs, exit := cw.take(spareGroup, spareRecs)
+			if exit {
+				return
+			}
+			if group == nil {
+				break
+			}
+			cw.s.commitGroup(group, recs)
+			cw.s.parked.Add(-len(group))
+			// Reuse the buffers, dropping what they reference.
+			clear(group)
+			clear(recs)
+			spareGroup, spareRecs = group[:0], recs[:0]
+		}
+	}
+}
+
+// close ends the window once its request has written every result line:
+// whatever it still holds (chunks of a cancelled request) is committed,
+// later arrivals are refused, and the committer has exited on return.
+func (cw *commitWindow) close() {
+	cw.mu.Lock()
+	cw.closed = true
+	cw.mu.Unlock()
+	cw.wake()
+	<-cw.done
 }
 
 // errChunkTooLarge marks a single over-limit line: the reader resyncs
@@ -285,8 +643,18 @@ func readBatchLine(br *bufio.Reader) ([]byte, error) {
 	}
 }
 
-// processBatchChunk validates and executes one chunk line.
-func (s *Server) processBatchChunk(ctx context.Context, idx int, line []byte, hdrUser string) BatchResult {
+// processBatchChunk validates and executes the chunk line in slot sl.
+// The chunk counts in its window's upstream tally on entry; a line
+// rejected here settles it, an accepted one passes it on to
+// executeChunk.
+func (s *Server) processBatchChunk(ctx context.Context, sl *batchSlot, line []byte, hdrUser string) BatchResult {
+	idx := sl.idx
+	rejected := true
+	defer func() {
+		if rejected {
+			sl.settle()
+		}
+	}()
 	c, ok := parseBatchChunkFast(line)
 	if !ok {
 		// Non-canonical line (escapes, unknown fields, reordered
@@ -318,7 +686,8 @@ func (s *Server) processBatchChunk(ctx context.Context, idx int, line []byte, hd
 		return batchError(idx, c.User, http.StatusBadRequest, CodeKeyTooLong,
 			"idempotency key exceeds "+strconv.Itoa(maxIdempotencyKeyLen)+" bytes")
 	}
-	return batchOutcomeResult(idx, c.User, s.executeChunk(ctx, t, c.Key, c.Async, true))
+	rejected = false
+	return batchOutcomeResult(idx, c.User, s.executeChunk(ctx, t, c.Key, c.Async, sl))
 }
 
 // parseBatchChunkFast parses the canonical batch line shape —

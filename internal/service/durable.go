@@ -11,22 +11,34 @@
 // failures with backoff on the injected clock and surfacing its health
 // in /v2/stats.
 //
-// Consistency barrier. Commits append-then-apply while holding
-// storeGate.RLock; Checkpoint holds the write lock across Mark and the
-// state capture. This makes append+apply atomic with respect to the
-// snapshot: every record appended before the Mark has its effects in
-// the captured state (so compaction never drops an uncovered record),
-// and no record can land between the Mark and the capture. Lock order
-// is storeGate before shard mutexes, everywhere.
+// One commit path. Every upload commit — a single-chunk upload, an
+// async job, the chunks of an NDJSON batch — goes through commitGroup:
+// the records of a GROUP of staged uploads are appended as one frame
+// under one sync, then each commit is applied and acknowledged. Most
+// groups are groups of one; a batch request gathers the chunks that are
+// ready at the same time in its commit window (batch.go), so a batch's
+// result lines are released as commit windows complete and its chunks
+// share the one cost none of them can avoid.
+//
+// Consistency barrier. A group is appended and then applied while
+// holding storeGate.RLock; Checkpoint holds the write lock across Mark
+// and the state capture. This makes append+apply of a whole group
+// atomic with respect to the snapshot: every record appended before the
+// Mark has its effects in the captured state (so compaction never drops
+// an uncovered record), no record can land between the Mark and the
+// capture, and no snapshot sees a group half applied. Lock order is
+// storeGate before shard mutexes, everywhere.
 //
 // Exactly-once across crashes. A keyed upload's commit record, its
 // idempotency completion and (for async) its terminal job status are
-// appended as ONE atomic batch: recovery restores the dedupe entry
-// together with the commit, so a client retrying an acked chunk after
-// a crash replays the original outcome instead of committing twice.
-// When the append itself fails, nothing is applied and the key is
-// released — the client sees 503 storage_unavailable and its retry
-// re-executes (at-most-once per ack, always).
+// appended in ONE atomic frame — the frame of its group: recovery
+// restores the dedupe entry together with the commit, so a client
+// retrying an acked chunk after a crash replays the original outcome
+// instead of committing twice, and it sees a group whole or not at all
+// — a torn group was never acknowledged. When the append itself fails,
+// nothing of the group is applied and every key in it is released — the
+// clients see 503 storage_unavailable and their retries re-execute
+// (at-most-once per ack, always).
 package service
 
 import (
@@ -142,37 +154,28 @@ func (s *Server) prepareCommit(t trace.Trace, res core.Result) preparedCommit {
 	return pc
 }
 
-// commitDurable makes one upload's commit durable and applies it:
-// append the atomic record batch (commit + idempotency completion +
-// terminal job status), then fold the effects into the shard, the
-// dedupe window and the job store — all under the consistency barrier.
-// A failed append applies NOTHING and returns a storageError: the
-// client gets a retryable 503 and, because no record exists, its retry
-// cannot double-commit.
-func (s *Server) commitDurable(j *uploadJob, res core.Result) (UploadResponse, []int64, error) {
-	pc := s.prepareCommit(j.trace, res)
-	s.storeGate.RLock()
-	defer s.storeGate.RUnlock()
-	if s.store != nil {
-		recs, err := s.commitRecords(j, pc)
-		if err == nil {
-			err = s.store.Append(recs...)
-		}
-		if err != nil {
-			return UploadResponse{}, nil, &storageError{err: err}
-		}
+// stageCommit stages the result of one protected upload on its job,
+// outside every lock: the commit drawn from the atomics (prepareCommit)
+// and the WAL records that make it durable (commitRecords). A job whose
+// records cannot be encoded fails here, before anything is appended.
+func (s *Server) stageCommit(j *uploadJob, res core.Result) error {
+	j.pc = s.prepareCommit(j.trace, res)
+	if s.store == nil {
+		return nil
 	}
-	s.applyCommit(j, pc)
-	return pc.resp, pc.seqs, nil
+	if err := s.commitRecords(j); err != nil {
+		return &storageError{err: err}
+	}
+	return nil
 }
 
-// commitRecords builds the atomic record batch for one upload. The
-// idempotency completion and terminal job status ride in the same
-// frame as the commit so recovery can never observe one without the
-// others — the exactly-once guarantee for keyed retries across a
-// crash.
-func (s *Server) commitRecords(j *uploadJob, pc preparedCommit) ([]store.Record, error) {
-	t := j.trace
+// commitRecords builds the atomic record batch for one upload into
+// j.recs. The idempotency completion and terminal job status ride in
+// the same frame as the commit so recovery can never observe one
+// without the others — the exactly-once guarantee for keyed retries
+// across a crash.
+func (s *Server) commitRecords(j *uploadJob) error {
+	t, pc := j.trace, &j.pc
 	c := walUploadCommit{
 		User:      t.User,
 		RecordsIn: t.Len(),
@@ -189,26 +192,81 @@ func (s *Server) commitRecords(j *uploadJob, pc preparedCommit) ([]store.Record,
 	// The commit record is binary (walcodec.go): one per acked upload,
 	// so JSON float formatting of its coordinates would dominate the
 	// commit path's CPU.
-	recs := []store.Record{{Type: recUploadCommit, Payload: encodeUploadCommit(c)}}
+	j.recs = append(j.recBuf[:0], store.Record{Type: recUploadCommit, Payload: encodeUploadCommit(c)})
 	if j.idem != nil {
 		rec, err := encodeRec(recIdemComplete, persistedIdem{
 			Key: idemKey(t.User, j.idemKey), FP: j.idem.fp, JobID: j.id, Resp: pc.resp,
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		recs = append(recs, rec)
+		j.recs = append(j.recs, rec)
 	}
 	if j.id != "" {
 		rec, err := encodeRec(recJobTerminal, JobStatus{
 			ID: j.id, User: t.User, State: JobDone, Result: &pc.resp,
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		recs = append(recs, rec)
+		j.recs = append(j.recs, rec)
 	}
-	return recs, nil
+	return nil
+}
+
+// commitGroup is the one commit path. It makes a group of staged
+// uploads durable with ONE store.Append — one frame, one sync, however
+// many chunks a batch's commit window gathered; a single-chunk upload,
+// an async job and a chunk whose request is gone are groups of one —
+// and only then applies each commit and delivers each outcome. recs is
+// the concatenation of the group's j.recs, in group order. A refused
+// append applies NOTHING: every job of the group fails with a
+// storageError (a retryable 503 with the key released) and, because no
+// frame exists, no retry can double-commit. A frame is atomic, so
+// recovery sees the whole group or none of it — and none of it was
+// acknowledged.
+func (s *Server) commitGroup(group []*uploadJob, recs []store.Record) {
+	err := s.appendAndApply(group, recs)
+	for _, j := range group {
+		if err != nil {
+			s.finishJob(j, UploadResponse{}, err)
+			continue
+		}
+		if cur := s.currentEngine(); cur.epoch != j.eng.epoch && cur.auditor != nil && len(j.pc.seqs) > 0 {
+			// A retrain pass swapped the engine after this upload loaded its
+			// protector: the re-audit cannot have covered these fragments
+			// (they were not committed yet) and they were admitted by the
+			// stale verifier, so judge them here against the current attacks
+			// (see audit.go). Removal by seq is idempotent, so overlapping
+			// with a concurrent audit pass is harmless.
+			s.auditShardFrags(s.shard(j.trace.User), cur.auditor, j.pc.seqs)
+		}
+		s.finishJob(j, j.pc.resp, nil)
+	}
+}
+
+// appendAndApply is commitGroup's critical section: append the group's
+// records as one frame, then fold every commit into the shards, the
+// dedupe window and the job store — all under one read-hold of the
+// consistency barrier, so a checkpoint sees a group applied whole or
+// not at all.
+func (s *Server) appendAndApply(group []*uploadJob, recs []store.Record) error {
+	s.storeGate.RLock()
+	defer s.storeGate.RUnlock()
+	if s.store != nil {
+		start := s.clk.Now()
+		err := s.store.Append(recs...)
+		s.lastAppend.Store(int64(s.clk.Since(start)))
+		if err != nil {
+			return &storageError{err: err}
+		}
+		s.commitGroups.Add(1)
+		s.commits.Add(int64(len(group)))
+	}
+	for _, j := range group {
+		s.applyCommit(j)
+	}
+	return nil
 }
 
 // applyCommit folds a staged commit into the in-memory state. Callers
@@ -216,8 +274,8 @@ func (s *Server) commitRecords(j *uploadJob, pc preparedCommit) ([]store.Record,
 // load-bearing: shard first, then the idempotency entry, then the job
 // — the same monotone order the snapshot capture relies on (see
 // captureState).
-func (s *Server) applyCommit(j *uploadJob, pc preparedCommit) {
-	t := j.trace
+func (s *Server) applyCommit(j *uploadJob) {
+	t, pc := j.trace, &j.pc
 	sh := s.shard(t.User)
 	sh.mu.Lock()
 	us, ok := sh.users[t.User]
@@ -563,6 +621,12 @@ type PersistenceStats struct {
 	// healthy stores.
 	AppendFailures  int64  `json:"append_failures,omitempty"`
 	LastAppendError string `json:"last_append_error,omitempty"`
+	// CommitGroups counts the durable appends of the upload commit path
+	// — one frame and one sync each — and Commits the uploads they
+	// carried: Commits / CommitGroups is chunks per sync, above 1 when
+	// batch commit windows are sharing syncs. Omitted while zero.
+	CommitGroups int64 `json:"commit_groups,omitempty"`
+	Commits      int64 `json:"commits,omitempty"`
 }
 
 // StatsPayload is the GET /v{1,2}/stats body. The embedded ServerStats
@@ -584,7 +648,8 @@ func (s *Server) statsPayload() StatsPayload {
 	if s.store == nil {
 		return out
 	}
-	ps := &PersistenceStats{Store: s.store.Name(), LastSuccessAgeMillis: -1}
+	ps := &PersistenceStats{Store: s.store.Name(), LastSuccessAgeMillis: -1,
+		CommitGroups: s.commitGroups.Load(), Commits: s.commits.Load()}
 	s.persistMu.Lock()
 	ps.Checkpoints = s.persist.checkpoints
 	ps.CheckpointFailures = s.persist.failures

@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -197,22 +198,27 @@ func TestFaultInjectionNoAckedLoss(t *testing.T) {
 				t.Fatalf("failAt=%d partial=%d: conservation broken: %+v",
 					failAt, partial, st)
 			}
-			// Fragment seq handles must stay unique through replay.
-			seen := make(map[int64]bool)
-			for s := range srvB.shards {
-				sh := &srvB.shards[s]
-				sh.mu.Lock()
-				for _, f := range sh.published {
-					if f.Seq == 0 || seen[f.Seq] {
-						sh.mu.Unlock()
-						t.Fatalf("failAt=%d partial=%d: duplicate or zero frag seq %d",
-							failAt, partial, f.Seq)
-					}
-					seen[f.Seq] = true
-				}
-				sh.mu.Unlock()
-			}
+			assertUniqueFragSeqs(t, srvB, fmt.Sprintf("failAt=%d partial=%d", failAt, partial))
 		}
+	}
+}
+
+// assertUniqueFragSeqs: fragment seq handles must stay unique (and
+// non-zero) through replay.
+func assertUniqueFragSeqs(t *testing.T, srv *Server, when string) {
+	t.Helper()
+	seen := make(map[int64]bool)
+	for s := range srv.shards {
+		sh := &srv.shards[s]
+		sh.mu.Lock()
+		for _, f := range sh.published {
+			if f.Seq == 0 || seen[f.Seq] {
+				sh.mu.Unlock()
+				t.Fatalf("%s: duplicate or zero frag seq %d", when, f.Seq)
+			}
+			seen[f.Seq] = true
+		}
+		sh.mu.Unlock()
 	}
 }
 

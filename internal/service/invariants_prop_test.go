@@ -119,24 +119,29 @@ func runStatsInvariantProperty(t *testing.T, seed uint64) {
 				// Replayed job handle; the original already counted.
 				return
 			}
-			// Join the job through its idempotency entry (async ops are
-			// always keyed here), then read the outcome it committed.
-			e, isNew := srv.idem.begin(user, key, uploadFingerprint(trace.New(user, records)))
-			if isNew {
-				t.Fatalf("async upload (%s,%s) lost its idempotency entry", user, key)
+			// Join the job through the handle the 202 carried, then read
+			// the outcome it committed. (Not through the idempotency entry:
+			// a failed job releases its key by design, so re-begin()ing the
+			// key races the worker and would mint a fresh entry.)
+			var job JobStatus
+			if err := json.Unmarshal(rec.Body.Bytes(), &job); err != nil || job.ID == "" {
+				t.Fatalf("undecodable 202: %s", rec.Body.String())
 			}
-			select {
-			case <-e.done:
-			case <-time.After(5 * time.Second):
-				t.Fatalf("async upload (%s,%s) never completed", user, key)
+			deadline := time.Now().Add(5 * time.Second)
+			for job.State != JobDone && job.State != JobFailed {
+				if time.Now().After(deadline) {
+					t.Fatalf("async upload (%s,%s) never completed: %+v", user, key, job)
+				}
+				time.Sleep(50 * time.Microsecond)
+				var ok bool
+				if job, ok = srv.jobs.get(job.ID); !ok {
+					t.Fatalf("async upload (%s,%s) lost its job", user, key)
+				}
 			}
-			resp, done, jerr := srv.idem.outcome(e)
-			if !done {
-				t.Fatal("entry closed but not completed")
-			}
-			if jerr != nil {
+			if job.State == JobFailed {
 				return // failed job: nothing committed
 			}
+			resp := *job.Result
 			exp.uploads++
 			exp.recordsIn += n
 			exp.published += resp.Accepted

@@ -422,6 +422,7 @@ func openapiSchemas() map[string]any {
 			"store": str, "checkpoints": integer, "checkpoint_failures": integer,
 			"last_error": str, "last_success_age_ms": integer,
 			"append_failures": integer, "last_append_error": str,
+			"commit_groups": integer, "commits": integer,
 		}),
 		"UserStats": obj(map[string]any{
 			"uploads": integer, "records_in": integer, "records_published": integer,

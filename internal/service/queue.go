@@ -9,8 +9,10 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"mood/internal/core"
+	"mood/internal/store"
 	"mood/internal/trace"
 )
 
@@ -20,7 +22,10 @@ import (
 // traffic spike pile unbounded goroutines onto the CPU-heavy protection
 // engine. Synchronous callers block on the job's done channel so the
 // wire semantics are unchanged; async callers get a job ID and poll
-// GET /v1/jobs/{id}.
+// GET /v1/jobs/{id}. A worker's part ends where the durable commit
+// begins: it stages the commit and either hands it to the commit window
+// of the batch the chunk arrived in or commits it as a group of one
+// (commitGroup in durable.go is the one commit path).
 
 // Job states reported by GET /v1/jobs/{id}.
 const (
@@ -59,14 +64,34 @@ type uploadJob struct {
 	// outcome so retries under idemKey replay instead of re-committing.
 	idem    *idemEntry
 	idemKey string
+	// slot, when non-nil, is the chunk's place in the batch request it
+	// arrived in: the worker hands the staged commit to that request's
+	// commit window instead of syncing the chunk on its own (see
+	// batch.go). The job counts in the window's upstream tally until the
+	// worker settles it.
+	slot *batchSlot
+
+	// The staged commit, filled in by the worker between Protect and
+	// the durable append (see stageCommit): the engine the chunk was
+	// protected on, what Protect cost on the server's clock, the commit
+	// drawn from the atomics and its WAL records. recBuf backs recs, so
+	// staging allocates nothing beyond the payloads.
+	eng    *engineState
+	cost   time.Duration
+	pc     preparedCommit
+	recs   []store.Record
+	recBuf [3]store.Record
 }
 
 // workerPool runs uploads on a fixed set of goroutines fed by a bounded
 // queue.
 type workerPool struct {
-	queue   chan *uploadJob
-	stop    chan struct{} // closed by Close: stop pulling new work
-	drained chan struct{} // closed when every worker has exited
+	queue chan *uploadJob
+	stop  chan struct{} // closed by Close: stop pulling new work
+	// drained is closed by Server.Close once every worker has exited AND
+	// every commit the workers parked in a batch's commit window has
+	// been settled: a waiter that sees it closed finds its job complete.
+	drained chan struct{}
 	wg      sync.WaitGroup
 
 	// stopMu fences intake against shutdown: enqueuers hold the read
@@ -106,10 +131,6 @@ func newWorkerPool(workers, depth int, run func(*uploadJob)) *workerPool {
 			}
 		}()
 	}
-	go func() {
-		p.wg.Wait()
-		close(p.drained)
-	}()
 	return p
 }
 
@@ -151,7 +172,8 @@ func (p *workerPool) enqueueWait(ctx context.Context, j *uploadJob) bool {
 	}
 }
 
-// close stops intake, drains the queue and waits for the workers.
+// close stops intake, drains the queue and waits for the workers. The
+// caller closes drained once what the workers left behind is settled.
 func (p *workerPool) close() {
 	p.stopMu.Lock()
 	p.stopped = true
@@ -288,37 +310,30 @@ func (js *jobStore) remove(id string) {
 // ---------------------------------------------------------------------------
 // Worker body and job endpoint.
 
-// runJob executes one upload end to end: protect, make the commit
-// durable, apply it, deliver the outcome. A panicking protector fails
-// the one job, not the process. If the engine was hot-swapped while
-// this upload was being protected, the freshly committed fragments are
-// immediately re-audited against the new attacks (see audit.go): the
-// retrain pass cannot have seen them, and they were admitted by the
-// stale verifier.
+// runJob executes one upload up to its commit: protect, stage the
+// commit, then either hand it to the commit window of the batch it
+// arrived in or commit it here as a group of one (commitGroup, the one
+// commit path, delivers the outcome either way). A panicking protector
+// fails the one job, not the process.
 func (s *Server) runJob(j *uploadJob) {
 	if j.id != "" {
 		s.jobs.setRunning(j.id)
 	}
-	eng := s.currentEngine()
-	res, err := s.protect(eng.p, j.trace)
+	j.eng = s.currentEngine()
+	start := s.clk.Now()
+	res, err := s.protect(j.eng.p, j.trace)
+	j.cost = s.clk.Since(start)
+	if err == nil {
+		err = s.stageCommit(j, res)
+	}
 	if err != nil {
+		j.slot.settle()
 		s.finishJob(j, UploadResponse{}, err)
 		return
 	}
-	resp, committed, err := s.commitDurable(j, res)
-	if err != nil {
-		s.finishJob(j, UploadResponse{}, err)
-		return
+	if !j.slot.submit(j) {
+		s.commitGroup([]*uploadJob{j}, j.recs)
 	}
-	if cur := s.currentEngine(); cur.epoch != eng.epoch && cur.auditor != nil && len(committed) > 0 {
-		// A retrain pass swapped the engine after this upload loaded its
-		// protector: the re-audit cannot have covered these fragments
-		// (they were not committed yet), so judge them here against the
-		// current attacks. Removal by seq is idempotent, so overlapping
-		// with a concurrent audit pass is harmless.
-		s.auditShardFrags(s.shard(j.trace.User), cur.auditor, committed)
-	}
-	s.finishJob(j, resp, nil)
 }
 
 // protectAndCommit pushes one bare trace through the worker body

@@ -245,7 +245,11 @@ type Server struct {
 	quarGen atomic.Int64
 	dsCache atomic.Pointer[dsCacheEntry]
 
-	pool    *workerPool
+	pool *workerPool
+	// parked counts staged commits sitting in a batch's commit window
+	// (batch.go): Close waits for it after draining the pool, so the
+	// final checkpoint covers every commit a worker handed off.
+	parked  sync.WaitGroup
 	jobs    *jobStore
 	idem    *idemStore
 	metrics *requestMetrics
@@ -284,6 +288,13 @@ type Server struct {
 	ckptTicks atomic.Int64
 	persistMu sync.Mutex
 	persist   persistState
+	// commitGroups counts durable commit appends and commits the uploads
+	// they carried (their quotient is chunks per sync); lastAppend is how
+	// long the most recent one took on clk, in nanoseconds — what a commit
+	// window weighs a chunk's protection cost against.
+	commitGroups atomic.Int64
+	commits      atomic.Int64
+	lastAppend   atomic.Int64
 
 	// node is the cluster identity (nil outside a cluster); see node.go.
 	node *nodeState
@@ -401,10 +412,11 @@ func New(p Protector, opts ...Option) (*Server, error) {
 	return s, nil
 }
 
-// Close stops the upload pipeline: intake ends, queued jobs are drained
-// and the workers exit. When a store is configured, a final checkpoint
-// compacts everything the drained pipeline committed, then the store is
-// released. Safe to call more than once.
+// Close stops the upload pipeline: intake ends, queued jobs are drained,
+// the workers exit and every commit they parked in a batch's commit
+// window is settled by its committer. When a store is configured, a
+// final checkpoint compacts everything the drained pipeline committed,
+// then the store is released. Safe to call more than once.
 func (s *Server) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		return nil
@@ -414,6 +426,12 @@ func (s *Server) Close() error {
 		<-s.retrainDone
 	}
 	s.pool.close()
+	// No worker is left to park a commit, and a closing server's windows
+	// hold nothing back (see commitWindow): each commits what it holds at
+	// its next event, and one is always due — its upstream chunks are shed
+	// by the stopped pool, its reader stalls or runs dry.
+	s.parked.Wait()
+	close(s.pool.drained)
 	if s.ckptStop != nil {
 		close(s.ckptStop)
 		<-s.ckptDone
@@ -488,16 +506,21 @@ type chunkOutcome struct {
 }
 
 // executeChunk runs one validated chunk: idempotency begin/replay, then
-// sync or async dispatch. block selects backpressure semantics when the
-// queue is full: false sheds immediately (the v1 contract), true blocks
-// until a slot frees, the context ends or the server stops (the batch
-// contract — a bulk feeder should be paced, not bounced).
-func (s *Server) executeChunk(ctx context.Context, t trace.Trace, key string, async, block bool) chunkOutcome {
+// sync or async dispatch. sl is the chunk's slot in the batch request it
+// arrived in, nil on the v1 surface; it also selects the backpressure
+// semantics when the queue is full: without one the chunk is shed
+// immediately (the v1 contract), with one it blocks until a queue slot
+// frees, the context ends or the server stops (the batch contract — a
+// bulk feeder should be paced, not bounced). A batch chunk counts in its
+// commit window's upstream tally on entry; every path that cannot end
+// in the window settles it before it blocks or returns.
+func (s *Server) executeChunk(ctx context.Context, t trace.Trace, key string, async bool, sl *batchSlot) chunkOutcome {
 	var idem *idemEntry
 	if key != "" {
 		fp := uploadFingerprint(t)
 		e, isNew := s.idem.begin(t.User, key, fp)
 		if !isNew {
+			sl.replayed()
 			if e.fp != fp {
 				// Key reuse with a different body is a client bug; answering
 				// with the first body's result would silently drop this
@@ -512,9 +535,10 @@ func (s *Server) executeChunk(ctx context.Context, t trace.Trace, key string, as
 		idem = e
 	}
 	if async {
-		return s.asyncChunk(ctx, t, key, idem, block)
+		sl.settle()
+		return s.asyncChunk(ctx, t, key, idem, sl != nil)
 	}
-	return s.syncChunk(ctx, t, key, idem, block)
+	return s.syncChunk(ctx, t, key, idem, sl)
 }
 
 // enqueue offers the job to the pool: non-blocking in shed mode,
@@ -533,10 +557,12 @@ func shedOutcome() chunkOutcome {
 }
 
 // syncChunk dispatches the chunk and waits for the outcome, preserving
-// the historical synchronous semantics.
-func (s *Server) syncChunk(ctx context.Context, t trace.Trace, key string, idem *idemEntry, block bool) chunkOutcome {
-	j := &uploadJob{trace: t, done: make(chan uploadOutcome, 1), idemKey: key, idem: idem}
-	if !s.enqueue(ctx, j, block) {
+// the historical synchronous semantics. Once enqueued, the job carries
+// its window's upstream count: the worker settles it.
+func (s *Server) syncChunk(ctx context.Context, t trace.Trace, key string, idem *idemEntry, sl *batchSlot) chunkOutcome {
+	j := &uploadJob{trace: t, done: make(chan uploadOutcome, 1), idemKey: key, idem: idem, slot: sl}
+	if !s.enqueue(ctx, j, sl != nil) {
+		sl.settle()
 		if idem != nil {
 			// The job never ran: release the key so the retry executes.
 			//mood:allow appendapply -- shed path: the upload was refused, so releasing the key is the absence of state, not an apply
@@ -557,8 +583,8 @@ func (s *Server) syncChunk(ctx context.Context, t trace.Trace, key string, idem 
 		return chunkOutcome{status: http.StatusServiceUnavailable, code: CodeCancelled,
 			detail: "request cancelled before protection finished"}
 	case <-s.pool.drained:
-		// Server shut down mid-wait; the drain pass may have completed
-		// the job after all.
+		// Server shut down mid-wait; the drain pass and the commit
+		// windows behind it may have completed the job after all.
 		select {
 		case out := <-j.done:
 			return syncDone(out.resp, out.err)
@@ -655,7 +681,7 @@ func (s *Server) handleUploadV1(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	writeV1Outcome(w, s.executeChunk(r.Context(), t, key, async, false))
+	writeV1Outcome(w, s.executeChunk(r.Context(), t, key, async, nil))
 }
 
 // writeV1Outcome renders a chunk outcome in the historical v1 wire

@@ -25,7 +25,9 @@ import (
 //	                    snapshot covers every segment with index < N"
 //	*.tmp               in-flight atomic writes (deleted on recovery)
 //
-// Each Append is one frame — the atomicity unit:
+// Each Append is one frame — the atomicity unit (the service tier hands
+// the commits of a whole batch window to one Append, so that they share
+// the frame and its sync):
 //
 //	u32 payload length (LE) | u32 CRC32C(payload) | payload
 //	payload = repeat{ u8 record type | u32 length (LE) | bytes }
@@ -635,16 +637,17 @@ func encodeFrame(recs []Record) ([]byte, error) {
 	if size > maxFrame {
 		return nil, fmt.Errorf("store: frame of %d bytes exceeds the %d limit", size, maxFrame)
 	}
-	payload := make([]byte, 0, size)
+	// One buffer: the header is reserved up front and patched once the
+	// payload it describes has been appended behind it.
+	frame := make([]byte, 8, 8+size)
 	for _, r := range recs {
-		payload = append(payload, r.Type)
-		payload = binary.LittleEndian.AppendUint32(payload, uint32(len(r.Payload)))
-		payload = append(payload, r.Payload...)
+		frame = append(frame, r.Type)
+		frame = binary.LittleEndian.AppendUint32(frame, uint32(len(r.Payload)))
+		frame = append(frame, r.Payload...)
 	}
-	frame := make([]byte, 8, 8+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
-	return append(frame, payload...), nil
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(size))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(frame[8:], castagnoli))
+	return frame, nil
 }
 
 // parseFrames decodes the valid frame prefix of a segment. It never

@@ -445,6 +445,29 @@ func TestWALFrameTooLarge(t *testing.T) {
 	}
 }
 
+// TestEncodeFrameBuildsTheFrameOnce: a frame is serialised into one
+// buffer — header reserved, records appended in place, length and CRC
+// patched — however many records (a whole commit group) it carries.
+func TestEncodeFrameBuildsTheFrameOnce(t *testing.T) {
+	recs := make([]Record, 128)
+	for i := range recs {
+		recs[i] = rec(byte(1+i%3), string(bytes.Repeat([]byte{0x78}, 100+i)))
+	}
+	var frame []byte
+	if allocs := testing.AllocsPerRun(20, func() { frame, _ = encodeFrame(recs) }); allocs != 1 {
+		t.Fatalf("encodeFrame allocated %.0f times, want the frame and nothing else", allocs)
+	}
+	got, frames, valid := parseFrames(frame)
+	if frames != 1 || valid != len(frame) || len(got) != len(recs) {
+		t.Fatalf("round trip: %d frames, %d of %d bytes, %d records", frames, valid, len(frame), len(got))
+	}
+	for i := range got {
+		if got[i].Type != recs[i].Type || !bytes.Equal(got[i].Payload, recs[i].Payload) {
+			t.Fatalf("record %d changed in the round trip", i)
+		}
+	}
+}
+
 func TestParseFramesStopsAtFirstInvalid(t *testing.T) {
 	a, _ := encodeFrame([]Record{rec(1, "a")})
 	b, _ := encodeFrame([]Record{rec(2, "b")})
