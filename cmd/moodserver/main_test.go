@@ -134,14 +134,20 @@ func TestGracefulShutdownFlushesState(t *testing.T) {
 	if err != nil {
 		t.Fatalf("no final snapshot written: %v", err)
 	}
-	var state struct {
-		Stats service.ServerStats `json:"stats"`
-	}
-	if err := json.Unmarshal(data, &state); err != nil {
+	// The file is in the snapshot codec's binary form; read it the way an
+	// operator would (moodctl snapshot).
+	doc, err := service.SnapshotJSON(data)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if state.Stats.Uploads < 1 {
-		t.Fatalf("snapshot lost the upload: %+v", state.Stats)
+	var state struct {
+		Users map[string]service.UserStats `json:"users"`
+	}
+	if err := json.Unmarshal(doc, &state); err != nil {
+		t.Fatal(err)
+	}
+	if state.Users[d.Traces[0].User].Uploads < 1 {
+		t.Fatalf("snapshot lost the upload: %s", doc)
 	}
 }
 

@@ -63,6 +63,9 @@ func DefaultHotAllocConfig() HotAllocConfig {
 				"parseBatchChunkFast": true,
 				"encodeUploadCommit":  true, "decodeUploadCommit": true,
 				"appendString": true, "appendRecords": true,
+				// The commit decoder's fragment loop (shared with the
+				// snapshot decoder).
+				"frags": true,
 				// The client's dataset page scanner: once per trace of
 				// every page read.
 				"scanDatasetPage": true, "scanPageTraces": true, "scanPageTrace": true,

@@ -26,8 +26,12 @@
 // atomic with respect to the snapshot: every record appended before the
 // Mark has its effects in the captured state (so compaction never drops
 // an uncovered record), no record can land between the Mark and the
-// capture, and no snapshot sees a group half applied. Lock order is
-// storeGate before shard mutexes, everywhere.
+// capture, and no snapshot sees a group half applied. The capture copies
+// no record — it takes slice headers over arrays that are never
+// rewritten (captureState) — and the snapshot is encoded and written
+// after the lock is released, so a commit queues behind microseconds,
+// not behind the encode. Lock order is storeGate before shard mutexes,
+// everywhere.
 //
 // Exactly-once across crashes. A keyed upload's commit record, its
 // idempotency completion and (for async) its terminal job status are
@@ -54,11 +58,13 @@ import (
 	"mood/internal/trace"
 )
 
-// Record types of the service tier's WAL schema. Payloads are JSON —
-// the same shapes the snapshot file uses, so the two durability paths
-// cannot drift apart. Unknown types are skipped on replay (forward
-// compatibility: an older binary recovering a newer log keeps what it
-// understands).
+// Record types of the service tier's WAL schema. The upload commit —
+// one per acknowledged upload — and the snapshot share one binary codec
+// (walcodec.go); the other records are tiny or rare and are JSON, of the
+// same structs the snapshot carries (persistedIdem, JobStatus). Unknown
+// types are skipped on replay (forward compatibility: an older binary
+// recovering a newer log keeps what it understands) — unlike a snapshot
+// this binary cannot read, which fails Recover.
 const (
 	recUploadCommit byte = 1
 	recIdemComplete byte = 2
@@ -76,7 +82,7 @@ type walUploadCommit struct {
 	RecordsIn int             `json:"records_in"`
 	Accepted  int             `json:"accepted"`
 	Rejected  int             `json:"rejected"`
-	Frags     []persistedFrag `json:"frags,omitempty"`
+	Frags     []publishedFrag `json:"frags,omitempty"`
 	History   []trace.Record  `json:"history,omitempty"`
 	// Pseudo is the highest pseudonym counter value this commit
 	// allocated (0 = none); replay folds it in with max semantics.
@@ -182,9 +188,7 @@ func (s *Server) commitRecords(j *uploadJob) error {
 		Accepted:  pc.resp.Accepted,
 		Rejected:  pc.resp.Rejected,
 		Pseudo:    pc.pseudo,
-	}
-	for _, f := range pc.frags {
-		c.Frags = append(c.Frags, persistedFrag{Seq: f.Seq, Trace: f.Trace, Owner: f.Owner})
+		Frags:     pc.frags,
 	}
 	if s.opts.Retrainer != nil && s.opts.HistoryCap > 0 {
 		c.History = t.Records
@@ -364,12 +368,18 @@ func (s *Server) appendBestEffort(typ byte, v any) {
 // order. Call exactly once, after New and before serving traffic. It
 // also starts the background checkpoint loop (see checkpointLoop);
 // starting it here rather than in New means a half-recovered server can
-// never compact pre-recovery emptiness over a real log.
+// never compact pre-recovery emptiness over a real log. For the same
+// reason the server counts as recovered only once this has succeeded: a
+// store that cannot be read, or a snapshot this binary cannot decode
+// (torn, checksum mismatch, written by a newer version), fails here, and
+// from then on Checkpoint refuses and Close releases the store without
+// writing to it — the state that could not be read stays on disk as it
+// was.
 func (s *Server) Recover() error {
 	if s.store == nil {
 		return errors.New("service: Recover without a store configured")
 	}
-	if !s.recovered.CompareAndSwap(false, true) {
+	if !s.recoverCalled.CompareAndSwap(false, true) {
 		return errors.New("service: Recover called twice")
 	}
 	snap, recs, err := s.store.Load()
@@ -384,6 +394,7 @@ func (s *Server) Recover() error {
 	for _, r := range recs {
 		s.applyRecord(r)
 	}
+	s.recovered.Store(true)
 	if s.opts.CheckpointInterval > 0 {
 		s.ckptStop = make(chan struct{})
 		s.ckptDone = make(chan struct{})
@@ -450,9 +461,9 @@ func (s *Server) replayCommit(c walUploadCommit) {
 		sh.recordHistory(c.User, c.History, s.opts.HistoryCap)
 		s.histGen.Add(1)
 	}
+	sh.published = append(sh.published, c.Frags...)
 	var maxSeq int64
 	for _, f := range c.Frags {
-		sh.published = append(sh.published, publishedFrag{Seq: f.Seq, Trace: f.Trace, Owner: f.Owner})
 		if f.Seq > maxSeq {
 			maxSeq = f.Seq
 		}
@@ -483,31 +494,31 @@ func (s *Server) replayQuarantine(seqs []int64) {
 
 // Checkpoint compacts the log into a fresh snapshot now: fence the log
 // (Mark) and capture the state under the write side of the consistency
-// barrier, then install the snapshot and prune the covered log. Safe to
-// call concurrently with uploads; commits briefly queue on the gate
-// during the capture.
+// barrier — slice headers only, no record is copied or encoded there —
+// then, with commits flowing again, encode the snapshot, install it and
+// prune the covered log. Safe to call concurrently with uploads.
 func (s *Server) Checkpoint() error {
 	if s.store == nil {
 		return errors.New("service: Checkpoint without a store configured")
 	}
 	if !s.recovered.Load() {
-		return errors.New("service: Checkpoint before Recover")
+		return errors.New("service: Checkpoint without a successful Recover")
 	}
 	s.saveMu.Lock()
 	defer s.saveMu.Unlock()
+	start := s.clk.Now()
 	s.storeGate.Lock()
 	pos, err := s.store.Mark()
 	if err != nil {
 		s.storeGate.Unlock()
-		s.notePersist(err)
+		s.notePersist(err, 0, 0)
 		return err
 	}
-	data, err := s.captureState()
+	state := s.captureState()
 	s.storeGate.Unlock()
-	if err == nil {
-		err = s.store.Compact(data, pos)
-	}
-	s.notePersist(err)
+	data := encodeSnapshot(&state)
+	err = s.store.Compact(data, pos)
+	s.notePersist(err, s.clk.Since(start), len(data))
 	return err
 }
 
@@ -564,6 +575,11 @@ type persistState struct {
 	lastErr     string
 	lastOK      time.Time
 	hasOK       bool
+	// lastTook and lastBytes describe the last successful checkpoint:
+	// Mark to installed snapshot on the injected clock, and the
+	// snapshot's size.
+	lastTook  time.Duration
+	lastBytes int
 	// appendFailures counts best-effort record appends (quarantines,
 	// failed-job terminals, retrain epochs) the store refused;
 	// lastAppendErr is the most recent refusal. Best-effort means the
@@ -585,8 +601,9 @@ func (s *Server) noteAppend(err error) {
 	s.persist.lastAppendErr = err.Error()
 }
 
-// notePersist records one checkpoint outcome.
-func (s *Server) notePersist(err error) {
+// notePersist records one checkpoint outcome; took and size describe a
+// successful one.
+func (s *Server) notePersist(err error, took time.Duration, size int) {
 	s.persistMu.Lock()
 	defer s.persistMu.Unlock()
 	if err != nil {
@@ -598,6 +615,7 @@ func (s *Server) notePersist(err error) {
 	s.persist.lastErr = ""
 	s.persist.lastOK = s.clk.Now()
 	s.persist.hasOK = true
+	s.persist.lastTook, s.persist.lastBytes = took, size
 }
 
 // PersistenceStats reports durability health on /v2/stats when a store
@@ -627,6 +645,11 @@ type PersistenceStats struct {
 	// batch commit windows are sharing syncs. Omitted while zero.
 	CommitGroups int64 `json:"commit_groups,omitempty"`
 	Commits      int64 `json:"commits,omitempty"`
+	// LastCheckpointMillis is how long the last successful checkpoint
+	// took, fence to installed snapshot, and LastCheckpointBytes the size
+	// of the snapshot it wrote. Omitted until one has succeeded.
+	LastCheckpointMillis float64 `json:"last_checkpoint_ms,omitempty"`
+	LastCheckpointBytes  int     `json:"last_checkpoint_bytes,omitempty"`
 }
 
 // StatsPayload is the GET /v{1,2}/stats body. The embedded ServerStats
@@ -658,6 +681,8 @@ func (s *Server) statsPayload() StatsPayload {
 	ps.LastAppendError = s.persist.lastAppendErr
 	if s.persist.hasOK {
 		ps.LastSuccessAgeMillis = s.clk.Since(s.persist.lastOK).Milliseconds()
+		ps.LastCheckpointMillis = float64(s.persist.lastTook) / float64(time.Millisecond)
+		ps.LastCheckpointBytes = s.persist.lastBytes
 	}
 	s.persistMu.Unlock()
 	out.Persistence = ps

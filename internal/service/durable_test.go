@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -378,17 +379,18 @@ func getBody(t *testing.T, url string) string {
 }
 
 // TestJSONStoreLegacySnapshot: the json backend loads snapshots written
-// before the durability layer (bare `published` traces, no seqs) and
-// checkpoints them forward into the current format with stable seqs.
+// before the durability layer (JSON; bare `published` traces, no seqs)
+// and checkpoints them forward into the current format — the binary
+// codec — with stable seqs.
 func TestJSONStoreLegacySnapshot(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "state.json")
-	legacy := persistedState{
-		Published: []trace.Trace{trace.New("anon-7", sampleRecords(5))},
-		Users: map[string]*UserStats{"alice": {
+	legacy := map[string]any{
+		"published": []trace.Trace{trace.New("anon-7", sampleRecords(5))},
+		"users": map[string]*UserStats{"alice": {
 			Uploads: 1, RecordsIn: 5, RecordsPublished: 5, Pieces: 1,
 		}},
-		Stats:  ServerStats{Uploads: 1, RecordsIn: 5, RecordsPublished: 5, Users: 1},
-		Pseudo: 7,
+		"stats":  ServerStats{Uploads: 1, RecordsIn: 5, RecordsPublished: 5, Users: 1},
+		"pseudo": 7,
 	}
 	data, err := json.Marshal(legacy)
 	if err != nil {
@@ -422,6 +424,9 @@ func TestJSONStoreLegacySnapshot(t *testing.T) {
 	}
 	if err := srv.Checkpoint(); err != nil {
 		t.Fatal(err)
+	}
+	if written, err := os.ReadFile(path); err != nil || !bytes.HasPrefix(written, snapshotMagic[:]) {
+		t.Fatalf("checkpoint over a legacy snapshot did not write the binary form: %v, %.16q", err, written)
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)

@@ -423,6 +423,7 @@ func openapiSchemas() map[string]any {
 			"last_error": str, "last_success_age_ms": integer,
 			"append_failures": integer, "last_append_error": str,
 			"commit_groups": integer, "commits": integer,
+			"last_checkpoint_ms": number, "last_checkpoint_bytes": integer,
 		}),
 		"UserStats": obj(map[string]any{
 			"uploads": integer, "records_in": integer, "records_published": integer,

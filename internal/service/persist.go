@@ -1,7 +1,9 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 
@@ -9,33 +11,23 @@ import (
 	"mood/internal/trace"
 )
 
-// persistedFrag is the on-disk form of one published fragment. Owner is
-// the true uploader — required to re-audit the fragment after a retrain
-// (the protection predicate asks whether the attacks link the fragment
-// back to its real user). It never leaves the snapshot file. Seq is the
-// fragment's durable audit handle: keeping it stable across restarts
-// lets WAL quarantine records name fragments a snapshot carried, and
-// keeps the dataset ETag honest across a reboot.
-type persistedFrag struct {
-	Seq   int64       `json:"seq,omitempty"`
-	Trace trace.Trace `json:"trace"`
-	Owner string      `json:"owner"`
-}
-
-// persistedState is the on-disk snapshot of a Server. Shards are merged
-// on save and redistributed on load. Decoding stays backward compatible:
-// snapshots written before the dynamic-protection subsystem carry
-// `published` (bare traces, no owners) instead of `fragments`, and no
-// history or idempotency sections; snapshots written before the
-// durability layer carry no fragment seqs (reissued on load) and no
-// frag_seq watermark.
+// persistedState is a snapshot of a Server: what captureState captures,
+// what the snapshot codec (walcodec.go) writes and reads, and — through
+// its JSON tags — the shape of the legacy JSON snapshot, which still
+// loads (read-only) and which `moodctl snapshot` prints. Shards are
+// merged on save and redistributed on load. The legacy decoding stays
+// backward compatible: snapshots written before the dynamic-protection
+// subsystem carry `published` (bare traces, no owners) instead of
+// `fragments`, and no history or idempotency sections; snapshots written
+// before the durability layer carry no fragment seqs (reissued on load)
+// and no frag_seq watermark. The `stats` section they all carry was
+// never read — resetShards rederives it from the user accounting.
 type persistedState struct {
 	// Published is the legacy fragment list (read-only; written by
 	// snapshots predating owner tracking).
 	Published []trace.Trace             `json:"published,omitempty"`
-	Fragments []persistedFrag           `json:"fragments,omitempty"`
+	Fragments []publishedFrag           `json:"fragments,omitempty"`
 	Users     map[string]*UserStats     `json:"users"`
-	Stats     ServerStats               `json:"stats"`
 	Pseudo    int                       `json:"pseudo"`
 	History   map[string][]trace.Record `json:"history,omitempty"`
 	// Idempotency carries the completed dedupe entries so a keyed retry
@@ -54,10 +46,13 @@ type persistedState struct {
 	FragSeq int64 `json:"frag_seq,omitempty"`
 }
 
-// captureState serialises the server's state as one snapshot. It is the
-// shared capture for SaveState and the store checkpoint; Checkpoint
-// calls it under the write side of the consistency barrier.
-func (s *Server) captureState() ([]byte, error) {
+// captureState captures the server's state at one point in time — the
+// shared capture of SaveState and the store checkpoint; Checkpoint
+// calls it under the write side of the consistency barrier. It copies
+// no record: the state's record arrays are shared with the live server
+// by slice header (see fullSnapshot), so the caller encodes it after
+// every lock is released.
+func (s *Server) captureState() persistedState {
 	// Capture order is monotone with the pipeline's completion order:
 	// jobs first, then the idempotency table, then the shards. A job is
 	// marked terminal only after its idempotency entry completed, and
@@ -75,15 +70,10 @@ func (s *Server) captureState() ([]byte, error) {
 	// cannot happen.)
 	jobs := s.jobs.terminal()
 	idem := s.idem.snapshot()
-	published, history, users, stats := s.fullSnapshot()
-	frags := make([]persistedFrag, len(published))
-	for i, f := range published {
-		frags[i] = persistedFrag{Seq: f.Seq, Trace: f.Trace, Owner: f.Owner}
-	}
-	state := persistedState{
-		Fragments:   frags,
+	published, history, users := s.fullSnapshot()
+	return persistedState{
+		Fragments:   published,
 		Users:       users,
-		Stats:       stats,
 		Pseudo:      int(s.pseudo.Load()),
 		History:     history,
 		Idempotency: idem,
@@ -91,45 +81,69 @@ func (s *Server) captureState() ([]byte, error) {
 		Retrains:    s.retrains.Load(),
 		FragSeq:     s.fragSeq.Load(),
 	}
-	data, err := json.Marshal(state)
-	if err != nil {
-		return nil, fmt.Errorf("service: encoding state: %w", err)
-	}
-	return data, nil
 }
 
 // SaveState writes the server's published dataset and accounting to
-// path atomically (temp file, fsync, rename, directory sync). Operators
-// call it on shutdown or from a periodic snapshot loop; servers with a
-// configured Store checkpoint through it instead (see durable.go).
-// Concurrent calls are serialised so a slow earlier save cannot rename
-// an older snapshot over a newer one.
+// path atomically (temp file, fsync, rename, directory sync), in the
+// snapshot codec's binary form. Operators call it on shutdown or from a
+// periodic snapshot loop; servers with a configured Store checkpoint
+// through it instead (see durable.go). Concurrent calls are serialised
+// so a slow earlier save cannot rename an older snapshot over a newer
+// one.
 func (s *Server) SaveState(path string) error {
 	s.saveMu.Lock()
 	defer s.saveMu.Unlock()
-	data, err := s.captureState()
-	if err != nil {
-		return err
-	}
-	if err := store.AtomicWriteFile(nil, path, data); err != nil {
+	state := s.captureState()
+	if err := store.AtomicWriteFile(nil, path, encodeSnapshot(&state)); err != nil {
 		return fmt.Errorf("service: %w", err)
 	}
 	return nil
 }
 
-// applySnapshot replaces the server's state with a decoded snapshot.
-func (s *Server) applySnapshot(data []byte) error {
+// decodeState reads a snapshot in either form, told apart by the first
+// bytes: the snapshot codec's magic, or the `{` of the legacy JSON
+// snapshot (read-only: nothing writes it any more). Anything else is an
+// error — a snapshot this binary cannot read must stop the boot, not
+// boot an empty server over it.
+func decodeState(data []byte) (persistedState, error) {
+	if bytes.HasPrefix(data, snapshotMagic[:]) {
+		return decodeSnapshot(data)
+	}
 	var state persistedState
+	if len(data) == 0 || data[0] != '{' {
+		return state, errors.New("service: decoding state: neither a binary nor a legacy JSON snapshot")
+	}
 	if err := json.Unmarshal(data, &state); err != nil {
-		return fmt.Errorf("service: decoding state: %w", err)
+		return state, fmt.Errorf("service: decoding state: %w", err)
+	}
+	return state, nil
+}
+
+// SnapshotJSON renders a snapshot of either form in the legacy JSON
+// shape, for operators who read state files with jq (`moodctl
+// snapshot`). No server path calls it: servers write the binary form
+// only.
+func SnapshotJSON(data []byte) ([]byte, error) {
+	state, err := decodeState(data)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(state)
+}
+
+// applySnapshot replaces the server's state with a decoded snapshot.
+// The snapshot is decoded and checked whole before anything is applied.
+func (s *Server) applySnapshot(data []byte) error {
+	state, err := decodeState(data)
+	if err != nil {
+		return err
 	}
 	if state.Users == nil {
 		state.Users = map[string]*UserStats{}
 	}
-	frags := make([]publishedFrag, 0, len(state.Fragments)+len(state.Published))
+	frags := state.Fragments
 	maxSeq := state.FragSeq
-	for _, f := range state.Fragments {
-		frags = append(frags, publishedFrag{Seq: f.Seq, Trace: f.Trace, Owner: f.Owner})
+	for _, f := range frags {
 		if f.Seq > maxSeq {
 			maxSeq = f.Seq
 		}

@@ -70,7 +70,7 @@ func TestRestartRecoveryEndToEnd(t *testing.T) {
 	wantStats := srv1.Stats()
 	wantUsers := srv1.Users()
 	wantDataset := trace.NewDataset("published", srv1.publishedSnapshot())
-	_, _, wantUserStats, _ := srv1.fullSnapshot()
+	_, _, wantUserStats := srv1.fullSnapshot()
 
 	srv2 := newServer("gen0")
 	if err := srv2.LoadState(statePath); err != nil {
@@ -87,7 +87,7 @@ func TestRestartRecoveryEndToEnd(t *testing.T) {
 	if !reflect.DeepEqual(gotDataset, wantDataset) {
 		t.Fatalf("dataset after restart:\n got %v\nwant %v", gotDataset, wantDataset)
 	}
-	_, _, gotUserStats, _ := srv2.fullSnapshot()
+	_, _, gotUserStats := srv2.fullSnapshot()
 	if !reflect.DeepEqual(gotUserStats, wantUserStats) {
 		t.Fatalf("user accounting after restart:\n got %v\nwant %v", gotUserStats, wantUserStats)
 	}

@@ -280,9 +280,13 @@ type Server struct {
 	// storeGate before shard mutexes.
 	store     store.Store
 	storeGate sync.RWMutex
-	recovered atomic.Bool
-	ckptStop  chan struct{}
-	ckptDone  chan struct{}
+	// recoverCalled guards Recover against a second call; recovered is set
+	// only once it has succeeded, and is what lets Checkpoint and Close
+	// write to the store.
+	recoverCalled atomic.Bool
+	recovered     atomic.Bool
+	ckptStop      chan struct{}
+	ckptDone      chan struct{}
 	// ckptTicks counts fully settled checkpoint-loop ticks — the manual
 	// clock rendezvous, like retrainTicks.
 	ckptTicks atomic.Int64
@@ -414,9 +418,11 @@ func New(p Protector, opts ...Option) (*Server, error) {
 
 // Close stops the upload pipeline: intake ends, queued jobs are drained,
 // the workers exit and every commit they parked in a batch's commit
-// window is settled by its committer. When a store is configured, a
-// final checkpoint compacts everything the drained pipeline committed,
-// then the store is released. Safe to call more than once.
+// window is settled by its committer. When a store is configured and was
+// recovered, a final checkpoint compacts everything the drained pipeline
+// committed; then the store is released. A server whose Recover failed
+// (or never ran) writes nothing: what it could not read stays as it is.
+// Safe to call more than once.
 func (s *Server) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		return nil

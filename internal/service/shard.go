@@ -20,11 +20,16 @@ const numShards = 16
 // ReIdentifies asks "does any attack link this trace back to its real
 // user?"), Seq is a server-unique handle so an audit pass can evaluate
 // fragments outside the shard lock and still remove exactly the ones it
-// judged.
+// judged — and the fragment's durable name: keeping it stable across
+// restarts lets WAL quarantine records name fragments a snapshot
+// carried, and keeps the dataset ETag honest across a reboot. The same
+// struct is the fragment's durable form in commit records and snapshots
+// (Owner never leaves the server's own files); the JSON tags are the
+// legacy snapshot's.
 type publishedFrag struct {
-	Seq   int64
-	Trace trace.Trace
-	Owner string
+	Seq   int64       `json:"seq,omitempty"`
+	Trace trace.Trace `json:"trace"`
+	Owner string      `json:"owner"`
 }
 
 // stateShard holds one slice of the server state: the users that hash
@@ -127,13 +132,20 @@ func (s *Server) userIDs() []string {
 	return out
 }
 
-// fullSnapshot copies published, history, users and stats while holding
-// every shard lock at once, so the persisted state is a single point in
-// time: an upload committing concurrently is either entirely in the
-// snapshot or entirely absent, never torn across sections. Shards lock
-// in index order; all other paths lock one shard at a time, so this
-// cannot deadlock.
-func (s *Server) fullSnapshot() (published []publishedFrag, history map[string][]trace.Record, users map[string]*UserStats, stats ServerStats) {
+// fullSnapshot captures the fragment list, the user accounting and the
+// per-user history while holding every shard lock at once, so the
+// persisted state is a single point in time: an upload committing
+// concurrently is either entirely in the snapshot or entirely absent,
+// never torn across sections. Shards lock in index order; all other
+// paths lock one shard at a time, so this cannot deadlock.
+//
+// Only what is rewritten in place is copied — the fragment list
+// (removeCondemned compacts it) and the accounting structs. Record
+// arrays are captured by slice header: the records a header covers are
+// never written again (recordHistory appends past the captured length
+// or trims into a fresh array; a fragment's records are immutable once
+// published), so the caller may read them after the locks are gone.
+func (s *Server) fullSnapshot() (published []publishedFrag, history map[string][]trace.Record, users map[string]*UserStats) {
 	for i := range s.shards {
 		//mood:allow lockscope -- deliberate full acquisition in index order for a point-in-time snapshot; see doc comment
 		s.shards[i].mu.Lock()
@@ -143,6 +155,11 @@ func (s *Server) fullSnapshot() (published []publishedFrag, history map[string][
 			s.shards[i].mu.Unlock()
 		}
 	}()
+	nFrags := 0
+	for i := range s.shards {
+		nFrags += len(s.shards[i].published)
+	}
+	published = make([]publishedFrag, 0, nFrags)
 	users = make(map[string]*UserStats)
 	history = make(map[string][]trace.Record)
 	for i := range s.shards {
@@ -153,17 +170,15 @@ func (s *Server) fullSnapshot() (published []publishedFrag, history map[string][
 			users[u] = &cp
 		}
 		for u, recs := range sh.history {
-			history[u] = append([]trace.Record(nil), recs...)
+			history[u] = recs
 		}
-		stats.accumulate(sh)
 	}
-	stats.Retrains = int(s.retrains.Load())
-	return published, history, users, stats
+	return published, history, users
 }
 
-// resetShards replaces the whole sharded state with the given snapshot
-// (used by LoadState). Per-shard partial stats are rederived from the
-// user accounting, which sums exactly to the persisted global stats.
+// resetShards replaces the whole sharded state with a decoded snapshot,
+// whose slices it takes over. Per-shard partial stats are rederived from
+// the user accounting, which is why no snapshot carries global stats.
 // Fragment sequence numbers persist (WAL quarantine records name them
 // across restarts); only legacy seq-less fragments get fresh handles.
 func (s *Server) resetShards(published []publishedFrag, history map[string][]trace.Record, users map[string]*UserStats) {
@@ -214,7 +229,7 @@ func (s *Server) resetShards(published []publishedFrag, history map[string][]tra
 	for u, recs := range history {
 		sh := s.shard(u)
 		sh.mu.Lock()
-		sh.history[u] = append([]trace.Record(nil), recs...)
+		sh.history[u] = recs
 		sh.mu.Unlock()
 	}
 }

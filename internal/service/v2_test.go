@@ -802,6 +802,9 @@ func TestJobsListAndPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if raw, err = SnapshotJSON(raw); err != nil {
+		t.Fatal(err)
+	}
 	var generic map[string]json.RawMessage
 	if err := json.Unmarshal(raw, &generic); err != nil {
 		t.Fatal(err)

@@ -14,7 +14,7 @@ func TestWALCommitCodecRoundTrip(t *testing.T) {
 		{
 			User:      "bob",
 			RecordsIn: 50, Accepted: 48, Rejected: 2, Pseudo: 7,
-			Frags: []persistedFrag{
+			Frags: []publishedFrag{
 				{Seq: 3, Owner: "bob", Trace: trace.Trace{User: "pub-000007", Records: []trace.Record{
 					{Lat: 45.70000001, Lon: 4.8, TS: 1000},
 					{Lat: -90, Lon: 180, TS: -5},
@@ -42,7 +42,7 @@ func TestWALCommitCodecRoundTrip(t *testing.T) {
 func TestWALCommitCodecCorruption(t *testing.T) {
 	full := encodeUploadCommit(walUploadCommit{
 		User: "alice", RecordsIn: 2, Accepted: 2,
-		Frags: []persistedFrag{{Seq: 1, Owner: "alice", Trace: trace.Trace{
+		Frags: []publishedFrag{{Seq: 1, Owner: "alice", Trace: trace.Trace{
 			User: "pub-000001", Records: []trace.Record{{Lat: 1, Lon: 2, TS: 3}, {Lat: 4, Lon: 5, TS: 6}},
 		}}},
 	})

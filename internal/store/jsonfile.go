@@ -6,12 +6,12 @@ import (
 	"sync/atomic"
 )
 
-// JSONFile is the snapshot-only backend: the historical single-file
-// JSON state, kept byte-compatible so snapshots written before the
-// store abstraction existed still load. Appends are bookkeeping only —
-// a commit is durable only once the next compaction lands — which is
-// exactly the pre-WAL durability contract (a crash can lose everything
-// since the last snapshot). Its one behavioural improvement over the
+// JSONFile is the snapshot-only backend: one state file, named for the
+// JSON snapshot it used to hold (the service tier now writes a binary
+// one, and still reads the JSON a previous release left at the same
+// path). Appends are bookkeeping only — a commit is durable only once
+// the next compaction lands — which is exactly the pre-WAL durability
+// contract (a crash can lose everything since the last snapshot). Its one behavioural improvement over the
 // old snapshot loop: NeedsCompaction is false while nothing has been
 // appended, so an idle server no longer rewrites an identical snapshot
 // every interval.

@@ -2,20 +2,24 @@
 // records are appended at upload time, replayed on boot, and compacted
 // into snapshots in the background.
 //
-// Two backends implement Store. JSONFile wraps the historical
-// single-file JSON snapshot (byte-compatible with snapshots written
-// before this package existed): appends are bookkeeping only, and
-// durability comes entirely from compaction — the original
-// "snapshot once a minute, lose up to a minute on a crash" contract.
-// WAL is a segmented append-only write-ahead log with CRC32C-framed
-// records, configurable fsync policy, segment rotation and torn-tail
-// recovery: an acked record survives any crash (see wal.go).
+// Two backends implement Store. JSONFile is the snapshot-only backend,
+// one state file at the path snapshots have always lived at (hence the
+// name; what it holds is whatever the service tier hands Compact):
+// appends are bookkeeping only, and durability comes entirely from
+// compaction — the original "snapshot once a minute, lose up to a minute
+// on a crash" contract. WAL is a segmented append-only write-ahead log
+// with CRC32C-framed records, configurable fsync policy, segment
+// rotation and torn-tail recovery: an acked record survives any crash
+// (see wal.go).
 //
-// The record payloads are opaque to this package — the service tier
-// defines the record types and their encoding (see
-// internal/service/durable.go); the store only guarantees atomicity
-// (all records of one Append survive together or not at all) and
-// ordering.
+// Record payloads and snapshots are opaque bytes to this package — the
+// service tier defines the record types, their encoding and the
+// snapshot's (a checksummed binary codec; see internal/service/
+// durable.go and walcodec.go). The store guarantees atomicity (all
+// records of one Append survive together or not at all; a snapshot is
+// installed whole or not at all), ordering, and that Load hands back
+// exactly the snapshot bytes Compact was given — it does not check
+// them, the service tier's decoder does.
 package store
 
 import (

@@ -23,6 +23,8 @@ import (
 //	segment-%08d.wal    append-only record segments, replayed ascending
 //	snapshot-%08d.json  the latest compaction; its index N means "this
 //	                    snapshot covers every segment with index < N"
+//	                    (opaque bytes here; the name dates from when the
+//	                    service tier's snapshot was JSON)
 //	*.tmp               in-flight atomic writes (deleted on recovery)
 //
 // Each Append is one frame — the atomicity unit (the service tier hands
