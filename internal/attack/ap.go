@@ -6,6 +6,7 @@ import (
 
 	"mood/internal/geo"
 	"mood/internal/heatmap"
+	"mood/internal/par"
 	"mood/internal/trace"
 )
 
@@ -132,21 +133,16 @@ func (a *AP) Train(background []trace.Trace) error {
 		return fmt.Errorf("attack: AP background has no records")
 	}
 	a.grid = geo.NewGrid(box.Center(), size)
-	a.profiles = a.profiles[:0]
-	for _, t := range background {
+	a.profiles = par.Collect(len(background), func(i int) (apProfile, bool) {
+		t := background[i]
 		if t.Empty() {
-			continue
+			return apProfile{}, false
 		}
-		a.profiles = append(a.profiles, apProfile{
-			user:   t.User,
-			slices: a.buildSlices(t),
-		})
-	}
+		slices := a.buildSlices(t)
+		return apProfile{user: t.User, slices: slices, quant: heatmap.QuantizeAll(slices)}, true
+	})
 	if len(a.profiles) == 0 {
 		return fmt.Errorf("attack: AP has no usable profiles")
-	}
-	for pi := range a.profiles {
-		a.profiles[pi].quant = heatmap.QuantizeAll(a.profiles[pi].slices)
 	}
 	a.block = apBlockLen(a.profiles)
 	return nil
@@ -358,7 +354,7 @@ func (a *AP) IdentifyBatch(ts []trace.Trace) []Verdict {
 	if a.grid == nil {
 		return out
 	}
-	batchSpans(len(ts), func(lo, hi int) { a.identifyBatchSpan(ts, out, lo, hi) })
+	par.Spans(len(ts), func(lo, hi int) { a.identifyBatchSpan(ts, out, lo, hi) })
 	return out
 }
 

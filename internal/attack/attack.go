@@ -7,6 +7,13 @@
 // unprotected traces), and Identify links an anonymous trace to the
 // closest profile. Attacks are safe for concurrent Identify calls once
 // trained — profiles are immutable after Train.
+//
+// Training is parallel: each attack builds one profile per background
+// trace on GOMAXPROCS workers (par.Collect), and the profiles keep
+// background order: the slice equals, float for float and in order,
+// what a sequential loop builds, so the batch scans' profile blocks are
+// unchanged too. TrainAll additionally extracts every trace's POIs once
+// for the POI- and PIT-attacks when their extractors match.
 package attack
 
 import (
@@ -54,11 +61,25 @@ type Attack interface {
 // obfuscations against all of them.
 type Set []Attack
 
-// TrainAll trains every attack on the same background knowledge.
+// TrainAll trains every attack on the same background knowledge. The
+// POI- and PIT-attacks train from one shared POI extraction per trace
+// when their extractor configs match (as in BatchIdentify); every
+// attack ends up with exactly the profiles its own Train would build.
 func TrainAll(attacks Set, background []trace.Trace) error {
-	for _, a := range attacks {
-		if err := a.Train(background); err != nil {
-			return fmt.Errorf("attack: training %s: %w", a.Name(), err)
+	cache := poiCache{ts: background}
+	all := indices(len(background))
+	for _, atk := range attacks {
+		var err error
+		switch a := atk.(type) {
+		case *POIAttack:
+			err = a.trainPOIs(background, cache.extract(a.Extractor, all))
+		case *PIT:
+			err = a.trainPOIs(background, cache.extract(a.Extractor, all))
+		default:
+			err = atk.Train(background)
+		}
+		if err != nil {
+			return fmt.Errorf("attack: training %s: %w", atk.Name(), err)
 		}
 	}
 	return nil

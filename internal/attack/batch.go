@@ -2,9 +2,8 @@ package attack
 
 import (
 	"math"
-	"runtime"
-	"sync"
 
+	"mood/internal/par"
 	"mood/internal/poi"
 	"mood/internal/trace"
 )
@@ -88,32 +87,6 @@ func (k *topTwo) verdict() Verdict {
 	return Verdict{User: k.user, Score: k.best, Margin: k.second - k.best, OK: true}
 }
 
-// batchSpans fans [0, n) across GOMAXPROCS-bounded workers in
-// contiguous spans. Deterministic despite the parallelism: each worker
-// writes only its own output slots, so results are position-stable.
-func batchSpans(n int, f func(lo, hi int)) {
-	if n == 0 {
-		return
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		f(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(lo, hi int) {
-			defer wg.Done()
-			f(lo, hi)
-		}(w*n/workers, (w+1)*n/workers)
-	}
-	wg.Wait()
-}
-
 // BatchIdentifier is implemented by attacks with a batch-optimized
 // scan; BatchIdentify falls back to parallel scalar calls for attacks
 // without one.
@@ -126,10 +99,10 @@ type BatchIdentifier interface {
 }
 
 // poiCache shares one POI extraction per trace across the attacks of a
-// batch pass: POIAttack and PIT are built on the same clustering, so
-// when their extractor configs match the extraction runs once, not
-// twice. A second distinct config resets the cache — sets mix at most
-// a handful of attacks.
+// batch or training pass: POIAttack and PIT are built on the same
+// clustering, so when their extractor configs match the extraction runs
+// once, not twice. A second distinct config resets the cache — sets mix
+// at most a handful of attacks.
 type poiCache struct {
 	ts   []trace.Trace
 	e    poi.Extractor
@@ -152,14 +125,21 @@ func (c *poiCache) extract(e poi.Extractor, idxs []int) [][]poi.POI {
 			todo = append(todo, i)
 		}
 	}
-	batchSpans(len(todo), func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			i := todo[j]
-			c.pois[i] = c.e.Extract(c.ts[i])
-			c.done[i] = true
-		}
+	par.Each(len(todo), func(j int) {
+		i := todo[j]
+		c.pois[i] = c.e.Extract(c.ts[i])
+		c.done[i] = true
 	})
 	return c.pois
+}
+
+// indices returns 0, 1, …, n-1.
+func indices(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
 }
 
 // BatchIdentify scores every trace against every attack of the set
@@ -169,10 +149,7 @@ func (c *poiCache) extract(e poi.Extractor, idxs []int) [][]poi.POI {
 func BatchIdentify(s Set, ts []trace.Trace) [][]Verdict {
 	out := make([][]Verdict, len(s))
 	cache := poiCache{ts: ts}
-	all := make([]int, len(ts))
-	for i := range all {
-		all[i] = i
-	}
+	all := indices(len(ts))
 	for ai, atk := range s {
 		switch a := atk.(type) {
 		case *AP:
@@ -193,7 +170,7 @@ func BatchIdentify(s Set, ts []trace.Trace) [][]Verdict {
 			out[ai] = a.IdentifyBatch(ts)
 		default:
 			vs := make([]Verdict, len(ts))
-			batchSpans(len(ts), func(lo, hi int) {
+			par.Spans(len(ts), func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					vs[i] = atk.Identify(ts[i])
 				}
@@ -222,10 +199,7 @@ type ReIdent struct {
 func (s Set) ReIdentifiesBatch(ts []trace.Trace, users []string) []ReIdent {
 	out := make([]ReIdent, len(ts))
 	cache := poiCache{ts: ts}
-	remaining := make([]int, len(ts))
-	for i := range remaining {
-		remaining[i] = i
-	}
+	remaining := indices(len(ts))
 	for _, atk := range s {
 		if len(remaining) == 0 {
 			break
@@ -233,7 +207,7 @@ func (s Set) ReIdentifiesBatch(ts []trace.Trace, users []string) []ReIdent {
 		hits := make([]bool, len(remaining))
 		switch a := atk.(type) {
 		case *AP:
-			batchSpans(len(remaining), func(lo, hi int) {
+			par.Spans(len(remaining), func(lo, hi int) {
 				for j := lo; j < hi; j++ {
 					i := remaining[j]
 					hits[j] = a.hitOne(ts[i], users[i])
@@ -244,7 +218,7 @@ func (s Set) ReIdentifiesBatch(ts []trace.Trace, users []string) []ReIdent {
 				break
 			}
 			ps := cache.extract(a.Extractor, remaining)
-			batchSpans(len(remaining), func(lo, hi int) {
+			par.Spans(len(remaining), func(lo, hi int) {
 				for j := lo; j < hi; j++ {
 					i := remaining[j]
 					hits[j] = a.hitPOIs(ps[i], users[i])
@@ -255,14 +229,14 @@ func (s Set) ReIdentifiesBatch(ts []trace.Trace, users []string) []ReIdent {
 				break
 			}
 			ps := cache.extract(a.Extractor, remaining)
-			batchSpans(len(remaining), func(lo, hi int) {
+			par.Spans(len(remaining), func(lo, hi int) {
 				for j := lo; j < hi; j++ {
 					i := remaining[j]
 					hits[j] = a.hitChain(a.buildChain(ps[i], ts[i]), users[i])
 				}
 			})
 		default:
-			batchSpans(len(remaining), func(lo, hi int) {
+			par.Spans(len(remaining), func(lo, hi int) {
 				for j := lo; j < hi; j++ {
 					i := remaining[j]
 					v := atk.Identify(ts[i])

@@ -3,6 +3,7 @@ package attack
 import (
 	"testing"
 
+	"mood/internal/lppm"
 	"mood/internal/synth"
 	"mood/internal/trace"
 )
@@ -38,6 +39,62 @@ func benchBatchEnv(b *testing.B, users, traces int) (Set, []trace.Trace, []strin
 		owners = append(owners, tr.User)
 	}
 	return atks, ts, owners
+}
+
+// benchTrainBackground is a retrain pass's input at the benchmark's
+// shape (retrain-audit-node): a 141-user MDC-like city over six days,
+// ≈ 100 k records — the initial background merged with three rounds of
+// uploaded history.
+func benchTrainBackground(b *testing.B) []trace.Trace {
+	b.Helper()
+	cfg := synth.MDCLike(synth.ScalePaper, 1)
+	cfg.NumUsers = 141
+	cfg.Days = 6
+	d, err := synth.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return d.Traces
+}
+
+// BenchmarkTrainAll times a retrain pass's attack training: each attack
+// alone, the default set through TrainAll (parallel, one POI extraction
+// shared by POI and PIT), and the same set through the sequential
+// oracle the parallel trainers replaced.
+func BenchmarkTrainAll(b *testing.B) {
+	bg := benchTrainBackground(b)
+	for _, bc := range []struct {
+		name  string
+		set   func() Set
+		train func(Set, []trace.Trace) error
+	}{
+		{"AP", func() Set { return Set{NewAP()} }, TrainAll},
+		{"POI", func() Set { return Set{NewPOIAttack()} }, TrainAll},
+		{"PIT", func() Set { return Set{NewPIT()} }, TrainAll},
+		{"set", allAttacks, TrainAll},
+		{"set/sequential", allAttacks, oracleTrainAll},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := bc.train(bc.set(), bg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkNewHMC times the other half of a retrain pass's profile
+// building: HMC's imitation pool over the same background.
+func BenchmarkNewHMC(b *testing.B) {
+	bg := benchTrainBackground(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := lppm.NewHMC(0, bg); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkBatchIdentify compares the scalar and batched identification

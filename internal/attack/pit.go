@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"mood/internal/mmc"
+	"mood/internal/par"
 	"mood/internal/poi"
 	"mood/internal/trace"
 )
@@ -47,17 +48,23 @@ func (*PIT) Name() string { return "PIT" }
 // Train implements Attack. As with POIAttack, users without dwell
 // structure yield no chain; only an empty background is an error.
 func (a *PIT) Train(background []trace.Trace) error {
+	return a.trainPOIs(background, extractPOIs(a.Extractor, background))
+}
+
+// trainPOIs builds the chains from pois[i], the POIs a.Extractor
+// extracts from background[i] — TrainAll shares one extraction with the
+// POI-attack — chain and stationary distribution in parallel per trace.
+func (a *PIT) trainPOIs(background []trace.Trace, pois [][]poi.POI) error {
 	if len(background) == 0 {
 		return fmt.Errorf("attack: PIT training needs background traces")
 	}
-	a.profiles = a.profiles[:0]
-	for _, t := range background {
-		c := mmc.Build(a.Extractor, t)
+	a.profiles = par.Collect(len(background), func(i int) (pitProfile, bool) {
+		c := a.buildChain(pois[i], background[i])
 		if c.Empty() {
-			continue
+			return pitProfile{}, false
 		}
-		a.profiles = append(a.profiles, pitProfile{user: t.User, chain: c, stat: c.Stationary()})
-	}
+		return pitProfile{user: background[i].User, chain: c, stat: c.Stationary()}, true
+	})
 	a.trained = true
 	return nil
 }
@@ -96,8 +103,9 @@ func (a *PIT) identifyChain(c mmc.Chain) Verdict {
 	return k.verdict()
 }
 
-// buildChain builds the anonymous chain from pre-extracted POIs — the
-// Set-level batch paths extract once and share with the POI-attack.
+// buildChain builds a trace's chain from pre-extracted POIs — training
+// and the Set-level batch paths extract once and share with the
+// POI-attack.
 func (a *PIT) buildChain(pois []poi.POI, t trace.Trace) mmc.Chain {
 	return mmc.BuildFromPOIs(a.Extractor, pois, t)
 }
@@ -114,7 +122,7 @@ func (a *PIT) IdentifyBatch(ts []trace.Trace) []Verdict {
 // identifyBatchPOIs scans traces with pre-extracted POIs in parallel.
 func (a *PIT) identifyBatchPOIs(pois [][]poi.POI, ts []trace.Trace) []Verdict {
 	out := make([]Verdict, len(ts))
-	batchSpans(len(ts), func(lo, hi int) {
+	par.Spans(len(ts), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = a.identifyChain(a.buildChain(pois[i], ts[i]))
 		}

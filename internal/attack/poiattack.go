@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"mood/internal/geo"
+	"mood/internal/par"
 	"mood/internal/poi"
 	"mood/internal/trace"
 )
@@ -46,16 +47,21 @@ func (*POIAttack) Name() string { return "POI" }
 // training outcome (the attack will simply never identify anyone), but
 // an empty background is a caller error.
 func (a *POIAttack) Train(background []trace.Trace) error {
+	return a.trainPOIs(background, extractPOIs(a.Extractor, background))
+}
+
+// trainPOIs trains from pois[i], the POIs a.Extractor extracts from
+// background[i] — TrainAll shares one extraction with the PIT-attack.
+func (a *POIAttack) trainPOIs(background []trace.Trace, pois [][]poi.POI) error {
 	if len(background) == 0 {
 		return fmt.Errorf("attack: POI training needs background traces")
 	}
 	a.profiles = a.profiles[:0]
-	for _, t := range background {
-		pois := a.Extractor.Extract(t)
-		if len(pois) == 0 {
+	for i, t := range background {
+		if len(pois[i]) == 0 {
 			continue // user without dwell structure cannot be profiled
 		}
-		a.profiles = append(a.profiles, poiProfile{user: t.User, pois: pois})
+		a.profiles = append(a.profiles, poiProfile{user: t.User, pois: pois[i]})
 	}
 	a.trained = true
 	return nil
@@ -105,7 +111,7 @@ func (a *POIAttack) IdentifyBatch(ts []trace.Trace) []Verdict {
 // identifyBatchPOIs scans pre-extracted POI sets in parallel spans.
 func (a *POIAttack) identifyBatchPOIs(pois [][]poi.POI) []Verdict {
 	out := make([]Verdict, len(pois))
-	batchSpans(len(pois), func(lo, hi int) {
+	par.Spans(len(pois), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = a.identifyPOIs(pois[i])
 		}
@@ -150,14 +156,10 @@ func (a *POIAttack) hitPOIs(pois []poi.POI, owner string) bool {
 }
 
 // extractPOIs runs e.Extract over every trace in parallel; the result
-// feeds the POI- and PIT-batch scans.
+// feeds the POI- and PIT-attacks' training and batch scans.
 func extractPOIs(e poi.Extractor, ts []trace.Trace) [][]poi.POI {
 	out := make([][]poi.POI, len(ts))
-	batchSpans(len(ts), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = e.Extract(ts[i])
-		}
-	})
+	par.Each(len(ts), func(i int) { out[i] = e.Extract(ts[i]) })
 	return out
 }
 

@@ -1,0 +1,266 @@
+package attack
+
+import (
+	"fmt"
+	"reflect"
+	"runtime"
+	"testing"
+	"time"
+
+	"mood/internal/geo"
+	"mood/internal/heatmap"
+	"mood/internal/mathx"
+	"mood/internal/mmc"
+	"mood/internal/poi"
+	"mood/internal/trace"
+)
+
+// The sequential trainers, kept verbatim as oracles: every parallel
+// trainer must build exactly these profiles, in this order.
+
+func oracleTrainAP(a *AP, background []trace.Trace) error {
+	size := a.CellSize
+	if size <= 0 {
+		size = heatmap.DefaultCellSize
+	}
+	box := geo.EmptyBBox()
+	for _, t := range background {
+		if !t.Empty() {
+			box = box.Extend(t.BBox().Center())
+		}
+	}
+	if box.Empty() {
+		return fmt.Errorf("attack: AP background has no records")
+	}
+	a.grid = geo.NewGrid(box.Center(), size)
+	a.profiles = a.profiles[:0]
+	for _, t := range background {
+		if t.Empty() {
+			continue
+		}
+		a.profiles = append(a.profiles, apProfile{
+			user:   t.User,
+			slices: a.buildSlices(t),
+		})
+	}
+	if len(a.profiles) == 0 {
+		return fmt.Errorf("attack: AP has no usable profiles")
+	}
+	for pi := range a.profiles {
+		a.profiles[pi].quant = heatmap.QuantizeAll(a.profiles[pi].slices)
+	}
+	a.block = apBlockLen(a.profiles)
+	return nil
+}
+
+func oracleTrainPOI(a *POIAttack, background []trace.Trace) error {
+	if len(background) == 0 {
+		return fmt.Errorf("attack: POI training needs background traces")
+	}
+	a.profiles = a.profiles[:0]
+	for _, t := range background {
+		pois := a.Extractor.Extract(t)
+		if len(pois) == 0 {
+			continue
+		}
+		a.profiles = append(a.profiles, poiProfile{user: t.User, pois: pois})
+	}
+	a.trained = true
+	return nil
+}
+
+func oracleTrainPIT(a *PIT, background []trace.Trace) error {
+	if len(background) == 0 {
+		return fmt.Errorf("attack: PIT training needs background traces")
+	}
+	a.profiles = a.profiles[:0]
+	for _, t := range background {
+		c := mmc.Build(a.Extractor, t)
+		if c.Empty() {
+			continue
+		}
+		a.profiles = append(a.profiles, pitProfile{user: t.User, chain: c, stat: c.Stationary()})
+	}
+	a.trained = true
+	return nil
+}
+
+// oracleTrainAll is the old TrainAll over the oracle trainers.
+func oracleTrainAll(s Set, background []trace.Trace) error {
+	for _, atk := range s {
+		var err error
+		switch a := atk.(type) {
+		case *AP:
+			err = oracleTrainAP(a, background)
+		case *POIAttack:
+			err = oracleTrainPOI(a, background)
+		case *PIT:
+			err = oracleTrainPIT(a, background)
+		default:
+			panic("no oracle for " + atk.Name())
+		}
+		if err != nil {
+			return fmt.Errorf("attack: training %s: %w", atk.Name(), err)
+		}
+	}
+	return nil
+}
+
+// untrained returns fresh copies of s's attacks with the same settings.
+func untrained(s Set) Set {
+	out := make(Set, len(s))
+	for i, atk := range s {
+		switch a := atk.(type) {
+		case *AP:
+			out[i] = &AP{CellSize: a.CellSize, Divergence: a.Divergence, TimeSlices: a.TimeSlices}
+		case *POIAttack:
+			out[i] = &POIAttack{Extractor: a.Extractor}
+		case *PIT:
+			out[i] = &PIT{Extractor: a.Extractor}
+		}
+	}
+	return out
+}
+
+// randomBackground draws a background over the shapes training must
+// handle: users who dwell at a few places (POIs, a chain), users who
+// only wander (an AP profile but no dwell structure), empty traces, and
+// user IDs that repeat.
+func randomBackground(rng *mathx.Rand, users int) []trace.Trace {
+	home := geo.Point{Lat: 45.76, Lon: 4.84}
+	bg := make([]trace.Trace, users)
+	for u := range bg {
+		user := fmt.Sprintf("u%02d", rng.Intn(2*users))
+		var recs []trace.Record
+		ts := int64(rng.Intn(86400))
+		switch kind := rng.Intn(5); {
+		case kind == 0 && users > 1: // empty
+		case kind == 1: // wander: never within 100 m for an hour
+			p := geo.Offset(home, (rng.Float64()-0.5)*20000, (rng.Float64()-0.5)*20000)
+			for i := 30 + rng.Intn(200); i > 0; i-- {
+				p = geo.Offset(p, 300+rng.Float64()*500, (rng.Float64()-0.5)*800)
+				ts += int64(60 + rng.Intn(300))
+				recs = append(recs, trace.At(p, ts))
+			}
+		default: // dwell at a few places, revisiting them
+			places := make([]geo.Point, 1+rng.Intn(4))
+			for i := range places {
+				places[i] = geo.Offset(home, (rng.Float64()-0.5)*15000, (rng.Float64()-0.5)*15000)
+			}
+			for v := 3 + rng.Intn(10); v > 0; v-- {
+				p := places[rng.Intn(len(places))]
+				for i := 4 + rng.Intn(24); i > 0; i-- {
+					recs = append(recs, trace.At(geo.Offset(p, (rng.Float64()-0.5)*60, (rng.Float64()-0.5)*60), ts))
+					ts += 600
+				}
+				ts += int64(rng.Intn(4 * 3600))
+			}
+		}
+		bg[u] = trace.New(user, recs)
+	}
+	return bg
+}
+
+// probes are anonymous traces to score both trained sets on: background
+// traces stripped of their labels, fresh draws, and an empty trace.
+func probes(rng *mathx.Rand, bg []trace.Trace) ([]trace.Trace, []string) {
+	var ts []trace.Trace
+	var owners []string
+	for _, t := range bg {
+		ts = append(ts, t.WithUser(""))
+		owners = append(owners, t.User)
+	}
+	for i, t := range randomBackground(rng, 6) {
+		ts = append(ts, t.WithUser(""))
+		owners = append(owners, bg[i%len(bg)].User)
+	}
+	return append(ts, trace.Trace{}), append(owners, "nobody")
+}
+
+// TestTrainAllMatchesSequentialOracle is the parallel trainers' contract:
+// at every GOMAXPROCS, TrainAll builds profile slices deep-equal to the
+// sequential oracle's — same order, same floats, same errors — so every
+// verdict downstream is bit-identical too.
+func TestTrainAllMatchesSequentialOracle(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 7} {
+		runtime.GOMAXPROCS(procs)
+		for seed := uint64(1); seed <= 10; seed++ {
+			rng := mathx.NewRand(seed)
+			users := 1 + rng.Intn(30)
+			if seed == 1 {
+				users = 1
+			}
+			bg := randomBackground(rng, users)
+			got, want := allAttacks(), allAttacks()
+			gotErr, wantErr := TrainAll(got, bg), oracleTrainAll(want, bg)
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Fatalf("procs %d, seed %d: TrainAll error %v, oracle %v", procs, seed, gotErr, wantErr)
+			}
+			for i := range got {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Fatalf("procs %d, seed %d (%d users): %s profiles differ from the sequential oracle",
+						procs, seed, users, got[i].Name())
+				}
+			}
+			if gotErr != nil {
+				continue
+			}
+
+			ts, owners := probes(rng, bg)
+			for i := range got {
+				gb := got[i].(BatchIdentifier).IdentifyBatch(ts)
+				wb := want[i].(BatchIdentifier).IdentifyBatch(ts)
+				for j, tr := range ts {
+					if g, w := got[i].Identify(tr), want[i].Identify(tr); !verdictsEq(g, w) {
+						t.Fatalf("procs %d, seed %d, %s, probe %d: Identify %+v != oracle %+v", procs, seed, got[i].Name(), j, g, w)
+					}
+					if !verdictsEq(gb[j], wb[j]) {
+						t.Fatalf("procs %d, seed %d, %s, probe %d: IdentifyBatch %+v != oracle %+v", procs, seed, got[i].Name(), j, gb[j], wb[j])
+					}
+				}
+			}
+			if g, w := got.ReIdentifiesBatch(ts, owners), want.ReIdentifiesBatch(ts, owners); !reflect.DeepEqual(g, w) {
+				t.Fatalf("procs %d, seed %d: ReIdentifiesBatch %v != oracle %v", procs, seed, g, w)
+			}
+		}
+	}
+}
+
+// TestTrainAllMismatchedExtractors: when the POI- and PIT-attacks of a
+// set cluster with different parameters, the shared extraction must not
+// leak one's POIs into the other — each attack trains exactly as its
+// own Train would, whatever the order of the set.
+func TestTrainAllMismatchedExtractors(t *testing.T) {
+	bg := randomBackground(mathx.NewRand(5), 24)
+	loose := poi.Extractor{MaxDiameter: 600, MinDwell: 20 * time.Minute, MergeDist: 1500}
+	paper := poi.NewExtractor()
+
+	strict, wide := &POIAttack{Extractor: paper}, &POIAttack{Extractor: loose}
+	if err := oracleTrainAll(Set{strict, wide}, bg); err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(strict.profiles, wide.profiles) {
+		t.Fatal("the two extractors yield the same POIs: the test cannot tell a stale cache")
+	}
+
+	for _, set := range []Set{
+		{&POIAttack{Extractor: paper}, &PIT{Extractor: loose}},
+		{&PIT{Extractor: loose}, &POIAttack{Extractor: paper}, &PIT{Extractor: paper}},
+		{&POIAttack{Extractor: loose}, &POIAttack{Extractor: paper}, &PIT{Extractor: loose}},
+	} {
+		want := untrained(set)
+		if err := TrainAll(set, bg); err != nil {
+			t.Fatal(err)
+		}
+		if err := oracleTrainAll(want, bg); err != nil {
+			t.Fatal(err)
+		}
+		for i := range set {
+			if !reflect.DeepEqual(set[i], want[i]) {
+				t.Fatalf("set %v: attack %d (%s) trained on another extractor's POIs",
+					set.Names(), i, set[i].Name())
+			}
+		}
+	}
+}

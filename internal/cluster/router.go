@@ -558,14 +558,14 @@ func (rt *Router) handleRetrain(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		// User histories are disjoint by routing: sums are exact. The
-		// barrier's wall time is the slowest node's pass.
+		// barrier's wall time, and each phase's, is the slowest node's.
 		agg.HistoryUsers += rr.HistoryUsers
 		agg.HistoryRecords += rr.HistoryRecords
 		agg.Audited += rr.Audited
 		agg.Quarantined += rr.Quarantined
-		if rr.DurationMillis > agg.DurationMillis {
-			agg.DurationMillis = rr.DurationMillis
-		}
+		agg.DurationMillis = max(agg.DurationMillis, rr.DurationMillis)
+		agg.TrainMillis = max(agg.TrainMillis, rr.TrainMillis)
+		agg.AuditMillis = max(agg.AuditMillis, rr.AuditMillis)
 	}
 	writeJSON(w, http.StatusOK, agg)
 }

@@ -8,10 +8,12 @@ import (
 	"net/http/httptest"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"mood/internal/clock"
 	"mood/internal/core"
 	"mood/internal/service"
 	"mood/internal/trace"
@@ -521,6 +523,40 @@ func TestRouterAsyncJobsAcrossCluster(t *testing.T) {
 		if !errors.As(err, &se) || se.ProblemCode != service.CodeRouting {
 			t.Fatalf("degraded job lookup error = %v, want routing", err)
 		}
+	}
+}
+
+// TestRouterRetrainPhasesTakeSlowestNode: the nodes' phase timings
+// aggregate like duration_ms — the barrier waits for the slowest node,
+// so the router reports the maximum, not the sum. Every node trains for
+// exactly 4 ms of the shared manual clock: the last one into the
+// retrainer advances it while the others wait.
+func TestRouterRetrainPhasesTakeSlowestNode(t *testing.T) {
+	clk := clock.NewManual(time.Unix(1_700_000_000, 0))
+	var mu sync.Mutex
+	arrived := 0
+	release := make(chan struct{})
+	rt := service.RetrainerFunc(func([]trace.Trace) (service.Protector, service.Auditor, error) {
+		mu.Lock()
+		if arrived++; arrived == 3 {
+			clk.Advance(4 * time.Millisecond)
+			close(release)
+		}
+		mu.Unlock()
+		select {
+		case <-release:
+		case <-time.After(5 * time.Second):
+			return nil, nil, errors.New("the fan-out never reached all three nodes")
+		}
+		return echoProtector{}, nil, nil
+	})
+	h := newHarness(t, 3, service.WithRetrainer(rt, 0), service.WithClock(clk))
+	report, err := h.client().Retrain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.TrainMillis != 4 || report.AuditMillis != 0 || report.DurationMillis != 4 {
+		t.Fatalf("cluster retrain = %+v, want train 4 ms, no audit, 4 ms in all", report)
 	}
 }
 

@@ -12,16 +12,15 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"strconv"
-	"sync"
 	"time"
 
 	"mood/internal/attack"
 	"mood/internal/lppm"
 	"mood/internal/mathx"
 	"mood/internal/metrics"
+	"mood/internal/par"
 	"mood/internal/trace"
 )
 
@@ -312,8 +311,8 @@ func (e *Engine) pseudonym(user string, n int) string {
 	return "anon-" + strconv.FormatUint(h&0xffffffffff, 36)
 }
 
-// protectEach runs protect over every trace of d on a bounded worker
-// pool (GOMAXPROCS), preserving input order: slot i always holds trace
+// protectEach runs protect over every trace of d through par.Each,
+// preserving input order: slot i always holds trace
 // i's outcome, so callers see exactly the sequential result. It is the
 // shared fan-out of every Protector's ProtectDataset — protect must be a
 // deterministic, concurrency-safe function of its trace, which all three
@@ -322,30 +321,7 @@ func (e *Engine) pseudonym(user string, n int) string {
 func protectEach(d trace.Dataset, protect func(trace.Trace) (Result, error)) ([]Result, []error) {
 	results := make([]Result, len(d.Traces))
 	errs := make([]error, len(d.Traces))
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(d.Traces) {
-		workers = len(d.Traces)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				results[i], errs[i] = protect(d.Traces[i])
-			}
-		}()
-	}
-	for i := range d.Traces {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	par.Each(len(d.Traces), func(i int) { results[i], errs[i] = protect(d.Traces[i]) })
 	return results, errs
 }
 

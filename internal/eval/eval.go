@@ -8,15 +8,14 @@ package eval
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"mood/internal/attack"
 	"mood/internal/core"
 	"mood/internal/lppm"
 	"mood/internal/metrics"
+	"mood/internal/par"
 	"mood/internal/synth"
 	"mood/internal/trace"
 )
@@ -207,29 +206,17 @@ func runAll(cfg Config, concurrent bool) (Run, error) {
 	return Run{Config: cfg, Datasets: evals}, nil
 }
 
-// boundedForEach runs each(0..n-1), concurrently when requested with at
-// most GOMAXPROCS bodies in flight. Each invocation must write only its
-// own slots; boundedForEach returns after every body has finished, so
-// the caller reads results with a happens-before edge either way.
+// boundedForEach runs each(0..n-1), through par.Each when concurrent
+// (at most GOMAXPROCS bodies in flight), in order otherwise. Each
+// invocation must write only its own slots.
 func boundedForEach(concurrent bool, n int, each func(i int)) {
-	if !concurrent {
-		for i := 0; i < n; i++ {
-			each(i)
-		}
+	if concurrent {
+		par.Each(n, each)
 		return
 	}
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			each(i)
-		}(i)
+		each(i)
 	}
-	wg.Wait()
 }
 
 func runDataset(cfg Config, name string, concurrent bool) (DatasetEval, error) {

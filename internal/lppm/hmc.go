@@ -8,6 +8,7 @@ import (
 	"mood/internal/geo"
 	"mood/internal/heatmap"
 	"mood/internal/mathx"
+	"mood/internal/par"
 	"mood/internal/trace"
 )
 
@@ -83,17 +84,16 @@ func NewHMC(cellSize float64, background []trace.Trace) (*HMC, error) {
 	}
 	grid := geo.NewGrid(box.Center(), cellSize)
 	h := &HMC{grid: grid, cover: DefaultHMCCover, maxCells: DefaultHMCMaxCells}
-	for _, t := range background {
+	// One profile per trace, built in parallel; the profiles keep
+	// background order, which pickTarget's first-minimum scan depends on.
+	h.profiles = par.Collect(len(background), func(i int) (hmcProfile, bool) {
+		t := background[i]
 		if t.Empty() {
-			continue
+			return hmcProfile{}, false
 		}
 		hm := heatmap.FromTrace(grid, t)
-		h.profiles = append(h.profiles, hmcProfile{
-			user:   t.User,
-			frozen: hm.Freeze(),
-			cells:  hm.TopCells(0),
-		})
-	}
+		return hmcProfile{user: t.User, frozen: hm.Freeze(), cells: hm.TopCells(0)}, true
+	})
 	if len(h.profiles) < 2 {
 		return nil, fmt.Errorf("lppm: HMC needs at least two background users, got %d", len(h.profiles))
 	}

@@ -1,12 +1,10 @@
 package service
 
 import (
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"mood/internal/attack"
+	"mood/internal/par"
 	"mood/internal/trace"
 )
 
@@ -141,9 +139,9 @@ func (s *Server) auditTasks(a Auditor, tasks []auditTask) (audited, quarantined 
 // the pass. The published label is a pseudonym; the attacks judge the
 // anonymous trace against the true owner, as in eval.RunDynamic's
 // oracle. Batch-capable auditors (mood.Pipeline, attack.Set) judge the
-// whole pass in one call; plain Auditors fan out across a single
-// worker pool — the same shape as core's parallel protectEach, but one
-// pool for the entire pass instead of one per shard.
+// whole pass in one call; plain Auditors fan out through par.Each, as
+// core's protectEach does — one fan-out for the entire pass, not one
+// per shard.
 func (s *Server) judgeTasks(a Auditor, tasks []auditTask) []bool {
 	ts := make([]trace.Trace, len(tasks))
 	owners := make([]string, len(tasks))
@@ -158,29 +156,7 @@ func (s *Server) judgeTasks(a Auditor, tasks []auditTask) []bool {
 		}
 		return hits
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-	)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(tasks) {
-					return
-				}
-				// Each worker writes only its own claimed slots.
-				hits[i], _ = a.ReIdentifies(ts[i], owners[i])
-			}
-		}()
-	}
-	wg.Wait()
+	par.Each(len(tasks), func(i int) { hits[i], _ = a.ReIdentifies(ts[i], owners[i]) })
 	return hits
 }
 

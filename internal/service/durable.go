@@ -681,7 +681,7 @@ func (s *Server) statsPayload() StatsPayload {
 	ps.LastAppendError = s.persist.lastAppendErr
 	if s.persist.hasOK {
 		ps.LastSuccessAgeMillis = s.clk.Since(s.persist.lastOK).Milliseconds()
-		ps.LastCheckpointMillis = float64(s.persist.lastTook) / float64(time.Millisecond)
+		ps.LastCheckpointMillis = millis(s.persist.lastTook)
 		ps.LastCheckpointBytes = s.persist.lastBytes
 	}
 	s.persistMu.Unlock()

@@ -330,7 +330,7 @@ func (m *requestMetrics) middleware(next http.Handler) http.Handler {
 }
 
 func (m *requestMetrics) observe(route string, code int, d time.Duration) {
-	ms := float64(d) / float64(time.Millisecond)
+	ms := millis(d)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	rm, ok := m.routes[route]

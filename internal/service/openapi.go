@@ -434,6 +434,7 @@ func openapiSchemas() map[string]any {
 		"RetrainReport": obj(map[string]any{
 			"history_users": integer, "history_records": integer,
 			"audited": integer, "quarantined": integer, "duration_ms": integer,
+			"train_ms": number, "audit_ms": number,
 		}),
 	}
 }

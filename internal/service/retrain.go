@@ -74,6 +74,11 @@ type RetrainReport struct {
 	// DurationMillis is the wall-clock cost of the whole pass. The swap
 	// itself is a single pointer store; uploads never wait on it.
 	DurationMillis int64 `json:"duration_ms"`
+	// TrainMillis and AuditMillis are the pass's two phases on the same
+	// clock: rebuilding the engine (Retrainer.Retrain) and re-auditing
+	// the published dataset. Fractional milliseconds; omitted when zero.
+	TrainMillis float64 `json:"train_ms,omitempty"`
+	AuditMillis float64 `json:"audit_ms,omitempty"`
 }
 
 // ErrRetrainInProgress is returned by Retrain when another pass is
@@ -105,10 +110,12 @@ func (s *Server) Retrain() (RetrainReport, error) {
 		report.HistoryRecords += h.Len()
 	}
 
+	phase := s.clk.Now()
 	protector, auditor, err := s.opts.Retrainer.Retrain(history)
 	if err != nil {
 		return RetrainReport{}, err
 	}
+	report.TrainMillis = millis(s.clk.Since(phase))
 	old := s.currentEngine()
 	next := &engineState{p: old.p, auditor: auditor, epoch: old.epoch + 1}
 	if protector != nil {
@@ -119,7 +126,9 @@ func (s *Server) Retrain() (RetrainReport, error) {
 	// new uploads pick up the retrained one immediately.
 	s.engine.Store(next)
 	if auditor != nil {
+		phase = s.clk.Now()
 		report.Audited, report.Quarantined = s.auditPublished(auditor)
+		report.AuditMillis = millis(s.clk.Since(phase))
 	}
 	s.retrains.Add(1)
 	// Epoch records are best-effort: the count is also carried by every
@@ -130,6 +139,9 @@ func (s *Server) Retrain() (RetrainReport, error) {
 	report.DurationMillis = s.clk.Since(began).Milliseconds()
 	return report, nil
 }
+
+// millis renders a duration as fractional milliseconds.
+func millis(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // retrainLoop drives periodic retraining until Close. Ticks where no
 // new history arrived since the last successful pass are skipped: the

@@ -2,10 +2,15 @@ package service
 
 import (
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -348,6 +353,76 @@ func TestPeriodicRetrainLoop(t *testing.T) {
 	clk.Advance(10 * interval)
 	if len(passes) != 0 {
 		t.Fatal("retrain ticked after Close")
+	}
+}
+
+// clockedAuditor admits every fragment and moves the clock by step per
+// fragment judged.
+type clockedAuditor struct {
+	clk  *clock.Manual
+	step time.Duration
+}
+
+func (a clockedAuditor) ReIdentifies(trace.Trace, string) (bool, string) {
+	a.clk.Advance(a.step)
+	return false, ""
+}
+
+// TestRetrainReportPhases: the report splits the pass into its train
+// and audit phases on the injected clock, in fractional milliseconds,
+// and leaves both off the wire when they took no time.
+func TestRetrainReportPhases(t *testing.T) {
+	clk := clock.NewManual(time.Unix(1_700_000_000, 0))
+	var passes atomic.Int32
+	rt := RetrainerFunc(func([]trace.Trace) (Protector, Auditor, error) {
+		if passes.Add(1) > 1 { // later passes take no time
+			return nil, clockedAuditor{clk: clk}, nil
+		}
+		clk.Advance(7500 * time.Microsecond)
+		return nil, clockedAuditor{clk: clk, step: 2250 * time.Microsecond}, nil
+	})
+	srv, hs := newRetrainServer(t, rt, WithClock(clk))
+	if _, err := srv.protectAndCommit(trace.New("alice", sampleRecords(3))); err != nil {
+		t.Fatal(err)
+	}
+	report, err := srv.Retrain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := RetrainReport{HistoryUsers: 1, HistoryRecords: 3, Audited: 1,
+		DurationMillis: 9, TrainMillis: 7.5, AuditMillis: 2.25}
+	if report != want {
+		t.Fatalf("report = %+v, want %+v", report, want)
+	}
+
+	resp, err := http.Post(hs.URL+"/v2/admin/retrain", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || strings.Contains(string(body), "train_ms") ||
+		strings.Contains(string(body), "audit_ms") {
+		t.Fatalf("instant pass answered %d %s, want 200 without phase timings", resp.StatusCode, body)
+	}
+}
+
+// TestRetrainReportSchemaMatchesStruct keeps the OpenAPI RetrainReport
+// in lockstep with the struct's JSON fields.
+func TestRetrainReportSchemaMatchesStruct(t *testing.T) {
+	props := openapiSchemas()["RetrainReport"].(map[string]any)["properties"].(map[string]any)
+	documented := sortedKeys(props)
+	var fields []string
+	rt := reflect.TypeOf(RetrainReport{})
+	for i := 0; i < rt.NumField(); i++ {
+		fields = append(fields, strings.Split(rt.Field(i).Tag.Get("json"), ",")[0])
+	}
+	sort.Strings(fields)
+	if !reflect.DeepEqual(documented, fields) {
+		t.Fatalf("OpenAPI RetrainReport documents %v, the struct encodes %v", documented, fields)
 	}
 }
 

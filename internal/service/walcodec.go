@@ -84,29 +84,99 @@ func appendRecords(b []byte, recs []trace.Record) []byte {
 	return b
 }
 
-// encodeUploadCommit serialises one commit record.
+// layoutWriter writes a commit record or a snapshot body. Each layout is
+// described once (writeCommit, writeBody) and run twice: a sizing pass
+// that only adds up size, then the pass that appends to a buffer of
+// exactly that size — so an encode allocates its output once and never
+// grows it, and the two passes cannot drift apart.
+type layoutWriter struct {
+	b      []byte
+	size   int
+	sizing bool
+}
+
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+func (w *layoutWriter) u8(v byte) {
+	if w.sizing {
+		w.size++
+		return
+	}
+	w.b = append(w.b, v)
+}
+
+func (w *layoutWriter) uvarint(v uint64) {
+	if w.sizing {
+		w.size += uvarintLen(v)
+		return
+	}
+	w.b = binary.AppendUvarint(w.b, v)
+}
+
+func (w *layoutWriter) varint(v int64) {
+	if w.sizing {
+		w.size += uvarintLen(uint64(v<<1) ^ uint64(v>>63)) // zigzag, as AppendVarint
+		return
+	}
+	w.b = binary.AppendVarint(w.b, v)
+}
+
+func (w *layoutWriter) uint64(v uint64) {
+	if w.sizing {
+		w.size += 8
+		return
+	}
+	w.b = binary.LittleEndian.AppendUint64(w.b, v)
+}
+
+func (w *layoutWriter) string(s string) {
+	if w.sizing {
+		w.size += uvarintLen(uint64(len(s))) + len(s)
+		return
+	}
+	w.b = appendString(w.b, s)
+}
+
+func (w *layoutWriter) records(recs []trace.Record) {
+	if !w.sizing {
+		w.b = appendRecords(w.b, recs)
+		return
+	}
+	w.size += uvarintLen(uint64(len(recs))) + 16*len(recs)
+	for _, r := range recs {
+		w.varint(r.TS)
+	}
+}
+
+// encodeUploadCommit serialises one commit record into a buffer of
+// exactly its size: the layout (writeCommit) runs once to size, once to
+// append, as the snapshot's does.
 func encodeUploadCommit(c walUploadCommit) []byte {
-	size := 64 + len(c.User)
-	for _, f := range c.Frags {
-		size += 32 + len(f.Owner) + len(f.Trace.User) + 17*len(f.Trace.Records)
+	w := layoutWriter{sizing: true}
+	w.writeCommit(&c)
+	w.b = make([]byte, 0, w.size)
+	w.sizing = false
+	w.writeCommit(&c)
+	return w.b
+}
+
+// writeCommit is the commit record's layout (see the top of the file).
+func (w *layoutWriter) writeCommit(c *walUploadCommit) {
+	w.u8(walCommitVersion)
+	w.string(c.User)
+	w.uvarint(uint64(c.RecordsIn))
+	w.uvarint(uint64(c.Accepted))
+	w.uvarint(uint64(c.Rejected))
+	w.uvarint(uint64(c.Pseudo))
+	w.uvarint(uint64(len(c.Frags)))
+	for i := range c.Frags {
+		f := &c.Frags[i]
+		w.varint(f.Seq)
+		w.string(f.Owner)
+		w.string(f.Trace.User)
+		w.records(f.Trace.Records)
 	}
-	size += 17 * len(c.History)
-	b := make([]byte, 0, size)
-	b = append(b, walCommitVersion)
-	b = appendString(b, c.User)
-	b = binary.AppendUvarint(b, uint64(c.RecordsIn))
-	b = binary.AppendUvarint(b, uint64(c.Accepted))
-	b = binary.AppendUvarint(b, uint64(c.Rejected))
-	b = binary.AppendUvarint(b, uint64(c.Pseudo))
-	b = binary.AppendUvarint(b, uint64(len(c.Frags)))
-	for _, f := range c.Frags {
-		b = binary.AppendVarint(b, f.Seq)
-		b = appendString(b, f.Owner)
-		b = appendString(b, f.Trace.User)
-		b = appendRecords(b, f.Trace.Records)
-	}
-	b = appendRecords(b, c.History)
-	return b
+	w.records(c.History)
 }
 
 var errWALCommitCorrupt = errors.New("service: corrupt upload-commit record")
@@ -268,63 +338,7 @@ var (
 	errSnapshotCorrupt = errors.New("service: decoding state: corrupt snapshot")
 )
 
-// snapWriter writes a snapshot body. The layout is described once
-// (writeBody) and run twice: a sizing pass that only adds up size, then
-// the pass that appends to a buffer of exactly that size — so a
-// checkpoint allocates its snapshot once and never grows it, and the two
-// passes cannot drift apart.
-type snapWriter struct {
-	b      []byte
-	size   int
-	sizing bool
-}
-
-func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
-
-func (w *snapWriter) uvarint(v uint64) {
-	if w.sizing {
-		w.size += uvarintLen(v)
-		return
-	}
-	w.b = binary.AppendUvarint(w.b, v)
-}
-
-func (w *snapWriter) varint(v int64) {
-	if w.sizing {
-		w.size += uvarintLen(uint64(v<<1) ^ uint64(v>>63)) // zigzag, as AppendVarint
-		return
-	}
-	w.b = binary.AppendVarint(w.b, v)
-}
-
-func (w *snapWriter) uint64(v uint64) {
-	if w.sizing {
-		w.size += 8
-		return
-	}
-	w.b = binary.LittleEndian.AppendUint64(w.b, v)
-}
-
-func (w *snapWriter) string(s string) {
-	if w.sizing {
-		w.size += uvarintLen(uint64(len(s))) + len(s)
-		return
-	}
-	w.b = appendString(w.b, s)
-}
-
-func (w *snapWriter) records(recs []trace.Record) {
-	if !w.sizing {
-		w.b = appendRecords(w.b, recs)
-		return
-	}
-	w.size += uvarintLen(uint64(len(recs))) + 16*len(recs)
-	for _, r := range recs {
-		w.varint(r.TS)
-	}
-}
-
-func (w *snapWriter) resp(resp *UploadResponse) {
+func (w *layoutWriter) resp(resp *UploadResponse) {
 	w.uvarint(uint64(resp.Accepted))
 	w.uvarint(uint64(resp.Rejected))
 	w.uvarint(uint64(resp.Pieces))
@@ -353,7 +367,7 @@ func sortedKeys[V any](m map[string]V) []string {
 // two maps' keys, sorted. The state's legacy Published list is not
 // written: applySnapshot has turned such traces into fragments before
 // any capture can see them.
-func (w *snapWriter) writeBody(st *persistedState, users, history []string) {
+func (w *layoutWriter) writeBody(st *persistedState, users, history []string) {
 	nRecords := 0
 	for i := range st.Fragments {
 		nRecords += len(st.Fragments[i].Trace.Records)
@@ -413,7 +427,7 @@ func (w *snapWriter) writeBody(st *persistedState, users, history []string) {
 // encodeSnapshot serialises a state as one snapshot.
 func encodeSnapshot(st *persistedState) []byte {
 	users, history := sortedKeys(st.Users), sortedKeys(st.History)
-	w := snapWriter{sizing: true}
+	w := layoutWriter{sizing: true}
 	w.writeBody(st, users, history)
 	w.b = make([]byte, snapshotHeader, snapshotHeader+w.size)
 	w.sizing = false

@@ -1,10 +1,14 @@
 package service
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
+	"mood/internal/mathx"
 	"mood/internal/trace"
 )
 
@@ -32,6 +36,60 @@ func TestWALCommitCodecRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, c) {
 			t.Fatalf("case %d: round trip changed the record:\n got %+v\nwant %+v", i, got, c)
+		}
+	}
+}
+
+// oracleEncodeUploadCommit is the commit layout written straight out,
+// with no sizing: the sized encoder must produce these bytes exactly,
+// or logs already on disk stop decoding.
+func oracleEncodeUploadCommit(c walUploadCommit) []byte {
+	b := []byte{walCommitVersion}
+	b = appendString(b, c.User)
+	for _, v := range []int{c.RecordsIn, c.Accepted, c.Rejected, int(c.Pseudo), len(c.Frags)} {
+		b = binary.AppendUvarint(b, uint64(v))
+	}
+	for _, f := range c.Frags {
+		b = binary.AppendVarint(b, f.Seq)
+		b = appendString(b, f.Owner)
+		b = appendString(b, f.Trace.User)
+		b = appendRecords(b, f.Trace.Records)
+	}
+	return appendRecords(b, c.History)
+}
+
+// TestWALCommitEncodeExactlySized pins the commit buffer to its content
+// on realistic commits — Unix-second timestamps zig-zag to 5-byte
+// varints, so a record takes 21 bytes, not the 17 an estimate assumed —
+// and the encode to one allocation: the buffer is never regrown.
+func TestWALCommitEncodeExactlySized(t *testing.T) {
+	rng := mathx.NewRand(3)
+	recs := func(n int) []trace.Record {
+		rs := make([]trace.Record, n)
+		for i := range rs {
+			rs[i] = trace.Record{Lat: 45 + rng.Float64(), Lon: 4 + rng.Float64(), TS: 1_700_000_000 + int64(i)*60}
+		}
+		return rs
+	}
+	for i := 0; i < 50; i++ {
+		c := walUploadCommit{
+			User: "user-" + strings.Repeat("x", rng.Intn(40)), RecordsIn: 50 + rng.Intn(1000),
+			Accepted: rng.Intn(50), Rejected: rng.Intn(3), Pseudo: int64(rng.Intn(1 << 20)),
+			History: recs(rng.Intn(200)),
+		}
+		for f := rng.Intn(6); f > 0; f-- {
+			c.Frags = append(c.Frags, publishedFrag{Seq: int64(rng.Intn(1 << 30)), Owner: c.User,
+				Trace: trace.Trace{User: "anon-" + strings.Repeat("y", rng.Intn(12)), Records: recs(rng.Intn(100))}})
+		}
+		b := encodeUploadCommit(c)
+		if len(b) != cap(b) {
+			t.Fatalf("commit %d: %d bytes in a %d-byte buffer", i, len(b), cap(b))
+		}
+		if want := oracleEncodeUploadCommit(c); !bytes.Equal(b, want) {
+			t.Fatalf("commit %d: the sized encoder changed the layout", i)
+		}
+		if allocs := testing.AllocsPerRun(5, func() { encodeUploadCommit(c) }); allocs != 1 {
+			t.Fatalf("commit %d: %v allocations per encode, want 1", i, allocs)
 		}
 	}
 }
