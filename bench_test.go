@@ -13,23 +13,17 @@
 package mood_test
 
 import (
-	"fmt"
-	"net/http/httptest"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"mood/internal/attack"
 	"mood/internal/core"
 	"mood/internal/eval"
-	"mood/internal/geo"
 	"mood/internal/lppm"
 	"mood/internal/mathx"
 	"mood/internal/metrics"
-	"mood/internal/service"
-	"mood/internal/store"
 	"mood/internal/synth"
 	"mood/internal/trace"
 )
@@ -523,191 +517,6 @@ func BenchmarkMoodProtectUser(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// echoProtector stands in for the engine so the benchmark measures the
-// service tier itself: middleware chain, worker pool and sharded state.
-type echoProtector struct{}
-
-func (echoProtector) Protect(t trace.Trace) (core.Result, error) {
-	return core.Result{
-		User:         t.User,
-		TotalRecords: t.Len(),
-		Pieces: []core.Piece{{
-			Trace:         t,
-			Mechanism:     "echo",
-			SourceRecords: t.Len(),
-		}},
-	}, nil
-}
-
-// BenchmarkServerUploadParallel drives concurrent synchronous uploads
-// from distinct users through the full HTTP path: each user hashes to
-// its own state shard and the worker pool bounds the engine fan-out.
-func BenchmarkServerUploadParallel(b *testing.B) {
-	srv, err := service.New(echoProtector{},
-		service.WithQueueDepth(1024), service.WithRateLimit(0, 0))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
-
-	base := geo.Point{Lat: 45.7, Lon: 4.8}
-	records := make([]trace.Record, 50)
-	for i := range records {
-		records[i] = trace.At(geo.Offset(base, float64(i)*10, 0), int64(1000+i*60))
-	}
-
-	var uid atomic.Int64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		c := service.NewClient(hs.URL)
-		t := trace.New(fmt.Sprintf("bench-user-%d", uid.Add(1)), records)
-		for pb.Next() {
-			if _, err := c.Upload(t); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
-	b.StopTimer()
-	st := srv.Stats()
-	b.ReportMetric(float64(st.Uploads)/float64(b.N), "uploads/op")
-}
-
-// BenchmarkServerUploadBatchV2 drives the same workload through the
-// /v2/traces NDJSON batch endpoint: each op is one 100-chunk batch on
-// one connection, so the ns/op divided by batchSize compares directly
-// against BenchmarkServerUploadParallel's per-upload cost — the batch
-// amortizes the HTTP round-trip, auth and rate-limit work across the
-// whole batch (the acceptance bar is ≥ 2× single-request throughput at
-// the same worker count). The chunks/s metric makes the comparison
-// explicit.
-func BenchmarkServerUploadBatchV2(b *testing.B) {
-	const batchSize = 100
-	srv, err := service.New(echoProtector{},
-		service.WithQueueDepth(1024), service.WithRateLimit(0, 0))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
-
-	base := geo.Point{Lat: 45.7, Lon: 4.8}
-	records := make([]trace.Record, 50)
-	for i := range records {
-		records[i] = trace.At(geo.Offset(base, float64(i)*10, 0), int64(1000+i*60))
-	}
-
-	var uid atomic.Int64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		c := service.NewClient(hs.URL)
-		user := fmt.Sprintf("bench-user-%d", uid.Add(1))
-		chunks := make([]service.BatchChunk, batchSize)
-		for i := range chunks {
-			chunks[i] = service.BatchChunk{User: user, Records: records}
-		}
-		for pb.Next() {
-			results, err := c.UploadBatch(chunks)
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			for _, res := range results {
-				if res.Status != 200 {
-					b.Errorf("chunk %d: %d %s", res.Index, res.Status, res.Error)
-					return
-				}
-			}
-		}
-	})
-	b.StopTimer()
-	st := srv.Stats()
-	if st.RecordsIn != st.RecordsPublished+st.RecordsRejected {
-		b.Fatalf("conservation broken: %+v", st)
-	}
-	b.ReportMetric(float64(batchSize)*float64(b.N)/b.Elapsed().Seconds(), "chunks/s")
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(batchSize)*float64(b.N)), "ns/chunk")
-}
-
-// BenchmarkServerUploadBatchWAL is BenchmarkServerUploadBatchV2 with
-// the write-ahead log underneath: every batch's commit records are
-// framed, CRC'd and appended before the ack. Group commit amortizes
-// the fsyncs across concurrent commits — an fsync costs hundreds of
-// microseconds, so the worker pool is widened beyond GOMAXPROCS to
-// keep commits in flight together (workers waiting on a shared sync
-// need no CPU). The acceptance bar is chunks/s within 25% of the
-// store-less V2 number — durability priced as one log append, not one
-// disk flush, per upload.
-func BenchmarkServerUploadBatchWAL(b *testing.B) {
-	const batchSize = 100
-	w, err := store.NewWAL(store.WALOptions{
-		Dir:           b.TempDir(),
-		Fsync:         store.FsyncGroup,
-		FlushInterval: 2 * time.Millisecond,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv, err := service.New(echoProtector{},
-		service.WithQueueDepth(1024), service.WithRateLimit(0, 0),
-		service.WithWorkers(64),
-		service.WithStore(w), service.WithCheckpointInterval(-1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	if err := srv.Recover(); err != nil {
-		b.Fatal(err)
-	}
-	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
-
-	base := geo.Point{Lat: 45.7, Lon: 4.8}
-	records := make([]trace.Record, 50)
-	for i := range records {
-		records[i] = trace.At(geo.Offset(base, float64(i)*10, 0), int64(1000+i*60))
-	}
-
-	var uid atomic.Int64
-	// Several client connections per proc: the batch endpoint bounds
-	// in-flight chunks per connection, and group commit feeds on total
-	// in-flight commits — a single connection's serial tail would
-	// measure fsync latency, not throughput.
-	b.SetParallelism(4)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		c := service.NewClient(hs.URL)
-		user := fmt.Sprintf("bench-user-%d", uid.Add(1))
-		chunks := make([]service.BatchChunk, batchSize)
-		for i := range chunks {
-			chunks[i] = service.BatchChunk{User: user, Records: records}
-		}
-		for pb.Next() {
-			results, err := c.UploadBatch(chunks)
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			for _, res := range results {
-				if res.Status != 200 {
-					b.Errorf("chunk %d: %d %s", res.Index, res.Status, res.Error)
-					return
-				}
-			}
-		}
-	})
-	b.StopTimer()
-	st := srv.Stats()
-	if st.RecordsIn != st.RecordsPublished+st.RecordsRejected {
-		b.Fatalf("conservation broken: %+v", st)
-	}
-	b.ReportMetric(float64(batchSize)*float64(b.N)/b.Elapsed().Seconds(), "chunks/s")
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(batchSize)*float64(b.N)), "ns/chunk")
 }
 
 func BenchmarkSynthGenerate(b *testing.B) {

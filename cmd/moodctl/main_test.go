@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -100,8 +101,9 @@ func TestSnapshotCommand(t *testing.T) {
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
 	records := []trace.Record{{Lat: 45.7, Lon: 4.8, TS: 1000}, {Lat: 45.8, Lon: 4.9, TS: 1060}}
-	if _, err := service.NewClient(hs.URL).Upload(trace.New("alice", records)); err != nil {
-		t.Fatal(err)
+	res, err := service.NewClient(hs.URL).UploadBatch([]service.BatchChunk{{User: "alice", Records: records}})
+	if err != nil || res[0].Status != http.StatusOK {
+		t.Fatalf("upload: %v %+v", err, res)
 	}
 	dir := t.TempDir()
 	state := filepath.Join(dir, "state.json")

@@ -1,8 +1,7 @@
 // Command moodserver runs the crowd-sensing middleware: participants
-// stream daily mobility chunks to POST /v2/traces (NDJSON batches;
-// the deprecated single-chunk POST /v1/upload shim stays mounted) and
-// only protected, pseudonymised fragments are admitted to the
-// cursor-paginated GET /v2/dataset. The server is self-describing:
+// stream daily mobility chunks to POST /v2/traces (NDJSON batches; a
+// single chunk is a batch of one) and only protected, pseudonymised
+// fragments are admitted to the cursor-paginated GET /v2/dataset. The server is self-describing:
 // GET /v2/openapi.json serves an OpenAPI document generated from the
 // same route table that drives the router.
 //
@@ -98,10 +97,10 @@ func runCtx(ctx context.Context, args []string) error {
 	fsync := fs.String("fsync", "always", `WAL sync policy: "always" (fsync before every ack) or "group" (batched group commit)`)
 	rate := fs.Float64("rate", 0, "per-user rate limit in requests/second (0 = unlimited)")
 	burst := fs.Int("burst", 10, "per-user rate-limit burst")
-	queue := fs.Int("queue", 64, "upload queue depth (full queue answers 503)")
+	queue := fs.Int("queue", 64, "upload queue depth (a full queue pauses the batch streams feeding it)")
 	workers := fs.Int("workers", 0, "upload worker-pool size (0 = GOMAXPROCS)")
 	reqTimeout := fs.Duration("request-timeout", 2*time.Minute, "per-request timeout (negative disables)")
-	retrainInterval := fs.Duration("retrain-interval", 0, "periodic attack retraining + re-audit (0 = only on POST /v1/admin/retrain)")
+	retrainInterval := fs.Duration("retrain-interval", 0, "periodic attack retraining + re-audit (0 = only on POST /v2/admin/retrain)")
 	historyCap := fs.Int("history-cap", 0, "per-user raw history the retrainer learns from, in records (0 = default 50000, negative disables)")
 	nodeID := fs.String("node-id", "", "stable cluster node identity (required behind moodrouter; enables the misroute tripwire and the stats node section)")
 	if err := fs.Parse(args); err != nil {

@@ -12,8 +12,22 @@ import (
 
 	"mood/internal/service"
 	"mood/internal/synth"
+	"mood/internal/trace"
 	"mood/internal/traceio"
 )
+
+// upload sends one chunk as a batch of one and fails the test unless the
+// chunk was protected and committed.
+func upload(t *testing.T, c *service.Client, chunk trace.Trace) {
+	t.Helper()
+	res, err := c.UploadBatch([]service.BatchChunk{{User: chunk.User, Records: chunk.Records}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res[0].Status != http.StatusOK {
+		t.Fatalf("upload: %+v", res[0])
+	}
+}
 
 func TestRunFlagErrors(t *testing.T) {
 	tests := [][]string{
@@ -117,9 +131,7 @@ func TestGracefulShutdownFlushesState(t *testing.T) {
 
 	// One upload, then immediate shutdown: well inside the one-minute
 	// periodic snapshot window, so only the final flush can save it.
-	if _, err := c.Upload(d.Traces[0].Chunks(24 * time.Hour)[0]); err != nil {
-		t.Fatal(err)
-	}
+	upload(t, c, d.Traces[0].Chunks(24 * time.Hour)[0])
 	cancel()
 	select {
 	case err := <-errc:
@@ -152,7 +164,7 @@ func TestGracefulShutdownFlushesState(t *testing.T) {
 }
 
 // TestAdminRetrainEndToEnd drives the dynamic-protection wiring through
-// the real binary: upload raw chunks, trigger POST /v1/admin/retrain,
+// the real binary: upload raw chunks, trigger POST /v2/admin/retrain,
 // and check the server rebuilt its attacks on background + history,
 // re-audited the published dataset, and kept serving uploads.
 func TestAdminRetrainEndToEnd(t *testing.T) {
@@ -197,9 +209,7 @@ func TestAdminRetrainEndToEnd(t *testing.T) {
 	}
 
 	chunk := d.Traces[0].Chunks(24 * time.Hour)[0]
-	if _, err := c.Upload(chunk); err != nil {
-		t.Fatal(err)
-	}
+	upload(t, c, chunk)
 
 	report, err := c.Retrain()
 	if err != nil {
@@ -218,9 +228,7 @@ func TestAdminRetrainEndToEnd(t *testing.T) {
 	}
 
 	// The swapped engine keeps serving.
-	if _, err := c.Upload(d.Traces[1].Chunks(24 * time.Hour)[0]); err != nil {
-		t.Fatalf("upload after retrain: %v", err)
-	}
+	upload(t, c, d.Traces[1].Chunks(24 * time.Hour)[0])
 
 	cancel()
 	select {

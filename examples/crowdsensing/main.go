@@ -17,6 +17,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"net/http"
 	"net/http/httptest"
 	"time"
 
@@ -60,19 +61,12 @@ func main() {
 	provenance := map[string]string{} // pseudonym -> true participant
 	seen := map[string]bool{}
 	for i, participant := range campaign.Traces {
-		// Most phones stream their backlog of daily chunks as one
+		// Every phone streams its backlog of daily chunks as one
 		// /v2/traces NDJSON batch — one connection, one rate-limit
-		// check, per-chunk results. Odd participants use the per-chunk
-		// asynchronous path instead: a 202 + job ID immediately and a
-		// poll for the outcome, as a battery-conscious client on the
-		// legacy v1 surface would.
-		var resps []service.UploadResponse
-		var err error
-		if i%2 == 1 {
-			resps, err = uploadDailyAsync(client, participant)
-		} else {
-			resps, err = uploadDailyBatch(client, participant)
-		}
+		// check, per-chunk results. Odd participants mark their chunks
+		// asynchronous: each result line is a 202 + job ID at once and
+		// the outcome is polled, as a battery-conscious client would.
+		resps, err := uploadDaily(client, participant, i%2 == 1)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -129,45 +123,38 @@ func main() {
 		log.Fatal(err)
 	}
 	batch := snap.Routes["POST /v2/traces"]
-	up := snap.Routes["POST /v1/upload"]
-	fmt.Printf("server: %d batch requests + %d legacy uploads, batch avg %.1f ms, max %.1f ms\n",
-		batch.Count, up.Count, batch.AvgMillis, batch.MaxMillis)
+	fmt.Printf("server: %d batch requests, avg %.1f ms, max %.1f ms\n",
+		batch.Count, batch.AvgMillis, batch.MaxMillis)
 }
 
-// uploadDailyBatch sends every daily chunk in one streaming batch and
-// collects the per-chunk outcomes.
-func uploadDailyBatch(c *service.Client, participant mood.Trace) ([]service.UploadResponse, error) {
-	results, err := c.UploadChunks(participant, "")
+// uploadDaily sends every daily chunk in one streaming batch and
+// collects the per-chunk outcomes, polling the job of each async chunk.
+func uploadDaily(c *service.Client, participant mood.Trace, async bool) ([]service.UploadResponse, error) {
+	chunks := participant.Chunks(24 * time.Hour)
+	batch := make([]service.BatchChunk, len(chunks))
+	for i, ch := range chunks {
+		batch[i] = service.BatchChunk{User: ch.User, Records: ch.Records, Async: async}
+	}
+	results, err := c.UploadBatch(batch)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]service.UploadResponse, 0, len(results))
 	for _, res := range results {
-		if res.Status != 200 || res.Result == nil {
+		if res.Status == http.StatusAccepted {
+			done, err := c.WaitJob(res.Job.ID, time.Minute)
+			if err != nil {
+				return out, err
+			}
+			if done.State != service.JobDone {
+				return out, fmt.Errorf("job %s failed: %s", done.ID, done.Error)
+			}
+			res.Status, res.Result = http.StatusOK, done.Result
+		}
+		if res.Status != http.StatusOK {
 			return out, fmt.Errorf("chunk %d: %d %s %s", res.Index, res.Status, res.Code, res.Error)
 		}
 		out = append(out, *res.Result)
-	}
-	return out, nil
-}
-
-// uploadDailyAsync mirrors the batch path over the v1 202/poll shim.
-func uploadDailyAsync(c *service.Client, participant mood.Trace) ([]service.UploadResponse, error) {
-	chunks := participant.Chunks(24 * time.Hour)
-	out := make([]service.UploadResponse, 0, len(chunks))
-	for _, chunk := range chunks {
-		j, err := c.UploadAsync(chunk)
-		if err != nil {
-			return out, err
-		}
-		done, err := c.WaitJob(j.ID, time.Minute)
-		if err != nil {
-			return out, err
-		}
-		if done.State != service.JobDone {
-			return out, fmt.Errorf("job %s failed: %s", done.ID, done.Error)
-		}
-		out = append(out, *done.Result)
 	}
 	return out, nil
 }

@@ -35,7 +35,8 @@ func benchAPEnv(b *testing.B, users int) (*AP, trace.Trace) {
 // freeze plus the scan); "scan" is the profile comparison loop alone,
 // which must stay at 0 allocs/op — the acceptance bar of the Frozen
 // refactor (the map-based baseline ran ~95 allocs and ~700µs per
-// Identify on this workload; see BENCH_heatmap.json).
+// Identify on this workload). The end-to-end cost of the scan is the
+// attack.ap_identify_us layer of the bench/ harness.
 func BenchmarkAPIdentify(b *testing.B) {
 	ap, anon := benchAPEnv(b, 10)
 	b.Run("full", func(b *testing.B) {

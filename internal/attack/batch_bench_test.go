@@ -98,7 +98,7 @@ func BenchmarkNewHMC(b *testing.B) {
 }
 
 // BenchmarkBatchIdentify compares the scalar and batched identification
-// paths on the workloads BENCH_batch.json records: "AP" is raw
+// paths on two workloads: "AP" is raw
 // identification throughput (one verdict per trace), "audit" is the
 // service-tier re-audit predicate (first-hit-wins across the full
 // attack set, owner-seeded in the batch path). The scalar variants loop

@@ -49,7 +49,7 @@ func DefaultProblemDialect() *analysis.Analyzer {
 	return ProblemDialect(ProblemDialectConfig{
 		PackagePath: "mood/internal/service",
 		Sinks: map[string]int{
-			"newProblem": 1, "writeError": 3, "problemBody": 1,
+			"newProblem": 1, "writeError": 2, "problemBody": 1,
 			// batchError builds the per-line BatchResult; its code
 			// parameter moves the obligation to its call sites.
 			"batchError": 3,

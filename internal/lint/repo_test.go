@@ -1,7 +1,12 @@
 package lint_test
 
 import (
+	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"mood/internal/lint"
@@ -37,6 +42,50 @@ func TestRepoIsClean(t *testing.T) {
 				t.Errorf("%s", line)
 			}
 		}
+	}
+}
+
+// TestLineBudget is the growth ratchet: every package named in
+// line_budget.txt must stay within its budget of non-test lines, so
+// growth is a reviewed edit of that file rather than a side effect.
+func TestLineBudget(t *testing.T) {
+	data, err := os.ReadFile("line_budget.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	budgets := 0
+	for _, line := range strings.Split(string(data), "\n") {
+		fields := strings.Fields(line)
+		if len(fields) == 0 || strings.HasPrefix(fields[0], "#") {
+			continue
+		}
+		budget, err := strconv.Atoi(fields[len(fields)-1])
+		if len(fields) != 2 || err != nil {
+			t.Fatalf("line_budget.txt: malformed line %q (want \"<package dir> <lines>\")", line)
+		}
+		budgets++
+		files, err := filepath.Glob(filepath.Join("../..", fields[0], "*.go"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("%s: no Go files (%v)", fields[0], err)
+		}
+		lines := 0
+		for _, f := range files {
+			if strings.HasSuffix(f, "_test.go") {
+				continue
+			}
+			src, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines += bytes.Count(src, []byte("\n"))
+		}
+		if lines > budget {
+			t.Errorf("%s: %d non-test lines, over its budget of %d: delete code, or raise the budget "+
+				"in line_budget.txt with a CHANGES.md line that says why", fields[0], lines, budget)
+		}
+	}
+	if budgets == 0 {
+		t.Fatal("line_budget.txt names no package")
 	}
 }
 

@@ -25,8 +25,8 @@ type RouteTableConfig struct {
 
 // DefaultRouteTable is the repo rule from PR 5: routes.go is the single
 // source of truth for routing, problem.go for error rendering. Handlers
-// reach errors only through writeError/httpError, which pick the
-// dialect from the matched route.
+// reach errors only through writeError, which renders every error as
+// problem+json.
 func DefaultRouteTable() *analysis.Analyzer {
 	return RouteTable(RouteTableConfig{
 		Package:    "mood/internal/service",
@@ -42,13 +42,13 @@ func DefaultRouteTable() *analysis.Analyzer {
 //   - ServeMux construction or Handle/HandleFunc registration outside
 //     MuxFiles: a handler mounted around the route table dodges the
 //     middleware exemptions, metrics labels and the OpenAPI document;
-//   - net/http.Error calls anywhere: the bypassed dialect helpers
-//     would answer /v2 requests with a non-problem+json body;
+//   - net/http.Error calls anywhere: it answers with a text/plain body
+//     instead of a problem+json document;
 //   - ResponseWriter.WriteHeader with a constant status >= 400 outside
-//     ErrorFiles: error statuses must flow through writeError (or the
-//     v1 shim's httpError) so the body matches the route's dialect;
-//   - writeProblem calls outside ErrorFiles: the problem+json/legacy
-//     choice belongs to writeError's route lookup, not to call sites.
+//     ErrorFiles: error statuses must flow through writeError so the
+//     body is a problem document;
+//   - writeProblem calls outside ErrorFiles: writeError is the one
+//     error sink, so the problemdialect analyzer sees every code.
 func RouteTable(cfg RouteTableConfig) *analysis.Analyzer {
 	a := &analysis.Analyzer{
 		Name: "routetable",
@@ -86,8 +86,8 @@ func checkRouteCall(pass *analysis.Pass, cfg RouteTableConfig, file string, call
 		if fun.Name == "writeProblem" && !cfg.ErrorFiles[file] {
 			if obj := pass.TypesInfo.Uses[fun]; obj != nil && obj.Pkg() == pass.Pkg {
 				pass.Reportf(call.Pos(),
-					"writeProblem called outside %s: the error dialect is writeError's route-table "+
-						"decision (routetable, PR 5)", fileList(cfg.ErrorFiles))
+					"writeProblem called outside %s: errors are rendered through writeError "+
+						"(routetable, PR 5)", fileList(cfg.ErrorFiles))
 			}
 		}
 		return
@@ -124,7 +124,7 @@ func checkRouteCall(pass *analysis.Pass, cfg RouteTableConfig, file string, call
 			if status, ok := constInt(pass, call.Args[0]); ok && status >= 400 {
 				pass.Reportf(call.Pos(),
 					"WriteHeader(%d) writes an error status directly: use writeError so the body "+
-						"matches the route's dialect (routetable, PR 5)", status)
+						"is a problem document (routetable, PR 5)", status)
 			}
 		}
 	}

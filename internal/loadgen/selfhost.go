@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync"
@@ -191,14 +192,16 @@ func (h *Host) Reboot() error {
 	return nil
 }
 
-// downHandler answers for the backend while it is being replaced; the
-// driver (and any well-behaved client) retries the 503.
+// downHandler answers for the backend while it is being replaced, in the
+// service's problem dialect; the driver (and any well-behaved client)
+// retries the 503.
 func downHandler() http.Handler {
+	p := service.NewProblem(http.StatusServiceUnavailable, service.CodeShuttingDown, "restarting")
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", "1")
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintln(w, `{"error":"restarting"}`)
+		w.Header().Set("Content-Type", service.ProblemContentType)
+		w.WriteHeader(p.Status)
+		json.NewEncoder(w).Encode(p) //nolint:errcheck // headers are gone
 	})
 }
 

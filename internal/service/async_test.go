@@ -13,14 +13,24 @@ import (
 	"mood/internal/trace"
 )
 
+// uploadAsync sends tr as one async chunk and returns its job handle.
+func uploadAsync(t *testing.T, c *Client, tr trace.Trace) JobStatus {
+	t.Helper()
+	res, err := c.UploadBatch([]BatchChunk{{User: tr.User, Records: tr.Records, Async: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res[0].Status != http.StatusAccepted || res[0].Job == nil {
+		t.Fatalf("async upload %s: %+v", tr.User, res[0])
+	}
+	return *res[0].Job
+}
+
 func TestAsyncUploadLifecycle(t *testing.T) {
 	srv, hs := newTestServer(t)
 	c := NewClient(hs.URL)
 
-	j, err := c.UploadAsync(trace.New("alice", sampleRecords(10)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := uploadAsync(t, c, trace.New("alice", sampleRecords(10)))
 	if j.ID == "" || j.User != "alice" {
 		t.Fatalf("job = %+v", j)
 	}
@@ -43,10 +53,7 @@ func TestAsyncUploadLifecycle(t *testing.T) {
 func TestAsyncUploadFailureIsReported(t *testing.T) {
 	_, hs := newTestServer(t)
 	c := NewClient(hs.URL)
-	j, err := c.UploadAsync(trace.New("boom-user", sampleRecords(3)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := uploadAsync(t, c, trace.New("boom-user", sampleRecords(3)))
 	done, err := c.WaitJob(j.ID, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +65,7 @@ func TestAsyncUploadFailureIsReported(t *testing.T) {
 
 func TestUnknownJob404(t *testing.T) {
 	_, hs := newTestServer(t)
-	resp, err := http.Get(hs.URL + "/v1/jobs/job-999999")
+	resp, err := http.Get(hs.URL + "/v2/jobs/job-999999")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,67 +96,6 @@ func (g *gatedProtector) Protect(t trace.Trace) (core.Result, error) {
 	}, nil
 }
 
-func TestQueueFullBackpressure503(t *testing.T) {
-	gp := &gatedProtector{started: make(chan string, 8), gate: make(chan struct{})}
-	srv, err := New(gp, WithWorkers(1), WithQueueDepth(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	hs := httptest.NewServer(srv.Handler())
-	t.Cleanup(hs.Close)
-	c := NewClient(hs.URL)
-
-	// First upload occupies the single worker...
-	firstErr := make(chan error, 1)
-	go func() {
-		_, err := c.Upload(trace.New("occupant", sampleRecords(3)))
-		firstErr <- err
-	}()
-	select {
-	case <-gp.started:
-	case <-time.After(5 * time.Second):
-		t.Fatal("first upload never reached the protector")
-	}
-	// ...the second fills the queue (accepted async, still queued)...
-	queued, err := c.UploadAsync(trace.New("queued", sampleRecords(3)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// ...and the third must be shed with 503 + Retry-After, sync or async.
-	resp, err := http.DefaultClient.Do(mustUploadRequest(t, hs.URL, "shed"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status = %d, want 503", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("503 must carry Retry-After")
-	}
-	if _, err := c.UploadAsync(trace.New("shed-async", sampleRecords(3))); err == nil ||
-		!strings.Contains(err.Error(), "503") {
-		t.Fatalf("async shed err = %v, want 503", err)
-	}
-
-	// Releasing the gate completes both accepted uploads.
-	close(gp.gate)
-	if err := <-firstErr; err != nil {
-		t.Fatal(err)
-	}
-	done, err := c.WaitJob(queued.ID, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if done.State != JobDone {
-		t.Fatalf("queued job = %+v", done)
-	}
-	if st := srv.Stats(); st.Uploads != 2 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
 // panicProtector exercises the worker-side panic containment.
 type panicProtector struct{}
 
@@ -165,15 +111,11 @@ func TestProtectorPanicBecomes500NotCrash(t *testing.T) {
 	t.Cleanup(hs.Close)
 	c := NewClient(hs.URL)
 
-	if _, err := c.Upload(trace.New("alice", sampleRecords(3))); err == nil ||
-		!strings.Contains(err.Error(), "500") {
-		t.Fatalf("err = %v, want 500", err)
+	if res := upload(t, c, trace.New("alice", sampleRecords(3))); res.Status != http.StatusInternalServerError {
+		t.Fatalf("result = %+v, want 500", res)
 	}
 	// Async jobs record the panic as a failure.
-	j, err := c.UploadAsync(trace.New("bob", sampleRecords(3)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := uploadAsync(t, c, trace.New("bob", sampleRecords(3)))
 	done, err := c.WaitJob(j.ID, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -204,19 +146,24 @@ func TestParallelUploadsShardedState(t *testing.T) {
 			c := NewClient(hs.URL)
 			u := fmt.Sprintf("user-%03d", i)
 			for k := 0; k < uploadsPerUser; k++ {
-				if k%2 == 0 {
-					if _, err := c.Upload(trace.New(u, sampleRecords(5))); err != nil {
-						t.Error(err)
-						return
-					}
-					continue
-				}
-				j, err := c.UploadAsync(trace.New(u, sampleRecords(5)))
+				async := k%2 == 1
+				res, err := c.UploadBatch([]BatchChunk{{User: u, Records: sampleRecords(5), Async: async}})
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if _, err := c.WaitJob(j.ID, 10*time.Second); err != nil {
+				if !async {
+					if res[0].Status != http.StatusOK {
+						t.Errorf("sync upload %s: %+v", u, res[0])
+						return
+					}
+					continue
+				}
+				if res[0].Job == nil {
+					t.Errorf("async upload %s: %+v", u, res[0])
+					return
+				}
+				if _, err := c.WaitJob(res[0].Job.ID, 10*time.Second); err != nil {
 					t.Error(err)
 					return
 				}
@@ -253,17 +200,16 @@ func TestServerCloseDrainsQueuedJobs(t *testing.T) {
 	// Occupy the worker, then queue two async jobs behind it.
 	first := make(chan error, 1)
 	go func() {
-		_, err := c.Upload(trace.New("occupant", sampleRecords(3)))
+		res, err := c.UploadBatch([]BatchChunk{{User: "occupant", Records: sampleRecords(3)}})
+		if err == nil && res[0].Status != http.StatusOK {
+			err = fmt.Errorf("occupant: %+v", res[0])
+		}
 		first <- err
 	}()
 	<-gp.started
 	var ids []string
 	for i := 0; i < 2; i++ {
-		j, err := c.UploadAsync(trace.New(fmt.Sprintf("queued-%d", i), sampleRecords(3)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, j.ID)
+		ids = append(ids, uploadAsync(t, c, trace.New(fmt.Sprintf("queued-%d", i), sampleRecords(3))).ID)
 	}
 
 	close(gp.gate)
@@ -279,9 +225,8 @@ func TestServerCloseDrainsQueuedJobs(t *testing.T) {
 			t.Fatalf("job %s = %+v after Close", id, j)
 		}
 	}
-	// Uploads after Close are shed, not silently dropped.
-	if _, err := c.Upload(trace.New("late", sampleRecords(3))); err == nil ||
-		!strings.Contains(err.Error(), "503") {
-		t.Fatalf("post-close upload err = %v, want 503", err)
+	// Uploads after Close are refused, not silently dropped.
+	if res := upload(t, c, trace.New("late", sampleRecords(3))); res.Status != http.StatusServiceUnavailable {
+		t.Fatalf("post-close upload = %+v, want 503", res)
 	}
 }

@@ -25,7 +25,7 @@ func WithAuth(token string, next http.Handler) http.Handler {
 		got, ok := bearerToken(r)
 		if !ok || subtle.ConstantTimeCompare([]byte(got), []byte(token)) != 1 {
 			w.Header().Set("WWW-Authenticate", `Bearer realm="mood"`)
-			writeError(w, r, http.StatusUnauthorized, CodeUnauthorized, "missing or invalid bearer token")
+			writeError(w, http.StatusUnauthorized, CodeUnauthorized, "missing or invalid bearer token")
 			return
 		}
 		next.ServeHTTP(w, r)

@@ -26,12 +26,12 @@ import (
 // once per chunk, and the chunks fan out into the sharded worker pool in
 // bulk.
 //
-// Unlike the v1 single-chunk endpoint, a full queue exerts
-// backpressure on the stream (reading pauses until a slot frees)
-// instead of shedding: a bulk feeder wants pacing, not bounces. Chunks
-// are still individually validated, individually idempotent (per-line
-// "key") and individually async-able (per-line "async": the result
-// line carries the job handle instead of the outcome).
+// A full queue exerts backpressure on the stream (reading pauses until
+// a slot frees) instead of shedding: a bulk feeder wants pacing, not
+// bounces. Chunks are individually validated, individually idempotent
+// (per-line "key") and individually async-able (per-line "async": the
+// result line carries the job handle instead of the outcome). A single
+// chunk is a batch of one.
 //
 // A chunk is acknowledged only once its commit is durable, and the one
 // cost of that a chunk cannot avoid — the sync — is shared: the
@@ -71,8 +71,8 @@ const (
 type BatchChunk struct {
 	User    string        `json:"user"`
 	Records trace.Records `json:"records"`
-	// Key is the optional per-chunk idempotency key (same semantics as
-	// the v1 X-Mood-Idempotency-Key header, scoped per user).
+	// Key is the optional per-chunk idempotency key, scoped per user: a
+	// retry under the same key replays the original outcome.
 	Key string `json:"key,omitempty"`
 	// Async enqueues the chunk and reports the job handle instead of
 	// waiting for the outcome.
@@ -155,10 +155,10 @@ func (s *Server) handleBatchUpload(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(bytes.TrimSpace(line)) == 0 && readErr != nil && !errors.Is(readErr, errChunkTooLarge) {
 		if errors.Is(readErr, io.EOF) {
-			writeError(w, r, http.StatusBadRequest, CodeEmptyBatch, "empty batch: no chunk lines in request body")
+			writeError(w, http.StatusBadRequest, CodeEmptyBatch, "empty batch: no chunk lines in request body")
 			return
 		}
-		writeError(w, r, http.StatusBadRequest, CodeBadRequest, "unreadable batch stream: "+readErr.Error())
+		writeError(w, http.StatusBadRequest, CodeBadRequest, "unreadable batch stream: "+readErr.Error())
 		return
 	}
 
@@ -375,12 +375,8 @@ type batchSlot struct {
 }
 
 // settle counts the chunk out of its window's upstream tally: it will
-// not reach the window. A nil slot (the v1 surface) counts nothing.
-func (sl *batchSlot) settle() {
-	if sl != nil {
-		sl.cw.settle()
-	}
-}
+// not reach the window.
+func (sl *batchSlot) settle() { sl.cw.settle() }
 
 // replayed settles a chunk that turned out to be a retry, and stops its
 // window holding anything back from then on: a replay may wait for the
@@ -388,19 +384,13 @@ func (sl *batchSlot) settle() {
 // request's, and a window that held its group for the sake of a chunk
 // that waits on another window could wait in a circle. (Every other
 // settled chunk delivers its result without waiting on a commit.)
-func (sl *batchSlot) replayed() {
-	if sl != nil {
-		sl.cw.replayed()
-	}
-}
+func (sl *batchSlot) replayed() { sl.cw.replayed() }
 
 // submit hands the chunk's staged commit to its window; the committer
 // will make it durable, apply it and deliver the outcome. False means
-// there is no window to take it — the upload is not part of a batch, or
-// its request has finished — and the caller commits the job itself.
-func (sl *batchSlot) submit(j *uploadJob) bool {
-	return sl != nil && sl.cw.submit(j, sl.idx)
-}
+// the window no longer takes it — its request has finished — and the
+// caller commits the job itself.
+func (sl *batchSlot) submit(j *uploadJob) bool { return sl.cw.submit(j, sl.idx) }
 
 // commitWindow is the request-scoped group commit of one batch upload.
 // Workers still run Protect on the pool, but a synchronous chunk's

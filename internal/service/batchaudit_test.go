@@ -78,13 +78,9 @@ func TestBatchAuditQuarantinesSameSetAsScalar(t *testing.T) {
 		// audit must condemn these), a stranger uploads from far away
 		// (no profile can claim it, so it survives).
 		for _, user := range []string{"alice", "bob", "carol"} {
-			if _, err := c.Upload(trace.New(user, regionRecords(regions[user], 20))); err != nil {
-				t.Fatal(err)
-			}
+			mustUpload(t, c, trace.New(user, regionRecords(regions[user], 20)))
 		}
-		if _, err := c.Upload(trace.New("dave", regionRecords(geo.Point{Lat: -33.9, Lon: 151.2}, 20))); err != nil {
-			t.Fatal(err)
-		}
+		mustUpload(t, c, trace.New("dave", regionRecords(geo.Point{Lat: -33.9, Lon: 151.2}, 20)))
 		report, err := srv.Retrain()
 		if err != nil {
 			t.Fatal(err)
@@ -167,9 +163,7 @@ func TestAppendFailureSurfacesInStats(t *testing.T) {
 	t.Cleanup(hs.Close)
 	c := NewClient(hs.URL)
 
-	if _, err := c.Upload(trace.New("alice", sampleRecords(6))); err != nil {
-		t.Fatal(err)
-	}
+	mustUpload(t, c, trace.New("alice", sampleRecords(6)))
 	fst.failing.Store(true) // the disk goes bad after the upload acked
 	report, err := srv.Retrain()
 	if err != nil {

@@ -81,8 +81,8 @@ func snapshotAndSuffix(t *testing.T, fsys store.FS) *Server {
 				t.Fatal(err)
 			}
 		}
-		if r, _ := idemUpload(t, hs, "alice", fmt.Sprintf("chunk-%d", i), 3+i); r.StatusCode != http.StatusOK {
-			t.Fatalf("upload %d: %d", i, r.StatusCode)
+		if r := postChunk(t, hs.URL, keyed("alice", fmt.Sprintf("chunk-%d", i), 3+i)); r.Status != http.StatusOK {
+			t.Fatalf("upload %d: %d", i, r.Status)
 		}
 	}
 	return srv
@@ -99,10 +99,9 @@ func assertReplays(t *testing.T, when string, fsys store.FS, want ServerStats) *
 		t.Fatalf("%s: stats %+v, want %+v", when, got, want)
 	}
 	for i := 0; i < 4; i++ {
-		r, _ := idemUpload(t, hs, "alice", fmt.Sprintf("chunk-%d", i), 3+i)
-		if r.StatusCode != http.StatusOK || r.Header.Get(IdempotencyReplayHeader) != "true" {
-			t.Fatalf("%s: retry %d: status %d, replay %q", when, i,
-				r.StatusCode, r.Header.Get(IdempotencyReplayHeader))
+		r := postChunk(t, hs.URL, keyed("alice", fmt.Sprintf("chunk-%d", i), 3+i))
+		if r.Status != http.StatusOK || !r.Replay {
+			t.Fatalf("%s: retry %d: %+v", when, i, r)
 		}
 	}
 	if fp.calls != 0 {
@@ -176,8 +175,8 @@ func TestFailedRecoverLeavesStoreUntouched(t *testing.T) {
 		})
 		t.Run("json/"+name, func(t *testing.T) {
 			src, hs := newTestServer(t)
-			if r, _ := idemUpload(t, hs, "alice", "chunk-0", 3); r.StatusCode != http.StatusOK {
-				t.Fatalf("upload: %d", r.StatusCode)
+			if r := postChunk(t, hs.URL, keyed("alice", "chunk-0", 3)); r.Status != http.StatusOK {
+				t.Fatalf("upload: %d", r.Status)
 			}
 			state := src.captureState()
 			path := filepath.Join(t.TempDir(), "state.json")
@@ -436,8 +435,8 @@ func TestStatsLastCheckpoint(t *testing.T) {
 	if body := getBody(t, hs.URL+"/v2/stats"); strings.Contains(body, "last_checkpoint") {
 		t.Fatalf("stats before any checkpoint: %s", body)
 	}
-	if r, _ := idemUpload(t, hs, "alice", "chunk-0", 5); r.StatusCode != http.StatusOK {
-		t.Fatalf("upload: %d", r.StatusCode)
+	if r := postChunk(t, hs.URL, keyed("alice", "chunk-0", 5)); r.Status != http.StatusOK {
+		t.Fatalf("upload: %d", r.Status)
 	}
 	if err := srv.Checkpoint(); err != nil {
 		t.Fatal(err)

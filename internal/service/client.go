@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -13,7 +12,7 @@ import (
 )
 
 // Client is the participant-side library: it chunks a user's mobility
-// into daily uploads and talks to the middleware.
+// into daily uploads (UploadChunks) and talks to the middleware.
 type Client struct {
 	// BaseURL is the server root, e.g. "http://localhost:8080".
 	BaseURL string
@@ -49,23 +48,12 @@ func (c *Client) clock() clock.Clock {
 	return clock.System()
 }
 
-// do issues a request with the configured auth header.
-func (c *Client) do(method, url string, body io.Reader) (*http.Response, error) {
-	return c.doAs(method, url, "", body)
-}
-
-// doAs additionally tags the request with the participant ID so the
-// server's per-user rate limiter can key on it before parsing the body.
-func (c *Client) doAs(method, url, user string, body io.Reader) (*http.Response, error) {
-	req, err := http.NewRequest(method, url, body)
+// post issues a bodiless POST with the configured auth header. It is
+// not retried: the one caller, Retrain, is not idempotent.
+func (c *Client) post(url string) (*http.Response, error) {
+	req, err := http.NewRequest(http.MethodPost, url, nil)
 	if err != nil {
 		return nil, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	if user != "" {
-		req.Header.Set(UserHeader, user)
 	}
 	if c.authToken != "" {
 		req.Header.Set("Authorization", "Bearer "+c.authToken)
@@ -73,53 +61,9 @@ func (c *Client) doAs(method, url, user string, body io.Reader) (*http.Response,
 	return c.httpClient().Do(req)
 }
 
-// Upload sends one trace (typically a daily chunk) to the middleware.
-func (c *Client) Upload(t trace.Trace) (UploadResponse, error) {
-	body, err := json.Marshal(UploadRequest{User: t.User, Records: t.Records})
-	if err != nil {
-		return UploadResponse{}, fmt.Errorf("service: encoding upload: %w", err)
-	}
-	resp, err := c.doAs(http.MethodPost, c.BaseURL+"/v1/upload", t.User, bytes.NewReader(body))
-	if err != nil {
-		return UploadResponse{}, fmt.Errorf("service: upload: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return UploadResponse{}, decodeError(resp)
-	}
-	var out UploadResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return UploadResponse{}, fmt.Errorf("service: decoding upload response: %w", err)
-	}
-	return out, nil
-}
-
-// UploadAsync enqueues one trace on the server's worker pool and
-// returns the job handle immediately (HTTP 202). Poll Job, or use
-// WaitJob, to collect the outcome.
-func (c *Client) UploadAsync(t trace.Trace) (JobStatus, error) {
-	body, err := json.Marshal(UploadRequest{User: t.User, Records: t.Records})
-	if err != nil {
-		return JobStatus{}, fmt.Errorf("service: encoding upload: %w", err)
-	}
-	resp, err := c.doAs(http.MethodPost, c.BaseURL+"/v1/upload?async=1", t.User, bytes.NewReader(body))
-	if err != nil {
-		return JobStatus{}, fmt.Errorf("service: async upload: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		return JobStatus{}, decodeError(resp)
-	}
-	var out JobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return JobStatus{}, fmt.Errorf("service: decoding job status: %w", err)
-	}
-	return out, nil
-}
-
 // Job fetches the status of an asynchronous upload.
 func (c *Client) Job(id string) (JobStatus, error) {
-	resp, err := c.get(c.BaseURL+"/v2/jobs/"+id, "")
+	resp, err := c.get(c.BaseURL + "/v2/jobs/" + id)
 	if err != nil {
 		return JobStatus{}, fmt.Errorf("service: job status: %w", err)
 	}
@@ -159,7 +103,7 @@ func (c *Client) WaitJob(id string, timeout time.Duration) (JobStatus, error) {
 // and returns what it did. The server answers 404 when no retrainer is
 // configured.
 func (c *Client) Retrain() (RetrainReport, error) {
-	resp, err := c.do(http.MethodPost, c.BaseURL+"/v2/admin/retrain", nil)
+	resp, err := c.post(c.BaseURL + "/v2/admin/retrain")
 	if err != nil {
 		return RetrainReport{}, fmt.Errorf("service: retrain: %w", err)
 	}
@@ -176,7 +120,7 @@ func (c *Client) Retrain() (RetrainReport, error) {
 
 // Metrics fetches the server's request metrics.
 func (c *Client) Metrics() (MetricsSnapshot, error) {
-	resp, err := c.get(c.BaseURL+"/v2/metrics", "")
+	resp, err := c.get(c.BaseURL + "/v2/metrics")
 	if err != nil {
 		return MetricsSnapshot{}, fmt.Errorf("service: metrics: %w", err)
 	}
@@ -187,22 +131,6 @@ func (c *Client) Metrics() (MetricsSnapshot, error) {
 	var out MetricsSnapshot
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		return MetricsSnapshot{}, fmt.Errorf("service: decoding metrics: %w", err)
-	}
-	return out, nil
-}
-
-// UploadDaily splits the trace into 24 h chunks and uploads each one,
-// as the paper's crowd-sensing participants do. It returns the per-chunk
-// responses; on error it reports how many chunks had been accepted.
-func (c *Client) UploadDaily(t trace.Trace) ([]UploadResponse, error) {
-	chunks := t.Chunks(24 * time.Hour)
-	out := make([]UploadResponse, 0, len(chunks))
-	for i, chunk := range chunks {
-		r, err := c.Upload(chunk)
-		if err != nil {
-			return out, fmt.Errorf("service: chunk %d/%d: %w", i+1, len(chunks), err)
-		}
-		out = append(out, r)
 	}
 	return out, nil
 }
@@ -226,7 +154,7 @@ func (c *Client) Dataset() (trace.Dataset, error) {
 
 // Stats fetches the server counters.
 func (c *Client) Stats() (ServerStats, error) {
-	resp, err := c.get(c.BaseURL+"/v2/stats", "")
+	resp, err := c.get(c.BaseURL + "/v2/stats")
 	if err != nil {
 		return ServerStats{}, fmt.Errorf("service: stats: %w", err)
 	}
@@ -243,7 +171,7 @@ func (c *Client) Stats() (ServerStats, error) {
 
 // UserStats fetches one participant's accounting.
 func (c *Client) UserStats(user string) (UserStats, error) {
-	resp, err := c.get(c.BaseURL+"/v2/users/"+user, "")
+	resp, err := c.get(c.BaseURL + "/v2/users/" + user)
 	if err != nil {
 		return UserStats{}, fmt.Errorf("service: user stats: %w", err)
 	}
@@ -263,8 +191,8 @@ func (c *Client) UserStats(user string) (UserStats, error) {
 type StatusError struct {
 	Code int
 	Msg  string
-	// ProblemCode is the stable machine-readable code of a v2
-	// problem+json error ("" on legacy v1 bodies).
+	// ProblemCode is the stable machine-readable code of the
+	// problem+json error ("" when the body was not a problem).
 	ProblemCode string
 }
 
@@ -275,8 +203,9 @@ func (e *StatusError) Error() string {
 	return fmt.Sprintf("service: server returned %d", e.Code)
 }
 
-// decodeError understands both error dialects: RFC 7807 problem+json
-// (v2) and the legacy {"error": "..."} body (v1).
+// decodeError reads a non-2xx reply's RFC 7807 problem into a
+// StatusError; a body that is not a problem (an intermediary's error
+// page) leaves only the status code.
 func decodeError(resp *http.Response) error {
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 	se := &StatusError{Code: resp.StatusCode}
@@ -287,11 +216,6 @@ func decodeError(resp *http.Response) error {
 			se.Msg = p.Title
 		}
 		se.ProblemCode = p.Code
-		return se
-	}
-	var ae apiError
-	if err := json.Unmarshal(body, &ae); err == nil && ae.Error != "" {
-		se.Msg = ae.Error
 	}
 	return se
 }

@@ -66,14 +66,11 @@ func (c *Client) retryDo(build func() (*http.Request, error)) (*http.Response, e
 }
 
 // get issues an idempotent GET through the transient-retry layer.
-func (c *Client) get(url, user string) (*http.Response, error) {
+func (c *Client) get(url string) (*http.Response, error) {
 	return c.retryDo(func() (*http.Request, error) {
 		req, err := http.NewRequest(http.MethodGet, url, nil)
 		if err != nil {
 			return nil, err
-		}
-		if user != "" {
-			req.Header.Set(UserHeader, user)
 		}
 		if c.authToken != "" {
 			req.Header.Set("Authorization", "Bearer "+c.authToken)

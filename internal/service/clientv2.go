@@ -14,9 +14,9 @@ import (
 	"mood/internal/trace"
 )
 
-// The v2 client surface: streaming batch uploads with per-chunk
-// results, the paginated dataset (with an iterator), and the jobs
-// listing. The single-chunk helpers in client.go are shims over these.
+// The upload and listing side of the client: streaming batch uploads
+// with per-chunk results (a single chunk is a batch of one), the
+// paginated dataset (with an iterator), and the jobs listing.
 
 // UploadBatchStream sends the chunks as one NDJSON batch to
 // POST /v2/traces and invokes fn for every result line as it arrives,
@@ -276,7 +276,7 @@ func (c *Client) Jobs(state, user string, limit int) (JobList, error) {
 	if len(vals) > 0 {
 		u += "?" + vals.Encode()
 	}
-	resp, err := c.get(u, "")
+	resp, err := c.get(u)
 	if err != nil {
 		return JobList{}, fmt.Errorf("service: jobs: %w", err)
 	}
@@ -293,7 +293,7 @@ func (c *Client) Jobs(state, user string, limit int) (JobList, error) {
 
 // OpenAPI fetches the server's generated OpenAPI document.
 func (c *Client) OpenAPI() (map[string]any, error) {
-	resp, err := c.get(c.BaseURL+"/v2/openapi.json", "")
+	resp, err := c.get(c.BaseURL + "/v2/openapi.json")
 	if err != nil {
 		return nil, fmt.Errorf("service: openapi: %w", err)
 	}
@@ -310,8 +310,8 @@ func (c *Client) OpenAPI() (map[string]any, error) {
 
 // UploadChunks uploads the trace as daily chunks through one batch
 // request with per-chunk idempotency keys derived from keyPrefix
-// (keyPrefix-0, keyPrefix-1, ...); an empty prefix disables keying. It
-// is the v2 replacement for UploadDaily: one connection, one auth and
+// (keyPrefix-0, keyPrefix-1, ...); an empty prefix disables keying. The
+// paper's participants upload this way: one connection, one auth and
 // rate-limit check, per-chunk results.
 func (c *Client) UploadChunks(t trace.Trace, keyPrefix string) ([]BatchResult, error) {
 	chunks := t.Chunks(24 * time.Hour)

@@ -13,15 +13,12 @@ import (
 	"mood/internal/traceio"
 )
 
-// GET /v2/dataset: the published dataset as a paginated resource. The
-// pre-redesign /v1/dataset re-assembled and re-serialized the whole
-// corpus on every request; v2 pages through a version-cached assembly
-// with an opaque cursor, filters by published pseudonym and time range,
-// negotiates JSON / CSV / NDJSON via Accept, and revalidates with an
-// ETag derived from the dataset version (fragment audit sequence +
-// quarantine generation) so polling consumers pay a 304, not a copy of
-// the corpus. The v1 endpoints stay mounted as shims over the same
-// cached assembly.
+// GET /v2/dataset: the published dataset as a paginated resource. It
+// pages through a version-cached assembly with an opaque cursor,
+// filters by published pseudonym and time range, negotiates JSON / CSV
+// / NDJSON via Accept, and revalidates with an ETag derived from the
+// dataset version (fragment audit sequence + quarantine generation) so
+// polling consumers pay a 304, not a copy of the corpus.
 
 // NextCursorHeader and TotalUsersHeader carry the envelope's
 // next_cursor and total_users on non-JSON formats (CSV and NDJSON bodies
@@ -91,30 +88,6 @@ func (s *Server) publishedDataset() (trace.Dataset, string) {
 	return ds, version
 }
 
-// ---------------------------------------------------------------------------
-// The v1 shims (whole corpus per request, as before, but served from
-// the shared cache).
-
-func (s *Server) handleDatasetV1(w http.ResponseWriter, r *http.Request) {
-	// The published dataset is assembled fresh so fragment order never
-	// leaks upload order per user.
-	d, _ := s.publishedDataset()
-	writeJSON(w, http.StatusOK, d)
-}
-
-func (s *Server) handleDatasetCSVV1(w http.ResponseWriter, r *http.Request) {
-	d, _ := s.publishedDataset()
-	w.Header().Set("Content-Type", "text/csv")
-	if err := traceio.WriteCSV(w, d); err != nil {
-		// Too late for a status change; the truncated body signals the
-		// failure to the client-side CSV parser.
-		return
-	}
-}
-
-// ---------------------------------------------------------------------------
-// The v2 paginated resource.
-
 // datasetQuery is the parsed query surface of GET /v2/dataset.
 type datasetQuery struct {
 	cursor   string // decoded: the last user of the previous page
@@ -131,14 +104,15 @@ const (
 	formatNDJSON = "ndjson"
 )
 
-func (s *Server) handleDatasetV2(w http.ResponseWriter, r *http.Request) {
+// handleDataset serves GET /v2/dataset.
+func (s *Server) handleDataset(w http.ResponseWriter, r *http.Request) {
 	q, errCode, errDetail := parseDatasetQuery(r)
 	if errCode != "" {
-		writeError(w, r, http.StatusBadRequest, errCode, errDetail)
+		writeError(w, http.StatusBadRequest, errCode, errDetail)
 		return
 	}
 	if q.format == "" {
-		writeError(w, r, http.StatusNotAcceptable, CodeNotAcceptable,
+		writeError(w, http.StatusNotAcceptable, CodeNotAcceptable,
 			"no supported media type in Accept (offer application/json, text/csv or "+NDJSONContentType+")")
 		return
 	}

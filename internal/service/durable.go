@@ -652,7 +652,7 @@ type PersistenceStats struct {
 	LastCheckpointBytes  int     `json:"last_checkpoint_bytes,omitempty"`
 }
 
-// StatsPayload is the GET /v{1,2}/stats body. The embedded ServerStats
+// StatsPayload is the GET /v2/stats body. The embedded ServerStats
 // flattens; Persistence is omitted when no store is configured and Node
 // when no node ID is configured, so standalone servers keep the
 // historical byte-identical shape.

@@ -52,16 +52,11 @@ func TestWALServerCrashRecovery(t *testing.T) {
 	srvA, hsA := newWALServer(t, ffs, &fakeProtector{})
 	c := NewClient(hsA.URL)
 
-	if _, err := c.Upload(trace.New("alice", sampleRecords(10))); err != nil {
-		t.Fatal(err)
+	mustUpload(t, c, trace.New("alice", sampleRecords(10)))
+	if r := postChunk(t, hsA.URL, keyed("bob", "chunk-1", 4)); r.Status != http.StatusOK {
+		t.Fatalf("keyed upload: %d", r.Status)
 	}
-	if r, _ := idemUpload(t, hsA, "bob", "chunk-1", 4); r.StatusCode != http.StatusOK {
-		t.Fatalf("keyed upload: %d", r.StatusCode)
-	}
-	job, err := c.UploadAsync(trace.New("carol", sampleRecords(6)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	job := uploadAsync(t, c, trace.New("carol", sampleRecords(6)))
 	if _, err := c.WaitJob(job.ID, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -92,10 +87,9 @@ func TestWALServerCrashRecovery(t *testing.T) {
 
 	// The keyed chunk's retry must replay across the crash, not commit
 	// twice: the idempotency completion rode in the commit's WAL frame.
-	r, _ := idemUpload(t, hsB, "bob", "chunk-1", 4)
-	if r.StatusCode != http.StatusOK || r.Header.Get(IdempotencyReplayHeader) != "true" {
-		t.Fatalf("keyed retry after crash: status %d, replay %q",
-			r.StatusCode, r.Header.Get(IdempotencyReplayHeader))
+	r := postChunk(t, hsB.URL, keyed("bob", "chunk-1", 4))
+	if r.Status != http.StatusOK || !r.Replay {
+		t.Fatalf("keyed retry after crash: %+v", r)
 	}
 	if fpB.calls != 0 {
 		t.Fatalf("keyed retry re-executed the protector %d times", fpB.calls)
@@ -126,9 +120,8 @@ func TestFaultInjectionNoAckedLoss(t *testing.T) {
 	for i := range keys {
 		keys[i] = "chunk-" + string(rune('a'+i))
 	}
-	upload := func(t *testing.T, hs *httptest.Server, i int) *http.Response {
-		r, _ := idemUpload(t, hs, "alice", keys[i], recsPer)
-		return r
+	upload := func(t *testing.T, hs *httptest.Server, i int) BatchResult {
+		return postChunk(t, hs.URL, keyed("alice", keys[i], recsPer))
 	}
 
 	// Clean run: count the mutating FS operations a full workload makes,
@@ -136,8 +129,8 @@ func TestFaultInjectionNoAckedLoss(t *testing.T) {
 	probe := store.NewFaultFS(store.NewMemFS())
 	_, hs := newWALServer(t, probe, &fakeProtector{})
 	for i := 0; i < users; i++ {
-		if r := upload(t, hs, i); r.StatusCode != http.StatusOK {
-			t.Fatalf("clean run upload %d: %d", i, r.StatusCode)
+		if r := upload(t, hs, i); r.Status != http.StatusOK {
+			t.Fatalf("clean run upload %d: %d", i, r.Status)
 		}
 	}
 	totalOps := probe.Ops()
@@ -155,7 +148,7 @@ func TestFaultInjectionNoAckedLoss(t *testing.T) {
 			acked := make([]bool, users)
 			ackedCount := 0
 			for i := 0; i < users; i++ {
-				switch r := upload(t, hsA, i); r.StatusCode {
+				switch r := upload(t, hsA, i); r.Status {
 				case http.StatusOK:
 					acked[i] = true
 					ackedCount++
@@ -164,7 +157,7 @@ func TestFaultInjectionNoAckedLoss(t *testing.T) {
 					// applied; the retry below must re-execute it.
 				default:
 					t.Fatalf("failAt=%d partial=%d upload %d: unexpected status %d",
-						failAt, partial, i, r.StatusCode)
+						failAt, partial, i, r.Status)
 				}
 			}
 			ffs.Kill()
@@ -172,13 +165,12 @@ func TestFaultInjectionNoAckedLoss(t *testing.T) {
 			fpB := &fakeProtector{}
 			srvB, hsB := newWALServer(t, disk, fpB)
 			for i := 0; i < users; i++ {
-				r, _ := idemUpload(t, hsB, "alice", keys[i], recsPer)
-				if r.StatusCode != http.StatusOK {
+				r := postChunk(t, hsB.URL, keyed("alice", keys[i], recsPer))
+				if r.Status != http.StatusOK {
 					t.Fatalf("failAt=%d partial=%d: retry %d got %d",
-						failAt, partial, i, r.StatusCode)
+						failAt, partial, i, r.Status)
 				}
-				replayed := r.Header.Get(IdempotencyReplayHeader) == "true"
-				if acked[i] && !replayed {
+				if acked[i] && !r.Replay {
 					t.Fatalf("failAt=%d partial=%d: acked upload %d lost (retry re-executed)",
 						failAt, partial, i)
 				}
@@ -231,9 +223,7 @@ func TestWALQuarantineReplay(t *testing.T) {
 	ffs := store.NewFaultFS(disk)
 	srvA, hsA := newWALServer(t, ffs, &fakeProtector{})
 	c := NewClient(hsA.URL)
-	if _, err := c.Upload(trace.New("alice", sampleRecords(8))); err != nil {
-		t.Fatal(err)
-	}
+	mustUpload(t, c, trace.New("alice", sampleRecords(8)))
 
 	// Condemn the fragment the way auditFrags does: durable record plus
 	// in-memory removal under the consistency barrier.

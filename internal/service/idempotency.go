@@ -15,13 +15,12 @@ import (
 )
 
 // Upload idempotency: the pipeline is at-least-once by construction — a
-// sync upload that times out after being enqueued still commits, so a
-// client retrying the 503 would publish the same chunk twice. Clients
-// that send an `X-Mood-Idempotency-Key` header on POST /v1/upload opt
-// into a bounded dedupe window: the first request under a (user, key)
-// pair executes, and every retry replays the original outcome — waiting
-// for it if the original is still running — instead of committing again.
-// Keys are scoped per user, so one participant cannot collide with (or
+// sync chunk whose request is cancelled after it was enqueued still
+// commits, so a client retrying it would publish the same chunk twice.
+// Batch chunks that carry a per-line "key" opt into a bounded dedupe
+// window: the first chunk under a (user, key) pair executes, and every
+// retry replays the original outcome — waiting for it if the original is
+// still running — instead of committing again. Keys are scoped per user, so one participant cannot collide with (or
 // probe) another's keys. Failed uploads release their key: a retry after
 // a genuine engine error re-executes, because the failure committed
 // nothing. The window is bounded by entry count (oldest completed
@@ -29,14 +28,8 @@ import (
 // key at a time.
 
 const (
-	// IdempotencyKeyHeader carries the client-chosen dedupe key on
-	// POST /v1/upload.
-	IdempotencyKeyHeader = "X-Mood-Idempotency-Key"
-	// IdempotencyReplayHeader marks a response served from the dedupe
-	// window rather than a fresh execution.
-	IdempotencyReplayHeader = "X-Mood-Idempotency-Replay"
-	// maxIdempotencyKeyLen bounds the header so keys cannot be abused as
-	// a storage channel.
+	// maxIdempotencyKeyLen bounds a chunk's key so keys cannot be abused
+	// as a storage channel.
 	maxIdempotencyKeyLen = 200
 	// DefaultIdempotencyWindow is the default dedupe-window capacity in
 	// entries.
@@ -353,8 +346,7 @@ func (st *idemStore) evictLocked() {
 // originals with the original response, waiting for it when the
 // original is still in flight (the retry-after-timeout case the
 // idempotency window exists for). Every outcome carries the replay
-// mark (the v1 shim renders it as X-Mood-Idempotency-Replay, the batch
-// endpoint as the result line's "replay" field).
+// mark (the result line's "replay" field).
 func (s *Server) replayChunk(ctx context.Context, user string, e *idemEntry, async bool) chunkOutcome {
 	mark := func(out chunkOutcome) chunkOutcome { out.replay = true; return out }
 	if jid := s.idem.jobOf(e); jid != "" {

@@ -1,12 +1,13 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,33 +16,6 @@ import (
 	"mood/internal/core"
 	"mood/internal/trace"
 )
-
-func idemUpload(t *testing.T, hs *httptest.Server, user, key string, n int) (*http.Response, UploadResponse) {
-	t.Helper()
-	body, err := json.Marshal(UploadRequest{User: user, Records: sampleRecords(n)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	req, err := http.NewRequest(http.MethodPost, hs.URL+"/v1/upload", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if key != "" {
-		req.Header.Set(IdempotencyKeyHeader, key)
-	}
-	resp, err := hs.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var ur UploadResponse
-	if resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(&ur); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return resp, ur
-}
 
 // TestIdempotencyReplaySync: a second sync upload with the same key must
 // not commit again — same response, one protector call, one commit.
@@ -55,22 +29,22 @@ func TestIdempotencyReplaySync(t *testing.T) {
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)
 
-	r1, u1 := idemUpload(t, hs, "alice", "chunk-2026-07-28", 30)
-	if r1.StatusCode != http.StatusOK {
-		t.Fatalf("first upload: %d", r1.StatusCode)
+	r1 := postChunk(t, hs.URL, keyed("alice", "chunk-2026-07-28", 30))
+	if r1.Status != http.StatusOK {
+		t.Fatalf("first upload: %+v", r1)
 	}
-	if r1.Header.Get(IdempotencyReplayHeader) != "" {
+	if r1.Replay {
 		t.Fatal("first upload flagged as replay")
 	}
-	r2, u2 := idemUpload(t, hs, "alice", "chunk-2026-07-28", 30)
-	if r2.StatusCode != http.StatusOK {
-		t.Fatalf("replay: %d", r2.StatusCode)
+	r2 := postChunk(t, hs.URL, keyed("alice", "chunk-2026-07-28", 30))
+	if r2.Status != http.StatusOK {
+		t.Fatalf("replay: %+v", r2)
 	}
-	if r2.Header.Get(IdempotencyReplayHeader) != "true" {
+	if !r2.Replay {
 		t.Fatal("replay not flagged")
 	}
-	if u1.Accepted != u2.Accepted || u1.Rejected != u2.Rejected || u1.Pieces != u2.Pieces {
-		t.Fatalf("replay response differs: %+v vs %+v", u1, u2)
+	if !bytesEqualJSON(t, r1.Result, r2.Result) {
+		t.Fatalf("replay response differs: %+v vs %+v", r1.Result, r2.Result)
 	}
 	if fp.calls != 1 {
 		t.Fatalf("protector ran %d times, want 1", fp.calls)
@@ -80,9 +54,8 @@ func TestIdempotencyReplaySync(t *testing.T) {
 		t.Fatalf("replay committed again: %+v", st)
 	}
 	// A different key from the same user executes normally.
-	r3, _ := idemUpload(t, hs, "alice", "chunk-2026-07-29", 30)
-	if r3.StatusCode != http.StatusOK || r3.Header.Get(IdempotencyReplayHeader) != "" {
-		t.Fatalf("fresh key replayed: %d", r3.StatusCode)
+	if r3 := postChunk(t, hs.URL, keyed("alice", "chunk-2026-07-29", 30)); r3.Status != http.StatusOK || r3.Replay {
+		t.Fatalf("fresh key replayed: %+v", r3)
 	}
 	if srv.Stats().Uploads != 2 {
 		t.Fatalf("uploads = %d, want 2", srv.Stats().Uploads)
@@ -93,12 +66,11 @@ func TestIdempotencyReplaySync(t *testing.T) {
 // collide.
 func TestIdempotencyScopedPerUser(t *testing.T) {
 	srv, hs := newTestServer(t)
-	if r, _ := idemUpload(t, hs, "alice", "day-1", 25); r.StatusCode != http.StatusOK {
-		t.Fatalf("alice: %d", r.StatusCode)
+	if r := postChunk(t, hs.URL, keyed("alice", "day-1", 25)); r.Status != http.StatusOK {
+		t.Fatalf("alice: %+v", r)
 	}
-	r, _ := idemUpload(t, hs, "bob", "day-1", 25)
-	if r.StatusCode != http.StatusOK || r.Header.Get(IdempotencyReplayHeader) != "" {
-		t.Fatalf("bob's first upload treated as replay (%d)", r.StatusCode)
+	if r := postChunk(t, hs.URL, keyed("bob", "day-1", 25)); r.Status != http.StatusOK || r.Replay {
+		t.Fatalf("bob's first upload treated as replay: %+v", r)
 	}
 	if srv.Stats().Uploads != 2 {
 		t.Fatalf("uploads = %d, want 2", srv.Stats().Uploads)
@@ -134,7 +106,7 @@ func (p *slowProtector) Protect(tr trace.Trace) (core.Result, error) {
 }
 
 // TestIdempotencyRetryAfterTimeout is the ROADMAP scenario: the first
-// sync request is cancelled while its job is still running; the keyed
+// sync batch is cancelled while its chunk is still running; the keyed
 // retry must wait for the original outcome and commit exactly once.
 func TestIdempotencyRetryAfterTimeout(t *testing.T) {
 	sp := &slowProtector{entered: make(chan struct{}, 1), release: make(chan struct{})}
@@ -146,24 +118,25 @@ func TestIdempotencyRetryAfterTimeout(t *testing.T) {
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)
 
-	body, err := json.Marshal(UploadRequest{User: "carol", Records: sampleRecords(20)})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// The first request is cancelled only once its job provably reached
 	// the protector, so the cancellation always races a live upload —
 	// deterministic, where the historical 150 ms wall-clock timeout was
 	// a guess.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, hs.URL+"/v1/upload", bytes.NewReader(body))
+	line := batchLine(t, keyed("carol", "carol-day-1", 20))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, hs.URL+"/v2/traces", strings.NewReader(line))
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set(IdempotencyKeyHeader, "carol-day-1")
 	firstErr := make(chan error, 1)
 	go func() {
-		_, err := hs.Client().Do(req)
+		resp, err := hs.Client().Do(req)
+		if err == nil {
+			// Headers made it out: the cancellation surfaces in the body.
+			_, err = io.ReadAll(resp.Body)
+			resp.Body.Close()
+		}
 		firstErr <- err
 	}()
 	select {
@@ -179,15 +152,15 @@ func TestIdempotencyRetryAfterTimeout(t *testing.T) {
 	// Retry while the original is still in flight, then release it: the
 	// retry must attach to the original, not enqueue again.
 	close(sp.release)
-	r2, u2 := idemUpload(t, hs, "carol", "carol-day-1", 20)
-	if r2.StatusCode != http.StatusOK {
-		t.Fatalf("retry: %d", r2.StatusCode)
+	r2 := postChunk(t, hs.URL, keyed("carol", "carol-day-1", 20))
+	if r2.Status != http.StatusOK {
+		t.Fatalf("retry: %+v", r2)
 	}
-	if r2.Header.Get(IdempotencyReplayHeader) != "true" {
+	if !r2.Replay {
 		t.Fatal("retry not served as replay")
 	}
-	if u2.Accepted != 20 {
-		t.Fatalf("retry accepted %d, want 20", u2.Accepted)
+	if r2.Result.Accepted != 20 {
+		t.Fatalf("retry accepted %d, want 20", r2.Result.Accepted)
 	}
 	if sp.calls != 1 {
 		t.Fatalf("protector ran %d times, want 1", sp.calls)
@@ -201,36 +174,18 @@ func TestIdempotencyRetryAfterTimeout(t *testing.T) {
 // same job handle instead of a second job.
 func TestIdempotencyAsyncReplay(t *testing.T) {
 	srv, hs := newTestServer(t)
-	post := func() (int, JobStatus, string) {
-		body, _ := json.Marshal(UploadRequest{User: "dave", Records: sampleRecords(15)})
-		req, err := http.NewRequest(http.MethodPost, hs.URL+"/v1/upload?async=1", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set(IdempotencyKeyHeader, "dave-day-1")
-		resp, err := hs.Client().Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var j JobStatus
-		if resp.StatusCode == http.StatusAccepted {
-			if err := json.NewDecoder(resp.Body).Decode(&j); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return resp.StatusCode, j, resp.Header.Get(IdempotencyReplayHeader)
+	chunk := keyed("dave", "dave-day-1", 15)
+	chunk.Async = true
+	r1 := postChunk(t, hs.URL, chunk)
+	if r1.Status != http.StatusAccepted || r1.Replay {
+		t.Fatalf("first async: %+v", r1)
 	}
-	c1, j1, rep1 := post()
-	if c1 != http.StatusAccepted || rep1 != "" {
-		t.Fatalf("first async: %d replay=%q", c1, rep1)
+	r2 := postChunk(t, hs.URL, chunk)
+	if r2.Status != http.StatusAccepted || !r2.Replay {
+		t.Fatalf("async replay: %+v", r2)
 	}
-	c2, j2, rep2 := post()
-	if c2 != http.StatusAccepted || rep2 != "true" {
-		t.Fatalf("async replay: %d replay=%q", c2, rep2)
-	}
-	if j1.ID != j2.ID {
-		t.Fatalf("replay created a new job: %s vs %s", j1.ID, j2.ID)
+	if r1.Job.ID != r2.Job.ID {
+		t.Fatalf("replay created a new job: %s vs %s", r1.Job.ID, r2.Job.ID)
 	}
 	// Join the job through its idempotency entry (completed only after
 	// the commit) instead of sleep-polling the stats.
@@ -269,15 +224,14 @@ func TestIdempotencyFailureReleasesKey(t *testing.T) {
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)
 
-	r1, _ := idemUpload(t, hs, "boom-eve", "eve-day-1", 10)
-	if r1.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("first upload: %d, want 500", r1.StatusCode)
+	if r1 := postChunk(t, hs.URL, keyed("boom-eve", "eve-day-1", 10)); r1.Status != http.StatusInternalServerError {
+		t.Fatalf("first upload: %+v, want 500", r1)
 	}
-	r2, _ := idemUpload(t, hs, "boom-eve", "eve-day-1", 10)
-	if r2.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("retry: %d, want 500 from a fresh execution", r2.StatusCode)
+	r2 := postChunk(t, hs.URL, keyed("boom-eve", "eve-day-1", 10))
+	if r2.Status != http.StatusInternalServerError {
+		t.Fatalf("retry: %+v, want 500 from a fresh execution", r2)
 	}
-	if r2.Header.Get(IdempotencyReplayHeader) == "true" {
+	if r2.Replay {
 		t.Fatal("failed upload replayed instead of re-executed")
 	}
 	if fp.calls != 2 {
@@ -288,13 +242,9 @@ func TestIdempotencyFailureReleasesKey(t *testing.T) {
 // TestIdempotencyKeyTooLong: oversized keys are rejected up front.
 func TestIdempotencyKeyTooLong(t *testing.T) {
 	_, hs := newTestServer(t)
-	long := make([]byte, maxIdempotencyKeyLen+1)
-	for i := range long {
-		long[i] = 'k'
-	}
-	r, _ := idemUpload(t, hs, "alice", string(long), 10)
-	if r.StatusCode != http.StatusBadRequest {
-		t.Fatalf("oversized key: %d, want 400", r.StatusCode)
+	long := strings.Repeat("k", maxIdempotencyKeyLen+1)
+	if r := postChunk(t, hs.URL, keyed("alice", long, 10)); r.Status != http.StatusBadRequest || r.Code != CodeKeyTooLong {
+		t.Fatalf("oversized key: %+v, want 400 %s", r, CodeKeyTooLong)
 	}
 }
 
@@ -366,9 +316,11 @@ func TestIdemStoreFailureCompactsOrder(t *testing.T) {
 	}
 }
 
-// TestIdempotencyShedAsyncJobStaysPollable: when a keyed async upload is
-// shed, the job handle a concurrent replay may have seen must resolve to
-// "failed", not 404, and the shed outcome must replay as 503.
+// TestIdempotencyShedAsyncJobStaysPollable: when the pool refuses a
+// keyed async chunk (its request ended while the chunk waited for a
+// queue slot), the job handle a concurrent replay may have seen must
+// resolve to "failed", not 404, and the key must be released so the
+// retry executes.
 func TestIdempotencyShedAsyncJobStaysPollable(t *testing.T) {
 	gp := &gatedProtector{started: make(chan string, 8), gate: make(chan struct{})}
 	srv, err := New(gp, WithWorkers(1), WithQueueDepth(1))
@@ -378,67 +330,64 @@ func TestIdempotencyShedAsyncJobStaysPollable(t *testing.T) {
 	t.Cleanup(func() { srv.Close() })
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)
-	c := NewClient(hs.URL)
 
 	// Occupy the worker, then fill the queue.
-	go c.Upload(trace.New("occupant", sampleRecords(3))) //nolint:errcheck
+	go NewClient(hs.URL).UploadBatch([]BatchChunk{keyed("occupant", "", 3)}) //nolint:errcheck
 	select {
 	case <-gp.started:
 	case <-time.After(5 * time.Second):
 		t.Fatal("occupant never reached the protector")
 	}
-	if _, err := c.UploadAsync(trace.New("filler", sampleRecords(3))); err != nil {
-		t.Fatal(err)
+	filler := keyed("filler", "", 3)
+	filler.Async = true
+	if r := postChunk(t, hs.URL, filler); r.Status != http.StatusAccepted {
+		t.Fatalf("filler: %+v", r)
 	}
 
-	// A keyed async upload is now shed; its job must be failed-pollable.
-	body, _ := json.Marshal(UploadRequest{User: "frank", Records: sampleRecords(3)})
-	req, err := http.NewRequest(http.MethodPost, hs.URL+"/v1/upload?async=1", bytes.NewReader(body))
-	if err != nil {
+	// A keyed async chunk now waits for a queue slot; its request ends
+	// before one frees.
+	frank := keyed("frank", "frank-day-1", 3)
+	frank.Async = true
+	ctx, cancel := context.WithCancel(context.Background())
+	req := httptest.NewRequest(http.MethodPost, "/v2/traces", strings.NewReader(batchLine(t, frank))).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	served := make(chan struct{})
+	go func() {
+		srv.Handler().ServeHTTP(rec, req)
+		close(served)
+	}()
+	var jid string
+	for deadline := time.Now().Add(5 * time.Second); jid == ""; {
+		if time.Now().After(deadline) {
+			t.Fatal("frank's job was never created")
+		}
+		if list := srv.jobs.list("", "frank", 1); list.Total > 0 {
+			jid = list.Jobs[0].ID
+		} else {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	cancel()
+	<-served
+	var res BatchResult
+	if err := json.NewDecoder(rec.Body).Decode(&res); err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set(IdempotencyKeyHeader, "frank-day-1")
-	resp, err := hs.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("shed status = %d, want 503", resp.StatusCode)
+	if res.Status != http.StatusServiceUnavailable || res.RetryAfterSeconds == 0 {
+		t.Fatalf("refused chunk = %+v, want 503 with retry_after", res)
 	}
 
 	// The job the (hypothetical) concurrent replay saw resolves "failed".
-	srv.jobs.mu.Lock()
-	var jid string
-	for id, j := range srv.jobs.jobs {
-		if j.User == "frank" {
-			jid = id
-		}
-	}
-	srv.jobs.mu.Unlock()
-	if jid == "" {
-		t.Fatal("shed keyed job was removed; a replayed 202 would 404")
-	}
-	j, ok := srv.jobs.get(jid)
-	if !ok || j.State != JobFailed {
-		t.Fatalf("shed keyed job state = %+v, want failed", j)
+	if j, ok := srv.jobs.get(jid); !ok || j.State != JobFailed {
+		t.Fatalf("refused keyed job state = %+v (found %v), want failed", j, ok)
 	}
 
-	// The shed outcome replays as 503 (retryable), not 500 — and after
-	// releasing the gate the key is free so the retry truly executes.
-	r2, err := hs.Client().Do(func() *http.Request {
-		rq, _ := http.NewRequest(http.MethodPost, hs.URL+"/v1/upload?async=1", bytes.NewReader(body))
-		rq.Header.Set(IdempotencyKeyHeader, "frank-day-1")
-		return rq
-	}())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2.Body.Close()
-	if r2.StatusCode == http.StatusInternalServerError {
-		t.Fatal("shed outcome replayed as 500; retrying clients treat that as fatal")
-	}
+	// The refusal released the key: once the pool frees up, the retry
+	// executes instead of replaying the refusal.
 	close(gp.gate)
+	if r := postChunk(t, hs.URL, frank); r.Status != http.StatusAccepted || r.Replay {
+		t.Fatalf("retry after refusal: %+v, want a fresh 202", r)
+	}
 }
 
 // TestIdempotencyPayloadMismatch: reusing a key with a different body is
@@ -446,21 +395,19 @@ func TestIdempotencyShedAsyncJobStaysPollable(t *testing.T) {
 // first body's result.
 func TestIdempotencyPayloadMismatch(t *testing.T) {
 	srv, hs := newTestServer(t)
-	if r, _ := idemUpload(t, hs, "gina", "day-1", 20); r.StatusCode != http.StatusOK {
-		t.Fatalf("first upload: %d", r.StatusCode)
+	if r := postChunk(t, hs.URL, keyed("gina", "day-1", 20)); r.Status != http.StatusOK {
+		t.Fatalf("first upload: %+v", r)
 	}
 	// Same key, different records (different count → different payload).
-	r2, _ := idemUpload(t, hs, "gina", "day-1", 21)
-	if r2.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("mismatched payload reuse: %d, want 422", r2.StatusCode)
+	if r2 := postChunk(t, hs.URL, keyed("gina", "day-1", 21)); r2.Status != http.StatusUnprocessableEntity || r2.Code != CodeKeyReuse {
+		t.Fatalf("mismatched payload reuse: %+v, want 422 %s", r2, CodeKeyReuse)
 	}
 	if st := srv.Stats(); st.Uploads != 1 || st.RecordsIn != 20 {
 		t.Fatalf("mismatched payload affected state: %+v", st)
 	}
 	// The identical payload still replays fine afterwards.
-	r3, _ := idemUpload(t, hs, "gina", "day-1", 20)
-	if r3.StatusCode != http.StatusOK || r3.Header.Get(IdempotencyReplayHeader) != "true" {
-		t.Fatalf("replay after mismatch: %d", r3.StatusCode)
+	if r3 := postChunk(t, hs.URL, keyed("gina", "day-1", 20)); r3.Status != http.StatusOK || !r3.Replay {
+		t.Fatalf("replay after mismatch: %+v", r3)
 	}
 }
 
@@ -469,39 +416,23 @@ func TestIdempotencyPayloadMismatch(t *testing.T) {
 // async contract), rebuilt from the entry's outcome.
 func TestIdempotencyAsyncReplayAfterJobEviction(t *testing.T) {
 	srv, hs := newTestServer(t)
-	post := func() (int, JobStatus) {
-		body, _ := json.Marshal(UploadRequest{User: "hank", Records: sampleRecords(12)})
-		req, err := http.NewRequest(http.MethodPost, hs.URL+"/v1/upload?async=1", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set(IdempotencyKeyHeader, "hank-day-1")
-		resp, err := hs.Client().Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var j JobStatus
-		if err := json.NewDecoder(resp.Body).Decode(&j); err != nil {
-			t.Fatal(err)
-		}
-		return resp.StatusCode, j
-	}
-	c1, j1 := post()
-	if c1 != http.StatusAccepted {
-		t.Fatalf("first async: %d", c1)
+	chunk := keyed("hank", "hank-day-1", 12)
+	chunk.Async = true
+	r1 := postChunk(t, hs.URL, chunk)
+	if r1.Status != http.StatusAccepted {
+		t.Fatalf("first async: %+v", r1)
 	}
 	// Join the upload, then evict the job handle. The entry completes
 	// before the job is marked done, and remove tolerates either order.
 	waitIdemDone(t, srv, "hank", "hank-day-1", sampleRecords(12))
-	srv.jobs.remove(j1.ID)
+	srv.jobs.remove(r1.Job.ID)
 
-	c2, j2 := post()
-	if c2 != http.StatusOK {
-		t.Fatalf("post-eviction async replay: %d, want 200", c2)
+	r2 := postChunk(t, hs.URL, chunk)
+	if r2.Status != http.StatusOK || !r2.Replay {
+		t.Fatalf("post-eviction async replay: %+v, want a 200 replay", r2)
 	}
-	if j2.ID != j1.ID || j2.State != JobDone || j2.Result == nil || j2.Result.Accepted != 12 {
-		t.Fatalf("rebuilt JobStatus wrong: %+v", j2)
+	if j2 := r2.Job; j2 == nil || j2.ID != r1.Job.ID || j2.State != JobDone || j2.Result == nil || j2.Result.Accepted != 12 {
+		t.Fatalf("rebuilt JobStatus wrong: %+v", r2.Job)
 	}
 	if st := srv.Stats(); st.Uploads != 1 {
 		t.Fatalf("replay committed again: %+v", st)
@@ -584,22 +515,20 @@ func TestIdempotencyTTLEndToEnd(t *testing.T) {
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)
 
-	if r, _ := idemUpload(t, hs, "ada", "chunk-1", 9); r.StatusCode != http.StatusOK {
-		t.Fatalf("first upload: %d", r.StatusCode)
+	if r := postChunk(t, hs.URL, keyed("ada", "chunk-1", 9)); r.Status != http.StatusOK {
+		t.Fatalf("first upload: %+v", r)
 	}
 	clk.Advance(30 * time.Minute)
-	r2, _ := idemUpload(t, hs, "ada", "chunk-1", 9)
-	if r2.StatusCode != http.StatusOK || r2.Header.Get(IdempotencyReplayHeader) != "true" {
-		t.Fatalf("retry inside TTL: %d replay=%q", r2.StatusCode, r2.Header.Get(IdempotencyReplayHeader))
+	if r2 := postChunk(t, hs.URL, keyed("ada", "chunk-1", 9)); r2.Status != http.StatusOK || !r2.Replay {
+		t.Fatalf("retry inside TTL: %+v", r2)
 	}
 	if srv.Stats().Uploads != 1 {
 		t.Fatalf("replay committed: %+v", srv.Stats())
 	}
 
 	clk.Advance(2 * time.Hour)
-	r3, _ := idemUpload(t, hs, "ada", "chunk-1", 9)
-	if r3.StatusCode != http.StatusOK || r3.Header.Get(IdempotencyReplayHeader) == "true" {
-		t.Fatalf("retry past TTL replayed instead of executing: %d", r3.StatusCode)
+	if r3 := postChunk(t, hs.URL, keyed("ada", "chunk-1", 9)); r3.Status != http.StatusOK || r3.Replay {
+		t.Fatalf("retry past TTL replayed instead of executing: %+v", r3)
 	}
 	if fp.calls != 2 || srv.Stats().Uploads != 2 {
 		t.Fatalf("expired key did not re-execute: calls=%d stats=%+v", fp.calls, srv.Stats())

@@ -1,12 +1,9 @@
 package service
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
@@ -19,7 +16,7 @@ import (
 // accounting: for seeded random interleavings of sync uploads, async
 // uploads, keyed duplicates, invalid requests, engine failures,
 // retrain+quarantine passes and virtual-time jumps (rate-limit refill,
-// idempotency TTL expiry), the /v1/stats counters must always
+// idempotency TTL expiry), the /v2/stats counters must always
 //
 //   - satisfy records_in == records_published + records_rejected,
 //   - match a client-side model built from the observed responses
@@ -68,7 +65,8 @@ func runStatsInvariantProperty(t *testing.T, seed uint64) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	handler := srv.Handler()
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(hs.Close)
 
 	users := []string{"u0", "u1", "u2", "u3", "u4", "reject-r0", "reject-r1", "boom-b0"}
 	rng := mathx.DeriveRand(seed, "prop")
@@ -82,40 +80,23 @@ func runStatsInvariantProperty(t *testing.T, seed uint64) {
 
 	postUpload := func(user, key string, n int, async bool) {
 		t.Helper()
-		records := sampleRecords(n)
-		body, err := json.Marshal(UploadRequest{User: user, Records: records})
-		if err != nil {
-			t.Fatal(err)
-		}
-		target := "/v1/upload"
-		if async {
-			target += "?async=1"
-		}
-		req := httptest.NewRequest(http.MethodPost, target, bytes.NewReader(body))
-		req.Header.Set("Content-Type", "application/json")
-		if key != "" {
-			req.Header.Set(IdempotencyKeyHeader, key)
-		}
-		rec := httptest.NewRecorder()
-		handler.ServeHTTP(rec, req)
-		replay := rec.Header().Get(IdempotencyReplayHeader) == "true"
+		c := keyed(user, key, n)
+		c.Async = async
+		res := postChunk(t, hs.URL, c)
 
-		switch rec.Code {
+		switch res.Status {
 		case http.StatusOK:
-			if replay {
+			if res.Replay {
 				return // served from the window: must not change state
 			}
-			var resp UploadResponse
-			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-				t.Fatalf("undecodable 200: %s", rec.Body.String())
-			}
+			resp := *res.Result
 			exp.uploads++
 			exp.recordsIn += n
 			exp.published += resp.Accepted
 			exp.rejected += resp.Rejected
 			seen[user] = true
 		case http.StatusAccepted:
-			if replay {
+			if res.Replay {
 				// Replayed job handle; the original already counted.
 				return
 			}
@@ -123,10 +104,7 @@ func runStatsInvariantProperty(t *testing.T, seed uint64) {
 			// the outcome it committed. (Not through the idempotency entry:
 			// a failed job releases its key by design, so re-begin()ing the
 			// key races the worker and would mint a fresh entry.)
-			var job JobStatus
-			if err := json.Unmarshal(rec.Body.Bytes(), &job); err != nil || job.ID == "" {
-				t.Fatalf("undecodable 202: %s", rec.Body.String())
-			}
+			job := *res.Job
 			deadline := time.Now().Add(5 * time.Second)
 			for job.State != JobDone && job.State != JobFailed {
 				if time.Now().After(deadline) {
@@ -151,7 +129,7 @@ func runStatsInvariantProperty(t *testing.T, seed uint64) {
 			http.StatusUnprocessableEntity, http.StatusTooManyRequests:
 			// No commit. 500 = engine failure (boom-*), 4xx = client bugs.
 		default:
-			t.Fatalf("unexpected status %d: %s", rec.Code, rec.Body.String())
+			t.Fatalf("unexpected result: %+v", res)
 		}
 	}
 
@@ -219,11 +197,8 @@ func runStatsInvariantProperty(t *testing.T, seed uint64) {
 		case 6: // keyed async upload
 			postUpload(user, fmt.Sprintf("a%d", rng.Intn(6)), 1+rng.Intn(20), true)
 		case 7: // invalid request: must change nothing
-			req := httptest.NewRequest(http.MethodPost, "/v1/upload", strings.NewReader(`{nope`))
-			rec := httptest.NewRecorder()
-			handler.ServeHTTP(rec, req)
-			if rec.Code != http.StatusBadRequest {
-				t.Fatalf("step %d: garbage answered %d", i, rec.Code)
+			if _, results := postNDJSON(t, hs.URL, "{nope\n", nil); len(results) != 1 || results[0].Status != http.StatusBadRequest {
+				t.Fatalf("step %d: garbage answered %+v", i, results)
 			}
 		case 8: // retrain + quarantine pass
 			if _, err := srv.Retrain(); err != nil {

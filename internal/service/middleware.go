@@ -4,7 +4,6 @@ import (
 	"net"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -19,8 +18,8 @@ import (
 //
 // Resolve matches the request against the declarative route table once
 // and stashes the row in the context; every layer below reads its
-// behaviour — exemptions, rate-limit key shape, metrics label, error
-// dialect — from that row instead of re-deriving it from the path.
+// behaviour — exemptions, rate-limit key shape, metrics label — from
+// that row instead of re-deriving it from the path.
 // Metrics sit outermost (below Resolve) so every response is recorded
 // with the status the client actually received — 500s from recovered
 // panics, 503s from the timeout layer, 401s from auth, 429s from the
@@ -32,8 +31,9 @@ import (
 // in X-Mood-User.
 //
 // The exported constructors (Recover, Timeout, Auth, RateLimit) remain
-// usable in hand-built chains without the resolver layer; they then
-// fall back to the historical path-prefix behaviour.
+// usable in hand-built chains without the resolver layer; every request
+// is then treated as unmatched: timed out, authenticated and limited
+// per client IP, with only /healthz exempt from auth and the limiter.
 type Middleware func(http.Handler) http.Handler
 
 // Chain applies the middlewares to h in the given order: the first
@@ -48,17 +48,16 @@ func Chain(h http.Handler, mws ...Middleware) http.Handler {
 // UserHeader carries the participant ID on API requests so admission
 // control (per-user rate limiting) can run before the JSON body is
 // parsed. The Client sets it automatically. The header is self-declared
-// identity, like the upload body's "user" field — the upload and batch
-// handlers reject requests where the two disagree, so a client cannot
-// spend one user's rate budget while uploading as another.
+// identity, like each chunk's "user" field — the batch handler rejects
+// chunks where the two disagree, so a client cannot spend one user's
+// rate budget while uploading as another.
 const UserHeader = "X-Mood-User"
 
 // ---------------------------------------------------------------------------
 // Panic recovery.
 
-// Recover converts a handler panic into a 500 error instead of killing
-// the connection (and, under some servers, the process). The body is
-// rendered in the dialect of the matched route (problem+json on v2).
+// Recover converts a handler panic into a 500 problem instead of killing
+// the connection (and, under some servers, the process).
 // http.ErrAbortHandler is re-panicked as the contract requires.
 func Recover() Middleware {
 	return func(next http.Handler) http.Handler {
@@ -68,7 +67,7 @@ func Recover() Middleware {
 					if p == http.ErrAbortHandler {
 						panic(p)
 					}
-					writeError(w, r, http.StatusInternalServerError, CodeInternal, "internal error")
+					writeError(w, http.StatusInternalServerError, CodeInternal, "internal error")
 				}
 			}()
 			next.ServeHTTP(w, r)
@@ -80,50 +79,26 @@ func Recover() Middleware {
 // Request timeout.
 
 // Timeout bounds the request with http.TimeoutHandler: the client gets
-// a 503 error after d even if the protection engine is still grinding,
-// and the request context below is cancelled. Routes the table marks
-// noTimeout are exempt: TimeoutHandler buffers the entire response in
-// memory, which would break the streaming batch endpoint outright and
+// a 503 timeout problem after d even if the protection engine is still
+// grinding, and the request context below is cancelled. Routes the table
+// marks noTimeout are exempt: TimeoutHandler buffers the entire response
+// in memory, which would break the streaming batch endpoint outright and
 // trade a large dataset download's streaming for a per-request copy of
 // the whole payload.
 func Timeout(d time.Duration) Middleware {
-	const legacyMsg = `{"error":"request timed out"}`
-	problemMsg := problemBody(http.StatusServiceUnavailable, CodeTimeout, "request timed out")
+	msg := problemBody(http.StatusServiceUnavailable, CodeTimeout, "request timed out")
 	return func(next http.Handler) http.Handler {
-		thLegacy := http.TimeoutHandler(next, d, legacyMsg)
-		thProblem := http.TimeoutHandler(next, d, problemMsg)
+		th := http.TimeoutHandler(next, d, msg)
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			rt := routeOf(r)
-			if rt == nil {
-				// Hand-built chain without the resolver (or an unmatched
-				// path): historical behaviour — dataset downloads exempt,
-				// /v1/ errors typed as JSON.
-				if r.URL.Path == "/v1/dataset" || r.URL.Path == "/v1/dataset.csv" {
-					next.ServeHTTP(w, r)
-					return
-				}
-				if strings.HasPrefix(r.URL.Path, "/v1/") {
-					w.Header().Set("Content-Type", "application/json")
-				}
-				thLegacy.ServeHTTP(w, r)
-				return
-			}
-			if rt.noTimeout {
+			if rt := routeOf(r); rt != nil && rt.noTimeout {
 				next.ServeHTTP(w, r)
 				return
 			}
-			// Pre-set the type on the outer writer so the timeout 503
-			// body is served in the route's dialect; successful inner
-			// responses overwrite it.
-			if rt.problem {
-				w.Header().Set("Content-Type", ProblemContentType)
-				thProblem.ServeHTTP(w, r)
-				return
-			}
-			if rt.isV1() {
-				w.Header().Set("Content-Type", "application/json")
-			}
-			thLegacy.ServeHTTP(w, r)
+			// Pre-set the type on the outer writer so the timeout 503 body
+			// is served as problem+json; successful inner responses
+			// overwrite it.
+			w.Header().Set("Content-Type", ProblemContentType)
+			th.ServeHTTP(w, r)
 		})
 	}
 }
@@ -220,14 +195,13 @@ func (rl *rateLimiter) sweepLocked(now time.Time) {
 }
 
 // limitExempt reports whether the request skips the limiter: the
-// table's noLimit flag when a route matched, the historical prefix
-// list otherwise.
+// table's noLimit flag when a route matched, the liveness probe by path
+// in a hand-built chain.
 func limitExempt(r *http.Request) bool {
 	if rt := routeOf(r); rt != nil {
 		return rt.noLimit
 	}
-	return r.URL.Path == "/healthz" || r.URL.Path == "/v1/metrics" ||
-		strings.HasPrefix(r.URL.Path, "/v1/jobs/")
+	return r.URL.Path == "/healthz"
 }
 
 func (rl *rateLimiter) middleware(next http.Handler) http.Handler {
@@ -239,7 +213,7 @@ func (rl *rateLimiter) middleware(next http.Handler) http.Handler {
 		ok, wait := rl.allow(rateKey(r))
 		if !ok {
 			w.Header().Set("Retry-After", retryAfterSeconds(wait))
-			writeError(w, r, http.StatusTooManyRequests, CodeRateLimited, "rate limit exceeded")
+			writeError(w, http.StatusTooManyRequests, CodeRateLimited, "rate limit exceeded")
 			return
 		}
 		next.ServeHTTP(w, r)
@@ -260,13 +234,7 @@ func rateKey(r *http.Request) string {
 	// shared bucket with mismatched requests, since the 400 happens
 	// after the debit; exact accounting there needs authenticated
 	// identity.
-	userKeyed := false
-	if rt := routeOf(r); rt != nil {
-		userKeyed = rt.userKeyed
-	} else {
-		userKeyed = r.Method == http.MethodPost && r.URL.Path == "/v1/upload"
-	}
-	if userKeyed {
+	if rt := routeOf(r); rt != nil && rt.userKeyed {
 		if u := r.Header.Get(UserHeader); u != "" {
 			return "user:" + u + "|ip:" + host
 		}

@@ -44,9 +44,12 @@ func TestRecoverTurnsPanicInto500(t *testing.T) {
 		panic("boom")
 	}), Recover())
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v2/stats", nil))
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("status = %d, want 500", rec.Code)
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != ProblemContentType {
+		t.Fatalf("Content-Type = %q, want %q", ct, ProblemContentType)
 	}
 }
 
@@ -70,9 +73,12 @@ func TestTimeoutMiddleware(t *testing.T) {
 		}
 	}), Timeout(30*time.Millisecond))
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/upload", nil))
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v2/stats", nil))
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("status = %d, want 503", rec.Code)
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != ProblemContentType {
+		t.Fatalf("Content-Type = %q, want %q", ct, ProblemContentType)
 	}
 }
 
@@ -115,9 +121,7 @@ func TestRateLimit429OnUploads(t *testing.T) {
 
 	tr := trace.New("alice", sampleRecords(3))
 	for i := 0; i < 2; i++ {
-		if _, err := c.Upload(tr); err != nil {
-			t.Fatalf("burst upload %d: %v", i, err)
-		}
+		mustUpload(t, c, tr)
 	}
 	resp, err := http.DefaultClient.Do(mustUploadRequest(t, hs.URL, "alice"))
 	if err != nil {
@@ -133,11 +137,9 @@ func TestRateLimit429OnUploads(t *testing.T) {
 	}
 
 	// Another user is unaffected: limiting is per user, not global.
-	if _, err := c.Upload(trace.New("bob", sampleRecords(3))); err != nil {
-		t.Fatalf("other user throttled: %v", err)
-	}
+	mustUpload(t, c, trace.New("bob", sampleRecords(3)))
 	// The probe endpoints stay exempt.
-	for _, path := range []string{"/healthz", "/v1/metrics"} {
+	for _, path := range []string{"/healthz", "/v2/metrics"} {
 		for i := 0; i < 5; i++ {
 			r, err := http.Get(hs.URL + path)
 			if err != nil {
@@ -151,30 +153,29 @@ func TestRateLimit429OnUploads(t *testing.T) {
 	}
 }
 
+// mustUploadRequest builds a one-chunk batch request tagged with the
+// user's rate-limit header.
 func mustUploadRequest(t *testing.T, base, user string) *http.Request {
 	t.Helper()
-	body := fmt.Sprintf(`{"user":%q,"records":[{"lat":45,"lon":4,"ts":1}]}`, user)
-	req, err := http.NewRequest(http.MethodPost, base+"/v1/upload", strings.NewReader(body))
+	body := fmt.Sprintf(`{"user":%q,"records":[{"lat":45,"lon":4,"ts":1}]}`+"\n", user)
+	req, err := http.NewRequest(http.MethodPost, base+"/v2/traces", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", NDJSONContentType)
 	req.Header.Set(UserHeader, user)
 	return req
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	srv, hs := newTestServer(t)
-	_ = srv
+	_, hs := newTestServer(t)
 	c := NewClient(hs.URL)
-	if _, err := c.Upload(trace.New("alice", sampleRecords(3))); err != nil {
-		t.Fatal(err)
-	}
+	mustUpload(t, c, trace.New("alice", sampleRecords(3)))
 	if _, err := c.Stats(); err != nil {
 		t.Fatal(err)
 	}
 	// A 404 must be counted under the collapsed route.
-	resp, err := http.Get(hs.URL + "/v1/users/nobody")
+	resp, err := http.Get(hs.URL + "/v2/users/nobody")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	up, ok := snap.Routes["POST /v1/upload"]
+	up, ok := snap.Routes["POST /v2/traces"]
 	if !ok || up.Count != 1 {
 		t.Fatalf("upload metrics = %+v (routes %v)", up, snap.Routes)
 	}
@@ -194,12 +195,11 @@ func TestMetricsEndpoint(t *testing.T) {
 	if up.AvgMillis < 0 || up.MaxMillis < up.AvgMillis {
 		t.Fatalf("latency accounting broken: %+v", up)
 	}
-	users, ok := snap.Routes["GET /v1/users/{id}"]
+	users, ok := snap.Routes["GET /v2/users/{id}"]
 	if !ok || users.Status["404"] != 1 {
 		t.Fatalf("user route metrics = %+v", users)
 	}
-	// The typed client talks v2 for reads; the label comes from the
-	// route table.
+	// The label comes from the route table.
 	if _, ok := snap.Routes["GET /v2/stats"]; !ok {
 		t.Fatalf("stats route missing: %v", snap.Routes)
 	}
@@ -224,10 +224,15 @@ func TestLimiterSweepsIdleBuckets(t *testing.T) {
 
 // TestMetricsRecordClientVisibleStatus pins the chain order: timeout
 // 503s, rate-limit 429s and recovered-panic 500s must appear in
-// /v1/metrics with the status the client actually received.
+// /v2/metrics with the status the client actually received.
 func TestMetricsRecordClientVisibleStatus(t *testing.T) {
-	gp := &gatedProtector{started: make(chan string, 1), gate: make(chan struct{})}
-	srv, err := New(gp, WithRequestTimeout(50*time.Millisecond), WithRateLimit(1, 1), WithWorkers(1))
+	block := make(chan struct{})
+	rt := RetrainerFunc(func([]trace.Trace) (Protector, Auditor, error) {
+		<-block
+		return &fakeProtector{}, nil, nil
+	})
+	srv, err := New(&fakeProtector{}, WithRetrainer(rt, 0),
+		WithRequestTimeout(50*time.Millisecond), WithRateLimit(1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,48 +240,42 @@ func TestMetricsRecordClientVisibleStatus(t *testing.T) {
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)
 
-	// First upload times out (the protector is gated shut)...
-	resp, err := http.DefaultClient.Do(mustUploadRequest(t, hs.URL, "slow"))
+	// The first pass times out (the retrainer is blocked)...
+	resp, err := http.Post(hs.URL+"/v2/admin/retrain", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("timed-out upload = %d, want 503", resp.StatusCode)
+		t.Fatalf("timed-out retrain = %d, want 503", resp.StatusCode)
 	}
+	assertProblem(t, resp, CodeTimeout)
+	resp.Body.Close()
 	// ...the second is throttled (burst 1 was spent above).
-	resp, err = http.DefaultClient.Do(mustUploadRequest(t, hs.URL, "slow"))
+	resp, err = http.Post(hs.URL+"/v2/admin/retrain", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("throttled upload = %d, want 429", resp.StatusCode)
+		t.Fatalf("throttled retrain = %d, want 429", resp.StatusCode)
 	}
-	close(gp.gate) // let the worker finish before asserting
+	close(block) // let the pass finish before asserting
 
 	snap := srv.metrics.Snapshot()
-	up := snap.Routes["POST /v1/upload"]
-	if up.Status["503"] != 1 || up.Status["429"] != 1 {
-		t.Fatalf("upload status counts = %v, want one 503 and one 429", up.Status)
+	rm := snap.Routes["POST /v2/admin/retrain"]
+	if rm.Status["503"] != 1 || rm.Status["429"] != 1 {
+		t.Fatalf("retrain status counts = %v, want one 503 and one 429", rm.Status)
 	}
 }
 
 func TestUploadRejectsMismatchedUserHeader(t *testing.T) {
-	_, hs := newTestServer(t)
-	req, err := http.NewRequest(http.MethodPost, hs.URL+"/v1/upload",
-		strings.NewReader(`{"user":"alice","records":[{"lat":45,"lon":4,"ts":1}]}`))
-	if err != nil {
-		t.Fatal(err)
+	srv, hs := newTestServer(t)
+	_, results := postNDJSON(t, hs.URL, batchLine(t, keyed("alice", "", 1)), map[string]string{UserHeader: "mallory"})
+	if len(results) != 1 || results[0].Status != http.StatusBadRequest || results[0].Code != CodeUserMismatch {
+		t.Fatalf("mismatched header = %+v, want 400 %s", results, CodeUserMismatch)
 	}
-	req.Header.Set(UserHeader, "mallory")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("mismatched header = %d, want 400", resp.StatusCode)
+	if st := srv.Stats(); st.Uploads != 0 {
+		t.Fatalf("mismatched chunk committed: %+v", st)
 	}
 }
 
@@ -288,13 +287,13 @@ func TestMetricsConcurrentObserve(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				m.observe("GET /v1/stats", 200, time.Millisecond)
+				m.observe("GET /v2/stats", 200, time.Millisecond)
 			}
 		}()
 	}
 	wg.Wait()
 	snap := m.Snapshot()
-	if got := snap.Routes["GET /v1/stats"].Count; got != 800 {
+	if got := snap.Routes["GET /v2/stats"].Count; got != 800 {
 		t.Fatalf("count = %d, want 800", got)
 	}
 }
@@ -325,7 +324,7 @@ func TestAuthRunsBeforeRateLimit(t *testing.T) {
 	// The victim's own burst is intact.
 	c := NewClient(hs.URL).SetAuthToken("sesame")
 	for i := 0; i < 2; i++ {
-		if _, err := c.Upload(trace.New("victim", sampleRecords(3))); err != nil {
+		if _, err := c.UploadBatch([]BatchChunk{keyed("victim", "", 3)}); err != nil {
 			t.Fatalf("victim upload %d throttled after attacker junk: %v", i, err)
 		}
 	}
@@ -376,12 +375,10 @@ func TestAuthInChain(t *testing.T) {
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)
 
-	if _, err := NewClient(hs.URL).Upload(trace.New("alice", sampleRecords(3))); err == nil {
+	if _, err := NewClient(hs.URL).UploadBatch([]BatchChunk{keyed("alice", "", 3)}); err == nil {
 		t.Fatal("unauthenticated upload must fail")
 	}
-	if _, err := NewClient(hs.URL).SetAuthToken("sesame").Upload(trace.New("alice", sampleRecords(3))); err != nil {
-		t.Fatal(err)
-	}
+	mustUpload(t, NewClient(hs.URL).SetAuthToken("sesame"), trace.New("alice", sampleRecords(3)))
 	resp, err := http.Get(hs.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)

@@ -64,8 +64,8 @@ func (s *Server) NodeStats() NodeStats {
 // ownerGuard is the misroute tripwire, mounted only when a node ID is
 // configured: requests stamped by the router for another node answer a
 // retryable 503 with the stable "routing" code instead of executing
-// against the wrong node's state. It sits after route resolution so the
-// refusal renders in the matched route's error dialect.
+// against the wrong node's state. It sits after the metrics layer so
+// the refusal is counted under the route it names.
 func (s *Server) ownerGuard(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if raw := r.Header.Get(RingEpochHeader); raw != "" {
@@ -76,7 +76,7 @@ func (s *Server) ownerGuard(next http.Handler) http.Handler {
 		if owner := r.Header.Get(ClusterOwnerHeader); owner != "" && owner != s.node.id {
 			s.node.misroutes.Add(1)
 			w.Header().Set("Retry-After", "1")
-			writeError(w, r, http.StatusServiceUnavailable, CodeRouting,
+			writeError(w, http.StatusServiceUnavailable, CodeRouting,
 				"request routed for node "+owner+" reached node "+s.node.id+" (stale ring)")
 			return
 		}

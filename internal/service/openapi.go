@@ -10,9 +10,7 @@ import (
 // The served OpenAPI document (GET /v2/openapi.json) is generated from
 // the route table, not maintained by hand: every row contributes
 // exactly one operation, so the spec and the router cannot drift — a
-// property pinned by TestOpenAPIMatchesRouteTable. The v1 shim rows
-// appear with deprecated:true and their successor noted, making the
-// migration machine-discoverable.
+// property pinned by TestOpenAPIMatchesRouteTable.
 
 // opDoc is the OpenAPI operation metadata carried by a route row.
 type opDoc struct {
@@ -50,11 +48,6 @@ type docResp struct {
 // problemResp is the canned problem+json response entry.
 func problemResp(status int, desc string) docResp {
 	return docResp{status: status, desc: desc, contentType: ProblemContentType, schema: "Problem"}
-}
-
-// legacyErrResp is the canned v1 {"error": ...} response entry.
-func legacyErrResp(status int, desc string) docResp {
-	return docResp{status: status, desc: desc, contentType: "application/json", schema: "LegacyError"}
 }
 
 // ---------------------------------------------------------------------------
@@ -150,86 +143,6 @@ var (
 		id: "healthz", summary: "Liveness probe (unauthenticated, unthrottled).",
 		responses: []docResp{{status: 200, desc: "ok", contentType: "text/plain"}},
 	}
-
-	// v1 shim operations (deprecated; successor noted by the generator).
-	docV1Upload = &opDoc{
-		id: "v1Upload", summary: "Protect and publish one trace chunk (single-chunk legacy form of POST /v2/traces).",
-		params: []docParam{
-			{name: "async", in: "query", typ: "string", desc: `"1"/"true" enqueues and answers 202 + JobStatus.`},
-			{name: IdempotencyKeyHeader, in: "header", typ: "string", desc: "Client-chosen dedupe key; retries replay the original outcome."},
-			{name: UserHeader, in: "header", typ: "string", desc: "Declared participant; rate-limit key, must match the body user."},
-		},
-		reqBody: &docBody{contentType: "application/json", schema: "UploadRequest", desc: "One trace chunk."},
-		responses: []docResp{
-			{status: 200, desc: "Protection outcome", contentType: "application/json", schema: "UploadResponse"},
-			{status: 202, desc: "Accepted for asynchronous protection", contentType: "application/json", schema: "JobStatus"},
-			legacyErrResp(400, "Malformed request"),
-			legacyErrResp(422, "Idempotency key reused with a different payload"),
-			legacyErrResp(503, "Upload queue full (Retry-After set)"),
-		},
-	}
-	docV1JobGet = &opDoc{
-		id: "v1GetJob", summary: "Fetch one asynchronous upload job.",
-		params: []docParam{{name: "id", in: "path", typ: "string", required: true, desc: "Job handle from the 202 response."}},
-		responses: []docResp{
-			{status: 200, desc: "Job status", contentType: "application/json", schema: "JobStatus"},
-			legacyErrResp(404, "Unknown job"),
-		},
-	}
-	docV1JobFallback = &opDoc{
-		id: "v1GetJobFallback", summary: "Legacy job-path fallback: empty or nested job IDs.",
-		responses: []docResp{
-			legacyErrResp(400, "Missing job id"),
-			legacyErrResp(404, "Unknown job"),
-		},
-	}
-	docV1Dataset = &opDoc{
-		id: "v1GetDataset", summary: "The entire published dataset as one JSON document.",
-		responses: []docResp{
-			{status: 200, desc: "Published dataset", contentType: "application/json", schema: "Dataset"},
-		},
-	}
-	docV1DatasetCSV = &opDoc{
-		id: "v1GetDatasetCSV", summary: "The entire published dataset as CSV.",
-		responses: []docResp{
-			{status: 200, desc: "Published dataset", contentType: "text/csv"},
-		},
-	}
-	docV1Stats = &opDoc{
-		id: "v1GetStats", summary: "Global accounting counters.",
-		responses: []docResp{
-			{status: 200, desc: "Server statistics", contentType: "application/json", schema: "ServerStats"},
-		},
-	}
-	docV1UserGet = &opDoc{
-		id: "v1GetUser", summary: "Per-participant accounting.",
-		params: []docParam{{name: "id", in: "path", typ: "string", required: true, desc: "Participant ID."}},
-		responses: []docResp{
-			{status: 200, desc: "Participant statistics", contentType: "application/json", schema: "UserStats"},
-			legacyErrResp(404, "Unknown user"),
-		},
-	}
-	docV1UserFallback = &opDoc{
-		id: "v1GetUserFallback", summary: "Legacy user-path fallback: empty or nested user IDs.",
-		responses: []docResp{
-			legacyErrResp(400, "Missing user id"),
-			legacyErrResp(404, "Unknown user"),
-		},
-	}
-	docV1Metrics = &opDoc{
-		id: "v1GetMetrics", summary: "Per-route request metrics.",
-		responses: []docResp{
-			{status: 200, desc: "Request metrics snapshot", contentType: "application/json", schema: "MetricsSnapshot"},
-		},
-	}
-	docV1Retrain = &opDoc{
-		id: "v1Retrain", summary: "Retrain the attacks and re-audit the published dataset.",
-		responses: []docResp{
-			{status: 200, desc: "Retrain report", contentType: "application/json", schema: "RetrainReport"},
-			legacyErrResp(404, "No retrainer configured"),
-			legacyErrResp(409, "A retrain pass is already running"),
-		},
-	}
 )
 
 // ---------------------------------------------------------------------------
@@ -239,10 +152,7 @@ var (
 // per server: the table is immutable after New.
 func (s *Server) handleOpenAPI(w http.ResponseWriter, r *http.Request) {
 	s.openapiOnce.Do(func() {
-		data, err := json.MarshalIndent(buildOpenAPI(s.routes()), "", "  ")
-		if err != nil {
-			data = []byte(`{"error":"openapi generation failed"}`)
-		}
+		data, _ := json.MarshalIndent(buildOpenAPI(s.routes()), "", "  ") // maps of strings, numbers and bools always marshal
 		s.openapiJSON = append(data, '\n')
 	})
 	w.Header().Set("Content-Type", "application/json")
@@ -285,11 +195,6 @@ func buildOperation(rt *route) map[string]any {
 		"summary":     doc.summary,
 		"responses":   map[string]any{},
 	}
-	if rt.isV1() {
-		op["deprecated"] = true
-		op["description"] = "Deprecated v1 surface; superseded by " + rt.successor +
-			" (see the Deprecation and Link response headers)."
-	}
 	var params []any
 	for _, p := range doc.params {
 		params = append(params, map[string]any{
@@ -299,18 +204,6 @@ func buildOperation(rt *route) map[string]any {
 			"description": p.desc,
 			"schema":      map[string]any{"type": p.typ},
 		})
-	}
-	// Path parameters not covered by explicit docs ({id} on fallback
-	// subtrees has none) are derived from the pattern.
-	if params == nil {
-		for _, seg := range strings.Split(rt.pattern, "/") {
-			if strings.HasPrefix(seg, "{") && strings.HasSuffix(seg, "}") {
-				params = append(params, map[string]any{
-					"name": strings.Trim(seg, "{}"), "in": "path", "required": true,
-					"schema": map[string]any{"type": "string"},
-				})
-			}
-		}
 	}
 	if params != nil {
 		op["parameters"] = params
@@ -387,11 +280,8 @@ func openapiSchemas() map[string]any {
 			"code":   map[string]any{"type": "string", "enum": problemCodes()},
 			"detail": str,
 		}),
-		"LegacyError":    obj(map[string]any{"error": str}),
 		"Record":         record,
 		"Trace":          traceObj,
-		"Dataset":        obj(map[string]any{"name": str, "traces": arrayOf(ref("Trace"))}),
-		"UploadRequest":  obj(map[string]any{"user": str, "records": arrayOf(ref("Record"))}),
 		"UploadResponse": obj(map[string]any{"accepted": integer, "rejected": integer, "pieces": integer, "mechanisms": arrayOf(str)}),
 		"BatchChunk": obj(map[string]any{
 			"user": str, "records": arrayOf(ref("Record")), "key": str, "async": boolean,

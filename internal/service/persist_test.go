@@ -13,12 +13,8 @@ import (
 func TestSaveLoadStateRoundTrip(t *testing.T) {
 	srv, hs := newTestServer(t)
 	c := NewClient(hs.URL)
-	if _, err := c.Upload(trace.New("alice", sampleRecords(10))); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Upload(trace.New("reject-bob", sampleRecords(4))); err != nil {
-		t.Fatal(err)
-	}
+	mustUpload(t, c, trace.New("alice", sampleRecords(10)))
+	mustUpload(t, c, trace.New("reject-bob", sampleRecords(4)))
 
 	path := filepath.Join(t.TempDir(), "state.json")
 	if err := srv.SaveState(path); err != nil {
@@ -55,9 +51,7 @@ func TestSaveLoadStateRoundTrip(t *testing.T) {
 	}
 
 	// Pseudonym counter survives: new uploads must not collide.
-	if _, err := c2.Upload(trace.New("carol", sampleRecords(3))); err != nil {
-		t.Fatal(err)
-	}
+	mustUpload(t, c2, trace.New("carol", sampleRecords(3)))
 	d, err = c2.Dataset()
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +96,7 @@ func TestWithAuth(t *testing.T) {
 
 	// No token: rejected.
 	noAuth := NewClient(hs.URL)
-	if _, err := noAuth.Upload(trace.New("alice", sampleRecords(3))); err == nil {
+	if _, err := noAuth.UploadBatch([]BatchChunk{keyed("alice", "", 3)}); err == nil {
 		t.Fatal("unauthenticated upload must fail")
 	}
 	// Wrong token: rejected.
@@ -112,9 +106,7 @@ func TestWithAuth(t *testing.T) {
 	}
 	// Right token: accepted.
 	ok := NewClient(hs.URL).SetAuthToken("sesame")
-	if _, err := ok.Upload(trace.New("alice", sampleRecords(3))); err != nil {
-		t.Fatal(err)
-	}
+	mustUpload(t, ok, trace.New("alice", sampleRecords(3)))
 	// Health stays open for probes.
 	resp, err := http.Get(hs.URL + "/healthz")
 	if err != nil {

@@ -5,18 +5,15 @@ import (
 	"net/http"
 )
 
-// RFC 7807 errors for the /v2 surface. Every v2 error body is an
+// RFC 7807 errors: every error body the server writes is an
 // application/problem+json document with a stable, machine-readable
 // Code — clients branch on Code (or Status), never on Detail, which is
-// free to change. The /v1 shim keeps the historical {"error": "..."}
-// bodies; writeError picks the rendering from the matched route, so a
-// handler shared between the two surfaces emits the right dialect
-// without knowing which one it is serving.
+// free to change.
 
-// ProblemContentType is the RFC 7807 media type served on v2 errors.
+// ProblemContentType is the RFC 7807 media type of every error body.
 const ProblemContentType = "application/problem+json"
 
-// Problem is the RFC 7807 error document of the v2 wire protocol.
+// Problem is the RFC 7807 error document of the wire protocol.
 type Problem struct {
 	// Type is a URI reference identifying the problem class; MooD uses
 	// stable relative URIs of the form "/v2/problems/{code}".
@@ -94,26 +91,15 @@ func writeProblem(w http.ResponseWriter, p Problem) {
 	enc.Encode(p) //nolint:errcheck // headers are gone; nothing left to do
 }
 
-// writeError answers an error in the dialect of the matched route:
-// problem+json with the stable code on /v2, the historical
-// {"error": detail} body on /v1 (and on requests that matched no route,
-// where the legacy shape is the conservative default for old clients
-// probing unknown paths). The detail text is shared verbatim between
-// the two dialects.
-func writeError(w http.ResponseWriter, r *http.Request, status int, code, detail string) {
-	if rt := routeOf(r); rt != nil && rt.problem {
-		writeProblem(w, newProblem(status, code, detail))
-		return
-	}
-	httpError(w, status, detail)
+// writeError answers an error as problem+json. It is the one way a
+// handler or middleware layer renders an error status.
+func writeError(w http.ResponseWriter, status int, code, detail string) {
+	writeProblem(w, newProblem(status, code, detail))
 }
 
 // problemBody renders the fixed problem document used where a body must
 // be prepared ahead of time (the timeout layer's canned 503).
 func problemBody(status int, code, detail string) string {
-	b, err := json.Marshal(newProblem(status, code, detail))
-	if err != nil {
-		return `{"error":"` + detail + `"}`
-	}
+	b, _ := json.Marshal(newProblem(status, code, detail)) // strings and an int always marshal
 	return string(b)
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -16,18 +15,18 @@ import (
 	"mood/internal/trace"
 )
 
-// The upload pipeline: every upload — synchronous or asynchronous — is
+// The upload pipeline: every chunk — synchronous or asynchronous — is
 // an uploadJob dispatched to a bounded worker pool. The queue provides
-// backpressure (503 + Retry-After when full) instead of letting a
-// traffic spike pile unbounded goroutines onto the CPU-heavy protection
-// engine. Synchronous callers block on the job's done channel so the
-// wire semantics are unchanged; async callers get a job ID and poll
-// GET /v1/jobs/{id}. A worker's part ends where the durable commit
-// begins: it stages the commit and either hands it to the commit window
-// of the batch the chunk arrived in or commits it as a group of one
-// (commitGroup in durable.go is the one commit path).
+// backpressure (a full queue pauses the batch stream feeding it) instead
+// of letting a traffic spike pile unbounded goroutines onto the
+// CPU-heavy protection engine. Synchronous chunks block on the job's
+// done channel; async chunks get a job ID to poll at GET /v2/jobs/{id}.
+// A worker's part ends where the durable commit begins: it stages the
+// commit and either hands it to the commit window of the batch the
+// chunk arrived in or commits it as a group of one (commitGroup in
+// durable.go is the one commit path).
 
-// Job states reported by GET /v1/jobs/{id}.
+// Job states reported by GET /v2/jobs/{id}.
 const (
 	JobQueued  = "queued"
 	JobRunning = "running"
@@ -64,11 +63,11 @@ type uploadJob struct {
 	// outcome so retries under idemKey replay instead of re-committing.
 	idem    *idemEntry
 	idemKey string
-	// slot, when non-nil, is the chunk's place in the batch request it
-	// arrived in: the worker hands the staged commit to that request's
-	// commit window instead of syncing the chunk on its own (see
-	// batch.go). The job counts in the window's upstream tally until the
-	// worker settles it.
+	// slot, set on synchronous batch chunks, is the chunk's place in the
+	// batch request it arrived in: the worker hands the staged commit to
+	// that request's commit window instead of syncing the chunk on its
+	// own (see batch.go). The job counts in the window's upstream tally
+	// until the worker settles it. nil for async chunks and bare commits.
 	slot *batchSlot
 
 	// The staged commit, filled in by the worker between Protect and
@@ -134,25 +133,8 @@ func newWorkerPool(workers, depth int, run func(*uploadJob)) *workerPool {
 	return p
 }
 
-// tryEnqueue offers the job to the queue without blocking; false means
-// the pool is stopped or the queue is full and the caller should shed
-// load.
-func (p *workerPool) tryEnqueue(j *uploadJob) bool {
-	p.stopMu.RLock()
-	defer p.stopMu.RUnlock()
-	if p.stopped {
-		return false
-	}
-	select {
-	case p.queue <- j:
-		return true
-	default:
-		return false
-	}
-}
-
 // enqueueWait blocks until the job is accepted, the context ends or the
-// pool stops — the batch endpoint's backpressure mode. Holding the read
+// pool stops — the batch endpoint's backpressure. Holding the read
 // lock across the blocking send is safe: close() cannot take the write
 // lock until we return, and the workers keep draining the queue until
 // close() proceeds, so the send always completes or the context fires.
@@ -295,7 +277,7 @@ func (js *jobStore) remove(id string) {
 	delete(js.jobs, id)
 	// order keeps the dead ID until it drifts far from the map size;
 	// compacting lazily keeps remove O(1) amortised even when every
-	// async upload is being shed against a full queue.
+	// async upload is being refused.
 	if len(js.order) > 2*len(js.jobs)+16 {
 		kept := js.order[:0]
 		for _, oid := range js.order {
@@ -327,11 +309,13 @@ func (s *Server) runJob(j *uploadJob) {
 		err = s.stageCommit(j, res)
 	}
 	if err != nil {
-		j.slot.settle()
+		if j.slot != nil {
+			j.slot.settle()
+		}
 		s.finishJob(j, UploadResponse{}, err)
 		return
 	}
-	if !j.slot.submit(j) {
+	if j.slot == nil || !j.slot.submit(j) {
 		s.commitGroup([]*uploadJob{j}, j.recs)
 	}
 }
@@ -363,26 +347,11 @@ func (s *Server) protect(p Protector, t trace.Trace) (res core.Result, err error
 	return res, nil
 }
 
-// handleJobGet serves GET /v{1,2}/jobs/{id}.
+// handleJobGet serves GET /v2/jobs/{id}.
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
-	s.serveJob(w, r, r.PathValue("id"))
-}
-
-// handleJobFallback preserves the legacy /v1/jobs/ subtree behaviour:
-// an empty ID is a 400, a nested path can never name a job.
-func (s *Server) handleJobFallback(w http.ResponseWriter, r *http.Request) {
-	id := strings.TrimPrefix(r.URL.Path, "/v1/jobs/")
-	if id == "" {
-		writeError(w, r, http.StatusBadRequest, CodeBadRequest, "missing job id")
-		return
-	}
-	s.serveJob(w, r, id)
-}
-
-func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, id string) {
-	j, ok := s.jobs.get(id)
+	j, ok := s.jobs.get(r.PathValue("id"))
 	if !ok {
-		writeError(w, r, http.StatusNotFound, CodeNotFound, "unknown job")
+		writeError(w, http.StatusNotFound, CodeNotFound, "unknown job")
 		return
 	}
 	writeJSON(w, http.StatusOK, j)
@@ -403,7 +372,7 @@ func (s *Server) handleJobsList(w http.ResponseWriter, r *http.Request) {
 	switch state {
 	case "", JobQueued, JobRunning, JobDone, JobFailed:
 	default:
-		writeError(w, r, http.StatusBadRequest, CodeBadRequest,
+		writeError(w, http.StatusBadRequest, CodeBadRequest,
 			`unknown state filter (use "queued", "running", "done" or "failed")`)
 		return
 	}
@@ -411,7 +380,7 @@ func (s *Server) handleJobsList(w http.ResponseWriter, r *http.Request) {
 	if raw := vals.Get("limit"); raw != "" {
 		n, err := strconv.Atoi(raw)
 		if err != nil || n < 1 || n > maxPageLimit {
-			writeError(w, r, http.StatusBadRequest, CodeBadRequest,
+			writeError(w, http.StatusBadRequest, CodeBadRequest,
 				fmt.Sprintf("limit must be an integer in 1..%d", maxPageLimit))
 			return
 		}

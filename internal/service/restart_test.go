@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -24,38 +23,27 @@ func TestRestartRecoveryEndToEnd(t *testing.T) {
 	rt := RetrainerFunc(func(history []trace.Trace) (Protector, Auditor, error) {
 		return nil, ownerAuditor{prefix: "drift-"}, nil
 	})
-	newServer := func(mark string) *Server {
+	newServer := func(mark string) (*Server, *httptest.Server) {
 		srv, err := New(&markedProtector{mark: mark}, WithRetrainer(rt, 0))
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { srv.Close() })
-		return srv
+		hs := httptest.NewServer(srv.Handler())
+		t.Cleanup(hs.Close)
+		return srv, hs
 	}
 
-	srv1 := newServer("gen0")
-	uploadKeyed := func(srv *Server, user, key string, n int) (UploadResponse, *http.Response) {
-		t.Helper()
-		body, _ := json.Marshal(UploadRequest{User: user, Records: sampleRecords(n)})
-		req, _ := http.NewRequest(http.MethodPost, "/v1/upload", bytes.NewReader(body))
-		if key != "" {
-			req.Header.Set(IdempotencyKeyHeader, key)
+	srv1, hs1 := newServer("gen0")
+	orig := postChunk(t, hs1.URL, keyed("alice", "chunk-2026-07-28", 10))
+	for _, c := range []BatchChunk{keyed("bob", "", 7), keyed("drift-mallory", "", 5)} {
+		if res := postChunk(t, hs1.URL, c); res.Status != http.StatusOK {
+			t.Fatalf("upload %s: %+v", c.User, res)
 		}
-		rec := httptest.NewRecorder()
-		srv.Handler().ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("upload %s: %d %s", user, rec.Code, rec.Body.String())
-		}
-		var out UploadResponse
-		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
-			t.Fatal(err)
-		}
-		return out, rec.Result()
 	}
-
-	origResp, _ := uploadKeyed(srv1, "alice", "chunk-2026-07-28", 10)
-	uploadKeyed(srv1, "bob", "", 7)
-	uploadKeyed(srv1, "drift-mallory", "", 5)
+	if orig.Status != http.StatusOK {
+		t.Fatalf("upload alice: %+v", orig)
+	}
 
 	// A retrain pass quarantines drift-mallory's fragment, so the
 	// snapshot carries quarantine accounting and a retrain count too.
@@ -72,7 +60,7 @@ func TestRestartRecoveryEndToEnd(t *testing.T) {
 	wantDataset := trace.NewDataset("published", srv1.publishedSnapshot())
 	_, _, wantUserStats := srv1.fullSnapshot()
 
-	srv2 := newServer("gen0")
+	srv2, hs2 := newServer("gen0")
 	if err := srv2.LoadState(statePath); err != nil {
 		t.Fatal(err)
 	}
@@ -94,23 +82,15 @@ func TestRestartRecoveryEndToEnd(t *testing.T) {
 
 	// Keyed retry straddling the restart: the same (user, key, body)
 	// must replay the original outcome, not commit the chunk again.
-	body, _ := json.Marshal(UploadRequest{User: "alice", Records: sampleRecords(10)})
-	req, _ := http.NewRequest(http.MethodPost, "/v1/upload", bytes.NewReader(body))
-	req.Header.Set(IdempotencyKeyHeader, "chunk-2026-07-28")
-	rec := httptest.NewRecorder()
-	srv2.Handler().ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("keyed retry after restart: %d %s", rec.Code, rec.Body.String())
+	replayed := postChunk(t, hs2.URL, keyed("alice", "chunk-2026-07-28", 10))
+	if replayed.Status != http.StatusOK {
+		t.Fatalf("keyed retry after restart: %+v", replayed)
 	}
-	if rec.Header().Get(IdempotencyReplayHeader) != "true" {
+	if !replayed.Replay {
 		t.Fatal("keyed retry after restart was not served as a replay")
 	}
-	var replayed UploadResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &replayed); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(replayed, origResp) {
-		t.Fatalf("replayed %+v, want original %+v", replayed, origResp)
+	if !reflect.DeepEqual(replayed.Result, orig.Result) {
+		t.Fatalf("replayed %+v, want original %+v", replayed.Result, orig.Result)
 	}
 	if got := srv2.Stats(); !reflect.DeepEqual(got, wantStats) {
 		t.Fatalf("keyed retry double-committed across restart:\n got %+v\nwant %+v", got, wantStats)
@@ -118,13 +98,8 @@ func TestRestartRecoveryEndToEnd(t *testing.T) {
 
 	// Key reuse with a different body is still a client error after the
 	// restart (the payload fingerprint survived too).
-	other, _ := json.Marshal(UploadRequest{User: "alice", Records: sampleRecords(3)})
-	req, _ = http.NewRequest(http.MethodPost, "/v1/upload", bytes.NewReader(other))
-	req.Header.Set(IdempotencyKeyHeader, "chunk-2026-07-28")
-	rec = httptest.NewRecorder()
-	srv2.Handler().ServeHTTP(rec, req)
-	if rec.Code != http.StatusUnprocessableEntity {
-		t.Fatalf("key reuse with new body after restart: %d", rec.Code)
+	if res := postChunk(t, hs2.URL, keyed("alice", "chunk-2026-07-28", 3)); res.Status != http.StatusUnprocessableEntity {
+		t.Fatalf("key reuse with new body after restart: %+v", res)
 	}
 
 	// The raw upload history survived: a retrain on the restarted server

@@ -6,7 +6,7 @@
 //
 //  1. Every accepted upload's raw records join a bounded per-user
 //     history (see stateShard.history) — the growing H.
-//  2. A retrain pass (periodic ticker and/or POST /v1/admin/retrain)
+//  2. A retrain pass (periodic ticker and/or POST /v2/admin/retrain)
 //     hands that history to the configured Retrainer, which rebuilds the
 //     protection engine — in production, mood.Pipeline.Retrain retrains
 //     the attack set and HMC background on initial-background + history.
@@ -17,7 +17,7 @@
 //  4. A re-audit pass re-runs the protection predicate (ReIdentifies)
 //     over every published fragment against the retrained attacks and
 //     quarantines the ones that have become vulnerable: they leave
-//     /v1/dataset and are counted in /v1/stats. Admission control
+//     /v2/dataset and are counted in /v2/stats. Admission control
 //     becomes continuous risk re-assessment.
 package service
 
@@ -61,7 +61,7 @@ func (f RetrainerFunc) Retrain(history []trace.Trace) (Protector, Auditor, error
 }
 
 // RetrainReport is the outcome of one retrain + re-audit pass, returned
-// by POST /v1/admin/retrain.
+// by POST /v2/admin/retrain.
 type RetrainReport struct {
 	// HistoryUsers and HistoryRecords describe the training input.
 	HistoryUsers   int `json:"history_users"`
@@ -170,25 +170,24 @@ func (s *Server) retrainLoop(interval time.Duration) {
 	}
 }
 
-// handleRetrain is POST /v{1,2}/admin/retrain: trigger a retrain +
+// handleRetrain is POST /v2/admin/retrain: trigger a retrain +
 // re-audit pass now and report what it did. The route sits behind the
 // same middleware chain as everything else, so bearer-token auth (when
-// configured) covers it; errors render in the dialect of the matched
-// route.
+// configured) covers it.
 func (s *Server) handleRetrain(w http.ResponseWriter, r *http.Request) {
 	if s.opts.Retrainer == nil {
-		writeError(w, r, http.StatusNotFound, CodeRetrainMissing,
+		writeError(w, http.StatusNotFound, CodeRetrainMissing,
 			"retraining not configured (start the server with a Retrainer)")
 		return
 	}
 	report, err := s.Retrain()
 	if errors.Is(err, ErrRetrainInProgress) {
 		w.Header().Set("Retry-After", "1")
-		writeError(w, r, http.StatusConflict, CodeRetrainInProgress, err.Error())
+		writeError(w, http.StatusConflict, CodeRetrainInProgress, err.Error())
 		return
 	}
 	if err != nil {
-		writeError(w, r, http.StatusInternalServerError, CodeInternal, "retrain failed: "+err.Error())
+		writeError(w, http.StatusInternalServerError, CodeInternal, "retrain failed: "+err.Error())
 		return
 	}
 	writeJSON(w, http.StatusOK, report)

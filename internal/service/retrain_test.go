@@ -87,12 +87,8 @@ func TestRetrainSwapsProtectorAndQuarantines(t *testing.T) {
 	_, hs := newRetrainServer(t, rt)
 	c := NewClient(hs.URL)
 
-	if _, err := c.Upload(trace.New("alice", sampleRecords(10))); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Upload(trace.New("drift-bob", sampleRecords(8))); err != nil {
-		t.Fatal(err)
-	}
+	mustUpload(t, c, trace.New("alice", sampleRecords(10)))
+	mustUpload(t, c, trace.New("drift-bob", sampleRecords(8)))
 
 	// Both fragments published, both admitted by the startup engine.
 	d, err := c.Dataset()
@@ -149,10 +145,7 @@ func TestRetrainSwapsProtectorAndQuarantines(t *testing.T) {
 	}
 
 	// Uploads now run on the swapped engine.
-	resp, err := c.Upload(trace.New("carol", sampleRecords(4)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp := mustUpload(t, c, trace.New("carol", sampleRecords(4)))
 	if len(resp.Mechanisms) != 1 || resp.Mechanisms[0] != "gen1" {
 		t.Fatalf("post-swap upload used %v, want gen1", resp.Mechanisms)
 	}
@@ -169,9 +162,7 @@ func TestRetrainHotSwapHasNoUploadDowntime(t *testing.T) {
 	srv, hs := newRetrainServer(t, rt)
 	c := NewClient(hs.URL)
 
-	if _, err := c.Upload(trace.New("alice", sampleRecords(3))); err != nil {
-		t.Fatal(err)
-	}
+	mustUpload(t, c, trace.New("alice", sampleRecords(3)))
 
 	retrained := make(chan error, 1)
 	go func() {
@@ -183,10 +174,7 @@ func TestRetrainHotSwapHasNoUploadDowntime(t *testing.T) {
 	// The retrainer is mid-rebuild: uploads must keep flowing on the old
 	// engine, not wait for the swap.
 	for i := 0; i < 5; i++ {
-		resp, err := c.Upload(trace.New(fmt.Sprintf("user-%d", i), sampleRecords(2)))
-		if err != nil {
-			t.Fatalf("upload during retrain: %v", err)
-		}
+		resp := mustUpload(t, c, trace.New(fmt.Sprintf("user-%d", i), sampleRecords(2)))
 		if resp.Mechanisms[0] != "gen0" {
 			t.Fatalf("upload during retrain used %v, want gen0", resp.Mechanisms)
 		}
@@ -196,10 +184,7 @@ func TestRetrainHotSwapHasNoUploadDowntime(t *testing.T) {
 	if err := <-retrained; err != nil {
 		t.Fatal(err)
 	}
-	resp, err := c.Upload(trace.New("late", sampleRecords(2)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp := mustUpload(t, c, trace.New("late", sampleRecords(2)))
 	if resp.Mechanisms[0] != "gen1" {
 		t.Fatalf("upload after retrain used %v, want gen1", resp.Mechanisms)
 	}
@@ -223,10 +208,7 @@ func TestRetrainErrorKeepsServing(t *testing.T) {
 	if _, err := c.Retrain(); err == nil || !strings.Contains(err.Error(), "no converged model") {
 		t.Fatalf("retrain error = %v", err)
 	}
-	resp, err := c.Upload(trace.New("alice", sampleRecords(2)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp := mustUpload(t, c, trace.New("alice", sampleRecords(2)))
 	if resp.Mechanisms[0] != "gen0" {
 		t.Fatalf("upload after failed retrain used %v, want the original engine", resp.Mechanisms)
 	}
@@ -251,12 +233,8 @@ func TestHistoryCapBoundsPerUserHistory(t *testing.T) {
 	srv, hs := newRetrainServer(t, rt, WithHistoryCap(5))
 	c := NewClient(hs.URL)
 
-	if _, err := c.Upload(trace.New("alice", sampleRecords(8))); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Upload(trace.New("alice", sampleRecords(4))); err != nil {
-		t.Fatal(err)
-	}
+	mustUpload(t, c, trace.New("alice", sampleRecords(8)))
+	mustUpload(t, c, trace.New("alice", sampleRecords(4)))
 	if _, err := srv.Retrain(); err != nil {
 		t.Fatal(err)
 	}
@@ -273,9 +251,7 @@ func TestHistoryCapBoundsPerUserHistory(t *testing.T) {
 func TestNoHistoryWithoutRetrainer(t *testing.T) {
 	srv, hs := newTestServer(t)
 	c := NewClient(hs.URL)
-	if _, err := c.Upload(trace.New("alice", sampleRecords(6))); err != nil {
-		t.Fatal(err)
-	}
+	mustUpload(t, c, trace.New("alice", sampleRecords(6)))
 	if h := srv.historySnapshot(); len(h) != 0 {
 		t.Fatalf("history accumulated without a retrainer: %v", h)
 	}

@@ -11,28 +11,21 @@ import (
 // everything that used to be scattered across hand-rolled prefix
 // checks: the ServeMux registration (Go 1.22 method patterns), the
 // per-route middleware exemptions (auth, rate limit, timeout), the
-// rate-limiter key shape, the metrics label, the error dialect
-// (problem+json vs legacy), the v1 deprecation headers and the served
-// OpenAPI document. Router and spec are generated from the same rows,
-// so they cannot drift; a uniform 405 + Allow fallback is derived per
-// path from the methods the table declares.
+// rate-limiter key shape, the metrics label and the served OpenAPI
+// document. Router and spec are generated from the same rows, so they
+// cannot drift; a uniform 405 + Allow fallback is derived per path from
+// the methods the table declares, and every other unmatched request is
+// a 404 problem.
 
 // route is one row of the table.
 type route struct {
 	// method is the HTTP method ("GET" implies HEAD via the ServeMux).
 	method string
 	// pattern is the Go 1.22 ServeMux path pattern, without the method
-	// ("/v2/jobs/{id}"; a trailing slash matches the subtree).
+	// ("/v2/jobs/{id}"); it is also the route's metrics label.
 	pattern string
 	// handler serves matched requests.
 	handler http.HandlerFunc
-	// metric is the metrics label path; empty means the pattern itself.
-	// Fallback rows alias their canonical sibling so the label space
-	// matches the pre-redesign protocol.
-	metric string
-	// problem selects RFC 7807 problem+json errors (the v2 dialect).
-	// False keeps the historical {"error": "..."} bodies.
-	problem bool
 	// noAuth / noLimit / noTimeout exempt the route from the bearer
 	// auth, per-user rate limit and request timeout layers.
 	noAuth    bool
@@ -41,85 +34,43 @@ type route struct {
 	// userKeyed routes are rate-limited per declared participant
 	// (X-Mood-User + client IP) instead of per client IP.
 	userKeyed bool
-	// successor, on /v1 rows, is the v2 pattern superseding the route;
-	// it drives the Deprecation and Link: rel="successor-version"
-	// headers on every response.
-	successor string
 	// doc is the OpenAPI operation metadata; nil rows (the per-path 405
 	// fallbacks are synthesized, not declared) never reach the spec.
 	doc *opDoc
 }
 
-// isV1 reports whether the row belongs to the deprecated shim surface.
-func (rt *route) isV1() bool { return rt.successor != "" }
-
-// metricPath is the label path used by the request metrics.
-func (rt *route) metricPath() string {
-	if rt.metric != "" {
-		return rt.metric
-	}
-	return rt.pattern
-}
-
-// v1Deprecation is the RFC 9745 Deprecation header value stamped on
-// every /v1 response: the instant the /v2 surface became the successor.
-const v1Deprecation = "@1767225600" // 2026-01-01T00:00:00Z
-
 // routes returns the full table. Handlers are bound to s, so the table
 // is assembled per server; everything else is static.
 func (s *Server) routes() []*route {
 	return []*route{
-		// ----- v2: the current, self-describing surface -----
 		{method: "GET", pattern: "/v2/openapi.json", handler: s.handleOpenAPI,
-			problem: true, noAuth: true, noLimit: true, doc: docOpenAPI},
+			noAuth: true, noLimit: true, doc: docOpenAPI},
 		{method: "POST", pattern: "/v2/traces", handler: s.handleBatchUpload,
-			problem: true, userKeyed: true, noTimeout: true, doc: docTraces},
-		{method: "GET", pattern: "/v2/dataset", handler: s.handleDatasetV2,
-			problem: true, noTimeout: true, doc: docDataset},
+			userKeyed: true, noTimeout: true, doc: docTraces},
+		{method: "GET", pattern: "/v2/dataset", handler: s.handleDataset,
+			noTimeout: true, doc: docDataset},
 		{method: "GET", pattern: "/v2/jobs", handler: s.handleJobsList,
-			problem: true, noLimit: true, doc: docJobsList},
+			noLimit: true, doc: docJobsList},
 		{method: "GET", pattern: "/v2/jobs/{id}", handler: s.handleJobGet,
-			problem: true, noLimit: true, doc: docJobGet},
+			noLimit: true, doc: docJobGet},
 		{method: "GET", pattern: "/v2/stats", handler: s.handleStats,
-			problem: true, doc: docStats},
+			doc: docStats},
 		{method: "GET", pattern: "/v2/users/{id}", handler: s.handleUserGet,
-			problem: true, doc: docUserGet},
+			doc: docUserGet},
 		{method: "GET", pattern: "/v2/metrics", handler: s.handleMetrics,
-			problem: true, noLimit: true, doc: docMetrics},
+			noLimit: true, doc: docMetrics},
 		{method: "POST", pattern: "/v2/admin/retrain", handler: s.handleRetrain,
-			problem: true, doc: docRetrain},
-
-		// ----- v1: the deprecated shim over the same handlers -----
-		{method: "POST", pattern: "/v1/upload", handler: s.handleUploadV1,
-			userKeyed: true, successor: "/v2/traces", doc: docV1Upload},
-		{method: "GET", pattern: "/v1/jobs/{id}", handler: s.handleJobGet,
-			noLimit: true, successor: "/v2/jobs/{id}", doc: docV1JobGet},
-		{method: "GET", pattern: "/v1/jobs/", handler: s.handleJobFallback,
-			metric: "/v1/jobs/{id}", noLimit: true, successor: "/v2/jobs/{id}", doc: docV1JobFallback},
-		{method: "GET", pattern: "/v1/dataset", handler: s.handleDatasetV1,
-			noTimeout: true, successor: "/v2/dataset", doc: docV1Dataset},
-		{method: "GET", pattern: "/v1/dataset.csv", handler: s.handleDatasetCSVV1,
-			noTimeout: true, successor: "/v2/dataset", doc: docV1DatasetCSV},
-		{method: "GET", pattern: "/v1/stats", handler: s.handleStats,
-			successor: "/v2/stats", doc: docV1Stats},
-		{method: "GET", pattern: "/v1/users/{id}", handler: s.handleUserGet,
-			successor: "/v2/users/{id}", doc: docV1UserGet},
-		{method: "GET", pattern: "/v1/users/", handler: s.handleUserFallback,
-			metric: "/v1/users/{id}", successor: "/v2/users/{id}", doc: docV1UserFallback},
-		{method: "GET", pattern: "/v1/metrics", handler: s.handleMetrics,
-			noLimit: true, successor: "/v2/metrics", doc: docV1Metrics},
-		{method: "POST", pattern: "/v1/admin/retrain", handler: s.handleRetrain,
-			successor: "/v2/admin/retrain", doc: docV1Retrain},
-
-		// ----- shared -----
+			doc: docRetrain},
 		{method: "GET", pattern: "/healthz", handler: handleHealthz,
 			noAuth: true, noLimit: true, doc: docHealthz},
 	}
 }
 
-// handleHealthz is the liveness probe (kept byte-identical to the
-// pre-table implementation).
+// handleHealthz is the liveness probe. It names its media type itself:
+// the timeout layer presets problem+json on the outer writer for its own
+// 503 (see Timeout), and every handler's success overwrites it.
 func handleHealthz(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	w.Write([]byte("ok\n")) //nolint:errcheck
 }
@@ -140,9 +91,9 @@ func routeOf(r *http.Request) *route {
 }
 
 // overrideKey carries a resolver-synthesized terminal handler (the
-// uniform 405) past the middleware chain: the terminal serves it
-// instead of the mux, so the wrong-method answer still traverses
-// metrics, auth and the rate limiter like any other request.
+// uniform 405 or the 404) past the middleware chain: the terminal serves
+// it instead of the mux, so the refusal still traverses metrics, auth
+// and the rate limiter like any other request.
 type overrideKey struct{}
 
 // router is the assembled routing state: the ServeMux the chain
@@ -175,29 +126,23 @@ func buildRouter(table []*route) *router {
 }
 
 // resolve is the outermost middleware layer: it matches the request
-// against the mux (without serving it), stashes the route in the
-// context for every layer below, and stamps the deprecation headers on
-// /v1 responses — the successor mapping comes straight from the table.
-// A path that exists under other methods resolves to a synthesized
-// 405 route carrying an Allow header derived from the table.
+// against the mux (without serving it) and stashes the route in the
+// context for every layer below. A request no row matches is answered
+// by the terminal: a path that exists under other methods with a
+// synthesized 405 carrying an Allow header derived from the table, any
+// other path with a 404 problem.
 func (rr *router) resolve(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		_, pattern := rr.mux.Handler(r)
-		rt := rr.byPattern[pattern]
-		var override http.Handler
-		if rt == nil && pattern == "" {
-			rt, override = rr.methodNotAllowed(r)
-		}
-		if rt != nil {
-			ctx := context.WithValue(r.Context(), routeKey{}, rt)
-			if override != nil {
-				ctx = context.WithValue(ctx, overrideKey{}, override)
+		if rt := rr.byPattern[pattern]; rt != nil {
+			r = r.WithContext(context.WithValue(r.Context(), routeKey{}, rt))
+		} else if pattern == "" {
+			ctx := r.Context()
+			rt, override := rr.methodNotAllowed(r)
+			if rt != nil {
+				ctx = context.WithValue(ctx, routeKey{}, rt)
 			}
-			r = r.WithContext(ctx)
-			if rt.isV1() {
-				w.Header().Set("Deprecation", v1Deprecation)
-				w.Header().Set("Link", "<"+rt.successor+`>; rel="successor-version"`)
-			}
+			r = r.WithContext(context.WithValue(ctx, overrideKey{}, override))
 		}
 		next.ServeHTTP(w, r)
 	})
@@ -215,13 +160,18 @@ func (rr *router) terminal() http.Handler {
 	})
 }
 
+// notFound answers a path no row declares under any method.
+func notFound(w http.ResponseWriter, _ *http.Request) {
+	writeError(w, http.StatusNotFound, CodeNotFound, "unknown resource")
+}
+
 // methodNotAllowed probes the mux with every method the table declares
 // to decide whether the unmatched request names an existing resource
 // under a different method. It returns a pseudo-route inheriting the
-// resource's dialect and exemptions (so a wrong-method probe cannot
-// dodge auth or be throttled differently from the resource it names)
-// plus the uniform 405 handler — or (nil, nil) for a genuinely unknown
-// path, which falls through to the mux's 404.
+// resource's exemptions (so a wrong-method probe cannot dodge auth or be
+// throttled differently from the resource it names) plus the uniform
+// 405 handler — or no route and the 404 handler for a genuinely unknown
+// path.
 func (rr *router) methodNotAllowed(r *http.Request) (*route, http.Handler) {
 	var allowed []string
 	var canonical *route
@@ -245,35 +195,31 @@ func (rr *router) methodNotAllowed(r *http.Request) (*route, http.Handler) {
 		}
 	}
 	if canonical == nil {
-		return nil, nil
+		return nil, http.HandlerFunc(notFound)
 	}
 	sort.Strings(allowed)
 	allow := strings.Join(allowed, ", ")
 	pseudo := &route{
 		pattern:   canonical.pattern,
-		metric:    canonical.metricPath(),
-		problem:   canonical.problem,
 		noAuth:    canonical.noAuth,
 		noLimit:   canonical.noLimit,
 		noTimeout: canonical.noTimeout,
-		successor: canonical.successor,
 	}
 	handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Allow", allow)
-		writeError(w, r, http.StatusMethodNotAllowed, CodeMethodNotAllowed,
+		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed,
 			"method "+r.Method+" not allowed (see Allow header)")
 	})
 	return pseudo, handler
 }
 
-// metricRoute labels a request for the metrics layer: the table's
-// metric path when a route matched, the bounded "other" bucket
-// otherwise, prefixed with the (allow-listed) method — exactly the
-// label space of the pre-table implementation plus the v2 rows.
+// metricRoute labels a request for the metrics layer: the table pattern
+// when a route matched, the bounded "other" bucket otherwise, prefixed
+// with the (allow-listed) method.
 func metricRoute(r *http.Request) string {
 	path := "other"
 	if rt := routeOf(r); rt != nil {
-		path = rt.metricPath()
+		path = rt.pattern
 	}
 	method := r.Method
 	switch method {

@@ -27,20 +27,17 @@
 //	GET  /v2/openapi.json   the machine-readable contract
 //	GET  /healthz           liveness probe
 //
-// The /v1 surface remains mounted as a thin shim over the same
-// handlers with byte-identical responses (pinned by golden tests) plus
-// Deprecation / Link: rel="successor-version" headers; see routes.go
-// for the full table. Wrong-method requests on either surface answer a
-// uniform 405 with an Allow header derived from the table, and every
-// GET resource also serves HEAD.
+// See routes.go for the table. Wrong-method requests answer a uniform
+// 405 with an Allow header derived from the table, any other unknown
+// path a 404 problem, and every GET resource also serves HEAD.
 //
 // Requests flow through a fixed middleware chain (see Middleware):
 // route resolution, request metrics, panic recovery, request timeout,
-// bearer-token auth, per-user rate limiting, then the mux. Uploads —
-// sync, async and batched — are executed by a bounded worker pool over
-// state sharded per user, so concurrent participants never contend on
-// one lock and a traffic spike degrades into 503 + Retry-After instead
-// of collapse.
+// bearer-token auth, per-user rate limiting, then the mux. Every chunk
+// of a batch — sync or async — is executed by a bounded worker pool
+// over state sharded per user, so concurrent participants never contend
+// on one lock, and a full queue paces the batch stream instead of
+// piling goroutines onto the engine.
 package service
 
 import (
@@ -50,8 +47,6 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -74,8 +69,8 @@ type Protector interface {
 type Options struct {
 	// Workers is the upload worker-pool size. Default GOMAXPROCS.
 	Workers int
-	// QueueDepth bounds the upload queue; a full queue sheds load with
-	// 503 + Retry-After. Default 64.
+	// QueueDepth bounds the upload queue; a full queue pauses the batch
+	// streams feeding it until a slot frees. Default 64.
 	QueueDepth int
 	// RateLimit is the per-user request budget in requests/second;
 	// 0 disables rate limiting. RateBurst defaults to 10.
@@ -362,12 +357,6 @@ type ServerStats struct {
 	Retrains int `json:"retrains"`
 }
 
-// UploadRequest is the body of POST /v1/upload.
-type UploadRequest struct {
-	User    string        `json:"user"`
-	Records trace.Records `json:"records"`
-}
-
 // UploadResponse reports what happened to an upload.
 type UploadResponse struct {
 	// Accepted is the number of records admitted to the dataset.
@@ -484,21 +473,18 @@ func (s *Server) Handler() http.Handler {
 }
 
 // ---------------------------------------------------------------------------
-// The shared upload core. Every surface — the v1 single-chunk handler
-// and the v2 NDJSON batch — funnels into executeChunk, which runs one
-// validated chunk through idempotency, dispatch and the worker pool and
-// reports a protocol-independent outcome. The v1 handler renders the
-// outcome in the historical wire shapes (byte-identical, golden-
-// tested); the batch handler renders it as one NDJSON result line.
+// The upload core. Every chunk of a POST /v2/traces batch funnels into
+// executeChunk, which runs one validated chunk through idempotency,
+// dispatch and the worker pool and reports an outcome the batch handler
+// renders as one NDJSON result line.
 
-// chunkOutcome is the protocol-independent result of one upload chunk.
+// chunkOutcome is the result of one upload chunk.
 type chunkOutcome struct {
-	// status is the HTTP(-equivalent) status of the chunk.
+	// status is the HTTP-equivalent status of the chunk.
 	status int
 	// code is the stable machine-readable problem code for errors.
 	code string
-	// detail is the human-readable error text (exactly the legacy v1
-	// error body text).
+	// detail is the human-readable error text.
 	detail string
 	// resp is set when the chunk completed synchronously (status 200).
 	resp *UploadResponse
@@ -512,14 +498,12 @@ type chunkOutcome struct {
 }
 
 // executeChunk runs one validated chunk: idempotency begin/replay, then
-// sync or async dispatch. sl is the chunk's slot in the batch request it
-// arrived in, nil on the v1 surface; it also selects the backpressure
-// semantics when the queue is full: without one the chunk is shed
-// immediately (the v1 contract), with one it blocks until a queue slot
-// frees, the context ends or the server stops (the batch contract — a
-// bulk feeder should be paced, not bounced). A batch chunk counts in its
-// commit window's upstream tally on entry; every path that cannot end
-// in the window settles it before it blocks or returns.
+// sync or async dispatch. sl is the chunk's slot in its batch request.
+// When the queue is full the chunk blocks until a queue slot frees, the
+// context ends or the server stops — a bulk feeder is paced, not
+// bounced. The chunk counts in its commit window's upstream tally on
+// entry; every path that cannot end in the window settles it before it
+// blocks or returns.
 func (s *Server) executeChunk(ctx context.Context, t trace.Trace, key string, async bool, sl *batchSlot) chunkOutcome {
 	var idem *idemEntry
 	if key != "" {
@@ -532,7 +516,7 @@ func (s *Server) executeChunk(ctx context.Context, t trace.Trace, key string, as
 				// with the first body's result would silently drop this
 				// upload behind a 200.
 				return chunkOutcome{status: http.StatusUnprocessableEntity, code: CodeKeyReuse,
-					detail: IdempotencyKeyHeader + " was already used with a different payload"}
+					detail: "idempotency key was already used with a different payload"}
 			}
 			// Retry of an upload already accepted under this key: replay
 			// the original outcome instead of committing twice.
@@ -542,32 +526,23 @@ func (s *Server) executeChunk(ctx context.Context, t trace.Trace, key string, as
 	}
 	if async {
 		sl.settle()
-		return s.asyncChunk(ctx, t, key, idem, sl != nil)
+		return s.asyncChunk(ctx, t, key, idem)
 	}
 	return s.syncChunk(ctx, t, key, idem, sl)
 }
 
-// enqueue offers the job to the pool: non-blocking in shed mode,
-// blocking on the queue in batch mode (bounded by ctx and shutdown).
-func (s *Server) enqueue(ctx context.Context, j *uploadJob, block bool) bool {
-	if !block {
-		return s.pool.tryEnqueue(j)
-	}
-	return s.pool.enqueueWait(ctx, j)
-}
-
-// shedOutcome is the canonical queue-full answer.
+// shedOutcome is the canonical answer to a chunk the pool refused.
 func shedOutcome() chunkOutcome {
 	return chunkOutcome{status: http.StatusServiceUnavailable, code: CodeQueueFull,
 		detail: "upload queue full", retryAfter: true}
 }
 
-// syncChunk dispatches the chunk and waits for the outcome, preserving
-// the historical synchronous semantics. Once enqueued, the job carries
-// its window's upstream count: the worker settles it.
+// syncChunk dispatches the chunk and waits for the outcome. Once
+// enqueued, the job carries its window's upstream count: the worker
+// settles it.
 func (s *Server) syncChunk(ctx context.Context, t trace.Trace, key string, idem *idemEntry, sl *batchSlot) chunkOutcome {
 	j := &uploadJob{trace: t, done: make(chan uploadOutcome, 1), idemKey: key, idem: idem, slot: sl}
-	if !s.enqueue(ctx, j, sl != nil) {
+	if !s.pool.enqueueWait(ctx, j) {
 		sl.settle()
 		if idem != nil {
 			// The job never ran: release the key so the retry executes.
@@ -580,12 +555,11 @@ func (s *Server) syncChunk(ctx context.Context, t trace.Trace, key string, idem 
 	case out := <-j.done:
 		return syncDone(out.resp, out.err)
 	case <-ctx.Done():
-		// The client gave up (or the timeout layer fired); the job still
-		// runs to completion in the pool and its records are kept
-		// (at-least-once, as in the seed handler). A client that retries
-		// this 503 bare may publish the same chunk twice; retries
-		// carrying an X-Mood-Idempotency-Key replay the original result
-		// instead (see idempotency.go).
+		// The client gave up; the job still runs to completion in the pool
+		// and its records are kept (at-least-once). A client that retries
+		// bare may publish the same chunk twice; retries carrying the same
+		// per-chunk key replay the original result instead (see
+		// idempotency.go).
 		return chunkOutcome{status: http.StatusServiceUnavailable, code: CodeCancelled,
 			detail: "request cancelled before protection finished"}
 	case <-s.pool.drained:
@@ -616,18 +590,18 @@ func syncDone(resp UploadResponse, err error) chunkOutcome {
 }
 
 // asyncChunk queues the chunk and reports 202 with the job handle.
-func (s *Server) asyncChunk(ctx context.Context, t trace.Trace, key string, idem *idemEntry, block bool) chunkOutcome {
+func (s *Server) asyncChunk(ctx context.Context, t trace.Trace, key string, idem *idemEntry) chunkOutcome {
 	j := s.jobs.create(t.User)
 	if idem != nil {
 		// Registered before enqueue so replays can poll the same job.
 		s.idem.setJob(idem, j.ID)
 	}
-	if !s.enqueue(ctx, &uploadJob{trace: t, id: j.ID, idemKey: key, idem: idem}, block) {
+	if !s.pool.enqueueWait(ctx, &uploadJob{trace: t, id: j.ID, idemKey: key, idem: idem}) {
 		if idem != nil {
 			// A concurrent replay may already have been answered 202 with
-			// this job ID (setJob races with the shed), so the handle must
-			// stay pollable: mark it failed rather than removing it, and
-			// release the key so the retry re-executes.
+			// this job ID (setJob races with the refusal), so the handle
+			// must stay pollable: mark it failed rather than removing it,
+			// and release the key so the retry re-executes.
 			s.jobs.setFailed(j.ID, errUploadShed)
 			//mood:allow appendapply -- shed path: the upload was refused, so releasing the key is the absence of state, not an apply
 			s.idem.complete(t.User, key, idem, UploadResponse{}, errUploadShed)
@@ -637,93 +611,6 @@ func (s *Server) asyncChunk(ctx context.Context, t trace.Trace, key string, idem
 		return shedOutcome()
 	}
 	return chunkOutcome{status: http.StatusAccepted, job: &j}
-}
-
-// ---------------------------------------------------------------------------
-// The v1 single-chunk shim.
-
-// handleUploadV1 is POST /v1/upload: parse the historical request shape
-// (JSON body, ?async selector, header-carried idempotency key), run the
-// shared chunk core and render the outcome byte-identically to the
-// pre-redesign protocol.
-func (s *Server) handleUploadV1(w http.ResponseWriter, r *http.Request) {
-	var req UploadRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
-	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
-	}
-	if err := validateUserID(req.User); err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if len(req.Records) == 0 {
-		httpError(w, http.StatusBadRequest, "no records")
-		return
-	}
-	async, ok := asyncMode(r)
-	if !ok {
-		httpError(w, http.StatusBadRequest,
-			`invalid async parameter (use "1"/"true" or "0"/"false")`)
-		return
-	}
-	if h := r.Header.Get(UserHeader); h != "" && h != req.User {
-		// The header keys the rate limiter before the body is parsed; a
-		// mismatch would let a client spend one user's budget while
-		// uploading as another.
-		httpError(w, http.StatusBadRequest, UserHeader+" header does not match upload user")
-		return
-	}
-	t := trace.New(req.User, req.Records)
-	if err := t.Validate(); err != nil {
-		httpError(w, http.StatusBadRequest, "invalid trace: "+err.Error())
-		return
-	}
-
-	key := r.Header.Get(IdempotencyKeyHeader)
-	if len(key) > maxIdempotencyKeyLen {
-		httpError(w, http.StatusBadRequest, IdempotencyKeyHeader+" exceeds "+
-			strconv.Itoa(maxIdempotencyKeyLen)+" bytes")
-		return
-	}
-
-	writeV1Outcome(w, s.executeChunk(r.Context(), t, key, async, nil))
-}
-
-// writeV1Outcome renders a chunk outcome in the historical v1 wire
-// shapes: JobStatus bodies for async outcomes, UploadResponse for sync
-// successes, {"error": ...} for errors — exactly what the pre-redesign
-// handler emitted (the golden tests hold this to the byte).
-func writeV1Outcome(w http.ResponseWriter, out chunkOutcome) {
-	if out.replay {
-		w.Header().Set(IdempotencyReplayHeader, "true")
-	}
-	if out.retryAfter {
-		w.Header().Set("Retry-After", "1")
-	}
-	switch {
-	case out.job != nil:
-		writeJSON(w, out.status, *out.job)
-	case out.resp != nil:
-		writeJSON(w, out.status, *out.resp)
-	default:
-		httpError(w, out.status, out.detail)
-	}
-}
-
-// asyncMode parses the ?async upload parameter. Only "1"/"true" select
-// the asynchronous path and only ""/"0"/"false" the synchronous one
-// (case-insensitive); anything else is a client error — the historical
-// behaviour treated every other value as async, so `?async=no` silently
-// ran async and answered 202.
-func asyncMode(r *http.Request) (async, ok bool) {
-	switch strings.ToLower(r.URL.Query().Get("async")) {
-	case "", "0", "false":
-		return false, true
-	case "1", "true":
-		return true, true
-	}
-	return false, false
 }
 
 // maxUserIDLen bounds uploader IDs; they are path segments and map keys,
@@ -753,8 +640,7 @@ func validateUserID(id string) error {
 }
 
 // ---------------------------------------------------------------------------
-// Shared read-side handlers (one implementation serves both surfaces;
-// writeError renders errors in the dialect of the matched route).
+// Read-side handlers.
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.statsPayload())
@@ -764,23 +650,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.metrics.Snapshot())
 }
 
-// handleUserGet serves GET /v{1,2}/users/{id}.
+// handleUserGet serves GET /v2/users/{id}.
 func (s *Server) handleUserGet(w http.ResponseWriter, r *http.Request) {
-	s.serveUser(w, r, r.PathValue("id"))
-}
-
-// handleUserFallback preserves the legacy /v1/users/ subtree behaviour:
-// an empty ID is a 400, a nested path can never name a user.
-func (s *Server) handleUserFallback(w http.ResponseWriter, r *http.Request) {
-	id := strings.TrimPrefix(r.URL.Path, "/v1/users/")
-	if id == "" {
-		writeError(w, r, http.StatusBadRequest, CodeBadRequest, "missing user id")
-		return
-	}
-	s.serveUser(w, r, id)
-}
-
-func (s *Server) serveUser(w http.ResponseWriter, r *http.Request, id string) {
+	id := r.PathValue("id")
 	sh := s.shard(id)
 	sh.mu.Lock()
 	us, ok := sh.users[id]
@@ -790,7 +662,7 @@ func (s *Server) serveUser(w http.ResponseWriter, r *http.Request, id string) {
 	}
 	sh.mu.Unlock()
 	if !ok {
-		writeError(w, r, http.StatusNotFound, CodeNotFound, "unknown user")
+		writeError(w, http.StatusNotFound, CodeNotFound, "unknown user")
 		return
 	}
 	writeJSON(w, http.StatusOK, copyStats)
@@ -814,12 +686,4 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 		// Headers are gone; nothing useful left to do but note it.
 		fmt.Fprintf(w, "\n")
 	}
-}
-
-type apiError struct {
-	Error string `json:"error"`
-}
-
-func httpError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, apiError{Error: msg})
 }

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -69,14 +68,49 @@ func sampleRecords(n int) []trace.Record {
 	return rs
 }
 
+// keyed is the chunk of n sample records user uploads under the
+// idempotency key ("" for none).
+func keyed(user, key string, n int) BatchChunk {
+	return BatchChunk{User: user, Records: sampleRecords(n), Key: key}
+}
+
+// postChunk uploads one chunk as a batch of one over POST /v2/traces and
+// returns its result line.
+func postChunk(t *testing.T, url string, c BatchChunk) BatchResult {
+	t.Helper()
+	resp, results := postNDJSON(t, url, batchLine(t, c), nil)
+	if resp.StatusCode != http.StatusOK || len(results) != 1 {
+		t.Fatalf("batch of one: status %d, %d result lines", resp.StatusCode, len(results))
+	}
+	return results[0]
+}
+
+// upload sends tr as a batch of one through the typed client and
+// returns the chunk's result line.
+func upload(t *testing.T, c *Client, tr trace.Trace) BatchResult {
+	t.Helper()
+	res, err := c.UploadBatch([]BatchChunk{{User: tr.User, Records: tr.Records}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res[0]
+}
+
+// mustUpload is upload for a chunk that must be protected and committed.
+func mustUpload(t *testing.T, c *Client, tr trace.Trace) UploadResponse {
+	t.Helper()
+	res := upload(t, c, tr)
+	if res.Status != http.StatusOK || res.Result == nil {
+		t.Fatalf("upload %s: %+v", tr.User, res)
+	}
+	return *res.Result
+}
+
 func TestUploadAndDataset(t *testing.T) {
 	_, hs := newTestServer(t)
 	c := NewClient(hs.URL)
 
-	resp, err := c.Upload(trace.New("alice", sampleRecords(10)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp := mustUpload(t, c, trace.New("alice", sampleRecords(10)))
 	if resp.Accepted != 10 || resp.Rejected != 0 || resp.Pieces != 1 {
 		t.Fatalf("resp = %+v", resp)
 	}
@@ -100,9 +134,7 @@ func TestUploadRejectionAccounting(t *testing.T) {
 	srv, hs := newTestServer(t)
 	c := NewClient(hs.URL)
 
-	if _, err := c.Upload(trace.New("reject-bob", sampleRecords(7))); err != nil {
-		t.Fatal(err)
-	}
+	mustUpload(t, c, trace.New("reject-bob", sampleRecords(7)))
 	st, err := c.Stats()
 	if err != nil {
 		t.Fatal(err)
@@ -125,47 +157,41 @@ func TestUploadRejectionAccounting(t *testing.T) {
 func TestUploadValidation(t *testing.T) {
 	_, hs := newTestServer(t)
 
-	post := func(body string) int {
-		resp, err := http.Post(hs.URL+"/v1/upload", "application/json", bytes.NewReader([]byte(body)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		return resp.StatusCode
-	}
 	tests := []struct {
-		name string
-		body string
-		want int
+		name   string
+		line   string
+		status int
+		code   string
 	}{
-		{"garbage", "{nope", http.StatusBadRequest},
-		{"missing user", `{"records":[{"lat":45,"lon":4,"ts":1}]}`, http.StatusBadRequest},
-		{"no records", `{"user":"x","records":[]}`, http.StatusBadRequest},
-		{"invalid lat", `{"user":"x","records":[{"lat":95,"lon":4,"ts":1}]}`, http.StatusBadRequest},
-		{"ok", `{"user":"x","records":[{"lat":45,"lon":4,"ts":1}]}`, http.StatusOK},
+		{"garbage", "{nope", http.StatusBadRequest, CodeBadChunk},
+		{"missing user", `{"records":[{"lat":45,"lon":4,"ts":1}]}`, http.StatusBadRequest, CodeInvalidUser},
+		{"no records", `{"user":"x","records":[]}`, http.StatusBadRequest, CodeEmptyChunk},
+		{"invalid lat", `{"user":"x","records":[{"lat":95,"lon":4,"ts":1}]}`, http.StatusBadRequest, CodeInvalidTrace},
+		{"ok", `{"user":"x","records":[{"lat":45,"lon":4,"ts":1}]}`, http.StatusOK, ""},
 	}
 	for _, tt := range tests {
-		if got := post(tt.body); got != tt.want {
-			t.Errorf("%s: status %d, want %d", tt.name, got, tt.want)
+		_, results := postNDJSON(t, hs.URL, tt.line+"\n", nil)
+		if len(results) != 1 || results[0].Status != tt.status || results[0].Code != tt.code {
+			t.Errorf("%s: results %+v, want status %d code %q", tt.name, results, tt.status, tt.code)
 		}
 	}
 }
 
 func TestUploadMethodChecks(t *testing.T) {
 	_, hs := newTestServer(t)
-	resp, err := http.Get(hs.URL + "/v1/upload")
+	resp, err := http.Get(hs.URL + "/v2/traces")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /v1/upload = %d", resp.StatusCode)
+		t.Fatalf("GET /v2/traces = %d", resp.StatusCode)
 	}
 }
 
 func TestUnknownUser404(t *testing.T) {
 	_, hs := newTestServer(t)
-	resp, err := http.Get(hs.URL + "/v1/users/nobody")
+	resp, err := http.Get(hs.URL + "/v2/users/nobody")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,10 +203,9 @@ func TestUnknownUser404(t *testing.T) {
 
 func TestProtectorErrorBecomes500(t *testing.T) {
 	_, hs := newTestServer(t)
-	c := NewClient(hs.URL)
-	_, err := c.Upload(trace.New("boom-user", sampleRecords(3)))
-	if err == nil || !strings.Contains(err.Error(), "500") {
-		t.Fatalf("err = %v, want 500", err)
+	res := upload(t, NewClient(hs.URL), trace.New("boom-user", sampleRecords(3)))
+	if res.Status != http.StatusInternalServerError || res.Code != CodeInternal {
+		t.Fatalf("result = %+v, want 500 %s", res, CodeInternal)
 	}
 }
 
@@ -205,8 +230,9 @@ func TestConcurrentUploads(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			u := fmt.Sprintf("user-%d", i)
-			if _, err := c.Upload(trace.New(u, sampleRecords(5))); err != nil {
-				t.Error(err)
+			res, err := c.UploadBatch([]BatchChunk{{User: u, Records: sampleRecords(5)}})
+			if err != nil || res[0].Status != http.StatusOK {
+				t.Errorf("upload %s: %v %+v", u, err, res)
 			}
 		}(i)
 	}
@@ -229,12 +255,17 @@ func TestUploadDailyChunksClientSide(t *testing.T) {
 	for h := 0; h < 72; h++ {
 		rs = append(rs, trace.At(base, int64(h)*3600))
 	}
-	resps, err := c.UploadDaily(trace.New("chunker", rs))
+	resps, err := c.UploadChunks(trace.New("chunker", rs), "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(resps) < 3 {
 		t.Fatalf("daily uploads = %d, want >= 3", len(resps))
+	}
+	for _, res := range resps {
+		if res.Status != http.StatusOK {
+			t.Fatalf("daily chunk: %+v", res)
+		}
 	}
 	if srv.Stats().Uploads != len(resps) {
 		t.Fatalf("server saw %d uploads, client made %d", srv.Stats().Uploads, len(resps))
@@ -279,12 +310,17 @@ func TestEndToEndWithRealEngine(t *testing.T) {
 
 	// One participant uploads their daily chunks.
 	victim := test.Traces[0]
-	resps, err := c.UploadDaily(victim)
+	resps, err := c.UploadChunks(victim, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(resps) == 0 {
 		t.Fatal("no daily chunks uploaded")
+	}
+	for _, res := range resps {
+		if res.Status != http.StatusOK {
+			t.Fatalf("daily chunk: %+v", res)
+		}
 	}
 
 	// The published dataset must not re-identify the participant.
@@ -304,11 +340,8 @@ func TestEndToEndWithRealEngine(t *testing.T) {
 
 func TestDatasetEndpointJSONShape(t *testing.T) {
 	_, hs := newTestServer(t)
-	c := NewClient(hs.URL)
-	if _, err := c.Upload(trace.New("alice", sampleRecords(4))); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Get(hs.URL + "/v1/dataset")
+	mustUpload(t, NewClient(hs.URL), trace.New("alice", sampleRecords(4)))
+	resp, err := http.Get(hs.URL + "/v2/dataset")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,11 +370,13 @@ func TestDatasetEndpointJSONShape(t *testing.T) {
 
 func TestDatasetCSVEndpoint(t *testing.T) {
 	_, hs := newTestServer(t)
-	c := NewClient(hs.URL)
-	if _, err := c.Upload(trace.New("alice", sampleRecords(6))); err != nil {
+	mustUpload(t, NewClient(hs.URL), trace.New("alice", sampleRecords(6)))
+	req, err := http.NewRequest(http.MethodGet, hs.URL+"/v2/dataset", nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Get(hs.URL + "/v1/dataset.csv")
+	req.Header.Set("Accept", "text/csv")
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,7 +70,7 @@ func (st *ServerStats) accumulate(sh *stateShard) {
 }
 
 // statsSnapshot sums the per-shard partial counters into the global
-// view clients see on /v1/stats. The retrain counter lives outside the
+// view clients see on /v2/stats. The retrain counter lives outside the
 // shards (a retrain pass is global, not per-user).
 func (s *Server) statsSnapshot() ServerStats {
 	var out ServerStats

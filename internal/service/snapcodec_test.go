@@ -328,14 +328,11 @@ func TestSnapshotLegacyDifferential(t *testing.T) {
 	src, hs := newRetrainServer(t, rt)
 	c := NewClient(hs.URL)
 	for i, user := range []string{"alice", "bob", "drift-mallory", "carol"} {
-		if r, _ := idemUpload(t, hs, user, fmt.Sprintf("chunk-%d", i), 5+i); r.StatusCode != http.StatusOK {
-			t.Fatalf("upload %s: %d", user, r.StatusCode)
+		if r := postChunk(t, hs.URL, keyed(user, fmt.Sprintf("chunk-%d", i), 5+i)); r.Status != http.StatusOK {
+			t.Fatalf("upload %s: %+v", user, r)
 		}
 	}
-	job, err := c.UploadAsync(trace.New("dave", sampleRecords(6)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	job := uploadAsync(t, c, trace.New("dave", sampleRecords(6)))
 	if _, err := c.WaitJob(job.ID, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -380,8 +377,8 @@ func TestSnapshotLegacyDifferential(t *testing.T) {
 				v.etag = resp.Header.Get("ETag")
 			}
 		}
-		r, ur := idemUpload(t, hs, "alice", "chunk-0", 5)
-		v.replay = fmt.Sprintf("%d %s %+v", r.StatusCode, r.Header.Get(IdempotencyReplayHeader), ur)
+		r := postChunk(t, hs.URL, keyed("alice", "chunk-0", 5))
+		v.replay = fmt.Sprintf("%d %v %+v", r.Status, r.Replay, r.Result)
 		return v
 	}
 	fromJSON, fromBinary := restore(legacy), restore(binarySnap)

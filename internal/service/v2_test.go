@@ -363,7 +363,7 @@ func TestDatasetPagination(t *testing.T) {
 		}
 	}
 
-	// The full fetch through pages must equal the v1 whole-corpus view.
+	// The full fetch through pages must equal the whole-corpus view.
 	whole, err := c.Dataset()
 	if err != nil {
 		t.Fatal(err)
@@ -517,7 +517,7 @@ func TestDatasetContentNegotiation(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Uniform 405 + Allow, HEAD support, deprecation headers.
+// Uniform 405 + Allow and HEAD support.
 
 func TestMethodNotAllowedFromRouteTable(t *testing.T) {
 	_, hs := newTestServer(t)
@@ -529,9 +529,8 @@ func TestMethodNotAllowedFromRouteTable(t *testing.T) {
 		{"GET", "/v2/traces", "POST"},
 		{"DELETE", "/v2/dataset", "GET, HEAD"},
 		{"POST", "/v2/stats", "GET, HEAD"},
-		{"PUT", "/v1/upload", "POST"},
-		{"POST", "/v1/dataset", "GET, HEAD"},
 		{"POST", "/healthz", "GET, HEAD"},
+		{"PUT", "/healthz", "GET, HEAD"},
 	}
 	for _, c := range cases {
 		req, err := http.NewRequest(c.method, hs.URL+c.path, nil)
@@ -542,27 +541,21 @@ func TestMethodNotAllowedFromRouteTable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
 		if resp.StatusCode != http.StatusMethodNotAllowed {
 			t.Fatalf("%s %s: status = %d, want 405", c.method, c.path, resp.StatusCode)
 		}
 		if got := resp.Header.Get("Allow"); got != c.wantAllow {
 			t.Fatalf("%s %s: Allow = %q, want %q", c.method, c.path, got, c.wantAllow)
 		}
-		// The dialect matches the surface.
-		wantCT := ProblemContentType
-		if !strings.HasPrefix(c.path, "/v2/") {
-			wantCT = "application/json"
-		}
-		if got := resp.Header.Get("Content-Type"); got != wantCT {
-			t.Fatalf("%s %s: Content-Type = %q, want %q", c.method, c.path, got, wantCT)
-		}
+		// Every surface, /healthz included, speaks the one dialect.
+		assertProblem(t, resp, CodeMethodNotAllowed)
+		resp.Body.Close()
 	}
 }
 
 func TestHeadOnGetResources(t *testing.T) {
 	_, hs := seedDataset(t, 2)
-	for _, path := range []string{"/v2/stats", "/v2/dataset", "/v2/metrics", "/v2/openapi.json", "/v1/stats", "/healthz"} {
+	for _, path := range []string{"/v2/stats", "/v2/dataset", "/v2/metrics", "/v2/openapi.json", "/healthz"} {
 		resp, err := http.Head(hs.URL + path)
 		if err != nil {
 			t.Fatal(err)
@@ -578,44 +571,9 @@ func TestHeadOnGetResources(t *testing.T) {
 	}
 }
 
-func TestV1DeprecationHeaders(t *testing.T) {
-	_, hs := newTestServer(t)
-	cases := map[string]string{
-		"/v1/stats":       "</v2/stats>; rel=\"successor-version\"",
-		"/v1/dataset":     "</v2/dataset>; rel=\"successor-version\"",
-		"/v1/metrics":     "</v2/metrics>; rel=\"successor-version\"",
-		"/v1/jobs/nope":   "</v2/jobs/{id}>; rel=\"successor-version\"",
-		"/v1/users/ghost": "</v2/users/{id}>; rel=\"successor-version\"",
-	}
-	for path, wantLink := range cases {
-		resp, err := http.Get(hs.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if got := resp.Header.Get("Deprecation"); got != v1Deprecation {
-			t.Fatalf("%s: Deprecation = %q, want %q", path, got, v1Deprecation)
-		}
-		if got := resp.Header.Get("Link"); got != wantLink {
-			t.Fatalf("%s: Link = %q, want %q", path, got, wantLink)
-		}
-	}
-
-	// v2 and shared routes carry no deprecation headers.
-	for _, path := range []string{"/v2/stats", "/healthz"} {
-		resp, err := http.Get(hs.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.Header.Get("Deprecation") != "" || resp.Header.Get("Link") != "" {
-			t.Fatalf("%s unexpectedly deprecated", path)
-		}
-	}
-}
-
 // ---------------------------------------------------------------------------
-// Problem+json coverage of the middleware layers on /v2.
+// Problem+json coverage of the middleware layers, on known and unknown
+// paths alike.
 
 func TestV2ProblemDialect(t *testing.T) {
 	t.Run("not_found", func(t *testing.T) {
@@ -629,6 +587,29 @@ func TestV2ProblemDialect(t *testing.T) {
 			t.Fatalf("status = %d", resp.StatusCode)
 		}
 		assertProblem(t, resp, CodeNotFound)
+	})
+
+	// The retired /v1 surface is an unknown path like any other, on a
+	// cluster node as on a standalone server.
+	t.Run("v1_not_found", func(t *testing.T) {
+		srv, err := New(&fakeProtector{}, WithNodeID("n00"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		hs := httptest.NewServer(srv.Handler())
+		defer hs.Close()
+		for _, path := range []string{"/v1/stats", "/v1/upload", "/v1/jobs/"} {
+			resp, err := http.Get(hs.URL + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusNotFound {
+				t.Fatalf("GET %s: status = %d, want 404", path, resp.StatusCode)
+			}
+			assertProblem(t, resp, CodeNotFound)
+			resp.Body.Close()
+		}
 	})
 
 	t.Run("unauthorized", func(t *testing.T) {
@@ -648,6 +629,17 @@ func TestV2ProblemDialect(t *testing.T) {
 			t.Fatalf("status = %d", resp.StatusCode)
 		}
 		assertProblem(t, resp, CodeUnauthorized)
+
+		// Auth runs before routing can tell a path is unknown.
+		unknown, err := http.Get(hs.URL + "/nowhere")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer unknown.Body.Close()
+		if unknown.StatusCode != http.StatusUnauthorized {
+			t.Fatalf("unknown path: status = %d, want 401", unknown.StatusCode)
+		}
+		assertProblem(t, unknown, CodeUnauthorized)
 
 		// The OpenAPI document is part of the public contract: no token
 		// needed to discover how to talk to the server.
@@ -669,23 +661,23 @@ func TestV2ProblemDialect(t *testing.T) {
 		defer srv.Close()
 		hs := httptest.NewServer(srv.Handler())
 		defer hs.Close()
-		for i := 0; i < 2; i++ {
-			resp, err := http.Get(hs.URL + "/v2/stats")
+		// A known route spends the client's one token; the next request
+		// is refused whether or not its path exists.
+		for i, path := range []string{"/v2/stats", "/v2/stats", "/nowhere"} {
+			resp, err := http.Get(hs.URL + path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if i == 1 {
-				defer resp.Body.Close()
+			if i > 0 {
 				if resp.StatusCode != http.StatusTooManyRequests {
-					t.Fatalf("status = %d, want 429", resp.StatusCode)
+					t.Fatalf("GET %s: status = %d, want 429", path, resp.StatusCode)
 				}
 				if resp.Header.Get("Retry-After") == "" {
 					t.Fatal("429 without Retry-After")
 				}
 				assertProblem(t, resp, CodeRateLimited)
-			} else {
-				resp.Body.Close()
 			}
+			resp.Body.Close()
 		}
 	})
 
@@ -874,9 +866,20 @@ func TestOpenAPIMatchesRouteTable(t *testing.T) {
 		}
 	}
 
-	// Deprecated v1 operations must say so.
-	v1op, ok := paths["/v1/upload"].(map[string]any)["post"].(map[string]any)
-	if !ok || v1op["deprecated"] != true {
-		t.Fatalf("/v1/upload not marked deprecated: %v", v1op)
+	// One surface: nothing served is deprecated, and every documented
+	// error response is a problem document.
+	for path, item := range paths {
+		for method, op := range item.(map[string]any) {
+			op := op.(map[string]any)
+			if op["deprecated"] != nil {
+				t.Errorf("%s %s is deprecated", method, path)
+			}
+			for status, resp := range op["responses"].(map[string]any) {
+				content, _ := resp.(map[string]any)["content"].(map[string]any)
+				if status >= "400" && content[ProblemContentType] == nil {
+					t.Errorf("%s %s: %s response is not problem+json: %v", method, path, status, content)
+				}
+			}
+		}
 	}
 }

@@ -1,65 +1,61 @@
 package service
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
 	"testing"
 )
 
-// postUpload sends a raw upload and returns the status code.
-func postUpload(t *testing.T, baseURL, query, body string) int {
-	t.Helper()
-	url := baseURL + "/v1/upload"
-	if query != "" {
-		url += "?" + query
-	}
-	resp, err := http.Post(url, "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	return resp.StatusCode
-}
-
-func uploadBody(t *testing.T, user string) string {
-	t.Helper()
-	b, err := json.Marshal(UploadRequest{User: user, Records: sampleRecords(3)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b)
-}
-
-// Regression for the async-parameter bug: every value except ""/"0"/
-// "false" used to run async and answer 202, so `?async=no` silently
-// detached the upload from the response the client was waiting on.
+// The per-chunk async flag is a JSON boolean: true runs the chunk async
+// (202 + job), false, null or absent runs it sync (200), and anything
+// else is a bad chunk — never a guess that silently detaches the upload
+// from the result the client waits on.
 func TestAsyncParamValidation(t *testing.T) {
 	_, hs := newTestServer(t)
-	body := uploadBody(t, "alice")
+	cases := []struct {
+		async string
+		want  int
+	}{
+		{"", http.StatusOK}, {"false", http.StatusOK}, {"null", http.StatusOK},
+		{"true", http.StatusAccepted},
+		{`"true"`, http.StatusBadRequest}, {`"1"`, http.StatusBadRequest},
+		{"1", http.StatusBadRequest}, {`"no"`, http.StatusBadRequest},
+	}
+	for _, c := range cases {
+		line := `{"user":"alice","records":[{"lat":45,"lon":4,"ts":1}]`
+		if c.async != "" {
+			line += `,"async":` + c.async
+		}
+		_, results := postNDJSON(t, hs.URL, line+"}\n", nil)
+		if len(results) != 1 || results[0].Status != c.want {
+			t.Errorf("async %s: %+v, want status %d", c.async, results, c.want)
+		} else if c.want == http.StatusBadRequest && results[0].Code != CodeBadChunk {
+			t.Errorf("async %s: code %q, want %q", c.async, results[0].Code, CodeBadChunk)
+		}
+	}
+}
 
-	for _, q := range []string{"", "async=0", "async=false", "async=FALSE"} {
-		if code := postUpload(t, hs.URL, q, body); code != http.StatusOK {
-			t.Errorf("%q: code %d, want 200 (sync)", q, code)
-		}
+// The async validation also applies to idempotent replays: a keyed retry
+// whose async flag is malformed is rejected before the key is consulted.
+func TestAsyncParamValidationOnKeyedRetry(t *testing.T) {
+	srv, hs := newTestServer(t)
+	if r := postChunk(t, hs.URL, keyed("alice", "k1", 3)); r.Status != http.StatusOK {
+		t.Fatalf("original upload: %+v", r)
 	}
-	for _, q := range []string{"async=1", "async=true", "async=TRUE"} {
-		if code := postUpload(t, hs.URL, q, body); code != http.StatusAccepted {
-			t.Errorf("%q: code %d, want 202 (async)", q, code)
-		}
+	retry := strings.TrimSuffix(batchLine(t, keyed("alice", "k1", 3)), "}\n") + `,"async":"maybe"}` + "\n"
+	_, results := postNDJSON(t, hs.URL, retry, nil)
+	if len(results) != 1 || results[0].Status != http.StatusBadRequest || results[0].Code != CodeBadChunk || results[0].Replay {
+		t.Fatalf("retry with invalid async: %+v, want 400 %s", results, CodeBadChunk)
 	}
-	for _, q := range []string{"async=no", "async=yes", "async=2", "async=async"} {
-		if code := postUpload(t, hs.URL, q, body); code != http.StatusBadRequest {
-			t.Errorf("%q: code %d, want 400", q, code)
-		}
+	if st := srv.Stats(); st.Uploads != 1 {
+		t.Fatalf("uploads = %d, want 1", st.Uploads)
 	}
 }
 
 // Regression for the routing hole: user IDs containing '/' were accepted
-// at upload but unreachable via GET /v1/users/{id} (the path is trimmed
-// at the first '/'), leaving accounting no client could ever read.
+// at upload but unreachable via GET /v2/users/{id} (a path segment),
+// leaving accounting no client could ever read.
 func TestUserIDValidation(t *testing.T) {
 	_, hs := newTestServer(t)
 
@@ -75,8 +71,8 @@ func TestUserIDValidation(t *testing.T) {
 		strings.Repeat("x", maxUserIDLen+1),
 	}
 	for _, id := range bad {
-		if code := postUpload(t, hs.URL, "", uploadBody(t, id)); code != http.StatusBadRequest {
-			t.Errorf("user %q: code %d, want 400", id, code)
+		if res := postChunk(t, hs.URL, keyed(id, "", 3)); res.Status != http.StatusBadRequest || res.Code != CodeInvalidUser {
+			t.Errorf("user %q: %+v, want 400 %s", id, res, CodeInvalidUser)
 		}
 	}
 
@@ -85,8 +81,8 @@ func TestUserIDValidation(t *testing.T) {
 	good := []string{"alice", "user-42", "Ünïcôdé", "dots.and_underscores", strings.Repeat("y", maxUserIDLen)}
 	c := NewClient(hs.URL)
 	for _, id := range good {
-		if code := postUpload(t, hs.URL, "", uploadBody(t, id)); code != http.StatusOK {
-			t.Fatalf("user %q: code %d, want 200", id, code)
+		if res := postChunk(t, hs.URL, keyed(id, "", 3)); res.Status != http.StatusOK {
+			t.Fatalf("user %q: %+v, want 200", id, res)
 		}
 		us, err := c.UserStats(id)
 		if err != nil {
@@ -95,41 +91,6 @@ func TestUserIDValidation(t *testing.T) {
 		if us.Uploads != 1 {
 			t.Fatalf("user %q stats = %+v", id, us)
 		}
-	}
-}
-
-// The async validation also applies to idempotent replays: an invalid
-// async value on a retry is rejected before the key is consulted.
-func TestAsyncParamValidationOnKeyedRetry(t *testing.T) {
-	_, hs := newTestServer(t)
-	body := uploadBody(t, "alice")
-
-	req, err := http.NewRequest(http.MethodPost, hs.URL+"/v1/upload", bytes.NewReader([]byte(body)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set(IdempotencyKeyHeader, "k1")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("original upload: %d", resp.StatusCode)
-	}
-
-	req, err = http.NewRequest(http.MethodPost, hs.URL+"/v1/upload?async=maybe", bytes.NewReader([]byte(body)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set(IdempotencyKeyHeader, "k1")
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("retry with invalid async: %d, want 400", resp.StatusCode)
 	}
 }
 

@@ -167,8 +167,8 @@ func TestBatchSharesSyncs(t *testing.T) {
 	// A clock that does not advance: no chunk ever outweighs a sync, so
 	// the groups are decided by the window filling and the stream ending.
 	srv, hs := newWALServer(t, gfs, &fakeProtector{}, WithClock(clock.NewManual(time.Unix(1_700_000_000, 0))))
-	if r, _ := idemUpload(t, hs, "alice", "warm-up", 2); r.StatusCode != http.StatusOK {
-		t.Fatalf("warm-up: %d", r.StatusCode)
+	if r := postChunk(t, hs.URL, keyed("alice", "warm-up", 2)); r.Status != http.StatusOK {
+		t.Fatalf("warm-up: %d", r.Status)
 	}
 
 	gfs.gated.Store(true)
