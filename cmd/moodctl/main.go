@@ -13,9 +13,9 @@
 //	    many traces of the input they re-identify.
 //
 //	moodctl snapshot <file>
-//	    Print a server snapshot — a -state file or a WAL directory's
-//	    snapshot-*.json, in the binary form servers write or the JSON
-//	    form they wrote before — as JSON on stdout, for jq and friends.
+//	    Print a server snapshot — a WAL directory's snapshot-*.json, a
+//	    binary file despite its name — as JSON on stdout, for jq and
+//	    friends.
 //
 // Server subcommands (v2 client):
 //
@@ -172,8 +172,7 @@ func attackCmd(args []string) error {
 	return nil
 }
 
-// snapshotCmd prints a snapshot file of either form in the legacy JSON
-// shape.
+// snapshotCmd prints a binary snapshot file as JSON.
 func snapshotCmd(args []string, out io.Writer) error {
 	if len(args) != 1 {
 		return fmt.Errorf("usage: moodctl snapshot <file>")

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -11,6 +12,7 @@ import (
 
 	"mood/internal/core"
 	"mood/internal/service"
+	"mood/internal/store"
 	"mood/internal/synth"
 	"mood/internal/trace"
 	"mood/internal/traceio"
@@ -89,15 +91,23 @@ func (echoProtector) Protect(t trace.Trace) (core.Result, error) {
 	}}}, nil
 }
 
-// TestSnapshotCommand: the binary state file a server writes prints as
-// the JSON operators used to read, a JSON snapshot prints as itself, and
-// a file that is neither is an error.
+// TestSnapshotCommand: the binary snapshot a server checkpoints into its
+// WAL directory prints as JSON; that JSON, and a file that is not a
+// snapshot at all, are errors.
 func TestSnapshotCommand(t *testing.T) {
-	srv, err := service.New(echoProtector{})
+	dir := t.TempDir()
+	w, err := store.NewWAL(store.WALOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := service.New(echoProtector{}, service.WithStore(w))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	if err := srv.Recover(); err != nil {
+		t.Fatal(err)
+	}
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
 	records := []trace.Record{{Lat: 45.7, Lon: 4.8, TS: 1000}, {Lat: 45.8, Lon: 4.9, TS: 1060}}
@@ -105,14 +115,16 @@ func TestSnapshotCommand(t *testing.T) {
 	if err != nil || res[0].Status != http.StatusOK {
 		t.Fatalf("upload: %v %+v", err, res)
 	}
-	dir := t.TempDir()
-	state := filepath.Join(dir, "state.json")
-	if err := srv.SaveState(state); err != nil {
+	if err := srv.Close(); err != nil {
 		t.Fatal(err)
+	}
+	snaps, err := filepath.Glob(filepath.Join(dir, "snapshot-*.json"))
+	if err != nil || len(snaps) != 1 {
+		t.Fatalf("snapshots in the WAL dir: %v %v", snaps, err)
 	}
 
 	var first bytes.Buffer
-	if err := snapshotCmd([]string{state}, &first); err != nil {
+	if err := snapshotCmd([]string{snaps[0]}, &first); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -130,23 +142,14 @@ func TestSnapshotCommand(t *testing.T) {
 		t.Fatalf("printed snapshot: %s", first.Bytes())
 	}
 
-	legacy := filepath.Join(dir, "legacy.json")
-	if err := os.WriteFile(legacy, first.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var second bytes.Buffer
-	if err := snapshotCmd([]string{legacy}, &second); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(second.Bytes(), first.Bytes()) {
-		t.Fatalf("a JSON snapshot did not print as itself:\n%s\n%s", first.Bytes(), second.Bytes())
-	}
-
-	if err := os.WriteFile(legacy, []byte("not a snapshot"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := snapshotCmd([]string{legacy}, &second); err == nil {
-		t.Fatal("garbage printed as a snapshot")
+	other := filepath.Join(dir, "other.json")
+	for _, content := range [][]byte{first.Bytes(), []byte("not a snapshot")} {
+		if err := os.WriteFile(other, content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := snapshotCmd([]string{other}, io.Discard); err == nil {
+			t.Fatalf("%.20q printed as a snapshot", content)
+		}
 	}
 	if err := run([]string{"snapshot"}); err == nil {
 		t.Fatal("snapshot without a file succeeded")

@@ -14,16 +14,16 @@
 // workload's background half trains the real MooD engine (-engine mood,
 // the default) or a pass-through echo engine (-engine echo, for
 // high-rate soaks of the service tier alone). The drift-retrain
-// scenario wires the same retrainer cmd/moodserver uses; the restart
-// scenario snapshots, closes and reboots the server in the middle of a
-// round; the crash scenario runs the server over a write-ahead log and
-// kills it mid-round without drain or snapshot — the reboot must
-// replay every acknowledged upload from the log; and the cluster
-// scenario self-hosts three WAL nodes behind the rendezvous router,
-// kills one mid-round, holds it down until the health checker evicts
-// it from the ring, and reboots it under traffic — the report gains a
-// cluster-misroute violation if any request ever executed on the
-// wrong node (all of these are self-host only).
+// scenario wires the same retrainer cmd/moodserver uses. The server
+// runs over a write-ahead log: the restart scenario drains it (final
+// checkpoint included) and recovers it from the log in the middle of a
+// round; the crash scenario kills it mid-round without drain or
+// checkpoint — the reboot must replay every acknowledged upload from
+// the log; and the cluster scenario self-hosts three WAL nodes behind
+// the rendezvous router, kills one mid-round, holds it down until the
+// health checker evicts it from the ring, and reboots it under traffic
+// — the report gains a cluster-misroute violation if any request ever
+// executed on the wrong node (all of these are self-host only).
 //
 // The report is printed to stdout as JSON and is deterministic for a
 // fixed seed: two runs of the same scenario produce byte-identical
@@ -105,7 +105,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 		defer h.close()
-		cfg.Restart = h.restart
+		cfg.Restart = h.reboot
 		baseURL = h.url
 		fmt.Fprintf(stderr, "moodload: self-hosting %s engine on %s (%d background users)\n",
 			*engine, baseURL, w.Background.NumUsers())
@@ -154,10 +154,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 // Self-hosted server with restart support.
 
 // selfHost is a loadgen.Host (the shared teardown → reboot → swap
-// machinery) bound to a real listener and a temp state directory.
-// reboot is the scenario's mid-round callback: Restart (drain +
-// snapshot) for the restart scenario, Crash (hard kill + WAL replay)
-// for the crash scenario.
+// machinery over a write-ahead log) bound to a real listener and a temp
+// state directory. reboot is the scenario's mid-round callback: Restart
+// (drain + final checkpoint + recover) for the restart scenario, Crash
+// (hard kill + WAL replay) for the crash scenario.
 type selfHost struct {
 	url      string
 	hs       *http.Server
@@ -175,25 +175,13 @@ func newSelfHost(cfg loadgen.Config, w loadgen.Workload, engine string) (*selfHo
 	if err != nil {
 		return nil, err
 	}
-	var host *loadgen.Host
-	if cfg.Scenario == "crash" {
-		// Crash drills run over a write-ahead log: every ack is durable
-		// before it leaves the server, so the hard kill may lose nothing.
-		host, err = loadgen.NewWALHost(func(st store.Store) (*service.Server, error) {
-			return service.New(protector,
-				service.WithRetrainer(retrainer, 0),
-				service.WithAuthToken(cfg.AuthToken),
-				service.WithStore(st),
-			)
-		}, filepath.Join(dir, "wal"), nil)
-	} else {
-		host, err = loadgen.NewHost(func() (*service.Server, error) {
-			return service.New(protector,
-				service.WithRetrainer(retrainer, 0),
-				service.WithAuthToken(cfg.AuthToken),
-			)
-		}, filepath.Join(dir, "state.json"))
-	}
+	host, err := loadgen.NewWALHost(func(st store.Store) (*service.Server, error) {
+		return service.New(protector,
+			service.WithRetrainer(retrainer, 0),
+			service.WithAuthToken(cfg.AuthToken),
+			service.WithStore(st),
+		)
+	}, filepath.Join(dir, "wal"), nil)
 	if err != nil {
 		os.RemoveAll(dir) //mood:allow persistio -- bench scratch dir teardown: the self-hosted server's state dir is ephemeral, not server state
 		return nil, err
@@ -210,18 +198,14 @@ func newSelfHost(cfg loadgen.Config, w loadgen.Workload, engine string) (*selfHo
 		hs:       &http.Server{Handler: host},
 		host:     host,
 		stateDir: dir,
+		reboot:   host.Restart,
 	}
 	if cfg.Scenario == "crash" {
 		h.reboot = host.Crash
-	} else {
-		h.reboot = host.Restart
 	}
 	go h.hs.Serve(ln) //nolint:errcheck // closed via h.close
 	return h, nil
 }
-
-// restart is the restart/crash scenario's mid-round callback.
-func (h *selfHost) restart() error { return h.reboot() }
 
 // selfCluster self-hosts the cluster scenario: three WAL nodes behind
 // the rendezvous router, health-checked membership, FailoverOne as the

@@ -8,8 +8,7 @@
 // Usage:
 //
 //	moodserver -background bg.csv [-addr :8080] [-seed 42] [-greedy]
-//	           [-token T] [-state snapshot.json]
-//	           [-store json|wal] [-wal-dir DIR] [-fsync always|group]
+//	           [-token T] [-wal-dir DIR] [-fsync always|group]
 //	           [-rate 0] [-burst 10] [-queue 64] [-workers 0]
 //	           [-request-timeout 2m]
 //	           [-retrain-interval 0] [-history-cap 50000] [-node-id n00]
@@ -27,19 +26,16 @@
 // pass can be triggered on demand with POST /v2/admin/retrain (always
 // available, behind -token when set).
 //
-// Durability: -state snapshots through the json store (loaded at
-// startup, checkpointed periodically with retry + backoff, flushed on
-// shutdown). The store keeps its name, but the file it writes is no
-// longer JSON: snapshots are in the binary form of the WAL's commit
-// record (a seventh of the time to write, a third of the bytes); a JSON
-// snapshot left by the previous release still loads, and `moodctl
-// snapshot <file>` prints either form as JSON. A snapshot that cannot
-// be read stops the boot and is left as it is. -wal-dir switches to a segmented append-only write-ahead
-// log where, under -fsync=always, every upload is on stable storage
-// before it is acknowledged — a crash at ANY point (power loss, kill
-// -9) loses zero acked uploads, and reboot replays the log. -fsync=
-// group trades one fsync per upload for batched group commit. Either
-// way /v2/stats surfaces the checkpoint health.
+// Durability: -wal-dir keeps the state in a segmented append-only
+// write-ahead log where, under -fsync=always, every upload is on stable
+// storage before it is acknowledged — a crash at ANY point (power loss,
+// kill -9) loses zero acked uploads, and reboot replays the latest
+// snapshot plus the log after it. -fsync=group trades one fsync per
+// upload for batched group commit. Snapshots are checkpointed
+// periodically (retry + backoff, health on /v2/stats) and on shutdown;
+// `moodctl snapshot` prints one as JSON. A snapshot that cannot be read
+// stops the boot and is left as it is. Without -wal-dir the server
+// keeps its state in memory only.
 //
 // Clustering: behind cmd/moodrouter each node runs with a stable
 // -node-id and its own WAL. The router stamps every forwarded request
@@ -49,8 +45,8 @@
 // silent misroute across two nodes' state.
 //
 // The server also shuts down gracefully on SIGINT/SIGTERM: in-flight
-// requests finish, the upload queue drains, and a final checkpoint is
-// flushed so no accepted upload is lost even without a WAL.
+// requests finish, the upload queue drains, and with -wal-dir a final
+// checkpoint compacts the log, so the next boot starts from a snapshot.
 package main
 
 import (
@@ -91,9 +87,7 @@ func runCtx(ctx context.Context, args []string) error {
 	greedy := fs.Bool("greedy", false, "use the heuristic composition search")
 	delta := fs.Duration("delta", 0, "fine-grained stop threshold (default 4h)")
 	token := fs.String("token", "", "require this bearer token on every API call")
-	statePath := fs.String("state", "", "snapshot file: loaded at startup if present (binary, or the previous release's JSON), saved periodically and on shutdown in the binary form; read it with `moodctl snapshot`")
-	storeKind := fs.String("store", "", `durability backend: "json" (snapshot-only, at -state; the name is historical, the file is binary) or "wal" (log at -wal-dir); default infers from which path flag is set`)
-	walDir := fs.String("wal-dir", "", "write-ahead log directory (implies -store=wal)")
+	walDir := fs.String("wal-dir", "", "write-ahead log directory: recovered at startup, checkpointed periodically and on shutdown (unset = in-memory state)")
 	fsync := fs.String("fsync", "always", `WAL sync policy: "always" (fsync before every ack) or "group" (batched group commit)`)
 	rate := fs.Float64("rate", 0, "per-user rate limit in requests/second (0 = unlimited)")
 	burst := fs.Int("burst", 10, "per-user rate-limit burst")
@@ -109,7 +103,7 @@ func runCtx(ctx context.Context, args []string) error {
 	if *background == "" {
 		return fmt.Errorf("-background is required")
 	}
-	st, err := buildStore(*storeKind, *statePath, *walDir, *fsync)
+	st, err := buildStore(*walDir, *fsync)
 	if err != nil {
 		return err
 	}
@@ -206,38 +200,18 @@ func runCtx(ctx context.Context, args []string) error {
 	return shutdownErr
 }
 
-// buildStore maps the durability flags onto a store backend. No path
-// flag means no durability (a purely in-memory server, as before the
-// store existed).
-func buildStore(kind, statePath, walDir, fsync string) (store.Store, error) {
-	if kind == "" {
-		switch {
-		case walDir != "":
-			kind = "wal"
-		case statePath != "":
-			kind = "json"
-		default:
-			return nil, nil
-		}
+// buildStore maps the durability flags onto the store: the WAL at
+// -wal-dir, or none — a purely in-memory server — without it. -fsync is
+// checked either way, so a bad value never boots silently.
+func buildStore(walDir, fsync string) (store.Store, error) {
+	mode, err := store.ParseFsyncMode(fsync)
+	if err != nil {
+		return nil, fmt.Errorf("-fsync: %w", err)
 	}
-	switch kind {
-	case "json":
-		if statePath == "" {
-			return nil, fmt.Errorf("-store=json requires -state")
-		}
-		return store.NewJSONFile(statePath, nil), nil
-	case "wal":
-		if walDir == "" {
-			return nil, fmt.Errorf("-store=wal requires -wal-dir")
-		}
-		mode, err := store.ParseFsyncMode(fsync)
-		if err != nil {
-			return nil, err
-		}
-		return store.NewWAL(store.WALOptions{Dir: walDir, Fsync: mode})
-	default:
-		return nil, fmt.Errorf("unknown -store %q (use \"json\" or \"wal\")", kind)
+	if walDir == "" {
+		return nil, nil
 	}
+	return store.NewWAL(store.WALOptions{Dir: walDir, Fsync: mode})
 }
 
 // writeTimeout leaves the handler-side timeout room to answer before

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -29,27 +30,10 @@ func upload(t *testing.T, c *service.Client, chunk trace.Trace) {
 	}
 }
 
-func TestRunFlagErrors(t *testing.T) {
-	tests := [][]string{
-		{},                                    // missing -background
-		{"-background", "/nonexistent.csv"},   // unreadable file
-		{"-background", "/dev/null", "-addr"}, // broken flag
-		{"-background", "/dev/null", "-store", "json"},                              // -store=json without -state
-		{"-background", "/dev/null", "-store", "wal"},                               // -store=wal without -wal-dir
-		{"-background", "/dev/null", "-store", "bogus"},                             // unknown backend
-		{"-background", "/dev/null", "-wal-dir", os.DevNull, "-fsync", "sometimes"}, // bad fsync mode
-	}
-	for _, args := range tests {
-		if err := run(args); err == nil {
-			t.Errorf("run(%v) succeeded, want error", args)
-		}
-	}
-}
-
-func TestServerServesAfterStartup(t *testing.T) {
-	// Write a tiny background and start the real server on an ephemeral
-	// port; then probe /healthz.
-	cfg := synth.PrivamovLike(synth.ScaleTiny, 31)
+// tinyBackground writes a small valid background CSV.
+func tinyBackground(t *testing.T, seed uint64) (trace.Dataset, string) {
+	t.Helper()
+	cfg := synth.PrivamovLike(synth.ScaleTiny, seed)
 	cfg.NumUsers = 4
 	cfg.Days = 4
 	d := synth.MustGenerate(cfg)
@@ -57,6 +41,38 @@ func TestServerServesAfterStartup(t *testing.T) {
 	if err := traceio.SaveCSVFile(bg, d); err != nil {
 		t.Fatal(err)
 	}
+	return d, bg
+}
+
+func TestRunFlagErrors(t *testing.T) {
+	_, bg := tinyBackground(t, 29)
+	tests := []struct {
+		args []string
+		want string // substring of the error; "" = any error
+	}{
+		{nil, ""}, // missing -background
+		{[]string{"-background", "/nonexistent.csv"}, ""},   // unreadable file
+		{[]string{"-background", "/dev/null", "-addr"}, ""}, // broken flag
+		{[]string{"-background", "/dev/null", "-state", "x"}, "flag provided but not defined: -state"},
+		{[]string{"-background", "/dev/null", "-store", "wal"}, "flag provided but not defined: -store"},
+		{[]string{"-background", bg, "-wal-dir", os.DevNull, "-fsync", "sometimes"}, "-fsync"},
+		// Without -wal-dir the mode used to go unparsed and the server
+		// booted; the bad address makes such a boot fail fast instead of
+		// serving.
+		{[]string{"-background", bg, "-addr", "127.0.0.1:99999", "-fsync", "sometimes"}, "-fsync"},
+	}
+	for _, tc := range tests {
+		err := run(tc.args)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run(%v) = %v, want an error naming %q", tc.args, err, tc.want)
+		}
+	}
+}
+
+func TestServerServesAfterStartup(t *testing.T) {
+	// Write a tiny background and start the real server on an ephemeral
+	// port; then probe /healthz.
+	_, bg := tinyBackground(t, 31)
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -91,17 +107,11 @@ func TestServerServesAfterStartup(t *testing.T) {
 // TestGracefulShutdownFlushesState is the regression test for the
 // snapshot-loss bug: before graceful shutdown existed, any upload
 // accepted since the last minute-tick snapshot was lost on SIGTERM.
-// Now cancelling the server must flush a final snapshot to -state.
+// Now cancelling the server must flush a final checkpoint into -wal-dir:
+// a snapshot holding the upload, and no log left to replay.
 func TestGracefulShutdownFlushesState(t *testing.T) {
-	cfg := synth.PrivamovLike(synth.ScaleTiny, 33)
-	cfg.NumUsers = 4
-	cfg.Days = 4
-	d := synth.MustGenerate(cfg)
-	bg := filepath.Join(t.TempDir(), "bg.csv")
-	if err := traceio.SaveCSVFile(bg, d); err != nil {
-		t.Fatal(err)
-	}
-	statePath := filepath.Join(t.TempDir(), "state.json")
+	d, bg := tinyBackground(t, 33)
+	walDir := t.TempDir()
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -114,7 +124,7 @@ func TestGracefulShutdownFlushesState(t *testing.T) {
 	defer cancel()
 	errc := make(chan error, 1)
 	go func() {
-		errc <- runCtx(ctx, []string{"-background", bg, "-addr", addr, "-state", statePath})
+		errc <- runCtx(ctx, []string{"-background", bg, "-addr", addr, "-wal-dir", walDir})
 	}()
 
 	c := service.NewClient("http://" + addr)
@@ -142,9 +152,16 @@ func TestGracefulShutdownFlushesState(t *testing.T) {
 		t.Fatal("server did not shut down")
 	}
 
-	data, err := os.ReadFile(statePath)
+	entries, err := os.ReadDir(walDir)
 	if err != nil {
-		t.Fatalf("no final snapshot written: %v", err)
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || !strings.HasPrefix(entries[0].Name(), "snapshot-") {
+		t.Fatalf("want exactly the final snapshot in the WAL dir, got %v", entries)
+	}
+	data, err := os.ReadFile(filepath.Join(walDir, entries[0].Name()))
+	if err != nil {
+		t.Fatal(err)
 	}
 	// The file is in the snapshot codec's binary form; read it the way an
 	// operator would (moodctl snapshot).
@@ -168,14 +185,7 @@ func TestGracefulShutdownFlushesState(t *testing.T) {
 // and check the server rebuilt its attacks on background + history,
 // re-audited the published dataset, and kept serving uploads.
 func TestAdminRetrainEndToEnd(t *testing.T) {
-	cfg := synth.PrivamovLike(synth.ScaleTiny, 35)
-	cfg.NumUsers = 4
-	cfg.Days = 4
-	d := synth.MustGenerate(cfg)
-	bg := filepath.Join(t.TempDir(), "bg.csv")
-	if err := traceio.SaveCSVFile(bg, d); err != nil {
-		t.Fatal(err)
-	}
+	d, bg := tinyBackground(t, 35)
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

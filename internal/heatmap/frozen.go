@@ -16,11 +16,11 @@ import (
 // allocate nothing, where the map-based Heatmap path rebuilds and sorts
 // a union-support map per comparison.
 //
-// The walk visits the union support in exactly the sorted cell order of
-// Distributions and folds probabilities through the same mathx scalar
-// kernels, so Frozen divergences are bit-identical to the dense path,
-// not merely close — the AP-attack argmin and HMC target selection
-// depend on that.
+// The walk visits the union support in sorted cell order and folds
+// probabilities through the mathx scalar kernels, so Frozen divergences
+// are bit-identical to the dense aligned-vector computation (the test
+// oracle), not merely close — the AP-attack argmin and HMC target
+// selection depend on that.
 //
 // A Frozen is safe for concurrent use.
 type Frozen struct {
@@ -54,8 +54,8 @@ func FrozenFromTrace(grid *geo.Grid, t trace.Trace) *Frozen {
 	return FromTrace(grid, t).Freeze()
 }
 
-// cellLess is the canonical cell order shared by Distributions and the
-// merge walks: ascending X, then ascending Y.
+// cellLess is the canonical cell order of the merge walks: ascending X,
+// then ascending Y.
 func cellLess(a, b geo.Cell) bool {
 	if a.X != b.X {
 		return a.X < b.X
@@ -82,8 +82,7 @@ func prob(w, total float64) float64 {
 }
 
 // Topsoe returns the Topsoe divergence between the normalised
-// distributions of f and o, bit-identical to Heatmap.Topsoe on the same
-// data and allocation-free.
+// distributions of f and o, allocation-free.
 func (f *Frozen) Topsoe(o *Frozen) float64 {
 	return f.TopsoeBounded(o, 1, 0, 1, math.Inf(1))
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // BenchmarkFrozenTopsoe compares one heatmap divergence through the
-// frozen merge walk against the dense Distributions path it replaced.
+// frozen merge walk against the dense oracle path it replaced.
 // The two produce bit-identical values (see the property test); the walk
 // must additionally run at 0 allocs/op.
 func BenchmarkFrozenTopsoe(b *testing.B) {
@@ -28,8 +28,7 @@ func BenchmarkFrozenTopsoe(b *testing.B) {
 	b.Run("dense-baseline", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			p, q := Distributions(a, o)
-			if d := mathx.Topsoe(p, q); d != want {
+			if d := oracleTopsoe(a, o); d != want {
 				b.Fatalf("divergence drifted: %v != %v", d, want)
 			}
 		}

@@ -26,7 +26,7 @@ func randomHeatmap(rng *mathx.Rand, n, box int) *Heatmap {
 // denseL1 is the reference L1 over the aligned dense vectors, the exact
 // computation the pre-Frozen AP code ran.
 func denseL1(a, b *Heatmap) float64 {
-	p, q := Distributions(a, b)
+	p, q := oracleDistributions(a, b)
 	var d float64
 	for i := range p {
 		d += math.Abs(p[i] - q[i])
@@ -38,15 +38,14 @@ func denseL1(a, b *Heatmap) float64 {
 // divergences: on randomized sparse heatmaps — overlapping, disjoint and
 // empty supports — the Frozen Topsoe, Jensen-Shannon and L1 walks must
 // be numerically identical (==, not within tolerance) to the dense
-// Distributions-based path, because both visit the union support in the
-// same sorted order and fold through the same scalar kernels.
+// oracle, because both visit the union support in the same sorted order
+// and fold through the same scalar kernels.
 func TestFrozenMatchesDenseExactly(t *testing.T) {
 	rng := mathx.NewRand(77)
 	check := func(name string, a, b *Heatmap) {
 		t.Helper()
 		fa, fb := a.Freeze(), b.Freeze()
-		p, q := Distributions(a, b)
-		wantTopsoe := mathx.Topsoe(p, q)
+		wantTopsoe := oracleTopsoe(a, b)
 		if got := fa.Topsoe(fb); got != wantTopsoe {
 			t.Errorf("%s: frozen Topsoe %v != dense %v", name, got, wantTopsoe)
 		}
@@ -57,9 +56,8 @@ func TestFrozenMatchesDenseExactly(t *testing.T) {
 			t.Errorf("%s: frozen L1 %v != dense %v", name, got, want)
 		}
 		// Symmetry spot check against the dense reference too.
-		pr, qr := Distributions(b, a)
-		if got := fb.Topsoe(fa); got != mathx.Topsoe(pr, qr) {
-			t.Errorf("%s: reversed frozen Topsoe %v != dense %v", name, got, mathx.Topsoe(pr, qr))
+		if got, want := fb.Topsoe(fa), oracleTopsoe(b, a); got != want {
+			t.Errorf("%s: reversed frozen Topsoe %v != dense %v", name, got, want)
 		}
 	}
 

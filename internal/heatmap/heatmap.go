@@ -3,15 +3,15 @@
 // and the substrate of the HMC protection mechanism [23].
 //
 // A heatmap counts the records of a trace per grid cell; normalising the
-// counts yields a probability distribution over cells that can be
-// compared with information-theoretic divergences.
+// counts yields a probability distribution over cells. Divergences are
+// computed on its comparison forms, Frozen (exact) and Quant (batch
+// scans).
 package heatmap
 
 import (
 	"sort"
 
 	"mood/internal/geo"
-	"mood/internal/mathx"
 	"mood/internal/trace"
 )
 
@@ -60,9 +60,6 @@ func (h *Heatmap) Total() float64 { return h.total }
 // Cells returns the number of non-empty cells.
 func (h *Heatmap) Cells() int { return len(h.counts) }
 
-// Count returns the weight in cell c.
-func (h *Heatmap) Count(c geo.Cell) float64 { return h.counts[c] }
-
 // Prob returns the normalised probability mass of cell c.
 func (h *Heatmap) Prob(c geo.Cell) float64 {
 	if h.total == 0 {
@@ -97,58 +94,4 @@ func (h *Heatmap) TopCells(k int) []CellWeight {
 		out = out[:k]
 	}
 	return out
-}
-
-// Topsoe returns the Topsoe divergence between the normalised
-// distributions of h and o. The comparison aligns the sparse supports of
-// both maps; cells absent from one side contribute as zero-probability
-// mass, which Topsoe handles with finite values. Both heatmaps must use
-// grids of the same geometry for the result to be meaningful.
-//
-// The union support is walked in sorted cell order so the float
-// summation order — and therefore the exact result — is reproducible;
-// HMC's target selection and the AP-attack's argmin depend on that.
-func (h *Heatmap) Topsoe(o *Heatmap) float64 {
-	p, q := Distributions(h, o)
-	return mathx.Topsoe(p, q)
-}
-
-// Distributions materialises the aligned probability vectors of h and o
-// over their union support, ordered deterministically. Used by tests and
-// by callers that need the raw vectors.
-func Distributions(h, o *Heatmap) (p, q []float64) {
-	cells := make([]geo.Cell, 0, len(h.counts)+len(o.counts))
-	seen := make(map[geo.Cell]struct{}, len(h.counts)+len(o.counts))
-	collect := func(m map[geo.Cell]float64) {
-		for c := range m {
-			if _, ok := seen[c]; !ok {
-				seen[c] = struct{}{}
-				cells = append(cells, c)
-			}
-		}
-	}
-	collect(h.counts)
-	collect(o.counts)
-	sort.Slice(cells, func(i, j int) bool {
-		if cells[i].X != cells[j].X {
-			return cells[i].X < cells[j].X
-		}
-		return cells[i].Y < cells[j].Y
-	})
-	p = make([]float64, len(cells))
-	q = make([]float64, len(cells))
-	for i, c := range cells {
-		p[i] = h.Prob(c)
-		q[i] = o.Prob(c)
-	}
-	return p, q
-}
-
-// Clone returns a deep copy of the heatmap.
-func (h *Heatmap) Clone() *Heatmap {
-	c := &Heatmap{grid: h.grid, counts: make(map[geo.Cell]float64, len(h.counts)), total: h.total}
-	for k, v := range h.counts {
-		c.counts[k] = v
-	}
-	return c
 }

@@ -80,7 +80,7 @@ func DefaultAppendApply() *analysis.Analyzer {
 		},
 		ExemptFuncs: map[string]bool{
 			"Recover": true, "applyRecord": true, "applySnapshot": true,
-			"replayCommit": true, "replayQuarantine": true, "LoadState": true,
+			"replayCommit": true, "replayQuarantine": true,
 			// The constructor initialises empty shard maps before the
 			// server exists: there is no acked state to lose yet.
 			"New": true,

@@ -2,27 +2,29 @@ package loadgen
 
 import (
 	"io"
-	"path/filepath"
 	"testing"
 
 	"net/http/httptest"
 
 	"mood/internal/service"
+	"mood/internal/store"
 )
 
 // TestRestartUnderLoadKeepsInvariants is the restart drill from the
 // PR 3 recovery test, but with concurrent traffic: a loadgen scenario
-// runs while the server is snapshotted, closed and rebooted from the
-// snapshot in the middle of a round (via the shared Host machinery
-// cmd/moodload also uses). The driver's keyed retries must absorb the
-// outage, and the final accounting must satisfy every invariant —
-// exactly-once delivery, record conservation, per-user aggregation,
-// dataset shape — as if the restart never happened.
+// runs while the server is drained (final checkpoint included), closed
+// and recovered from its write-ahead log in the middle of a round (via
+// the shared Host machinery cmd/moodload also uses). The driver's keyed
+// retries must absorb the outage, and the final accounting must satisfy
+// every invariant — exactly-once delivery, record conservation,
+// per-user aggregation, dataset shape — as if the restart never
+// happened.
 func TestRestartUnderLoadKeepsInvariants(t *testing.T) {
-	statePath := filepath.Join(t.TempDir(), "state.json")
-	host, err := NewHost(func() (*service.Server, error) {
-		return service.New(EchoProtector{})
-	}, statePath)
+	disk := store.NewMemFS()
+	newServer := func(st store.Store) (*service.Server, error) {
+		return service.New(EchoProtector{}, service.WithStore(st))
+	}
+	host, err := NewWALHost(newServer, "wal", disk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,23 +64,29 @@ func TestRestartUnderLoadKeepsInvariants(t *testing.T) {
 	}
 
 	// The PR 3 recovery invariants under concurrent traffic: the final
-	// server state must round-trip through one more snapshot unchanged.
+	// server state must round-trip through one more Close and Recover
+	// unchanged.
 	final := host.Current()
-	if err := final.SaveState(statePath); err != nil {
+	wantStats, wantUsers := final.Stats(), len(final.Users())
+	if err := host.Close(); err != nil {
 		t.Fatal(err)
 	}
-	reborn, err := service.New(EchoProtector{})
+	w, err := store.NewWAL(store.WALOptions{Dir: "wal", FS: disk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reborn, err := newServer(w)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { reborn.Close() })
-	if err := reborn.LoadState(statePath); err != nil {
+	if err := reborn.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := reborn.Stats(), final.Stats(); got != want {
-		t.Fatalf("stats changed across final snapshot:\n got %+v\nwant %+v", got, want)
+	if got := reborn.Stats(); got != wantStats {
+		t.Fatalf("stats changed across the final restart:\n got %+v\nwant %+v", got, wantStats)
 	}
-	if got, want := len(reborn.Users()), len(final.Users()); got != want {
-		t.Fatalf("users changed across final snapshot: %d vs %d", got, want)
+	if got := len(reborn.Users()); got != wantUsers {
+		t.Fatalf("users changed across the final restart: %d vs %d", got, wantUsers)
 	}
 }

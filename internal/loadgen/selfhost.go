@@ -14,40 +14,26 @@ import (
 	"mood/internal/trace"
 )
 
-// Host runs a service.Server behind one stable http.Handler whose
-// backend can be torn down and rebooted — the in-process shape of "the
-// process restarted behind the load balancer". Snapshot hosts (NewHost)
-// support the graceful drain → snapshot → reboot → swap of the restart
-// scenario; WAL hosts (NewWALHost) additionally support Crash, the
-// SIGKILL-style stop of the crash scenario. Shared by cmd/moodload and
-// the e2e tests so each teardown sequence exists exactly once.
+// Host runs a service.Server over a write-ahead log behind one stable
+// http.Handler whose backend can be torn down and rebooted — the
+// in-process shape of "the process restarted behind the load balancer".
+// Restart is the graceful drain → final checkpoint → recover → swap of
+// the restart scenario; Crash is the SIGKILL-style stop of the crash
+// scenario. Shared by cmd/moodload and the e2e tests so each teardown
+// sequence exists exactly once.
 type Host struct {
-	mk        func() (*service.Server, error)
-	statePath string
-	handler   atomic.Value // http.Handler
+	handler atomic.Value // http.Handler
 
-	// WAL hosts: every incarnation runs over a fresh fault wrapper of
-	// baseFS, so Crash can sever the previous one mid-write.
+	// Every incarnation runs over a fresh fault wrapper of baseFS, so
+	// Crash can sever the previous one mid-write.
 	mkWAL  func(store.Store) (*service.Server, error)
 	walDir string
 	baseFS store.FS
 
 	mu      sync.Mutex
 	current *service.Server
-	curFS   *store.FaultFS // nil on snapshot hosts
-	killed  bool           // between Kill and Reboot
-}
-
-// NewHost boots the first server via mk. statePath is where Restart
-// snapshots and restores state.
-func NewHost(mk func() (*service.Server, error), statePath string) (*Host, error) {
-	srv, err := mk()
-	if err != nil {
-		return nil, err
-	}
-	h := &Host{mk: mk, statePath: statePath, current: srv}
-	h.handler.Store(srv.Handler())
-	return h, nil
+	curFS   *store.FaultFS
+	killed  bool // between Kill and Reboot
 }
 
 // NewWALHost boots the first server over a write-ahead log in dir on
@@ -102,34 +88,27 @@ func (h *Host) Current() *service.Server {
 	return h.current
 }
 
-// Restart drains and snapshots the live server, boots a replacement
-// from the snapshot and swaps it in. New arrivals shed retryably while
-// the backend is down; requests already inside the old handler drain
-// through its worker pool, so the snapshot holds every accepted upload
-// and its completed idempotency entry.
+// Restart drains the live server — its Close writes the final
+// checkpoint — then recovers a replacement from the log and swaps it in.
+// New arrivals shed retryably while the backend is down; requests
+// already inside the old handler drain through its worker pool, so the
+// checkpoint holds every accepted upload and its completed idempotency
+// entry.
 func (h *Host) Restart() error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.mk == nil {
-		return fmt.Errorf("loadgen: Restart on a WAL host (use Crash)")
+	if h.killed {
+		return fmt.Errorf("loadgen: Restart on a host that is down (use Reboot)")
 	}
 	h.handler.Store(downHandler())
-	old := h.current
-	if err := old.Close(); err != nil {
+	if err := h.current.Close(); err != nil {
 		return err
 	}
-	if err := old.SaveState(h.statePath); err != nil {
-		return err
-	}
-	next, err := h.mk()
+	next, ffs, err := h.bootWAL()
 	if err != nil {
 		return err
 	}
-	if err := next.LoadState(h.statePath); err != nil {
-		next.Close()
-		return err
-	}
-	h.current = next
+	h.current, h.curFS = next, ffs
 	h.handler.Store(next.Handler())
 	return nil
 }
@@ -139,7 +118,7 @@ func (h *Host) Restart() error {
 // power loss — then reboots a replacement from whatever the WAL holds.
 // Everything the old incarnation acknowledged under fsync=always is on
 // the log and must survive; everything else is legitimately lost and
-// re-delivered by the driver's retries. Only valid on WAL hosts.
+// re-delivered by the driver's retries.
 func (h *Host) Crash() error {
 	if err := h.Kill(); err != nil {
 		return err
@@ -155,9 +134,6 @@ func (h *Host) Crash() error {
 func (h *Host) Kill() error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.mkWAL == nil {
-		return fmt.Errorf("loadgen: Kill on a snapshot host (use Restart)")
-	}
 	if h.killed {
 		return fmt.Errorf("loadgen: Kill on a host that is already down")
 	}

@@ -93,10 +93,10 @@ func TestHMCMovesHeatmapTowardTarget(t *testing.T) {
 	}
 
 	grid := h.Grid()
-	outHM := heatmap.FromTrace(grid, out)
-	var aliceHM, targetHM *heatmap.Heatmap
+	outHM := heatmap.FrozenFromTrace(grid, out)
+	var aliceHM, targetHM *heatmap.Frozen
 	for _, bt := range hmcBackground() {
-		hm := heatmap.FromTrace(grid, bt)
+		hm := heatmap.FrozenFromTrace(grid, bt)
 		switch bt.User {
 		case "alice":
 			aliceHM = hm

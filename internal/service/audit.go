@@ -59,8 +59,8 @@ func (s *Server) auditPublished(a Auditor) (audited, quarantined int) {
 // auditShardFrags re-audits specific fragments (by seq) of one shard —
 // the commit path uses it for fragments that raced an engine swap.
 // Fragments already removed by a concurrent pass are skipped, as are
-// fragments without an owner (legacy snapshots), which cannot be
-// judged.
+// fragments without an owner (carried over from pre-owner snapshots),
+// which cannot be judged.
 func (s *Server) auditShardFrags(sh *stateShard, a Auditor, seqs []int64) (audited, quarantined int) {
 	want := make(map[int64]bool, len(seqs))
 	for _, q := range seqs {

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -123,11 +122,11 @@ func crashedWAL(t *testing.T) (*store.MemFS, ServerStats) {
 
 // TestFailedRecoverLeavesStoreUntouched: a server whose Recover could
 // not read its snapshot — torn, a flipped bit, written by a newer
-// release, not a snapshot at all — refuses to checkpoint, and its Close
-// (which cmd/moodserver defers before it calls Recover) writes nothing:
-// every file of the store is byte for byte what Recover found. At the
-// parent commit Close checkpointed the empty state over the snapshot it
-// had just failed to read.
+// release, not a snapshot at all, or a valid snapshot in the JSON form
+// that releases before the binary codec wrote — refuses to checkpoint,
+// and its Close (which cmd/moodserver defers before it calls Recover)
+// writes nothing: every file of the store is byte for byte what Recover
+// found.
 func TestFailedRecoverLeavesStoreUntouched(t *testing.T) {
 	damage := map[string]func(snap []byte) []byte{
 		"truncated":     func(snap []byte) []byte { return snap[:len(snap)-7] },
@@ -137,6 +136,13 @@ func TestFailedRecoverLeavesStoreUntouched(t *testing.T) {
 			return []byte("\x00\x01 what an older binary makes of a format it has never seen")
 		},
 		"torn legacy JSON": func([]byte) []byte { return []byte(`{"users":{"alice":{"uploads":1`) },
+		"valid legacy JSON": func(snap []byte) []byte {
+			legacy, err := SnapshotJSON(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return legacy
+		},
 	}
 	for name, damageFn := range damage {
 		t.Run("wal/"+name, func(t *testing.T) {
@@ -171,31 +177,6 @@ func TestFailedRecoverLeavesStoreUntouched(t *testing.T) {
 			}
 			if after := dumpDir(t, disk, "wal"); !reflect.DeepEqual(after, before) {
 				t.Fatalf("the store changed under a failed recovery:\n before %q\n after  %q", before, after)
-			}
-		})
-		t.Run("json/"+name, func(t *testing.T) {
-			src, hs := newTestServer(t)
-			if r := postChunk(t, hs.URL, keyed("alice", "chunk-0", 3)); r.Status != http.StatusOK {
-				t.Fatalf("upload: %d", r.Status)
-			}
-			state := src.captureState()
-			path := filepath.Join(t.TempDir(), "state.json")
-			damaged := damageFn(encodeSnapshot(&state))
-			if err := os.WriteFile(path, damaged, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			srv, err := New(&fakeProtector{}, WithStore(store.NewJSONFile(path, nil)), WithCheckpointInterval(-1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := srv.Recover(); err == nil {
-				t.Fatalf("Recover over a %s snapshot succeeded", name)
-			}
-			if err := srv.Close(); err != nil {
-				t.Fatalf("Close: %v", err)
-			}
-			if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, damaged) {
-				t.Fatalf("the state file changed under a failed recovery: %v", err)
 			}
 		})
 	}
@@ -251,37 +232,51 @@ func TestCrashInsideCheckpoint(t *testing.T) {
 	}
 }
 
-// TestLegacySnapshotWithLogSuffix: a WAL directory left by the previous
-// release — a JSON snapshot and a log written after it — boots to the
-// acknowledged state, and the next checkpoint carries it forward in the
-// binary form.
-func TestLegacySnapshotWithLogSuffix(t *testing.T) {
-	disk, want := crashedWAL(t)
-	file := snapshotFile(t, disk, "wal")
-	snap, err := disk.ReadFile(file)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := SnapshotJSON(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy[0] != '{' || len(legacy) <= len(snap) {
-		t.Fatalf("legacy form: %d bytes (binary %d), starts %.10q", len(legacy), len(snap), legacy)
-	}
-	overwrite(t, disk, file, legacy)
-
-	for boot := 0; boot < 2; boot++ {
-		srv := assertReplays(t, fmt.Sprintf("boot %d", boot), disk, want)
-		if err := srv.Checkpoint(); err != nil {
-			t.Fatal(err)
+// TestStateFileMigratesIntoWALDir is the documented migration from the
+// snapshot-only -state file: the binary snapshot such a file holds,
+// copied into an empty WAL directory as snapshot-00000000.json, boots to
+// the stats, the dataset pages, the job handles and the keyed replays of
+// the server that wrote it — and checkpoints forward from there.
+func TestStateFileMigratesIntoWALDir(t *testing.T) {
+	src, hs := newTestServer(t)
+	c := NewClient(hs.URL)
+	for i, user := range []string{"alice", "bob", "carol"} {
+		if r := postChunk(t, hs.URL, keyed(user, fmt.Sprintf("chunk-%d", i), 3+i)); r.Status != http.StatusOK {
+			t.Fatalf("upload %s: %+v", user, r)
 		}
+	}
+	job := uploadAsync(t, c, trace.New("dave", sampleRecords(6)))
+	if _, err := c.WaitJob(job.ID, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	state := src.captureState()
+	disk := store.NewMemFS()
+	overwrite(t, disk, "wal/snapshot-00000000.json", encodeSnapshot(&state))
+
+	paths := []string{"/v2/users/alice", "/v2/jobs", "/v2/jobs/" + job.ID, "/v2/dataset", "/v2/dataset?limit=2"}
+	for boot := 0; boot < 2; boot++ {
+		fp := &fakeProtector{}
+		srv, hsB := newWALServer(t, disk, fp)
+		if got, want := srv.Stats(), src.Stats(); got != want {
+			t.Fatalf("boot %d: stats %+v, want %+v", boot, got, want)
+		}
+		for _, path := range paths {
+			if got, want := getBody(t, hsB.URL+path), getBody(t, hs.URL+path); got != want {
+				t.Fatalf("boot %d: GET %s:\n got %s\nwant %s", boot, path, got, want)
+			}
+		}
+		for i, user := range []string{"alice", "bob", "carol"} {
+			if r := postChunk(t, hsB.URL, keyed(user, fmt.Sprintf("chunk-%d", i), 3+i)); r.Status != http.StatusOK || !r.Replay {
+				t.Fatalf("boot %d: keyed retry %s: %+v", boot, user, r)
+			}
+		}
+		if fp.calls != 0 {
+			t.Fatalf("boot %d: %d migrated uploads re-executed", boot, fp.calls)
+		}
+		// The first boot's Close checkpoints forward; the second boots
+		// from the snapshot it wrote.
 		if err := srv.Close(); err != nil {
 			t.Fatal(err)
-		}
-		written, err := disk.ReadFile(snapshotFile(t, disk, "wal"))
-		if err != nil || !bytes.HasPrefix(written, snapshotMagic[:]) {
-			t.Fatalf("boot %d: the checkpoint did not write the binary form: %v, %.16q", boot, err, written)
 		}
 	}
 }

@@ -621,7 +621,7 @@ func (s *Server) notePersist(err error, took time.Duration, size int) {
 // PersistenceStats reports durability health on /v2/stats when a store
 // is configured.
 type PersistenceStats struct {
-	// Store names the backend ("json", "wal").
+	// Store names the backend ("wal").
 	Store string `json:"store"`
 	// Checkpoints and CheckpointFailures count snapshot compactions.
 	Checkpoints        int64 `json:"checkpoints"`

@@ -1,15 +1,11 @@
 package service
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -366,80 +362,4 @@ func getBody(t *testing.T, url string) string {
 		t.Fatal(err)
 	}
 	return string(b)
-}
-
-// TestJSONStoreLegacySnapshot: the json backend loads snapshots written
-// before the durability layer (JSON; bare `published` traces, no seqs)
-// and checkpoints them forward into the current format — the binary
-// codec — with stable seqs.
-func TestJSONStoreLegacySnapshot(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "state.json")
-	legacy := map[string]any{
-		"published": []trace.Trace{trace.New("anon-7", sampleRecords(5))},
-		"users": map[string]*UserStats{"alice": {
-			Uploads: 1, RecordsIn: 5, RecordsPublished: 5, Pieces: 1,
-		}},
-		"stats":  ServerStats{Uploads: 1, RecordsIn: 5, RecordsPublished: 5, Users: 1},
-		"pseudo": 7,
-	}
-	data, err := json.Marshal(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	srv, err := New(&fakeProtector{}, WithStore(store.NewJSONFile(path, nil)),
-		WithCheckpointInterval(-1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	st := srv.Stats()
-	if st.Uploads != 1 || st.RecordsPublished != 5 {
-		t.Fatalf("legacy snapshot not recovered: %+v", st)
-	}
-	sh := srv.shard("anon-7")
-	sh.mu.Lock()
-	var seq int64
-	if len(sh.published) == 1 {
-		seq = sh.published[0].Seq
-	}
-	sh.mu.Unlock()
-	if seq == 0 {
-		t.Fatal("legacy fragment did not get a fresh seq handle")
-	}
-	if err := srv.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if written, err := os.ReadFile(path); err != nil || !bytes.HasPrefix(written, snapshotMagic[:]) {
-		t.Fatalf("checkpoint over a legacy snapshot did not write the binary form: %v, %.16q", err, written)
-	}
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The rewritten snapshot round-trips with the seq intact.
-	srv2, err := New(&fakeProtector{}, WithStore(store.NewJSONFile(path, nil)),
-		WithCheckpointInterval(-1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv2.Close() }) //nolint:errcheck
-	if err := srv2.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	sh = srv2.shard("anon-7")
-	sh.mu.Lock()
-	got := int64(0)
-	if len(sh.published) == 1 {
-		got = sh.published[0].Seq
-	}
-	sh.mu.Unlock()
-	if got != seq {
-		t.Fatalf("seq changed across checkpoint: %d -> %d", seq, got)
-	}
 }

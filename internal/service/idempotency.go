@@ -233,7 +233,7 @@ func (st *idemStore) compactLocked() {
 // Only successful completions are persisted: failures release their key
 // at completion time (nothing was committed, the retry must execute),
 // and pending entries cannot exist at snapshot time on the shutdown
-// path (SaveState runs after the pool drained) — a mid-flight periodic
+// path (Close checkpoints after the pool drained) — a mid-flight periodic
 // snapshot simply does not cover them, which restores the pre-upload
 // state for those keys.
 type persistedIdem struct {

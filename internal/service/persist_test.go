@@ -3,37 +3,30 @@ package service
 import (
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"testing"
 
+	"mood/internal/store"
 	"mood/internal/trace"
 )
 
+// TestSaveLoadStateRoundTrip: a server closed over a WAL directory (its
+// final checkpoint saves the state) and a fresh server recovered from
+// it (which loads it) serve the same data.
 func TestSaveLoadStateRoundTrip(t *testing.T) {
-	srv, hs := newTestServer(t)
+	disk := store.NewMemFS()
+	srv, hs := newWALServer(t, disk, &fakeProtector{})
 	c := NewClient(hs.URL)
 	mustUpload(t, c, trace.New("alice", sampleRecords(10)))
 	mustUpload(t, c, trace.New("reject-bob", sampleRecords(4)))
-
-	path := filepath.Join(t.TempDir(), "state.json")
-	if err := srv.SaveState(path); err != nil {
+	want := srv.Stats()
+	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// A fresh server restored from the snapshot serves the same data.
-	restored, err := New(&fakeProtector{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := restored.LoadState(path); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := restored.Stats(), srv.Stats(); got != want {
+	restored, hs2 := newWALServer(t, disk, &fakeProtector{})
+	if got := restored.Stats(); got != want {
 		t.Fatalf("restored stats %+v != original %+v", got, want)
 	}
-	hs2 := httptest.NewServer(restored.Handler())
-	defer hs2.Close()
 	c2 := NewClient(hs2.URL)
 	d, err := c2.Dataset()
 	if err != nil {
@@ -62,27 +55,6 @@ func TestSaveLoadStateRoundTrip(t *testing.T) {
 			t.Fatalf("pseudonym %q reused after restore", tr.User)
 		}
 		seen[tr.User] = true
-	}
-}
-
-func TestLoadStateErrors(t *testing.T) {
-	srv, _ := newTestServer(t)
-	if err := srv.LoadState("/nonexistent/state.json"); err == nil {
-		t.Fatal("missing file must error")
-	}
-	bad := filepath.Join(t.TempDir(), "bad.json")
-	if err := writeFile(bad, "{nope"); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.LoadState(bad); err == nil {
-		t.Fatal("garbage state must error")
-	}
-}
-
-func TestSaveStateBadDir(t *testing.T) {
-	srv, _ := newTestServer(t)
-	if err := srv.SaveState("/nonexistent-dir/state.json"); err == nil {
-		t.Fatal("unwritable path must error")
 	}
 }
 
@@ -116,8 +88,4 @@ func TestWithAuth(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz behind auth = %d", resp.StatusCode)
 	}
-}
-
-func writeFile(path, content string) error {
-	return os.WriteFile(path, []byte(content), 0o644)
 }

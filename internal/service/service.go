@@ -265,7 +265,7 @@ type Server struct {
 	// cannot be asserted deterministically.
 	retrainTicks atomic.Int64
 
-	saveMu sync.Mutex // serialises SaveState/Checkpoint snapshots
+	saveMu sync.Mutex // serialises checkpoints
 	closed atomic.Bool
 
 	// store is the durability backend (nil = in-memory only, the

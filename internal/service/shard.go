@@ -24,8 +24,8 @@ const numShards = 16
 // restarts lets WAL quarantine records name fragments a snapshot
 // carried, and keeps the dataset ETag honest across a reboot. The same
 // struct is the fragment's durable form in commit records and snapshots
-// (Owner never leaves the server's own files); the JSON tags are the
-// legacy snapshot's.
+// (Owner never leaves the server's own files); the JSON tags are what
+// `moodctl snapshot` prints.
 type publishedFrag struct {
 	Seq   int64       `json:"seq,omitempty"`
 	Trace trace.Trace `json:"trace"`
@@ -179,8 +179,8 @@ func (s *Server) fullSnapshot() (published []publishedFrag, history map[string][
 // resetShards replaces the whole sharded state with a decoded snapshot,
 // whose slices it takes over. Per-shard partial stats are rederived from
 // the user accounting, which is why no snapshot carries global stats.
-// Fragment sequence numbers persist (WAL quarantine records name them
-// across restarts); only legacy seq-less fragments get fresh handles.
+// Fragment sequence numbers persist: WAL quarantine records name them
+// across restarts.
 func (s *Server) resetShards(published []publishedFrag, history map[string][]trace.Record, users map[string]*UserStats) {
 	for i := range s.shards {
 		sh := &s.shards[i]
@@ -208,21 +208,15 @@ func (s *Server) resetShards(published []publishedFrag, history map[string][]tra
 	for _, f := range published {
 		// Fragments live in their owner's shard (as the commit path
 		// stores them), so a quarantine updates the fragment list and
-		// the owner's accounting under one lock. Legacy snapshots carry
-		// no owner; those fragments shard by their published label and
-		// are exempt from re-audit anyway.
+		// the owner's accounting under one lock. Fragments carried over
+		// from pre-owner snapshots have no owner; they shard by their
+		// published label and are exempt from re-audit anyway.
 		key := f.Owner
 		if key == "" {
 			key = f.Trace.User
 		}
 		sh := s.shard(key)
 		sh.mu.Lock()
-		// Snapshots written by the durability layer carry stable seqs;
-		// only legacy fragments (seq 0) get a fresh handle, above the
-		// restored watermark so it cannot collide with a durable one.
-		if f.Seq == 0 {
-			f.Seq = s.fragSeq.Add(1)
-		}
 		sh.published = append(sh.published, f)
 		sh.mu.Unlock()
 	}

@@ -3,17 +3,13 @@ package service
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
-	"net/http"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"mood/internal/mathx"
 	"mood/internal/trace"
@@ -22,7 +18,7 @@ import (
 // randomState draws a snapshot state in the decoder's canonical form
 // (empty lists nil, maps non-nil as applySnapshot and captureState leave
 // them), covering what a capture can hold: empty sections, fragments
-// without an owner (legacy) or without records, quarantine accounting,
+// without an owner (carried over from pre-owner snapshots) or without records, quarantine accounting,
 // history at its cap, sync and async idempotency entries, done and
 // failed jobs.
 func randomState(rng *mathx.Rand, historyCap int) persistedState {
@@ -63,7 +59,7 @@ func randomState(rng *mathx.Rand, historyCap int) persistedState {
 		f := publishedFrag{Seq: rng.Int63n(1 << 40), Owner: str("user"),
 			Trace: trace.Trace{User: str("pub"), Records: records(rng.Intn(60))}}
 		if rng.Intn(8) == 0 {
-			f.Owner = "" // a fragment a legacy snapshot brought in
+			f.Owner = "" // a fragment a pre-owner snapshot brought in
 		}
 		st.Fragments = append(st.Fragments, f)
 	}
@@ -314,83 +310,6 @@ func FuzzSnapshotDecode(f *testing.F) {
 			t.Fatalf("flipping bit %d of a valid snapshot decoded cleanly", bit)
 		}
 	})
-}
-
-// TestSnapshotLegacyDifferential: one state, written once as the legacy
-// JSON snapshot and once in the binary form, restores to servers that
-// cannot be told apart from outside — stats, user accounting, job
-// handles, dataset bytes and validator, and the replay of a keyed
-// upload.
-func TestSnapshotLegacyDifferential(t *testing.T) {
-	rt := RetrainerFunc(func([]trace.Trace) (Protector, Auditor, error) {
-		return nil, ownerAuditor{prefix: "drift-"}, nil
-	})
-	src, hs := newRetrainServer(t, rt)
-	c := NewClient(hs.URL)
-	for i, user := range []string{"alice", "bob", "drift-mallory", "carol"} {
-		if r := postChunk(t, hs.URL, keyed(user, fmt.Sprintf("chunk-%d", i), 5+i)); r.Status != http.StatusOK {
-			t.Fatalf("upload %s: %+v", user, r)
-		}
-	}
-	job := uploadAsync(t, c, trace.New("dave", sampleRecords(6)))
-	if _, err := c.WaitJob(job.ID, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if rep, err := src.Retrain(); err != nil || rep.Quarantined != 1 {
-		t.Fatalf("retrain: %+v, %v", rep, err)
-	}
-
-	state := src.captureState()
-	legacy, err := json.Marshal(state)
-	if err != nil {
-		t.Fatal(err)
-	}
-	binarySnap := encodeSnapshot(&state)
-	if len(binarySnap) >= len(legacy) {
-		t.Fatalf("binary snapshot of %d bytes, JSON of %d", len(binarySnap), len(legacy))
-	}
-
-	type view struct {
-		bodies map[string]string
-		etag   string
-		replay string
-	}
-	restore := func(snap []byte) view {
-		srv, hs := newRetrainServer(t, rt)
-		if err := srv.applySnapshot(snap); err != nil {
-			t.Fatal(err)
-		}
-		v := view{bodies: map[string]string{}}
-		for _, path := range []string{"/v2/stats", "/v2/users/alice", "/v2/users/drift-mallory",
-			"/v2/jobs", "/v2/jobs/" + job.ID, "/v2/dataset", "/v2/dataset?limit=2"} {
-			resp, err := http.Get(hs.URL + path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			body, err := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if err != nil || resp.StatusCode != http.StatusOK {
-				t.Fatalf("GET %s: %d, %v", path, resp.StatusCode, err)
-			}
-			v.bodies[path] = string(body)
-			if path == "/v2/dataset" {
-				v.etag = resp.Header.Get("ETag")
-			}
-		}
-		r := postChunk(t, hs.URL, keyed("alice", "chunk-0", 5))
-		v.replay = fmt.Sprintf("%d %v %+v", r.Status, r.Replay, r.Result)
-		return v
-	}
-	fromJSON, fromBinary := restore(legacy), restore(binarySnap)
-	if !reflect.DeepEqual(fromJSON, fromBinary) {
-		t.Fatalf("the two forms restore differently:\n json   %+v\n binary %+v", fromJSON, fromBinary)
-	}
-	if fromBinary.etag == "" || !strings.Contains(fromBinary.replay, "200 true") {
-		t.Fatalf("restored view: etag %q, replay %q", fromBinary.etag, fromBinary.replay)
-	}
-	if got := fromBinary.bodies["/v2/stats"]; got != getBody(t, hs.URL+"/v2/stats") {
-		t.Fatalf("restored stats %s differ from the source's", got)
-	}
 }
 
 // benchState is the state one node of bench's ingest-echo-cluster holds

@@ -9,13 +9,12 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"mood/internal/store"
 	"mood/internal/trace"
 	"mood/internal/traceio"
 )
@@ -699,8 +698,8 @@ func TestV2ProblemDialect(t *testing.T) {
 // Jobs listing and restart persistence.
 
 func TestJobsListAndPersistence(t *testing.T) {
-	dir := t.TempDir()
-	srv, hs := newTestServer(t)
+	disk := store.NewMemFS()
+	srv, hs := newWALServer(t, disk, &fakeProtector{})
 	c := NewClient(hs.URL)
 
 	chunks := []BatchChunk{
@@ -751,22 +750,12 @@ func TestJobsListAndPersistence(t *testing.T) {
 		assertProblem(t, resp, CodeBadRequest)
 	}
 
-	// Snapshot, reboot, and the terminal handles must still answer —
-	// the documented "handles are in-memory" caveat is closed.
-	state := filepath.Join(dir, "state.json")
-	if err := srv.SaveState(state); err != nil {
+	// Close, recover, and the terminal handles must still answer — the
+	// documented "handles are in-memory" caveat is closed.
+	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	reborn, err := New(&fakeProtector{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reborn.Close()
-	if err := reborn.LoadState(state); err != nil {
-		t.Fatal(err)
-	}
-	hs2 := httptest.NewServer(reborn.Handler())
-	defer hs2.Close()
+	_, hs2 := newWALServer(t, disk, &fakeProtector{})
 	c2 := NewClient(hs2.URL)
 	for i, id := range ids {
 		j, err := c2.Job(id)
@@ -786,37 +775,6 @@ func TestJobsListAndPersistence(t *testing.T) {
 	}
 	if list2.Total != 2 {
 		t.Fatalf("done jobs after restart: %+v", list2)
-	}
-
-	// Legacy snapshots without a jobs section still load (the section
-	// is additive).
-	raw, err := os.ReadFile(state)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if raw, err = SnapshotJSON(raw); err != nil {
-		t.Fatal(err)
-	}
-	var generic map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &generic); err != nil {
-		t.Fatal(err)
-	}
-	delete(generic, "jobs")
-	legacy, err := json.Marshal(generic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacyPath := filepath.Join(dir, "legacy.json")
-	if err := os.WriteFile(legacyPath, legacy, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	old, err := New(&fakeProtector{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer old.Close()
-	if err := old.LoadState(legacyPath); err != nil {
-		t.Fatalf("legacy snapshot rejected: %v", err)
 	}
 }
 

@@ -364,9 +364,7 @@ func sortedKeys[V any](m map[string]V) []string {
 }
 
 // writeBody is the snapshot body's layout. users and history are the
-// two maps' keys, sorted. The state's legacy Published list is not
-// written: applySnapshot has turned such traces into fragments before
-// any capture can see them.
+// two maps' keys, sorted.
 func (w *layoutWriter) writeBody(st *persistedState, users, history []string) {
 	nRecords := 0
 	for i := range st.Fragments {

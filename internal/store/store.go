@@ -2,15 +2,11 @@
 // records are appended at upload time, replayed on boot, and compacted
 // into snapshots in the background.
 //
-// Two backends implement Store. JSONFile is the snapshot-only backend,
-// one state file at the path snapshots have always lived at (hence the
-// name; what it holds is whatever the service tier hands Compact):
-// appends are bookkeeping only, and durability comes entirely from
-// compaction — the original "snapshot once a minute, lose up to a minute
-// on a crash" contract. WAL is a segmented append-only write-ahead log
-// with CRC32C-framed records, configurable fsync policy, segment
-// rotation and torn-tail recovery: an acked record survives any crash
-// (see wal.go).
+// WAL is the one backend: a segmented append-only write-ahead log with
+// CRC32C-framed records, configurable fsync policy, segment rotation,
+// torn-tail recovery and snapshot compaction — an acked record survives
+// any crash (see wal.go). Store stays an interface so tests can stand in
+// failing or slow stores.
 //
 // Record payloads and snapshots are opaque bytes to this package — the
 // service tier defines the record types, their encoding and the
@@ -36,9 +32,9 @@ type Record struct {
 	Payload []byte
 }
 
-// Pos is an opaque compaction position handed from Mark to Compact.
-// For the WAL it is a segment boundary ("the snapshot covers every
-// segment below this index"); for JSONFile it is a dirty-append count.
+// Pos is an opaque compaction position handed from Mark to Compact: for
+// the WAL, a segment boundary ("the snapshot covers every segment below
+// this index").
 type Pos int64
 
 // Store is the pluggable durability engine.
@@ -54,7 +50,7 @@ type Pos int64
 // handshake is safe: the old snapshot + uncut log still replay to the
 // same state.
 type Store interface {
-	// Name identifies the backend ("json", "wal") for diagnostics.
+	// Name identifies the backend ("wal") for diagnostics.
 	Name() string
 	// Append durably adds the records as one atomic batch. When it
 	// returns nil the batch survives any subsequent crash (under the

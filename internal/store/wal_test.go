@@ -491,49 +491,6 @@ func TestParseFramesStopsAtFirstInvalid(t *testing.T) {
 	}
 }
 
-func TestJSONFileBackend(t *testing.T) {
-	fsys := NewMemFS()
-	j := NewJSONFile("dir/state.json", fsys)
-	if j.Name() != "json" {
-		t.Fatalf("Name: %q", j.Name())
-	}
-	// First boot: no file, empty store.
-	snap, recs, err := j.Load()
-	if err != nil || snap != nil || recs != nil {
-		t.Fatalf("fresh Load: %q %v %v", snap, recs, err)
-	}
-	if j.NeedsCompaction() {
-		t.Fatal("idle JSONFile wants compaction")
-	}
-	if err := j.Append(rec(1, "x")); err != nil {
-		t.Fatalf("Append: %v", err)
-	}
-	if !j.NeedsCompaction() {
-		t.Fatal("dirty JSONFile does not want compaction")
-	}
-	pos, err := j.Mark()
-	if err != nil {
-		t.Fatalf("Mark: %v", err)
-	}
-	if err := fsys.MkdirAll("dir", 0o755); err != nil {
-		t.Fatal(err)
-	}
-	body := []byte(`{"legacy":"snapshot"}`)
-	if err := j.Compact(body, pos); err != nil {
-		t.Fatalf("Compact: %v", err)
-	}
-	if j.NeedsCompaction() {
-		t.Fatal("JSONFile still dirty after covering compaction")
-	}
-
-	// A legacy snapshot written before the store existed loads as-is.
-	j2 := NewJSONFile("dir/state.json", fsys)
-	snap, recs, err = j2.Load()
-	if err != nil || !bytes.Equal(snap, body) || recs != nil {
-		t.Fatalf("legacy Load: %q %v %v", snap, recs, err)
-	}
-}
-
 func TestAtomicWriteFileCleansUpOnFailure(t *testing.T) {
 	inner := NewMemFS()
 	fsys := NewFaultFS(inner)
