@@ -262,7 +262,7 @@ func buildEngine(kind string, seed uint64, background []trace.Trace) (service.Pr
 		if err != nil {
 			return nil, nil, fmt.Errorf("training the engine: %w", err)
 		}
-		return pipelineProtector{pipeline}, &pipelineRetrainer{base: pipeline, initial: background}, nil
+		return pipeline, &pipelineRetrainer{base: pipeline, initial: background}, nil
 	case "echo":
 		return loadgen.EchoProtector{Seed: seed}, echoRetrainer{}, nil
 	default:
@@ -270,13 +270,9 @@ func buildEngine(kind string, seed uint64, background []trace.Trace) (service.Pr
 	}
 }
 
-// pipelineProtector / pipelineRetrainer mirror cmd/moodserver's
-// adapters: retraining merges the initial background with the
-// accumulated upload history, exactly like the production server.
-type pipelineProtector struct{ p *mood.Pipeline }
-
-func (pp pipelineProtector) Protect(t mood.Trace) (mood.Result, error) { return pp.p.Protect(t) }
-
+// pipelineRetrainer mirrors cmd/moodserver's: retraining merges the
+// initial background with the accumulated upload history, exactly like
+// the production server.
 type pipelineRetrainer struct {
 	base    *mood.Pipeline
 	initial []mood.Trace
@@ -291,7 +287,7 @@ func (rt *pipelineRetrainer) Retrain(history []mood.Trace) (service.Protector, s
 	if err != nil {
 		return nil, nil, err
 	}
-	return pipelineProtector{p}, p, nil
+	return p, p, nil
 }
 
 // echoRetrainer keeps the engine and skips the audit — the barrier

@@ -143,7 +143,7 @@ func runCtx(ctx context.Context, args []string) error {
 	if st != nil {
 		svcOpts = append(svcOpts, service.WithStore(st))
 	}
-	srv, err := service.New(pipelineProtector{pipeline}, svcOpts...)
+	srv, err := service.New(pipeline, svcOpts...)
 	if err != nil {
 		return err
 	}
@@ -229,15 +229,6 @@ func writeTimeout(reqTimeout time.Duration) time.Duration {
 	return reqTimeout + 30*time.Second
 }
 
-// pipelineProtector adapts the public Pipeline to the service interface.
-type pipelineProtector struct {
-	p *mood.Pipeline
-}
-
-func (pp pipelineProtector) Protect(t mood.Trace) (mood.Result, error) {
-	return pp.p.Protect(t)
-}
-
 // pipelineRetrainer rebuilds the pipeline for the service's dynamic
 // protection: the retrained background is the initial CSV background —
 // the H the attacks started from — merged per user with everything the
@@ -256,5 +247,5 @@ func (rt *pipelineRetrainer) Retrain(history []mood.Trace) (service.Protector, s
 	if err != nil {
 		return nil, nil, err
 	}
-	return pipelineProtector{p}, p, nil
+	return p, p, nil
 }

@@ -3,6 +3,7 @@ package attack
 import (
 	"testing"
 
+	"mood/internal/heatmap"
 	"mood/internal/synth"
 	"mood/internal/trace"
 )
@@ -32,11 +33,11 @@ func benchAPEnv(b *testing.B, users int) (*AP, trace.Trace) {
 
 // BenchmarkAPIdentify measures the AP-attack hot path over the frozen
 // sorted-sparse profiles. "full" is the public Identify (one anonymous
-// freeze plus the scan); "scan" is the profile comparison loop alone,
-// which must stay at 0 allocs/op — the acceptance bar of the Frozen
-// refactor (the map-based baseline ran ~95 allocs and ~700µs per
-// Identify on this workload). The end-to-end cost of the scan is the
-// attack.ap_identify_us layer of the bench/ harness.
+// freeze and quantization plus the pruned scan); "scan" is the oracle's
+// unpruned comparison loop alone, which must stay at 0 allocs/op — the
+// acceptance bar of the Frozen refactor (the map-based baseline ran ~95
+// allocs and ~700µs per Identify on this workload). The end-to-end cost
+// of Identify is the attack.ap_identify_us layer of the bench/ harness.
 func BenchmarkAPIdentify(b *testing.B) {
 	ap, anon := benchAPEnv(b, 10)
 	b.Run("full", func(b *testing.B) {
@@ -48,11 +49,11 @@ func BenchmarkAPIdentify(b *testing.B) {
 		}
 	})
 	b.Run("scan", func(b *testing.B) {
-		frozen := ap.buildSlices(anon)
+		frozen := heatmap.FrozenFromTrace(ap.grid, anon)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if v := ap.identifyFrozen(frozen); !v.OK {
+			if v := oracleScanAP(ap, frozen); !v.OK {
 				b.Fatal("no verdict")
 			}
 		}

@@ -8,6 +8,11 @@
 // closest profile. Attacks are safe for concurrent Identify calls once
 // trained — profiles are immutable after Train.
 //
+// The paper's protection predicate (Eq. 4–6) has one implementation,
+// Set.ReIdentifiesBatch (batch.go): the engine's per-candidate check
+// (Set.ReIdentifies) is a batch of one, and the service's re-audit and
+// eval's dynamic oracle pass whole batches.
+//
 // Training is parallel: each attack builds one profile per background
 // trace on GOMAXPROCS workers (par.Collect), and the profiles keep
 // background order: the slice equals, float for float and in order,
@@ -17,14 +22,10 @@
 package attack
 
 import (
-	"errors"
 	"fmt"
 
 	"mood/internal/trace"
 )
-
-// ErrNotTrained is returned by Identify before Train has been called.
-var ErrNotTrained = errors.New("attack: not trained")
 
 // Verdict is the outcome of an identification attempt.
 type Verdict struct {
@@ -37,10 +38,10 @@ type Verdict struct {
 	// Margin is the runner-up gap: the second-best profile's score
 	// minus Score, ≥ 0 on the attack's own scale. Large margins mean
 	// confident re-identification — the ordering key for
-	// risk-prioritised re-audits (ROADMAP item 2). It is +Inf when
-	// only one profile produced a score (no runner-up exists; note
-	// +Inf does not survive JSON encoding), and exactly 0 on a tie,
-	// which is broken toward the lowest user ID.
+	// risk-prioritised re-audits. It is +Inf when only one profile
+	// produced a score (no runner-up exists; note +Inf does not
+	// survive JSON encoding), and exactly 0 on a tie, which is broken
+	// toward the lowest user ID.
 	Margin float64
 	// OK reports whether the attack produced a verdict. A false OK
 	// counts as a failed re-identification (Eq. 4's Aₖ(T) ≠ U).
@@ -88,15 +89,11 @@ func TrainAll(attacks Set, background []trace.Trace) error {
 // ReIdentifies reports whether any attack in the set links t back to
 // trueUser, and returns the name of the first attack that does.
 // This is the predicate of the paper's protection definitions (Eq. 4–6):
-// a trace is protected iff *no* attack re-identifies it.
+// a trace is protected iff *no* attack re-identifies it. It is
+// ReIdentifiesBatch over a batch of one.
 func (s Set) ReIdentifies(t trace.Trace, trueUser string) (bool, string) {
-	for _, a := range s {
-		v := a.Identify(t)
-		if v.OK && v.User == trueUser {
-			return true, a.Name()
-		}
-	}
-	return false, ""
+	r := s.ReIdentifiesBatch([]trace.Trace{t}, []string{trueUser})[0]
+	return r.Hit, r.Attack
 }
 
 // Names returns the attack names in order.

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"testing"
 
-	"mood/internal/geo"
 	"mood/internal/lppm"
 	"mood/internal/mathx"
 	"mood/internal/synth"
@@ -220,107 +219,5 @@ func TestVerdictScoreOrdering(t *testing.T) {
 	}
 	if own.Score >= far.Score {
 		t.Fatalf("own-city score %v should beat foreign-city score %v", own.Score, far.Score)
-	}
-}
-
-func TestAPDivergenceVariants(t *testing.T) {
-	train, test := testSplit(t, 19)
-	for _, div := range []Divergence{DivTopsoe, DivJensenShannon, DivL1} {
-		ap := NewAP()
-		ap.Divergence = div
-		if err := ap.Train(train.Traces); err != nil {
-			t.Fatal(err)
-		}
-		hits := 0
-		for _, tr := range test.Traces {
-			if v := ap.Identify(tr); v.OK && v.User == tr.User {
-				hits++
-			}
-		}
-		// All three divergences rank profiles well on stable users.
-		if hits*2 < test.NumUsers() {
-			t.Errorf("divergence %s re-identified only %d/%d", div, hits, test.NumUsers())
-		}
-	}
-	if DivTopsoe.String() != "topsoe" || DivL1.String() != "l1" || DivJensenShannon.String() != "jensen-shannon" {
-		t.Error("divergence names changed")
-	}
-}
-
-func TestAPJensenShannonIsHalfTopsoe(t *testing.T) {
-	train, test := testSplit(t, 20)
-	top := NewAP()
-	js := NewAP()
-	js.Divergence = DivJensenShannon
-	if err := TrainAll(Set{top, js}, train.Traces); err != nil {
-		t.Fatal(err)
-	}
-	vt := top.Identify(test.Traces[0])
-	vj := js.Identify(test.Traces[0])
-	if vt.User != vj.User {
-		t.Fatal("JS and Topsoe must rank identically")
-	}
-	if diff := vt.Score/2 - vj.Score; diff > 1e-12 || diff < -1e-12 {
-		t.Fatalf("JS %v != Topsoe/2 %v", vj.Score, vt.Score/2)
-	}
-}
-
-func TestAPTimeSlices(t *testing.T) {
-	train, test := testSplit(t, 23)
-	for _, slices := range []int{1, 2, 4} {
-		ap := NewAP()
-		ap.TimeSlices = slices
-		if err := ap.Train(train.Traces); err != nil {
-			t.Fatal(err)
-		}
-		hits := 0
-		for _, tr := range test.Traces {
-			if v := ap.Identify(tr); v.OK && v.User == tr.User {
-				hits++
-			}
-		}
-		if hits*2 < test.NumUsers() {
-			t.Errorf("AP with %d slices re-identified only %d/%d", slices, hits, test.NumUsers())
-		}
-	}
-}
-
-func TestAPTimeSlicesDistinguishScheduleTwins(t *testing.T) {
-	// Two users share the same two places but visit them at opposite
-	// times of day. A single time-agnostic heatmap cannot tell them
-	// apart; per-slice heatmaps can.
-	home := geo.Point{Lat: 45.7, Lon: 4.8}
-	work := geo.Offset(home, 5000, 0)
-	mk := func(user string, nightOwl bool) trace.Trace {
-		var rs []trace.Record
-		for day := 0; day < 6; day++ {
-			base := int64(day) * 86400
-			for h := 0; h < 24; h++ {
-				p := home
-				atWork := h >= 9 && h < 17
-				if nightOwl {
-					atWork = h >= 21 || h < 5
-				}
-				if atWork {
-					p = work
-				}
-				rs = append(rs, trace.At(p, base+int64(h)*3600))
-			}
-		}
-		return trace.New(user, rs)
-	}
-	background := []trace.Trace{mk("day-worker", false), mk("night-worker", true)}
-	// Fresh traces with the same schedules.
-	fresh := mk("day-worker", false)
-	fresh.Records = fresh.Records[:100]
-
-	sliced := NewAP()
-	sliced.TimeSlices = 4
-	if err := sliced.Train(background); err != nil {
-		t.Fatal(err)
-	}
-	v := sliced.Identify(fresh)
-	if !v.OK || v.User != "day-worker" {
-		t.Fatalf("sliced AP verdict = %+v, want day-worker", v)
 	}
 }

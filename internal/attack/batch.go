@@ -8,37 +8,38 @@ import (
 	"mood/internal/trace"
 )
 
-// Batch identification. The re-audit and retrain loops score many
-// traces against the same frozen profile set; the batch entry points
-// here restructure that work without changing a single verdict bit:
+// Batch identification. The protection predicate and the
+// identification scans run over batches of anonymous traces — a batch of
+// one for the engine's per-candidate check, the whole published dataset
+// for a re-audit — and the batch shape is what makes them cheap:
 //
 //   - each attack freezes (or POI-extracts) every anonymous trace of
-//     the batch exactly once, instead of once per Identify call;
+//     the batch exactly once;
 //   - the AP scan goes profile-major in cache-resident blocks, with a
 //     float32 quantized pruning pass (heatmap.Quant) ahead of the
-//     exact float64 kernels;
-//   - the audit question "does any profile beat the owner's" is
+//     exact float64 kernel;
+//   - the predicate's question "does any profile beat the owner's" is
 //     answered by an owner-seeded scan that stops at the first beating
 //     profile instead of completing the argmin;
 //   - one POI extraction feeds both the POI- and PIT-attacks when
 //     their extractor configs match.
 //
-// Bit-identity rests on two facts proven in topTwo's comment: the
+// Exactness rests on two facts proven in topTwo's comment: the
 // early-exit bound nextUp(second-best) lets every profile that could
 // win or tie complete its exact scan, and the (best, user, second)
 // fold is then independent of scan order — so reordering profiles into
 // blocks, or conservatively skipping provable losers, cannot change
-// the verdict. The property tests in batch_test.go enforce this on
-// random and adversarially tied data.
+// the verdict. The property tests in batch_test.go pin both against
+// unpruned argmin oracles on random and adversarially tied data.
 
 // nextUp returns the smallest float64 greater than x.
 func nextUp(x float64) float64 { return math.Nextafter(x, math.Inf(1)) }
 
 // topTwo folds completed exact profile scores into the best and
-// second-best seen, with the explicit tie rule shared by the scalar
-// and batch paths: on an exact score tie the lexicographically
-// smallest user ID wins. Before this rule, ties fell to background
-// insertion order — an order a profile-major batch scan reshuffles.
+// second-best seen, with the explicit tie rule shared by every scan: on
+// an exact score tie the lexicographically smallest user ID wins, not
+// background insertion order — an order a profile-major batch scan
+// reshuffles.
 //
 // bound() is the early-exit threshold handed to the exact kernels:
 // nextUp(second) rather than second itself, so a profile whose true
@@ -85,17 +86,6 @@ func (k *topTwo) verdict() Verdict {
 		return Verdict{}
 	}
 	return Verdict{User: k.user, Score: k.best, Margin: k.second - k.best, OK: true}
-}
-
-// BatchIdentifier is implemented by attacks with a batch-optimized
-// scan; BatchIdentify falls back to parallel scalar calls for attacks
-// without one.
-type BatchIdentifier interface {
-	Attack
-	// IdentifyBatch returns, for every trace, the same Verdict a
-	// scalar Identify call would — bit-identical in user, score and
-	// margin.
-	IdentifyBatch(ts []trace.Trace) []Verdict
 }
 
 // poiCache shares one POI extraction per trace across the attacks of a
@@ -145,7 +135,8 @@ func indices(n int) []int {
 // BatchIdentify scores every trace against every attack of the set
 // with the batch kernels: out[ai][ti] is bit-identical to
 // s[ai].Identify(ts[ti]). One POI extraction is shared between the
-// POI- and PIT-attacks when their extractor configs match.
+// POI- and PIT-attacks when their extractor configs match; attacks
+// without a kernel are called trace by trace.
 func BatchIdentify(s Set, ts []trace.Trace) [][]Verdict {
 	out := make([][]Verdict, len(s))
 	cache := poiCache{ts: ts}
@@ -166,8 +157,6 @@ func BatchIdentify(s Set, ts []trace.Trace) [][]Verdict {
 				continue
 			}
 			out[ai] = a.identifyBatchPOIs(cache.extract(a.Extractor, all), ts)
-		case BatchIdentifier:
-			out[ai] = a.IdentifyBatch(ts)
 		default:
 			vs := make([]Verdict, len(ts))
 			par.Spans(len(ts), func(lo, hi int) {
@@ -181,21 +170,23 @@ func BatchIdentify(s Set, ts []trace.Trace) [][]Verdict {
 	return out
 }
 
-// ReIdent is one (trace, user) pair's outcome of a batch
-// re-identification audit: Hit mirrors Set.ReIdentifies' boolean and
-// Attack names the first attack (in set order) that linked the trace.
+// ReIdent is one (trace, user) pair's outcome of the protection
+// predicate: Hit reports whether any attack linked the trace to the
+// user, and Attack names the first attack (in set order) that did.
 type ReIdent struct {
 	Hit    bool
 	Attack string
 }
 
-// ReIdentifiesBatch answers Set.ReIdentifies for many (trace, user)
-// pairs in one pass, bit-identical pair by pair: attacks run in set
-// order and a trace leaves the batch at its first hit, so the per-pair
-// short-circuit semantics — and the work skipped by it — match the
-// scalar predicate. Within each attack the batch wins three ways: one
-// freeze/extraction per trace, the owner-seeded hit scans, and the
-// shared POI extraction (see the package comment above).
+// ReIdentifiesBatch is the protection predicate of the paper (Eq. 4–6)
+// for many (trace, user) pairs in one pass: a pair is a hit iff some
+// attack's Identify would attribute the trace to the user. Attacks run
+// in set order and a trace leaves the batch at its first hit, so
+// Attack names the first attack that links it. The AP-, POI- and
+// PIT-attacks answer through their owner-seeded hit scans over one
+// freeze/extraction per trace (see the comment at the top of this
+// file); any other Attack — a custom set, a wrapper — is asked through
+// Identify.
 func (s Set) ReIdentifiesBatch(ts []trace.Trace, users []string) []ReIdent {
 	out := make([]ReIdent, len(ts))
 	cache := poiCache{ts: ts}

@@ -97,18 +97,17 @@ func BenchmarkNewHMC(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchIdentify compares the scalar and batched identification
-// paths on two workloads: "AP" is raw
+// BenchmarkBatchIdentify compares one-trace batches with one whole
+// batch through the same kernels on two workloads: "AP" is raw
 // identification throughput (one verdict per trace), "audit" is the
-// service-tier re-audit predicate (first-hit-wins across the full
-// attack set, owner-seeded in the batch path). The scalar variants loop
-// the public one-trace APIs exactly as the audit pass did before
-// batching.
+// protection predicate (first-hit-wins across the full attack set,
+// owner-seeded). The "one" variants loop the public one-trace APIs, as
+// the engine calls them per candidate; "batch" is the re-audit's shape.
 func BenchmarkBatchIdentify(b *testing.B) {
 	atks, ts, owners := benchBatchEnv(b, 192, 64)
 	ap := atks[0].(*AP)
 
-	b.Run("AP/scalar", func(b *testing.B) {
+	b.Run("AP/one", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, tr := range ts {
@@ -124,7 +123,7 @@ func BenchmarkBatchIdentify(b *testing.B) {
 			}
 		}
 	})
-	b.Run("audit/scalar", func(b *testing.B) {
+	b.Run("audit/one", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for j, tr := range ts {

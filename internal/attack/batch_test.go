@@ -4,8 +4,58 @@ import (
 	"math"
 	"testing"
 
+	"mood/internal/heatmap"
 	"mood/internal/trace"
 )
+
+// The unpruned reference scans, kept as oracles: every kernel path —
+// the AP batch scan with its float32 prune and profile blocks, the
+// owner-seeded hit scans, the shared POI extraction — must agree with
+// these bit for bit.
+
+// oracleIdentifyAP is the plain AP argmin: one freeze, then the
+// oracle scan.
+func oracleIdentifyAP(a *AP, t trace.Trace) Verdict {
+	if a.grid == nil || t.Empty() {
+		return Verdict{}
+	}
+	return oracleScanAP(a, heatmap.FrozenFromTrace(a.grid, t))
+}
+
+// oracleScanAP walks every profile in training order through the exact
+// kernel with only the topTwo early exit; it allocates nothing.
+func oracleScanAP(a *AP, anon *heatmap.Frozen) Verdict {
+	k := newTopTwo()
+	for pi := range a.profiles {
+		p := &a.profiles[pi]
+		bound := k.bound()
+		if d := anon.TopsoeBounded(p.frozen, bound); d < bound {
+			k.consider(p.user, d)
+		}
+	}
+	return k.verdict()
+}
+
+// oracleIdentify is the argmin of one attack: the AP oracle above, and
+// for the POI- and PIT-attacks their Identify, which is already a
+// plain argmin scan.
+func oracleIdentify(a Attack, t trace.Trace) Verdict {
+	if ap, ok := a.(*AP); ok {
+		return oracleIdentifyAP(ap, t)
+	}
+	return a.Identify(t)
+}
+
+// oracleReIdentifies is the protection predicate as a loop of full
+// argmins: the first attack in set order whose verdict names the user.
+func oracleReIdentifies(s Set, t trace.Trace, user string) (bool, string) {
+	for _, a := range s {
+		if v := oracleIdentify(a, t); v.OK && v.User == user {
+			return true, a.Name()
+		}
+	}
+	return false, ""
+}
 
 // verdictsEq demands bit-identical verdicts: float fields are compared
 // by their IEEE bit patterns, so a batch kernel that drifts by even one
@@ -36,11 +86,11 @@ func batchCandidates(test trace.Dataset) []trace.Trace {
 }
 
 // TestBatchMatchesScalarBitIdentical is the batch layer's core
-// contract: for every attack, IdentifyBatch over a mixed workload —
+// contract: for every attack, BatchIdentify over a mixed workload —
 // realistic anonymous traces, an empty trace, a disjoint-support trace
-// — returns verdicts bit-identical to trace-at-a-time Identify, and
-// BatchIdentify over the whole set agrees with both. The float32 prune
-// therefore only ever skips work, never changes an answer.
+// — returns verdicts bit-identical to the unpruned argmin oracle, and
+// so does trace-at-a-time Identify. The float32 prune therefore only
+// ever skips work, never changes an answer.
 func TestBatchMatchesScalarBitIdentical(t *testing.T) {
 	for _, seed := range []uint64{11, 29, 47} {
 		train, test := testSplit(t, seed)
@@ -52,33 +102,49 @@ func TestBatchMatchesScalarBitIdentical(t *testing.T) {
 		}
 		ts := batchCandidates(test)
 
-		perAttack := make([][]Verdict, len(atks))
-		for ai, a := range atks {
-			ba, ok := a.(BatchIdentifier)
-			if !ok {
-				t.Fatalf("%s does not implement BatchIdentifier", a.Name())
-			}
-			got := ba.IdentifyBatch(ts)
+		for ai, got := range BatchIdentify(atks, ts) {
+			a := atks[ai]
 			if len(got) != len(ts) {
-				t.Fatalf("%s: IdentifyBatch returned %d verdicts for %d traces", a.Name(), len(got), len(ts))
+				t.Fatalf("%s: BatchIdentify returned %d verdicts for %d traces", a.Name(), len(got), len(ts))
 			}
 			for i, tr := range ts {
-				want := a.Identify(tr)
+				want := oracleIdentify(a, tr)
 				if !verdictsEq(got[i], want) {
-					t.Fatalf("seed %d, %s, trace %d: batch verdict %+v != scalar %+v",
+					t.Fatalf("seed %d, %s, trace %d: batch verdict %+v != oracle %+v",
 						seed, a.Name(), i, got[i], want)
 				}
-			}
-			perAttack[ai] = got
-		}
-
-		for ai, vs := range BatchIdentify(atks, ts) {
-			for i := range ts {
-				if !verdictsEq(vs[i], perAttack[ai][i]) {
-					t.Fatalf("seed %d, %s, trace %d: BatchIdentify verdict %+v != IdentifyBatch %+v",
-						seed, atks[ai].Name(), i, vs[i], perAttack[ai][i])
+				if one := a.Identify(tr); !verdictsEq(one, want) {
+					t.Fatalf("seed %d, %s, trace %d: Identify %+v != oracle %+v",
+						seed, a.Name(), i, one, want)
 				}
 			}
+		}
+	}
+}
+
+// TestAPScoreIsTopsoe pins AP's score to the paper's divergence: the
+// winner's Score is exactly the Topsoe divergence between the trace's
+// heatmap and the winning profile's, bit for bit.
+func TestAPScoreIsTopsoe(t *testing.T) {
+	train, test := testSplit(t, 19)
+	ap := NewAP()
+	if err := ap.Train(train.Traces); err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range test.Traces {
+		v := ap.Identify(tr.WithUser(""))
+		if !v.OK {
+			t.Fatalf("no verdict for %q", tr.User)
+		}
+		anon := heatmap.FrozenFromTrace(ap.Grid(), tr)
+		want := math.Inf(1)
+		for _, p := range ap.profiles {
+			if p.user == v.User {
+				want = math.Min(want, anon.Topsoe(p.frozen))
+			}
+		}
+		if math.Float64bits(v.Score) != math.Float64bits(want) {
+			t.Fatalf("%q: Score %v != Topsoe %v", tr.User, v.Score, want)
 		}
 	}
 }
@@ -101,11 +167,11 @@ func dwellTrace(user string, pts [][2]float64) trace.Trace {
 
 // TestTieBreaksTowardLowestUserID pins the determinism bugfix: two
 // users with byte-for-byte identical training data score identically
-// against an anonymous copy of that data, and both the scalar and the
-// batch path must resolve the tie to the lexicographically smallest
-// user ID with a Margin of exactly zero — regardless of profile
-// insertion order ("ub" is trained before "ua" on purpose). A third,
-// far-away user gives the batch prune a profile to reject.
+// against an anonymous copy of that data, and both the argmin oracle
+// and the batch path must resolve the tie to the lexicographically
+// smallest user ID with a Margin of exactly zero — regardless of
+// profile insertion order ("ub" is trained before "ua" on purpose). A
+// third, far-away user gives the batch prune a profile to reject.
 func TestTieBreaksTowardLowestUserID(t *testing.T) {
 	home := [][2]float64{{45.00, 5.00}, {45.02, 5.00}, {45.00, 5.00}, {45.02, 5.00}}
 	background := []trace.Trace{
@@ -119,7 +185,7 @@ func TestTieBreaksTowardLowestUserID(t *testing.T) {
 		if err := a.Train(background); err != nil {
 			t.Fatal(err)
 		}
-		scalar := a.Identify(anon)
+		scalar := oracleIdentify(a, anon)
 		if !scalar.OK {
 			t.Fatalf("%s produced no verdict on its own training data", a.Name())
 		}
@@ -129,9 +195,15 @@ func TestTieBreaksTowardLowestUserID(t *testing.T) {
 		if scalar.Margin != 0 {
 			t.Fatalf("%s reported Margin %g on an exact tie, want 0", a.Name(), scalar.Margin)
 		}
-		batch := a.(BatchIdentifier).IdentifyBatch([]trace.Trace{anon})
+		batch := BatchIdentify(Set{a}, []trace.Trace{anon})[0]
 		if !verdictsEq(batch[0], scalar) {
-			t.Fatalf("%s: batch tie verdict %+v != scalar %+v", a.Name(), batch[0], scalar)
+			t.Fatalf("%s: batch tie verdict %+v != oracle %+v", a.Name(), batch[0], scalar)
+		}
+		if hit, _ := (Set{a}).ReIdentifies(anon, "ua"); !hit {
+			t.Fatalf("%s: predicate misses the tie winner", a.Name())
+		}
+		if hit, _ := (Set{a}).ReIdentifies(anon, "ub"); hit {
+			t.Fatalf("%s: predicate credits the tie loser", a.Name())
 		}
 	}
 }
@@ -167,10 +239,11 @@ func TestMarginSeparatesRunnerUp(t *testing.T) {
 	}
 }
 
-// TestReIdentifiesBatchMatchesScalar checks the audit-facing predicate:
+// TestReIdentifiesBatchMatchesScalar checks the protection predicate:
 // for mixed (trace, claimed-owner) pairs — true owners and wrong owners
-// interleaved — the batched pass returns exactly the scalar
-// ReIdentifies answer pair by pair, including which attack hit first.
+// interleaved — the batched pass and the batch-of-one ReIdentifies both
+// return exactly the Identify-loop oracle's answer pair by pair,
+// including which attack hit first.
 func TestReIdentifiesBatchMatchesScalar(t *testing.T) {
 	for _, seed := range []uint64{17, 53} {
 		train, test := testSplit(t, seed)
@@ -199,10 +272,14 @@ func TestReIdentifiesBatchMatchesScalar(t *testing.T) {
 			t.Fatalf("ReIdentifiesBatch returned %d results for %d pairs", len(got), len(ts))
 		}
 		for i := range ts {
-			hit, name := atks.ReIdentifies(ts[i], owners[i])
+			hit, name := oracleReIdentifies(atks, ts[i], owners[i])
 			if got[i].Hit != hit || got[i].Attack != name {
-				t.Fatalf("seed %d, pair %d (owner %q): batch (%v, %q) != scalar (%v, %q)",
+				t.Fatalf("seed %d, pair %d (owner %q): batch (%v, %q) != oracle (%v, %q)",
 					seed, i, owners[i], got[i].Hit, got[i].Attack, hit, name)
+			}
+			if oneHit, oneName := atks.ReIdentifies(ts[i], owners[i]); oneHit != hit || oneName != name {
+				t.Fatalf("seed %d, pair %d (owner %q): ReIdentifies (%v, %q) != oracle (%v, %q)",
+					seed, i, owners[i], oneHit, oneName, hit, name)
 			}
 		}
 	}

@@ -81,7 +81,7 @@ func (a *PIT) Identify(t trace.Trace) Verdict {
 }
 
 // identifyChain is the profile scan over the anonymous chain, shared
-// by the scalar and batch paths. The chain's stationary distribution
+// by Identify and BatchIdentify. The chain's stationary distribution
 // is fixed across the scan; computing it once and abandoning profiles
 // whose stationary part alone exceeds the topTwo bound keeps the loop
 // cheap without changing the argmin. Completed distances fold through
@@ -108,15 +108,6 @@ func (a *PIT) identifyChain(c mmc.Chain) Verdict {
 // POI-attack.
 func (a *PIT) buildChain(pois []poi.POI, t trace.Trace) mmc.Chain {
 	return mmc.BuildFromPOIs(a.Extractor, pois, t)
-}
-
-// IdentifyBatch implements BatchIdentifier: one POI extraction and one
-// chain build per trace, fanned out across cores.
-func (a *PIT) IdentifyBatch(ts []trace.Trace) []Verdict {
-	if !a.scans() {
-		return make([]Verdict, len(ts))
-	}
-	return a.identifyBatchPOIs(extractPOIs(a.Extractor, ts), ts)
 }
 
 // identifyBatchPOIs scans traces with pre-extracted POIs in parallel.

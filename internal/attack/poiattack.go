@@ -79,7 +79,7 @@ func (a *POIAttack) Identify(t trace.Trace) Verdict {
 }
 
 // identifyPOIs is the profile scan over pre-extracted anonymous POIs,
-// shared by the scalar and batch paths. Completed distances fold
+// shared by Identify and BatchIdentify. Completed distances fold
 // through topTwo: ties break toward the lowest user ID (not profile
 // insertion order) and the runner-up feeds Verdict.Margin.
 func (a *POIAttack) identifyPOIs(pois []poi.POI) Verdict {
@@ -96,16 +96,6 @@ func (a *POIAttack) identifyPOIs(pois []poi.POI) Verdict {
 		}
 	}
 	return k.verdict()
-}
-
-// IdentifyBatch implements BatchIdentifier: POIs are extracted once
-// per trace — in parallel, and shared with the PIT-attack by
-// Set-level batch entry points when the extractor configs match.
-func (a *POIAttack) IdentifyBatch(ts []trace.Trace) []Verdict {
-	if !a.scans() {
-		return make([]Verdict, len(ts))
-	}
-	return a.identifyBatchPOIs(extractPOIs(a.Extractor, ts))
 }
 
 // identifyBatchPOIs scans pre-extracted POI sets in parallel spans.

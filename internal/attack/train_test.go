@@ -40,14 +40,14 @@ func oracleTrainAP(a *AP, background []trace.Trace) error {
 		}
 		a.profiles = append(a.profiles, apProfile{
 			user:   t.User,
-			slices: a.buildSlices(t),
+			frozen: heatmap.FrozenFromTrace(a.grid, t),
 		})
 	}
 	if len(a.profiles) == 0 {
 		return fmt.Errorf("attack: AP has no usable profiles")
 	}
 	for pi := range a.profiles {
-		a.profiles[pi].quant = heatmap.QuantizeAll(a.profiles[pi].slices)
+		a.profiles[pi].quant = a.profiles[pi].frozen.Quantize()
 	}
 	a.block = apBlockLen(a.profiles)
 	return nil
@@ -112,7 +112,7 @@ func untrained(s Set) Set {
 	for i, atk := range s {
 		switch a := atk.(type) {
 		case *AP:
-			out[i] = &AP{CellSize: a.CellSize, Divergence: a.Divergence, TimeSlices: a.TimeSlices}
+			out[i] = &AP{CellSize: a.CellSize}
 		case *POIAttack:
 			out[i] = &POIAttack{Extractor: a.Extractor}
 		case *PIT:
@@ -208,15 +208,15 @@ func TestTrainAllMatchesSequentialOracle(t *testing.T) {
 			}
 
 			ts, owners := probes(rng, bg)
+			gb := BatchIdentify(got, ts)
 			for i := range got {
-				gb := got[i].(BatchIdentifier).IdentifyBatch(ts)
-				wb := want[i].(BatchIdentifier).IdentifyBatch(ts)
 				for j, tr := range ts {
-					if g, w := got[i].Identify(tr), want[i].Identify(tr); !verdictsEq(g, w) {
+					w := oracleIdentify(want[i], tr)
+					if g := got[i].Identify(tr); !verdictsEq(g, w) {
 						t.Fatalf("procs %d, seed %d, %s, probe %d: Identify %+v != oracle %+v", procs, seed, got[i].Name(), j, g, w)
 					}
-					if !verdictsEq(gb[j], wb[j]) {
-						t.Fatalf("procs %d, seed %d, %s, probe %d: IdentifyBatch %+v != oracle %+v", procs, seed, got[i].Name(), j, gb[j], wb[j])
+					if !verdictsEq(gb[i][j], w) {
+						t.Fatalf("procs %d, seed %d, %s, probe %d: BatchIdentify %+v != oracle %+v", procs, seed, got[i].Name(), j, gb[i][j], w)
 					}
 				}
 			}

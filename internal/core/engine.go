@@ -89,7 +89,9 @@ type Piece struct {
 type Stats struct {
 	// Candidates is the number of obfuscations generated and evaluated.
 	Candidates int
-	// AttackCalls is the number of Identify invocations.
+	// AttackCalls adds len(Attacks) for every candidate that reached
+	// the protection predicate (a non-empty obfuscation), whether or
+	// not an early hit let the predicate skip the later attacks.
 	AttackCalls int
 	// SplitCount is the number of fine-grained splits performed.
 	SplitCount int

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -212,6 +213,39 @@ func TestProtectDatasetMatchesSequential(t *testing.T) {
 			if p.Pieces[j].Mechanism != seq.Pieces[j].Mechanism {
 				t.Fatalf("user %s piece %d: mechanism differs", tr.User, j)
 			}
+		}
+	}
+}
+
+// opaqueAttack hides an attack's concrete type, so the protection
+// predicate must take its generic Identify branch — the shape of sets
+// built from caller-supplied attacks or wrapped for tracing.
+type opaqueAttack struct{ attack.Attack }
+
+// TestGenericPredicateMatchesKernels runs the engine over the same
+// dataset twice: with the trained attacks, which the predicate
+// dispatches to their owner-seeded hit scans, and with every attack
+// wrapped so the predicate can only ask Identify. Both must publish
+// exactly the same results.
+func TestGenericPredicateMatchesKernels(t *testing.T) {
+	for _, seed := range []uint64{21, 26} {
+		s := newScenario(t, seed)
+		wrapped := make(attack.Set, len(s.atks))
+		for i, a := range s.atks {
+			wrapped[i] = opaqueAttack{a}
+		}
+		generic := *s.engine
+		generic.Attacks = wrapped
+		want, err := s.engine.ProtectDataset(s.test)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := generic.ProtectDataset(s.test)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: the generic Identify branch published different results than the kernels", seed)
 		}
 	}
 }

@@ -197,10 +197,9 @@ func RunDynamic(cfg DynamicConfig) ([]RoundResult, error) {
 		}
 
 		rr := RoundResult{Round: r.Index, Users: slice.NumUsers(), DataLoss: core.DataLoss(results)}
-		// Leak counting goes through the batch audit predicate — one
-		// profile-major pass over every piece of the round instead of a
-		// full profile walk per piece — which is bit-identical to the
-		// scalar oracle.ReIdentifies pair by pair.
+		// Leak counting judges every piece of the round in one
+		// protection-predicate call: the same predicate the engine
+		// applied to each candidate, over one batch.
 		var pieces []trace.Trace
 		var owners []string
 		for _, r := range results {

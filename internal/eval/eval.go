@@ -259,7 +259,7 @@ func runDataset(cfg Config, name string, concurrent bool) (DatasetEval, error) {
 		AttackHits:  make(map[string]int, len(atks)),
 	}
 	// The attack-hit matrix runs through the batch kernels (verdicts
-	// are bit-identical to scalar Identify calls — the golden test
+	// are bit-identical to per-trace Identify calls — the golden test
 	// pins the full report bytes).
 	for ai, vs := range attack.BatchIdentify(atks, test.Traces) {
 		name := atks[ai].Name()

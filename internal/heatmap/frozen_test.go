@@ -23,23 +23,12 @@ func randomHeatmap(rng *mathx.Rand, n, box int) *Heatmap {
 	return h
 }
 
-// denseL1 is the reference L1 over the aligned dense vectors, the exact
-// computation the pre-Frozen AP code ran.
-func denseL1(a, b *Heatmap) float64 {
-	p, q := oracleDistributions(a, b)
-	var d float64
-	for i := range p {
-		d += math.Abs(p[i] - q[i])
-	}
-	return d
-}
-
 // TestFrozenMatchesDenseExactly is the property test of the merge-walk
-// divergences: on randomized sparse heatmaps — overlapping, disjoint and
-// empty supports — the Frozen Topsoe, Jensen-Shannon and L1 walks must
-// be numerically identical (==, not within tolerance) to the dense
-// oracle, because both visit the union support in the same sorted order
-// and fold through the same scalar kernels.
+// divergence: on randomized sparse heatmaps — overlapping, disjoint and
+// empty supports — the Frozen Topsoe walk must be numerically identical
+// (==, not within tolerance) to the dense oracle, because both visit the
+// union support in the same sorted order and fold through the same
+// scalar kernel.
 func TestFrozenMatchesDenseExactly(t *testing.T) {
 	rng := mathx.NewRand(77)
 	check := func(name string, a, b *Heatmap) {
@@ -48,12 +37,6 @@ func TestFrozenMatchesDenseExactly(t *testing.T) {
 		wantTopsoe := oracleTopsoe(a, b)
 		if got := fa.Topsoe(fb); got != wantTopsoe {
 			t.Errorf("%s: frozen Topsoe %v != dense %v", name, got, wantTopsoe)
-		}
-		if got := fa.JensenShannon(fb); got != wantTopsoe/2 {
-			t.Errorf("%s: frozen JS %v != dense %v", name, fa.JensenShannon(fb), wantTopsoe/2)
-		}
-		if got, want := fa.L1(fb), denseL1(a, b); got != want {
-			t.Errorf("%s: frozen L1 %v != dense %v", name, got, want)
 		}
 		// Symmetry spot check against the dense reference too.
 		if got, want := fb.Topsoe(fa), oracleTopsoe(b, a); got != want {
@@ -102,8 +85,7 @@ func TestFrozenSnapshotImmutable(t *testing.T) {
 	}
 }
 
-// TestBoundedWalkSoundness checks the early-exit contract: with an
-// infinite bound the bounded walks equal the exact divergences, and a
+// TestBoundedWalkSoundness checks the early-exit contract: a
 // best-so-far scan over random profiles using bounded walks picks
 // exactly the argmin a full scan picks.
 func TestBoundedWalkSoundness(t *testing.T) {
@@ -116,13 +98,6 @@ func TestBoundedWalkSoundness(t *testing.T) {
 			profiles[i] = randomHeatmap(rng, 1+rng.Intn(30), 10).Freeze()
 		}
 
-		if got, want := anon.TopsoeBounded(profiles[0], 1, 0, 1, inf), anon.Topsoe(profiles[0]); got != want {
-			t.Fatalf("unbounded TopsoeBounded %v != Topsoe %v", got, want)
-		}
-		if got, want := anon.L1Bounded(profiles[0], 1, 0, 1, inf), anon.L1(profiles[0]); got != want {
-			t.Fatalf("unbounded L1Bounded %v != L1 %v", got, want)
-		}
-
 		// Full scan (exact argmin, strict <, first wins on ties).
 		wantIdx, wantBest := -1, inf
 		for i, p := range profiles {
@@ -133,7 +108,7 @@ func TestBoundedWalkSoundness(t *testing.T) {
 		// Early-exit scan.
 		gotIdx, gotBest := -1, inf
 		for i, p := range profiles {
-			if d := anon.TopsoeBounded(p, 1, 0, 1, gotBest); d < gotBest {
+			if d := anon.TopsoeBounded(p, gotBest); d < gotBest {
 				gotIdx, gotBest = i, d
 			}
 		}

@@ -3,9 +3,9 @@
 // and the substrate of the HMC protection mechanism [23].
 //
 // A heatmap counts the records of a trace per grid cell; normalising the
-// counts yields a probability distribution over cells. Divergences are
-// computed on its comparison forms, Frozen (exact) and Quant (batch
-// scans).
+// counts yields a probability distribution over cells. The Topsoe
+// divergence is computed on its comparison forms, Frozen (exact) and
+// Quant (the AP scans' float32 prune).
 package heatmap
 
 import (

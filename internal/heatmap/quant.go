@@ -6,15 +6,15 @@ import (
 	"mood/internal/geo"
 )
 
-// This file is the float32 half of the batch identification kernels:
-// a quantized companion form of Frozen plus approximate divergence
-// walks used as a *pruning pass* by the profile-major batch scans in
-// internal/attack. The contract is asymmetric by design — the
-// quantized value is only ever trusted as a lower bound (after
-// subtracting a generous certified slack), and every verdict still
-// comes from the exact float64 kernels in frozen.go, so batch verdicts
-// stay bit-identical to the scalar path while most losing profiles are
-// rejected at a fraction of the exact walk's cost.
+// This file is the float32 half of the AP identification kernel: a
+// quantized companion form of Frozen plus an approximate Topsoe walk
+// used as a *pruning pass* by the AP scans in internal/attack. The
+// contract is asymmetric by design — the quantized value is only ever
+// trusted as a lower bound (after subtracting a generous certified
+// slack), and every verdict still comes from the exact float64 kernel
+// in frozen.go, so verdicts stay bit-identical to an exhaustive exact
+// scan while most losing profiles are rejected at a fraction of the
+// exact walk's cost.
 
 // Quant is the float32-quantized form of a Frozen heatmap: the same
 // sorted cells, the normalized probabilities rounded to float32, and
@@ -50,16 +50,6 @@ func (f *Frozen) Quantize() *Quant {
 		}
 	}
 	return q
-}
-
-// QuantizeAll quantizes a slice of frozen heatmaps (one profile's or
-// one anonymous trace's time slices).
-func QuantizeAll(fs []*Frozen) []*Quant {
-	out := make([]*Quant, len(fs))
-	for i, f := range fs {
-		out[i] = f.Quantize()
-	}
-	return out
 }
 
 // Cells returns the support size.
@@ -144,49 +134,6 @@ func (q *Quant) TopsoeQuantBounded(o *Quant, bound float32) float32 {
 	return d
 }
 
-// L1QuantBounded is the quantized L1 walk; see TopsoeQuantBounded for
-// the bound semantics (L1 terms are likewise non-negative).
-func (q *Quant) L1QuantBounded(o *Quant, bound float32) float32 {
-	var d float32
-	qc, oc := q.cells, o.cells
-	i, j := 0, 0
-	for i < len(qc) && j < len(oc) {
-		a, b := qc[i], oc[j]
-		switch {
-		case a == b:
-			diff := q.probs[i] - o.probs[j]
-			if diff < 0 {
-				diff = -diff
-			}
-			d += diff
-			i++
-			j++
-		case cellLess(a, b):
-			d += q.probs[i]
-			i++
-		default:
-			d += o.probs[j]
-			j++
-		}
-		if d >= bound {
-			return d
-		}
-	}
-	for ; i < len(qc); i++ {
-		d += q.probs[i]
-		if d >= bound {
-			return d
-		}
-	}
-	for ; j < len(oc); j++ {
-		d += o.probs[j]
-		if d >= bound {
-			return d
-		}
-	}
-	return d
-}
-
 // QuantTopsoeSlack bounds |completed TopsoeQuantBounded − exact Topsoe|
 // for a merged support of n cells. Three error sources, each budgeted
 // with roughly two orders of magnitude to spare: float32 input rounding
@@ -198,7 +145,3 @@ func (q *Quant) L1QuantBounded(o *Quant, bound float32) float32 {
 // already loses, and TestQuantSlackSound fails if the observed error on
 // random and adversarial pairs ever exceeds half this budget.
 func QuantTopsoeSlack(n int) float64 { return 1e-4 + 2e-7*float64(n) }
-
-// QuantL1Slack is the L1 analogue (no logs: only input rounding and
-// accumulation error).
-func QuantL1Slack(n int) float64 { return 1e-5 + 2e-7*float64(n) }

@@ -46,18 +46,16 @@ func DefaultHotAllocConfig() HotAllocConfig {
 	return HotAllocConfig{
 		HotFuncs: map[string]map[string]bool{
 			"mood/internal/heatmap": {
-				"Topsoe": true, "JensenShannon": true, "L1": true,
-				"TopsoeBounded": true, "L1Bounded": true,
-				// The float32 batch-prune kernels: one walk per
-				// (trace, profile, slice) of every batch scan.
-				"TopsoeQuantBounded": true, "L1QuantBounded": true,
-				"fastLog32": true,
+				"Topsoe": true, "TopsoeBounded": true,
+				// The float32 prune kernel: one walk per (trace,
+				// profile) pair of every AP scan.
+				"TopsoeQuantBounded": true, "fastLog32": true,
 			},
 			"mood/internal/attack": {
-				// The exact rescoring and quantized prune of the batch
-				// scans: once per surviving (trace, profile) pair.
-				// (Quantize itself is freeze-time, not hot.)
-				"scoreFrozen": true, "pruneFrozen": true,
+				// The quantized prune of the AP scans: once per (trace,
+				// profile) pair. (Quantize itself is freeze-time, not
+				// hot.)
+				"pruneFrozen": true,
 			},
 			"mood/internal/service": {
 				"parseBatchChunkFast": true,

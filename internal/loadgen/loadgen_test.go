@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"mood/internal/attack"
 	"mood/internal/service"
 	"mood/internal/trace"
 )
@@ -15,15 +16,18 @@ import (
 // re-identify these users".
 type oddAuditor struct{}
 
-func (oddAuditor) ReIdentifies(t trace.Trace, user string) (bool, string) {
-	if len(user) == 0 {
-		return false, ""
+func (oddAuditor) ReIdentifiesBatch(ts []trace.Trace, users []string) []attack.ReIdent {
+	out := make([]attack.ReIdent, len(users))
+	for i, user := range users {
+		if len(user) == 0 {
+			continue
+		}
+		last := user[len(user)-1]
+		if last >= '0' && last <= '9' && (last-'0')%2 == 1 {
+			out[i] = attack.ReIdent{Hit: true, Attack: "odd-auditor"}
+		}
 	}
-	last := user[len(user)-1]
-	if last >= '0' && last <= '9' && (last-'0')%2 == 1 {
-		return true, "odd-auditor"
-	}
-	return false, ""
+	return out
 }
 
 func newLoadgenServer(t *testing.T, opts ...service.Option) (*service.Server, *httptest.Server) {

@@ -166,7 +166,7 @@ func (h *HMC) pickTarget(user string, src *heatmap.Frozen) *hmcProfile {
 		if p.user == user {
 			continue
 		}
-		if d := src.TopsoeBounded(p.frozen, 1, 0, 1, bestD); d < bestD {
+		if d := src.TopsoeBounded(p.frozen, bestD); d < bestD {
 			bestD = d
 			best = p
 		}

@@ -120,13 +120,6 @@ func TopsoeAccum(d, pi, qi float64) float64 {
 	return d
 }
 
-// L1Accum folds one aligned probability pair into a running L1
-// (total-variation-style) sum. Terms are non-negative, so partial sums
-// lower-bound the final distance, as with TopsoeAccum.
-func L1Accum(d, pi, qi float64) float64 {
-	return d + math.Abs(pi-qi)
-}
-
 // Topsoe returns the Topsoe divergence between two aligned discrete
 // distributions: D(p||m) + D(q||m) with m the midpoint distribution.
 // It is symmetric, finite for any pair of distributions, and equals

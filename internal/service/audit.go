@@ -3,8 +3,6 @@ package service
 import (
 	"sort"
 
-	"mood/internal/attack"
-	"mood/internal/par"
 	"mood/internal/trace"
 )
 
@@ -26,11 +24,9 @@ import (
 // Retrain serialises full passes against each other.
 //
 // Judging is batched: the whole pass — all shards — is assembled into
-// one task list and handed to the auditor's batch predicate (one
-// profile-major scan per attack over every fragment, see
-// attack.Set.ReIdentifiesBatch) or, for plain scalar auditors, to a
-// single worker pool. The previous shape spun up one pool and re-froze
-// every fragment's trace three times per shard.
+// one task list and handed to the auditor's predicate in one call (one
+// owner-seeded scan per attack over every fragment, see
+// attack.Set.ReIdentifiesBatch).
 
 // auditTask couples a fragment snapshot with the shard it lives in.
 type auditTask struct {
@@ -136,12 +132,9 @@ func (s *Server) auditTasks(a Auditor, tasks []auditTask) (audited, quarantined 
 }
 
 // judgeTasks evaluates the protection predicate for every fragment of
-// the pass. The published label is a pseudonym; the attacks judge the
-// anonymous trace against the true owner, as in eval.RunDynamic's
-// oracle. Batch-capable auditors (mood.Pipeline, attack.Set) judge the
-// whole pass in one call; plain Auditors fan out through par.Each, as
-// core's protectEach does — one fan-out for the entire pass, not one
-// per shard.
+// the pass in one auditor call. The published label is a pseudonym; the
+// attacks judge the anonymous trace against the true owner, as in
+// eval.RunDynamic's oracle.
 func (s *Server) judgeTasks(a Auditor, tasks []auditTask) []bool {
 	ts := make([]trace.Trace, len(tasks))
 	owners := make([]string, len(tasks))
@@ -150,22 +143,10 @@ func (s *Server) judgeTasks(a Auditor, tasks []auditTask) []bool {
 		owners[i] = t.frag.Owner
 	}
 	hits := make([]bool, len(tasks))
-	if ba, ok := a.(BatchAuditor); ok {
-		for i, r := range ba.ReIdentifiesBatch(ts, owners) {
-			hits[i] = r.Hit
-		}
-		return hits
+	for i, r := range a.ReIdentifiesBatch(ts, owners) {
+		hits[i] = r.Hit
 	}
-	par.Each(len(tasks), func(i int) { hits[i], _ = a.ReIdentifies(ts[i], owners[i]) })
 	return hits
-}
-
-// BatchAuditor is an Auditor that judges many fragments in one batch
-// pass; the audit prefers it over per-fragment ReIdentifies calls.
-// mood.Pipeline and attack.Set implement it.
-type BatchAuditor interface {
-	Auditor
-	ReIdentifiesBatch(ts []trace.Trace, users []string) []attack.ReIdent
 }
 
 // removeCondemned drops the condemned fragments (by seq) from one shard

@@ -25,31 +25,29 @@ func regionRecords(base geo.Point, n int) []trace.Record {
 	return rs
 }
 
-// countingBatchAuditor is a trained attack set that records whether the
-// audit pass actually went through the batched predicate.
-type countingBatchAuditor struct {
-	attack.Set
-	batchCalls atomic.Int32
-}
+// oracleAuditor judges pair by pair with the Identify-loop predicate —
+// each attack's full argmin in set order, first hit wins — the oracle
+// the set's owner-seeded batch scans must agree with.
+type oracleAuditor struct{ set attack.Set }
 
-func (c *countingBatchAuditor) ReIdentifiesBatch(ts []trace.Trace, users []string) []attack.ReIdent {
-	c.batchCalls.Add(1)
-	return c.Set.ReIdentifiesBatch(ts, users)
-}
-
-// scalarOnlyAuditor hides ReIdentifiesBatch, forcing the audit pass
-// onto the trace-at-a-time fallback.
-type scalarOnlyAuditor struct{ set attack.Set }
-
-func (a scalarOnlyAuditor) ReIdentifies(t trace.Trace, user string) (bool, string) {
-	return a.set.ReIdentifies(t, user)
+func (a oracleAuditor) ReIdentifiesBatch(ts []trace.Trace, users []string) []attack.ReIdent {
+	out := make([]attack.ReIdent, len(ts))
+	for i, t := range ts {
+		for _, atk := range a.set {
+			if v := atk.Identify(t); v.OK && v.User == users[i] {
+				out[i] = attack.ReIdent{Hit: true, Attack: atk.Name()}
+				break
+			}
+		}
+	}
+	return out
 }
 
 // TestBatchAuditQuarantinesSameSetAsScalar drives two identically
-// loaded servers through a retrain-triggered audit — one whose auditor
-// exposes the batched predicate, one restricted to the scalar fallback
-// — and demands the exact same audit report, surviving dataset and
-// quarantine stats. This is the service-level face of the batch
+// loaded servers through a retrain-triggered audit — one judging with
+// the attack set's batched predicate, one with the Identify-loop
+// oracle — and demands the exact same audit report, surviving dataset
+// and quarantine stats. This is the service-level face of the batch
 // kernels' bit-identical guarantee.
 func TestBatchAuditQuarantinesSameSetAsScalar(t *testing.T) {
 	regions := map[string]geo.Point{
@@ -67,7 +65,6 @@ func TestBatchAuditQuarantinesSameSetAsScalar(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	batchAud := &countingBatchAuditor{Set: set}
 	run := func(aud Auditor) (RetrainReport, []string, StatsPayload) {
 		rt := RetrainerFunc(func([]trace.Trace) (Protector, Auditor, error) {
 			return nil, aud, nil
@@ -94,27 +91,24 @@ func TestBatchAuditQuarantinesSameSetAsScalar(t *testing.T) {
 		return report, users, srv.statsPayload()
 	}
 
-	batchReport, batchUsers, batchStats := run(batchAud)
-	scalarReport, scalarUsers, scalarStats := run(scalarOnlyAuditor{set: set})
+	batchReport, batchUsers, batchStats := run(set)
+	oracleReport, oracleUsers, oracleStats := run(oracleAuditor{set: set})
 
-	if batchAud.batchCalls.Load() == 0 {
-		t.Fatal("audit never went through the batched predicate")
-	}
-	if batchReport.Audited != scalarReport.Audited || batchReport.Quarantined != scalarReport.Quarantined {
-		t.Fatalf("batch report %+v != scalar report %+v", batchReport, scalarReport)
+	if batchReport.Audited != oracleReport.Audited || batchReport.Quarantined != oracleReport.Quarantined {
+		t.Fatalf("batch report %+v != oracle report %+v", batchReport, oracleReport)
 	}
 	if batchReport.Audited != 4 || batchReport.Quarantined != 3 {
 		t.Fatalf("report = %+v, want 4 audited / 3 quarantined", batchReport)
 	}
-	if fmt.Sprint(batchUsers) != fmt.Sprint(scalarUsers) {
-		t.Fatalf("surviving datasets diverge: batch %v, scalar %v", batchUsers, scalarUsers)
+	if fmt.Sprint(batchUsers) != fmt.Sprint(oracleUsers) {
+		t.Fatalf("surviving datasets diverge: batch %v, oracle %v", batchUsers, oracleUsers)
 	}
 	if len(batchUsers) != 1 {
 		t.Fatalf("surviving fragments = %v, want exactly dave's", batchUsers)
 	}
-	if batchStats.QuarantinedTraces != scalarStats.QuarantinedTraces ||
-		batchStats.RecordsQuarantined != scalarStats.RecordsQuarantined {
-		t.Fatalf("quarantine stats diverge: batch %+v, scalar %+v", batchStats, scalarStats)
+	if batchStats.QuarantinedTraces != oracleStats.QuarantinedTraces ||
+		batchStats.RecordsQuarantined != oracleStats.RecordsQuarantined {
+		t.Fatalf("quarantine stats diverge: batch %+v, oracle %+v", batchStats, oracleStats)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"mood/internal/attack"
 	"mood/internal/clock"
 	"mood/internal/mathx"
 	"mood/internal/trace"
@@ -43,8 +44,14 @@ type condemnAuditor struct {
 	pass int
 }
 
-func (a condemnAuditor) ReIdentifies(tr trace.Trace, user string) (bool, string) {
-	return mathx.DeriveSeed(a.seed, "condemn", user, fmt.Sprint(a.pass))%3 == 0, "condemn"
+func (a condemnAuditor) ReIdentifiesBatch(ts []trace.Trace, users []string) []attack.ReIdent {
+	out := make([]attack.ReIdent, len(users))
+	for i, user := range users {
+		if mathx.DeriveSeed(a.seed, "condemn", user, fmt.Sprint(a.pass))%3 == 0 {
+			out[i] = attack.ReIdent{Hit: true, Attack: "condemn"}
+		}
+	}
+	return out
 }
 
 func runStatsInvariantProperty(t *testing.T, seed uint64) {

@@ -14,11 +14,11 @@
 //     (Server.protector is an atomic.Pointer): uploads in flight finish
 //     on the engine they loaded, new uploads use the retrained one, and
 //     no request is ever rejected or delayed by the swap.
-//  4. A re-audit pass re-runs the protection predicate (ReIdentifies)
-//     over every published fragment against the retrained attacks and
-//     quarantines the ones that have become vulnerable: they leave
-//     /v2/dataset and are counted in /v2/stats. Admission control
-//     becomes continuous risk re-assessment.
+//  4. A re-audit pass re-runs the protection predicate
+//     (ReIdentifiesBatch) over every published fragment against the
+//     retrained attacks and quarantines the ones that have become
+//     vulnerable: they leave /v2/dataset and are counted in /v2/stats.
+//     Admission control becomes continuous risk re-assessment.
 package service
 
 import (
@@ -26,6 +26,7 @@ import (
 	"net/http"
 	"time"
 
+	"mood/internal/attack"
 	"mood/internal/trace"
 )
 
@@ -33,14 +34,20 @@ import (
 // the retrainer learns from when Options.HistoryCap is left zero.
 const DefaultHistoryCap = 50000
 
-// Auditor re-checks a published fragment against the current attack
-// set: it reports whether any attack links the (anonymised) fragment
-// back to its true user. It must be safe for concurrent ReIdentifies
-// calls — the re-audit pass fans fragments out across cores (trained
-// attacks are immutable, so mood.Pipeline satisfies this).
+// Auditor re-checks published fragments against the current attack
+// set: for every (anonymised trace, true user) pair it reports whether
+// any attack links the trace back to the user. A re-audit pass judges
+// all its fragments in one call. It must be safe for concurrent calls —
+// the commit path re-audits fragments that raced an engine swap while a
+// pass may be running (trained attacks are immutable, so mood.Pipeline
+// and attack.Set satisfy this).
 type Auditor interface {
-	ReIdentifies(t trace.Trace, user string) (bool, string)
+	ReIdentifiesBatch(ts []trace.Trace, users []string) []attack.ReIdent
 }
+
+// BatchAuditor is an alias of Auditor, kept for callers that still
+// assert the batch-capable name.
+type BatchAuditor = Auditor
 
 // Retrainer rebuilds the protection engine from the accumulated raw
 // upload history (one merged, time-sorted trace per user). It returns

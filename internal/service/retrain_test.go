@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"mood/internal/attack"
 	"mood/internal/clock"
 	"mood/internal/core"
 	"mood/internal/trace"
@@ -52,11 +53,14 @@ type ownerAuditor struct {
 	prefix string
 }
 
-func (a ownerAuditor) ReIdentifies(t trace.Trace, user string) (bool, string) {
-	if strings.HasPrefix(user, a.prefix) {
-		return true, "owner-auditor"
+func (a ownerAuditor) ReIdentifiesBatch(ts []trace.Trace, users []string) []attack.ReIdent {
+	out := make([]attack.ReIdent, len(users))
+	for i, user := range users {
+		if strings.HasPrefix(user, a.prefix) {
+			out[i] = attack.ReIdent{Hit: true, Attack: "owner-auditor"}
+		}
 	}
-	return false, ""
+	return out
 }
 
 func newRetrainServer(t *testing.T, rt Retrainer, opts ...Option) (*Server, *httptest.Server) {
@@ -339,9 +343,9 @@ type clockedAuditor struct {
 	step time.Duration
 }
 
-func (a clockedAuditor) ReIdentifies(trace.Trace, string) (bool, string) {
-	a.clk.Advance(a.step)
-	return false, ""
+func (a clockedAuditor) ReIdentifiesBatch(ts []trace.Trace, _ []string) []attack.ReIdent {
+	a.clk.Advance(time.Duration(len(ts)) * a.step)
+	return make([]attack.ReIdent, len(ts))
 }
 
 // TestRetrainReportPhases: the report splits the pass into its train

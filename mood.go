@@ -268,22 +268,22 @@ type Classification = core.Classification
 func Classify(results []Result) Classification { return core.Classify(results) }
 
 // ReIdentifies reports whether any trained attack links t to user (the
-// protection predicate of Definitions 4-6).
+// protection predicate of Definitions 4-6); it is ReIdentifiesBatch
+// over a batch of one.
 func (p *Pipeline) ReIdentifies(t Trace, user string) (bool, string) {
 	return p.atks.ReIdentifies(t, user)
 }
 
-// ReIdent is one (trace, user) pair's outcome of a batch
-// re-identification audit (see ReIdentifiesBatch).
+// ReIdent is one (trace, user) pair's outcome of the protection
+// predicate (see ReIdentifiesBatch).
 type ReIdent = attack.ReIdent
 
-// ReIdentifiesBatch answers ReIdentifies for many (trace, user) pairs
-// in one pass, pair-for-pair identical to the scalar predicate but
-// restructured for throughput: each trace is frozen once per attack,
-// the AP scan runs profile-major with float32 pruning, and the audit
+// ReIdentifiesBatch evaluates the protection predicate for many
+// (trace, user) pairs in one pass: each trace is frozen once per
+// attack, the AP scan runs with float32 pruning, and each attack's
 // question stops at the first profile beating the owner's score. The
-// service's re-audit pass judges the whole published dataset through
-// this in one call.
+// engine checks each candidate as a batch of one; the service's
+// re-audit pass judges the whole published dataset in one call.
 func (p *Pipeline) ReIdentifiesBatch(ts []Trace, users []string) []ReIdent {
 	return p.atks.ReIdentifiesBatch(ts, users)
 }
