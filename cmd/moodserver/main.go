@@ -124,7 +124,7 @@ func runCtx(ctx context.Context, args []string) error {
 		return err
 	}
 	// One clock feeds every time-dependent layer (rate limiter,
-	// idempotency TTL, retrain ticker, snapshot loop), so an embedder
+	// retrain ticker, snapshot loop), so an embedder
 	// swapping in a clock.Manual steps the whole server coherently.
 	clk := clock.System()
 	svcOpts := []service.Option{

@@ -7,18 +7,15 @@ import (
 	"mood/internal/geo"
 	"mood/internal/heatmap"
 	"mood/internal/par"
+	"mood/internal/profile"
 	"mood/internal/trace"
 )
 
 // AP is the AP-Attack of Maouche et al. [22]: each user's mobility is
 // profiled as a heatmap over fixed cells (800 m in the paper) and an
 // anonymous trace is attributed to the profile with the smallest Topsoe
-// divergence.
+// divergence. Its profiles are a view over a profile.Set's heatmaps.
 type AP struct {
-	// CellSize is the heatmap granularity in meters (0 selects the
-	// paper's 800 m).
-	CellSize float64
-
 	grid     *geo.Grid
 	profiles []apProfile
 	// block is the profile count per cache-resident block of the batch
@@ -28,49 +25,39 @@ type AP struct {
 
 type apProfile struct {
 	user string
-	// frozen is the profile's heatmap, frozen once at Train time so the
-	// scans are pure merge walks with no per-comparison allocation.
+	// frozen is the profile's heatmap, shared with the profile set (and
+	// HMC), so the scans are pure merge walks with no per-comparison
+	// allocation.
 	frozen *heatmap.Frozen
-	// quant is the float32-quantized companion of frozen, also built at
-	// Train time; the scans use it to prune provable losers before
-	// touching the exact kernel (see pruneFrozen).
+	// quant is the float32-quantized companion of frozen; the scans use
+	// it to prune provable losers before touching the exact kernel (see
+	// pruneFrozen).
 	quant *heatmap.Quant
 }
 
 var _ Attack = (*AP)(nil)
 
-// NewAP returns an AP-attack with the paper's cell size.
-func NewAP() *AP { return &AP{CellSize: heatmap.DefaultCellSize} }
+// NewAP returns an untrained AP-attack.
+func NewAP() *AP { return &AP{} }
 
 // Name implements Attack.
 func (*AP) Name() string { return "AP" }
 
-// Train implements Attack.
+// Train implements Attack at the paper's cell size.
 func (a *AP) Train(background []trace.Trace) error {
-	size := a.CellSize
-	if size <= 0 {
-		size = heatmap.DefaultCellSize
-	}
-	box := geo.EmptyBBox()
-	for _, t := range background {
-		if !t.Empty() {
-			box = box.Extend(t.BBox().Center())
-		}
-	}
-	if box.Empty() {
+	return a.trainOn(profile.New(background, 0))
+}
+
+func (a *AP) trainOn(ps *profile.Set) error {
+	if ps.Grid() == nil {
 		return fmt.Errorf("attack: AP background has no records")
 	}
-	a.grid = geo.NewGrid(box.Center(), size)
-	a.profiles = par.Collect(len(background), func(i int) (apProfile, bool) {
-		t := background[i]
-		if t.Empty() {
-			return apProfile{}, false
-		}
-		f := heatmap.FrozenFromTrace(a.grid, t)
-		return apProfile{user: t.User, frozen: f, quant: f.Quantize()}, true
-	})
-	if len(a.profiles) == 0 {
-		return fmt.Errorf("attack: AP has no usable profiles")
+	users := ps.Quants()
+	a.grid = ps.Grid()
+	a.profiles = make([]apProfile, len(users))
+	for i := range users {
+		u := &users[i]
+		a.profiles[i] = apProfile{user: u.ID, frozen: u.Frozen, quant: u.Quant}
 	}
 	a.block = apBlockLen(a.profiles)
 	return nil
@@ -194,45 +181,19 @@ func (a *AP) identifyBatchSpan(ts []trace.Trace, out []Verdict, lo, hi int) {
 	}
 }
 
-// hitOne answers "would Identify attribute t to owner" without
-// completing the argmin: the owner's exact score seeds the bound and
-// the scan stops at the first profile that provably beats it under the
-// shared tie rule (lower score, or equal score and smaller user ID).
-// Profiles abandoned or pruned at the nextUp(ownerScore) bound have
-// true scores strictly above the owner's and cannot beat it, so the
-// boolean equals Identify(t).OK && User == owner exactly — at a
-// fraction of the cost when a beater exists.
+// hitOne answers the predicate for t (ownerHit), with the float32
+// prune in front of the exact kernel.
 func (a *AP) hitOne(t trace.Trace, owner string) bool {
 	if a.grid == nil || t.Empty() {
 		return false
 	}
 	anon := heatmap.FrozenFromTrace(a.grid, t)
 	quant := anon.Quantize()
-	// Owner score: the minimum over the owner's profiles (normally
-	// exactly one).
-	so := math.Inf(1)
-	for pi := range a.profiles {
-		p := &a.profiles[pi]
-		if p.user != owner {
-			continue
+	return ownerHit(a.profiles, owner, func(i int, bound float64) float64 {
+		p := &a.profiles[i]
+		if pruneFrozen(quant, p, bound) {
+			return bound
 		}
-		if d := anon.Topsoe(p.frozen); d < so {
-			so = d
-		}
-	}
-	if math.IsInf(so, 1) {
-		return false
-	}
-	bound := nextUp(so)
-	for pi := range a.profiles {
-		p := &a.profiles[pi]
-		if p.user == owner || pruneFrozen(quant, p, bound) {
-			continue
-		}
-		d := anon.TopsoeBounded(p.frozen, bound)
-		if d < bound && (d < so || (d == so && p.user < owner)) {
-			return false
-		}
-	}
-	return true
+		return anon.TopsoeBounded(p.frozen, bound)
+	})
 }

@@ -13,17 +13,18 @@
 // (Set.ReIdentifies) is a batch of one, and the service's re-audit and
 // eval's dynamic oracle pass whole batches.
 //
-// Training is parallel: each attack builds one profile per background
-// trace on GOMAXPROCS workers (par.Collect), and the profiles keep
-// background order: the slice equals, float for float and in order,
-// what a sequential loop builds, so the batch scans' profile blocks are
-// unchanged too. TrainAll additionally extracts every trace's POIs once
-// for the POI- and PIT-attacks when their extractors match.
+// Training is a view: the AP-, POI- and PIT-attacks read their profiles
+// from one profile.Set, which builds each user's heatmap, POIs and
+// Markov chain once, in parallel, and keeps background order — the
+// profiles equal, float for float and in order, what a sequential loop
+// builds. mood.NewPipeline hands the same Set to HMC, so the attacks and
+// HMC's imitation pool share every heatmap.
 package attack
 
 import (
 	"fmt"
 
+	"mood/internal/profile"
 	"mood/internal/trace"
 )
 
@@ -62,22 +63,28 @@ type Attack interface {
 // obfuscations against all of them.
 type Set []Attack
 
-// TrainAll trains every attack on the same background knowledge. The
-// POI- and PIT-attacks train from one shared POI extraction per trace
-// when their extractor configs match (as in BatchIdentify); every
-// attack ends up with exactly the profiles its own Train would build.
+// TrainAll trains every attack on one profile.Set of background at the
+// paper's cell size (see TrainOn).
 func TrainAll(attacks Set, background []trace.Trace) error {
-	cache := poiCache{ts: background}
-	all := indices(len(background))
-	for _, atk := range attacks {
+	return attacks.TrainOn(profile.New(background, 0))
+}
+
+// profiled is an attack that trains as a view over a profile.Set.
+type profiled interface {
+	trainOn(ps *profile.Set) error
+}
+
+// TrainOn trains every attack on the background knowledge ps profiles.
+// The AP-, POI- and PIT-attacks become views over ps's users, so each
+// feature is built once for all of them (and for HMC, when it shares
+// ps); any other attack trains through Train on ps's background.
+func (s Set) TrainOn(ps *profile.Set) error {
+	for _, atk := range s {
 		var err error
-		switch a := atk.(type) {
-		case *POIAttack:
-			err = a.trainPOIs(background, cache.extract(a.Extractor, all))
-		case *PIT:
-			err = a.trainPOIs(background, cache.extract(a.Extractor, all))
-		default:
-			err = atk.Train(background)
+		if p, ok := atk.(profiled); ok {
+			err = p.trainOn(ps)
+		} else {
+			err = atk.Train(ps.Background())
 		}
 		if err != nil {
 			return fmt.Errorf("attack: training %s: %w", atk.Name(), err)

@@ -21,8 +21,7 @@ import (
 //   - the predicate's question "does any profile beat the owner's" is
 //     answered by an owner-seeded scan that stops at the first beating
 //     profile instead of completing the argmin;
-//   - one POI extraction feeds both the POI- and PIT-attacks when
-//     their extractor configs match.
+//   - one POI extraction per trace feeds both the POI- and PIT-attacks.
 //
 // Exactness rests on two facts proven in topTwo's comment: the
 // early-exit bound nextUp(second-best) lets every profile that could
@@ -88,26 +87,76 @@ func (k *topTwo) verdict() Verdict {
 	return Verdict{User: k.user, Score: k.best, Margin: k.second - k.best, OK: true}
 }
 
-// poiCache shares one POI extraction per trace across the attacks of a
-// batch or training pass: POIAttack and PIT are built on the same
-// clustering, so when their extractor configs match the extraction runs
-// once, not twice. A second distinct config resets the cache — sets mix
-// at most a handful of attacks.
+// The profile types the shared scans below walk.
+type userProfile interface{ userID() string }
+
+func (p apProfile) userID() string  { return p.user }
+func (p poiProfile) userID() string { return p.user }
+func (p pitProfile) userID() string { return p.user }
+
+// argmin is the POI- and PIT-attacks' Identify scan: every profile's
+// score folds through topTwo. score(i, bound) returns profile i's exact score, or any value
+// >= bound once the score provably reaches bound.
+func argmin[P userProfile](ps []P, score func(i int, bound float64) float64) Verdict {
+	k := newTopTwo()
+	for i := range ps {
+		bound := k.bound()
+		if d := score(i, bound); d < bound {
+			k.consider(ps[i].userID(), d)
+		}
+	}
+	return k.verdict()
+}
+
+// ownerHit is the owner-seeded audit scan: would Identify attribute the
+// trace to owner? It does not complete the argmin: the owner's exact
+// score (the minimum over the owner's profiles, normally exactly one)
+// seeds the bound, and the scan stops at the first profile that
+// provably beats it under the shared tie rule (lower score, or equal
+// score and smaller user ID). Profiles abandoned at the
+// nextUp(owner score) bound have true scores strictly above the owner's
+// and cannot beat it, so the boolean equals Identify(t).OK && User ==
+// owner exactly — at a fraction of the cost when a beater exists. score
+// is argmin's.
+func ownerHit[P userProfile](ps []P, owner string, score func(i int, bound float64) float64) bool {
+	so := math.Inf(1)
+	for i := range ps {
+		if ps[i].userID() != owner {
+			continue
+		}
+		if d := score(i, math.Inf(1)); d < so {
+			so = d
+		}
+	}
+	if math.IsInf(so, 1) {
+		return false
+	}
+	bound := nextUp(so)
+	for i := range ps {
+		u := ps[i].userID()
+		if u == owner {
+			continue
+		}
+		if d := score(i, bound); d < bound && (d < so || (d == so && u < owner)) {
+			return false
+		}
+	}
+	return true
+}
+
+// poiCache extracts the POIs of each anonymous trace of a batch once,
+// on first use: the POI- and PIT-attacks share the extraction.
 type poiCache struct {
 	ts   []trace.Trace
-	e    poi.Extractor
-	ok   bool
 	pois [][]poi.POI
 	done []bool
 }
 
 // extract returns the POIs of every trace named in idxs (indices into
 // c.ts), extracting missing entries in parallel.
-func (c *poiCache) extract(e poi.Extractor, idxs []int) [][]poi.POI {
-	if !c.ok || c.e != e {
-		c.e, c.ok = e, true
-		c.pois = make([][]poi.POI, len(c.ts))
-		c.done = make([]bool, len(c.ts))
+func (c *poiCache) extract(idxs []int) [][]poi.POI {
+	if c.pois == nil {
+		c.pois, c.done = make([][]poi.POI, len(c.ts)), make([]bool, len(c.ts))
 	}
 	todo := make([]int, 0, len(idxs))
 	for _, i := range idxs {
@@ -117,7 +166,7 @@ func (c *poiCache) extract(e poi.Extractor, idxs []int) [][]poi.POI {
 	}
 	par.Each(len(todo), func(j int) {
 		i := todo[j]
-		c.pois[i] = c.e.Extract(c.ts[i])
+		c.pois[i] = poi.NewExtractor().Extract(c.ts[i])
 		c.done[i] = true
 	})
 	return c.pois
@@ -134,40 +183,55 @@ func indices(n int) []int {
 
 // BatchIdentify scores every trace against every attack of the set
 // with the batch kernels: out[ai][ti] is bit-identical to
-// s[ai].Identify(ts[ti]). One POI extraction is shared between the
-// POI- and PIT-attacks when their extractor configs match; attacks
-// without a kernel are called trace by trace.
+// s[ai].Identify(ts[ti]). One POI extraction per trace is shared by
+// the POI- and PIT-attacks; attacks without a kernel are called trace
+// by trace.
 func BatchIdentify(s Set, ts []trace.Trace) [][]Verdict {
 	out := make([][]Verdict, len(s))
 	cache := poiCache{ts: ts}
 	all := indices(len(ts))
 	for ai, atk := range s {
+		identify := func(i int) Verdict { return atk.Identify(ts[i]) }
 		switch a := atk.(type) {
 		case *AP:
 			out[ai] = a.IdentifyBatch(ts)
+			continue
 		case *POIAttack:
-			if !a.scans() {
-				out[ai] = make([]Verdict, len(ts))
-				continue
+			if a.scans() {
+				ps := cache.extract(all)
+				identify = func(i int) Verdict { return a.identifyPOIs(ps[i]) }
 			}
-			out[ai] = a.identifyBatchPOIs(cache.extract(a.Extractor, all))
 		case *PIT:
-			if !a.scans() {
-				out[ai] = make([]Verdict, len(ts))
-				continue
+			if a.scans() {
+				ps := cache.extract(all)
+				identify = func(i int) Verdict { return a.identifyChain(buildChain(ps[i], ts[i])) }
 			}
-			out[ai] = a.identifyBatchPOIs(cache.extract(a.Extractor, all), ts)
-		default:
-			vs := make([]Verdict, len(ts))
-			par.Spans(len(ts), func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					vs[i] = atk.Identify(ts[i])
-				}
-			})
-			out[ai] = vs
 		}
+		vs := make([]Verdict, len(ts))
+		par.Spans(len(ts), func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				vs[i] = identify(i)
+			}
+		})
+		out[ai] = vs
 	}
 	return out
+}
+
+// hit answers the predicate for trace i of a batch, ts[i] = t, with
+// atk's owner-seeded kernel; ps holds the batch's POIs for the POI- and
+// PIT-attacks. Any other Attack is asked through Identify.
+func hit(atk Attack, t trace.Trace, ps [][]poi.POI, i int, owner string) bool {
+	switch a := atk.(type) {
+	case *AP:
+		return a.hitOne(t, owner)
+	case *POIAttack:
+		return a.hitPOIs(ps[i], owner)
+	case *PIT:
+		return a.hitChain(buildChain(ps[i], t), owner)
+	}
+	v := atk.Identify(t)
+	return v.OK && v.User == owner
 }
 
 // ReIdent is one (trace, user) pair's outcome of the protection
@@ -195,46 +259,26 @@ func (s Set) ReIdentifiesBatch(ts []trace.Trace, users []string) []ReIdent {
 		if len(remaining) == 0 {
 			break
 		}
-		hits := make([]bool, len(remaining))
+		var ps [][]poi.POI
 		switch a := atk.(type) {
-		case *AP:
-			par.Spans(len(remaining), func(lo, hi int) {
-				for j := lo; j < hi; j++ {
-					i := remaining[j]
-					hits[j] = a.hitOne(ts[i], users[i])
-				}
-			})
 		case *POIAttack:
 			if !a.scans() {
-				break
+				continue // no verdicts, no hits
 			}
-			ps := cache.extract(a.Extractor, remaining)
-			par.Spans(len(remaining), func(lo, hi int) {
-				for j := lo; j < hi; j++ {
-					i := remaining[j]
-					hits[j] = a.hitPOIs(ps[i], users[i])
-				}
-			})
+			ps = cache.extract(remaining)
 		case *PIT:
 			if !a.scans() {
-				break
+				continue
 			}
-			ps := cache.extract(a.Extractor, remaining)
-			par.Spans(len(remaining), func(lo, hi int) {
-				for j := lo; j < hi; j++ {
-					i := remaining[j]
-					hits[j] = a.hitChain(a.buildChain(ps[i], ts[i]), users[i])
-				}
-			})
-		default:
-			par.Spans(len(remaining), func(lo, hi int) {
-				for j := lo; j < hi; j++ {
-					i := remaining[j]
-					v := atk.Identify(ts[i])
-					hits[j] = v.OK && v.User == users[i]
-				}
-			})
+			ps = cache.extract(remaining)
 		}
+		hits := make([]bool, len(remaining))
+		par.Spans(len(remaining), func(lo, hi int) {
+			for j := lo; j < hi; j++ {
+				i := remaining[j]
+				hits[j] = hit(atk, ts[i], ps, i, users[i])
+			}
+		})
 		name := atk.Name()
 		next := remaining[:0]
 		for j, i := range remaining {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mood/internal/lppm"
+	"mood/internal/profile"
 	"mood/internal/synth"
 	"mood/internal/trace"
 )
@@ -58,9 +59,11 @@ func benchTrainBackground(b *testing.B) []trace.Trace {
 }
 
 // BenchmarkTrainAll times a retrain pass's attack training: each attack
-// alone, the default set through TrainAll (parallel, one POI extraction
-// shared by POI and PIT), and the same set through the sequential
-// oracle the parallel trainers replaced.
+// alone, the default set through TrainAll (one profile set: one POI
+// extraction shared by POI and PIT), the same set through the
+// sequential oracle the parallel trainers replaced, and a pipeline's
+// whole profile build — the set and HMC as views over one profile set,
+// so HMC reuses the AP-attack's heatmaps.
 func BenchmarkTrainAll(b *testing.B) {
 	bg := benchTrainBackground(b)
 	for _, bc := range []struct {
@@ -73,6 +76,13 @@ func BenchmarkTrainAll(b *testing.B) {
 		{"PIT", func() Set { return Set{NewPIT()} }, TrainAll},
 		{"set", allAttacks, TrainAll},
 		{"set/sequential", allAttacks, oracleTrainAll},
+		{"set+HMC", allAttacks, func(s Set, bg []trace.Trace) error {
+			ps := profile.New(bg, 0)
+			if _, err := lppm.NewHMCOn(ps); err != nil {
+				return err
+			}
+			return s.TrainOn(ps)
+		}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()

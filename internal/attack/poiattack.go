@@ -5,8 +5,8 @@ import (
 	"math"
 
 	"mood/internal/geo"
-	"mood/internal/par"
 	"mood/internal/poi"
+	"mood/internal/profile"
 	"mood/internal/trace"
 )
 
@@ -19,10 +19,6 @@ import (
 // the attack produces no verdict — which counts as failed
 // re-identification.
 type POIAttack struct {
-	// Extractor configures POI clustering; the zero value uses the
-	// paper's 200 m / 1 h parameters.
-	Extractor poi.Extractor
-
 	profiles []poiProfile
 	trained  bool
 }
@@ -34,10 +30,9 @@ type poiProfile struct {
 
 var _ Attack = (*POIAttack)(nil)
 
-// NewPOIAttack returns a POI-attack with the paper's parameters.
-func NewPOIAttack() *POIAttack {
-	return &POIAttack{Extractor: poi.NewExtractor()}
-}
+// NewPOIAttack returns an untrained POI-attack. POIs are extracted with
+// the paper's 200 m / 1 h parameters.
+func NewPOIAttack() *POIAttack { return &POIAttack{} }
 
 // Name implements Attack.
 func (*POIAttack) Name() string { return "POI" }
@@ -47,23 +42,21 @@ func (*POIAttack) Name() string { return "POI" }
 // training outcome (the attack will simply never identify anyone), but
 // an empty background is a caller error.
 func (a *POIAttack) Train(background []trace.Trace) error {
-	return a.trainPOIs(background, extractPOIs(a.Extractor, background))
+	return a.trainOn(profile.New(background, 0))
 }
 
-// trainPOIs trains from pois[i], the POIs a.Extractor extracts from
-// background[i] — TrainAll shares one extraction with the PIT-attack.
-func (a *POIAttack) trainPOIs(background []trace.Trace, pois [][]poi.POI) error {
-	if len(background) == 0 {
+func (a *POIAttack) trainOn(ps *profile.Set) error {
+	if len(ps.Background()) == 0 {
 		return fmt.Errorf("attack: POI training needs background traces")
 	}
-	a.profiles = a.profiles[:0]
-	for i, t := range background {
-		if len(pois[i]) == 0 {
-			continue // user without dwell structure cannot be profiled
+	var profiles []poiProfile
+	users := ps.POIs()
+	for i := range users {
+		if u := &users[i]; len(u.POIs) > 0 { // users without dwell structure cannot be profiled
+			profiles = append(profiles, poiProfile{user: u.ID, pois: u.POIs})
 		}
-		a.profiles = append(a.profiles, poiProfile{user: t.User, pois: pois[i]})
 	}
-	a.trained = true
+	a.profiles, a.trained = profiles, true
 	return nil
 }
 
@@ -75,82 +68,30 @@ func (a *POIAttack) Identify(t trace.Trace) Verdict {
 	if !a.scans() {
 		return Verdict{}
 	}
-	return a.identifyPOIs(a.Extractor.Extract(t))
+	return a.identifyPOIs(poi.NewExtractor().Extract(t))
 }
 
 // identifyPOIs is the profile scan over pre-extracted anonymous POIs,
-// shared by Identify and BatchIdentify. Completed distances fold
-// through topTwo: ties break toward the lowest user ID (not profile
-// insertion order) and the runner-up feeds Verdict.Margin.
+// shared by Identify and BatchIdentify.
 func (a *POIAttack) identifyPOIs(pois []poi.POI) Verdict {
 	if len(pois) == 0 {
 		return Verdict{}
 	}
 	weights := poi.Weights(pois)
-	k := newTopTwo()
-	for pi := range a.profiles {
-		p := &a.profiles[pi]
-		bound := k.bound()
-		if d := poiSetDistance(pois, weights, p.pois, bound); d < bound {
-			k.consider(p.user, d)
-		}
-	}
-	return k.verdict()
-}
-
-// identifyBatchPOIs scans pre-extracted POI sets in parallel spans.
-func (a *POIAttack) identifyBatchPOIs(pois [][]poi.POI) []Verdict {
-	out := make([]Verdict, len(pois))
-	par.Spans(len(pois), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = a.identifyPOIs(pois[i])
-		}
+	return argmin(a.profiles, func(i int, bound float64) float64 {
+		return poiSetDistance(pois, weights, a.profiles[i].pois, bound)
 	})
-	return out
 }
 
-// hitPOIs is the owner-seeded audit scan: does Identify attribute a
-// trace with these POIs to owner? See AP.hitOne for the argument; the
-// structure is identical with poiSetDistance as the exact scorer.
+// hitPOIs answers the predicate for a trace with these POIs (ownerHit).
 func (a *POIAttack) hitPOIs(pois []poi.POI, owner string) bool {
-	if !a.scans() || len(pois) == 0 {
+	if len(pois) == 0 {
 		return false
 	}
 	weights := poi.Weights(pois)
-	so := math.Inf(1)
-	seen := false
-	for pi := range a.profiles {
-		p := &a.profiles[pi]
-		if p.user != owner {
-			continue
-		}
-		if d := poiSetDistance(pois, weights, p.pois, math.Inf(1)); d < so {
-			so, seen = d, true
-		}
-	}
-	if !seen {
-		return false
-	}
-	bound := nextUp(so)
-	for pi := range a.profiles {
-		p := &a.profiles[pi]
-		if p.user == owner {
-			continue
-		}
-		d := poiSetDistance(pois, weights, p.pois, bound)
-		if d < bound && (d < so || (d == so && p.user < owner)) {
-			return false
-		}
-	}
-	return true
-}
-
-// extractPOIs runs e.Extract over every trace in parallel; the result
-// feeds the POI- and PIT-attacks' training and batch scans.
-func extractPOIs(e poi.Extractor, ts []trace.Trace) [][]poi.POI {
-	out := make([][]poi.POI, len(ts))
-	par.Each(len(ts), func(i int) { out[i] = e.Extract(ts[i]) })
-	return out
+	return ownerHit(a.profiles, owner, func(i int, bound float64) float64 {
+		return poiSetDistance(pois, weights, a.profiles[i].pois, bound)
+	})
 }
 
 // poiSetDistance is the weighted mean distance from each anonymous POI

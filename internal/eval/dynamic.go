@@ -6,6 +6,7 @@ import (
 	"mood/internal/attack"
 	"mood/internal/core"
 	"mood/internal/lppm"
+	"mood/internal/profile"
 	"mood/internal/synth"
 	"mood/internal/trace"
 )
@@ -57,8 +58,13 @@ type RoundResult struct {
 // online retraining subsystem so the offline experiment and the running
 // server agree on what "retrained attacks" means.
 func NewOracle(background []trace.Trace) (attack.Set, error) {
+	return oracleOn(profile.New(background, 0))
+}
+
+// oracleOn is NewOracle as a view over profiles ps.
+func oracleOn(ps *profile.Set) (attack.Set, error) {
 	set := attack.Set{attack.NewAP(), attack.NewPOIAttack(), attack.NewPIT()}
-	if err := attack.TrainAll(set, background); err != nil {
+	if err := set.TrainOn(ps); err != nil {
 		return nil, err
 	}
 	return set, nil
@@ -158,8 +164,11 @@ func RunDynamic(cfg DynamicConfig) ([]RoundResult, error) {
 		return nil, err
 	}
 
-	// Static verifier: trained once on the initial background.
-	staticAtks, err := NewOracle(initialBG.Traces)
+	// Static verifier: trained once on the initial background. Each
+	// profile set is shared by its attacks and HMC, so the static HMC
+	// rebuilt every round reuses the initial background's heatmaps.
+	staticBG := profile.New(initialBG.Traces, 0)
+	staticAtks, err := oracleOn(staticBG)
 	if err != nil {
 		return nil, err
 	}
@@ -171,18 +180,17 @@ func RunDynamic(cfg DynamicConfig) ([]RoundResult, error) {
 
 		// Oracle attacker: always up to date with the raw history an
 		// adversary could have accumulated before this round.
-		oracle, err := NewOracle(attackerBG)
+		attackerPS := profile.New(attackerBG, 0)
+		oracle, err := oracleOn(attackerPS)
 		if err != nil {
 			return nil, err
 		}
 
-		verifier := staticAtks
-		verifierBG := initialBG.Traces
+		verifier, verifierBG := staticAtks, staticBG
 		if cfg.Retrain {
-			verifier = oracle
-			verifierBG = attackerBG
+			verifier, verifierBG = oracle, attackerPS
 		}
-		hmc, err := lppm.NewHMC(0, verifierBG)
+		hmc, err := lppm.NewHMCOn(verifierBG)
 		if err != nil {
 			return nil, err
 		}

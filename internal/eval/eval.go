@@ -16,6 +16,7 @@ import (
 	"mood/internal/lppm"
 	"mood/internal/metrics"
 	"mood/internal/par"
+	"mood/internal/profile"
 	"mood/internal/synth"
 	"mood/internal/trace"
 )
@@ -237,11 +238,12 @@ func runDataset(cfg Config, name string, concurrent bool) (DatasetEval, error) {
 	if !cfg.SingleAttack {
 		atks = attack.Set{attack.NewAP(), attack.NewPOIAttack(), attack.NewPIT()}
 	}
-	if err := attack.TrainAll(atks, train.Traces); err != nil {
+	ps := profile.New(train.Traces, 0)
+	if err := atks.TrainOn(ps); err != nil {
 		return DatasetEval{}, err
 	}
 
-	hmc, err := lppm.NewHMC(0, train.Traces)
+	hmc, err := lppm.NewHMCOn(ps)
 	if err != nil {
 		return DatasetEval{}, err
 	}

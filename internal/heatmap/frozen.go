@@ -1,7 +1,9 @@
 package heatmap
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"mood/internal/geo"
@@ -24,7 +26,6 @@ import (
 //
 // A Frozen is safe for concurrent use.
 type Frozen struct {
-	grid    *geo.Grid
 	cells   []geo.Cell // sorted by (X, then Y)
 	weights []float64  // aligned with cells
 	total   float64
@@ -34,7 +35,6 @@ type Frozen struct {
 // mutations of h do not affect the snapshot.
 func (h *Heatmap) Freeze() *Frozen {
 	f := &Frozen{
-		grid:    h.grid,
 		cells:   make([]geo.Cell, 0, len(h.counts)),
 		weights: make([]float64, len(h.counts)),
 		total:   h.total,
@@ -63,8 +63,17 @@ func cellLess(a, b geo.Cell) bool {
 	return a.Y < b.Y
 }
 
-// Grid returns the underlying grid.
-func (f *Frozen) Grid() *geo.Grid { return f.grid }
+// TopCells returns every cell by descending weight, ties broken by
+// ascending (X, Y) — Heatmap.TopCells(0)'s order: a stable sort of the
+// (X, Y)-sorted support by weight alone.
+func (f *Frozen) TopCells() []CellWeight {
+	out := make([]CellWeight, len(f.cells))
+	for i, c := range f.cells {
+		out[i] = CellWeight{Cell: c, Weight: f.weights[i]}
+	}
+	slices.SortStableFunc(out, func(a, b CellWeight) int { return cmp.Compare(b.Weight, a.Weight) })
+	return out
+}
 
 // Total returns the accumulated weight.
 func (f *Frozen) Total() float64 { return f.total }

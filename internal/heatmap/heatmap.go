@@ -9,8 +9,6 @@
 package heatmap
 
 import (
-	"sort"
-
 	"mood/internal/geo"
 	"mood/internal/trace"
 )
@@ -77,19 +75,7 @@ type CellWeight struct {
 // TopCells returns up to k cells by descending weight (all cells when
 // k <= 0), with deterministic tie-breaking on cell coordinates.
 func (h *Heatmap) TopCells(k int) []CellWeight {
-	out := make([]CellWeight, 0, len(h.counts))
-	for c, w := range h.counts {
-		out = append(out, CellWeight{Cell: c, Weight: w})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Weight != out[j].Weight {
-			return out[i].Weight > out[j].Weight
-		}
-		if out[i].Cell.X != out[j].Cell.X {
-			return out[i].Cell.X < out[j].Cell.X
-		}
-		return out[i].Cell.Y < out[j].Cell.Y
-	})
+	out := h.Freeze().TopCells()
 	if k > 0 && len(out) > k {
 		out = out[:k]
 	}

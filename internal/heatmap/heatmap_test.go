@@ -95,6 +95,24 @@ func TestTopCellsDeterministicTies(t *testing.T) {
 	}
 }
 
+// TestTopCellsMatchesMapSort: the stable weight sort of a Frozen's
+// (X, Y)-ordered support equals the map sort, on heavily tied weights.
+func TestTopCellsMatchesMapSort(t *testing.T) {
+	rng := mathx.NewRand(4)
+	for i := 0; i < 200; i++ {
+		h := randomHeatmap(rng, rng.Intn(60), 12)
+		got, want := h.Freeze().TopCells(), oracleTopCells(h)
+		if len(got) != len(want) {
+			t.Fatalf("case %d: %d cells, want %d", i, len(got), len(want))
+		}
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("case %d, rank %d: %v, want %v", i, j, got[j], want[j])
+			}
+		}
+	}
+}
+
 func TestTopsoeIdenticalAndDisjoint(t *testing.T) {
 	g := grid()
 	u := FromTrace(g, clusteredTrace("u", origin, 60))

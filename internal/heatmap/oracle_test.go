@@ -37,3 +37,19 @@ func oracleTopsoe(h, o *Heatmap) float64 {
 	p, q := oracleDistributions(h, o)
 	return mathx.Topsoe(p, q)
 }
+
+// oracleTopCells is the map sort TopCells replaced: every cell, by
+// descending weight, ties by ascending (X, Y).
+func oracleTopCells(h *Heatmap) []CellWeight {
+	out := make([]CellWeight, 0, len(h.counts))
+	for c, w := range h.counts {
+		out = append(out, CellWeight{Cell: c, Weight: w})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Weight != out[j].Weight {
+			return out[i].Weight > out[j].Weight
+		}
+		return cellLess(out[i].Cell, out[j].Cell)
+	})
+	return out
+}

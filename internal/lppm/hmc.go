@@ -8,7 +8,7 @@ import (
 	"mood/internal/geo"
 	"mood/internal/heatmap"
 	"mood/internal/mathx"
-	"mood/internal/par"
+	"mood/internal/profile"
 	"mood/internal/trace"
 )
 
@@ -52,8 +52,9 @@ const DefaultHMCMaxCells = 24
 
 type hmcProfile struct {
 	user string
-	// frozen is the profile heatmap in sorted-sparse form, frozen once at
-	// construction so target selection is allocation-free merge walks.
+	// frozen is the profile heatmap in sorted-sparse form, shared with
+	// the profile set (and the AP-attack), so target selection is
+	// allocation-free merge walks.
 	frozen *heatmap.Frozen
 	cells  []heatmap.CellWeight // descending weight
 }
@@ -64,38 +65,32 @@ var _ Mechanism = (*HMC)(nil)
 // knowledge H of the paper's system model). cellSize <= 0 selects the
 // paper's 800 m.
 func NewHMC(cellSize float64, background []trace.Trace) (*HMC, error) {
-	if len(background) == 0 {
+	return NewHMCOn(profile.New(background, cellSize))
+}
+
+// NewHMCOn builds the mechanism as a view over ps: its imitation pool is
+// ps's users, in background order (pickTarget's first-minimum scan
+// depends on it), on ps's grid.
+func NewHMCOn(ps *profile.Set) (*HMC, error) {
+	if len(ps.Background()) == 0 {
 		return nil, fmt.Errorf("lppm: HMC needs background traces")
 	}
-	if cellSize <= 0 {
-		cellSize = heatmap.DefaultCellSize
-	}
-	// Anchor the grid at the centroid of the background bounding boxes
-	// so every profile shares cell geometry.
-	box := geo.EmptyBBox()
-	for _, t := range background {
-		b := t.BBox()
-		if !b.Empty() {
-			box = box.Extend(b.Center())
-		}
-	}
-	if box.Empty() {
+	if ps.Grid() == nil {
 		return nil, fmt.Errorf("lppm: HMC background has no records")
 	}
-	grid := geo.NewGrid(box.Center(), cellSize)
-	h := &HMC{grid: grid, cover: DefaultHMCCover, maxCells: DefaultHMCMaxCells}
-	// One profile per trace, built in parallel; the profiles keep
-	// background order, which pickTarget's first-minimum scan depends on.
-	h.profiles = par.Collect(len(background), func(i int) (hmcProfile, bool) {
-		t := background[i]
-		if t.Empty() {
-			return hmcProfile{}, false
-		}
-		hm := heatmap.FromTrace(grid, t)
-		return hmcProfile{user: t.User, frozen: hm.Freeze(), cells: hm.TopCells(0)}, true
-	})
-	if len(h.profiles) < 2 {
-		return nil, fmt.Errorf("lppm: HMC needs at least two background users, got %d", len(h.profiles))
+	if n := len(ps.Users()); n < 2 {
+		return nil, fmt.Errorf("lppm: HMC needs at least two background users, got %d", n)
+	}
+	users := ps.Ranked()
+	h := &HMC{
+		grid:     ps.Grid(),
+		cover:    DefaultHMCCover,
+		maxCells: DefaultHMCMaxCells,
+		profiles: make([]hmcProfile, len(users)),
+	}
+	for i := range users {
+		u := &users[i]
+		h.profiles[i] = hmcProfile{user: u.ID, frozen: u.Frozen, cells: u.Cells}
 	}
 	return h, nil
 }
@@ -130,8 +125,8 @@ func (h *HMC) Obfuscate(_ *mathx.Rand, t trace.Trace) (trace.Trace, error) {
 	if t.Empty() {
 		return trace.Trace{}, ErrEmptyTrace
 	}
-	src := heatmap.FromTrace(h.grid, t)
-	target := h.pickTarget(t.User, src.Freeze())
+	src := heatmap.FrozenFromTrace(h.grid, t)
+	target := h.pickTarget(t.User, src)
 	if target == nil {
 		return trace.Trace{}, fmt.Errorf("lppm: HMC found no target profile for user %q", t.User)
 	}
@@ -190,8 +185,8 @@ const hmcRankMatched = 6
 // source's record mass. The remaining tail maps to itself, modelling the
 // reconstruction loss of the original mechanism. Deterministic by
 // construction.
-func (h *HMC) matchCells(src *heatmap.Heatmap, target *hmcProfile) map[geo.Cell]geo.Cell {
-	srcCells := src.TopCells(0)
+func (h *HMC) matchCells(src *heatmap.Frozen, target *hmcProfile) map[geo.Cell]geo.Cell {
+	srcCells := src.TopCells()
 	tgt := target.cells
 	used := make(map[geo.Cell]bool, len(tgt))
 	mapping := make(map[geo.Cell]geo.Cell, len(srcCells))

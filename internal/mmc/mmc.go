@@ -162,21 +162,12 @@ func (c Chain) Validate() error {
 	return nil
 }
 
-// StationaryDistance measures how far apart two chains' important places
-// are: for every state of a, the geographic distance to the closest
-// state of b, averaged with a's stationary weights (and symmetrised).
-// Lower means more similar. Returns +Inf when either chain is empty.
-func StationaryDistance(a, b Chain) float64 {
-	if a.Empty() || b.Empty() {
-		return math.Inf(1)
-	}
-	return (directedStationary(a, b, a.Stationary()) + directedStationary(b, a, b.Stationary())) / 2
-}
-
-// directedStationary takes a's stationary distribution precomputed so
-// scans comparing one chain against many profiles (the PIT-attack inner
-// loop) run the expensive power iteration once per chain, not once per
-// pair.
+// directedStationary measures how far a's important places are from
+// b's: for every state of a, the geographic distance to the closest
+// state of b, weighted by a's stationary distribution pia — precomputed
+// so scans comparing one chain against many profiles (the PIT-attack
+// inner loop) run the expensive power iteration once per chain, not
+// once per pair.
 func directedStationary(a, b Chain, pia []float64) float64 {
 	var d float64
 	for i, s := range a.States {
@@ -191,19 +182,9 @@ func directedStationary(a, b Chain, pia []float64) float64 {
 	return d
 }
 
-// ProximityDistance compares the transition structure of two chains
-// after geographically matching their states: each state of a is matched
-// to its nearest state of b, and the L1 difference between the matched
-// transition probabilities is accumulated, weighted by a's stationary
-// mass (symmetrised). Lower means more similar. Returns +Inf when either
-// chain is empty.
-func ProximityDistance(a, b Chain) float64 {
-	if a.Empty() || b.Empty() {
-		return math.Inf(1)
-	}
-	return (directedProximity(a, b, a.Stationary()) + directedProximity(b, a, b.Stationary())) / 2
-}
-
+// directedProximity compares transition structure after matching each
+// state of a to its nearest state of b: the L1 difference between the
+// matched transition probabilities, weighted by a's stationary mass.
 func directedProximity(a, b Chain, pia []float64) float64 {
 	match := make([]int, len(a.States))
 	for i, s := range a.States {
@@ -230,23 +211,16 @@ func directedProximity(a, b Chain, pia []float64) float64 {
 // transition-probability difference.
 const meterScale = 1000.0
 
-// StatsProx combines the stationary and proximity distances as the
-// PIT-attack's most effective metric. The two components live on
-// different scales (meters vs probability mass), so they are combined
-// after normalising the stationary part by a city-scale constant.
-func StatsProx(a, b Chain) float64 {
-	if a.Empty() || b.Empty() {
-		return math.Inf(1)
-	}
-	return StatsProxBounded(a, b, a.Stationary(), b.Stationary(), math.Inf(1))
-}
-
-// StatsProxBounded is StatsProx with the stationary distributions
-// precomputed by the caller and a best-so-far early exit: both component
-// distances are non-negative, so once the stationary part alone reaches
-// bound the proximity part cannot bring the total back below it and the
-// partial value is returned. A comparison that completes returns exactly
-// StatsProx, so a nearest-profile scan picks the same chain either way.
+// StatsProxBounded is the PIT-attack's stats-prox distance: the
+// symmetrised stationary distance (geography weighted by state
+// importance, normalised by a city-scale constant) plus the symmetrised
+// proximity distance (transition-structure similarity), +Inf when either
+// chain is empty. The caller precomputes the stationary distributions,
+// and the best-so-far early exit returns the partial value once the
+// stationary part alone reaches bound: both components are
+// non-negative, so the proximity part cannot bring the total back
+// below it. A comparison that completes returns the exact distance, so
+// a nearest-profile scan picks the same chain either way.
 func StatsProxBounded(a, b Chain, pia, pib []float64, bound float64) float64 {
 	if a.Empty() || b.Empty() {
 		return math.Inf(1)

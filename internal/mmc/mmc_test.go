@@ -33,6 +33,11 @@ func commuter(user string, days int, places ...geo.Point) trace.Trace {
 
 func extractor() poi.Extractor { return poi.NewExtractor() }
 
+// statsProx is the stats-prox distance between two chains, unbounded.
+func statsProx(a, b Chain) float64 {
+	return StatsProxBounded(a, b, a.Stationary(), b.Stationary(), math.Inf(1))
+}
+
 func TestBuildBasicChain(t *testing.T) {
 	home := base
 	work := geo.Offset(base, 4000, 0)
@@ -95,13 +100,14 @@ func TestStationaryIsFixedPoint(t *testing.T) {
 
 func TestDistancesIdentity(t *testing.T) {
 	c := Build(extractor(), commuter("u", 5, base, geo.Offset(base, 4000, 0)))
-	if d := StationaryDistance(c, c); d > 1 {
+	pi := c.Stationary()
+	if d := directedStationary(c, c, pi); d > 1 {
 		t.Fatalf("self stationary distance = %v", d)
 	}
-	if d := ProximityDistance(c, c); d > 1e-9 {
+	if d := directedProximity(c, c, pi); d > 1e-9 {
 		t.Fatalf("self proximity distance = %v", d)
 	}
-	if d := StatsProx(c, c); d > 0.01 {
+	if d := statsProx(c, c); d > 0.01 {
 		t.Fatalf("self stats-prox = %v", d)
 	}
 }
@@ -114,8 +120,8 @@ func TestDistancesDiscriminate(t *testing.T) {
 	other := Build(extractor(), commuter("other", 5,
 		geo.Offset(base, 12000, 9000), geo.Offset(base, 15000, 12000)))
 
-	dSelf := StatsProx(me, meLater)
-	dOther := StatsProx(me, other)
+	dSelf := statsProx(me, meLater)
+	dOther := statsProx(me, other)
 	if dSelf >= dOther {
 		t.Fatalf("stats-prox does not discriminate: self %v vs other %v", dSelf, dOther)
 	}
@@ -124,13 +130,13 @@ func TestDistancesDiscriminate(t *testing.T) {
 func TestDistancesEmptyChains(t *testing.T) {
 	c := Build(extractor(), commuter("u", 5, base, geo.Offset(base, 4000, 0)))
 	var empty Chain
-	if !math.IsInf(StationaryDistance(c, empty), 1) {
+	if !math.IsInf(statsProx(c, empty), 1) {
 		t.Fatal("distance to empty chain must be +Inf")
 	}
-	if !math.IsInf(ProximityDistance(empty, c), 1) {
+	if !math.IsInf(statsProx(empty, c), 1) {
 		t.Fatal("distance from empty chain must be +Inf")
 	}
-	if !math.IsInf(StatsProx(empty, empty), 1) {
+	if !math.IsInf(statsProx(empty, empty), 1) {
 		t.Fatal("stats-prox of empty chains must be +Inf")
 	}
 }

@@ -64,18 +64,7 @@ func (c *Client) post(url string) (*http.Response, error) {
 // Job fetches the status of an asynchronous upload.
 func (c *Client) Job(id string) (JobStatus, error) {
 	resp, err := c.get(c.BaseURL + "/v2/jobs/" + id)
-	if err != nil {
-		return JobStatus{}, fmt.Errorf("service: job status: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return JobStatus{}, decodeError(resp)
-	}
-	var out JobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return JobStatus{}, fmt.Errorf("service: decoding job status: %w", err)
-	}
-	return out, nil
+	return readJSON[JobStatus](resp, err, "job status", "job status")
 }
 
 // WaitJob polls an asynchronous upload until it finishes or the timeout
@@ -104,35 +93,13 @@ func (c *Client) WaitJob(id string, timeout time.Duration) (JobStatus, error) {
 // configured.
 func (c *Client) Retrain() (RetrainReport, error) {
 	resp, err := c.post(c.BaseURL + "/v2/admin/retrain")
-	if err != nil {
-		return RetrainReport{}, fmt.Errorf("service: retrain: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return RetrainReport{}, decodeError(resp)
-	}
-	var out RetrainReport
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return RetrainReport{}, fmt.Errorf("service: decoding retrain report: %w", err)
-	}
-	return out, nil
+	return readJSON[RetrainReport](resp, err, "retrain", "retrain report")
 }
 
 // Metrics fetches the server's request metrics.
 func (c *Client) Metrics() (MetricsSnapshot, error) {
 	resp, err := c.get(c.BaseURL + "/v2/metrics")
-	if err != nil {
-		return MetricsSnapshot{}, fmt.Errorf("service: metrics: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return MetricsSnapshot{}, decodeError(resp)
-	}
-	var out MetricsSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return MetricsSnapshot{}, fmt.Errorf("service: decoding metrics: %w", err)
-	}
-	return out, nil
+	return readJSON[MetricsSnapshot](resp, err, "metrics", "metrics")
 }
 
 // Dataset fetches the entire published, protected dataset by paging
@@ -155,35 +122,40 @@ func (c *Client) Dataset() (trace.Dataset, error) {
 // Stats fetches the server counters.
 func (c *Client) Stats() (ServerStats, error) {
 	resp, err := c.get(c.BaseURL + "/v2/stats")
-	if err != nil {
-		return ServerStats{}, fmt.Errorf("service: stats: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return ServerStats{}, decodeError(resp)
-	}
-	var st ServerStats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return ServerStats{}, fmt.Errorf("service: decoding stats: %w", err)
-	}
-	return st, nil
+	return readJSON[ServerStats](resp, err, "stats", "stats")
 }
 
 // UserStats fetches one participant's accounting.
 func (c *Client) UserStats(user string) (UserStats, error) {
 	resp, err := c.get(c.BaseURL + "/v2/users/" + user)
+	return readJSON[UserStats](resp, err, "user stats", "user stats")
+}
+
+// readJSON finishes a request whose reply is one JSON document: a
+// failed request becomes "service: <call>: …", a non-200 reply its
+// StatusError, and a body that does not decode "service: decoding
+// <doc>: …". Every error comes with T's zero value.
+func readJSON[T any](resp *http.Response, err error, call, doc string) (T, error) {
+	var zero T
 	if err != nil {
-		return UserStats{}, fmt.Errorf("service: user stats: %w", err)
+		return zero, fmt.Errorf("service: %s: %w", call, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return UserStats{}, decodeError(resp)
+		return zero, decodeError(resp)
 	}
-	var us UserStats
-	if err := json.NewDecoder(resp.Body).Decode(&us); err != nil {
-		return UserStats{}, fmt.Errorf("service: decoding user stats: %w", err)
+	var out T
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		return zero, fmt.Errorf("service: decoding %s: %w", doc, err)
 	}
-	return us, nil
+	return out, nil
+}
+
+// SetAuthToken configures the client to send the bearer token on every
+// request and returns the client for chaining.
+func (c *Client) SetAuthToken(token string) *Client {
+	c.authToken = token
+	return c
 }
 
 // StatusError is the typed form of a non-2xx API reply, so callers can

@@ -277,35 +277,13 @@ func (c *Client) Jobs(state, user string, limit int) (JobList, error) {
 		u += "?" + vals.Encode()
 	}
 	resp, err := c.get(u)
-	if err != nil {
-		return JobList{}, fmt.Errorf("service: jobs: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return JobList{}, decodeError(resp)
-	}
-	var out JobList
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return JobList{}, fmt.Errorf("service: decoding jobs: %w", err)
-	}
-	return out, nil
+	return readJSON[JobList](resp, err, "jobs", "jobs")
 }
 
 // OpenAPI fetches the server's generated OpenAPI document.
 func (c *Client) OpenAPI() (map[string]any, error) {
 	resp, err := c.get(c.BaseURL + "/v2/openapi.json")
-	if err != nil {
-		return nil, fmt.Errorf("service: openapi: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
-	}
-	var doc map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		return nil, fmt.Errorf("service: decoding openapi document: %w", err)
-	}
-	return doc, nil
+	return readJSON[map[string]any](resp, err, "openapi", "openapi document")
 }
 
 // UploadChunks uploads the trace as daily chunks through one batch

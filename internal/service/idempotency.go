@@ -7,10 +7,9 @@ import (
 	"hash/fnv"
 	"math"
 	"net/http"
+	"slices"
 	"sync"
-	"time"
 
-	"mood/internal/clock"
 	"mood/internal/trace"
 )
 
@@ -20,20 +19,19 @@ import (
 // Batch chunks that carry a per-line "key" opt into a bounded dedupe
 // window: the first chunk under a (user, key) pair executes, and every
 // retry replays the original outcome — waiting for it if the original is
-// still running — instead of committing again. Keys are scoped per user, so one participant cannot collide with (or
-// probe) another's keys. Failed uploads release their key: a retry after
-// a genuine engine error re-executes, because the failure committed
-// nothing. The window is bounded by entry count (oldest completed
-// entries evicted first), so a long-lived server cannot leak memory one
-// key at a time.
+// still running — instead of committing again. Keys are scoped per user,
+// so one participant cannot collide with (or probe) another's keys.
+// Failed uploads release their key: a retry after a genuine engine error
+// re-executes, because the failure committed nothing. The window is
+// bounded by entry count (completed entries evicted oldest begin first),
+// so a long-lived server cannot leak memory one key at a time.
 
 const (
 	// maxIdempotencyKeyLen bounds a chunk's key so keys cannot be abused
 	// as a storage channel.
 	maxIdempotencyKeyLen = 200
-	// DefaultIdempotencyWindow is the default dedupe-window capacity in
-	// entries.
-	DefaultIdempotencyWindow = 4096
+	// idempotencyWindow is the dedupe-window capacity in entries.
+	idempotencyWindow = 4096
 )
 
 // errUploadShed completes an idempotency entry whose upload never made
@@ -57,9 +55,6 @@ type idemEntry struct {
 	resp      UploadResponse
 	err       error
 	completed bool
-	// doneAt stamps completion on the store's clock; the TTL sweep
-	// expires completed entries by age. Zero while pending.
-	doneAt time.Time
 }
 
 // uploadFingerprint hashes the upload's identity-relevant content (user
@@ -78,29 +73,20 @@ func uploadFingerprint(t trace.Trace) uint64 {
 	return h.Sum64()
 }
 
-// idemStore is the bounded dedupe window. Entries are evicted by count
-// (oldest completed first, always) and additionally by age when a TTL
-// is configured: a completed entry older than the TTL is forgotten, so
-// a retry under its key re-executes — the dedupe promise is explicitly
-// time-bounded, like Stripe-style idempotency windows.
+// idemStore is the bounded dedupe window: above cap entries, completed
+// entries are evicted in the order their entries began.
 type idemStore struct {
-	mu        sync.Mutex
-	cap       int
-	ttl       time.Duration // 0 = count-only eviction
-	clk       clock.Clock
-	entries   map[string]*idemEntry
-	order     []string  // insertion order, for eviction
-	lastSweep time.Time // last full TTL sweep (see sweepExpiredLocked)
+	mu      sync.Mutex
+	cap     int
+	entries map[string]*idemEntry
+	// order holds each entry's key once, in the order the entries began:
+	// a key released by a failure leaves order with its entry, so a
+	// retry under it is as young as its own begin.
+	order []string
 }
 
-func newIdemStore(capacity int, ttl time.Duration, clk clock.Clock) *idemStore {
-	if capacity <= 0 {
-		capacity = DefaultIdempotencyWindow
-	}
-	if clk == nil {
-		clk = clock.System()
-	}
-	return &idemStore{cap: capacity, ttl: ttl, clk: clk, entries: make(map[string]*idemEntry)}
+func newIdemStore(capacity int) *idemStore {
+	return &idemStore{cap: capacity, entries: make(map[string]*idemEntry)}
 }
 
 // idemKey scopes a client key to its user. The user ID is
@@ -117,15 +103,8 @@ func (st *idemStore) begin(user, key string, fp uint64) (*idemEntry, bool) {
 	k := idemKey(user, key)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.sweepExpiredLocked()
 	if e, ok := st.entries[k]; ok {
-		if !st.expiredLocked(e) {
-			return e, false
-		}
-		// The TTL semantics are exact at lookup time, whatever the
-		// sweep cadence: a stale key is forgotten here and the caller
-		// gets a fresh entry (the retry re-executes).
-		delete(st.entries, k)
+		return e, false
 	}
 	e := &idemEntry{fp: fp, done: make(chan struct{})}
 	st.entries[k] = e
@@ -158,75 +137,24 @@ func (st *idemStore) complete(user, key string, e *idemEntry, resp UploadRespons
 		return
 	}
 	e.resp, e.err, e.completed = resp, err, true
-	e.doneAt = st.clk.Now()
 	close(e.done)
 	if err != nil {
-		k := idemKey(user, key)
-		if st.entries[k] == e {
+		if k := idemKey(user, key); st.entries[k] == e {
 			delete(st.entries, k)
+			st.dropOrderLocked(k)
 		}
-		// Failures release map entries without going through eviction, so
-		// order is compacted lazily here or it would grow one dead key per
-		// failed upload for the life of the server.
-		st.compactLocked()
 	}
 }
 
-// expiredLocked reports whether an entry's outcome has aged past the
-// TTL. Pending entries never expire (the original is still executing;
-// forgetting it would let a retry double-commit).
-func (st *idemStore) expiredLocked(e *idemEntry) bool {
-	return st.ttl > 0 && e.completed && !e.doneAt.After(st.clk.Now().Add(-st.ttl))
-}
-
-// sweepExpiredLocked reclaims the memory of expired entries. The full
-// scan is rate-limited to once per quarter-TTL — replay correctness
-// never depends on it (begin checks each looked-up entry exactly), so
-// a keyed upload pays O(1) for expiry on the hot path instead of an
-// O(window) scan per request. Holders of an expired entry's pointer
-// still read its outcome, exactly as with count eviction.
-func (st *idemStore) sweepExpiredLocked() {
-	if st.ttl <= 0 {
-		return
-	}
-	now := st.clk.Now()
-	interval := st.ttl / 4
-	if interval <= 0 {
-		interval = st.ttl
-	}
-	if now.Sub(st.lastSweep) < interval {
-		return
-	}
-	st.lastSweep = now
-	cutoff := now.Add(-st.ttl)
-	expired := false
-	for k, e := range st.entries {
-		if e.completed && !e.doneAt.After(cutoff) {
-			delete(st.entries, k)
-			expired = true
+// dropOrderLocked removes k from order. A failed upload began recently,
+// so the scan runs from the newest key.
+func (st *idemStore) dropOrderLocked(k string) {
+	for i := len(st.order) - 1; i >= 0; i-- {
+		if st.order[i] == k {
+			st.order = slices.Delete(st.order, i, i+1)
+			return
 		}
 	}
-	if expired {
-		st.compactLocked()
-	}
-}
-
-// compactLocked rebuilds order from the live entries once the dead-key
-// overhang gets large, keeping each key's oldest position. Amortised
-// O(1) per completion, like jobStore.remove.
-func (st *idemStore) compactLocked() {
-	if len(st.order) <= 2*len(st.entries)+16 {
-		return
-	}
-	kept := st.order[:0]
-	seen := make(map[string]bool, len(st.entries))
-	for _, k := range st.order {
-		if _, ok := st.entries[k]; ok && !seen[k] {
-			seen[k] = true
-			kept = append(kept, k)
-		}
-	}
-	st.order = kept
 }
 
 // persistedIdem is the on-disk form of one completed idempotency entry.
@@ -249,14 +177,10 @@ func (st *idemStore) snapshot() []persistedIdem {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	out := make([]persistedIdem, 0, len(st.entries))
-	seen := make(map[string]bool, len(st.entries))
 	for _, k := range st.order {
-		e, ok := st.entries[k]
-		if !ok || seen[k] || !e.completed || e.err != nil {
-			continue
+		if e := st.entries[k]; e.completed && e.err == nil {
+			out = append(out, persistedIdem{Key: k, FP: e.fp, JobID: e.jobID, Resp: e.resp})
 		}
-		seen[k] = true
-		out = append(out, persistedIdem{Key: k, FP: e.fp, JobID: e.jobID, Resp: e.resp})
 	}
 	return out
 }
@@ -269,19 +193,11 @@ func (st *idemStore) restore(entries []persistedIdem) {
 	defer st.mu.Unlock()
 	st.entries = make(map[string]*idemEntry, len(entries))
 	st.order = st.order[:0]
-	now := st.clk.Now()
 	for _, pe := range entries {
 		if _, dup := st.entries[pe.Key]; dup {
 			continue
 		}
-		// Restored entries restart their TTL at load time: snapshots do
-		// not carry completion stamps, and the conservative reading —
-		// keep honouring the dedupe for a full window after the restart —
-		// errs on the side of not double-committing.
-		e := &idemEntry{fp: pe.FP, jobID: pe.JobID, done: make(chan struct{}),
-			resp: pe.Resp, completed: true, doneAt: now}
-		close(e.done)
-		st.entries[pe.Key] = e
+		st.entries[pe.Key] = completedIdem(pe)
 		st.order = append(st.order, pe.Key)
 	}
 	st.evictLocked()
@@ -297,14 +213,18 @@ func (st *idemStore) applyRestored(pe persistedIdem) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	_, existed := st.entries[pe.Key]
-	e := &idemEntry{fp: pe.FP, jobID: pe.JobID, done: make(chan struct{}),
-		resp: pe.Resp, completed: true, doneAt: st.clk.Now()}
-	close(e.done)
-	st.entries[pe.Key] = e
+	st.entries[pe.Key] = completedIdem(pe)
 	if !existed {
 		st.order = append(st.order, pe.Key)
 	}
 	st.evictLocked()
+}
+
+// completedIdem rebuilds a persisted entry as a completed one.
+func completedIdem(pe persistedIdem) *idemEntry {
+	e := &idemEntry{fp: pe.FP, jobID: pe.JobID, done: make(chan struct{}), resp: pe.Resp, completed: true}
+	close(e.done)
+	return e
 }
 
 // outcome snapshots a completed entry's result without blocking.
@@ -314,8 +234,8 @@ func (st *idemStore) outcome(e *idemEntry) (resp UploadResponse, completed bool,
 	return e.resp, e.completed, e.err
 }
 
-// evictLocked drops the oldest *completed* entries above the capacity.
-// Evicting a completed entry only forgets the dedupe — holders of the
+// evictLocked drops the *completed* entries that began longest ago above
+// the capacity. Evicting a completed entry only forgets the dedupe — holders of the
 // pointer still read its outcome. Pending entries are never evicted:
 // dropping one would let a retry re-execute while the original is still
 // in flight, the exact double commit this window exists to prevent. The
@@ -328,11 +248,7 @@ func (st *idemStore) evictLocked() {
 	}
 	kept := st.order[:0]
 	for _, k := range st.order {
-		e := st.entries[k]
-		if e == nil {
-			continue
-		}
-		if len(st.entries) > st.cap && e.completed {
+		if len(st.entries) > st.cap && st.entries[k].completed {
 			delete(st.entries, k)
 			continue
 		}

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"mood/internal/clock"
 	"mood/internal/core"
 	"mood/internal/trace"
 )
@@ -251,7 +250,7 @@ func TestIdempotencyKeyTooLong(t *testing.T) {
 // TestIdemStoreEviction: the dedupe window stays bounded and evicts
 // oldest-completed first.
 func TestIdemStoreEviction(t *testing.T) {
-	st := newIdemStore(4, 0, nil)
+	st := newIdemStore(4)
 	var first *idemEntry
 	for i := 0; i < 8; i++ {
 		user := fmt.Sprintf("u%d", i)
@@ -280,10 +279,37 @@ func TestIdemStoreEviction(t *testing.T) {
 	}
 }
 
+// TestIdemStoreRetryAgesFromLatestBegin: a key released by a failure
+// and begun again is as young as its retry. At window 2 — K fails, B
+// succeeds, K is retried and succeeds, C succeeds — B is the oldest
+// entry and is evicted, and a further retry of K replays instead of
+// committing a second time.
+func TestIdemStoreRetryAgesFromLatestBegin(t *testing.T) {
+	st := newIdemStore(2)
+	run := func(user string, err error) {
+		t.Helper()
+		e, isNew := st.begin(user, "k", 0)
+		if !isNew {
+			t.Fatalf("%s: begin replayed", user)
+		}
+		st.complete(user, "k", e, UploadResponse{}, err)
+	}
+	run("K", fmt.Errorf("boom"))
+	run("B", nil)
+	run("K", nil)
+	run("C", nil)
+	if _, ok := st.entries[idemKey("B", "k")]; ok {
+		t.Fatal("B survived: eviction ran by K's first, released begin")
+	}
+	if _, isNew := st.begin("K", "k", 0); isNew {
+		t.Fatal("retry of K re-executed: a double commit")
+	}
+}
+
 // TestIdemStorePendingNeverEvicted: pending entries must survive even a
 // tiny window, or a retry could re-execute an in-flight upload.
 func TestIdemStorePendingNeverEvicted(t *testing.T) {
-	st := newIdemStore(2, 0, nil)
+	st := newIdemStore(2)
 	for i := 0; i < 6; i++ {
 		if _, isNew := st.begin(fmt.Sprintf("u%d", i), "k", 0); !isNew {
 			t.Fatalf("entry %d not new", i)
@@ -299,7 +325,7 @@ func TestIdemStorePendingNeverEvicted(t *testing.T) {
 // TestIdemStoreFailureCompactsOrder: repeated failures release their map
 // entries and must not leave the order slice growing without bound.
 func TestIdemStoreFailureCompactsOrder(t *testing.T) {
-	st := newIdemStore(64, 0, nil)
+	st := newIdemStore(64)
 	for i := 0; i < 10000; i++ {
 		user := fmt.Sprintf("u%d", i)
 		e, _ := st.begin(user, "k", 0)
@@ -436,101 +462,5 @@ func TestIdempotencyAsyncReplayAfterJobEviction(t *testing.T) {
 	}
 	if st := srv.Stats(); st.Uploads != 1 {
 		t.Fatalf("replay committed again: %+v", st)
-	}
-}
-
-// TestIdemStoreTTLExpiry: with a TTL configured, completed entries age
-// out on the (virtual) clock and their keys become fresh again, while
-// entries inside the window keep replaying.
-func TestIdemStoreTTLExpiry(t *testing.T) {
-	clk := clock.NewManual(time.Unix(1000, 0))
-	st := newIdemStore(64, time.Hour, clk)
-
-	e, isNew := st.begin("alice", "day-1", 7)
-	if !isNew {
-		t.Fatal("first begin not new")
-	}
-	st.complete("alice", "day-1", e, UploadResponse{Accepted: 3}, nil)
-
-	// Inside the TTL the key replays.
-	clk.Advance(59 * time.Minute)
-	if _, isNew := st.begin("alice", "day-1", 7); isNew {
-		t.Fatal("key expired inside the TTL")
-	}
-	// Past the TTL the key is forgotten: a retry re-executes.
-	clk.Advance(2 * time.Minute)
-	if _, isNew := st.begin("alice", "day-1", 7); !isNew {
-		t.Fatal("key still replaying past the TTL")
-	}
-}
-
-// TestIdemStoreTTLSweepReclaimsMemory: the rate-limited background
-// sweep must reclaim expired entries' memory even for keys that are
-// never looked up again.
-func TestIdemStoreTTLSweepReclaimsMemory(t *testing.T) {
-	clk := clock.NewManual(time.Unix(1000, 0))
-	st := newIdemStore(4096, time.Hour, clk)
-	for i := 0; i < 100; i++ {
-		user := fmt.Sprintf("u%d", i)
-		e, _ := st.begin(user, "k", 0)
-		st.complete(user, "k", e, UploadResponse{}, nil)
-	}
-	clk.Advance(2 * time.Hour)
-	// An unrelated begin triggers the sweep (last sweep was 2 h ago).
-	st.begin("fresh", "k", 0)
-	st.mu.Lock()
-	n := len(st.entries)
-	st.mu.Unlock()
-	if n != 1 {
-		t.Fatalf("sweep left %d entries, want 1 (the fresh one)", n)
-	}
-}
-
-// TestIdemStoreTTLNeverExpiresPending: a pending entry must survive any
-// amount of virtual time — expiring it would let a retry double-commit
-// an upload that is still executing.
-func TestIdemStoreTTLNeverExpiresPending(t *testing.T) {
-	clk := clock.NewManual(time.Unix(1000, 0))
-	st := newIdemStore(64, time.Minute, clk)
-	if _, isNew := st.begin("bob", "k", 1); !isNew {
-		t.Fatal("first begin not new")
-	}
-	clk.Advance(24 * time.Hour)
-	if _, isNew := st.begin("bob", "k", 1); isNew {
-		t.Fatal("pending entry expired; the retry would re-execute a live upload")
-	}
-}
-
-// TestIdempotencyTTLEndToEnd drives the TTL through the HTTP handler on
-// a manual clock: a keyed retry inside the window replays; after the
-// window has passed, the same key executes a fresh upload.
-func TestIdempotencyTTLEndToEnd(t *testing.T) {
-	clk := clock.NewManual(time.Unix(1_700_000_000, 0))
-	fp := &fakeProtector{}
-	srv, err := New(fp, WithClock(clk), WithIdempotencyTTL(time.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	hs := httptest.NewServer(srv.Handler())
-	t.Cleanup(hs.Close)
-
-	if r := postChunk(t, hs.URL, keyed("ada", "chunk-1", 9)); r.Status != http.StatusOK {
-		t.Fatalf("first upload: %+v", r)
-	}
-	clk.Advance(30 * time.Minute)
-	if r2 := postChunk(t, hs.URL, keyed("ada", "chunk-1", 9)); r2.Status != http.StatusOK || !r2.Replay {
-		t.Fatalf("retry inside TTL: %+v", r2)
-	}
-	if srv.Stats().Uploads != 1 {
-		t.Fatalf("replay committed: %+v", srv.Stats())
-	}
-
-	clk.Advance(2 * time.Hour)
-	if r3 := postChunk(t, hs.URL, keyed("ada", "chunk-1", 9)); r3.Status != http.StatusOK || r3.Replay {
-		t.Fatalf("retry past TTL replayed instead of executing: %+v", r3)
-	}
-	if fp.calls != 2 || srv.Stats().Uploads != 2 {
-		t.Fatalf("expired key did not re-execute: calls=%d stats=%+v", fp.calls, srv.Stats())
 	}
 }

@@ -16,8 +16,8 @@ import (
 // TestPropertyStatsInvariants is the property-based soak of the
 // accounting: for seeded random interleavings of sync uploads, async
 // uploads, keyed duplicates, invalid requests, engine failures,
-// retrain+quarantine passes and virtual-time jumps (rate-limit refill,
-// idempotency TTL expiry), the /v2/stats counters must always
+// retrain+quarantine passes and virtual-time jumps (rate-limit refill),
+// on a dedupe window of 8 entries, the /v2/stats counters must always
 //
 //   - satisfy records_in == records_published + records_rejected,
 //   - match a client-side model built from the observed responses
@@ -64,13 +64,12 @@ func runStatsInvariantProperty(t *testing.T, seed uint64) {
 	srv, err := New(&fakeProtector{},
 		WithClock(clk),
 		WithRetrainer(rt, 0),
-		WithIdempotencyWindow(8),
-		WithIdempotencyTTL(time.Hour),
 		WithRequestTimeout(-1),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.idem.cap = 8
 	t.Cleanup(func() { srv.Close() })
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)
@@ -211,7 +210,7 @@ func runStatsInvariantProperty(t *testing.T, seed uint64) {
 			if _, err := srv.Retrain(); err != nil {
 				t.Fatalf("step %d: retrain: %v", i, err)
 			}
-		case 9: // time passes: TTL expiry, rate-limit refill horizons
+		case 9: // time passes: rate-limit refill horizons
 			clk.Advance(time.Duration(1+rng.Intn(90)) * time.Minute)
 		}
 		check(i)

@@ -1,18 +1,20 @@
 package service
 
 import (
+	"crypto/subtle"
 	"net"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
 	"mood/internal/clock"
 )
 
-// Middleware is one layer of the server's HTTP processing chain: it
+// middleware is one layer of the server's HTTP processing chain: it
 // wraps a handler and returns the wrapped handler. Layers compose with
-// Chain in a fixed, documented order (outermost first):
+// chain in a fixed, documented order (outermost first):
 //
 //	Resolve -> Metrics -> Recover -> Timeout -> Auth -> RateLimit -> mux
 //
@@ -29,16 +31,11 @@ import (
 // away with 401 without ever touching limiter state — otherwise a
 // tokenless attacker could drain a victim's bucket just by naming them
 // in X-Mood-User.
-//
-// The exported constructors (Recover, Timeout, Auth, RateLimit) remain
-// usable in hand-built chains without the resolver layer; every request
-// is then treated as unmatched: timed out, authenticated and limited
-// per client IP, with only /healthz exempt from auth and the limiter.
-type Middleware func(http.Handler) http.Handler
+type middleware func(http.Handler) http.Handler
 
-// Chain applies the middlewares to h in the given order: the first
+// chain applies the middlewares to h in the given order: the first
 // middleware becomes the outermost layer.
-func Chain(h http.Handler, mws ...Middleware) http.Handler {
+func chain(h http.Handler, mws ...middleware) http.Handler {
 	for i := len(mws) - 1; i >= 0; i-- {
 		h = mws[i](h)
 	}
@@ -56,10 +53,10 @@ const UserHeader = "X-Mood-User"
 // ---------------------------------------------------------------------------
 // Panic recovery.
 
-// Recover converts a handler panic into a 500 problem instead of killing
+// recoverPanics converts a handler panic into a 500 problem instead of killing
 // the connection (and, under some servers, the process).
 // http.ErrAbortHandler is re-panicked as the contract requires.
-func Recover() Middleware {
+func recoverPanics() middleware {
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			defer func() {
@@ -78,14 +75,14 @@ func Recover() Middleware {
 // ---------------------------------------------------------------------------
 // Request timeout.
 
-// Timeout bounds the request with http.TimeoutHandler: the client gets
+// timeout bounds the request with http.TimeoutHandler: the client gets
 // a 503 timeout problem after d even if the protection engine is still
 // grinding, and the request context below is cancelled. Routes the table
 // marks noTimeout are exempt: TimeoutHandler buffers the entire response
 // in memory, which would break the streaming batch endpoint outright and
 // trade a large dataset download's streaming for a per-request copy of
 // the whole payload.
-func Timeout(d time.Duration) Middleware {
+func timeout(d time.Duration) middleware {
 	msg := problemBody(http.StatusServiceUnavailable, CodeTimeout, "request timed out")
 	return func(next http.Handler) http.Handler {
 		th := http.TimeoutHandler(next, d, msg)
@@ -106,7 +103,7 @@ func Timeout(d time.Duration) Middleware {
 // ---------------------------------------------------------------------------
 // Per-user token-bucket rate limiting.
 
-// RateLimit admits at most rps requests per second per user with the
+// rateLimit admits at most rps requests per second per user with the
 // given burst, answering 429 with a Retry-After hint otherwise.
 // Upload routes (the table's userKeyed rows) are keyed by the
 // X-Mood-User header (which the handlers verify against the payload, so
@@ -116,10 +113,9 @@ func Timeout(d time.Duration) Middleware {
 // rows: /healthz, metrics, job polling, the OpenAPI document) stay
 // exempt: they are O(1) in-memory reads, and throttling the async poll
 // loop would turn accepted uploads into client-side failures.
-// The clock drives refill; embedders composing chains by hand pass the
-// same clock they give the server (clock.System() in production) so
-// manual-clock tests can step the limiter.
-func RateLimit(rps float64, burst int, clk clock.Clock) Middleware {
+// The server's clock drives refill, so manual-clock tests can step the
+// limiter.
+func rateLimit(rps float64, burst int, clk clock.Clock) middleware {
 	rl := newRateLimiter(rps, burst, clk)
 	return rl.middleware
 }
@@ -195,13 +191,10 @@ func (rl *rateLimiter) sweepLocked(now time.Time) {
 }
 
 // limitExempt reports whether the request skips the limiter: the
-// table's noLimit flag when a route matched, the liveness probe by path
-// in a hand-built chain.
+// table's noLimit flag of the matched route.
 func limitExempt(r *http.Request) bool {
-	if rt := routeOf(r); rt != nil {
-		return rt.noLimit
-	}
-	return r.URL.Path == "/healthz"
+	rt := routeOf(r)
+	return rt != nil && rt.noLimit
 }
 
 func (rl *rateLimiter) middleware(next http.Handler) http.Handler {
@@ -370,13 +363,34 @@ func (w *statusWriter) Unwrap() http.ResponseWriter {
 }
 
 // ---------------------------------------------------------------------------
-// Bearer-token auth (chain form of the historical WithAuth wrapper).
+// Bearer-token auth.
 
-// Auth requires "Authorization: Bearer <token>" on every request except
+// auth requires "Authorization: Bearer <token>" on every request except
 // the routes the table marks noAuth (the liveness probe and the OpenAPI
-// document). Comparison is constant-time (see auth.go).
-func Auth(token string) Middleware {
+// document). Token comparison is constant-time.
+func auth(token string) middleware {
 	return func(next http.Handler) http.Handler {
-		return WithAuth(token, next)
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if rt := routeOf(r); rt != nil && rt.noAuth {
+				next.ServeHTTP(w, r)
+				return
+			}
+			got, ok := bearerToken(r)
+			if !ok || subtle.ConstantTimeCompare([]byte(got), []byte(token)) != 1 {
+				w.Header().Set("WWW-Authenticate", `Bearer realm="mood"`)
+				writeError(w, http.StatusUnauthorized, CodeUnauthorized, "missing or invalid bearer token")
+				return
+			}
+			next.ServeHTTP(w, r)
+		})
 	}
+}
+
+func bearerToken(r *http.Request) (string, bool) {
+	h := r.Header.Get("Authorization")
+	const prefix = "Bearer "
+	if !strings.HasPrefix(h, prefix) {
+		return "", false
+	}
+	return strings.TrimPrefix(h, prefix), true
 }

@@ -16,7 +16,7 @@ import (
 
 func TestChainOrder(t *testing.T) {
 	var got []string
-	tag := func(name string) Middleware {
+	tag := func(name string) middleware {
 		return func(next http.Handler) http.Handler {
 			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				got = append(got, name)
@@ -24,7 +24,7 @@ func TestChainOrder(t *testing.T) {
 			})
 		}
 	}
-	h := Chain(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := chain(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		got = append(got, "handler")
 	}), tag("outer"), tag("middle"), tag("inner"))
 	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/", nil))
@@ -40,9 +40,9 @@ func TestChainOrder(t *testing.T) {
 }
 
 func TestRecoverTurnsPanicInto500(t *testing.T) {
-	h := Chain(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+	h := chain(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
 		panic("boom")
-	}), Recover())
+	}), recoverPanics())
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v2/stats", nil))
 	if rec.Code != http.StatusInternalServerError {
@@ -54,9 +54,9 @@ func TestRecoverTurnsPanicInto500(t *testing.T) {
 }
 
 func TestRecoverPassesAbortHandler(t *testing.T) {
-	h := Chain(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+	h := chain(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
 		panic(http.ErrAbortHandler)
-	}), Recover())
+	}), recoverPanics())
 	defer func() {
 		if recover() != http.ErrAbortHandler {
 			t.Fatal("ErrAbortHandler must propagate")
@@ -66,12 +66,12 @@ func TestRecoverPassesAbortHandler(t *testing.T) {
 }
 
 func TestTimeoutMiddleware(t *testing.T) {
-	h := Chain(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := chain(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-time.After(5 * time.Second):
 		case <-r.Context().Done():
 		}
-	}), Timeout(30*time.Millisecond))
+	}), timeout(30*time.Millisecond))
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v2/stats", nil))
 	if rec.Code != http.StatusServiceUnavailable {

@@ -59,11 +59,12 @@ func TestSaveLoadStateRoundTrip(t *testing.T) {
 }
 
 func TestWithAuth(t *testing.T) {
-	srv, err := New(&fakeProtector{})
+	srv, err := New(&fakeProtector{}, WithAuthToken("sesame"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := httptest.NewServer(WithAuth("sesame", srv.Handler()))
+	defer srv.Close()
+	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
 
 	// No token: rejected.

@@ -83,8 +83,8 @@ func handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // instead of a path-prefix check.
 type routeKey struct{}
 
-// routeOf returns the route the request matched, or nil (unknown path,
-// redirect, or a hand-built chain without the resolver layer).
+// routeOf returns the route the request matched, or nil (unknown path
+// or redirect).
 func routeOf(r *http.Request) *route {
 	rt, _ := r.Context().Value(routeKey{}).(*route)
 	return rt

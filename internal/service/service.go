@@ -31,7 +31,7 @@
 // 405 with an Allow header derived from the table, any other unknown
 // path a 404 problem, and every GET resource also serves HEAD.
 //
-// Requests flow through a fixed middleware chain (see Middleware):
+// Requests flow through a fixed middleware chain (see middleware):
 // route resolution, request metrics, panic recovery, request timeout,
 // bearer-token auth, per-user rate limiting, then the mux. Every chunk
 // of a batch — sync or async — is executed by a bounded worker pool
@@ -80,18 +80,10 @@ type Options struct {
 	// negative disables the timeout layer.
 	RequestTimeout time.Duration
 	// AuthToken, when non-empty, requires bearer-token auth in the
-	// chain (the historical WithAuth wrapper remains available).
+	// chain.
 	AuthToken string
-	// IdempotencyWindow caps the upload dedupe window (entries tracked
-	// for X-Mood-Idempotency-Key replays). Default 4096.
-	IdempotencyWindow int
-	// IdempotencyTTL additionally expires completed dedupe entries by
-	// age: a key whose outcome is older than the TTL is forgotten and a
-	// retry under it re-executes. 0 (the default) keeps the historical
-	// count-only eviction.
-	IdempotencyTTL time.Duration
 	// Clock is the time source for every time-dependent behaviour
-	// (rate-limit refill, idempotency TTL, retrain ticker, request
+	// (rate-limit refill, retrain ticker, request
 	// latency metrics). Defaults to the system clock; tests and the
 	// simulation harness install a steppable clock.Manual.
 	Clock clock.Clock
@@ -147,17 +139,8 @@ func WithRequestTimeout(d time.Duration) Option {
 // WithAuthToken requires the bearer token on every API call.
 func WithAuthToken(token string) Option { return func(o *Options) { o.AuthToken = token } }
 
-// WithIdempotencyWindow caps the upload dedupe window.
-func WithIdempotencyWindow(n int) Option { return func(o *Options) { o.IdempotencyWindow = n } }
-
-// WithIdempotencyTTL expires completed dedupe entries older than d
-// (0 keeps count-only eviction).
-func WithIdempotencyTTL(d time.Duration) Option {
-	return func(o *Options) { o.IdempotencyTTL = d }
-}
-
 // WithClock installs the time source. Embedders and tests pass a
-// clock.Manual to make rate limiting, idempotency expiry and the
+// clock.Manual to make rate limiting and the
 // retrain loop steppable; the default is the system clock.
 func WithClock(c clock.Clock) Option { return func(o *Options) { o.Clock = c } }
 
@@ -202,9 +185,6 @@ func (o *Options) fill() {
 	}
 	if o.RequestTimeout == 0 {
 		o.RequestTimeout = DefaultRequestTimeout
-	}
-	if o.IdempotencyWindow <= 0 {
-		o.IdempotencyWindow = DefaultIdempotencyWindow
 	}
 	if o.HistoryCap == 0 {
 		o.HistoryCap = DefaultHistoryCap
@@ -384,7 +364,7 @@ func New(p Protector, opts ...Option) (*Server, error) {
 		opts:    o,
 		clk:     o.Clock,
 		jobs:    newJobStore(),
-		idem:    newIdemStore(o.IdempotencyWindow, o.IdempotencyTTL, o.Clock),
+		idem:    newIdemStore(idempotencyWindow),
 		metrics: newRequestMetrics(o.Clock),
 		store:   o.Store,
 	}
@@ -451,25 +431,25 @@ func (s *Server) Close() error {
 // chain. The router, every middleware exemption and the metrics labels
 // are all driven by the declarative route table (routes.go); the chain
 // order is fixed: Resolve, Metrics, Recover, Timeout, Auth, RateLimit
-// (the latter three only when configured); see Middleware for the
+// (the latter three only when configured); see middleware for the
 // rationale.
 func (s *Server) Handler() http.Handler {
 	rr := buildRouter(s.routes())
 
-	mws := []Middleware{rr.resolve, s.metrics.middleware, Recover()}
+	mws := []middleware{rr.resolve, s.metrics.middleware, recoverPanics()}
 	if s.node != nil {
 		mws = append(mws, s.ownerGuard)
 	}
 	if s.opts.RequestTimeout > 0 {
-		mws = append(mws, Timeout(s.opts.RequestTimeout))
+		mws = append(mws, timeout(s.opts.RequestTimeout))
 	}
 	if s.opts.AuthToken != "" {
-		mws = append(mws, Auth(s.opts.AuthToken))
+		mws = append(mws, auth(s.opts.AuthToken))
 	}
 	if s.opts.RateLimit > 0 {
-		mws = append(mws, RateLimit(s.opts.RateLimit, s.opts.RateBurst, s.clk))
+		mws = append(mws, rateLimit(s.opts.RateLimit, s.opts.RateBurst, s.clk))
 	}
-	return Chain(rr.terminal(), mws...)
+	return chain(rr.terminal(), mws...)
 }
 
 // ---------------------------------------------------------------------------

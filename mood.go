@@ -38,6 +38,7 @@ import (
 	"mood/internal/core"
 	"mood/internal/lppm"
 	"mood/internal/metrics"
+	"mood/internal/profile"
 	"mood/internal/trace"
 )
 
@@ -133,7 +134,9 @@ func WithExtraMechanisms(ms ...Mechanism) Option {
 }
 
 // WithAttacks replaces the default attack set (AP + POI + PIT). The
-// attacks are trained on the pipeline's background knowledge.
+// attacks are trained on the pipeline's background knowledge: the
+// built-in AP-, POI- and PIT-attacks as views over the profiles HMC
+// uses, any other attack through its Train.
 func WithAttacks(as ...Attack) Option {
 	return func(o *options) { o.attacks = attack.Set(as) }
 }
@@ -166,7 +169,10 @@ func NewPipeline(background []Trace, opts ...Option) (*Pipeline, error) {
 		opt(&o)
 	}
 
-	hmc, err := lppm.NewHMC(o.cellSize, background)
+	// One profile set is H for both halves: HMC's imitation pool and the
+	// attacks' profiles share each user's features.
+	ps := profile.New(background, o.cellSize)
+	hmc, err := lppm.NewHMCOn(ps)
 	if err != nil {
 		return nil, fmt.Errorf("mood: building HMC: %w", err)
 	}
@@ -186,13 +192,9 @@ func NewPipeline(background []Trace, opts ...Option) (*Pipeline, error) {
 
 	atks := o.attacks
 	if atks == nil {
-		ap := attack.NewAP()
-		if o.cellSize > 0 {
-			ap.CellSize = o.cellSize
-		}
-		atks = attack.Set{ap, attack.NewPOIAttack(), attack.NewPIT()}
+		atks = attack.Set{attack.NewAP(), attack.NewPOIAttack(), attack.NewPIT()}
 	}
-	if err := attack.TrainAll(atks, background); err != nil {
+	if err := atks.TrainOn(ps); err != nil {
 		return nil, fmt.Errorf("mood: %w", err)
 	}
 
