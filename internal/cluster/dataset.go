@@ -39,12 +39,12 @@ func (rt *Router) handleDataset(w http.ResponseWriter, r *http.Request) {
 			"the cluster router serves application/json only (CSV/NDJSON are single-node formats)"))
 		return
 	}
-	limit := 100
+	limit := service.DefaultPageLimit
 	if raw := r.URL.Query().Get("limit"); raw != "" {
 		n, err := strconv.Atoi(raw)
-		if err != nil || n < 1 || n > 1000 {
+		if err != nil || n < 1 || n > service.MaxPageLimit {
 			writeProblem(w, service.NewProblem(http.StatusBadRequest, service.CodeBadRequest,
-				"limit must be an integer in 1..1000"))
+				fmt.Sprintf("limit must be an integer in 1..%d", service.MaxPageLimit)))
 			return
 		}
 		limit = n

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"slices"
 	"sort"
 	"strconv"
@@ -477,7 +478,7 @@ func (rt *Router) handleJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer freeBodies(results)
-	var merged service.JobList
+	merged := service.JobList{Jobs: []service.JobStatus{}}
 	for _, fr := range results {
 		var jl service.JobList
 		if err := json.Unmarshal(fr.body.Bytes(), &jl); err != nil {
@@ -489,14 +490,12 @@ func (rt *Router) handleJobs(w http.ResponseWriter, r *http.Request) {
 	}
 	// Job IDs are random; ID order is the only stable cross-node order.
 	sort.Slice(merged.Jobs, func(i, j int) bool { return merged.Jobs[i].ID < merged.Jobs[j].ID })
-	if raw := r.URL.Query().Get("limit"); raw != "" {
-		if n, err := strconv.Atoi(raw); err == nil && n > 0 && n < len(merged.Jobs) {
-			merged.Jobs = merged.Jobs[:n]
-		}
+	// The nodes refused a malformed limit; the merge keeps one node's page.
+	limit := service.DefaultPageLimit
+	if n, err := strconv.Atoi(r.URL.Query().Get("limit")); err == nil && n > 0 {
+		limit = n
 	}
-	if merged.Jobs == nil {
-		merged.Jobs = []service.JobStatus{}
-	}
+	merged.Jobs = merged.Jobs[:min(limit, len(merged.Jobs))]
 	writeJSON(w, http.StatusOK, merged)
 }
 
@@ -516,7 +515,7 @@ func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
 		}
 		up = append(up, n)
 	}
-	results := rt.fanout(r, up, ring.Epoch(), http.MethodGet, "/v2/jobs/"+r.PathValue("id"), nil)
+	results := rt.fanout(r, up, ring.Epoch(), http.MethodGet, "/v2/jobs/"+url.PathEscape(r.PathValue("id")), nil)
 	defer freeBodies(results)
 	var firstOther *fanResult
 	for i := range results {

@@ -526,6 +526,78 @@ func TestRouterAsyncJobsAcrossCluster(t *testing.T) {
 	}
 }
 
+// TestRouterJobsListDefaultLimit: without a limit the merged job list
+// keeps the node's default page size, not one page per node, and total
+// still counts every job of the cluster.
+func TestRouterJobsListDefaultLimit(t *testing.T) {
+	h := newHarness(t, 3)
+	const users, perUser = 6, 25
+	var ids []string
+	for u := 0; u < users; u++ {
+		user := fmt.Sprintf("jobs-user-%d", u)
+		chunks := make([]service.BatchChunk, perUser)
+		for i := range chunks {
+			chunks[i] = service.BatchChunk{User: user, Async: true,
+				Records: trace.Records{{Lat: 1, Lon: 2, TS: int64(1700000000 + i)}}}
+		}
+		results, err := h.client().UploadBatch(chunks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range results {
+			if r.Job == nil {
+				t.Fatalf("async chunk without a job handle: %+v", r)
+			}
+			ids = append(ids, r.Job.ID)
+		}
+	}
+	for _, id := range ids {
+		if j, err := h.client().WaitJob(id, 5*time.Second); err != nil || j.State != service.JobDone {
+			t.Fatalf("job %s: %+v, %v", id, j, err)
+		}
+	}
+	nodes := 0
+	for _, srv := range h.servers {
+		if srv.Stats().Uploads > 0 {
+			nodes++
+		}
+	}
+	if nodes < 2 {
+		t.Fatalf("the jobs landed on %d node(s); the merge needs several", nodes)
+	}
+
+	list, err := h.client().Jobs("", "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(list.Jobs) != service.DefaultPageLimit || list.Total != users*perUser {
+		t.Fatalf("merged job list: %d jobs, total %d; want %d jobs, total %d",
+			len(list.Jobs), list.Total, service.DefaultPageLimit, users*perUser)
+	}
+	if list, err = h.client().Jobs("", "", 7); err != nil || len(list.Jobs) != 7 || list.Total != users*perUser {
+		t.Fatalf("limit 7: %d jobs, total %d, %v", len(list.Jobs), list.Total, err)
+	}
+}
+
+// TestUserIDsNeedingEscapes: an uploader ID may hold '?', '#' and '%'
+// (validateUserID forbids only '/' and control characters), so the
+// client escapes it as a path segment, and the accounting is readable
+// from the owning node and through the router alike.
+func TestUserIDsNeedingEscapes(t *testing.T) {
+	h := newHarness(t, 3)
+	for i, user := range []string{"a?b", "c#d", "e%f", "g h"} {
+		h.upload(user, i+1)
+		direct, err := service.NewClient(h.backends[h.ownerIdx(user)].URL).UserStats(user)
+		if err != nil || direct.Uploads != 1 || direct.RecordsIn != i+1 {
+			t.Fatalf("%q on its node: %+v, %v", user, direct, err)
+		}
+		routed, err := h.client().UserStats(user)
+		if err != nil || routed != direct {
+			t.Fatalf("%q through the router: %+v, %v; want %+v", user, routed, err, direct)
+		}
+	}
+}
+
 // TestRouterRetrainPhasesTakeSlowestNode: the nodes' phase timings
 // aggregate like duration_ms — the barrier waits for the slowest node,
 // so the router reports the maximum, not the sum. Every node trains for

@@ -64,23 +64,23 @@ type AppendApplyConfig struct {
 
 // DefaultAppendApply encodes the repo taxonomy: stateShard/UserStats
 // field writes and the jobStore/idemStore mutation entry points are
-// applies; applyCommit/removeCondemned/recordHistory/resetShards are
-// the raw helpers; Recover and the replay functions are exempt.
+// applies; the state transitions that live commits and recovery share
+// (foldCommit, quarantine) and the raw helpers beneath them are apply
+// helpers; Recover and the record and snapshot appliers are exempt.
 func DefaultAppendApply() *analysis.Analyzer {
 	return AppendApply(AppendApplyConfig{
 		PackagePath: "mood/internal/service",
 		StateTypes:  map[string]bool{"stateShard": true, "UserStats": true},
 		ApplyMethods: map[string]map[string]bool{
-			"jobStore":  {"setDone": true, "applyTerminal": true, "restore": true},
-			"idemStore": {"complete": true, "applyRestored": true, "restore": true},
+			"jobStore":  {"setDone": true, "applyTerminal": true},
+			"idemStore": {"complete": true, "applyRestored": true},
 		},
 		ApplyHelpers: map[string]bool{
-			"applyCommit": true, "removeCondemned": true,
-			"recordHistory": true, "resetShards": true,
+			"applyCommit": true, "foldCommit": true, "quarantine": true,
+			"removeCondemned": true, "recordHistory": true, "resetShards": true,
 		},
 		ExemptFuncs: map[string]bool{
 			"Recover": true, "applyRecord": true, "applySnapshot": true,
-			"replayCommit": true, "replayQuarantine": true,
 			// The constructor initialises empty shard maps before the
 			// server exists: there is no acked state to lose yet.
 			"New": true,

@@ -39,7 +39,7 @@ func DefaultLockScope() *analysis.Analyzer {
 		MutexField: "mu",
 		ServerType: "Server",
 		WalkMethods: map[string]bool{
-			"userIDs": true,
+			"Stats": true, "Users": true,
 		},
 	})
 }

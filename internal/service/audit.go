@@ -28,78 +28,60 @@ import (
 // owner-seeded scan per attack over every fragment, see
 // attack.Set.ReIdentifiesBatch).
 
-// auditTask couples a fragment snapshot with the shard it lives in.
-type auditTask struct {
-	sh   *stateShard
-	frag publishedFrag
-}
-
 // auditPublished re-checks every published fragment with a known owner
 // and quarantines the vulnerable ones. It returns how many fragments
 // were audited and how many were pulled.
 func (s *Server) auditPublished(a Auditor) (audited, quarantined int) {
-	var tasks []auditTask
+	var frags []publishedFrag
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		for _, f := range sh.published {
 			if f.Owner != "" {
-				tasks = append(tasks, auditTask{sh: sh, frag: f})
+				frags = append(frags, f)
 			}
 		}
 		sh.mu.Unlock()
 	}
-	return s.auditTasks(a, tasks)
+	return s.auditFrags(a, frags)
 }
 
-// auditShardFrags re-audits specific fragments (by seq) of one shard —
-// the commit path uses it for fragments that raced an engine swap.
+// auditShardFrags re-audits specific fragments of one shard — the
+// commit path uses it for fragments that raced an engine swap.
 // Fragments already removed by a concurrent pass are skipped, as are
 // fragments without an owner (carried over from pre-owner snapshots),
 // which cannot be judged.
-func (s *Server) auditShardFrags(sh *stateShard, a Auditor, seqs []int64) (audited, quarantined int) {
-	want := make(map[int64]bool, len(seqs))
-	for _, q := range seqs {
-		want[q] = true
+func (s *Server) auditShardFrags(sh *stateShard, a Auditor, frags []publishedFrag) (audited, quarantined int) {
+	want := make(map[int64]bool, len(frags))
+	for _, f := range frags {
+		want[f.Seq] = true
 	}
 	sh.mu.Lock()
-	var tasks []auditTask
+	var live []publishedFrag
 	for _, f := range sh.published {
 		if want[f.Seq] && f.Owner != "" {
-			tasks = append(tasks, auditTask{sh: sh, frag: f})
+			live = append(live, f)
 		}
 	}
 	sh.mu.Unlock()
-	return s.auditTasks(a, tasks)
+	return s.auditFrags(a, live)
 }
 
-// auditTasks judges every fragment in one pass, then removes the
-// condemned ones and updates the quarantine accounting. One quarantine
-// WAL record covers the whole pass (replayQuarantine removes by seq
-// across all shards).
-func (s *Server) auditTasks(a Auditor, tasks []auditTask) (audited, quarantined int) {
-	audited = len(tasks)
-	if audited == 0 {
+// auditFrags judges every fragment in one pass, then quarantines the
+// condemned ones: one best-effort WAL record for the whole pass, then
+// the same removal its replay performs.
+func (s *Server) auditFrags(a Auditor, frags []publishedFrag) (audited, quarantined int) {
+	if len(frags) == 0 {
 		return 0, 0
 	}
-	hits := s.judgeTasks(a, tasks)
-
-	condemned := make(map[*stateShard]map[int64]bool)
-	seqs := make([]int64, 0, len(tasks))
-	for i, t := range tasks {
-		if !hits[i] {
-			continue
+	var seqs []int64
+	for i, hit := range s.judgeFrags(a, frags) {
+		if hit {
+			seqs = append(seqs, frags[i].Seq)
 		}
-		m := condemned[t.sh]
-		if m == nil {
-			m = make(map[int64]bool)
-			condemned[t.sh] = m
-		}
-		m[t.frag.Seq] = true
-		seqs = append(seqs, t.frag.Seq)
 	}
 	if len(seqs) == 0 {
-		return audited, 0
+		return len(frags), 0
 	}
 
 	// Log the quarantine and apply it under one read-hold of the
@@ -119,39 +101,49 @@ func (s *Server) auditTasks(a Auditor, tasks []auditTask) (audited, quarantined 
 		}
 		s.noteAppend(err)
 	}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		c := condemned[sh]
-		if len(c) == 0 {
-			continue
-		}
-		//mood:allow appendapply -- quarantine WAL record above is advisory by contract: a crash before it lands re-runs the audit on recovery, which re-condemns the same fragments
-		quarantined += s.removeCondemned(sh, c)
-	}
-	return audited, quarantined
+	//mood:allow appendapply -- quarantine WAL record above is advisory by contract: a crash before it lands re-runs the audit on recovery, which re-condemns the same fragments
+	return len(frags), s.quarantine(seqs)
 }
 
-// judgeTasks evaluates the protection predicate for every fragment of
+// judgeFrags evaluates the protection predicate for every fragment of
 // the pass in one auditor call. The published label is a pseudonym; the
 // attacks judge the anonymous trace against the true owner, as in
 // eval.RunDynamic's oracle.
-func (s *Server) judgeTasks(a Auditor, tasks []auditTask) []bool {
-	ts := make([]trace.Trace, len(tasks))
-	owners := make([]string, len(tasks))
-	for i, t := range tasks {
-		ts[i] = t.frag.Trace.WithUser("")
-		owners[i] = t.frag.Owner
+func (s *Server) judgeFrags(a Auditor, frags []publishedFrag) []bool {
+	ts := make([]trace.Trace, len(frags))
+	owners := make([]string, len(frags))
+	for i, f := range frags {
+		ts[i] = f.Trace.WithUser("")
+		owners[i] = f.Owner
 	}
-	hits := make([]bool, len(tasks))
+	hits := make([]bool, len(frags))
 	for i, r := range a.ReIdentifiesBatch(ts, owners) {
 		hits[i] = r.Hit
 	}
 	return hits
 }
 
+// quarantine is the one removal of condemned fragments (by seq), for
+// the live audit pass and for WAL quarantine-record replay alike: it
+// removes them wherever they live and returns how many it removed.
+// Removal by seq is idempotent, so a record covering fragments a
+// snapshot already dropped is harmless.
+func (s *Server) quarantine(seqs []int64) (quarantined int) {
+	if len(seqs) == 0 {
+		return 0
+	}
+	condemned := make(map[int64]bool, len(seqs))
+	for _, q := range seqs {
+		condemned[q] = true
+	}
+	for i := range s.shards {
+		quarantined += s.removeCondemned(&s.shards[i], condemned)
+	}
+	return quarantined
+}
+
 // removeCondemned drops the condemned fragments (by seq) from one shard
-// and updates the quarantine accounting. Shared by the live audit pass
-// and WAL quarantine-record replay; removal by seq is idempotent.
+// and updates their owners' quarantine accounting.
 func (s *Server) removeCondemned(sh *stateShard, condemned map[int64]bool) (quarantined int) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -162,8 +154,6 @@ func (s *Server) removeCondemned(sh *stateShard, condemned map[int64]bool) (quar
 			continue
 		}
 		quarantined++
-		sh.stats.QuarantinedTraces++
-		sh.stats.RecordsQuarantined += f.Trace.Len()
 		// The owner's accounting lives in the same shard as the
 		// fragment (both keyed by the uploader ID).
 		if us, ok := sh.users[f.Owner]; ok {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"time"
 
 	"mood/internal/clock"
@@ -50,8 +51,8 @@ func (c *Client) clock() clock.Clock {
 
 // post issues a bodiless POST with the configured auth header. It is
 // not retried: the one caller, Retrain, is not idempotent.
-func (c *Client) post(url string) (*http.Response, error) {
-	req, err := http.NewRequest(http.MethodPost, url, nil)
+func (c *Client) post(u string) (*http.Response, error) {
+	req, err := http.NewRequest(http.MethodPost, u, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -63,7 +64,7 @@ func (c *Client) post(url string) (*http.Response, error) {
 
 // Job fetches the status of an asynchronous upload.
 func (c *Client) Job(id string) (JobStatus, error) {
-	resp, err := c.get(c.BaseURL + "/v2/jobs/" + id)
+	resp, err := c.get(c.BaseURL + "/v2/jobs/" + url.PathEscape(id))
 	return readJSON[JobStatus](resp, err, "job status", "job status")
 }
 
@@ -107,7 +108,7 @@ func (c *Client) Metrics() (MetricsSnapshot, error) {
 // concatenation reassembles the canonical dataset order).
 func (c *Client) Dataset() (trace.Dataset, error) {
 	var d trace.Dataset
-	for page, err := range c.DatasetPages(DatasetQuery{Limit: maxPageLimit}) {
+	for page, err := range c.DatasetPages(DatasetQuery{Limit: MaxPageLimit}) {
 		if err != nil {
 			return trace.Dataset{}, fmt.Errorf("service: dataset: %w", err)
 		}
@@ -125,9 +126,10 @@ func (c *Client) Stats() (ServerStats, error) {
 	return readJSON[ServerStats](resp, err, "stats", "stats")
 }
 
-// UserStats fetches one participant's accounting.
+// UserStats fetches one participant's accounting. The ID is a path
+// segment, so it is escaped: an uploader ID may hold '?', '#' or '%'.
 func (c *Client) UserStats(user string) (UserStats, error) {
-	resp, err := c.get(c.BaseURL + "/v2/users/" + user)
+	resp, err := c.get(c.BaseURL + "/v2/users/" + url.PathEscape(user))
 	return readJSON[UserStats](resp, err, "user stats", "user stats")
 }
 

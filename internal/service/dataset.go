@@ -32,10 +32,12 @@ const (
 // PublishedDatasetName is the name every dataset page carries.
 const PublishedDatasetName = "published"
 
-// Dataset page defaults.
+// Page limits of GET /v2/dataset and GET /v2/jobs: the page size when a
+// request gives no limit, and the largest it may ask for. Exported so
+// the cluster router pages by the same numbers.
 const (
-	defaultPageLimit = 100
-	maxPageLimit     = 1000
+	DefaultPageLimit = 100
+	MaxPageLimit     = 1000
 )
 
 // DatasetPage is the JSON envelope of one GET /v2/dataset page.
@@ -148,11 +150,11 @@ func (s *Server) handleDataset(w http.ResponseWriter, r *http.Request) {
 // parseDatasetQuery validates the pagination and filter parameters.
 func parseDatasetQuery(r *http.Request) (q datasetQuery, errCode, errDetail string) {
 	vals := r.URL.Query()
-	q.limit = defaultPageLimit
+	q.limit = DefaultPageLimit
 	if raw := vals.Get("limit"); raw != "" {
 		n, err := strconv.Atoi(raw)
-		if err != nil || n < 1 || n > maxPageLimit {
-			return q, CodeBadRequest, fmt.Sprintf("limit must be an integer in 1..%d", maxPageLimit)
+		if err != nil || n < 1 || n > MaxPageLimit {
+			return q, CodeBadRequest, fmt.Sprintf("limit must be an integer in 1..%d", MaxPageLimit)
 		}
 		q.limit = n
 	}

@@ -121,24 +121,22 @@ func encodeRec(typ byte, v any) (store.Record, error) {
 // ---------------------------------------------------------------------------
 // The commit path.
 
-// preparedCommit is an upload commit staged outside every lock:
-// pseudonyms and fragment sequence numbers are drawn from the atomics
-// up front so the durable record and the in-memory apply agree exactly.
-type preparedCommit struct {
-	resp   UploadResponse
-	frags  []publishedFrag
-	seqs   []int64
-	pseudo int64 // highest pseudonym counter drawn; 0 = none
-}
-
-// prepareCommit stages the result of one protected upload. Sequence
-// numbers drawn here are burned even if the commit is later refused;
-// they only need to be unique.
-func (s *Server) prepareCommit(t trace.Trace, res core.Result) preparedCommit {
-	pc := preparedCommit{resp: UploadResponse{
-		Accepted: res.ProtectedRecords(),
-		Rejected: res.LostRecords,
-	}}
+// stageCommit stages the result of one protected upload on its job,
+// outside every lock: the commit record and the client's response, with
+// pseudonyms and fragment sequence numbers drawn from the atomics up
+// front so the durable record and the in-memory fold agree exactly, and
+// the WAL records that make it durable (commitRecords). Sequence numbers
+// drawn here are burned even if the commit is later refused; they only
+// need to be unique. A job whose records cannot be encoded fails here,
+// before anything is appended.
+func (s *Server) stageCommit(j *uploadJob, res core.Result) error {
+	t := j.trace
+	c := &j.commit
+	*c = walUploadCommit{User: t.User, RecordsIn: t.Len(), Accepted: res.ProtectedRecords(), Rejected: res.LostRecords}
+	if s.opts.Retrainer != nil && s.opts.HistoryCap > 0 {
+		c.History = t.Records
+	}
+	j.resp = UploadResponse{Accepted: c.Accepted, Rejected: c.Rejected, Pieces: len(res.Pieces)}
 	for _, p := range res.Pieces {
 		pub := p.Trace
 		if pub.User == t.User {
@@ -146,26 +144,12 @@ func (s *Server) prepareCommit(t trace.Trace, res core.Result) preparedCommit {
 			// middleware never publishes a raw uploader ID, so relabel
 			// with a server-scoped pseudonym.
 			n := s.pseudo.Add(1)
-			if n > pc.pseudo {
-				pc.pseudo = n
-			}
+			c.Pseudo = max(c.Pseudo, n)
 			pub = pub.WithUser(fmt.Sprintf("pub-%06d", n))
 		}
-		seq := s.fragSeq.Add(1)
-		pc.frags = append(pc.frags, publishedFrag{Seq: seq, Trace: pub, Owner: t.User})
-		pc.seqs = append(pc.seqs, seq)
-		pc.resp.Pieces++
-		pc.resp.Mechanisms = append(pc.resp.Mechanisms, p.Mechanism)
+		c.Frags = append(c.Frags, publishedFrag{Seq: s.fragSeq.Add(1), Trace: pub, Owner: t.User})
+		j.resp.Mechanisms = append(j.resp.Mechanisms, p.Mechanism)
 	}
-	return pc
-}
-
-// stageCommit stages the result of one protected upload on its job,
-// outside every lock: the commit drawn from the atomics (prepareCommit)
-// and the WAL records that make it durable (commitRecords). A job whose
-// records cannot be encoded fails here, before anything is appended.
-func (s *Server) stageCommit(j *uploadJob, res core.Result) error {
-	j.pc = s.prepareCommit(j.trace, res)
 	if s.store == nil {
 		return nil
 	}
@@ -181,25 +165,13 @@ func (s *Server) stageCommit(j *uploadJob, res core.Result) error {
 // without the others — the exactly-once guarantee for keyed retries
 // across a crash.
 func (s *Server) commitRecords(j *uploadJob) error {
-	t, pc := j.trace, &j.pc
-	c := walUploadCommit{
-		User:      t.User,
-		RecordsIn: t.Len(),
-		Accepted:  pc.resp.Accepted,
-		Rejected:  pc.resp.Rejected,
-		Pseudo:    pc.pseudo,
-		Frags:     pc.frags,
-	}
-	if s.opts.Retrainer != nil && s.opts.HistoryCap > 0 {
-		c.History = t.Records
-	}
 	// The commit record is binary (walcodec.go): one per acked upload,
 	// so JSON float formatting of its coordinates would dominate the
 	// commit path's CPU.
-	j.recs = append(j.recBuf[:0], store.Record{Type: recUploadCommit, Payload: encodeUploadCommit(c)})
+	j.recs = append(j.recBuf[:0], store.Record{Type: recUploadCommit, Payload: encodeUploadCommit(j.commit)})
 	if j.idem != nil {
 		rec, err := encodeRec(recIdemComplete, persistedIdem{
-			Key: idemKey(t.User, j.idemKey), FP: j.idem.fp, JobID: j.id, Resp: pc.resp,
+			Key: idemKey(j.commit.User, j.idemKey), FP: j.idem.fp, JobID: j.id, Resp: j.resp,
 		})
 		if err != nil {
 			return err
@@ -208,7 +180,7 @@ func (s *Server) commitRecords(j *uploadJob) error {
 	}
 	if j.id != "" {
 		rec, err := encodeRec(recJobTerminal, JobStatus{
-			ID: j.id, User: t.User, State: JobDone, Result: &pc.resp,
+			ID: j.id, User: j.commit.User, State: JobDone, Result: &j.resp,
 		})
 		if err != nil {
 			return err
@@ -236,16 +208,16 @@ func (s *Server) commitGroup(group []*uploadJob, recs []store.Record) {
 			s.finishJob(j, UploadResponse{}, err)
 			continue
 		}
-		if cur := s.currentEngine(); cur.epoch != j.eng.epoch && cur.auditor != nil && len(j.pc.seqs) > 0 {
+		if cur := s.currentEngine(); cur.epoch != j.eng.epoch && cur.auditor != nil && len(j.commit.Frags) > 0 {
 			// A retrain pass swapped the engine after this upload loaded its
 			// protector: the re-audit cannot have covered these fragments
 			// (they were not committed yet) and they were admitted by the
 			// stale verifier, so judge them here against the current attacks
 			// (see audit.go). Removal by seq is idempotent, so overlapping
 			// with a concurrent audit pass is harmless.
-			s.auditShardFrags(s.shard(j.trace.User), cur.auditor, j.pc.seqs)
+			s.auditShardFrags(s.shard(j.trace.User), cur.auditor, j.commit.Frags)
 		}
-		s.finishJob(j, j.pc.resp, nil)
+		s.finishJob(j, j.resp, nil)
 	}
 }
 
@@ -279,41 +251,53 @@ func (s *Server) appendAndApply(group []*uploadJob, recs []store.Record) error {
 // — the same monotone order the snapshot capture relies on (see
 // captureState).
 func (s *Server) applyCommit(j *uploadJob) {
-	t, pc := j.trace, &j.pc
-	sh := s.shard(t.User)
+	s.foldCommit(&j.commit)
+	if j.idem != nil {
+		s.idem.complete(j.trace.User, j.idemKey, j.idem, j.resp, nil)
+	}
+	if j.id != "" {
+		s.jobs.setDone(j.id, j.resp)
+	}
+}
+
+// foldCommit is the one state transition of an upload commit, live or
+// replayed from the WAL: the uploader's accounting, the published
+// fragments, the raw history, and the seq and pseudonym watermarks
+// (max semantics, so a live commit whose numbers came from the atomics
+// leaves them as they are).
+func (s *Server) foldCommit(c *walUploadCommit) {
+	if c.User == "" {
+		return
+	}
+	sh := s.shard(c.User)
 	sh.mu.Lock()
-	us, ok := sh.users[t.User]
+	us, ok := sh.users[c.User]
 	if !ok {
 		us = &UserStats{}
-		sh.users[t.User] = us
-		sh.stats.Users++
+		sh.users[c.User] = us
 	}
 	us.Uploads++
-	us.RecordsIn += t.Len()
-	us.RecordsPublished += pc.resp.Accepted
-	us.RecordsRejected += pc.resp.Rejected
-	us.Pieces += len(pc.frags)
-	sh.stats.Uploads++
-	sh.stats.RecordsIn += t.Len()
-	sh.stats.RecordsPublished += pc.resp.Accepted
-	sh.stats.RecordsRejected += pc.resp.Rejected
-	if s.opts.Retrainer != nil && s.opts.HistoryCap > 0 {
+	us.RecordsIn += c.RecordsIn
+	us.RecordsPublished += c.Accepted
+	us.RecordsRejected += c.Rejected
+	us.Pieces += len(c.Frags)
+	if len(c.History) > 0 && s.opts.Retrainer != nil && s.opts.HistoryCap > 0 {
 		// The raw chunk joins the user's bounded history: it is what a
 		// real adversary could have collected by now, so it is what the
 		// next retrain pass must train against (§6 dynamic protection).
 		// The generation bump lets the periodic loop skip ticks where
 		// nothing new arrived.
-		sh.recordHistory(t.User, t.Records, s.opts.HistoryCap)
+		sh.recordHistory(c.User, c.History, s.opts.HistoryCap)
 		s.histGen.Add(1)
 	}
-	sh.published = append(sh.published, pc.frags...)
+	sh.published = append(sh.published, c.Frags...)
 	sh.mu.Unlock()
-	if j.idem != nil {
-		s.idem.complete(t.User, j.idemKey, j.idem, pc.resp, nil)
+	var maxSeq int64
+	for _, f := range c.Frags {
+		maxSeq = max(maxSeq, f.Seq)
 	}
-	if j.id != "" {
-		s.jobs.setDone(j.id, pc.resp)
-	}
+	storeMax(&s.fragSeq, maxSeq)
+	storeMax(&s.pseudo, c.Pseudo)
 }
 
 // finishJob delivers a completed job's outcome. Successful commits were
@@ -410,7 +394,7 @@ func (s *Server) applyRecord(r store.Record) {
 	switch r.Type {
 	case recUploadCommit:
 		if c, err := decodeUploadCommit(r.Payload); err == nil {
-			s.replayCommit(c)
+			s.foldCommit(&c)
 		}
 	case recIdemComplete:
 		var pe persistedIdem
@@ -425,67 +409,13 @@ func (s *Server) applyRecord(r store.Record) {
 	case recQuarantine:
 		var q walQuarantine
 		if json.Unmarshal(r.Payload, &q) == nil {
-			s.replayQuarantine(q.Seqs)
+			s.quarantine(q.Seqs)
 		}
 	case recRetrainEpoch:
 		var rr walRetrain
 		if json.Unmarshal(r.Payload, &rr) == nil {
 			storeMax(&s.retrains, rr.Retrains)
 		}
-	}
-}
-
-// replayCommit re-applies one committed upload from its durable record.
-func (s *Server) replayCommit(c walUploadCommit) {
-	if c.User == "" {
-		return
-	}
-	sh := s.shard(c.User)
-	sh.mu.Lock()
-	us, ok := sh.users[c.User]
-	if !ok {
-		us = &UserStats{}
-		sh.users[c.User] = us
-		sh.stats.Users++
-	}
-	us.Uploads++
-	us.RecordsIn += c.RecordsIn
-	us.RecordsPublished += c.Accepted
-	us.RecordsRejected += c.Rejected
-	us.Pieces += len(c.Frags)
-	sh.stats.Uploads++
-	sh.stats.RecordsIn += c.RecordsIn
-	sh.stats.RecordsPublished += c.Accepted
-	sh.stats.RecordsRejected += c.Rejected
-	if len(c.History) > 0 && s.opts.Retrainer != nil && s.opts.HistoryCap > 0 {
-		sh.recordHistory(c.User, c.History, s.opts.HistoryCap)
-		s.histGen.Add(1)
-	}
-	sh.published = append(sh.published, c.Frags...)
-	var maxSeq int64
-	for _, f := range c.Frags {
-		if f.Seq > maxSeq {
-			maxSeq = f.Seq
-		}
-	}
-	sh.mu.Unlock()
-	storeMax(&s.fragSeq, maxSeq)
-	storeMax(&s.pseudo, c.Pseudo)
-}
-
-// replayQuarantine re-applies a quarantine record: remove the condemned
-// fragments wherever they live. Removal by Seq is idempotent, so a
-// record covering fragments a snapshot already dropped is harmless.
-func (s *Server) replayQuarantine(seqs []int64) {
-	if len(seqs) == 0 {
-		return
-	}
-	condemned := make(map[int64]bool, len(seqs))
-	for _, q := range seqs {
-		condemned[q] = true
-	}
-	for i := range s.shards {
-		s.removeCondemned(&s.shards[i], condemned)
 	}
 }
 
@@ -663,7 +593,7 @@ type StatsPayload struct {
 }
 
 func (s *Server) statsPayload() StatsPayload {
-	out := StatsPayload{ServerStats: s.statsSnapshot()}
+	out := StatsPayload{ServerStats: s.Stats()}
 	if s.node != nil {
 		ns := s.NodeStats()
 		out.Node = &ns

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -101,6 +102,127 @@ func TestWALServerCrashRecovery(t *testing.T) {
 	}
 	if j.State != JobDone || j.Result == nil || j.Result.Accepted != 6 {
 		t.Fatalf("recovered job = %+v", j)
+	}
+
+	// Live commits, log replay and snapshot restore fold through the same
+	// state transitions, so one workload comes back the same whichever way
+	// it is recovered: from the log alone, from a checkpoint alone, or from
+	// a checkpoint plus the log written after it.
+	for _, rc := range []struct {
+		name       string
+		checkpoint bool // checkpoint between the workload's halves
+		crash      bool // kill the disk; otherwise Close (final checkpoint)
+	}{
+		{"log only", false, true},
+		{"checkpoint only", false, false},
+		{"checkpoint plus log suffix", true, true},
+	} {
+		t.Run(rc.name, func(t *testing.T) { checkRecoveryPath(t, rc.checkpoint, rc.crash) })
+	}
+}
+
+// recoveryState is what a client can read of a server's state: the
+// global counters, every participant's accounting, the job list, the
+// dataset page bytes (not the ETag: the quarantine generation is not
+// persisted) and the retrainer's history.
+type recoveryState struct {
+	Stats   ServerStats
+	Users   map[string]UserStats
+	Jobs    JobList
+	Dataset string
+	History []trace.Trace
+}
+
+func observeState(t *testing.T, srv *Server, hs *httptest.Server) recoveryState {
+	t.Helper()
+	c := NewClient(hs.URL)
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := c.Jobs("", "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := recoveryState{Stats: st, Users: map[string]UserStats{}, Jobs: jobs,
+		Dataset: getBody(t, hs.URL+"/v2/dataset?limit=1000"), History: srv.historySnapshot()}
+	for _, u := range srv.Users() {
+		if out.Users[u], err = c.UserStats(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// checkRecoveryPath runs keyed, async and failing-async uploads and a
+// retrain that quarantines a fragment, recovers the server from its WAL
+// directory and requires the recovered server to answer exactly as the
+// live one did, keyed retries included. One worker makes the workload
+// sequential, so the failed job's best-effort record is appended before
+// the next upload completes.
+func checkRecoveryPath(t *testing.T, checkpoint, crash bool) {
+	rt := RetrainerFunc(func([]trace.Trace) (Protector, Auditor, error) {
+		return nil, ownerAuditor{prefix: "drift-"}, nil
+	})
+	opts := []Option{WithWorkers(1), WithRetrainer(rt, 0)}
+	disk := store.NewMemFS()
+	ffs := store.NewFaultFS(disk)
+	srvA, hsA := newWALServer(t, ffs, &fakeProtector{}, opts...)
+	c := NewClient(hsA.URL)
+	waitAsync := func(user string, n int, want string) {
+		j, err := c.WaitJob(uploadAsync(t, c, trace.New(user, sampleRecords(n))).ID, 5*time.Second)
+		if err != nil || j.State != want {
+			t.Fatalf("async %s: %+v, %v; want %s", user, j, err, want)
+		}
+	}
+	keys := []BatchChunk{keyed("bob", "chunk-1", 4), keyed("bob", "chunk-2", 2)}
+	results := make([]BatchResult, len(keys))
+
+	mustUpload(t, c, trace.New("alice", sampleRecords(10)))
+	results[0] = postChunk(t, hsA.URL, keys[0])
+	waitAsync("carol", 6, JobDone)
+	waitAsync("boom-dave", 3, JobFailed)
+	mustUpload(t, c, trace.New("drift-erin", sampleRecords(5)))
+	if checkpoint {
+		if err := srvA.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rep, err := c.Retrain(); err != nil || rep.Quarantined != 1 {
+		t.Fatalf("retrain: %+v, %v", rep, err)
+	}
+	results[1] = postChunk(t, hsA.URL, keys[1])
+	waitAsync("frank", 3, JobDone)
+	mustUpload(t, c, trace.New("reject-gus", sampleRecords(2)))
+	mustUpload(t, c, trace.New("drift-erin", sampleRecords(3)))
+	for i, r := range results {
+		if r.Status != http.StatusOK || r.Replay {
+			t.Fatalf("keyed upload %d: %+v", i, r)
+		}
+	}
+
+	want := observeState(t, srvA, hsA)
+	if crash {
+		ffs.Kill()
+	} else if err := srvA.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fpB := &fakeProtector{}
+	srvB, hsB := newWALServer(t, disk, fpB, opts...)
+	if got := observeState(t, srvB, hsB); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered state differs from the live one:\n got %+v\nwant %+v", got, want)
+	}
+	for i, k := range keys {
+		r := postChunk(t, hsB.URL, k)
+		if !r.Replay || !reflect.DeepEqual(r.Result, results[i].Result) {
+			t.Fatalf("keyed retry %d after recovery: %+v, want a replay of %+v", i, r, results[i])
+		}
+	}
+	if fpB.calls != 0 {
+		t.Fatalf("keyed retries re-executed the protector %d times", fpB.calls)
+	}
+	if got := observeState(t, srvB, hsB); !reflect.DeepEqual(got, want) {
+		t.Fatalf("replayed retries changed the state:\n got %+v\nwant %+v", got, want)
 	}
 }
 

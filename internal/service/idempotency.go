@@ -185,30 +185,14 @@ func (st *idemStore) snapshot() []persistedIdem {
 	return out
 }
 
-// restore replaces the window with persisted entries (all completed, so
-// a keyed retry that straddles the restart replays instead of
-// double-committing the chunk).
-func (st *idemStore) restore(entries []persistedIdem) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.entries = make(map[string]*idemEntry, len(entries))
-	st.order = st.order[:0]
-	for _, pe := range entries {
-		if _, dup := st.entries[pe.Key]; dup {
-			continue
-		}
-		st.entries[pe.Key] = completedIdem(pe)
-		st.order = append(st.order, pe.Key)
-	}
-	st.evictLocked()
-}
-
-// applyRestored installs one completed entry during WAL replay. Unlike
-// restore it patches a single key into the live window: a recovered
-// commit record carries its idempotency completion in the same frame,
-// so replaying the log rebuilds the dedupe window entry by entry.
-// Overwrites are last-write-wins — replay order is log order, so the
-// latest record under a key is the authoritative outcome.
+// applyRestored installs one completed entry from a snapshot or a WAL
+// record, so a keyed retry that straddles a restart replays instead of
+// double-committing the chunk. A recovered commit record carries its
+// idempotency completion in the same frame, so replaying the log
+// rebuilds the dedupe window entry by entry, after the snapshot's
+// entries in their eviction order. Overwrites are last-write-wins —
+// replay order is log order, so the latest record under a key is the
+// authoritative outcome.
 func (st *idemStore) applyRestored(pe persistedIdem) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -312,10 +296,13 @@ func (s *Server) replayChunk(ctx context.Context, user string, e *idemEntry, asy
 	}
 }
 
-// replayDone maps a completed original's outcome onto the retry: a shed
+// replayDone maps a completed upload's outcome onto the wire, for the
+// synchronous caller and for every retry that replays it. A shed
 // original was never executed, so the replayer gets the same 503 +
-// Retry-After the original caller saw (not a 500, which retrying
-// clients treat as fatal); real engine failures stay 500s.
+// Retry-After the original caller saw; a storage refusal is a retryable
+// 503 too — nothing was committed and nothing acked — never a
+// fatal-looking 500, which retrying clients treat as fatal. Real engine
+// failures stay 500s.
 func replayDone(resp UploadResponse, err error) chunkOutcome {
 	switch {
 	case errors.Is(err, errUploadShed):

@@ -9,8 +9,8 @@ import (
 // persistedState is a snapshot of a Server: what captureState captures
 // and what the snapshot codec (walcodec.go) writes and reads. Its JSON
 // tags are the shape `moodctl snapshot` prints. Shards are merged on
-// capture and redistributed on load; no global stats are stored —
-// resetShards rederives them from the user accounting.
+// capture and redistributed on load; no global stats are stored — they
+// are the sum of the user accounting (see Server.Stats).
 type persistedState struct {
 	Fragments []publishedFrag           `json:"fragments,omitempty"`
 	Users     map[string]*UserStats     `json:"users"`
@@ -79,8 +79,12 @@ func SnapshotJSON(data []byte) ([]byte, error) {
 	return json.Marshal(state)
 }
 
-// applySnapshot replaces the server's state with a decoded snapshot.
-// The snapshot is decoded and checked whole before anything is applied.
+// applySnapshot installs a decoded snapshot into the fresh server that
+// Recover runs on. The snapshot is decoded and checked whole before
+// anything is applied. Idempotency entries and terminal jobs go through
+// the same appliers as their WAL records: snapshot keys are unique and
+// every entry is complete, so installing them one by one in snapshot
+// order rebuilds both windows, eviction age included.
 func (s *Server) applySnapshot(data []byte) error {
 	state, err := decodeSnapshot(data)
 	if err != nil {
@@ -92,8 +96,12 @@ func (s *Server) applySnapshot(data []byte) error {
 	}
 	s.fragSeq.Store(maxSeq)
 	s.resetShards(state.Fragments, state.History, state.Users)
-	s.idem.restore(state.Idempotency)
-	s.jobs.restore(state.Jobs)
+	for _, pe := range state.Idempotency {
+		s.idem.applyRestored(pe)
+	}
+	for _, j := range state.Jobs {
+		s.jobs.applyTerminal(j)
+	}
 	s.pseudo.Store(int64(state.Pseudo))
 	s.retrains.Store(state.Retrains)
 	return nil

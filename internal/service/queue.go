@@ -73,11 +73,13 @@ type uploadJob struct {
 	// The staged commit, filled in by the worker between Protect and
 	// the durable append (see stageCommit): the engine the chunk was
 	// protected on, what Protect cost on the server's clock, the commit
-	// drawn from the atomics and its WAL records. recBuf backs recs, so
-	// staging allocates nothing beyond the payloads.
+	// record foldCommit applies, the client's response and the WAL
+	// records. recBuf backs recs, so staging allocates nothing beyond the
+	// payloads.
 	eng    *engineState
 	cost   time.Duration
-	pc     preparedCommit
+	commit walUploadCommit
+	resp   UploadResponse
 	recs   []store.Record
 	recBuf [3]store.Record
 }
@@ -376,12 +378,12 @@ func (s *Server) handleJobsList(w http.ResponseWriter, r *http.Request) {
 			`unknown state filter (use "queued", "running", "done" or "failed")`)
 		return
 	}
-	limit := defaultPageLimit
+	limit := DefaultPageLimit
 	if raw := vals.Get("limit"); raw != "" {
 		n, err := strconv.Atoi(raw)
-		if err != nil || n < 1 || n > maxPageLimit {
+		if err != nil || n < 1 || n > MaxPageLimit {
 			writeError(w, http.StatusBadRequest, CodeBadRequest,
-				fmt.Sprintf("limit must be an integer in 1..%d", maxPageLimit))
+				fmt.Sprintf("limit must be an integer in 1..%d", MaxPageLimit))
 			return
 		}
 		limit = n
@@ -439,8 +441,9 @@ func (js *jobStore) terminal() []JobStatus {
 	return out
 }
 
-// applyTerminal replays one terminal job record from the WAL:
-// insert-or-overwrite, so a record newer than a snapshot entry wins.
+// applyTerminal installs one terminal job from a WAL record or a
+// snapshot: insert-or-overwrite, so a record newer than a snapshot entry
+// wins. Installed in snapshot order, the jobs keep their eviction age.
 func (js *jobStore) applyTerminal(j JobStatus) {
 	if j.ID == "" || (j.State != JobDone && j.State != JobFailed) {
 		return
@@ -452,26 +455,5 @@ func (js *jobStore) applyTerminal(j JobStatus) {
 	}
 	cp := j
 	js.jobs[j.ID] = &cp
-	js.evictLocked()
-}
-
-// restore replaces the store with persisted terminal jobs (insertion
-// order preserved, so eviction age survives the restart).
-func (js *jobStore) restore(jobs []JobStatus) {
-	js.mu.Lock()
-	defer js.mu.Unlock()
-	js.jobs = make(map[string]*JobStatus, len(jobs))
-	js.order = js.order[:0]
-	for _, j := range jobs {
-		if j.ID == "" {
-			continue
-		}
-		if _, dup := js.jobs[j.ID]; dup {
-			continue
-		}
-		cp := j
-		js.jobs[j.ID] = &cp
-		js.order = append(js.order, j.ID)
-	}
 	js.evictLocked()
 }

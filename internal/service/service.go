@@ -533,7 +533,7 @@ func (s *Server) syncChunk(ctx context.Context, t trace.Trace, key string, idem 
 	}
 	select {
 	case out := <-j.done:
-		return syncDone(out.resp, out.err)
+		return replayDone(out.resp, out.err)
 	case <-ctx.Done():
 		// The client gave up; the job still runs to completion in the pool
 		// and its records are kept (at-least-once). A client that retries
@@ -547,26 +547,12 @@ func (s *Server) syncChunk(ctx context.Context, t trace.Trace, key string, idem 
 		// windows behind it may have completed the job after all.
 		select {
 		case out := <-j.done:
-			return syncDone(out.resp, out.err)
+			return replayDone(out.resp, out.err)
 		default:
 			return chunkOutcome{status: http.StatusServiceUnavailable, code: CodeShuttingDown,
 				detail: "server shutting down"}
 		}
 	}
-}
-
-// syncDone maps a completed job onto the wire outcome. Storage
-// refusals are retryable 503s, not fatal-looking 500s: nothing was
-// committed and nothing acked, so the client's retry is safe and is the
-// right move.
-func syncDone(resp UploadResponse, err error) chunkOutcome {
-	switch {
-	case isStorageError(err):
-		return storageOutcome(err)
-	case err != nil:
-		return chunkOutcome{status: http.StatusInternalServerError, code: CodeInternal, detail: err.Error()}
-	}
-	return chunkOutcome{status: http.StatusOK, resp: &resp}
 }
 
 // asyncChunk queues the chunk and reports 202 with the job handle.
@@ -646,16 +632,6 @@ func (s *Server) handleUserGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, copyStats)
-}
-
-// Users lists the known uploader IDs, sorted (diagnostics).
-func (s *Server) Users() []string {
-	return s.userIDs()
-}
-
-// Stats returns a snapshot of the global counters.
-func (s *Server) Stats() ServerStats {
-	return s.statsSnapshot()
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

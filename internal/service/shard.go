@@ -33,15 +33,15 @@ type publishedFrag struct {
 }
 
 // stateShard holds one slice of the server state: the users that hash
-// here, the fragments they published, their raw upload history (the
-// growing attacker-side knowledge the retrainer learns from), and the
-// partial global counters. The global view is the sum over shards.
+// here, their accounting, the fragments they published and their raw
+// upload history (the growing attacker-side knowledge the retrainer
+// learns from). The global counters are the sum of every participant's
+// accounting (see Stats).
 type stateShard struct {
 	mu        sync.Mutex
 	published []publishedFrag
 	users     map[string]*UserStats
 	history   map[string][]trace.Record
-	stats     ServerStats
 }
 
 // shardFor maps a user ID to its shard.
@@ -55,29 +55,26 @@ func (s *Server) shard(user string) *stateShard {
 	return &s.shards[shardFor(user)]
 }
 
-// accumulate folds one shard's partial counters into the total. Every
-// aggregation path goes through here so a new counter field cannot be
-// summed in one place and silently dropped in another.
-func (st *ServerStats) accumulate(sh *stateShard) {
-	st.Uploads += sh.stats.Uploads
-	st.Users += sh.stats.Users
-	st.RecordsIn += sh.stats.RecordsIn
-	st.RecordsPublished += sh.stats.RecordsPublished
-	st.RecordsRejected += sh.stats.RecordsRejected
-	st.RecordsQuarantined += sh.stats.RecordsQuarantined
-	st.QuarantinedTraces += sh.stats.QuarantinedTraces
-	st.PublishedTraces += len(sh.published)
-}
-
-// statsSnapshot sums the per-shard partial counters into the global
-// view clients see on /v2/stats. The retrain counter lives outside the
-// shards (a retrain pass is global, not per-user).
-func (s *Server) statsSnapshot() ServerStats {
+// Stats returns the global counters clients see on /v2/stats: the sum
+// of every participant's accounting, one shard at a time under its
+// lock, so the global view cannot disagree with /v2/users/{id}. The
+// retrain counter lives outside the shards (a retrain pass is global,
+// not per-user).
+func (s *Server) Stats() ServerStats {
 	var out ServerStats
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		out.accumulate(sh)
+		out.Users += len(sh.users)
+		out.PublishedTraces += len(sh.published)
+		for _, us := range sh.users {
+			out.Uploads += us.Uploads
+			out.RecordsIn += us.RecordsIn
+			out.RecordsPublished += us.RecordsPublished
+			out.RecordsRejected += us.RecordsRejected
+			out.RecordsQuarantined += us.RecordsQuarantined
+			out.QuarantinedTraces += us.PiecesQuarantined
+		}
 		sh.mu.Unlock()
 	}
 	out.Retrains = int(s.retrains.Load())
@@ -117,8 +114,8 @@ func (s *Server) historySnapshot() []trace.Trace {
 	return out
 }
 
-// userIDs lists the known uploader IDs, sorted.
-func (s *Server) userIDs() []string {
+// Users lists the known uploader IDs, sorted (diagnostics).
+func (s *Server) Users() []string {
 	var out []string
 	for i := range s.shards {
 		sh := &s.shards[i]
@@ -177,10 +174,9 @@ func (s *Server) fullSnapshot() (published []publishedFrag, history map[string][
 }
 
 // resetShards replaces the whole sharded state with a decoded snapshot,
-// whose slices it takes over. Per-shard partial stats are rederived from
-// the user accounting, which is why no snapshot carries global stats.
-// Fragment sequence numbers persist: WAL quarantine records name them
-// across restarts.
+// whose slices it takes over. No snapshot carries global stats: they are
+// the sum of the user accounting. Fragment sequence numbers persist: WAL
+// quarantine records name them across restarts.
 func (s *Server) resetShards(published []publishedFrag, history map[string][]trace.Record, users map[string]*UserStats) {
 	for i := range s.shards {
 		sh := &s.shards[i]
@@ -188,7 +184,6 @@ func (s *Server) resetShards(published []publishedFrag, history map[string][]tra
 		sh.published = nil
 		sh.users = make(map[string]*UserStats)
 		sh.history = make(map[string][]trace.Record)
-		sh.stats = ServerStats{}
 		sh.mu.Unlock()
 	}
 	for u, us := range users {
@@ -196,13 +191,6 @@ func (s *Server) resetShards(published []publishedFrag, history map[string][]tra
 		sh.mu.Lock()
 		cp := *us
 		sh.users[u] = &cp
-		sh.stats.Users++
-		sh.stats.Uploads += us.Uploads
-		sh.stats.RecordsIn += us.RecordsIn
-		sh.stats.RecordsPublished += us.RecordsPublished
-		sh.stats.RecordsRejected += us.RecordsRejected
-		sh.stats.RecordsQuarantined += us.RecordsQuarantined
-		sh.stats.QuarantinedTraces += us.PiecesQuarantined
 		sh.mu.Unlock()
 	}
 	for _, f := range published {

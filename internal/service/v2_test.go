@@ -396,7 +396,7 @@ func TestDatasetFilters(t *testing.T) {
 
 	// sampleRecords stamps ts 1000, 1060, ...; a [1000, 1060) window
 	// keeps exactly the first record of every trace.
-	windowed, err := c.DatasetPageV2(DatasetQuery{From: 1000, To: 1060, Limit: maxPageLimit})
+	windowed, err := c.DatasetPageV2(DatasetQuery{From: 1000, To: 1060, Limit: MaxPageLimit})
 	if err != nil {
 		t.Fatal(err)
 	}
