@@ -3,13 +3,13 @@ package cluster
 import (
 	"bytes"
 	"encoding/base64"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
 
 	"mood/internal/service"
+	"mood/internal/trace"
 )
 
 // GET /v2/dataset through the router: a scatter of the page request —
@@ -21,13 +21,14 @@ import (
 // bit-for-bit.
 //
 // The bytes of a trace cross this tier unparsed. The router asks the
-// nodes for the line-framed dialect (NDJSON: one json.Encoder-encoded
-// trace per line, the envelope's cursor and total in headers), reads
-// nothing of a line but the pseudonym at its fixed {"user":"…" prefix,
-// merges the lines as byte slices and writes the DatasetPage envelope by
-// hand around them. The node's encoder and the router's old one are the
-// same encoder, so the page is byte for byte what decoding the node
-// pages and re-encoding the merge produced (the _test.go oracle).
+// nodes for the line-framed dialect (NDJSON: one trace line per trace,
+// the envelope's cursor and total in headers), reads nothing of a line
+// but the pseudonym (trace.LineKey, beside the encoder that writes the
+// line), merges the lines as byte slices and writes the DatasetPage
+// envelope around them with the functions the node's JSON page uses.
+// Both match encoding/json byte for byte, so the page is what decoding
+// the node pages and re-encoding the merge produced (the _test.go
+// oracle).
 //
 // Nothing but the prefix being parsed, a short body would be forwarded
 // where it used to fail to decode; so the merge fails closed on framing
@@ -77,7 +78,7 @@ func (rt *Router) handleDataset(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	etag := clusterETag(results)
-	if inmMatches(inm, etag) {
+	if service.ETagMatches(inm, etag) {
 		w.Header().Set("ETag", etag)
 		w.Header().Set("Vary", "Accept")
 		w.WriteHeader(http.StatusNotModified)
@@ -168,13 +169,7 @@ type nodePage struct {
 	more bool   // the node holds further pages
 }
 
-// The fixed frame of a line, as json.Encoder writes a trace.Trace.
-var (
-	linePrefix = []byte(`{"user":"`)
-	lineMiddle = []byte(`,"records":[`)
-	lineSuffix = []byte(`]}`)
-	newline    = []byte{'\n'}
-)
+var newline = []byte{'\n'}
 
 // framingError refuses a node page whose bytes are not the page its
 // headers describe.
@@ -203,7 +198,7 @@ func openNodePage(fr fanResult, limit int) (p nodePage, totalUsers int, ok bool)
 	if cursor := fr.header.Get(service.NextCursorHeader); cursor != "" {
 		last := bytes.TrimSuffix(body, newline)
 		last = last[bytes.LastIndexByte(last, '\n')+1:]
-		key, ok := lineKey(last)
+		key, ok := trace.LineKey(last)
 		if !ok || lines != limit || base64.RawURLEncoding.EncodeToString(key) != cursor {
 			return p, 0, false
 		}
@@ -223,44 +218,8 @@ func (p *nodePage) advance() bool {
 	nl := bytes.IndexByte(p.rest, '\n') // present: openNodePage saw the final one
 	p.line, p.rest = p.rest[:nl], p.rest[nl+1:]
 	var ok bool
-	p.key, ok = lineKey(p.line)
+	p.key, ok = trace.LineKey(p.line)
 	return ok
-}
-
-// lineKey reads the sort key of one line — the pseudonym — out of the
-// fixed {"user":"…","records":[…]} frame, without decoding anything
-// else. The key aliases the line unless the encoder escaped something in
-// it (quotes, backslashes, <, >, &, U+2028/9), which is rare enough to
-// pay for a real unquote.
-func lineKey(line []byte) ([]byte, bool) {
-	if !bytes.HasPrefix(line, linePrefix) || !bytes.HasSuffix(line, lineSuffix) {
-		return nil, false
-	}
-	start := len(linePrefix)
-	end, escaped := start, false
-	for end < len(line) && line[end] != '"' {
-		if line[end] == '\\' {
-			escaped = true
-			end++
-		}
-		end++
-	}
-	if end >= len(line) || !bytes.HasPrefix(line[end+1:], lineMiddle) {
-		return nil, false
-	}
-	if escaped {
-		return unquoteKey(line[start-1 : end+1])
-	}
-	return line[start:end], true
-}
-
-// unquoteKey is lineKey's cold path.
-func unquoteKey(quoted []byte) ([]byte, bool) {
-	var s string
-	if err := json.Unmarshal(quoted, &s); err != nil {
-		return nil, false
-	}
-	return []byte(s), true
 }
 
 // splice is the page being written: the envelope around the lines
@@ -296,7 +255,7 @@ func spliceDatasetPage(out *bytes.Buffer, results []fanResult, limit int) error 
 		totalUsers += total
 	}
 
-	out.WriteString(`{"name":"` + service.PublishedDatasetName + `","traces":[`)
+	out.Write(service.AppendPageHead(out.AvailableBuffer(), service.PublishedDatasetName))
 	s := splice{out: out}
 	for s.emitted < limit {
 		best := -1
@@ -333,15 +292,11 @@ func spliceDatasetPage(out *bytes.Buffer, results []fanResult, limit int) error 
 			more = true
 		}
 	}
-	out.WriteByte(']')
+	cursor := ""
 	if more && s.emitted > 0 {
-		out.WriteString(`,"next_cursor":"`)
-		out.WriteString(base64.RawURLEncoding.EncodeToString(s.last))
-		out.WriteByte('"')
+		cursor = base64.RawURLEncoding.EncodeToString(s.last)
 	}
-	out.WriteString(`,"total_users":`)
-	out.WriteString(strconv.Itoa(totalUsers))
-	out.WriteString("}\n")
+	out.Write(service.AppendPageTail(out.AvailableBuffer(), cursor, totalUsers))
 	return nil
 }
 
@@ -358,22 +313,6 @@ func acceptsJSON(accept string) bool {
 		}
 		switch strings.ToLower(mt) {
 		case "application/json", "application/*", "*/*":
-			return true
-		}
-	}
-	return false
-}
-
-// inmMatches implements the weak If-None-Match comparison (RFC 9110
-// §13.1.2), as the nodes do.
-func inmMatches(header, etag string) bool {
-	if header == "" {
-		return false
-	}
-	opaque := strings.TrimPrefix(etag, "W/")
-	for _, cand := range strings.Split(header, ",") {
-		cand = strings.TrimSpace(cand)
-		if cand == "*" || strings.TrimPrefix(cand, "W/") == opaque {
 			return true
 		}
 	}

@@ -614,27 +614,6 @@ func TestRouterRefusesOversizeNodeBody(t *testing.T) {
 // ---------------------------------------------------------------------------
 // The splice in isolation.
 
-func TestLineKey(t *testing.T) {
-	for _, name := range append([]string{"pub-000001", ""}, hostilePseudonyms...) {
-		line, err := json.Marshal(trace.Trace{User: name, Records: trace.Records{{Lat: 1, Lon: 2, TS: 3}}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		key, ok := lineKey(line)
-		if !ok || string(key) != name {
-			t.Fatalf("lineKey(%s) = %q, %v; want %q", line, key, ok, name)
-		}
-	}
-	for _, bad := range []string{
-		``, `{}`, `{"user":"a"}`, `{"user":"a","records":[]`, `{"user":"a\","records":[]}`, `{"user":"a\q","records":[]}`,
-		`{"user":a,"records":[]}`, `{"user":"a", "records":[]}`, `{"records":[],"user":"a"}`, `{"user":"a","records":[]} `,
-	} {
-		if key, ok := lineKey([]byte(bad)); ok {
-			t.Fatalf("lineKey(%s) accepted the line (key %q)", bad, key)
-		}
-	}
-}
-
 // benchNodeResults are three nodes' NDJSON pages of the benchmark's
 // shape (200 traces of 50 records each, colliding pub-NNNNNN sequences),
 // as fetchOne gathers them, plus the same pages in the JSON dialect.

@@ -13,8 +13,7 @@ import (
 
 // Membership owns the live ring: a health-check loop on the injected
 // clock probes every member and swaps in a new ring generation on each
-// up/down transition, and administrative AddNode/RemoveNode swap in
-// membership changes. Readers load the current ring atomically (the
+// up/down transition. Readers load the current ring atomically (the
 // engine hot-swap shape: immutable value, atomic pointer, epoch per
 // generation) and never observe a half-applied transition.
 type Membership struct {
@@ -145,11 +144,6 @@ func (m *Membership) Sweep() {
 	m.mu.Lock()
 	ring := m.Ring()
 	for i, n := range nodes {
-		if !ring.contains(n.ID) {
-			// Removed by an admin swap while the sweep was probing.
-			delete(m.fails, n.ID)
-			continue
-		}
 		if errs[i] != nil {
 			m.fails[n.ID]++
 			if m.fails[n.ID] >= m.cfg.FailThreshold && !ring.Down(n.ID) {
@@ -180,32 +174,5 @@ func (m *Membership) probe(n Node) error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("cluster: %s /healthz answered %d", n.ID, resp.StatusCode)
 	}
-	return nil
-}
-
-// AddNode admits a new member (epoch+1). Only the key range the node
-// wins under rendezvous hashing moves to it; everyone else's owner is
-// unchanged.
-func (m *Membership) AddNode(n Node) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	next, err := m.Ring().withNode(n)
-	if err != nil {
-		return err
-	}
-	m.ring.Store(next)
-	return nil
-}
-
-// RemoveNode retires a member (epoch+1), remapping only its key range.
-func (m *Membership) RemoveNode(id string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	next, err := m.Ring().withoutNode(id)
-	if err != nil {
-		return err
-	}
-	delete(m.fails, id)
-	m.ring.Store(next)
 	return nil
 }

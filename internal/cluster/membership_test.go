@@ -134,31 +134,6 @@ func waitProbes(t *testing.T, m *Membership, n int64) {
 	}
 }
 
-func TestAdminMembershipSwaps(t *testing.T) {
-	p := &flakyProbe{}
-	m := newTestMembership(t, p.probe)
-
-	if err := m.AddNode(Node{ID: "n99", URL: "http://node-99"}); err != nil {
-		t.Fatal(err)
-	}
-	if m.Ring().Len() != 4 || m.Ring().Epoch() != 2 {
-		t.Fatalf("after add: len=%d epoch=%d", m.Ring().Len(), m.Ring().Epoch())
-	}
-	if err := m.AddNode(Node{ID: "n99", URL: "http://dup"}); err == nil {
-		t.Fatal("duplicate admission succeeded")
-	}
-
-	if err := m.RemoveNode("n99"); err != nil {
-		t.Fatal(err)
-	}
-	if m.Ring().Len() != 3 || m.Ring().Epoch() != 3 {
-		t.Fatalf("after remove: len=%d epoch=%d", m.Ring().Len(), m.Ring().Epoch())
-	}
-	if err := m.RemoveNode("n99"); err == nil {
-		t.Fatal("removing unknown node succeeded")
-	}
-}
-
 func TestDefaultProbeChecksHealthz(t *testing.T) {
 	healthy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/healthz" {

@@ -11,10 +11,9 @@
 // the owner returns. Remapping a crashed node's users onto live nodes
 // would fork their WAL state and idempotency windows across two nodes
 // (a retried chunk could commit twice), so failover trades a bounded
-// unavailability window for exactly-once delivery. Administrative
-// membership changes (AddNode / RemoveNode) do remap — minimally, by
-// the rendezvous property: only the removed (or added) node's key range
-// moves.
+// unavailability window for exactly-once delivery. The member set is
+// fixed for the ring's lifetime: changing it would remap key ranges, and
+// that needs a per-user state handoff the cluster does not have.
 package cluster
 
 import (
@@ -31,10 +30,10 @@ type Node struct {
 }
 
 // Ring is an immutable, epoch-stamped view of cluster membership and
-// health. Mutators return a new ring with the epoch advanced — the same
-// swap-whole discipline as the service tier's engine hot-swap — so a
-// reader always sees one consistent generation and the epoch totally
-// orders every membership or health transition.
+// health. A health transition returns a new ring with the epoch
+// advanced — the same swap-whole discipline as the service tier's
+// engine hot-swap — so a reader always sees one consistent generation
+// and the epoch totally orders every transition.
 type Ring struct {
 	epoch int64
 	nodes []Node          // sorted by ID
@@ -70,16 +69,6 @@ func (r *Ring) Nodes() []Node { return append([]Node(nil), r.nodes...) }
 
 // Len returns the member count.
 func (r *Ring) Len() int { return len(r.nodes) }
-
-// contains reports membership of the node ID.
-func (r *Ring) contains(id string) bool {
-	for _, n := range r.nodes {
-		if n.ID == id {
-			return true
-		}
-	}
-	return false
-}
 
 // Down reports whether the node is currently marked unhealthy.
 func (r *Ring) Down(id string) bool { return r.down[id] }
@@ -122,50 +111,6 @@ func (r *Ring) withDown(id string, down bool) *Ring {
 		delete(nd, id)
 	}
 	return &Ring{epoch: r.epoch + 1, nodes: r.nodes, down: nd}
-}
-
-// withoutNode returns a ring with the member removed (epoch+1); by the
-// rendezvous property only the removed node's key range is remapped.
-func (r *Ring) withoutNode(id string) (*Ring, error) {
-	if len(r.nodes) == 1 {
-		return nil, fmt.Errorf("cluster: cannot remove the last node %q", id)
-	}
-	nodes := make([]Node, 0, len(r.nodes)-1)
-	for _, n := range r.nodes {
-		if n.ID != id {
-			nodes = append(nodes, n)
-		}
-	}
-	if len(nodes) == len(r.nodes) {
-		return nil, fmt.Errorf("cluster: unknown node %q", id)
-	}
-	nd := make(map[string]bool, len(r.down))
-	for k := range r.down {
-		if k != id {
-			nd[k] = true
-		}
-	}
-	return &Ring{epoch: r.epoch + 1, nodes: nodes, down: nd}, nil
-}
-
-// withNode returns a ring with the member added (epoch+1); only the key
-// range the new node wins moves to it.
-func (r *Ring) withNode(n Node) (*Ring, error) {
-	if n.ID == "" || n.URL == "" {
-		return nil, fmt.Errorf("cluster: node needs an ID and a URL")
-	}
-	for _, m := range r.nodes {
-		if m.ID == n.ID {
-			return nil, fmt.Errorf("cluster: node %q already a member", n.ID)
-		}
-	}
-	nodes := append(append([]Node(nil), r.nodes...), n)
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID < nodes[j].ID })
-	nd := make(map[string]bool, len(r.down))
-	for k := range r.down {
-		nd[k] = true
-	}
-	return &Ring{epoch: r.epoch + 1, nodes: nodes, down: nd}, nil
 }
 
 // rendezvousScore is the highest-random-weight hash of (node, user):

@@ -58,29 +58,6 @@ func TestRingTransitionsAdvanceEpoch(t *testing.T) {
 	if r.Down("n01") {
 		t.Fatal("transition mutated the original ring")
 	}
-
-	shrunk, err := u.withoutNode("n02")
-	if err != nil || shrunk.Epoch() != 4 || shrunk.Len() != 2 {
-		t.Fatalf("withoutNode: %v epoch=%d len=%d", err, shrunk.Epoch(), shrunk.Len())
-	}
-	if _, err := shrunk.withoutNode("nope"); err == nil {
-		t.Fatal("removing unknown node succeeded")
-	}
-	one, err := shrunk.withoutNode("n01")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := one.withoutNode("n00"); err == nil {
-		t.Fatal("removing the last node succeeded")
-	}
-
-	if _, err := u.withNode(Node{ID: "n00", URL: "http://dup"}); err == nil {
-		t.Fatal("duplicate admission succeeded")
-	}
-	grown, err := u.withNode(Node{ID: "n99", URL: "http://new"})
-	if err != nil || grown.Len() != 4 || grown.Epoch() != 4 {
-		t.Fatalf("withNode: %v len=%d epoch=%d", err, grown.Len(), grown.Epoch())
-	}
 }
 
 func TestOwnerIgnoresHealth(t *testing.T) {
@@ -150,55 +127,45 @@ func TestDistributionSkew(t *testing.T) {
 	}
 }
 
-// TestMinimalRemap is the rendezvous property the live-rebalance story
-// rests on: removing one node moves exactly that node's key range (≈1/N
-// of users) and nothing else, and re-adding it restores the original
-// assignment byte-for-byte.
+// TestMinimalRemap is the rendezvous property any future rebalance
+// would rest on: a ring without one node moves exactly that node's key
+// range (≈1/N of users) and nothing else. The hash is stateless, so
+// rings built by NewRing over the two member sets show it.
 func TestMinimalRemap(t *testing.T) {
 	const users = 100_000
 	const victim = "n02"
-	r, err := NewRing(mkNodes(5))
+	nodes := mkNodes(5)
+	r, err := NewRing(nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := make([]string, users)
-	for i := range before {
-		owner, _ := r.Owner(fmt.Sprintf("user-%06d", i))
-		before[i] = owner.ID
+	var survivors []Node
+	for _, n := range nodes {
+		if n.ID != victim {
+			survivors = append(survivors, n)
+		}
 	}
-
-	shrunk, err := r.withoutNode(victim)
+	shrunk, err := NewRing(survivors)
 	if err != nil {
 		t.Fatal(err)
 	}
 	moved := 0
-	for i := range before {
-		owner, _ := shrunk.Owner(fmt.Sprintf("user-%06d", i))
-		if owner.ID != before[i] {
-			if before[i] != victim {
-				t.Fatalf("user-%06d moved %s -> %s although %s was the node removed",
-					i, before[i], owner.ID, victim)
+	for i := 0; i < users; i++ {
+		user := fmt.Sprintf("user-%06d", i)
+		before, _ := r.Owner(user)
+		after, _ := shrunk.Owner(user)
+		if after.ID != before.ID {
+			if before.ID != victim {
+				t.Fatalf("%s moved %s -> %s although %s was the node removed", user, before.ID, after.ID, victim)
 			}
 			moved++
-		} else if before[i] == victim {
-			t.Fatalf("user-%06d still assigned to removed node %s", i, victim)
+		} else if before.ID == victim {
+			t.Fatalf("%s still assigned to removed node %s", user, victim)
 		}
 	}
 	frac := float64(moved) / float64(users)
 	if frac < 0.15 || frac > 0.25 {
 		t.Fatalf("remapped fraction = %.3f, want ≈ 1/5", frac)
-	}
-
-	regrown, err := shrunk.withNode(Node{ID: victim, URL: "http://node-02"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range before {
-		owner, _ := regrown.Owner(fmt.Sprintf("user-%06d", i))
-		if owner.ID != before[i] {
-			t.Fatalf("re-admitting %s did not restore user-%06d (%s != %s)",
-				victim, i, owner.ID, before[i])
-		}
 	}
 }
 

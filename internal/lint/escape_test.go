@@ -82,15 +82,17 @@ func TestHotPathEscapes(t *testing.T) {
 
 	// Intentional allocations inside hot bodies, pinned one by one.
 	allowed := []struct{ fn, msg string }{
-		{"encodeUploadCommit", "make([]byte"},    // the single sized output buffer, returned by design
-		{"frags", "make([]publishedFrag"},        // the single sized fragment slice
-		{"decodeUploadCommit", "payload[0]"},     // cold version-error branch, waived for hotalloc too
-		{"scanPageTraces", "make([]trace.Trace"}, // the page's single sized trace slice, returned by design
+		{"encodeUploadCommit", "make([]byte"}, // the single sized output buffer, returned by design
+		{"frags", "make([]publishedFrag"},     // the single sized fragment slice
+		{"decodeUploadCommit", "payload[0]"},  // cold version-error branch, waived for hotalloc too
+		{"ParseRecords", "make(Records"},      // a chunk's or trace's single sized record slice, returned by design
+		{"ParseTraces", "make([]Trace"},       // the page's single sized trace slice, returned by design
 		// The strings a decoded value keeps (user, key, name, cursor),
-		// copied out of the request or response body by parseString.
-		{"parseBatchChunkFast", "string(s)"},
-		{"scanDatasetPage", "string(s)"},
-		{"scanPageTrace", "string(s)"},
+		// copied out of the request or response body by ParseString.
+		{"ParseString", "string(b)"},
+		{"parseTrace", "string(b)"},
+		{"parseBatchChunkFast", "string(trace.b)"},
+		{"scanDatasetPage", "string(trace.b)"},
 	}
 
 	cmd := exec.Command("go", "build", "-gcflags=-m", "-o", os.DevNull)

@@ -9,8 +9,9 @@ import (
 
 // hotalloc guards the declared hot paths — the Frozen heatmap scans the
 // attack kernels spin on, the WAL codec that runs once per acked
-// upload, the batch fast-path parser, and the dataset page's path
-// through the router's splice and the client's scanner — against the
+// upload, the trace line's codec (encoder, scanner, key reader) and
+// its callers in the batch parser, the router's splice and the client
+// — against the
 // allocation patterns that keep showing up in profiles:
 //
 //   - fmt.* calls (Sprintf boxes every argument and formats through
@@ -34,8 +35,9 @@ type HotAllocConfig struct {
 }
 
 // DefaultHotAlloc declares the repo's hot paths: the Frozen scan
-// methods, the WAL codec, the batch chunk fast parser, the router's
-// dataset line splitter and the client's dataset page scanner.
+// methods, the WAL codec, the trace line's codec, the batch chunk fast
+// parser, the router's dataset line splitter and the client's dataset
+// page scanner and upload line encoder.
 func DefaultHotAlloc() *analysis.Analyzer {
 	return HotAlloc(DefaultHotAllocConfig())
 }
@@ -64,15 +66,27 @@ func DefaultHotAllocConfig() HotAllocConfig {
 				// The commit decoder's fragment loop (shared with the
 				// snapshot decoder).
 				"frags": true,
-				// The client's dataset page scanner: once per trace of
-				// every page read.
-				"scanDatasetPage": true, "scanPageTraces": true, "scanPageTrace": true,
+				// The client's dataset page scanner and upload line
+				// encoder: once per page read, once per chunk sent.
+				"scanDatasetPage": true, "appendLine": true,
+			},
+			"mood/internal/trace": {
+				// The trace line's codec: the encoder runs once per trace
+				// a node pages out, the scanner once per chunk uploaded
+				// and per trace a client reads, the key reader once per
+				// line the router merges.
+				"AppendRecordsJSON": true, "AppendTraceJSON": true, "AppendTraceHead": true,
+				"AppendJSONString": true, "appendJSONFloat": true,
+				"ScanRecords": true, "ScanTrace": true, "LineKey": true,
+				"Field": true, "ParseString": true, "parseRawString": true, "ParseBool": true,
+				"ParseInt": true, "ParseRecords": true, "ParseTraces": true,
+				"parseTrace": true, "parseRecord": true,
 			},
 			"mood/internal/cluster": {
-				// The router's dataset splice: the line splitter and the
-				// key extractor run once per line merged, and must stay
-				// the only per-line cost of a page.
-				"advance": true, "lineKey": true,
+				// The router's dataset splice: the line splitter runs once
+				// per line merged, and must stay the only per-line cost of
+				// a page besides trace.LineKey.
+				"advance": true,
 			},
 		},
 	}
@@ -84,7 +98,7 @@ func HotAlloc(cfg HotAllocConfig) *analysis.Analyzer {
 		Name: "hotalloc",
 		Doc: "forbid fmt calls, by-reference closure captures, appends without " +
 			"preallocation and scalar interface boxing inside the declared hot paths " +
-			"(Frozen scans, WAL codec, batch fast parser, dataset page splice and scanner)",
+			"(Frozen scans, WAL codec, trace line codec, batch fast parser, dataset page splice and scanner)",
 	}
 	a.Run = func(pass *analysis.Pass) error {
 		hot := cfg.HotFuncs[pass.PkgPath()]

@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"sync"
 	"time"
-	"unicode/utf8"
 
 	"mood/internal/store"
 	"mood/internal/trace"
@@ -685,132 +684,46 @@ func (s *Server) processBatchChunk(ctx context.Context, sl *batchSlot, line []by
 // escape-free strings — in a single pass, without the reflective
 // decoder's double document scan. This is the wire format the typed
 // client emits, i.e. the hot path; anything else (escaped strings,
-// non-UTF-8, unknown fields, nulls) reports ok=false and the caller
-// falls back to encoding/json, whose semantics the fast path mirrors
-// exactly (pinned by FuzzUploadV2's cross-check).
+// non-UTF-8, unknown or repeated fields, nulls) reports ok=false and the
+// caller falls back to encoding/json, whose semantics the fast path
+// mirrors exactly (pinned by FuzzUploadV2's cross-check).
 func parseBatchChunkFast(line []byte) (BatchChunk, bool) {
 	var c BatchChunk
-	sc := chunkScanner{line: line, n: len(line)}
-	sc.skipWS()
-	if !sc.eat('{') {
-		return c, false
-	}
-	sc.skipWS()
-	if sc.eat('}') {
-		sc.skipWS()
-		return c, sc.i == sc.n
-	}
+	var seen uint
+	sc := trace.NewScanner(line)
 	for {
-		sc.skipWS()
-		key, ok := sc.parseString()
+		key, ok := sc.Field(&seen, "user", "records", "key", "async")
+		switch key {
+		case "":
+			return c, ok && sc.End()
+		case "user":
+			c.User, ok = sc.ParseString()
+		case "records":
+			c.Records, ok = sc.ParseRecords()
+		case "key":
+			c.Key, ok = sc.ParseString()
+		case "async":
+			c.Async, ok = sc.ParseBool()
+		}
 		if !ok {
 			return c, false
 		}
-		sc.skipWS()
-		if !sc.eat(':') {
-			return c, false
-		}
-		sc.skipWS()
-		switch key {
-		case "user":
-			if c.User, ok = sc.parseString(); !ok {
-				return c, false
-			}
-		case "key":
-			if c.Key, ok = sc.parseString(); !ok {
-				return c, false
-			}
-		case "async":
-			switch {
-			case bytes.HasPrefix(sc.rest(), []byte("true")):
-				c.Async = true
-				sc.i += 4
-			case bytes.HasPrefix(sc.rest(), []byte("false")):
-				c.Async = false
-				sc.i += 5
-			default:
-				return c, false
-			}
-		case "records":
-			recs, consumed, ok := trace.ScanRecords(sc.rest())
-			if !ok {
-				return c, false
-			}
-			c.Records = recs
-			sc.i += consumed
-		default:
-			return c, false
-		}
-		sc.skipWS()
-		switch {
-		case sc.eat(','):
-		case sc.eat('}'):
-			sc.skipWS()
-			return c, sc.i == sc.n
-		default:
-			return c, false
-		}
 	}
 }
 
-// chunkScanner is parseBatchChunkFast's cursor over one batch line. It
-// is a struct with methods rather than a set of closures: a closure
-// capturing the cursor by reference forces it (and the line header) to
-// the heap on every call, and the fast path exists to not allocate.
-type chunkScanner struct {
-	line []byte
-	i, n int
-}
-
-func (sc *chunkScanner) rest() []byte { return sc.line[sc.i:] }
-
-func (sc *chunkScanner) skipWS() {
-	for sc.i < sc.n {
-		switch sc.line[sc.i] {
-		case ' ', '\t', '\n', '\r':
-			sc.i++
-		default:
-			return
-		}
+// appendLine appends the chunk as one NDJSON line, exactly as
+// json.Encoder writes a BatchChunk.
+func (c BatchChunk) appendLine(b []byte) ([]byte, error) {
+	b, err := trace.AppendTraceHead(b, c.User, c.Records)
+	if err != nil {
+		return nil, err
 	}
-}
-
-func (sc *chunkScanner) eat(b byte) bool {
-	if sc.i < sc.n && sc.line[sc.i] == b {
-		sc.i++
-		return true
+	if c.Key != "" {
+		b = append(b, `,"key":`...)
+		b = trace.AppendJSONString(b, c.Key)
 	}
-	return false
-}
-
-// parseString consumes a canonical string: escape-free, no control
-// bytes (the stdlib rejects raw controls and rewrites invalid UTF-8,
-// so both defer to it).
-func (sc *chunkScanner) parseString() (string, bool) {
-	s, ok := sc.parseRawString()
-	return string(s), ok
-}
-
-// parseRawString is parseString without the copy: the bytes between the
-// quotes, aliasing the input. For object keys, which are only compared.
-func (sc *chunkScanner) parseRawString() ([]byte, bool) {
-	if !sc.eat('"') {
-		return nil, false
+	if c.Async {
+		b = append(b, `,"async":true`...)
 	}
-	start := sc.i
-	for sc.i < sc.n && sc.line[sc.i] != '"' {
-		if sc.line[sc.i] == '\\' || sc.line[sc.i] < 0x20 {
-			return nil, false
-		}
-		sc.i++
-	}
-	if sc.i >= sc.n {
-		return nil, false
-	}
-	s := sc.line[start:sc.i]
-	sc.i++
-	if !utf8.Valid(s) {
-		return nil, false
-	}
-	return s, true
+	return append(b, "}\n"...), nil
 }

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -62,22 +61,28 @@ func (c *Client) uploadBatchOnce(chunks []BatchChunk, user string, fn func(Batch
 	// large backlog is never materialised client-side: the server's
 	// in-flight window paces the encoder through the connection's flow
 	// control, mirroring the endpoint's own backpressure design. The
-	// buffer between encoder and pipe amortises the synchronous pipe
-	// handoff over ~tens of lines instead of paying it per chunk.
+	// lines gather in a pooled buffer, which amortises the synchronous
+	// pipe handoff over ~tens of lines instead of paying it per chunk.
 	pr, pw := io.Pipe()
 	//mood:allow goroutinejoin -- pipe feeder is request-scoped: the transport closing the request body (pr) unblocks every pw.Write, so the goroutine cannot outlive the call
 	go func() {
-		bw := bufio.NewWriterSize(pw, 64<<10)
-		enc := json.NewEncoder(bw)
-		for _, ch := range chunks {
-			if err := enc.Encode(ch); err != nil {
+		buf := GetBuffer()
+		defer PutBuffer(buf) // a pipe Write returns once the reader has copied it all
+		for i, ch := range chunks {
+			line, err := ch.appendLine(buf.AvailableBuffer())
+			if err != nil {
 				pw.CloseWithError(fmt.Errorf("service: encoding batch chunk: %w", err))
 				return
 			}
-		}
-		if err := bw.Flush(); err != nil {
-			pw.CloseWithError(err)
-			return
+			buf.Write(line)
+			if buf.Len() < 64<<10 && i < len(chunks)-1 {
+				continue
+			}
+			if _, err := pw.Write(buf.Bytes()); err != nil {
+				pw.CloseWithError(err)
+				return
+			}
+			buf.Reset()
 		}
 		pw.Close()
 	}()

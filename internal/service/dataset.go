@@ -123,7 +123,7 @@ func (s *Server) handleDataset(w http.ResponseWriter, r *http.Request) {
 	etag := s.datasetETag(version)
 	w.Header().Set("ETag", etag)
 	w.Header().Set("Vary", "Accept")
-	if inmMatches(r.Header.Get("If-None-Match"), etag) {
+	if ETagMatches(r.Header.Get("If-None-Match"), etag) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
@@ -143,8 +143,50 @@ func (s *Server) handleDataset(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", NDJSONContentType)
 		traceio.WriteJSONL(w, trace.Dataset{Name: page.Name, Traces: page.Traces}) //nolint:errcheck
 	default:
-		writeJSON(w, http.StatusOK, page)
+		writePageJSON(w, page)
 	}
+}
+
+// writePageJSON writes the page exactly as json.Encoder writes a
+// DatasetPage, through the envelope the cluster router's splice shares
+// and one line buffer reused for every trace.
+func writePageJSON(w http.ResponseWriter, page DatasetPage) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	b := AppendPageHead(nil, page.Name)
+	for i, t := range page.Traces {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		var err error
+		if b, err = trace.AppendTraceJSON(b, t); err != nil {
+			return // published records are finite; the cut body fails to decode
+		}
+		w.Write(b) //nolint:errcheck // headers are gone
+		b = b[:0]
+	}
+	w.Write(AppendPageTail(b, page.NextCursor, page.TotalUsers)) //nolint:errcheck
+}
+
+// AppendPageHead and AppendPageTail write a DatasetPage's envelope around
+// its traces, byte for byte as json.Encoder writes it (a trailing
+// newline included): the traces go between them, comma-separated.
+func AppendPageHead(b []byte, name string) []byte {
+	b = append(b, `{"name":`...)
+	b = trace.AppendJSONString(b, name)
+	return append(b, `,"traces":[`...)
+}
+
+// AppendPageTail closes what AppendPageHead opened.
+func AppendPageTail(b []byte, nextCursor string, totalUsers int) []byte {
+	b = append(b, ']')
+	if nextCursor != "" {
+		b = append(b, `,"next_cursor":`...)
+		b = trace.AppendJSONString(b, nextCursor)
+	}
+	b = append(b, `,"total_users":`...)
+	b = strconv.AppendInt(b, int64(totalUsers), 10)
+	return append(b, "}\n"...)
 }
 
 // parseDatasetQuery validates the pagination and filter parameters.
@@ -208,10 +250,11 @@ func negotiateDatasetFormat(accept string) string {
 	return ""
 }
 
-// inmMatches implements If-None-Match per RFC 9110 §13.1.2: weak
-// comparison against each listed validator, with "*" matching any
-// current representation.
-func inmMatches(header, etag string) bool {
+// ETagMatches implements If-None-Match per RFC 9110 §13.1.2: weak
+// comparison of etag against each validator the header lists, with "*"
+// matching any current representation. The cluster router answers its
+// own 304s by the same rule.
+func ETagMatches(header, etag string) bool {
 	if header == "" {
 		return false
 	}

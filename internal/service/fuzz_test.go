@@ -5,9 +5,12 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"unicode/utf8"
+
+	"mood/internal/trace"
 )
 
 // FuzzUploadV2 throws arbitrary NDJSON streams at the batch endpoint.
@@ -35,6 +38,7 @@ func FuzzUploadV2(f *testing.F) {
 	f.Add([]byte(""), "")
 	f.Add([]byte("\n\n\n"), "")
 	f.Add([]byte(`{"user":"a","records":[]}`), "a")
+	f.Add([]byte(repeatedRecordsLine+"\n"), "u")
 
 	srv, err := New(&fakeProtector{}, WithWorkers(2), WithQueueDepth(16), WithRequestTimeout(-1))
 	if err != nil {
@@ -130,6 +134,53 @@ func FuzzUploadV2(f *testing.F) {
 			t.Fatalf("conservation broken: %+v", st)
 		}
 	})
+}
+
+// repeatedRecordsLine names its records twice: encoding/json decodes
+// the second array into the first, record by record, so the chunk is
+// [{5 2 3}], not the second array alone.
+const repeatedRecordsLine = `{"user":"u","records":[{"lat":1,"lon":2,"ts":3}],"records":[{"lat":5}]}`
+
+// TestBatchChunkFastParseMatchesGeneric holds the fast parser to the
+// generic decoder on lines that repeat a key.
+func TestBatchChunkFastParseMatchesGeneric(t *testing.T) {
+	for _, line := range []string{
+		repeatedRecordsLine,
+		`{"user":"a","user":"b","records":[{"lat":1,"lon":2,"ts":3}]}`,
+		`{"user":"u","records":[{"lat":1,"lon":2,"ts":3}],"async":true,"async":false}`,
+	} {
+		var generic BatchChunk
+		if err := json.Unmarshal([]byte(line), &generic); err != nil {
+			t.Fatal(err)
+		}
+		if fast, ok := parseBatchChunkFast([]byte(line)); ok && !reflect.DeepEqual(fast, generic) {
+			t.Errorf("fast parse of %s = %+v, generic = %+v", line, fast, generic)
+		}
+	}
+}
+
+// TestBatchChunkLineMatchesEncoder pins the client's upload line to
+// json.Encoder's, byte for byte.
+func TestBatchChunkLineMatchesEncoder(t *testing.T) {
+	recs := trace.Records{{Lat: 45.7, Lon: 4.8, TS: 1000}, {Lat: -1e-9, Lon: 1e21, TS: -1}}
+	for _, c := range []BatchChunk{
+		{User: "alice", Records: recs},
+		{User: "bob", Records: trace.Records{}, Key: "k-1", Async: true},
+		{User: "<q\"uote>&\u2028\xff", Records: recs, Key: "<\n>"},
+		{User: "nil-records"},
+	} {
+		got, err := c.appendLine(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(c); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("chunk line %s, json.Encoder writes %s", got, want.Bytes())
+		}
+	}
 }
 
 // nthLine returns the n-th non-blank line of the stream.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net/http/httptest"
 	"reflect"
 	"testing"
 
@@ -65,6 +66,30 @@ func TestDatasetPageDecodeMatchesGeneric(t *testing.T) {
 	}
 	if !checkPageDecodeParity(t, append(body, '\n')) {
 		t.Fatal("a page as the server writes it fell back to the generic decoder")
+	}
+}
+
+// TestPageWriterMatchesEncoder pins the node's JSON page to the
+// json.Encoder it replaced, byte for byte.
+func TestPageWriterMatchesEncoder(t *testing.T) {
+	hostile := benchDatasetPage(2, 1)
+	hostile.Name = "<n\"ame>"
+	hostile.Traces[0].User = "<q\"uote>&\u2028\xff"
+	for _, page := range []DatasetPage{
+		benchDatasetPage(3, 4),
+		{Name: PublishedDatasetName, Traces: []trace.Trace{}},
+		{Name: PublishedDatasetName, Traces: []trace.Trace{{User: "a", Records: trace.Records{}}}, TotalUsers: 1},
+		hostile,
+	} {
+		rec := httptest.NewRecorder()
+		writePageJSON(rec, page)
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(page); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(rec.Body.Bytes(), want.Bytes()) {
+			t.Errorf("page %s\njson.Encoder writes %s", rec.Body.Bytes(), want.Bytes())
+		}
 	}
 }
 

@@ -103,17 +103,25 @@ func ReadCSV(r io.Reader, name string) (trace.Dataset, error) {
 	return d, nil
 }
 
-// WriteJSONL writes one JSON-encoded trace per line.
+// WriteJSONL writes one JSON-encoded trace per line, each exactly as
+// json.Encoder writes a trace.Trace. The lines gather in one buffer,
+// written out each time it holds 4 KiB or more: sized for that plus a
+// line, it is the only allocation of a dataset of lines up to 4 KiB.
 func WriteJSONL(w io.Writer, d trace.Dataset) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, t := range d.Traces {
-		if err := enc.Encode(t); err != nil {
+	buf := make([]byte, 0, 8<<10)
+	for i, t := range d.Traces {
+		var err error
+		if buf, err = trace.AppendTraceJSON(buf, t); err != nil {
 			return fmt.Errorf("traceio: encode trace %q: %w", t.User, err)
 		}
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("traceio: flush: %w", err)
+		buf = append(buf, '\n')
+		if len(buf) < 4<<10 && i < len(d.Traces)-1 {
+			continue
+		}
+		if _, err := w.Write(buf); err != nil {
+			return fmt.Errorf("traceio: write: %w", err)
+		}
+		buf = buf[:0]
 	}
 	return nil
 }

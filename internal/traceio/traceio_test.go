@@ -2,6 +2,7 @@ package traceio
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -52,6 +53,26 @@ func TestJSONLRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertDatasetsEqual(t, d, got)
+}
+
+// TestWriteJSONLMatchesEncoder pins the NDJSON lines — the node's
+// dataset page dialect — to json.Encoder's, byte for byte.
+func TestWriteJSONLMatchesEncoder(t *testing.T) {
+	d := sample()
+	d.Traces = append(d.Traces, trace.Trace{User: "<q\"uote>\u2028\xff", Records: trace.Records{{Lat: -1e-9, Lon: 1e21, TS: -1}}})
+	var got, want bytes.Buffer
+	if err := WriteJSONL(&got, d); err != nil {
+		t.Fatal(err)
+	}
+	enc := json.NewEncoder(&want)
+	for _, tr := range d.Traces {
+		if err := enc.Encode(tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("WriteJSONL wrote\n%s\njson.Encoder writes\n%s", got.Bytes(), want.Bytes())
+	}
 }
 
 func TestFileRoundTrips(t *testing.T) {
