@@ -294,13 +294,13 @@ func ablation(b *testing.B) *ablationEnv {
 
 // BenchmarkAblationSearch compares the paper's brute-force composition
 // search with the §6 greedy heuristic: wall time per dataset pass plus
-// attack-call and loss metrics.
+// judged-candidate, attack-call and loss metrics.
 func BenchmarkAblationSearch(b *testing.B) {
 	env := ablation(b)
 	for _, strat := range []core.SearchStrategy{core.BruteForce{}, core.Greedy{}} {
 		strat := strat
 		b.Run(strat.Name(), func(b *testing.B) {
-			var calls, lost int
+			var judged, calls, lost int
 			for i := 0; i < b.N; i++ {
 				engine := &core.Engine{
 					LPPMs: env.lppms, Attacks: env.atks, Seed: benchSeed, Search: strat,
@@ -309,13 +309,16 @@ func BenchmarkAblationSearch(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				calls, lost = 0, 0
+				judged, calls, lost = 0, 0, 0
 				for _, r := range results {
+					judged += r.Stats.Judged
 					calls += r.Stats.AttackCalls
 					lost += r.LostRecords
 				}
 			}
-			b.ReportMetric(float64(calls)/float64(env.test.NumUsers()), "attack_calls/user")
+			users := float64(env.test.NumUsers())
+			b.ReportMetric(float64(judged)/users, "judged/user")
+			b.ReportMetric(float64(calls)/users, "attack_calls/user")
 			b.ReportMetric(float64(lost), "lost_records")
 		})
 	}
@@ -458,23 +461,6 @@ func BenchmarkTRLObfuscate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := mech.Obfuscate(rng, t); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkHMCObfuscate(b *testing.B) {
-	env := ablation(b)
-	hmc, err := lppm.NewHMC(0, env.train.Traces)
-	if err != nil {
-		b.Fatal(err)
-	}
-	t := env.test.Traces[0]
-	rng := mathx.NewRand(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := hmc.Obfuscate(rng, t); err != nil {
 			b.Fatal(err)
 		}
 	}

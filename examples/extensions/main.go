@@ -4,7 +4,8 @@
 //
 //  1. a larger LPPM portfolio (k-anonymity generalisation via
 //     WithKAnonymity, growing the composition space from 15 to 64);
-//  2. the greedy heuristic composition search (fewer attack calls);
+//  2. the greedy heuristic composition search (fewer obfuscated
+//     compositions);
 //  3. an alternative utility metric (spatial-coverage histogram
 //     intersection instead of spatio-temporal distortion);
 //  4. protection-kind classification of the outcome (Definitions 4-6).
@@ -53,10 +54,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		var attackCalls int
+		var judged, attackCalls int
 		var coverage float64
 		var covered int
 		for _, r := range results {
+			judged += r.Stats.Judged
 			attackCalls += r.Stats.AttackCalls
 			for _, piece := range r.Pieces {
 				coverage += metrics.CoverageUtility{}.Measure(mustTrace(fresh, r.User), piece.Trace) *
@@ -68,6 +70,7 @@ func main() {
 		fmt.Printf("%s:\n", name)
 		fmt.Printf("  classification: %v\n", c)
 		fmt.Printf("  data loss:      %.2f%%\n", 100*p.DataLoss(results))
+		fmt.Printf("  judged:         %d candidates\n", judged)
 		fmt.Printf("  attack calls:   %d\n", attackCalls)
 		if covered > 0 {
 			fmt.Printf("  mean coverage:  %.2f\n", coverage/float64(covered))

@@ -2,7 +2,6 @@ package attack
 
 import (
 	"fmt"
-	"math"
 
 	"mood/internal/geo"
 	"mood/internal/heatmap"
@@ -31,7 +30,7 @@ type apProfile struct {
 	frozen *heatmap.Frozen
 	// quant is the float32-quantized companion of frozen; the scans use
 	// it to prune provable losers before touching the exact kernel (see
-	// pruneFrozen).
+	// heatmap.Quant.Prune).
 	quant *heatmap.Quant
 }
 
@@ -94,24 +93,6 @@ func (a *AP) Identify(t trace.Trace) Verdict {
 	return a.IdentifyBatch([]trace.Trace{t})[0]
 }
 
-// pruneFrozen reports whether the float32 quantized pass certifies that
-// p's exact Topsoe score against the anonymous heatmap cannot drop below
-// bound, letting the scans skip the exact float64 walk entirely.
-// Soundness: a completed quantized walk is within
-// heatmap.QuantTopsoeSlack of the exact value — enforced with margin by
-// TestQuantSlackSound — and an early-exited one only under-states it, so
-// approx−slack lower-bounds the exact score, and only profiles whose
-// lower bound reaches the caller's bound are pruned. Verdicts come
-// exclusively from exact scans of the survivors: pruning can cost
-// speed, never bits.
-func pruneFrozen(quant *heatmap.Quant, p *apProfile, bound float64) bool {
-	if math.IsInf(bound, 1) {
-		return false
-	}
-	slack := heatmap.QuantTopsoeSlack(quant.Cells() + p.quant.Cells())
-	return float64(quant.TopsoeQuantBounded(p.quant, float32(slack+bound)))-slack >= bound
-}
-
 // Grid exposes the trained grid (diagnostics).
 func (a *AP) Grid() *geo.Grid { return a.grid }
 
@@ -167,7 +148,7 @@ func (a *AP) identifyBatchSpan(ts []trace.Trace, out []Verdict, lo, hi int) {
 			for pi := bs; pi < be; pi++ {
 				p := &a.profiles[pi]
 				bound := an.k.bound()
-				if pruneFrozen(an.quant, p, bound) {
+				if an.quant.Prune(p.quant, bound) {
 					continue
 				}
 				if d := an.frozen.TopsoeBounded(p.frozen, bound); d < bound {
@@ -191,7 +172,7 @@ func (a *AP) hitOne(t trace.Trace, owner string) bool {
 	quant := anon.Quantize()
 	return ownerHit(a.profiles, owner, func(i int, bound float64) float64 {
 		p := &a.profiles[i]
-		if pruneFrozen(quant, p, bound) {
+		if quant.Prune(p.quant, bound) {
 			return bound
 		}
 		return anon.TopsoeBounded(p.frozen, bound)

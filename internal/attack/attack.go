@@ -9,9 +9,9 @@
 // trained — profiles are immutable after Train.
 //
 // The paper's protection predicate (Eq. 4–6) has one implementation,
-// Set.ReIdentifiesBatch (batch.go): the engine's per-candidate check
-// (Set.ReIdentifies) is a batch of one, and the service's re-audit and
-// eval's dynamic oracle pass whole batches.
+// Set.ReIdentifiesBatch (batch.go): the engine's per-candidate check is
+// a batch of one (as is Set.ReIdentifies), and the service's re-audit
+// and eval's dynamic oracle pass whole batches.
 //
 // Training is a view: the AP-, POI- and PIT-attacks read their profiles
 // from one profile.Set, which builds each user's heatmap, POIs and

@@ -87,11 +87,16 @@ type Piece struct {
 
 // Stats counts the work done while protecting one trace.
 type Stats struct {
-	// Candidates is the number of obfuscations generated and evaluated.
+	// Candidates is the number of obfuscations generated: every
+	// candidate of every tier a search entered.
 	Candidates int
-	// AttackCalls adds len(Attacks) for every candidate that reached
-	// the protection predicate (a non-empty obfuscation), whether or
-	// not an early hit let the predicate skip the later attacks.
+	// Judged is the number of candidates that reached the protection
+	// predicate: the non-empty obfuscations of a tier, in utility order,
+	// up to and including the tier's first protector (see
+	// selection.selectBest).
+	Judged int
+	// AttackCalls is Judged × len(Attacks), whether or not an early hit
+	// let the predicate skip the later attacks.
 	AttackCalls int
 	// SplitCount is the number of fine-grained splits performed.
 	SplitCount int
@@ -99,6 +104,7 @@ type Stats struct {
 
 func (s *Stats) add(o Stats) {
 	s.Candidates += o.Candidates
+	s.Judged += o.Judged
 	s.AttackCalls += o.AttackCalls
 	s.SplitCount += o.SplitCount
 }
@@ -273,30 +279,93 @@ func (e *Engine) searchTrace(t trace.Trace, user, path string, depth int) (Piece
 	return e.search().Search(e, t, user, path, depth)
 }
 
-// evaluate obfuscates t with mech and tests it against every attack.
-// It returns the piece (unset Mechanism if not protecting), whether the
-// obfuscation resisted all attacks, and the work counters.
-func (e *Engine) evaluate(mech lppm.Mechanism, t trace.Trace, user, path string, depth int) (Piece, bool, Stats) {
-	stats := Stats{Candidates: 1}
-	rng := mathx.DeriveRand(e.Seed, "mood", user, path, mech.Name())
-	obf, err := mech.Obfuscate(rng, t)
-	if err != nil || obf.Empty() {
-		// A mechanism that cannot process the fragment simply does not
-		// protect it; Algorithm 1 moves on to the next candidate.
-		return Piece{}, false, stats
+// selection is what one fragment's Best LPPM Selection (§3.5) needs: the
+// attacks a candidate must resist, the utility that ranks candidates,
+// and the key each candidate's randomness derives from — (seed, stream,
+// user, path, mechanism name), without path when it is empty.
+type selection struct {
+	attacks            attack.Set
+	utility            metrics.Utility
+	seed               uint64
+	stream, user, path string
+	depth              int
+	// batch and owner are the predicate's batch of one, reused by every
+	// verdict of the selection.
+	batch []trace.Trace
+	owner []string
+}
+
+// newSelection keys the candidates of user's fragment at path (empty for
+// a whole-trace baseline) in the given random stream.
+func newSelection(attacks attack.Set, utility metrics.Utility, seed uint64, stream, user, path string, depth int) *selection {
+	return &selection{
+		attacks: attacks, utility: utility, seed: seed,
+		stream: stream, user: user, path: path, depth: depth,
+		batch: make([]trace.Trace, 1), owner: []string{user},
 	}
-	stats.AttackCalls = len(e.Attacks)
-	if hit, _ := e.Attacks.ReIdentifies(obf.WithUser(""), user); hit {
-		return Piece{}, false, stats
+}
+
+// selection keys the engine's candidates for fragment path of user.
+func (e *Engine) selection(user, path string, depth int) *selection {
+	return newSelection(e.Attacks, e.utility(), e.Seed, "mood", user, path, depth)
+}
+
+func (s *selection) rand(name string) *mathx.Rand {
+	if s.path == "" {
+		return mathx.DeriveRand(s.seed, s.stream, s.user, name)
 	}
-	return Piece{
-		Trace:         obf,
-		Mechanism:     mech.Name(),
-		Distortion:    e.utility().Measure(t, obf),
-		SourceRecords: t.Len(),
-		Composed:      chainLen(mech) > 1,
-		Depth:         depth,
-	}, true, stats
+	return mathx.DeriveRand(s.seed, s.stream, s.user, s.path, name)
+}
+
+// selectBest runs one tier of the Best LPPM Selection: it obfuscates t with
+// every candidate, orders the obfuscations by utility and judges them in
+// that order, returning the first that no attack re-identifies.
+//
+// That is the piece the paper's exhaustive loop keeps. The loop replaces
+// its best protector only on a strictly Better one, so among the
+// protectors of the best utility it keeps the first in enumeration
+// order, and the stable insertion sort below (ties keep enumeration
+// order) ranks exactly that protector ahead of every other. Each
+// candidate's randomness is keyed by its name, not by when it runs, so
+// the obfuscations are the loop's too. Only the work counters differ:
+// candidates ranked behind the winner are never judged. This holds for
+// any Utility whose Better is a strict weak order (STD's < and
+// coverage's > on finite scores are).
+func (s *selection) selectBest(cands []lppm.Mechanism, t trace.Trace) (Piece, bool, Stats) {
+	stats := Stats{Candidates: len(cands)}
+	ranked := make([]Piece, 0, len(cands))
+	for _, m := range cands {
+		name := m.Name()
+		obf, err := m.Obfuscate(s.rand(name), t)
+		if err != nil || obf.Empty() {
+			// A mechanism that cannot process the fragment simply does not
+			// protect it; Algorithm 1 moves on to the next candidate.
+			continue
+		}
+		p := Piece{
+			Trace:         obf,
+			Mechanism:     name,
+			Distortion:    s.utility.Measure(t, obf),
+			SourceRecords: t.Len(),
+			Composed:      chainLen(m) > 1,
+			Depth:         s.depth,
+		}
+		i := len(ranked)
+		ranked = append(ranked, p)
+		for ; i > 0 && s.utility.Better(p.Distortion, ranked[i-1].Distortion); i-- {
+			ranked[i] = ranked[i-1]
+		}
+		ranked[i] = p
+	}
+	for i := range ranked {
+		stats.Judged++
+		stats.AttackCalls += len(s.attacks)
+		s.batch[0] = ranked[i].Trace.WithUser("")
+		if !s.attacks.ReIdentifiesBatch(s.batch, s.owner)[0].Hit {
+			return ranked[i], true, stats
+		}
+	}
+	return Piece{}, false, stats
 }
 
 func chainLen(m lppm.Mechanism) int {

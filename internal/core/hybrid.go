@@ -6,7 +6,6 @@ import (
 
 	"mood/internal/attack"
 	"mood/internal/lppm"
-	"mood/internal/mathx"
 	"mood/internal/metrics"
 	"mood/internal/trace"
 )
@@ -44,30 +43,8 @@ func (h Hybrid) Protect(t trace.Trace) (Result, error) {
 		util = metrics.STDUtility{}
 	}
 
-	res := Result{User: t.User, TotalRecords: t.Len()}
-	var best Piece
-	found := false
-	for _, m := range h.LPPMs {
-		res.Stats.Candidates++
-		rng := mathx.DeriveRand(h.Seed, "hybrid", t.User, m.Name())
-		obf, err := m.Obfuscate(rng, t)
-		if err != nil || obf.Empty() {
-			continue
-		}
-		res.Stats.AttackCalls += len(h.Attacks)
-		if hit, _ := h.Attacks.ReIdentifies(obf.WithUser(""), t.User); hit {
-			continue
-		}
-		p := Piece{
-			Trace:         obf,
-			Mechanism:     m.Name(),
-			Distortion:    util.Measure(t, obf),
-			SourceRecords: t.Len(),
-		}
-		if !found || util.Better(p.Distortion, best.Distortion) {
-			best, found = p, true
-		}
-	}
+	best, found, stats := newSelection(h.Attacks, util, h.Seed, "hybrid", t.User, "", 0).selectBest(h.LPPMs, t)
+	res := Result{User: t.User, TotalRecords: t.Len(), Stats: stats}
 	if found {
 		res.Pieces = []Piece{best}
 		return res, nil
@@ -124,24 +101,13 @@ func (s SingleLPPM) Protect(t trace.Trace) (Result, error) {
 	if util == nil {
 		util = metrics.STDUtility{}
 	}
-	res := Result{User: t.User, TotalRecords: t.Len(), Stats: Stats{Candidates: 1}}
-	rng := mathx.DeriveRand(s.Seed, "single", t.User, s.LPPM.Name())
-	obf, err := s.LPPM.Obfuscate(rng, t)
-	if err != nil || obf.Empty() {
-		res.LostRecords = t.Len()
+	p, found, stats := newSelection(s.Attacks, util, s.Seed, "single", t.User, "", 0).selectBest([]lppm.Mechanism{s.LPPM}, t)
+	res := Result{User: t.User, TotalRecords: t.Len(), Stats: stats}
+	if found {
+		res.Pieces = []Piece{p}
 		return res, nil
 	}
-	res.Stats.AttackCalls = len(s.Attacks)
-	if hit, _ := s.Attacks.ReIdentifies(obf.WithUser(""), t.User); hit {
-		res.LostRecords = t.Len()
-		return res, nil
-	}
-	res.Pieces = []Piece{{
-		Trace:         obf,
-		Mechanism:     s.LPPM.Name(),
-		Distortion:    util.Measure(t, obf),
-		SourceRecords: t.Len(),
-	}}
+	res.LostRecords = t.Len()
 	return res, nil
 }
 

@@ -21,8 +21,12 @@ type SearchStrategy interface {
 	Search(e *Engine, t trace.Trace, user, path string, depth int) (Piece, bool, Stats)
 }
 
-// BruteForce is the paper's exhaustive search: every candidate is
-// evaluated and the protecting one with the best utility is returned.
+// BruteForce is the paper's exhaustive search: it returns the
+// protecting single LPPM with the best utility, else the protecting
+// strict composition with the best utility. Each tier obfuscates every
+// candidate and measures its utility, then judges the candidates best
+// utility first and stops at the first protector — the one an
+// exhaustive evaluation keeps (see selection.selectBest).
 type BruteForce struct{}
 
 var _ SearchStrategy = BruteForce{}
@@ -32,41 +36,38 @@ func (BruteForce) Name() string { return "brute" }
 
 // Search implements SearchStrategy.
 func (BruteForce) Search(e *Engine, t trace.Trace, user, path string, depth int) (Piece, bool, Stats) {
-	var stats Stats
+	s := e.selection(user, path, depth)
 
 	// Lines 4-14: single LPPMs, best utility among the protecting ones.
-	var best Piece
-	found := false
-	for _, m := range e.LPPMs {
-		p, ok, st := e.evaluate(m, t, user, path, depth)
-		stats.add(st)
-		if ok && (!found || e.utility().Better(p.Distortion, best.Distortion)) {
-			best, found = p, true
-		}
-	}
+	best, found, stats := s.selectBest(e.LPPMs, t)
 	if found {
 		return best, true, stats
 	}
 
 	// Lines 15-26: strict compositions C − L.
-	for _, c := range lppm.CompositionsOnly(e.LPPMs) {
-		p, ok, st := e.evaluate(c, t, user, path, depth)
-		stats.add(st)
-		if ok && (!found || e.utility().Better(p.Distortion, best.Distortion)) {
-			best, found = p, true
-		}
-	}
+	best, found, st := s.selectBest(mechanisms(lppm.CompositionsOnly(e.LPPMs)), t)
+	stats.add(st)
 	return best, found, stats
 }
 
+// mechanisms widens chains to the candidate type of a tier.
+func mechanisms(chains []lppm.Chain) []lppm.Mechanism {
+	out := make([]lppm.Mechanism, len(chains))
+	for i, c := range chains {
+		out[i] = c
+	}
+	return out
+}
+
 // Greedy is the heuristic composition search the paper's §6 calls for
-// ("optimizing the search by exploring new heuristics"): the single-LPPM
-// pass doubles as a probe of each mechanism's distortion on this
-// fragment, strict compositions are then ordered by the sum of their
-// members' measured distortions, and the scan stops at the first
-// protecting composition. It trades the guarantee of the best utility
-// for far fewer attack evaluations; the ablation benchmark quantifies
-// both sides.
+// ("optimizing the search by exploring new heuristics"): its single-LPPM
+// tier is brute force's; when no single protects, each mechanism's
+// distortion on this fragment is probed without a verdict, strict
+// compositions are ordered by the sum of their members' probed
+// distortions, and the scan stops at the first protecting composition.
+// It trades the guarantee of the best utility for fewer obfuscations —
+// brute force obfuscates every composition before judging any; the
+// ablation benchmark quantifies both sides.
 type Greedy struct{}
 
 var _ SearchStrategy = Greedy{}
@@ -76,29 +77,19 @@ func (Greedy) Name() string { return "greedy" }
 
 // Search implements SearchStrategy.
 func (Greedy) Search(e *Engine, t trace.Trace, user, path string, depth int) (Piece, bool, Stats) {
-	var stats Stats
+	s := e.selection(user, path, depth)
 
-	// Single pass: keep the best protector and record every mechanism's
-	// distortion as the heuristic signal.
-	distortion := make(map[string]float64, len(e.LPPMs))
-	var best Piece
-	found := false
-	for _, m := range e.LPPMs {
-		p, ok, st := e.evaluate(m, t, user, path, depth)
-		stats.add(st)
-		d := p.Distortion
-		if !ok {
-			// Re-measure the failed candidate so the heuristic still
-			// has a signal; an un-measurable mechanism ranks last.
-			d = e.probeDistortion(m, t, user, path)
-		}
-		distortion[m.Name()] = d
-		if ok && (!found || e.utility().Better(p.Distortion, best.Distortion)) {
-			best, found = p, true
-		}
-	}
+	// Single pass, as brute force's.
+	best, found, stats := s.selectBest(e.LPPMs, t)
 	if found {
 		return best, true, stats
+	}
+
+	// No single protects: probe every mechanism's distortion as the
+	// heuristic signal; an un-measurable mechanism ranks last.
+	distortion := make(map[string]float64, len(e.LPPMs))
+	for _, m := range e.LPPMs {
+		distortion[m.Name()] = e.probeDistortion(m, t, user, path)
 	}
 
 	chains := lppm.CompositionsOnly(e.LPPMs)
@@ -117,7 +108,7 @@ func (Greedy) Search(e *Engine, t trace.Trace, user, path string, depth int) (Pi
 	sort.SliceStable(order, func(i, j int) bool { return order[i].score < order[j].score })
 
 	for _, r := range order {
-		p, ok, st := e.evaluate(r.chain, t, user, path, depth)
+		p, ok, st := s.selectBest([]lppm.Mechanism{r.chain}, t)
 		stats.add(st)
 		if ok {
 			return p, true, stats // first protecting composition wins

@@ -63,16 +63,20 @@ func FastDistance(a, b Point) float64 {
 
 // Destination returns the point reached by travelling dist meters from p
 // along the given bearing (degrees clockwise from north), on the sphere.
+// Each sine and cosine is computed once: GeoI and TRL call this per
+// record.
 func Destination(p Point, bearingDeg, dist float64) Point {
 	br := deg2rad(bearingDeg)
 	lat1 := deg2rad(p.Lat)
 	lon1 := deg2rad(p.Lon)
 	ad := dist / EarthRadius
+	sinLat1, cosLat1 := math.Sin(lat1), math.Cos(lat1)
+	sinAd, cosAd := math.Sin(ad), math.Cos(ad)
 
-	sinLat2 := math.Sin(lat1)*math.Cos(ad) + math.Cos(lat1)*math.Sin(ad)*math.Cos(br)
+	sinLat2 := sinLat1*cosAd + cosLat1*sinAd*math.Cos(br)
 	lat2 := math.Asin(sinLat2)
-	y := math.Sin(br) * math.Sin(ad) * math.Cos(lat1)
-	x := math.Cos(ad) - math.Sin(lat1)*sinLat2
+	y := math.Sin(br) * sinAd * cosLat1
+	x := cosAd - sinLat1*sinLat2
 	lon2 := lon1 + math.Atan2(y, x)
 
 	// Normalize longitude to [-180, 180).

@@ -85,6 +85,37 @@ func TestDestinationRoundTrip(t *testing.T) {
 	}
 }
 
+// oracleDestination is Destination with every sine and cosine computed
+// where the formula names it.
+func oracleDestination(p Point, bearingDeg, dist float64) Point {
+	br := deg2rad(bearingDeg)
+	lat1 := deg2rad(p.Lat)
+	lon1 := deg2rad(p.Lon)
+	ad := dist / EarthRadius
+	sinLat2 := math.Sin(lat1)*math.Cos(ad) + math.Cos(lat1)*math.Sin(ad)*math.Cos(br)
+	lat2 := math.Asin(sinLat2)
+	y := math.Sin(br) * math.Sin(ad) * math.Cos(lat1)
+	x := math.Cos(ad) - math.Sin(lat1)*sinLat2
+	lon2 := lon1 + math.Atan2(y, x)
+	lon := math.Mod(rad2deg(lon2)+540, 360) - 180
+	return Point{Lat: rad2deg(lat2), Lon: lon}
+}
+
+// TestDestinationMatchesOracleBits: hoisting the repeated sines and
+// cosines leaves every published coordinate bit-identical.
+func TestDestinationMatchesOracleBits(t *testing.T) {
+	f := func(lat, lon, bearing, dist float64) bool {
+		p := Point{Lat: math.Mod(lat, 90), Lon: math.Mod(lon, 180)}
+		d := math.Mod(math.Abs(dist), 50000)
+		got, want := Destination(p, bearing, d), oracleDestination(p, bearing, d)
+		return math.Float64bits(got.Lat) == math.Float64bits(want.Lat) &&
+			math.Float64bits(got.Lon) == math.Float64bits(want.Lon)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestDestinationBearing(t *testing.T) {
 	q := Destination(lyon, 90, 10000)
 	br := InitialBearing(lyon, q)

@@ -6,9 +6,10 @@ import (
 	"mood/internal/geo"
 )
 
-// This file is the float32 half of the AP identification kernel: a
-// quantized companion form of Frozen plus an approximate Topsoe walk
-// used as a *pruning pass* by the AP scans in internal/attack. The
+// This file is the float32 half of the Topsoe scans: a quantized
+// companion form of Frozen plus an approximate Topsoe walk used as a
+// *pruning pass* (Prune) by the AP scans in internal/attack and HMC's
+// target scan in internal/lppm. The
 // contract is asymmetric by design — the quantized value is only ever
 // trusted as a lower bound (after subtracting a generous certified
 // slack), and every verdict still comes from the exact float64 kernel
@@ -145,3 +146,19 @@ func (q *Quant) TopsoeQuantBounded(o *Quant, bound float32) float32 {
 // already loses, and TestQuantSlackSound fails if the observed error on
 // random and adversarial pairs ever exceeds half this budget.
 func QuantTopsoeSlack(n int) float64 { return 1e-4 + 2e-7*float64(n) }
+
+// Prune reports whether the float32 quantized pass certifies that the
+// exact Topsoe divergence between q's and o's source heatmaps cannot
+// drop below bound, so a scan that keeps only scores below bound may
+// skip the exact float64 walk. A completed quantized walk is within
+// QuantTopsoeSlack of the exact value (enforced with margin by
+// TestQuantSlackSound) and an early-exited one only under-states it, so
+// approx−slack lower-bounds the exact score: pruning can cost speed,
+// never bits. The AP scans and HMC's target scan share it.
+func (q *Quant) Prune(o *Quant, bound float64) bool {
+	if math.IsInf(bound, 1) {
+		return false
+	}
+	slack := QuantTopsoeSlack(len(q.cells) + len(o.cells))
+	return float64(q.TopsoeQuantBounded(o, float32(slack+bound)))-slack >= bound
+}

@@ -60,6 +60,30 @@ func TestQuantSlackSound(t *testing.T) {
 	check(New(grid()).Freeze(), New(grid()).Freeze())
 }
 
+// TestPruneSound pins Prune's contract at the bounds where it matters:
+// a profile may be pruned only when its exact divergence reaches the
+// bound, so a bound just above the exact value (a scan that must still
+// see this profile) is never pruned, while a bound well below it is.
+func TestPruneSound(t *testing.T) {
+	rng := mathx.NewRand(17)
+	for i := 0; i < 300; i++ {
+		a := randomHeatmap(rng, 1+rng.Intn(60), 12).Freeze()
+		b := randomHeatmap(rng, 1+rng.Intn(60), 12).Freeze()
+		qa, qb := a.Quantize(), b.Quantize()
+		exact := a.Topsoe(b)
+		if qa.Prune(qb, math.Nextafter(exact, math.Inf(1))) {
+			t.Fatalf("pair %d: pruned at nextUp of its exact divergence %g", i, exact)
+		}
+		if qa.Prune(qb, math.Inf(1)) {
+			t.Fatalf("pair %d: pruned against an infinite bound", i)
+		}
+		slack := QuantTopsoeSlack(qa.Cells() + qb.Cells())
+		if low := exact - 4*slack; low > 0 && !qa.Prune(qb, low) {
+			t.Fatalf("pair %d: not pruned at %g, %g below its exact divergence %g", i, low, 4*slack, exact)
+		}
+	}
+}
+
 // TestQuantBoundedMonotone pins the early-exit contract: a walk cut by
 // a finite bound returns a partial sum that never exceeds the full
 // approximation — the prune pass treats partials as lower bounds.

@@ -87,6 +87,7 @@ func TestHotPathEscapes(t *testing.T) {
 		{"decodeUploadCommit", "payload[0]"},  // cold version-error branch, waived for hotalloc too
 		{"ParseRecords", "make(Records"},      // a chunk's or trace's single sized record slice, returned by design
 		{"ParseTraces", "make([]Trace"},       // the page's single sized trace slice, returned by design
+		{"selectBest", "make([]Piece"},        // a tier's candidates, ranked by utility
 		// The strings a decoded value keeps (user, key, name, cursor),
 		// copied out of the request or response body by ParseString.
 		{"ParseString", "string(b)"},

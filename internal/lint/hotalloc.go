@@ -8,10 +8,11 @@ import (
 )
 
 // hotalloc guards the declared hot paths — the Frozen heatmap scans the
-// attack kernels spin on, the WAL codec that runs once per acked
-// upload, the trace line's codec (encoder, scanner, key reader) and
-// its callers in the batch parser, the router's splice and the client
-// — against the
+// attack kernels spin on, the engine's candidate tier and the LPPM
+// kernels it runs (HMC's target scan, geo.Destination), the WAL codec
+// that runs once per acked upload, the trace line's codec (encoder,
+// scanner, key reader) and its callers in the batch parser, the
+// router's splice and the client — against the
 // allocation patterns that keep showing up in profiles:
 //
 //   - fmt.* calls (Sprintf boxes every argument and formats through
@@ -35,9 +36,10 @@ type HotAllocConfig struct {
 }
 
 // DefaultHotAlloc declares the repo's hot paths: the Frozen scan
-// methods, the WAL codec, the trace line's codec, the batch chunk fast
-// parser, the router's dataset line splitter and the client's dataset
-// page scanner and upload line encoder.
+// methods and their float32 prune, the engine's candidate tier, HMC's
+// target scan, geo.Destination, the WAL codec, the trace line's codec,
+// the batch chunk fast parser, the router's dataset line splitter and
+// the client's dataset page scanner and upload line encoder.
 func DefaultHotAlloc() *analysis.Analyzer {
 	return HotAlloc(DefaultHotAllocConfig())
 }
@@ -52,12 +54,24 @@ func DefaultHotAllocConfig() HotAllocConfig {
 				// The float32 prune kernel: one walk per (trace,
 				// profile) pair of every AP scan.
 				"TopsoeQuantBounded": true, "fastLog32": true,
+				// The quantized prune of the AP scans and HMC's target
+				// scan: once per (trace, profile) pair. (Quantize itself
+				// is freeze-time, not hot.)
+				"Prune": true,
 			},
-			"mood/internal/attack": {
-				// The quantized prune of the AP scans: once per (trace,
-				// profile) pair. (Quantize itself is freeze-time, not
-				// hot.)
-				"pruneFrozen": true,
+			"mood/internal/core": {
+				// One tier of the Best LPPM Selection: every candidate of
+				// every fragment the engine protects.
+				"selectBest": true,
+			},
+			"mood/internal/lppm": {
+				// HMC's target scan: every background profile, once per
+				// HMC obfuscation.
+				"pickTarget": true,
+			},
+			"mood/internal/geo": {
+				// GeoI and TRL call it once per record.
+				"Destination": true,
 			},
 			"mood/internal/service": {
 				"parseBatchChunkFast": true,
@@ -98,7 +112,8 @@ func HotAlloc(cfg HotAllocConfig) *analysis.Analyzer {
 		Name: "hotalloc",
 		Doc: "forbid fmt calls, by-reference closure captures, appends without " +
 			"preallocation and scalar interface boxing inside the declared hot paths " +
-			"(Frozen scans, WAL codec, trace line codec, batch fast parser, dataset page splice and scanner)",
+			"(Frozen scans, engine tier, HMC target scan, Destination, WAL codec, " +
+			"trace line codec, batch fast parser, dataset page splice and scanner)",
 	}
 	a.Run = func(pass *analysis.Pass) error {
 		hot := cfg.HotFuncs[pass.PkgPath()]

@@ -56,7 +56,10 @@ type hmcProfile struct {
 	// the profile set (and the AP-attack), so target selection is
 	// allocation-free merge walks.
 	frozen *heatmap.Frozen
-	cells  []heatmap.CellWeight // descending weight
+	// quant is frozen's float32 companion, also shared: pickTarget's
+	// prune.
+	quant *heatmap.Quant
+	cells []heatmap.CellWeight // descending weight
 }
 
 var _ Mechanism = (*HMC)(nil)
@@ -70,7 +73,8 @@ func NewHMC(cellSize float64, background []trace.Trace) (*HMC, error) {
 
 // NewHMCOn builds the mechanism as a view over ps: its imitation pool is
 // ps's users, in background order (pickTarget's first-minimum scan
-// depends on it), on ps's grid.
+// depends on it), on ps's grid, with their heatmaps, float32 companions
+// and ranked cells.
 func NewHMCOn(ps *profile.Set) (*HMC, error) {
 	if len(ps.Background()) == 0 {
 		return nil, fmt.Errorf("lppm: HMC needs background traces")
@@ -81,6 +85,7 @@ func NewHMCOn(ps *profile.Set) (*HMC, error) {
 	if n := len(ps.Users()); n < 2 {
 		return nil, fmt.Errorf("lppm: HMC needs at least two background users, got %d", n)
 	}
+	ps.Quants() // on the same users Ranked returns
 	users := ps.Ranked()
 	h := &HMC{
 		grid:     ps.Grid(),
@@ -90,7 +95,7 @@ func NewHMCOn(ps *profile.Set) (*HMC, error) {
 	}
 	for i := range users {
 		u := &users[i]
-		h.profiles[i] = hmcProfile{user: u.ID, frozen: u.Frozen, cells: u.Cells}
+		h.profiles[i] = hmcProfile{user: u.ID, frozen: u.Frozen, quant: u.Quant, cells: u.Cells}
 	}
 	return h, nil
 }
@@ -126,10 +131,15 @@ func (h *HMC) Obfuscate(_ *mathx.Rand, t trace.Trace) (trace.Trace, error) {
 		return trace.Trace{}, ErrEmptyTrace
 	}
 	src := heatmap.FrozenFromTrace(h.grid, t)
-	target := h.pickTarget(t.User, src)
+	target := h.pickTarget(t.User, src, src.Quantize())
 	if target == nil {
 		return trace.Trace{}, fmt.Errorf("lppm: HMC found no target profile for user %q", t.User)
 	}
+	return h.imitate(t, src, target), nil
+}
+
+// imitate translates t, whose heatmap is src, into target's cells.
+func (h *HMC) imitate(t trace.Trace, src *heatmap.Frozen, target *hmcProfile) trace.Trace {
 	mapping := h.matchCells(src, target)
 
 	out := make([]trace.Record, len(t.Records))
@@ -146,19 +156,25 @@ func (h *HMC) Obfuscate(_ *mathx.Rand, t trace.Trace) (trace.Trace, error) {
 		fx, fy := h.grid.Offsets(p)
 		out[i] = trace.At(h.grid.PointIn(dst, fx, fy), r.TS)
 	}
-	return trace.Trace{User: t.User, Records: out}, nil
+	return trace.Trace{User: t.User, Records: out}
 }
 
-// pickTarget returns the background profile most similar to src that
-// does not belong to the same user. The scan abandons a profile as soon
-// as its partial divergence reaches the best seen so far; Topsoe terms
-// are non-negative, so the chosen target is identical to a full scan.
-func (h *HMC) pickTarget(user string, src *heatmap.Frozen) *hmcProfile {
+// pickTarget returns the background profile most similar to src (q is
+// src's float32 companion) that does not belong to the same user: the
+// first profile, in background order, with the smallest exact Topsoe
+// divergence. Two shortcuts keep the scan cheap without changing its
+// answer. A profile is skipped when q's quantized walk certifies that
+// its divergence reaches the best so far (heatmap.Quant.Prune), and an
+// exact walk is abandoned once its partial sum does (Topsoe terms are
+// non-negative). The scan only ever takes a strictly smaller divergence,
+// so a profile whose divergence reaches the best so far can never be
+// picked, and the target is the one an exhaustive exact scan picks.
+func (h *HMC) pickTarget(user string, src *heatmap.Frozen, q *heatmap.Quant) *hmcProfile {
 	var best *hmcProfile
 	bestD := math.Inf(1)
 	for i := range h.profiles {
 		p := &h.profiles[i]
-		if p.user == user {
+		if p.user == user || q.Prune(p.quant, bestD) {
 			continue
 		}
 		if d := src.TopsoeBounded(p.frozen, bestD); d < bestD {
@@ -253,7 +269,8 @@ func (h *HMC) TargetOf(t trace.Trace) (string, bool) {
 	if t.Empty() {
 		return "", false
 	}
-	p := h.pickTarget(t.User, heatmap.FrozenFromTrace(h.grid, t))
+	src := heatmap.FrozenFromTrace(h.grid, t)
+	p := h.pickTarget(t.User, src, src.Quantize())
 	if p == nil {
 		return "", false
 	}

@@ -38,9 +38,11 @@ func oracleNewHMC(cellSize float64, background []trace.Trace) (*HMC, error) {
 			continue
 		}
 		hm := heatmap.FromTrace(grid, t)
+		f := hm.Freeze()
 		h.profiles = append(h.profiles, hmcProfile{
 			user:   t.User,
-			frozen: hm.Freeze(),
+			frozen: f,
+			quant:  f.Quantize(),
 			cells:  hm.TopCells(0),
 		})
 	}

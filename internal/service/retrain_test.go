@@ -17,6 +17,7 @@ import (
 	"mood/internal/attack"
 	"mood/internal/clock"
 	"mood/internal/core"
+	"mood/internal/store"
 	"mood/internal/trace"
 )
 
@@ -333,6 +334,59 @@ func TestPeriodicRetrainLoop(t *testing.T) {
 	clk.Advance(10 * interval)
 	if len(passes) != 0 {
 		t.Fatal("retrain ticked after Close")
+	}
+}
+
+// TestRetrainLoopRetrainsRestoredHistory: a node recovered from a
+// checkpoint alone has history that no pass of its own process trained
+// on, so the first periodic tick must retrain — even though the
+// restored retrain count says a pass ran before the restart.
+func TestRetrainLoopRetrainsRestoredHistory(t *testing.T) {
+	const interval = time.Minute
+	passes := make(chan struct{}, 2) // room for one pass per server; more never block
+	rt := RetrainerFunc(func([]trace.Trace) (Protector, Auditor, error) {
+		select {
+		case passes <- struct{}{}:
+		default:
+		}
+		return nil, nil, nil
+	})
+	disk := store.NewMemFS()
+	srvA, _ := newWALServer(t, disk, &fakeProtector{}, WithRetrainer(rt, 0))
+	if _, err := srvA.protectAndCommit(trace.New("alice", sampleRecords(4))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srvA.Retrain(); err != nil {
+		t.Fatal(err)
+	}
+	<-passes
+	// Close writes the final checkpoint and prunes the log it covers.
+	if err := srvA.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	clk := clock.NewManual(time.Unix(1_700_000_000, 0))
+	srvB, _ := newWALServer(t, disk, &fakeProtector{}, WithClock(clk), WithRetrainer(rt, interval))
+	if got := srvB.Stats().Retrains; got != 1 {
+		t.Fatalf("restored retrains = %d, want 1", got)
+	}
+	if h := srvB.historySnapshot(); len(h) != 1 {
+		t.Fatalf("restored history holds %d users, want 1", len(h))
+	}
+	clk.BlockUntil(1) // the loop's ticker is registered
+	before := srvB.retrainTicks.Load()
+	clk.Advance(interval)
+	deadline := time.After(5 * time.Second)
+	for srvB.retrainTicks.Load() == before {
+		select {
+		case <-deadline:
+			t.Fatal("tick never processed")
+		default:
+			runtime.Gosched()
+		}
+	}
+	if len(passes) != 1 {
+		t.Fatalf("first tick after a checkpoint restore ran %d passes, want 1", len(passes))
 	}
 }
 

@@ -123,8 +123,8 @@ func WithTRLRadius(r float64) Option { return func(o *options) { o.trlRadius = r
 func WithCellSize(s float64) Option { return func(o *options) { o.cellSize = s } }
 
 // WithGreedySearch switches the composition search from the paper's
-// brute force to the §6 heuristic (fewer attack evaluations, possibly
-// suboptimal utility).
+// brute force to the §6 heuristic (fewer obfuscated compositions,
+// possibly suboptimal utility).
 func WithGreedySearch() Option { return func(o *options) { o.greedy = true } }
 
 // WithExtraMechanisms appends custom LPPMs to the portfolio; they take
