@@ -301,17 +301,13 @@ func spliceDatasetPage(out *bytes.Buffer, results []fanResult, limit int) error 
 }
 
 // acceptsJSON mirrors the nodes' negotiation for the one format the
-// router can merge.
+// router can merge: any acceptable range that admits JSON.
 func acceptsJSON(accept string) bool {
 	if accept == "" {
 		return true
 	}
-	for _, part := range strings.Split(accept, ",") {
-		mt := strings.TrimSpace(part)
-		if i := strings.IndexByte(mt, ';'); i >= 0 {
-			mt = strings.TrimSpace(mt[:i])
-		}
-		switch strings.ToLower(mt) {
+	for part := range strings.SplitSeq(accept, ",") {
+		switch service.MediaRange(part) {
 		case "application/json", "application/*", "*/*":
 			return true
 		}

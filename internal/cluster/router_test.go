@@ -397,15 +397,28 @@ func TestRouterDatasetMergeAndCursor(t *testing.T) {
 		t.Fatal("stale validator still answered 304 after a write")
 	}
 
-	// Non-JSON negotiation is a single-node feature.
-	req, _ := http.NewRequest(http.MethodGet, h.router.URL+"/v2/dataset", nil)
-	req.Header.Set("Accept", "text/csv")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+	// Non-JSON negotiation is a single-node feature, and q=0 refuses a
+	// media range (RFC 9110 §12.5.1); any other quality is presence.
+	for accept, want := range map[string]int{
+		"text/csv":                  http.StatusNotAcceptable,
+		"application/json;q=0":      http.StatusNotAcceptable,
+		"application/json; Q=0.000": http.StatusNotAcceptable,
+		"application/json;q=0.5":    http.StatusOK,
+		"text/csv, */*;q=0.1":       http.StatusOK,
+	} {
+		req, _ := http.NewRequest(http.MethodGet, h.router.URL+"/v2/dataset", nil)
+		req.Header.Set("Accept", accept)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == http.StatusNotAcceptable {
+			assertProblem(t, resp, want, service.CodeNotAcceptable)
+		} else if resp.StatusCode != want {
+			t.Errorf("Accept %q: status %d, want %d", accept, resp.StatusCode, want)
+		}
+		resp.Body.Close()
 	}
-	defer resp.Body.Close()
-	assertProblem(t, resp, http.StatusNotAcceptable, service.CodeNotAcceptable)
 }
 
 // seqProtector emulates the real engine's pseudonym allocation: each

@@ -12,7 +12,7 @@ import (
 // kernels it runs (HMC's target scan, geo.Destination), the WAL codec
 // that runs once per acked upload, the trace line's codec (encoder,
 // scanner, key reader) and its callers in the batch parser, the
-// router's splice and the client — against the
+// node's page writer, the router's splice and the client — against the
 // allocation patterns that keep showing up in profiles:
 //
 //   - fmt.* calls (Sprintf boxes every argument and formats through
@@ -38,8 +38,9 @@ type HotAllocConfig struct {
 // DefaultHotAlloc declares the repo's hot paths: the Frozen scan
 // methods and their float32 prune, the engine's candidate tier, HMC's
 // target scan, geo.Destination, the WAL codec, the trace line's codec,
-// the batch chunk fast parser, the router's dataset line splitter and
-// the client's dataset page scanner and upload line encoder.
+// the batch chunk fast parser, the node's dataset page writer, the
+// router's dataset line splitter and the client's dataset page scanner
+// and upload line encoder.
 func DefaultHotAlloc() *analysis.Analyzer {
 	return HotAlloc(DefaultHotAllocConfig())
 }
@@ -83,6 +84,10 @@ func DefaultHotAllocConfig() HotAllocConfig {
 				// The client's dataset page scanner and upload line
 				// encoder: once per page read, once per chunk sent.
 				"scanDatasetPage": true, "appendLine": true,
+				// The node's dataset page writer: once per JSON or NDJSON
+				// page served, a splice of cached lines. (Filling a slot,
+				// once per trace and version, is the cache's allocation.)
+				"appendPage": true,
 			},
 			"mood/internal/trace": {
 				// The trace line's codec: the encoder runs once per trace
@@ -113,7 +118,7 @@ func HotAlloc(cfg HotAllocConfig) *analysis.Analyzer {
 		Doc: "forbid fmt calls, by-reference closure captures, appends without " +
 			"preallocation and scalar interface boxing inside the declared hot paths " +
 			"(Frozen scans, engine tier, HMC target scan, Destination, WAL codec, " +
-			"trace line codec, batch fast parser, dataset page splice and scanner)",
+			"trace line codec, batch fast parser, dataset page writer, splice and scanner)",
 	}
 	a.Run = func(pass *analysis.Pass) error {
 		hot := cfg.HotFuncs[pass.PkgPath()]

@@ -1,13 +1,16 @@
 package service
 
 import (
+	"bytes"
 	"encoding/base64"
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"mood/internal/trace"
 	"mood/internal/traceio"
@@ -52,42 +55,90 @@ type DatasetPage struct {
 	TotalUsers int `json:"total_users"`
 }
 
-// dsCacheEntry caches one assembled dataset keyed by its version, so
-// page requests against an unchanged corpus share a single assembly
-// instead of re-merging every fragment per request.
+// dsCacheEntry caches one assembled dataset keyed by its version, and
+// the JSON line of every trace a page has needed (lines[i] for
+// ds.Traces[i]), so requests against an unchanged corpus share one
+// assembly and encode each published trace at most once.
 type dsCacheEntry struct {
 	version string
 	ds      trace.Dataset
+	lines   []atomic.Pointer[[]byte]
 }
 
-// datasetVersion identifies the published-dataset state: the fragment
-// audit sequence advances on every commit (and on restore, which
-// reissues it), the quarantine generation on every re-audit removal.
+// datasetVersion identifies the published-dataset state, and with it
+// the cached assembly and lines: the fragment audit sequence advances
+// on every commit (and on restore, which reissues it), the quarantine
+// generation on every re-audit removal.
 func (s *Server) datasetVersion() string {
 	return strconv.FormatInt(s.fragSeq.Load(), 10) + "." + strconv.FormatInt(s.quarGen.Load(), 10)
 }
 
-// datasetETag is the weak validator served on dataset responses.
-func (s *Server) datasetETag(version string) string {
-	return `W/"mood-ds-` + version + `"`
-}
-
-// publishedDataset returns the assembled published dataset and the
-// version its ETag derives from. The version is read before the
-// snapshot, so a commit racing the assembly can only make the tag
-// conservative (a revalidation misses and refetches) — never let a 304
-// stand for missing data: equal versions imply identical state.
-func (s *Server) publishedDataset() (trace.Dataset, string) {
+// publishedDataset returns the current version's cache entry. The
+// version is read before the snapshot, so a commit racing the assembly
+// can only make the tag conservative (a revalidation misses and
+// refetches) — never let a 304 or a cached line stand for missing
+// data: equal versions imply identical state.
+func (s *Server) publishedDataset() *dsCacheEntry {
 	version := s.datasetVersion()
 	if e := s.dsCache.Load(); e != nil && e.version == version {
-		return e.ds, version
+		return e
 	}
 	ds := trace.NewDataset(PublishedDatasetName, s.publishedSnapshot())
+	e := &dsCacheEntry{version: version, ds: ds, lines: make([]atomic.Pointer[[]byte], len(ds.Traces))}
 	if s.datasetVersion() == version {
 		// Nothing changed while assembling: the cache entry is exact.
-		s.dsCache.Store(&dsCacheEntry{version: version, ds: ds})
+		s.dsCache.Store(e)
 	}
-	return ds, version
+	return e
+}
+
+// appendPage writes one JSON or NDJSON page into out. When the page's
+// traces are the entry's own (first >= 0: page.Traces[k] is
+// e.ds.Traces[first+k]) each goes out as its cached line; traces a time
+// window rewrote are encoded afresh.
+func (e *dsCacheEntry) appendPage(out *bytes.Buffer, page DatasetPage, first int, ndjson bool) error {
+	if !ndjson {
+		out.Write(AppendPageHead(out.AvailableBuffer(), page.Name))
+	}
+	for k, t := range page.Traces {
+		if k > 0 && !ndjson {
+			out.WriteByte(',')
+		}
+		var b []byte
+		var err error
+		if first >= 0 {
+			b, err = e.line(first+k, out.AvailableBuffer())
+		} else {
+			b, err = trace.AppendTraceJSON(out.AvailableBuffer(), t)
+		}
+		if err != nil {
+			return err
+		}
+		out.Write(b)
+		if ndjson {
+			out.WriteByte('\n')
+		}
+	}
+	if !ndjson {
+		out.Write(AppendPageTail(out.AvailableBuffer(), page.NextCursor, page.TotalUsers))
+	}
+	return nil
+}
+
+// line returns the JSON line of e.ds.Traces[i]. The first page that
+// needs it encodes it into spare and keeps a copy, the one allocation
+// per trace and version; racing fillers store identical bytes.
+func (e *dsCacheEntry) line(i int, spare []byte) ([]byte, error) {
+	if kept := e.lines[i].Load(); kept != nil {
+		return *kept, nil
+	}
+	b, err := trace.AppendTraceJSON(spare, e.ds.Traces[i])
+	if err != nil {
+		return nil, err
+	}
+	kept := bytes.Clone(b)
+	e.lines[i].Store(&kept)
+	return kept, nil
 }
 
 // datasetQuery is the parsed query surface of GET /v2/dataset.
@@ -99,11 +150,11 @@ type datasetQuery struct {
 	format   string
 }
 
-// Dataset formats, resolved from the Accept header.
+// Dataset formats, resolved from Accept: each is its pages' Content-Type.
 const (
-	formatJSON   = "json"
-	formatCSV    = "csv"
-	formatNDJSON = "ndjson"
+	formatJSON   = "application/json"
+	formatCSV    = "text/csv"
+	formatNDJSON = NDJSONContentType
 )
 
 // handleDataset serves GET /v2/dataset.
@@ -119,8 +170,8 @@ func (s *Server) handleDataset(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ds, version := s.publishedDataset()
-	etag := s.datasetETag(version)
+	e := s.publishedDataset()
+	etag := `W/"mood-ds-` + e.version + `"` // weak: equal versions, equal pages
 	w.Header().Set("ETag", etag)
 	w.Header().Set("Vary", "Accept")
 	if ETagMatches(r.Header.Get("If-None-Match"), etag) {
@@ -128,44 +179,28 @@ func (s *Server) handleDataset(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	page := paginateDataset(ds, q)
+	page, first := paginateDataset(e.ds, q)
 	if q.format != formatJSON {
 		if page.NextCursor != "" {
 			w.Header().Set(NextCursorHeader, page.NextCursor)
 		}
 		w.Header().Set(TotalUsersHeader, strconv.Itoa(page.TotalUsers))
 	}
-	switch q.format {
-	case formatCSV:
-		w.Header().Set("Content-Type", "text/csv")
+	if q.format == formatCSV {
+		w.Header().Set("Content-Type", q.format)
 		traceio.WriteCSV(w, trace.Dataset{Name: page.Name, Traces: page.Traces}) //nolint:errcheck // headers are gone
-	case formatNDJSON:
-		w.Header().Set("Content-Type", NDJSONContentType)
-		traceio.WriteJSONL(w, trace.Dataset{Name: page.Name, Traces: page.Traces}) //nolint:errcheck
-	default:
-		writePageJSON(w, page)
+		return
 	}
-}
-
-// writePageJSON writes the page exactly as json.Encoder writes a
-// DatasetPage, through the envelope the cluster router's splice shares
-// and one line buffer reused for every trace.
-func writePageJSON(w http.ResponseWriter, page DatasetPage) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	b := AppendPageHead(nil, page.Name)
-	for i, t := range page.Traces {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		var err error
-		if b, err = trace.AppendTraceJSON(b, t); err != nil {
-			return // published records are finite; the cut body fails to decode
-		}
-		w.Write(b) //nolint:errcheck // headers are gone
-		b = b[:0]
+	// JSON and NDJSON pages go out whole, in one write with a length.
+	body := GetBuffer()
+	defer PutBuffer(body)
+	if err := e.appendPage(body, page, first, q.format == formatNDJSON); err != nil {
+		writeError(w, http.StatusInternalServerError, CodeInternal, "unencodable published trace: "+err.Error())
+		return
 	}
-	w.Write(AppendPageTail(b, page.NextCursor, page.TotalUsers)) //nolint:errcheck
+	w.Header().Set("Content-Type", q.format)
+	w.Header().Set("Content-Length", strconv.Itoa(body.Len()))
+	w.Write(body.Bytes()) //nolint:errcheck // headers are gone
 }
 
 // AppendPageHead and AppendPageTail write a DatasetPage's envelope around
@@ -208,15 +243,17 @@ func parseDatasetQuery(r *http.Request) (q datasetQuery, errCode, errDetail stri
 		q.cursor = string(dec)
 	}
 	q.user = vals.Get("user")
-	for name, dst := range map[string]*int64{"from": &q.from, "to": &q.to} {
+	var bounds [2]int64 // from, then to: the first malformed one is reported
+	for i, name := range [...]string{"from", "to"} {
 		if raw := vals.Get(name); raw != "" {
 			ts, err := strconv.ParseInt(raw, 10, 64)
 			if err != nil {
 				return q, CodeBadRequest, name + " must be a unix timestamp in seconds"
 			}
-			*dst = ts
+			bounds[i] = ts
 		}
 	}
+	q.from, q.to = bounds[0], bounds[1]
 	if q.from != 0 && q.to != 0 && q.to <= q.from {
 		return q, CodeBadRequest, "empty time range: to must be greater than from"
 	}
@@ -226,19 +263,15 @@ func parseDatasetQuery(r *http.Request) (q datasetQuery, errCode, errDetail stri
 
 // negotiateDatasetFormat picks the response format from the Accept
 // header. Absent or wildcard Accept selects JSON; an Accept that names
-// none of the supported types returns "" (406). Quality factors are
-// honoured only as presence — the first supported type in header order
-// wins, which is what every real consumer of this endpoint sends.
+// no supported type returns "" (406). The first acceptable supported
+// type in header order wins: quality factors above 0 count only as
+// presence, which is what every real consumer of this endpoint sends.
 func negotiateDatasetFormat(accept string) string {
 	if accept == "" {
 		return formatJSON
 	}
-	for _, part := range strings.Split(accept, ",") {
-		mt := strings.TrimSpace(part)
-		if i := strings.IndexByte(mt, ';'); i >= 0 {
-			mt = strings.TrimSpace(mt[:i])
-		}
-		switch strings.ToLower(mt) {
+	for part := range strings.SplitSeq(accept, ",") {
+		switch MediaRange(part) {
 		case "application/json", "application/*", "*/*":
 			return formatJSON
 		case "text/csv", "text/*":
@@ -250,21 +283,29 @@ func negotiateDatasetFormat(accept string) string {
 	return ""
 }
 
+// MediaRange reads one comma-separated part of an Accept header: its
+// media type, lower-cased, or "" when its quality factor is 0, which
+// RFC 9110 §12.5.1 defines as "not acceptable". The cluster router
+// negotiates by the same reading.
+func MediaRange(part string) string {
+	mt, params, _ := strings.Cut(part, ";")
+	for param := range strings.SplitSeq(params, ";") {
+		name, value, _ := strings.Cut(param, "=")
+		if q, err := strconv.ParseFloat(strings.TrimSpace(value), 64); err == nil && q == 0 && strings.EqualFold(strings.TrimSpace(name), "q") {
+			return ""
+		}
+	}
+	return strings.ToLower(strings.TrimSpace(mt))
+}
+
 // ETagMatches implements If-None-Match per RFC 9110 §13.1.2: weak
 // comparison of etag against each validator the header lists, with "*"
 // matching any current representation. The cluster router answers its
 // own 304s by the same rule.
 func ETagMatches(header, etag string) bool {
-	if header == "" {
-		return false
-	}
 	opaque := strings.TrimPrefix(etag, "W/")
-	for _, cand := range strings.Split(header, ",") {
-		cand = strings.TrimSpace(cand)
-		if cand == "*" {
-			return true
-		}
-		if strings.TrimPrefix(cand, "W/") == opaque {
+	for cand := range strings.SplitSeq(header, ",") {
+		if cand = strings.TrimSpace(cand); cand == "*" || strings.TrimPrefix(cand, "W/") == opaque {
 			return true
 		}
 	}
@@ -276,44 +317,42 @@ func ETagMatches(header, etag string) bool {
 // invariant), so the cursor is simply the last pseudonym of the
 // previous page and a page boundary can never skip or repeat a trace —
 // even across dataset versions, where re-assembly preserves the sort.
-func paginateDataset(ds trace.Dataset, q datasetQuery) DatasetPage {
+// Unless a time window rewrote them, the page's traces are the run of
+// ds.Traces from position first; otherwise first is -1.
+func paginateDataset(ds trace.Dataset, q datasetQuery) (page DatasetPage, first int) {
 	traces := ds.Traces
-	if q.user != "" || q.from != 0 || q.to != 0 {
-		filtered := make([]trace.Trace, 0, len(traces))
-		from, to := q.from, q.to
+	if q.user != "" { // NewDataset holds one trace per pseudonym
+		i, found := slices.BinarySearchFunc(traces, q.user, func(t trace.Trace, u string) int { return strings.Compare(t.User, u) })
+		if first, traces = i, traces[i:i]; found {
+			traces = ds.Traces[i : i+1]
+		}
+	}
+	if q.from != 0 || q.to != 0 {
+		to := q.to
 		if to == 0 {
 			to = math.MaxInt64
 		}
+		windowed := make([]trace.Trace, 0, len(traces))
 		for _, t := range traces {
-			if q.user != "" && t.User != q.user {
-				continue
+			if t = t.Window(q.from, to); !t.Empty() {
+				windowed = append(windowed, t)
 			}
-			if q.from != 0 || q.to != 0 {
-				t = t.Window(from, to)
-				if t.Empty() {
-					continue
-				}
-			}
-			filtered = append(filtered, t)
 		}
-		traces = filtered
+		traces, first = windowed, -1
 	}
 
-	page := DatasetPage{Name: ds.Name, TotalUsers: len(traces)}
+	page = DatasetPage{Name: ds.Name, TotalUsers: len(traces)}
 	start := 0
 	if q.cursor != "" {
 		start = sort.Search(len(traces), func(i int) bool { return traces[i].User > q.cursor })
 	}
-	end := start + q.limit
-	if end > len(traces) {
-		end = len(traces)
-	}
+	end := min(start+q.limit, len(traces))
 	page.Traces = traces[start:end]
-	if page.Traces == nil {
-		page.Traces = []trace.Trace{}
-	}
 	if end < len(traces) {
 		page.NextCursor = base64.RawURLEncoding.EncodeToString([]byte(traces[end-1].User))
 	}
-	return page
+	if first >= 0 {
+		first += start
+	}
+	return page, first
 }

@@ -375,7 +375,7 @@ func auth(token string) middleware {
 				next.ServeHTTP(w, r)
 				return
 			}
-			got, ok := bearerToken(r)
+			got, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer ")
 			if !ok || subtle.ConstantTimeCompare([]byte(got), []byte(token)) != 1 {
 				w.Header().Set("WWW-Authenticate", `Bearer realm="mood"`)
 				writeError(w, http.StatusUnauthorized, CodeUnauthorized, "missing or invalid bearer token")
@@ -384,13 +384,4 @@ func auth(token string) middleware {
 			next.ServeHTTP(w, r)
 		})
 	}
-}
-
-func bearerToken(r *http.Request) (string, bool) {
-	h := r.Header.Get("Authorization")
-	const prefix = "Bearer "
-	if !strings.HasPrefix(h, prefix) {
-		return "", false
-	}
-	return strings.TrimPrefix(h, prefix), true
 }

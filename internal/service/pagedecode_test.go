@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"net/http/httptest"
 	"reflect"
 	"testing"
 
@@ -69,8 +68,8 @@ func TestDatasetPageDecodeMatchesGeneric(t *testing.T) {
 	}
 }
 
-// TestPageWriterMatchesEncoder pins the node's JSON page to the
-// json.Encoder it replaced, byte for byte.
+// TestPageWriterMatchesEncoder pins the node's JSON page, encoded
+// afresh, to the json.Encoder it replaced, byte for byte.
 func TestPageWriterMatchesEncoder(t *testing.T) {
 	hostile := benchDatasetPage(2, 1)
 	hostile.Name = "<n\"ame>"
@@ -81,14 +80,15 @@ func TestPageWriterMatchesEncoder(t *testing.T) {
 		{Name: PublishedDatasetName, Traces: []trace.Trace{{User: "a", Records: trace.Records{}}}, TotalUsers: 1},
 		hostile,
 	} {
-		rec := httptest.NewRecorder()
-		writePageJSON(rec, page)
-		var want bytes.Buffer
+		var got, want bytes.Buffer
+		if err := new(dsCacheEntry).appendPage(&got, page, -1, false); err != nil {
+			t.Fatal(err)
+		}
 		if err := json.NewEncoder(&want).Encode(page); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(rec.Body.Bytes(), want.Bytes()) {
-			t.Errorf("page %s\njson.Encoder writes %s", rec.Body.Bytes(), want.Bytes())
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("page %s\njson.Encoder writes %s", got.Bytes(), want.Bytes())
 		}
 	}
 }

@@ -508,6 +508,10 @@ func TestDatasetContentNegotiation(t *testing.T) {
 	} else if resp.Header.Get(TotalUsersHeader) != "" {
 		t.Fatal("json page repeats its envelope in headers")
 	}
+	// q=0 refuses a media range (RFC 9110 §12.5.1), so the next one wins.
+	if resp := get("application/json;q=0, text/csv"); resp.Header.Get("Content-Type") != "text/csv" {
+		t.Fatalf("q=0 negotiation: Content-Type = %q, want text/csv", resp.Header.Get("Content-Type"))
+	}
 	if resp := get("application/xml"); resp.StatusCode != http.StatusNotAcceptable {
 		t.Fatalf("unsupported Accept: status = %d, want 406", resp.StatusCode)
 	} else {
