@@ -270,7 +270,7 @@ func ablation(b *testing.B) *ablationEnv {
 			return
 		}
 		train, test := d.SplitTrainTest(0.5, 20)
-		atks := attack.Set{attack.NewAP(), attack.NewPOIAttack(), attack.NewPIT()}
+		atks := attack.DefaultSet()
 		if ablErr = attack.TrainAll(atks, train.Traces); ablErr != nil {
 			return
 		}

@@ -143,19 +143,20 @@ func attackCmd(args []string) error {
 		return err
 	}
 
-	atks := attack.Set{attack.NewAP(), attack.NewPOIAttack(), attack.NewPIT()}
+	atks := attack.DefaultSet()
 	if err := attack.TrainAll(atks, bg.Traces); err != nil {
 		return err
 	}
 
-	perAttack := make(map[string]int, len(atks))
+	// verdicts[a][i] is attack a's guess for trace i.
+	verdicts := attack.BatchIdentify(atks, target.Traces)
+	perAttack := make([]int, len(atks))
 	reidentified := 0
-	for _, tr := range target.Traces {
+	for i, tr := range target.Traces {
 		hitAny := false
-		for _, a := range atks {
-			v := a.Identify(tr)
-			if v.OK && v.User == tr.User {
-				perAttack[a.Name()]++
+		for a, vs := range verdicts {
+			if vs[i].OK && vs[i].User == tr.User {
+				perAttack[a]++
 				hitAny = true
 			}
 		}
@@ -166,8 +167,8 @@ func attackCmd(args []string) error {
 	fmt.Printf("traces: %d, re-identified by at least one attack: %d (%.1f%%)\n",
 		target.NumUsers(), reidentified,
 		100*float64(reidentified)/float64(max(1, target.NumUsers())))
-	for _, a := range atks {
-		fmt.Printf("  %-4s %d\n", a.Name(), perAttack[a.Name()])
+	for a, atk := range atks {
+		fmt.Printf("  %-4s %d\n", atk.Name(), perAttack[a])
 	}
 	return nil
 }
@@ -187,11 +188,4 @@ func snapshotCmd(args []string, out io.Writer) error {
 	}
 	_, err = out.Write(append(doc, '\n'))
 	return err
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -14,7 +14,8 @@
 // workload's background half trains the real MooD engine (-engine mood,
 // the default) or a pass-through echo engine (-engine echo, for
 // high-rate soaks of the service tier alone). The drift-retrain
-// scenario wires the same retrainer cmd/moodserver uses. The server
+// scenario wires the same retrainer cmd/moodserver uses:
+// mood.Pipeline.RetrainWith over the background half. The server
 // runs over a write-ahead log: the restart scenario drains it (final
 // checkpoint included) and recovers it from the log in the middle of a
 // round; the crash scenario kills it mid-round without drain or
@@ -262,32 +263,18 @@ func buildEngine(kind string, seed uint64, background []trace.Trace) (service.Pr
 		if err != nil {
 			return nil, nil, fmt.Errorf("training the engine: %w", err)
 		}
-		return pipeline, &pipelineRetrainer{base: pipeline, initial: background}, nil
+		return pipeline, service.RetrainerFunc(func(history []trace.Trace) (service.Protector, service.Auditor, error) {
+			p, err := pipeline.RetrainWith(history)
+			if err != nil {
+				return nil, nil, err
+			}
+			return p, p, nil
+		}), nil
 	case "echo":
 		return loadgen.EchoProtector{Seed: seed}, echoRetrainer{}, nil
 	default:
 		return nil, nil, fmt.Errorf("unknown engine %q (want mood or echo)", kind)
 	}
-}
-
-// pipelineRetrainer mirrors cmd/moodserver's: retraining merges the
-// initial background with the accumulated upload history, exactly like
-// the production server.
-type pipelineRetrainer struct {
-	base    *mood.Pipeline
-	initial []mood.Trace
-}
-
-func (rt *pipelineRetrainer) Retrain(history []mood.Trace) (service.Protector, service.Auditor, error) {
-	merged := make([]mood.Trace, 0, len(rt.initial)+len(history))
-	merged = append(merged, rt.initial...)
-	merged = append(merged, history...)
-	bg := mood.NewDataset("background", merged)
-	p, err := rt.base.Retrain(bg.Traces)
-	if err != nil {
-		return nil, nil, err
-	}
-	return p, p, nil
 }
 
 // echoRetrainer keeps the engine and skips the audit — the barrier

@@ -20,11 +20,14 @@
 // Dynamic protection (paper §6): the server accumulates every accepted
 // upload's raw records as the history a real adversary would have
 // collected. -retrain-interval > 0 periodically retrains the attack set
-// and HMC background on initial-background + history, hot-swaps the
-// engine without upload downtime, and re-audits the published dataset,
-// quarantining fragments the refreshed attacks re-identify. The same
-// pass can be triggered on demand with POST /v2/admin/retrain (always
-// available, behind -token when set).
+// and HMC background through mood.Pipeline.RetrainWith (the background
+// CSV followed by that history), hot-swaps the engine without upload
+// downtime, and re-audits the published dataset, quarantining fragments
+// the refreshed attacks re-identify. The same pass can be triggered on
+// demand with POST /v2/admin/retrain (always available, behind -token
+// when set). A reboot that restores a history some pass already
+// trained on runs one pass before serving, so the node comes back with
+// the adversary it had, not the one it booted with.
 //
 // Durability: -wal-dir keeps the state in a segmented append-only
 // write-ahead log where, under -fsync=always, every upload is on stable
@@ -134,7 +137,13 @@ func runCtx(ctx context.Context, args []string) error {
 		service.WithWorkers(*workers),
 		service.WithRequestTimeout(*reqTimeout),
 		service.WithAuthToken(*token),
-		service.WithRetrainer(&pipelineRetrainer{base: pipeline, initial: bg.Traces}, *retrainInterval),
+		service.WithRetrainer(service.RetrainerFunc(func(history []mood.Trace) (service.Protector, service.Auditor, error) {
+			p, err := pipeline.RetrainWith(history)
+			if err != nil {
+				return nil, nil, err
+			}
+			return p, p, nil
+		}), *retrainInterval),
 		service.WithHistoryCap(*historyCap),
 	}
 	if *nodeID != "" {
@@ -227,25 +236,4 @@ func writeTimeout(reqTimeout time.Duration) time.Duration {
 		reqTimeout = service.DefaultRequestTimeout
 	}
 	return reqTimeout + 30*time.Second
-}
-
-// pipelineRetrainer rebuilds the pipeline for the service's dynamic
-// protection: the retrained background is the initial CSV background —
-// the H the attacks started from — merged per user with everything the
-// participants have uploaded since (the history the service hands over).
-type pipelineRetrainer struct {
-	base    *mood.Pipeline
-	initial []mood.Trace
-}
-
-func (rt *pipelineRetrainer) Retrain(history []mood.Trace) (service.Protector, service.Auditor, error) {
-	merged := make([]mood.Trace, 0, len(rt.initial)+len(history))
-	merged = append(merged, rt.initial...)
-	merged = append(merged, history...)
-	bg := mood.NewDataset("background", merged)
-	p, err := rt.base.Retrain(bg.Traces)
-	if err != nil {
-		return nil, nil, err
-	}
-	return p, p, nil
 }

@@ -69,7 +69,7 @@ func main() {
 	}
 
 	// Re-identification.
-	atks := attack.Set{attack.NewAP(), attack.NewPOIAttack(), attack.NewPIT()}
+	atks := attack.DefaultSet()
 	if err := attack.TrainAll(atks, background.Traces); err != nil {
 		log.Fatal(err)
 	}

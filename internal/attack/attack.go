@@ -63,6 +63,9 @@ type Attack interface {
 // obfuscations against all of them.
 type Set []Attack
 
+// DefaultSet returns the paper's attack set, untrained: AP, POI, PIT.
+func DefaultSet() Set { return Set{NewAP(), NewPOIAttack(), NewPIT()} }
+
 // TrainAll trains every attack on one profile.Set of background at the
 // paper's cell size (see TrainOn).
 func TrainAll(attacks Set, background []trace.Trace) error {

@@ -107,7 +107,17 @@ func routingUnavailable(w http.ResponseWriter, detail string) {
 	writeProblem(w, service.NewProblem(http.StatusServiceUnavailable, service.CodeRouting, detail))
 }
 
+// routerMethods are the methods the router's patterns use.
+var routerMethods = []string{http.MethodGet, http.MethodPost}
+
+// handleNotFound answers what no route matched as a node does: a path
+// served under other methods gets the node's 405 and Allow header, any
+// other path a 404.
 func (rt *Router) handleNotFound(w http.ResponseWriter, r *http.Request) {
+	if allow, _ := service.AllowedMethods(rt.mux, routerMethods, r, func(p string) bool { return p != "/" }); allow != "" {
+		service.WriteMethodNotAllowed(w, r, allow)
+		return
+	}
 	writeProblem(w, service.NewProblem(http.StatusNotFound, service.CodeNotFound,
 		"unknown resource (the cluster router serves the /v2 surface)"))
 }

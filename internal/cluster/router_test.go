@@ -727,3 +727,50 @@ func assertProblem(t *testing.T, resp *http.Response, status int, code string) {
 		t.Fatalf("problem code = %q, want %q (detail: %s)", p.Code, code, p.Detail)
 	}
 }
+
+// TestRouterAnswersUnmatchedLikeANode: a wrong-method or unknown-path
+// request gets the same status, Allow header, media type and problem
+// code from the router as from a node, as README's wire protocol
+// promises for every /v2 server.
+func TestRouterAnswersUnmatchedLikeANode(t *testing.T) {
+	h := newHarness(t, 2)
+	type answer struct {
+		Status            int
+		Allow, Type, Code string
+	}
+	ask := func(base, method, path string) answer {
+		t.Helper()
+		req, err := http.NewRequest(method, base+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var p service.Problem
+		if err := json.NewDecoder(resp.Body).Decode(&p); err != nil {
+			t.Fatalf("%s %s via %s: not a problem document: %v", method, path, base, err)
+		}
+		return answer{resp.StatusCode, resp.Header.Get("Allow"), resp.Header.Get("Content-Type"), p.Code}
+	}
+	for _, tc := range []struct{ method, path string }{
+		{http.MethodGet, "/v2/traces"},
+		{http.MethodDelete, "/v2/stats"},
+		{http.MethodPut, "/v2/dataset"},
+		{http.MethodPost, "/v2/users/alice"},
+		{http.MethodGet, "/v2/admin/retrain"},
+		{http.MethodPatch, "/v2/jobs/job-1"},
+		{http.MethodGet, "/v2/nope"},
+		{http.MethodPost, "/v1/traces"},
+	} {
+		node, router := ask(h.backends[0].URL, tc.method, tc.path), ask(h.router.URL, tc.method, tc.path)
+		if node.Status != http.StatusMethodNotAllowed && node.Status != http.StatusNotFound {
+			t.Fatalf("%s %s: the node answered %+v, not a 405 or 404", tc.method, tc.path, node)
+		}
+		if router != node {
+			t.Errorf("%s %s: router answered %+v, node %+v", tc.method, tc.path, router, node)
+		}
+	}
+}

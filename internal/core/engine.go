@@ -12,7 +12,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"time"
 
@@ -435,10 +434,4 @@ func DataLoss(results []Result) float64 {
 		return 0
 	}
 	return float64(lost) / float64(total)
-}
-
-// SortResults orders results by user ID in place (ProtectDataset already
-// returns them ordered; this is for callers that merge batches).
-func SortResults(results []Result) {
-	sort.Slice(results, func(i, j int) bool { return results[i].User < results[j].User })
 }

@@ -39,7 +39,7 @@ func newScenario(t *testing.T, seed uint64) *scenario {
 	}
 	lppms := []lppm.Mechanism{hmc, lppm.NewGeoI(), lppm.NewTRL()}
 
-	atks := attack.Set{attack.NewAP(), attack.NewPOIAttack(), attack.NewPIT()}
+	atks := attack.DefaultSet()
 	if err := attack.TrainAll(atks, train.Traces); err != nil {
 		t.Fatal(err)
 	}
@@ -334,14 +334,6 @@ func TestMeanDistortion(t *testing.T) {
 	}
 	if got := (Result{}).MeanDistortion(); got != 0 {
 		t.Fatalf("empty MeanDistortion = %v", got)
-	}
-}
-
-func TestSortResults(t *testing.T) {
-	rs := []Result{{User: "b"}, {User: "a"}, {User: "c"}}
-	SortResults(rs)
-	if rs[0].User != "a" || rs[2].User != "c" {
-		t.Fatalf("sorted = %v", rs)
 	}
 }
 

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"slices"
 
 	"mood/internal/attack"
 	"mood/internal/core"
@@ -51,25 +52,6 @@ type RoundResult struct {
 	DataLoss float64
 }
 
-// NewOracle trains a fresh default attack set (AP + POI + PIT) on the
-// given background. This is the oracle attacker of the dynamic
-// experiment — and the retrained verifier, which by construction is the
-// same thing trained on the same history. Shared with the service tier's
-// online retraining subsystem so the offline experiment and the running
-// server agree on what "retrained attacks" means.
-func NewOracle(background []trace.Trace) (attack.Set, error) {
-	return oracleOn(profile.New(background, 0))
-}
-
-// oracleOn is NewOracle as a view over profiles ps.
-func oracleOn(ps *profile.Set) (attack.Set, error) {
-	set := attack.Set{attack.NewAP(), attack.NewPOIAttack(), attack.NewPIT()}
-	if err := set.TrainOn(ps); err != nil {
-		return nil, err
-	}
-	return set, nil
-}
-
 // Round is one publication window of the dynamic experiment.
 type Round struct {
 	// Index is the 1-based window number within the original time span;
@@ -106,16 +88,6 @@ func SplitRounds(d trace.Dataset, n int) ([]Round, error) {
 		out = append(out, Round{Index: round, Data: slice})
 	}
 	return out, nil
-}
-
-// AccumulateBackground folds one round's raw data into the attacker-side
-// history (merged per user): after a round is published, the adversary
-// is assumed to have collected the round's raw traces too.
-func AccumulateBackground(bg []trace.Trace, slice trace.Dataset) []trace.Trace {
-	merged := make([]trace.Trace, 0, len(bg)+slice.NumUsers())
-	merged = append(merged, bg...)
-	merged = append(merged, slice.Traces...)
-	return trace.NewDataset("bg", merged).Traces
 }
 
 // DynamicScenario generates the drifted synthetic dataset of the dynamic
@@ -168,8 +140,8 @@ func RunDynamic(cfg DynamicConfig) ([]RoundResult, error) {
 	// profile set is shared by its attacks and HMC, so the static HMC
 	// rebuilt every round reuses the initial background's heatmaps.
 	staticBG := profile.New(initialBG.Traces, 0)
-	staticAtks, err := oracleOn(staticBG)
-	if err != nil {
+	staticAtks := attack.DefaultSet()
+	if err := staticAtks.TrainOn(staticBG); err != nil {
 		return nil, err
 	}
 
@@ -181,8 +153,8 @@ func RunDynamic(cfg DynamicConfig) ([]RoundResult, error) {
 		// Oracle attacker: always up to date with the raw history an
 		// adversary could have accumulated before this round.
 		attackerPS := profile.New(attackerBG, 0)
-		oracle, err := oracleOn(attackerPS)
-		if err != nil {
+		oracle := attack.DefaultSet()
+		if err := oracle.TrainOn(attackerPS); err != nil {
 			return nil, err
 		}
 
@@ -226,7 +198,7 @@ func RunDynamic(cfg DynamicConfig) ([]RoundResult, error) {
 
 		// The adversary keeps collecting: this round's raw data joins
 		// the background for the next round (merged per user).
-		attackerBG = AccumulateBackground(attackerBG, slice)
+		attackerBG = trace.NewDataset("bg", slices.Concat(attackerBG, slice.Traces)).Traces
 	}
 	return out, nil
 }

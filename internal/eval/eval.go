@@ -18,7 +18,6 @@ import (
 	"mood/internal/par"
 	"mood/internal/profile"
 	"mood/internal/synth"
-	"mood/internal/trace"
 )
 
 // Strategy names, in the column order of Figures 6, 7 and 10.
@@ -236,7 +235,7 @@ func runDataset(cfg Config, name string, concurrent bool) (DatasetEval, error) {
 
 	atks := attack.Set{attack.NewAP()}
 	if !cfg.SingleAttack {
-		atks = attack.Set{attack.NewAP(), attack.NewPOIAttack(), attack.NewPIT()}
+		atks = attack.DefaultSet()
 	}
 	ps := profile.New(train.Traces, 0)
 	if err := atks.TrainOn(ps); err != nil {
@@ -379,23 +378,4 @@ func spreadsheetLabel(i int) string {
 		i = i/26 - 1
 	}
 	return string(buf[pos:])
-}
-
-// OrphanUsers lists the users a strategy failed to protect, sorted.
-func OrphanUsers(se StrategyEval) []string {
-	var out []string
-	for _, r := range se.Results {
-		if !r.FullyProtected() {
-			out = append(out, r.User)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// TrainTestSplit exposes the harness's split for external callers
-// (examples and the middleware server reuse it).
-func TrainTestSplit(d trace.Dataset, cfg Config) (train, test trace.Dataset) {
-	cfg = cfg.withDefaults()
-	return d.SplitTrainTest(cfg.TrainFraction, cfg.MinRecords)
 }

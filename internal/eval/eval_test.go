@@ -152,16 +152,6 @@ func TestFineGrainedConsistent(t *testing.T) {
 	}
 }
 
-func TestOrphanUsers(t *testing.T) {
-	run := tinyRun(t, false)
-	d := run.Datasets[0]
-	none, _ := d.Strategy(StratNone)
-	orphans := OrphanUsers(none)
-	if len(orphans) != none.NonProtected {
-		t.Fatalf("orphans = %d, NonProtected = %d", len(orphans), none.NonProtected)
-	}
-}
-
 func TestRunDatasetLookup(t *testing.T) {
 	run := tinyRun(t, false)
 	if _, ok := run.Dataset("mdc"); !ok {

@@ -84,18 +84,6 @@ func Destination(p Point, bearingDeg, dist float64) Point {
 	return Point{Lat: rad2deg(lat2), Lon: lon}
 }
 
-// InitialBearing returns the initial bearing (degrees in [0,360)) of the
-// great-circle path from a to b.
-func InitialBearing(a, b Point) float64 {
-	lat1 := deg2rad(a.Lat)
-	lat2 := deg2rad(b.Lat)
-	dLon := deg2rad(b.Lon - a.Lon)
-	y := math.Sin(dLon) * math.Cos(lat2)
-	x := math.Cos(lat1)*math.Sin(lat2) - math.Sin(lat1)*math.Cos(lat2)*math.Cos(dLon)
-	br := rad2deg(math.Atan2(y, x))
-	return math.Mod(br+360, 360)
-}
-
 // Interpolate returns the point a fraction f of the way from a to b
 // (linear in lat/lon, which is adequate at city scale). f is clamped
 // to [0, 1].
@@ -197,34 +185,4 @@ func (b BBox) Contains(p Point) bool {
 // Center returns the center of the box.
 func (b BBox) Center() Point {
 	return Point{Lat: (b.MinLat + b.MaxLat) / 2, Lon: (b.MinLon + b.MaxLon) / 2}
-}
-
-// Centroid returns the arithmetic mean of the points. It returns the zero
-// Point when pts is empty.
-func Centroid(pts []Point) Point {
-	if len(pts) == 0 {
-		return Point{}
-	}
-	var lat, lon float64
-	for _, p := range pts {
-		lat += p.Lat
-		lon += p.Lon
-	}
-	n := float64(len(pts))
-	return Point{Lat: lat / n, Lon: lon / n}
-}
-
-// Diameter returns the maximum pairwise FastDistance among pts.
-// It is O(n²) and intended for the small clusters produced by POI
-// extraction.
-func Diameter(pts []Point) float64 {
-	var d float64
-	for i := 0; i < len(pts); i++ {
-		for j := i + 1; j < len(pts); j++ {
-			if dd := FastDistance(pts[i], pts[j]); dd > d {
-				d = dd
-			}
-		}
-	}
-	return d
 }

@@ -103,16 +103,6 @@ func NewHMCOn(ps *profile.Set) (*HMC, error) {
 // Grid exposes the cell geometry (tests and the eval harness use it).
 func (h *HMC) Grid() *geo.Grid { return h.grid }
 
-// SetCover overrides the translated mass fraction (clamped to (0, 1]).
-// Lower cover means a lossier, weaker mechanism; 1 translates every
-// cell. Exposed for the ablation benchmarks.
-func (h *HMC) SetCover(c float64) {
-	if c <= 0 || c > 1 {
-		c = DefaultHMCCover
-	}
-	h.cover = c
-}
-
 // SetMaxCells overrides the translated-cell budget (values < 1 restore
 // the default). Exposed for the ablation benchmarks.
 func (h *HMC) SetMaxCells(n int) {

@@ -127,45 +127,3 @@ func TestPropertyHMCMassConserved(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestPropertyCloakIdempotent(t *testing.T) {
-	// Cloaking an already-cloaked trace must be a fixed point (cell
-	// centers map to themselves) when the same grid anchor is used.
-	c := Cloak{CellSize: 500, Origin: origin}
-	f := func(seed int64, nRaw uint8) bool {
-		n := int(nRaw%50) + 1
-		in := randomTrace(seed, n)
-		once, err := c.Obfuscate(nil, in)
-		if err != nil {
-			return false
-		}
-		twice, err := c.Obfuscate(nil, once)
-		if err != nil {
-			return false
-		}
-		for i := range once.Records {
-			if geo.FastDistance(once.Records[i].Point(), twice.Records[i].Point()) > 0.01 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPropertyTimeDistortionPreservesEndpoints(t *testing.T) {
-	f := func(seed int64, nRaw uint8) bool {
-		n := int(nRaw%50) + 2
-		in := randomTrace(seed, n)
-		out, err := TimeDistortion{}.Obfuscate(nil, in)
-		if err != nil {
-			return false
-		}
-		return out.Start() == in.Start() && out.End() == in.End() && out.Len() == in.Len()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}

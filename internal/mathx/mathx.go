@@ -13,32 +13,6 @@ import (
 // lambertTol is the convergence tolerance of the Halley iterations.
 const lambertTol = 1e-12
 
-// LambertW0 evaluates the principal branch W0(x) for x >= -1/e.
-// It returns NaN outside the domain.
-func LambertW0(x float64) float64 {
-	if x < -1/math.E {
-		return math.NaN()
-	}
-	if x == 0 {
-		return 0
-	}
-	// Initial guess: series near the branch point, log asymptote for
-	// large x, and x itself near zero.
-	var w float64
-	switch {
-	case x < -0.25:
-		p := math.Sqrt(2 * (math.E*x + 1))
-		w = -1 + p - p*p/3
-	case x < 1:
-		w = x * (1 - x + 1.5*x*x) // truncated series of W0 around 0
-	default:
-		l1 := math.Log(x)
-		l2 := math.Log(l1)
-		w = l1 - l2 + l2/l1
-	}
-	return halley(x, w)
-}
-
 // LambertWm1 evaluates the secondary real branch W-1(x) for
 // x in [-1/e, 0). It returns NaN outside the domain.
 //
@@ -80,23 +54,6 @@ func halley(x, w float64) float64 {
 		}
 	}
 	return w
-}
-
-// KL returns the Kullback-Leibler divergence D(p||q) in nats between two
-// discrete distributions given as aligned slices. Terms with p[i] == 0
-// contribute zero; terms with q[i] == 0 and p[i] > 0 contribute +Inf.
-func KL(p, q []float64) float64 {
-	var d float64
-	for i := range p {
-		if p[i] <= 0 {
-			continue
-		}
-		if i >= len(q) || q[i] <= 0 {
-			return math.Inf(1)
-		}
-		d += p[i] * math.Log(p[i]/q[i])
-	}
-	return d
 }
 
 // TopsoeAccum folds one aligned probability pair (pi, qi) into a running
@@ -144,10 +101,6 @@ func Topsoe(p, q []float64) float64 {
 	return d
 }
 
-// JensenShannon returns the Jensen-Shannon divergence (half the Topsoe
-// divergence), bounded by ln 2.
-func JensenShannon(p, q []float64) float64 { return Topsoe(p, q) / 2 }
-
 // Normalize scales xs in place so it sums to 1 and returns it. A zero or
 // empty vector is returned unchanged.
 func Normalize(xs []float64) []float64 {
@@ -176,20 +129,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Std returns the population standard deviation of xs.
-func Std(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)))
-}
-
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using
 // linear interpolation between closest ranks. It copies xs and is safe
 // on unsorted input; it returns 0 for an empty slice.
@@ -214,15 +153,4 @@ func Percentile(xs []float64, p float64) float64 {
 	}
 	frac := rank - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Clamp limits x to the interval [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
 }

@@ -6,25 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestLambertW0KnownValues(t *testing.T) {
-	tests := []struct {
-		x, want float64
-	}{
-		{0, 0},
-		{math.E, 1},
-		{1, 0.5671432904097838},
-		{10, 1.7455280027406994},
-		{-0.2, -0.2591711018190738},
-		{-1 / math.E, -1},
-	}
-	for _, tt := range tests {
-		got := LambertW0(tt.x)
-		if math.Abs(got-tt.want) > 1e-8 {
-			t.Errorf("W0(%v) = %v, want %v", tt.x, got, tt.want)
-		}
-	}
-}
-
 func TestLambertWm1KnownValues(t *testing.T) {
 	tests := []struct {
 		x, want float64
@@ -43,17 +24,14 @@ func TestLambertWm1KnownValues(t *testing.T) {
 }
 
 func TestLambertWInverseProperty(t *testing.T) {
-	// W(x)*exp(W(x)) == x must hold on both branches.
+	// W(x)*exp(W(x)) == x must hold on the branch Geo-I samples.
 	f := func(u float64) bool {
 		x := -math.Abs(math.Mod(u, 1))/math.E + 1e-9 // x in (-1/e, 0]
 		if x >= 0 {
 			x = -1e-9
 		}
-		w0 := LambertW0(x)
 		wm := LambertWm1(x)
-		ok0 := math.Abs(w0*math.Exp(w0)-x) < 1e-9
-		okm := math.Abs(wm*math.Exp(wm)-x) < 1e-9*(1+math.Abs(wm))
-		return ok0 && okm
+		return math.Abs(wm*math.Exp(wm)-x) < 1e-9*(1+math.Abs(wm))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -61,28 +39,11 @@ func TestLambertWInverseProperty(t *testing.T) {
 }
 
 func TestLambertWDomainErrors(t *testing.T) {
-	if !math.IsNaN(LambertW0(-1)) {
-		t.Error("W0(-1) must be NaN")
-	}
 	if !math.IsNaN(LambertWm1(0.5)) {
 		t.Error("Wm1(0.5) must be NaN")
 	}
 	if !math.IsNaN(LambertWm1(-10)) {
 		t.Error("Wm1(-10) must be NaN")
-	}
-}
-
-func TestKL(t *testing.T) {
-	p := []float64{0.5, 0.5}
-	if d := KL(p, p); d != 0 {
-		t.Fatalf("KL(p,p) = %v", d)
-	}
-	q := []float64{0.9, 0.1}
-	if d := KL(p, q); d <= 0 {
-		t.Fatalf("KL(p,q) = %v, want > 0", d)
-	}
-	if d := KL([]float64{1, 0}, []float64{0, 1}); !math.IsInf(d, 1) {
-		t.Fatalf("disjoint supports: KL = %v, want +Inf", d)
 	}
 }
 
@@ -119,7 +80,7 @@ func TestJensenShannonBound(t *testing.T) {
 	f := func(a, b, c, d float64) bool {
 		p := Normalize([]float64{math.Abs(a) + 1e-9, math.Abs(b) + 1e-9})
 		q := Normalize([]float64{math.Abs(c) + 1e-9, math.Abs(d) + 1e-9})
-		js := JensenShannon(p, q)
+		js := Topsoe(p, q) / 2 // the Jensen-Shannon divergence
 		return js >= 0 && js <= math.Ln2+1e-12
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -149,12 +110,6 @@ func TestMeanStd(t *testing.T) {
 	if m := Mean(xs); m != 5 {
 		t.Fatalf("Mean = %v", m)
 	}
-	if s := Std(xs); math.Abs(s-2) > 1e-12 {
-		t.Fatalf("Std = %v, want 2", s)
-	}
-	if s := Std([]float64{1}); s != 0 {
-		t.Fatalf("Std single = %v", s)
-	}
 }
 
 func TestPercentile(t *testing.T) {
@@ -175,17 +130,5 @@ func TestPercentile(t *testing.T) {
 	// Input must not be mutated.
 	if xs[0] != 5 {
 		t.Fatal("Percentile mutated its input")
-	}
-}
-
-func TestClamp(t *testing.T) {
-	if got := Clamp(5, 0, 1); got != 1 {
-		t.Fatalf("Clamp high = %v", got)
-	}
-	if got := Clamp(-5, 0, 1); got != 0 {
-		t.Fatalf("Clamp low = %v", got)
-	}
-	if got := Clamp(0.5, 0, 1); got != 0.5 {
-		t.Fatalf("Clamp mid = %v", got)
 	}
 }

@@ -62,16 +62,6 @@ func mix(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// SampleLaplace draws from the one-dimensional Laplace distribution with
-// location 0 and scale b.
-func SampleLaplace(rng *Rand, b float64) float64 {
-	u := rng.Float64() - 0.5
-	if u >= 0 {
-		return -b * math.Log(1-2*u)
-	}
-	return b * math.Log(1+2*u)
-}
-
 // SamplePlanarLaplaceRadius draws the radial component of the planar
 // (polar) Laplace distribution with privacy parameter eps (1/meters),
 // using the exact inverse CDF from Andres et al.:
@@ -98,30 +88,4 @@ func Shuffle[T any](rng *Rand, xs []T) {
 // slice, which is a programming error at call sites.
 func Choice[T any](rng *Rand, xs []T) T {
 	return xs[rng.Intn(len(xs))]
-}
-
-// WeightedChoice returns an index drawn proportionally to weights. Zero
-// or negative weights are treated as zero; if all weights are zero the
-// choice is uniform.
-func WeightedChoice(rng *Rand, weights []float64) int {
-	var total float64
-	for _, w := range weights {
-		if w > 0 {
-			total += w
-		}
-	}
-	if total <= 0 {
-		return rng.Intn(len(weights))
-	}
-	x := rng.Float64() * total
-	for i, w := range weights {
-		if w <= 0 {
-			continue
-		}
-		x -= w
-		if x <= 0 {
-			return i
-		}
-	}
-	return len(weights) - 1
 }

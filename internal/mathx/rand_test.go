@@ -57,27 +57,6 @@ func TestDeriveRandLabelBoundaries(t *testing.T) {
 	}
 }
 
-func TestSampleLaplaceMoments(t *testing.T) {
-	rng := NewRand(7)
-	const n = 200000
-	const scale = 3.0
-	var sum, sumAbs float64
-	for i := 0; i < n; i++ {
-		x := SampleLaplace(rng, scale)
-		sum += x
-		sumAbs += math.Abs(x)
-	}
-	mean := sum / n
-	meanAbs := sumAbs / n
-	if math.Abs(mean) > 0.05 {
-		t.Fatalf("Laplace mean = %v, want ~0", mean)
-	}
-	// E|X| = b for Laplace(0, b).
-	if math.Abs(meanAbs-scale) > 0.05 {
-		t.Fatalf("Laplace E|X| = %v, want %v", meanAbs, scale)
-	}
-}
-
 func TestSamplePlanarLaplaceRadiusMean(t *testing.T) {
 	rng := NewRand(11)
 	const eps = 0.01 // paper's medium privacy level, mean radius 200 m
@@ -126,37 +105,5 @@ func TestChoice(t *testing.T) {
 		if seen[s] < 50 {
 			t.Fatalf("choice %q underrepresented: %v", s, seen)
 		}
-	}
-}
-
-func TestWeightedChoice(t *testing.T) {
-	rng := NewRand(9)
-	weights := []float64{0, 1, 3}
-	counts := make([]int, 3)
-	for i := 0; i < 4000; i++ {
-		counts[WeightedChoice(rng, weights)]++
-	}
-	if counts[0] != 0 {
-		t.Fatalf("zero-weight index chosen %d times", counts[0])
-	}
-	ratio := float64(counts[2]) / float64(counts[1])
-	if ratio < 2.5 || ratio > 3.5 {
-		t.Fatalf("weight ratio = %v, want ~3", ratio)
-	}
-}
-
-func TestWeightedChoiceAllZero(t *testing.T) {
-	rng := NewRand(13)
-	weights := []float64{0, 0, 0, 0}
-	seen := map[int]bool{}
-	for i := 0; i < 200; i++ {
-		idx := WeightedChoice(rng, weights)
-		if idx < 0 || idx >= 4 {
-			t.Fatalf("index out of range: %d", idx)
-		}
-		seen[idx] = true
-	}
-	if len(seen) < 3 {
-		t.Fatalf("all-zero weights should fall back to uniform, saw %v", seen)
 	}
 }

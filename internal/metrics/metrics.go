@@ -6,7 +6,6 @@ package metrics
 import (
 	"math"
 	"sort"
-	"time"
 
 	"mood/internal/geo"
 	"mood/internal/trace"
@@ -148,12 +147,3 @@ func (STDUtility) Better(a, b float64) bool { return a < b }
 
 // Worst is a sentinel score that any real measurement beats.
 func Worst() float64 { return math.Inf(1) }
-
-// MeanSamplingPeriod returns the average time between consecutive
-// records, a cheap density diagnostic used in reports.
-func MeanSamplingPeriod(t trace.Trace) time.Duration {
-	if t.Len() < 2 {
-		return 0
-	}
-	return time.Duration((t.End()-t.Start())/int64(t.Len()-1)) * time.Second
-}

@@ -3,7 +3,6 @@ package metrics
 import (
 	"math"
 	"testing"
-	"time"
 
 	"mood/internal/geo"
 	"mood/internal/lppm"
@@ -166,14 +165,5 @@ func TestSTDUtility(t *testing.T) {
 	}
 	if !u.Better(1, Worst()) {
 		t.Fatal("any measurement must beat Worst()")
-	}
-}
-
-func TestMeanSamplingPeriod(t *testing.T) {
-	if got := MeanSamplingPeriod(line(11)); got != time.Second {
-		t.Fatalf("period = %v, want 1s", got)
-	}
-	if got := MeanSamplingPeriod(trace.Trace{}); got != 0 {
-		t.Fatalf("period of empty = %v", got)
 	}
 }

@@ -51,20 +51,3 @@ func Each(n int, f func(i int)) {
 		}
 	})
 }
-
-// Collect calls build(i) for every i in [0, n) like Each and returns the
-// values build kept, in index order — exactly what a sequential loop
-// appending each kept value builds.
-func Collect[T any](n int, build func(i int) (T, bool)) []T {
-	vals := make([]T, n)
-	kept := make([]bool, n)
-	Each(n, func(i int) { vals[i], kept[i] = build(i) })
-	out := vals[:0]
-	for i, ok := range kept {
-		if ok {
-			out = append(out, vals[i])
-		}
-	}
-	clear(vals[len(out):]) // drop the references the compacted tail still holds
-	return out
-}

@@ -2,7 +2,6 @@ package par
 
 import (
 	"runtime"
-	"slices"
 	"sync/atomic"
 	"testing"
 )
@@ -52,26 +51,6 @@ func TestEachVisitsEveryIndexOnce(t *testing.T) {
 				if h != 1 {
 					t.Fatalf("procs %d, n %d: index %d visited %d times", procs, n, i, h)
 				}
-			}
-		}
-	})
-}
-
-// TestCollectKeepsIndexOrder pins Collect to the sequential loop it
-// replaces: kept values in index order, dropped ones gone, whatever the
-// worker count.
-func TestCollectKeepsIndexOrder(t *testing.T) {
-	atProcs(t, func(t *testing.T, procs int) {
-		for _, n := range []int{0, 1, 5, 97} {
-			var want []int
-			for i := 0; i < n; i++ {
-				if i%3 != 1 {
-					want = append(want, i*i)
-				}
-			}
-			got := Collect(n, func(i int) (int, bool) { return i * i, i%3 != 1 })
-			if !slices.Equal(got, want) {
-				t.Fatalf("procs %d, n %d: Collect = %v, want %v", procs, n, got, want)
 			}
 		}
 	})

@@ -358,7 +358,9 @@ func (s *Server) appendBestEffort(typ byte, v any) {
 // (torn, checksum mismatch, written by a newer version), fails here, and
 // from then on Checkpoint refuses and Close releases the store without
 // writing to it — the state that could not be read stays on disk as it
-// was.
+// was. When a Retrainer is configured and the restored state counts a
+// retrain pass, Recover runs one more over the restored history before
+// it returns (see retrainPass); if that pass fails, so does Recover.
 func (s *Server) Recover() error {
 	if s.store == nil {
 		return errors.New("service: Recover without a store configured")
@@ -377,6 +379,16 @@ func (s *Server) Recover() error {
 	}
 	for _, r := range recs {
 		s.applyRecord(r)
+	}
+	if s.opts.Retrainer != nil && s.retrains.Load() > 0 {
+		// The restored history already trained the engine the node
+		// served before the restart; rebuild it before serving.
+		s.retrainMu.Lock()
+		_, err := s.retrainPass(true)
+		s.retrainMu.Unlock()
+		if err != nil {
+			return fmt.Errorf("service: restoring the retrained engine: %w", err)
+		}
 	}
 	s.recovered.Store(true)
 	if s.opts.CheckpointInterval > 0 {

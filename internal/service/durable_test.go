@@ -161,13 +161,20 @@ func observeState(t *testing.T, srv *Server, hs *httptest.Server) recoveryState 
 // sequential, so the failed job's best-effort record is appended before
 // the next upload completes.
 func checkRecoveryPath(t *testing.T, checkpoint, crash bool) {
-	rt := RetrainerFunc(func([]trace.Trace) (Protector, Auditor, error) {
-		return nil, ownerAuditor{prefix: "drift-"}, nil
-	})
-	opts := []Option{WithWorkers(1), WithRetrainer(rt, 0)}
+	// The retrained engine refuses what its auditor re-identifies, as a
+	// retrained pipeline does, so the reboot's restore pass finds
+	// nothing the live server had not already pulled.
+	opts := func(fp *fakeProtector) []Option {
+		a := ownerAuditor{prefix: "drift-"}
+		rt := RetrainerFunc(func([]trace.Trace) (Protector, Auditor, error) {
+			return auditedProtector{fp, a}, a, nil
+		})
+		return []Option{WithWorkers(1), WithRetrainer(rt, 0)}
+	}
 	disk := store.NewMemFS()
 	ffs := store.NewFaultFS(disk)
-	srvA, hsA := newWALServer(t, ffs, &fakeProtector{}, opts...)
+	fpA := &fakeProtector{}
+	srvA, hsA := newWALServer(t, ffs, fpA, opts(fpA)...)
 	c := NewClient(hsA.URL)
 	waitAsync := func(user string, n int, want string) {
 		j, err := c.WaitJob(uploadAsync(t, c, trace.New(user, sampleRecords(n))).ID, 5*time.Second)
@@ -208,7 +215,7 @@ func checkRecoveryPath(t *testing.T, checkpoint, crash bool) {
 		t.Fatal(err)
 	}
 	fpB := &fakeProtector{}
-	srvB, hsB := newWALServer(t, disk, fpB, opts...)
+	srvB, hsB := newWALServer(t, disk, fpB, opts(fpB)...)
 	if got := observeState(t, srvB, hsB); !reflect.DeepEqual(got, want) {
 		t.Fatalf("recovered state differs from the live one:\n got %+v\nwant %+v", got, want)
 	}

@@ -1,18 +1,28 @@
 package service
 
 import (
+	"net/http/httptest"
+	"slices"
 	"testing"
 
 	"mood"
+	"mood/internal/attack"
 	"mood/internal/eval"
+	"mood/internal/store"
 	"mood/internal/trace"
 )
 
-// moodProtector adapts the public pipeline to the service interface,
-// like cmd/moodserver's adapter.
-type moodProtector struct{ p *mood.Pipeline }
-
-func (mp moodProtector) Protect(t trace.Trace) (mood.Result, error) { return mp.p.Protect(t) }
+// retrainerOf is the retrainer cmd/moodserver wires: the next
+// engine is p.RetrainWith(history), which audits as well as protects.
+func retrainerOf(p *mood.Pipeline) Retrainer {
+	return RetrainerFunc(func(history []trace.Trace) (Protector, Auditor, error) {
+		next, err := p.RetrainWith(history)
+		if err != nil {
+			return nil, nil, err
+		}
+		return next, next, nil
+	})
+}
 
 // TestServerDynamicProtectionMirrorsRunDynamic is the online counterpart
 // of eval.RunDynamic's static-vs-dynamic comparison: the same drifted
@@ -41,16 +51,7 @@ func TestServerDynamicProtectionMirrorsRunDynamic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rt := RetrainerFunc(func(history []trace.Trace) (Protector, Auditor, error) {
-			merged := append(append([]trace.Trace{}, initialBG.Traces...), history...)
-			bg := trace.NewDataset("bg", merged)
-			p, err := pipeline.Retrain(bg.Traces)
-			if err != nil {
-				return nil, nil, err
-			}
-			return moodProtector{p}, p, nil
-		})
-		srv, err := New(moodProtector{pipeline}, WithRetrainer(rt, 0))
+		srv, err := New(pipeline, WithRetrainer(retrainerOf(pipeline), 0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,8 +71,8 @@ func TestServerDynamicProtectionMirrorsRunDynamic(t *testing.T) {
 
 			// Oracle attacker for this round: trained on the raw history
 			// an adversary holds before the round is published.
-			oracle, err := eval.NewOracle(attackerBG)
-			if err != nil {
+			oracle := attack.DefaultSet()
+			if err := attack.TrainAll(oracle, attackerBG); err != nil {
 				t.Fatal(err)
 			}
 
@@ -97,7 +98,7 @@ func TestServerDynamicProtectionMirrorsRunDynamic(t *testing.T) {
 				sh.mu.Unlock()
 			}
 
-			attackerBG = eval.AccumulateBackground(attackerBG, slice)
+			attackerBG = trace.NewDataset("bg", slices.Concat(attackerBG, slice.Traces)).Traces
 		}
 		return leaks, srv.Stats()
 	}
@@ -130,5 +131,98 @@ func TestServerDynamicProtectionMirrorsRunDynamic(t *testing.T) {
 	}
 	if dynamicStats.RecordsQuarantined < dynamicStats.QuarantinedTraces {
 		t.Fatalf("quarantine accounting inconsistent: %+v", dynamicStats)
+	}
+}
+
+// TestRecoveryRestoresRetrainedAdversary: a node that retrained before
+// a restart must judge new uploads against the retrained attacks, not
+// the ones it booted with. On the drift scenario, a real pipeline
+// publishes round 1 and retrains (pulling fragments the drift exposed),
+// then the node restarts — from the log alone, from a checkpoint alone,
+// or from a checkpoint plus the log after it — and publishes round 2.
+// Its published bytes, its stats (quarantines and the retrain count
+// included) must equal those of a node that never restarted.
+func TestRecoveryRestoresRetrainedAdversary(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-engine dynamic scenario")
+	}
+	cfg := eval.DynamicConfig{Seed: 5, Rounds: 3}
+	initialBG, rounds, err := eval.DynamicScenario(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipeline, err := mood.NewPipeline(initialBG.Traces, mood.WithSeed(cfg.Seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := []Option{WithRetrainer(retrainerOf(pipeline), 0)}
+	publish := func(srv *Server, d trace.Dataset) {
+		t.Helper()
+		for _, tr := range d.Traces {
+			if _, err := srv.protectAndCommit(tr); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// firstRound publishes round 1 and retrains, checkpointing between
+	// the two when asked.
+	firstRound := func(srv *Server, checkpoint bool) {
+		t.Helper()
+		publish(srv, rounds[0].Data)
+		if checkpoint {
+			if err := srv.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rep, err := srv.Retrain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Quarantined == 0 {
+			t.Fatalf("the drift exposed nothing: %+v", rep)
+		}
+	}
+	type outcome struct {
+		Stats   ServerStats
+		Dataset string
+	}
+	observe := func(srv *Server, hs *httptest.Server) outcome {
+		return outcome{srv.Stats(), getBody(t, hs.URL+"/v2/dataset?limit=1000")}
+	}
+
+	ref, hsRef := newWALServer(t, store.NewMemFS(), pipeline, opts...)
+	firstRound(ref, false)
+	publish(ref, rounds[1].Data)
+	want := observe(ref, hsRef)
+
+	for _, rc := range []struct {
+		name       string
+		checkpoint bool // checkpoint between round 1 and the retrain
+		crash      bool // kill the disk; otherwise Close (final checkpoint)
+	}{
+		{"log only", false, true},
+		{"checkpoint only", false, false},
+		{"checkpoint plus log suffix", true, true},
+	} {
+		t.Run(rc.name, func(t *testing.T) {
+			disk := store.NewMemFS()
+			ffs := store.NewFaultFS(disk)
+			srvA, _ := newWALServer(t, ffs, pipeline, opts...)
+			firstRound(srvA, rc.checkpoint)
+			if rc.crash {
+				ffs.Kill()
+			} else if err := srvA.Close(); err != nil {
+				t.Fatal(err)
+			}
+			srvB, hsB := newWALServer(t, disk, pipeline, opts...)
+			publish(srvB, rounds[1].Data)
+			got := observe(srvB, hsB)
+			if got.Stats != want.Stats {
+				t.Fatalf("restarted node's stats %+v, want %+v", got.Stats, want.Stats)
+			}
+			if got.Dataset != want.Dataset {
+				t.Fatal("the restarted node published other bytes than a node that never restarted")
+			}
+		})
 	}
 }

@@ -104,8 +104,5 @@ func (s *Server) applySnapshot(data []byte) error {
 	}
 	s.pseudo.Store(int64(state.Pseudo))
 	s.retrains.Store(state.Retrains)
-	if len(state.History) > 0 {
-		s.histGen.Add(1) // untrained in this process: retrainLoop must not skip it
-	}
 	return nil
 }

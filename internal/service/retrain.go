@@ -8,8 +8,11 @@
 //     history (see stateShard.history) — the growing H.
 //  2. A retrain pass (periodic ticker and/or POST /v2/admin/retrain)
 //     hands that history to the configured Retrainer, which rebuilds the
-//     protection engine — in production, mood.Pipeline.Retrain retrains
-//     the attack set and HMC background on initial-background + history.
+//     protection engine — in production, mood.Pipeline.RetrainWith, which
+//     retrains the attack set and HMC background on the pipeline's
+//     initial background followed by the history. A reboot whose
+//     restored state counts a pass runs one more inside Recover, so the
+//     node serves the adversary it had before the restart.
 //  3. The fresh engine is hot-swapped into the upload path atomically
 //     (Server.protector is an atomic.Pointer): uploads in flight finish
 //     on the engine they loaded, new uploads use the retrained one, and
@@ -107,10 +110,22 @@ func (s *Server) Retrain() (RetrainReport, error) {
 		return RetrainReport{}, ErrRetrainInProgress
 	}
 	defer s.retrainMu.Unlock()
+	return s.retrainPass(false)
+}
+
+// retrainPass is one pass under retrainMu: train through the Retrainer
+// on the history, swap the engine in, re-audit the published dataset.
+// A restore pass (Recover's) brings back the engine of the passes the
+// restored state already counts: it skips an empty history and neither
+// counts a retrain nor logs an epoch.
+func (s *Server) retrainPass(restore bool) (RetrainReport, error) {
 	began := s.clk.Now()
 	gen := s.histGen.Load()
 
 	history := s.historySnapshot()
+	if restore && len(history) == 0 {
+		return RetrainReport{}, nil
+	}
 	var report RetrainReport
 	report.HistoryUsers = len(history)
 	for _, h := range history {
@@ -137,11 +152,13 @@ func (s *Server) Retrain() (RetrainReport, error) {
 		report.Audited, report.Quarantined = s.auditPublished(auditor)
 		report.AuditMillis = millis(s.clk.Since(phase))
 	}
-	s.retrains.Add(1)
-	// Epoch records are best-effort: the count is also carried by every
-	// snapshot, so a lost record costs at most one epoch of drift until
-	// the next checkpoint.
-	s.appendBestEffort(recRetrainEpoch, walRetrain{Retrains: s.retrains.Load()})
+	if !restore {
+		s.retrains.Add(1)
+		// Epoch records are best-effort: the count is also carried by
+		// every snapshot, so a lost record costs at most one epoch of
+		// drift until the next checkpoint.
+		s.appendBestEffort(recRetrainEpoch, walRetrain{Retrains: s.retrains.Load()})
+	}
 	s.lastTrained.Store(gen)
 	report.DurationMillis = s.clk.Since(began).Milliseconds()
 	return report, nil

@@ -64,6 +64,21 @@ func (a ownerAuditor) ReIdentifiesBatch(ts []trace.Trace, users []string) []atta
 	return out
 }
 
+// auditedProtector is a retrained fake engine that agrees with its own
+// auditor: it rejects whole every trace a re-identifies and hands the
+// rest to p.
+type auditedProtector struct {
+	p Protector
+	a Auditor
+}
+
+func (e auditedProtector) Protect(t trace.Trace) (core.Result, error) {
+	if e.a.ReIdentifiesBatch([]trace.Trace{t}, []string{t.User})[0].Hit {
+		return core.Result{User: t.User, TotalRecords: t.Len(), LostRecords: t.Len()}, nil
+	}
+	return e.p.Protect(t)
+}
+
 func newRetrainServer(t *testing.T, rt Retrainer, opts ...Option) (*Server, *httptest.Server) {
 	t.Helper()
 	opts = append([]Option{WithRetrainer(rt, 0)}, opts...)
@@ -338,9 +353,10 @@ func TestPeriodicRetrainLoop(t *testing.T) {
 }
 
 // TestRetrainLoopRetrainsRestoredHistory: a node recovered from a
-// checkpoint alone has history that no pass of its own process trained
-// on, so the first periodic tick must retrain — even though the
-// restored retrain count says a pass ran before the restart.
+// checkpoint alone, whose restored retrain count says a pass ran before
+// the restart, retrains on the restored history inside Recover — before
+// it serves — and the first periodic tick, with nothing new to learn,
+// skips.
 func TestRetrainLoopRetrainsRestoredHistory(t *testing.T) {
 	const interval = time.Minute
 	passes := make(chan struct{}, 2) // room for one pass per server; more never block
@@ -373,6 +389,9 @@ func TestRetrainLoopRetrainsRestoredHistory(t *testing.T) {
 	if h := srvB.historySnapshot(); len(h) != 1 {
 		t.Fatalf("restored history holds %d users, want 1", len(h))
 	}
+	if len(passes) != 1 {
+		t.Fatalf("Recover ran %d passes over the restored history, want 1", len(passes))
+	}
 	clk.BlockUntil(1) // the loop's ticker is registered
 	before := srvB.retrainTicks.Load()
 	clk.Advance(interval)
@@ -386,7 +405,10 @@ func TestRetrainLoopRetrainsRestoredHistory(t *testing.T) {
 		}
 	}
 	if len(passes) != 1 {
-		t.Fatalf("first tick after a checkpoint restore ran %d passes, want 1", len(passes))
+		t.Fatalf("first tick after the restore pass retrained again (%d passes)", len(passes))
+	}
+	if got := srvB.Stats().Retrains; got != 1 {
+		t.Fatalf("retrains after the restore pass = %d, want the restored 1", got)
 	}
 }
 

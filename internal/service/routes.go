@@ -165,52 +165,56 @@ func notFound(w http.ResponseWriter, _ *http.Request) {
 	writeError(w, http.StatusNotFound, CodeNotFound, "unknown resource")
 }
 
-// methodNotAllowed probes the mux with every method the table declares
-// to decide whether the unmatched request names an existing resource
-// under a different method. It returns a pseudo-route inheriting the
-// resource's exemptions (so a wrong-method probe cannot dodge auth or be
-// throttled differently from the resource it names) plus the uniform
-// 405 handler — or no route and the 404 handler for a genuinely unknown
-// path.
+// methodNotAllowed decides whether the unmatched request names an
+// existing resource under a different method. It returns a pseudo-route
+// inheriting the resource's exemptions (so a wrong-method probe cannot
+// dodge auth or be throttled differently from the resource it names)
+// plus the uniform 405 handler — or no route and the 404 handler for a
+// genuinely unknown path.
 func (rr *router) methodNotAllowed(r *http.Request) (*route, http.Handler) {
+	allow, first := AllowedMethods(rr.mux, rr.methods, r, func(pattern string) bool { return rr.byPattern[pattern] != nil })
+	if allow == "" {
+		return nil, http.HandlerFunc(notFound)
+	}
+	c := rr.byPattern[first]
+	pseudo := &route{pattern: c.pattern, noAuth: c.noAuth, noLimit: c.noLimit, noTimeout: c.noTimeout}
+	return pseudo, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { WriteMethodNotAllowed(w, r, allow) })
+}
+
+// AllowedMethods is the wrong-method probe the node and the cluster
+// router share: it asks mux how it would route r under each of methods
+// but r's own and returns the Allow header value — the methods under
+// which r's path matches a pattern known accepts, sorted, HEAD beside
+// GET — and the first such pattern. An empty allow means no method
+// serves the path. known lets a mux with a catch-all leave it out.
+func AllowedMethods(mux *http.ServeMux, methods []string, r *http.Request, known func(pattern string) bool) (allow, first string) {
 	var allowed []string
-	var canonical *route
 	probe := r.Clone(r.Context())
-	for _, m := range rr.methods {
+	for _, m := range methods {
 		if m == r.Method {
 			continue
 		}
 		probe.Method = m
-		_, pattern := rr.mux.Handler(probe)
-		row := rr.byPattern[pattern]
-		if row == nil {
-			continue
+		if _, pattern := mux.Handler(probe); known(pattern) {
+			allowed = append(allowed, m)
+			if m == http.MethodGet {
+				allowed = append(allowed, http.MethodHead)
+			}
+			if first == "" {
+				first = pattern
+			}
 		}
-		allowed = append(allowed, m)
-		if m == http.MethodGet {
-			allowed = append(allowed, http.MethodHead)
-		}
-		if canonical == nil {
-			canonical = row
-		}
-	}
-	if canonical == nil {
-		return nil, http.HandlerFunc(notFound)
 	}
 	sort.Strings(allowed)
-	allow := strings.Join(allowed, ", ")
-	pseudo := &route{
-		pattern:   canonical.pattern,
-		noAuth:    canonical.noAuth,
-		noLimit:   canonical.noLimit,
-		noTimeout: canonical.noTimeout,
-	}
-	handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Allow", allow)
-		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed,
-			"method "+r.Method+" not allowed (see Allow header)")
-	})
-	return pseudo, handler
+	return strings.Join(allowed, ", "), first
+}
+
+// WriteMethodNotAllowed is the uniform 405 for a resource that exists
+// under the methods in allow.
+func WriteMethodNotAllowed(w http.ResponseWriter, r *http.Request, allow string) {
+	w.Header().Set("Allow", allow)
+	writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed,
+		"method "+r.Method+" not allowed (see Allow header)")
 }
 
 // metricRoute labels a request for the metrics layer: the table pattern

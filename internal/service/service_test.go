@@ -287,7 +287,7 @@ func TestEndToEndWithRealEngine(t *testing.T) {
 	d := synth.MustGenerate(cfg)
 	train, test := d.SplitTrainTest(0.5, 20)
 
-	atks := attack.Set{attack.NewAP(), attack.NewPOIAttack(), attack.NewPIT()}
+	atks := attack.DefaultSet()
 	if err := attack.TrainAll(atks, train.Traces); err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package trace
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"time"
 )
 
@@ -155,34 +154,6 @@ func (d Dataset) Validate() error {
 // String summarises the dataset.
 func (d Dataset) String() string {
 	return fmt.Sprintf("dataset(%s, %d users, %d records)", d.Name, d.NumUsers(), d.NumRecords())
-}
-
-// IDRenewer hands out fresh pseudonyms. The fine-grained stage of MooD
-// publishes each protected sub-trace under a new identity so that
-// sub-traces "seem to come from different users" (§3.4).
-type IDRenewer struct {
-	prefix string
-	next   int
-}
-
-// NewIDRenewer returns a renewer whose pseudonyms start with prefix.
-func NewIDRenewer(prefix string) *IDRenewer {
-	return &IDRenewer{prefix: prefix}
-}
-
-// Renew relabels the trace with a fresh pseudonym and returns it.
-func (r *IDRenewer) Renew(t Trace) Trace {
-	r.next++
-	return t.WithUser(r.prefix + "-" + strconv.Itoa(r.next))
-}
-
-// RenewAll relabels every trace with a fresh pseudonym.
-func (r *IDRenewer) RenewAll(traces []Trace) []Trace {
-	out := make([]Trace, len(traces))
-	for i, t := range traces {
-		out[i] = r.Renew(t)
-	}
-	return out
 }
 
 // Day is a convenience constant for chunking (24 h in seconds).

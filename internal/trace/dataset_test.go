@@ -136,22 +136,6 @@ func TestSplitTrainTestActivityThreshold(t *testing.T) {
 	}
 }
 
-func TestIDRenewer(t *testing.T) {
-	r := NewIDRenewer("mdc")
-	a := r.Renew(lineTrace("u9", 2, 0, 1))
-	b := r.Renew(lineTrace("u9", 2, 0, 1))
-	if a.User == b.User {
-		t.Fatal("pseudonyms must be unique")
-	}
-	if !strings.HasPrefix(a.User, "mdc-") {
-		t.Fatalf("pseudonym = %q", a.User)
-	}
-	all := r.RenewAll([]Trace{lineTrace("x", 1, 0, 1), lineTrace("y", 1, 0, 1)})
-	if all[0].User == all[1].User {
-		t.Fatal("RenewAll produced duplicate pseudonyms")
-	}
-}
-
 func TestDatasetValidateCatchesDisorder(t *testing.T) {
 	d := Dataset{Name: "broken", Traces: []Trace{
 		lineTrace("b", 2, 0, 1),

@@ -255,52 +255,3 @@ func TestRecordTime(t *testing.T) {
 		t.Fatal("Time must be UTC")
 	}
 }
-
-func TestDownsample(t *testing.T) {
-	tr := lineTrace("u", 100, 0, 10) // one record / 10 s
-	ds := tr.Downsample(time.Minute)
-	if ds.Len() >= tr.Len()/5+5 || ds.Len() < tr.Len()/6-1 {
-		t.Fatalf("downsampled to %d records from %d", ds.Len(), tr.Len())
-	}
-	// One record per minute bucket.
-	seen := map[int64]bool{}
-	for _, r := range ds.Records {
-		b := r.TS / 60
-		if seen[b] {
-			t.Fatal("two records in the same bucket")
-		}
-		seen[b] = true
-	}
-	// Zero period and empty trace are no-ops.
-	if tr.Downsample(0).Len() != tr.Len() {
-		t.Fatal("zero period must keep everything")
-	}
-	if got := (Trace{}).Downsample(time.Minute); !got.Empty() {
-		t.Fatal("empty trace must stay empty")
-	}
-}
-
-func TestThin(t *testing.T) {
-	tr := lineTrace("u", 10, 0, 10)
-	th := tr.Thin(3)
-	if th.Len() != 4 { // indices 0,3,6,9
-		t.Fatalf("thinned to %d, want 4", th.Len())
-	}
-	if th.Records[1].TS != tr.Records[3].TS {
-		t.Fatal("wrong records kept")
-	}
-	if tr.Thin(1).Len() != tr.Len() || tr.Thin(0).Len() != tr.Len() {
-		t.Fatal("k<=1 must keep everything")
-	}
-}
-
-func TestDatasetDownsample(t *testing.T) {
-	d := sampleDataset()
-	ds := d.Downsample(2 * time.Minute)
-	if ds.NumRecords() >= d.NumRecords() {
-		t.Fatalf("dataset downsample did not shrink: %d >= %d", ds.NumRecords(), d.NumRecords())
-	}
-	if ds.NumUsers() != d.NumUsers() {
-		t.Fatal("users lost during downsampling")
-	}
-}

@@ -32,6 +32,7 @@ package mood
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"mood/internal/attack"
@@ -81,6 +82,9 @@ type Pipeline struct {
 	atks   attack.Set
 	lppms  []Mechanism
 	opts   []Option // kept so Retrain can rebuild with the same config
+	// initial is H₀, the background the pipeline was built on; RetrainWith
+	// merges the upload history into it and passes it on unchanged.
+	initial []Trace
 }
 
 // options collects the pipeline configuration.
@@ -192,7 +196,7 @@ func NewPipeline(background []Trace, opts ...Option) (*Pipeline, error) {
 
 	atks := o.attacks
 	if atks == nil {
-		atks = attack.Set{attack.NewAP(), attack.NewPOIAttack(), attack.NewPIT()}
+		atks = attack.DefaultSet()
 	}
 	if err := atks.TrainOn(ps); err != nil {
 		return nil, fmt.Errorf("mood: %w", err)
@@ -214,10 +218,11 @@ func NewPipeline(background []Trace, opts ...Option) (*Pipeline, error) {
 			Seed:    o.seed,
 			Search:  search,
 		},
-		hybrid: core.Hybrid{LPPMs: portfolio, Attacks: atks, Utility: o.utility, Seed: o.seed},
-		atks:   atks,
-		lppms:  portfolio,
-		opts:   stored,
+		hybrid:  core.Hybrid{LPPMs: portfolio, Attacks: atks, Utility: o.utility, Seed: o.seed},
+		atks:    atks,
+		lppms:   portfolio,
+		opts:    stored,
+		initial: background,
 	}, nil
 }
 
@@ -227,7 +232,9 @@ func NewPipeline(background []Trace, opts ...Option) (*Pipeline, error) {
 // protection that evolves with the possible evolutions of the user
 // behaviour". The attack set and HMC's imitation pool are rebuilt from
 // scratch on the new background; the original Pipeline is untouched and
-// keeps serving, so callers can hot-swap atomically.
+// keeps serving, so callers can hot-swap atomically. The new background
+// replaces the old one whole; RetrainWith is the §6 form that adds the
+// users' history to the pipeline's initial background.
 //
 // Pipelines built with WithAttacks cannot be retrained: re-training the
 // caller's attack instances would mutate profiles the original Pipeline
@@ -242,6 +249,20 @@ func (p *Pipeline) Retrain(background []Trace) (*Pipeline, error) {
 		return nil, errors.New("mood: Retrain cannot rebuild a custom attack set (WithAttacks); build a new Pipeline instead")
 	}
 	return NewPipeline(background, p.opts...)
+}
+
+// RetrainWith retrains on the paper's growing H: the background the
+// pipeline was built on (H₀) followed by history, merged per user.
+// The retrained pipeline keeps the same H₀, so successive calls each
+// pass the whole history so far and never count a past upload twice.
+// It refuses WithAttacks pipelines, as Retrain does.
+func (p *Pipeline) RetrainWith(history []Trace) (*Pipeline, error) {
+	next, err := p.Retrain(trace.NewDataset("background", slices.Concat(p.initial, history)).Traces)
+	if err != nil {
+		return nil, err
+	}
+	next.initial = p.initial
+	return next, nil
 }
 
 // Protect runs MooD's Algorithm 1 on one trace.

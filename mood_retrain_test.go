@@ -1,7 +1,9 @@
 package mood_test
 
 import (
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"mood"
@@ -84,5 +86,81 @@ func TestPipelineRetrainErrors(t *testing.T) {
 	}
 	if _, err := custom.Retrain(test.Traces); err == nil {
 		t.Fatal("Retrain with WithAttacks must refuse (it would mutate the serving attack set)")
+	}
+}
+
+// resultBits lists the bits of every float a batch of results
+// publishes, so two batches compare bit for bit, not within ==.
+func resultBits(rs []mood.Result) []uint64 {
+	var out []uint64
+	for _, r := range rs {
+		for _, p := range r.Pieces {
+			out = append(out, math.Float64bits(p.Distortion))
+			for _, rec := range p.Trace.Records {
+				out = append(out, math.Float64bits(rec.Lat), math.Float64bits(rec.Lon))
+			}
+		}
+	}
+	return out
+}
+
+// TestPipelineRetrainWith: RetrainWith(h) is Retrain on the initial
+// background followed by h, merged per user — the path the benchmark
+// harness writes out by hand — bit for bit; and a chain of calls, each
+// passing the history so far, counts no upload twice.
+func TestPipelineRetrainWith(t *testing.T) {
+	d, err := mood.GenerateDataset("mdc", "tiny", 107)
+	if err != nil {
+		t.Fatal(err)
+	}
+	initial, test := mood.SplitTrainTest(d, 0.5, 20)
+	p, err := mood.NewPipeline(initial.Traces, mood.WithSeed(107))
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := len(test.Traces) / 2
+	h1, all := test.Traces[:half], test.Traces
+	protect := func(p *mood.Pipeline) []mood.Result {
+		t.Helper()
+		rs, err := p.ProtectDataset(test)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rs
+	}
+	same := func(what string, got, want []mood.Result) {
+		t.Helper()
+		if !reflect.DeepEqual(got, want) || !slices.Equal(resultBits(got), resultBits(want)) {
+			t.Fatalf("%s: results differ", what)
+		}
+	}
+
+	viaWith, err := p.RetrainWith(all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaRetrain, err := p.Retrain(mood.NewDataset("background", slices.Concat(initial.Traces, all)).Traces)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := protect(viaRetrain)
+	same("RetrainWith(h) vs Retrain(H₀ ∪ h)", protect(viaWith), want)
+
+	step, err := p.RetrainWith(h1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chained, err := step.RetrainWith(all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("RetrainWith(h1).RetrainWith(h1 ∪ h2) vs RetrainWith(h1 ∪ h2)", protect(chained), want)
+
+	custom, err := mood.NewPipeline(initial.Traces, mood.WithAttacks(attack.NewAP()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := custom.RetrainWith(all); err == nil {
+		t.Fatal("RetrainWith with WithAttacks must refuse, as Retrain does")
 	}
 }
