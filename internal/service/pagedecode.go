@@ -6,16 +6,16 @@ import (
 	"mood/internal/trace"
 )
 
-// The client's decoder of a JSON dataset page. A page is 200 traces of
-// 50 records in 640 KB on the benchmark's cluster, and encoding/json
-// reads it three times: the decoder's scan for the end of the value,
-// the reflective walk, and Records.UnmarshalJSON's own pass over every
-// array the walk hands it. scanDatasetPage reads the canonical shape —
-// what the node and the cluster router's splice write — once, with
-// trace's scanner; anything else (escaped or non-UTF-8 strings, unknown
-// or repeated keys, nulls, garbage) reports ok=false and encoding/json
-// decides, with its exact values and errors (pinned by
-// FuzzDatasetPageDecode).
+// The client's decoder of a JSON dataset page (200 traces of 50
+// records, 640 KB, on the benchmark's cluster), which encoding/json
+// reads three times. scanDatasetPage reads the canonical shape — what
+// the node and the router's splice write — once, with trace's scanner,
+// which converts each coordinate as it checks its grammar: one exact
+// division when there is no exponent, at most 19 significant digits, a
+// mantissa below 2^53 and at most 22 fraction digits (four in five
+// published coordinates), strconv.ParseFloat on the token otherwise.
+// Any other shape (escapes, non-UTF-8, unknown or repeated keys, nulls)
+// reports ok=false and encoding/json decides (FuzzDatasetPageDecode).
 
 // decodeDatasetPage decodes one JSON dataset page body.
 func decodeDatasetPage(body []byte) (DatasetPage, error) {

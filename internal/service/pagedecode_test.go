@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"testing"
 
+	"mood/internal/geo"
+	"mood/internal/mathx"
 	"mood/internal/trace"
 )
 
@@ -107,17 +109,20 @@ func FuzzDatasetPageDecode(f *testing.F) {
 }
 
 // benchDatasetPage builds a page of the benchmark's shape: traces of
-// nrec records under pub-NNNNNN pseudonyms.
+// nrec records under pub-NNNNNN pseudonyms, each a seeded random walk of
+// 60 m normal steps from a point 4 km (normal) from Geneva. Its
+// coordinates have the digits a published dataset has: about one in
+// five needs 17 significant digits.
 func benchDatasetPage(traces, nrec int) DatasetPage {
 	page := DatasetPage{Name: PublishedDatasetName, NextCursor: "cHViLTAwMDIwMA", TotalUsers: 25 * traces}
+	rng := mathx.NewRand(1)
+	center := geo.Point{Lat: 46.2044, Lon: 6.1432}
 	for i := 0; i < traces; i++ {
 		recs := make(trace.Records, nrec)
+		p := geo.Offset(center, rng.NormFloat64()*4000, rng.NormFloat64()*4000)
 		for j := range recs {
-			recs[j] = trace.Record{
-				Lat: 45.7 + float64(i*nrec+j)*1.37e-5,
-				Lon: 4.8 - float64(i*nrec+j)*2.11e-5,
-				TS:  int64(1700000000 + j*60),
-			}
+			p = geo.Offset(p, rng.NormFloat64()*60, rng.NormFloat64()*60)
+			recs[j] = trace.At(p, int64(1700000000+j*60))
 		}
 		page.Traces = append(page.Traces, trace.Trace{User: fmt.Sprintf("pub-%06d", i+1), Records: recs})
 	}

@@ -24,7 +24,13 @@ import (
 //     build around them — in one pass, and reports ok=false on anything
 //     else (escapes, non-UTF-8, unknown or repeated keys, nulls,
 //     malformed input) so the caller falls back to encoding/json and
-//     keeps its exact values and errors;
+//     keeps its exact values and errors. It reads each number once:
+//     the loop that checks the grammar also builds the mantissa, and a
+//     float with no exponent, at most 19 significant digits, a mantissa
+//     below 2^53 and at most 22 fraction digits is one exact division;
+//     an integer below 2^63 is its mantissa; every other number goes to
+//     strconv. A record in the encoder's own bytes is matched literally,
+//     with no key lookup;
 //   - one key reader: LineKey, which reads a line's user out of the frame
 //     the encoder writes without decoding the rest.
 
@@ -233,16 +239,6 @@ func ScanRecords(data []byte) (recs Records, n int, ok bool) {
 	return recs, s.i, true
 }
 
-// ScanTrace parses a canonical trace object at the start of data, as
-// ScanRecords parses a record array.
-func ScanTrace(data []byte) (t Trace, n int, ok bool) {
-	s := NewScanner(data)
-	if t, ok = s.parseTrace(); !ok {
-		return Trace{}, 0, false
-	}
-	return t, s.i, true
-}
-
 // Scanner is the cursor of the canonical fast paths. It is a struct
 // with methods rather than a set of closures: a closure capturing the
 // cursor by reference forces it to the heap on every call, and the fast
@@ -356,12 +352,10 @@ func (s *Scanner) parseRawString() ([]byte, bool) {
 // ParseBool consumes true or false.
 func (s *Scanner) ParseBool() (bool, bool) {
 	s.skipWS()
-	switch rest := s.data[s.i:]; {
-	case bytes.HasPrefix(rest, []byte("true")):
-		s.i += 4
+	switch {
+	case s.literal("true"):
 		return true, true
-	case bytes.HasPrefix(rest, []byte("false")):
-		s.i += 5
+	case s.literal("false"):
 		return false, true
 	}
 	return false, false
@@ -369,12 +363,8 @@ func (s *Scanner) ParseBool() (bool, bool) {
 
 // ParseInt consumes a JSON number that fits an int.
 func (s *Scanner) ParseInt() (int, bool) {
-	tok, ok := s.number()
-	if !ok {
-		return 0, false
-	}
-	v, err := strconv.Atoi(string(tok))
-	return v, err == nil
+	v, ok := s.parseInt64()
+	return int(v), ok && int64(int(v)) == v
 }
 
 // ParseRecords consumes a canonical record array.
@@ -466,8 +456,15 @@ func (s *Scanner) parseTrace() (Trace, bool) {
 // parseRecord consumes one canonical record object — exact-case
 // "lat"/"lon"/"ts" keys in any order with plain number values —
 // starting from base (the stdlib merges object fields into the existing
-// value).
+// value). The shape AppendRecordsJSON writes is matched first, byte for
+// byte and with no key lookup; anything else rewinds the cursor and
+// goes through Field, key by key.
 func (s *Scanner) parseRecord(base Record) (Record, bool) {
+	start := s.i
+	if rec, ok := s.encodedRecord(); ok {
+		return rec, true
+	}
+	s.i = start
 	rec := base
 	var seen uint
 	for {
@@ -475,23 +472,57 @@ func (s *Scanner) parseRecord(base Record) (Record, bool) {
 		if key == "" {
 			return rec, ok
 		}
-		tok, ok := s.number()
+		switch key {
+		case "lat":
+			rec.Lat, ok = s.parseFloat()
+		case "lon":
+			rec.Lon, ok = s.parseFloat()
+		case "ts":
+			rec.TS, ok = s.parseInt64()
+		}
 		if !ok {
 			return rec, false
 		}
-		var err error
-		switch key {
-		case "lat":
-			rec.Lat, err = strconv.ParseFloat(string(tok), 64)
-		case "lon":
-			rec.Lon, err = strconv.ParseFloat(string(tok), 64)
-		case "ts":
-			rec.TS, err = strconv.ParseInt(string(tok), 10, 64)
-		}
-		if err != nil {
-			return rec, false
-		}
 	}
+}
+
+// encodedRecord consumes a record in exactly the encoder's shape,
+// {"lat":…,"lon":…,"ts":…}, and sets all three fields from it.
+func (s *Scanner) encodedRecord() (rec Record, ok bool) {
+	s.skipWS()
+	if !s.literal(`{"lat":`) {
+		return rec, false
+	}
+	if rec.Lat, ok = s.parseFloat(); !ok || !s.literal(`,"lon":`) {
+		return rec, false
+	}
+	if rec.Lon, ok = s.parseFloat(); !ok || !s.literal(`,"ts":`) {
+		return rec, false
+	}
+	if rec.TS, ok = s.parseInt64(); !ok {
+		return rec, false
+	}
+	return rec, s.eat('}')
+}
+
+// literal consumes lit if the input continues with it.
+func (s *Scanner) literal(lit string) bool {
+	if len(s.data)-s.i < len(lit) || string(s.data[s.i:s.i+len(lit)]) != lit {
+		return false
+	}
+	s.i += len(lit)
+	return true
+}
+
+// num is one number token as Scanner.number reads it: the token and,
+// from the same pass over its digits, what the exact conversions need.
+type num struct {
+	tok  []byte
+	mant uint64 // the digits as one integer, sign and point dropped
+	nd   int    // significant digits in mant: it is exact while nd <= 19
+	frac int    // digits after the point
+	neg  bool   // a leading '-'
+	exp  bool   // an exponent is present
 }
 
 // number consumes a token of the RFC 8259 number grammar,
@@ -499,34 +530,98 @@ func (s *Scanner) parseRecord(base Record) (Record, bool) {
 // accepts "+1", ".5" and hex floats), so what the grammar refuses is
 // left to the generic decoder and its exact error; a longer token such
 // as "05" fails the caller's look for the delimiter that must follow.
-func (s *Scanner) number() ([]byte, bool) {
+func (s *Scanner) number() (n num, ok bool) {
 	s.skipWS()
 	start := s.i
-	s.eat('-')
-	if !s.eat('0') && s.digits() == 0 {
-		return nil, false
+	n.neg = s.eat('-')
+	if !s.eat('0') && s.digits(&n) == 0 {
+		return n, false
 	}
-	if s.eat('.') && s.digits() == 0 {
-		return nil, false
+	if s.eat('.') {
+		if n.frac = s.digits(&n); n.frac == 0 {
+			return n, false
+		}
 	}
 	if s.eat('e') || s.eat('E') {
+		n.exp = true
 		if !s.eat('+') {
 			s.eat('-')
 		}
-		if s.digits() == 0 {
-			return nil, false
+		if s.digits(&n) == 0 {
+			return n, false
 		}
 	}
-	return s.data[start:s.i], true
+	n.tok = s.data[start:s.i]
+	return n, true
 }
 
-// digits consumes a run of decimal digits and returns its length.
-func (s *Scanner) digits() int {
-	start := s.i
-	for s.i < len(s.data) && s.data[s.i] >= '0' && s.data[s.i] <= '9' {
-		s.i++
+// digits consumes a run of decimal digits, appends them to n's
+// mantissa and returns how many there were. Leading zeros are not
+// significant digits. The exponent's digits land in the mantissa too;
+// a number with an exponent never reads it.
+func (s *Scanner) digits(n *num) int {
+	// Locals, not the struct fields, so that the loop runs in registers.
+	data, i, mant, nd := s.data, s.i, n.mant, n.nd
+	for ; i < len(data); i++ {
+		d := data[i] - '0'
+		if d > 9 {
+			break
+		}
+		mant = mant*10 + uint64(d)
+		if mant != 0 {
+			nd++
+		}
 	}
-	return s.i - start
+	count := i - s.i
+	s.i, n.mant, n.nd = i, mant, nd
+	return count
+}
+
+// pow10 holds the powers of ten a float64 represents exactly.
+var pow10 = [...]float64{
+	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+}
+
+// parseFloat consumes a number and converts it exactly as
+// strconv.ParseFloat does. Clinger's fast path: with no exponent, a
+// mantissa below 2^53 and at most 22 fraction digits, both the mantissa
+// and 10^frac are exact float64s, so one IEEE division rounds the
+// quotient correctly — the bits strconv returns, -0 included. Anything
+// else goes to strconv on the token already delimited.
+func (s *Scanner) parseFloat() (float64, bool) {
+	n, ok := s.number()
+	if !ok {
+		return 0, false
+	}
+	if !n.exp && n.nd <= 19 && n.mant < 1<<53 && n.frac < len(pow10) {
+		f := float64(n.mant) / pow10[n.frac]
+		if n.neg {
+			f = -f
+		}
+		return f, true
+	}
+	f, err := strconv.ParseFloat(string(n.tok), 64)
+	return f, err == nil
+}
+
+// parseInt64 consumes a number and converts it exactly as
+// strconv.ParseInt does: an integer whose digits fit below 2^63 is read
+// off the mantissa, anything else goes to strconv and its refusals.
+func (s *Scanner) parseInt64() (int64, bool) {
+	n, ok := s.number()
+	if !ok {
+		return 0, false
+	}
+	if n.frac == 0 && !n.exp && n.nd <= 19 && n.mant < 1<<63 {
+		v := int64(n.mant)
+		if n.neg {
+			v = -v
+		}
+		return v, true
+	}
+	v, err := strconv.ParseInt(string(n.tok), 10, 64)
+	return v, err == nil
 }
 
 var (

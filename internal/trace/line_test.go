@@ -64,12 +64,13 @@ func checkLine(t *testing.T, tr Trace) {
 	if key, ok := LineKey(got); !ok || string(key) != decoded.User {
 		t.Fatalf("LineKey(%s) = %q, %v; json.Unmarshal says %q", got, key, ok, decoded.User)
 	}
-	scanned, n, ok := ScanTrace(got)
+	s := NewScanner(got)
+	scanned, ok := s.parseTrace()
 	if canonical(tr.User) && !ok {
-		t.Fatalf("ScanTrace refused %s, which needs no escape", got)
+		t.Fatalf("parseTrace refused %s, which needs no escape", got)
 	}
-	if ok && (n != len(got) || !reflect.DeepEqual(scanned, decoded)) {
-		t.Fatalf("ScanTrace(%s) = %+v after %d bytes; json.Unmarshal says %+v", got, scanned, n, decoded)
+	if ok && (s.i != len(got) || !reflect.DeepEqual(scanned, decoded)) {
+		t.Fatalf("parseTrace(%s) = %+v after %d bytes; json.Unmarshal says %+v", got, scanned, s.i, decoded)
 	}
 }
 
@@ -149,16 +150,17 @@ func FuzzLineRoundTrip(f *testing.F) {
 			checkLine(t, Trace{User: user, Records: recs})
 		}
 
-		tr, n2, ok := ScanTrace(raw)
+		s := NewScanner(raw)
+		tr, ok := s.parseTrace()
 		if !ok {
 			return
 		}
 		var decoded Trace
-		if err := json.Unmarshal(raw[:n2], &decoded); err != nil {
-			t.Fatalf("ScanTrace accepted %q, which json.Unmarshal refuses: %v", raw[:n2], err)
+		if err := json.Unmarshal(raw[:s.i], &decoded); err != nil {
+			t.Fatalf("parseTrace accepted %q, which json.Unmarshal refuses: %v", raw[:s.i], err)
 		}
 		if !reflect.DeepEqual(tr, decoded) {
-			t.Fatalf("ScanTrace(%q) = %+v; json.Unmarshal says %+v", raw[:n2], tr, decoded)
+			t.Fatalf("parseTrace(%q) = %+v; json.Unmarshal says %+v", raw[:s.i], tr, decoded)
 		}
 	})
 }
