@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -75,5 +77,34 @@ func TestRunGreedySearchFlag(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "search=greedy") {
 		t.Fatalf("footer must echo the search strategy: %s", buf.String())
+	}
+}
+
+// TestPaperGoldensTiny pins the paper's figures at tiny scale: the JSON
+// summary for seeds 42 and 7 must equal the committed goldens byte for
+// byte. An engine change that claims bit-identity is held to it here;
+// one that moves a figure on purpose regenerates the golden with
+//
+//	go run ./cmd/moodbench -scale tiny -seed 42 -json > cmd/moodbench/testdata/tiny-seed42.json
+//
+// (and seed 7 likewise), and says why.
+func TestPaperGoldensTiny(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the tiny-scale evaluation twice")
+	}
+	for _, seed := range []string{"42", "7"} {
+		t.Run("seed"+seed, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", "tiny-seed"+seed+".json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got bytes.Buffer
+			if err := run([]string{"-scale", "tiny", "-seed", seed, "-json"}, &got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Fatalf("moodbench -scale tiny -seed %s -json differs from its golden:\n%s", seed, got.Bytes())
+			}
+		})
 	}
 }

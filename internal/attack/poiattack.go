@@ -99,12 +99,17 @@ func (a *POIAttack) hitPOIs(pois []poi.POI, owner string) bool {
 // dominate, as in the original attack's similarity function. Every term
 // is non-negative, so the accumulation abandons a profile as soon as the
 // partial distance reaches bound (the best score so far); a completed
-// scan returns the exact distance, so verdicts match a full scan.
+// scan returns the exact distance, so verdicts match a full scan. The
+// nearest-POI scan skips a profile POI whose geo.LatGap already reaches
+// best, which cannot change the minimum.
 func poiSetDistance(anon []poi.POI, weights []float64, profile []poi.POI, bound float64) float64 {
 	var d float64
 	for i, ap := range anon {
 		best := math.Inf(1)
 		for _, pp := range profile {
+			if geo.LatGap(ap.Center, pp.Center) >= best {
+				continue // cannot be nearer than best
+			}
 			if dd := geo.FastDistance(ap.Center, pp.Center); dd < best {
 				best = dd
 			}

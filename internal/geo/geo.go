@@ -61,6 +61,21 @@ func FastDistance(a, b Point) float64 {
 	return EarthRadius * math.Hypot(x, y)
 }
 
+// LatGap is a lower bound on FastDistance(a, b) that costs no
+// trigonometry: the north–south leg alone, computed with the same
+// operations as FastDistance's. math.Hypot(x, y) returns
+// p·sqrt(1+q²) with p = max(|x|, |y|) and q = min/p, in the amd64
+// assembly and the portable code alike; the square root of a value
+// ≥ 1 is ≥ 1, so Hypot is never below |y|, and multiplying by
+// EarthRadius rounds monotonically. LatGap(a, b) ≤ FastDistance(a, b)
+// therefore holds float for float, and a nearest-place scan may skip
+// any candidate whose LatGap already rules it out without changing
+// which candidate it picks. A NaN coordinate makes LatGap NaN, which
+// fails every comparison and so never skips.
+func LatGap(a, b Point) float64 {
+	return EarthRadius * math.Abs(deg2rad(b.Lat-a.Lat))
+}
+
 // Destination returns the point reached by travelling dist meters from p
 // along the given bearing (degrees clockwise from north), on the sphere.
 // Each sine and cosine is computed once: GeoI and TRL call this per

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"mood/internal/mathx"
 )
 
 // lyon and paris anchor the known-distance tests.
@@ -232,5 +234,44 @@ func TestPointValid(t *testing.T) {
 		if got := tt.p.Valid(); got != tt.want {
 			t.Errorf("Valid(%v) = %v, want %v", tt.p, got, tt.want)
 		}
+	}
+}
+
+// TestLatGapNeverExceedsFastDistance: the nearest-place scans skip a
+// candidate on LatGap alone, which is sound only if LatGap(a, b) ≤
+// FastDistance(a, b) float for float. Over a million pairs — random
+// city-scale and world-scale pairs, equal latitudes, latitude gaps
+// below one ulp, points near the poles, both hemispheres — it must
+// hold exactly, and equal latitudes must give a gap of zero.
+func TestLatGapNeverExceedsFastDistance(t *testing.T) {
+	rng := mathx.NewRand(61)
+	lat := func() float64 { return rng.Float64()*179.8 - 89.9 }
+	lon := func() float64 { return rng.Float64()*360 - 180 }
+	pole := func() float64 { return math.Copysign(89.9-rng.Float64()*1e-3, rng.Float64()-0.5) }
+	check := func(a, b Point) {
+		t.Helper()
+		lb, d := LatGap(a, b), FastDistance(a, b)
+		if !(lb <= d) {
+			t.Fatalf("LatGap(%v, %v) = %v > FastDistance = %v", a, b, lb, d)
+		}
+		if a.Lat == b.Lat && lb != 0 {
+			t.Fatalf("LatGap(%v, %v) = %v for equal latitudes", a, b, lb)
+		}
+	}
+	const rounds = 1 << 18 // seven pairs a round: 1.8 M pairs
+	for i := 0; i < rounds; i++ {
+		a := Point{Lat: lat(), Lon: lon()}
+		// World scale: any two points.
+		check(a, Point{Lat: lat(), Lon: lon()})
+		// City scale: within ~1 km, where the scans prune.
+		check(a, Point{Lat: a.Lat + (rng.Float64()-0.5)*0.02, Lon: a.Lon + (rng.Float64()-0.5)*0.02})
+		// Equal latitudes, a one-ulp gap, and Δs around one ulp.
+		check(a, Point{Lat: a.Lat, Lon: lon()})
+		check(a, Point{Lat: math.Nextafter(a.Lat, 90), Lon: a.Lon + (rng.Float64()-0.5)*1e-12})
+		check(a, Point{Lat: a.Lat + (rng.Float64()-0.5)*1e-14, Lon: a.Lon + (rng.Float64()-0.5)*1e-12})
+		// Near either pole, where cos(lat) shrinks the east–west leg.
+		p := Point{Lat: pole(), Lon: lon()}
+		check(p, Point{Lat: pole(), Lon: lon()})
+		check(p, Point{Lat: -p.Lat, Lon: p.Lon})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"mood/internal/geo"
 	"mood/internal/mathx"
@@ -49,9 +50,80 @@ func (h *Heatmap) Freeze() *Frozen {
 	return f
 }
 
-// FrozenFromTrace builds the frozen heatmap of t on grid.
+// FrozenFromTrace builds the frozen heatmap of t on grid: the bits of
+// FromTrace(grid, t).Freeze() without the map. Every record weighs 1, so
+// each weight is an exact integer count and the total is exactly n:
+// counting the records' cells into a dense array over their bounding box
+// and emitting the non-zero entries in (X, Y) order gives the map path's
+// cells, weights and total. A box of more than 16·n + 1024 cells (a
+// continent-wide trace) takes the map path, so the array stays O(n).
 func FrozenFromTrace(grid *geo.Grid, t trace.Trace) *Frozen {
-	return FromTrace(grid, t).Freeze()
+	n := len(t.Records)
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	cells := grow(&s.cells, n)
+	var minX, maxX, minY, maxY int64 // an empty trace counts into a one-cell box
+	for i := range t.Records {
+		c := grid.CellOf(t.Records[i].Point())
+		cells[i] = c
+		x, y := int64(c.X), int64(c.Y)
+		if i == 0 {
+			minX, maxX, minY, maxY = x, x, y, y
+		}
+		minX, maxX, minY, maxY = min(minX, x), max(maxX, x), min(minY, y), max(maxY, y)
+	}
+	w, h := maxX-minX+1, maxY-minY+1
+	if !denseFits(n, w, h) {
+		return FromTrace(grid, t).Freeze()
+	}
+	counts, distinct := grow(&s.counts, int(w*h)), 0
+	for _, c := range cells {
+		k := (int64(c.X)-minX)*h + int64(c.Y) - minY
+		if counts[k] == 0 {
+			distinct++
+		}
+		counts[k]++
+	}
+	f := &Frozen{cells: make([]geo.Cell, distinct), weights: make([]float64, distinct), total: float64(n)}
+	i := 0
+	for k, c := range counts {
+		if c != 0 {
+			f.cells[i] = geo.Cell{X: int32(minX + int64(k)/h), Y: int32(minY + int64(k)%h)}
+			f.weights[i] = float64(c)
+			counts[k] = 0
+			i++
+		}
+	}
+	return f
+}
+
+// denseFits reports whether a w×h box of n records' cells holds at most
+// 16·n + 1024 cells; the product is tested by division, so it never
+// overflows.
+func denseFits(n int, w, h int64) bool {
+	limit := 16*int64(n) + 1024
+	return w <= limit && h <= limit/w
+}
+
+// scratch is FrozenFromTrace's pooled working memory: the records' cells
+// and a count array over their box, all zero between calls.
+type scratch struct {
+	cells  []geo.Cell
+	counts []uint32
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// grow returns (*buf)[:n], reallocating when it is too short. It stays
+// out of line, so a frozen heatmap's three slices are FrozenFromTrace's
+// only allocations.
+//
+//go:noinline
+func grow[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	return (*buf)[:n]
 }
 
 // cellLess is the canonical cell order of the merge walks: ascending X,

@@ -88,6 +88,10 @@ func TestHotPathEscapes(t *testing.T) {
 		{"ParseRecords", "make(Records"},      // a chunk's or trace's single sized record slice, returned by design
 		{"ParseTraces", "make([]Trace"},       // the page's single sized trace slice, returned by design
 		{"selectBest", "make([]Piece"},        // a tier's candidates, ranked by utility
+		// A frozen heatmap's three result allocations, sized exactly.
+		{"FrozenFromTrace", "&Frozen{"},
+		{"FrozenFromTrace", "make([]geo.Cell"},
+		{"FrozenFromTrace", "make([]float64"},
 		// The strings a decoded value keeps (user, key, name, cursor),
 		// copied out of the request or response body by ParseString.
 		{"ParseString", "string(b)"},

@@ -59,6 +59,9 @@ func DefaultHotAllocConfig() HotAllocConfig {
 				// scan: once per (trace, profile) pair. (Quantize itself
 				// is freeze-time, not hot.)
 				"Prune": true,
+				// The dense cell count: once per profile a retrain pass
+				// builds and per trace an AP or HMC verdict freezes.
+				"FrozenFromTrace": true,
 			},
 			"mood/internal/core": {
 				// One tier of the Best LPPM Selection: every candidate of
@@ -73,6 +76,9 @@ func DefaultHotAllocConfig() HotAllocConfig {
 			"mood/internal/geo": {
 				// GeoI and TRL call it once per record.
 				"Destination": true,
+				// The nearest-place scans (MMC states, POI clusters and
+				// sets): once per record×POI pair, LatGap first.
+				"FastDistance": true, "LatGap": true,
 			},
 			"mood/internal/service": {
 				"parseBatchChunkFast": true,

@@ -44,7 +44,11 @@ func BuildFromPOIs(e poi.Extractor, pois []poi.POI, t trace.Trace) Chain {
 	n := len(pois)
 
 	// Assign every record to its nearest POI within the acceptance
-	// radius, producing the state-visit sequence.
+	// radius, producing the state-visit sequence. A POI whose LatGap
+	// exceeds the radius or reaches bestD cannot be that POI (LatGap
+	// never exceeds FastDistance), so the scan skips its distance: the
+	// first nearest POI within the radius is never skipped, and when no
+	// POI is within it none is assigned, exactly as in the full scan.
 	radius := e.MaxDiameter
 	if radius <= 0 {
 		radius = poi.DefaultMaxDiameter
@@ -54,6 +58,9 @@ func BuildFromPOIs(e poi.Extractor, pois []poi.POI, t trace.Trace) Chain {
 		best, bestD := -1, math.Inf(1)
 		p := r.Point()
 		for i, s := range pois {
+			if lb := geo.LatGap(s.Center, p); lb > radius || lb >= bestD {
+				continue
+			}
 			if d := geo.FastDistance(s.Center, p); d < bestD {
 				best, bestD = i, d
 			}
@@ -173,6 +180,9 @@ func directedStationary(a, b Chain, pia []float64) float64 {
 	for i, s := range a.States {
 		best := math.Inf(1)
 		for _, t := range b.States {
+			if geo.LatGap(s.Center, t.Center) >= best {
+				continue // cannot be nearer than best
+			}
 			if dd := geo.FastDistance(s.Center, t.Center); dd < best {
 				best = dd
 			}
@@ -190,6 +200,9 @@ func directedProximity(a, b Chain, pia []float64) float64 {
 	for i, s := range a.States {
 		best, bestD := 0, math.Inf(1)
 		for j, t := range b.States {
+			if geo.LatGap(s.Center, t.Center) >= bestD {
+				continue // cannot be nearer than bestD
+			}
 			if d := geo.FastDistance(s.Center, t.Center); d < bestD {
 				best, bestD = j, d
 			}

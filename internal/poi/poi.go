@@ -106,9 +106,9 @@ func (e Extractor) Extract(t trace.Trace) []POI {
 			continue
 		}
 		// A record joins the cluster if it stays within MaxDiameter/2 of
-		// the running centroid — the standard streaming approximation of
-		// the diameter bound.
-		if geo.FastDistance(centroid, p) <= maxD/2 {
+		// the running centroid (the streaming approximation of the diameter
+		// bound); LatGap ≤ FastDistance rejects most others unmeasured.
+		if geo.LatGap(centroid, p) <= maxD/2 && geo.FastDistance(centroid, p) <= maxD/2 {
 			cluster = append(cluster, r)
 			n := float64(len(cluster))
 			centroid = geo.Point{
