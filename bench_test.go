@@ -1,15 +1,9 @@
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation section, plus the ablations called out in DESIGN.md and
-// micro-benchmarks of the hot components.
-//
-// The full evaluation matrix (4 datasets × 6 strategies × 3 attacks) is
-// computed once per `go test -bench` invocation and cached; each
-// figure benchmark then re-derives its series from the cached run and
-// reports the headline numbers via b.ReportMetric. Run with:
+// Ablation benchmarks of the engine's knobs and micro-benchmarks of the
+// hot components. Run with:
 //
 //	go test -bench=. -benchmem
 //
-// For the paper-scale user counts use cmd/moodbench -scale=paper.
+// The paper's tables and figures come from cmd/moodbench.
 package mood_test
 
 import (
@@ -20,7 +14,6 @@ import (
 
 	"mood/internal/attack"
 	"mood/internal/core"
-	"mood/internal/eval"
 	"mood/internal/lppm"
 	"mood/internal/mathx"
 	"mood/internal/metrics"
@@ -29,218 +22,6 @@ import (
 )
 
 const benchSeed = 42
-
-var (
-	benchOnce   sync.Once
-	benchMulti  eval.Run // all three attacks (Figures 2, 3, 7, 8, 9, 10)
-	benchSingle eval.Run // AP-attack only (Figure 6)
-	benchRunErr error
-)
-
-// benchRuns computes the two evaluation runs once and reuses them.
-func benchRuns(b *testing.B) (multi, single eval.Run) {
-	b.Helper()
-	benchOnce.Do(func() {
-		benchMulti, benchRunErr = eval.RunAll(eval.Config{Scale: synth.ScaleBench, Seed: benchSeed})
-		if benchRunErr != nil {
-			return
-		}
-		benchSingle, benchRunErr = eval.RunAll(eval.Config{
-			Scale: synth.ScaleBench, Seed: benchSeed, SingleAttack: true,
-		})
-	})
-	if benchRunErr != nil {
-		b.Fatal(benchRunErr)
-	}
-	return benchMulti, benchSingle
-}
-
-// BenchmarkTable1Datasets regenerates Table 1 (dataset description).
-func BenchmarkTable1Datasets(b *testing.B) {
-	run, _ := benchRuns(b)
-	b.ResetTimer()
-	var users, records int
-	for i := 0; i < b.N; i++ {
-		users, records = 0, 0
-		for _, d := range run.Datasets {
-			users += d.Users
-			records += d.Records
-		}
-	}
-	b.ReportMetric(float64(users), "users")
-	b.ReportMetric(float64(records), "records")
-}
-
-// BenchmarkFigure2NonProtected regenerates Figure 2: the ratio of
-// non-protected users under single LPPMs and HybridLPPM.
-func BenchmarkFigure2NonProtected(b *testing.B) {
-	run, _ := benchRuns(b)
-	for _, d := range run.Datasets {
-		d := d
-		b.Run(d.Name, func(b *testing.B) {
-			var ratios map[string]float64
-			for i := 0; i < b.N; i++ {
-				ratios = make(map[string]float64)
-				for _, s := range []string{eval.StratGeoI, eval.StratTRL, eval.StratHMC, eval.StratHybrid} {
-					se, ok := d.Strategy(s)
-					if !ok {
-						b.Fatalf("missing strategy %s", s)
-					}
-					ratios[s] = 1 - se.ProtectedRatio()
-				}
-			}
-			b.ReportMetric(100*ratios[eval.StratGeoI], "pct_geoi")
-			b.ReportMetric(100*ratios[eval.StratTRL], "pct_trl")
-			b.ReportMetric(100*ratios[eval.StratHMC], "pct_hmc")
-			b.ReportMetric(100*ratios[eval.StratHybrid], "pct_hybrid")
-		})
-	}
-}
-
-// BenchmarkFigure3DataLoss regenerates Figure 3: data loss of single
-// LPPMs and HybridLPPM.
-func BenchmarkFigure3DataLoss(b *testing.B) {
-	run, _ := benchRuns(b)
-	for _, d := range run.Datasets {
-		d := d
-		b.Run(d.Name, func(b *testing.B) {
-			var loss map[string]float64
-			for i := 0; i < b.N; i++ {
-				loss = make(map[string]float64)
-				for _, s := range []string{eval.StratGeoI, eval.StratTRL, eval.StratHMC, eval.StratHybrid} {
-					se, _ := d.Strategy(s)
-					loss[s] = se.DataLoss
-				}
-			}
-			b.ReportMetric(100*loss[eval.StratGeoI], "pct_geoi")
-			b.ReportMetric(100*loss[eval.StratHybrid], "pct_hybrid")
-		})
-	}
-}
-
-// BenchmarkFigure6SingleAttack regenerates Figure 6: non-protected users
-// against AP-attack alone, per strategy.
-func BenchmarkFigure6SingleAttack(b *testing.B) {
-	_, run := benchRuns(b)
-	benchNonProtected(b, run)
-}
-
-// BenchmarkFigure7MultiAttack regenerates Figure 7: non-protected users
-// against all three attacks, per strategy.
-func BenchmarkFigure7MultiAttack(b *testing.B) {
-	run, _ := benchRuns(b)
-	benchNonProtected(b, run)
-}
-
-func benchNonProtected(b *testing.B, run eval.Run) {
-	b.Helper()
-	for _, d := range run.Datasets {
-		d := d
-		b.Run(d.Name, func(b *testing.B) {
-			var counts map[string]int
-			for i := 0; i < b.N; i++ {
-				counts = make(map[string]int)
-				for _, s := range eval.StrategyOrder {
-					se, ok := d.Strategy(s)
-					if !ok {
-						b.Fatalf("missing strategy %s", s)
-					}
-					counts[s] = se.NonProtected
-				}
-			}
-			b.ReportMetric(float64(counts[eval.StratNone]), "none")
-			b.ReportMetric(float64(counts[eval.StratGeoI]), "geoi")
-			b.ReportMetric(float64(counts[eval.StratTRL]), "trl")
-			b.ReportMetric(float64(counts[eval.StratHMC]), "hmc")
-			b.ReportMetric(float64(counts[eval.StratHybrid]), "hybrid")
-			b.ReportMetric(float64(counts[eval.StratMooD]), "mood")
-			// The paper's ordering must hold: MooD <= Hybrid <= HMC.
-			if counts[eval.StratMooD] > counts[eval.StratHybrid] {
-				b.Fatalf("MooD (%d) worse than Hybrid (%d)", counts[eval.StratMooD], counts[eval.StratHybrid])
-			}
-		})
-	}
-}
-
-// BenchmarkFigure8FineGrained regenerates Figure 8: the share of 24 h
-// sub-traces the fine-grained stage protects for each remaining orphan.
-func BenchmarkFigure8FineGrained(b *testing.B) {
-	run, _ := benchRuns(b)
-	var orphans int
-	var ratioSum float64
-	for i := 0; i < b.N; i++ {
-		orphans, ratioSum = 0, 0
-		for _, d := range run.Datasets {
-			for _, fg := range d.FineGrained {
-				orphans++
-				ratioSum += fg.Ratio()
-			}
-		}
-	}
-	b.ReportMetric(float64(orphans), "orphan_users")
-	if orphans > 0 {
-		b.ReportMetric(100*ratioSum/float64(orphans), "pct_subtraces_protected")
-	}
-}
-
-// BenchmarkFigure9Utility regenerates Figure 9: distortion bands of
-// protected users per strategy.
-func BenchmarkFigure9Utility(b *testing.B) {
-	run, _ := benchRuns(b)
-	for _, strat := range []string{eval.StratGeoI, eval.StratTRL, eval.StratHMC, eval.StratHybrid, eval.StratMooD} {
-		strat := strat
-		b.Run(strat, func(b *testing.B) {
-			var bands map[metrics.Band]int
-			var protected int
-			for i := 0; i < b.N; i++ {
-				bands = make(map[metrics.Band]int)
-				protected = 0
-				for _, d := range run.Datasets {
-					se, ok := d.Strategy(strat)
-					if !ok {
-						continue
-					}
-					for band, n := range se.Bands {
-						bands[band] += n
-						protected += n
-					}
-				}
-			}
-			if protected == 0 {
-				b.Skip("strategy protected nobody at this scale")
-			}
-			b.ReportMetric(100*float64(bands[metrics.BandLow])/float64(protected), "pct_lt500m")
-			b.ReportMetric(100*float64(bands[metrics.BandMedium])/float64(protected), "pct_lt1000m")
-			b.ReportMetric(100*float64(bands[metrics.BandHigh])/float64(protected), "pct_lt5000m")
-			b.ReportMetric(100*float64(bands[metrics.BandExtreme])/float64(protected), "pct_ge5000m")
-		})
-	}
-}
-
-// BenchmarkFigure10DataLoss regenerates Figure 10: data loss of MooD vs
-// all competitors.
-func BenchmarkFigure10DataLoss(b *testing.B) {
-	run, _ := benchRuns(b)
-	for _, d := range run.Datasets {
-		d := d
-		b.Run(d.Name, func(b *testing.B) {
-			var moodLoss, hybridLoss float64
-			for i := 0; i < b.N; i++ {
-				se, _ := d.Strategy(eval.StratMooD)
-				moodLoss = se.DataLoss
-				he, _ := d.Strategy(eval.StratHybrid)
-				hybridLoss = he.DataLoss
-			}
-			b.ReportMetric(100*moodLoss, "pct_mood")
-			b.ReportMetric(100*hybridLoss, "pct_hybrid")
-			// The headline claim: MooD's loss is near zero and never
-			// exceeds the best competitor's.
-			if moodLoss > hybridLoss+1e-9 {
-				b.Fatalf("MooD loss %.2f%% exceeds Hybrid %.2f%%", 100*moodLoss, 100*hybridLoss)
-			}
-		})
-	}
-}
 
 // ---------------------------------------------------------------------------
 // Ablations (DESIGN.md A1-A3).
@@ -348,40 +129,6 @@ func BenchmarkAblationDelta(b *testing.B) {
 			}
 			b.ReportMetric(float64(lost), "lost_records")
 			b.ReportMetric(float64(candidates), "candidates")
-		})
-	}
-}
-
-// BenchmarkAblationSplit compares outer split strategies for the
-// fine-grained stage (paper §6: fixed slices vs time gaps vs distance).
-func BenchmarkAblationSplit(b *testing.B) {
-	env := ablation(b)
-	splitters := []trace.Splitter{
-		trace.FixedDurationSplitter{D: 24 * time.Hour},
-		trace.FixedDurationSplitter{D: 12 * time.Hour},
-		trace.GapSplitter{Gap: 4 * time.Hour},
-		trace.DistanceSplitter{D: 30000},
-	}
-	for _, sp := range splitters {
-		sp := sp
-		b.Run(sp.Name(), func(b *testing.B) {
-			var lost, pieces int
-			for i := 0; i < b.N; i++ {
-				engine := &core.Engine{
-					LPPMs: env.lppms, Attacks: env.atks, Seed: benchSeed, OuterSplit: sp,
-				}
-				results, err := engine.ProtectDataset(env.test)
-				if err != nil {
-					b.Fatal(err)
-				}
-				lost, pieces = 0, 0
-				for _, r := range results {
-					lost += r.LostRecords
-					pieces += len(r.Pieces)
-				}
-			}
-			b.ReportMetric(float64(lost), "lost_records")
-			b.ReportMetric(float64(pieces), "pieces")
 		})
 	}
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"compress/gzip"
 	"os"
 	"path/filepath"
 	"strings"
@@ -30,7 +31,12 @@ func TestRunWritesJSONL(t *testing.T) {
 	if err := run([]string{"-dataset", "privamov", "-scale", "tiny", "-seed", "5", "-out", out, "-format", "jsonl"}); err != nil {
 		t.Fatal(err)
 	}
-	d, err := traceio.LoadJSONLFile(out, "d")
+	f, err := os.Open(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	d, err := traceio.ReadJSONL(f, "d")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +88,16 @@ func TestRunWritesGzip(t *testing.T) {
 	if err := run([]string{"-dataset", "privamov", "-scale", "tiny", "-seed", "5", "-out", out}); err != nil {
 		t.Fatal(err)
 	}
-	d, err := traceio.LoadFile(out, "d")
+	f, err := os.Open(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := traceio.ReadCSV(zr, "d")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,8 +65,8 @@ func TestIntegrationFullReleaseWorkflow(t *testing.T) {
 
 			// Classification covers everyone.
 			c := mood.Classify(results)
-			if c.Total() != test.NumUsers() {
-				t.Errorf("%s: classified %d of %d", preset, c.Total(), test.NumUsers())
+			if total := c.Single + c.Multi + c.FineGrained + c.Partial + c.Unprotected; total != test.NumUsers() {
+				t.Errorf("%s: classified %d of %d", preset, total, test.NumUsers())
 			}
 		})
 	}

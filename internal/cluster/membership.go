@@ -88,9 +88,6 @@ func NewMembership(cfg Config) (*Membership, error) {
 // Ring returns the current ring generation.
 func (m *Membership) Ring() *Ring { return m.ring.Load() }
 
-// Probes returns the number of completed health sweeps.
-func (m *Membership) Probes() int64 { return m.probes.Load() }
-
 // Start launches the health loop. Idempotent start is not supported;
 // call once.
 func (m *Membership) Start() {

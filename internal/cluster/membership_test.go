@@ -82,8 +82,8 @@ func TestSweepMarksDownAtThresholdAndUpOnRecovery(t *testing.T) {
 	if m.Ring().Down("n01") {
 		t.Fatal("one blip after recovery marked the node down (stale failure count)")
 	}
-	if got := m.Probes(); got != 5 {
-		t.Fatalf("Probes() = %d, want 5", got)
+	if got := m.probes.Load(); got != 5 {
+		t.Fatalf("probes = %d, want 5", got)
 	}
 }
 
@@ -126,9 +126,9 @@ func TestHealthLoopRunsOnInjectedClock(t *testing.T) {
 func waitProbes(t *testing.T, m *Membership, n int64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for m.Probes() < n {
+	for m.probes.Load() < n {
 		if time.Now().After(deadline) {
-			t.Fatalf("sweep %d never completed (probes=%d)", n, m.Probes())
+			t.Fatalf("sweep %d never completed (probes=%d)", n, m.probes.Load())
 		}
 		time.Sleep(time.Millisecond)
 	}

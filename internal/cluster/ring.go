@@ -73,9 +73,6 @@ func (r *Ring) Len() int { return len(r.nodes) }
 // Down reports whether the node is currently marked unhealthy.
 func (r *Ring) Down(id string) bool { return r.down[id] }
 
-// DownCount returns how many members are marked unhealthy.
-func (r *Ring) DownCount() int { return len(r.down) }
-
 // Owner returns the node owning the user's key range: the member with
 // the highest rendezvous score for the user, over the full configured
 // set — health does not move ownership (see the package comment). ok is

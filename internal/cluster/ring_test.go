@@ -45,8 +45,8 @@ func TestRingTransitionsAdvanceEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := r.withDown("n01", true)
-	if d.Epoch() != 2 || !d.Down("n01") || d.DownCount() != 1 {
-		t.Fatalf("down transition: epoch=%d down=%v count=%d", d.Epoch(), d.Down("n01"), d.DownCount())
+	if d.Epoch() != 2 || !d.Down("n01") || len(d.down) != 1 {
+		t.Fatalf("down transition: epoch=%d down=%v count=%d", d.Epoch(), d.Down("n01"), len(d.down))
 	}
 	if again := d.withDown("n01", true); again != d {
 		t.Fatal("no-op down transition allocated a new generation")

@@ -20,11 +20,6 @@ type Classification struct {
 	Unprotected int
 }
 
-// Total returns the number of classified users.
-func (c Classification) Total() int {
-	return c.Single + c.Multi + c.FineGrained + c.Partial + c.Unprotected
-}
-
 // String summarises the classification.
 func (c Classification) String() string {
 	return fmt.Sprintf("single=%d multi=%d fine-grained=%d partial=%d unprotected=%d",

@@ -59,11 +59,6 @@ type Engine struct {
 	// brute force, as in the paper; see search.go for the heuristic
 	// extension of §6).
 	Search SearchStrategy
-	// OuterSplit overrides how the fine-grained stage cuts the trace
-	// into initial sub-traces (defaults to fixed Chunk-duration slices).
-	// The paper's §6 proposes inter-POI and time-gap splitting; the
-	// ablation benchmarks compare them through this hook.
-	OuterSplit trace.Splitter
 }
 
 // Piece is one published fragment of a user's protected data.
@@ -217,16 +212,10 @@ func (e *Engine) Protect(t trace.Trace) (Result, error) {
 		return res, nil
 	}
 
-	// Stage 3: fine-grained protection on 24 h chunks (or the
-	// configured splitter).
+	// Stage 3: fine-grained protection on Chunk slices (24 h by default).
 	res.UsedComposition = true
 	res.UsedFineGrained = true
-	var chunks []trace.Trace
-	if e.OuterSplit != nil {
-		chunks = e.OuterSplit.Split(t)
-	} else {
-		chunks = t.Chunks(e.chunk())
-	}
+	chunks := t.Chunks(e.chunk())
 	pseudo := 0
 	for ci, chunk := range chunks {
 		pieces, lost, st := e.protectFragment(chunk, t.User, "c"+strconv.Itoa(ci), 1)

@@ -154,16 +154,6 @@ type Run struct {
 	Datasets []DatasetEval
 }
 
-// Dataset returns the named dataset's evaluation.
-func (r Run) Dataset(name string) (DatasetEval, bool) {
-	for _, d := range r.Datasets {
-		if d.Name == name {
-			return d, true
-		}
-	}
-	return DatasetEval{}, false
-}
-
 // locations maps preset names to the cities of Table 1.
 var locations = map[string]string{
 	"mdc":         "Geneva",

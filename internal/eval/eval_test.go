@@ -154,12 +154,6 @@ func TestFineGrainedConsistent(t *testing.T) {
 
 func TestRunDatasetLookup(t *testing.T) {
 	run := tinyRun(t, false)
-	if _, ok := run.Dataset("mdc"); !ok {
-		t.Fatal("mdc missing")
-	}
-	if _, ok := run.Dataset("nope"); ok {
-		t.Fatal("nope should not exist")
-	}
 	d := run.Datasets[0]
 	if _, ok := d.Strategy("nope"); ok {
 		t.Fatal("unknown strategy should not resolve")

@@ -129,9 +129,6 @@ func NewProjector(origin Point) *Projector {
 	return &Projector{origin: origin, cosLat: math.Cos(deg2rad(origin.Lat))}
 }
 
-// Origin returns the anchor point of the projection.
-func (pr *Projector) Origin() Point { return pr.origin }
-
 // ToXY projects p to local east (x) and north (y) meters.
 func (pr *Projector) ToXY(p Point) (x, y float64) {
 	x = deg2rad(p.Lon-pr.origin.Lon) * pr.cosLat * EarthRadius
@@ -189,12 +186,6 @@ func (b BBox) Extend(p Point) BBox {
 		b.MaxLon = p.Lon
 	}
 	return b
-}
-
-// Contains reports whether p lies inside the box (inclusive).
-func (b BBox) Contains(p Point) bool {
-	return p.Lat >= b.MinLat && p.Lat <= b.MaxLat &&
-		p.Lon >= b.MinLon && p.Lon <= b.MaxLon
 }
 
 // Center returns the center of the box.

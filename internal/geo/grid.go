@@ -34,12 +34,6 @@ func NewGrid(origin Point, size float64) *Grid {
 	return &Grid{proj: NewProjector(origin), size: size}
 }
 
-// CellSize returns the edge length of the grid cells in meters.
-func (g *Grid) CellSize() float64 { return g.size }
-
-// Origin returns the grid anchor point.
-func (g *Grid) Origin() Point { return g.proj.Origin() }
-
 // CellOf returns the cell containing p.
 func (g *Grid) CellOf(p Point) Cell {
 	x, y := g.proj.ToXY(p)
@@ -49,17 +43,9 @@ func (g *Grid) CellOf(p Point) Cell {
 	}
 }
 
-// Center returns the center point of cell c.
-func (g *Grid) Center(c Cell) Point {
-	return g.proj.ToPoint(
-		(float64(c.X)+0.5)*g.size,
-		(float64(c.Y)+0.5)*g.size,
-	)
-}
-
 // PointIn returns the point inside cell c at fractional offsets
 // (fx, fy) in [0,1) of the cell edge, measured from the south-west
-// corner. PointIn(c, 0.5, 0.5) equals Center(c).
+// corner. PointIn(c, 0.5, 0.5) is the cell's center.
 func (g *Grid) PointIn(c Cell, fx, fy float64) Point {
 	return g.proj.ToPoint(
 		(float64(c.X)+fx)*g.size,

@@ -41,7 +41,7 @@ func TestGridCenterRoundTrip(t *testing.T) {
 		dy = math.Mod(dy, 20000)
 		p := Offset(lyon, dx, dy)
 		c := g.CellOf(p)
-		center := g.Center(c)
+		center := g.PointIn(c, 0.5, 0.5)
 		// The center must be inside the same cell and within half the
 		// cell diagonal of p.
 		if g.CellOf(center) != c {

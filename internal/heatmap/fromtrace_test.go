@@ -30,7 +30,7 @@ func sameFrozen(a, b *Frozen) bool {
 func inCells(g *geo.Grid, cells ...geo.Cell) trace.Trace {
 	rs := make([]trace.Record, len(cells))
 	for i, c := range cells {
-		rs[i] = trace.At(g.Center(c), int64(i*60))
+		rs[i] = trace.At(g.PointIn(c, 0.5, 0.5), int64(i*60))
 	}
 	return trace.New("u", rs)
 }

@@ -150,9 +150,6 @@ func (f *Frozen) TopCells() []CellWeight {
 // Total returns the accumulated weight.
 func (f *Frozen) Total() float64 { return f.total }
 
-// Cells returns the number of non-empty cells.
-func (f *Frozen) Cells() int { return len(f.cells) }
-
 // prob normalises a cell weight against a total, treating an empty
 // heatmap as all-zero mass exactly like Heatmap.Prob.
 func prob(w, total float64) float64 {

@@ -80,8 +80,8 @@ func TestFrozenSnapshotImmutable(t *testing.T) {
 	if got := f.Topsoe(other); got != before {
 		t.Fatalf("frozen view changed after source mutation: %v != %v", got, before)
 	}
-	if f.Total() != 10 || f.Cells() != 2 {
-		t.Fatalf("snapshot stats changed: total %v cells %d", f.Total(), f.Cells())
+	if f.Total() != 10 || len(f.cells) != 2 {
+		t.Fatalf("snapshot stats changed: total %v cells %d", f.Total(), len(f.cells))
 	}
 }
 

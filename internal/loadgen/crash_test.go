@@ -2,7 +2,6 @@ package loadgen
 
 import (
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -50,7 +49,7 @@ func TestCrashUnderLoadKeepsInvariants(t *testing.T) {
 		return nil
 	}
 
-	rep, err := Run(cfg, hs.URL, io.Discard)
+	rep, err := runScenario(cfg, hs.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +71,7 @@ func TestCrashUnderLoadKeepsInvariants(t *testing.T) {
 	// first (idempotent; flushes the final checkpoint and releases the
 	// log) so the reborn server owns the directory alone.
 	final := host.Current()
-	wantStats, wantUsers := final.Stats(), len(final.Users())
+	wantStats, wantUsers := final.Stats(), final.Stats().Users
 	if err := host.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +90,7 @@ func TestCrashUnderLoadKeepsInvariants(t *testing.T) {
 	if got := reborn.Stats(); got != wantStats {
 		t.Fatalf("stats changed across replay:\n got %+v\nwant %+v", got, wantStats)
 	}
-	if got := len(reborn.Users()); got != wantUsers {
+	if got := reborn.Stats().Users; got != wantUsers {
 		t.Fatalf("users changed across replay: %d vs %d", got, wantUsers)
 	}
 }

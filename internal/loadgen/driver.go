@@ -112,20 +112,6 @@ func NewDriver(cfg Config, baseURL string, logw io.Writer) *Driver {
 	return &Driver{cfg: cfg, client: c, http: c.HTTPClient, log: logw, clk: cfg.Clock}
 }
 
-// Run executes the whole scenario: build the workload, replay it round
-// by round (with retrain barriers and the optional restart), then check
-// the invariants. The returned Report is complete even when invariants
-// fail; err is reserved for the harness itself breaking (workload
-// generation, total loss of the server).
-func Run(cfg Config, baseURL string, logw io.Writer) (Report, error) {
-	d := NewDriver(cfg, baseURL, logw)
-	w, err := Build(d.cfg)
-	if err != nil {
-		return Report{}, err
-	}
-	return d.RunWorkload(w)
-}
-
 // RunWorkload replays a prebuilt workload. Exposed so harnesses that
 // self-host the server (cmd/moodload, the restart e2e test) can build
 // once and reuse the background half for engine training.

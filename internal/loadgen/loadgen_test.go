@@ -42,6 +42,16 @@ func newLoadgenServer(t *testing.T, opts ...service.Option) (*service.Server, *h
 	return srv, hs
 }
 
+// runScenario builds cfg's workload and replays it against the server at
+// baseURL.
+func runScenario(cfg Config, baseURL string) (Report, error) {
+	w, err := Build(cfg)
+	if err != nil {
+		return Report{}, err
+	}
+	return NewDriver(cfg, baseURL, io.Discard).RunWorkload(w)
+}
+
 func TestBuildIsDeterministic(t *testing.T) {
 	cfg := Config{Seed: 11, Users: 6, Rounds: 2}
 	w1, err := Build(cfg)
@@ -96,7 +106,7 @@ func TestSteadyScenarioReportIsGreenAndReproducible(t *testing.T) {
 	run := func() Report {
 		t.Helper()
 		_, hs := newLoadgenServer(t)
-		rep, err := Run(cfg, hs.URL, io.Discard)
+		rep, err := runScenario(cfg, hs.URL)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +142,7 @@ func TestBurstScenarioSurvivesBackpressure(t *testing.T) {
 	// A tiny queue and one worker force shedding; the driver's keyed
 	// retries must still net out to exactly-once delivery.
 	_, hs := newLoadgenServer(t, service.WithWorkers(1), service.WithQueueDepth(1))
-	rep, err := Run(cfg, hs.URL, io.Discard)
+	rep, err := runScenario(cfg, hs.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +163,7 @@ func TestDriftRetrainScenarioQuarantines(t *testing.T) {
 		return nil, oddAuditor{}, nil
 	})
 	srv, hs := newLoadgenServer(t, service.WithRetrainer(rt, 0))
-	rep, err := Run(cfg, hs.URL, io.Discard)
+	rep, err := runScenario(cfg, hs.URL)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package loadgen
 
 import (
-	"io"
 	"testing"
 
 	"net/http/httptest"
@@ -46,7 +45,7 @@ func TestRestartUnderLoadKeepsInvariants(t *testing.T) {
 		return nil
 	}
 
-	rep, err := Run(cfg, hs.URL, io.Discard)
+	rep, err := runScenario(cfg, hs.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +66,7 @@ func TestRestartUnderLoadKeepsInvariants(t *testing.T) {
 	// server state must round-trip through one more Close and Recover
 	// unchanged.
 	final := host.Current()
-	wantStats, wantUsers := final.Stats(), len(final.Users())
+	wantStats, wantUsers := final.Stats(), final.Stats().Users
 	if err := host.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +85,7 @@ func TestRestartUnderLoadKeepsInvariants(t *testing.T) {
 	if got := reborn.Stats(); got != wantStats {
 		t.Fatalf("stats changed across the final restart:\n got %+v\nwant %+v", got, wantStats)
 	}
-	if got := len(reborn.Users()); got != wantUsers {
+	if got := reborn.Stats().Users; got != wantUsers {
 		t.Fatalf("users changed across the final restart: %d vs %d", got, wantUsers)
 	}
 }

@@ -6,22 +6,9 @@ import (
 	"mood/internal/lppm"
 )
 
-// The composition space the paper enumerates: Σ n!/(n−i)! ordered
-// arrangements of distinct mechanisms (15 for the paper's three LPPMs).
-func ExampleNumCompositions() {
-	for n := 1; n <= 4; n++ {
-		fmt.Println(n, lppm.NumCompositions(n))
-	}
-	// Output:
-	// 1 1
-	// 2 4
-	// 3 15
-	// 4 64
-}
-
 // Chains apply mechanisms as function composition, first to last.
 func ExampleChain_Name() {
-	chain := lppm.NewChain(lppm.Identity{}, lppm.NewGeoI(), lppm.NewTRL())
+	chain := lppm.Chain{Mechs: []lppm.Mechanism{lppm.Identity{}, lppm.NewGeoI(), lppm.NewTRL()}}
 	fmt.Println(chain.Name())
 	fmt.Println(chain.Len())
 	// Output:

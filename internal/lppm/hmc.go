@@ -3,7 +3,6 @@ package lppm
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"mood/internal/geo"
 	"mood/internal/heatmap"
@@ -99,9 +98,6 @@ func NewHMCOn(ps *profile.Set) (*HMC, error) {
 	}
 	return h, nil
 }
-
-// Grid exposes the cell geometry (tests and the eval harness use it).
-func (h *HMC) Grid() *geo.Grid { return h.grid }
 
 // SetMaxCells overrides the translated-cell budget (values < 1 restore
 // the default). Exposed for the ablation benchmarks.
@@ -251,28 +247,4 @@ func (h *HMC) matchCells(src *heatmap.Frozen, target *hmcProfile) map[geo.Cell]g
 		take(chosen)
 	}
 	return mapping
-}
-
-// TargetOf reports which background user's heatmap would be imitated for
-// the given trace. The evaluation harness uses it for diagnostics.
-func (h *HMC) TargetOf(t trace.Trace) (string, bool) {
-	if t.Empty() {
-		return "", false
-	}
-	src := heatmap.FrozenFromTrace(h.grid, t)
-	p := h.pickTarget(t.User, src, src.Quantize())
-	if p == nil {
-		return "", false
-	}
-	return p.user, true
-}
-
-// Users lists the background users the mechanism can imitate, sorted.
-func (h *HMC) Users() []string {
-	out := make([]string, len(h.profiles))
-	for i, p := range h.profiles {
-		out[i] = p.user
-	}
-	sort.Strings(out)
-	return out
 }

@@ -1,6 +1,7 @@
 package lppm
 
 import (
+	"strings"
 	"testing"
 
 	"mood/internal/geo"
@@ -80,10 +81,12 @@ func TestHMCMovesHeatmapTowardTarget(t *testing.T) {
 	// heatmap must be closer to the imitated target's profile than to
 	// alice's own.
 	in := twoPlace("alice", geo.Offset(origin, 100, 0), geo.Offset(origin, 4100, 0), 150)
-	targetUser, ok := h.TargetOf(in)
-	if !ok {
+	src := heatmap.FrozenFromTrace(h.grid, in)
+	target := h.pickTarget(in.User, src, src.Quantize())
+	if target == nil {
 		t.Fatal("no target")
 	}
+	targetUser := target.user
 	if targetUser == "alice" {
 		t.Fatal("target must be another user")
 	}
@@ -92,7 +95,7 @@ func TestHMCMovesHeatmapTowardTarget(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	grid := h.Grid()
+	grid := h.grid
 	outHM := heatmap.FrozenFromTrace(grid, out)
 	var aliceHM, targetHM *heatmap.Frozen
 	for _, bt := range hmcBackground() {
@@ -158,13 +161,18 @@ func TestHMCEmptyTrace(t *testing.T) {
 	}
 }
 
+// TestHMCUsers: the imitation pool is the background's users, in
+// background order.
 func TestHMCUsers(t *testing.T) {
 	h, err := NewHMC(800, hmcBackground())
 	if err != nil {
 		t.Fatal(err)
 	}
-	users := h.Users()
-	if len(users) != 3 || users[0] != "alice" || users[2] != "carol" {
+	var users []string
+	for _, p := range h.profiles {
+		users = append(users, p.user)
+	}
+	if strings.Join(users, ",") != "alice,bob,carol" {
 		t.Fatalf("users = %v", users)
 	}
 }
@@ -174,7 +182,7 @@ func TestHMCDefaultCellSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Grid().CellSize() != heatmap.DefaultCellSize {
-		t.Fatalf("cell size = %v, want %v", h.Grid().CellSize(), heatmap.DefaultCellSize)
+	if d := h.grid.CellDistance(geo.Cell{}, geo.Cell{X: 1}); d != heatmap.DefaultCellSize {
+		t.Fatalf("cell size = %v, want %v", d, heatmap.DefaultCellSize)
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"mood/internal/geo"
 	"mood/internal/mathx"
+	"mood/internal/profile"
 	"mood/internal/trace"
 )
 
@@ -50,9 +51,10 @@ type quadPoint struct {
 	x, y float64
 }
 
-// NewKAnon builds the mechanism from background traces. k < 2 selects
-// DefaultK.
-func NewKAnon(k int, background []trace.Trace) (*KAnon, error) {
+// NewKAnon builds the mechanism from ps's background traces, the H
+// HMC and the attacks share. k < 2 selects DefaultK.
+func NewKAnon(k int, ps *profile.Set) (*KAnon, error) {
+	background := ps.Background()
 	if len(background) == 0 {
 		return nil, fmt.Errorf("lppm: KAnon needs background traces")
 	}
@@ -168,16 +170,6 @@ func (a *KAnon) locate(x, y float64) *quadNode {
 		n = n.children[quadIndex(n.cx, n.cy, x, y)]
 	}
 	return best
-}
-
-// K returns the anonymity parameter.
-func (a *KAnon) K() int { return a.k }
-
-// RegionSize returns the edge length in meters of the region a point
-// would be generalised to (diagnostics and tests).
-func (a *KAnon) RegionSize(p geo.Point) float64 {
-	x, y := a.proj.ToXY(p)
-	return a.locate(x, y).half * 2
 }
 
 func maxAbs(xs ...float64) float64 {

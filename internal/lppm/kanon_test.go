@@ -4,8 +4,16 @@ import (
 	"testing"
 
 	"mood/internal/geo"
+	"mood/internal/profile"
 	"mood/internal/trace"
 )
+
+// regionSize returns the edge length in meters of the region a point
+// would be generalised to.
+func regionSize(a *KAnon, p geo.Point) float64 {
+	x, y := a.proj.ToXY(p)
+	return a.locate(x, y).half * 2
+}
 
 // downtown is where six background users cluster; it sits well away
 // from the quadtree's center lines so the dense block is not bisected
@@ -27,18 +35,18 @@ func kanonBackground() []trace.Trace {
 }
 
 func TestNewKAnonValidation(t *testing.T) {
-	if _, err := NewKAnon(5, nil); err == nil {
+	if _, err := NewKAnon(5, profile.New(nil, 0)); err == nil {
 		t.Fatal("no background must error")
 	}
-	if _, err := NewKAnon(5, []trace.Trace{{User: "x"}}); err == nil {
+	if _, err := NewKAnon(5, profile.New([]trace.Trace{{User: "x"}}, 0)); err == nil {
 		t.Fatal("empty background traces must error")
 	}
-	a, err := NewKAnon(0, kanonBackground())
+	a, err := NewKAnon(0, profile.New(kanonBackground(), 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.K() != DefaultK {
-		t.Fatalf("k = %d, want default %d", a.K(), DefaultK)
+	if a.k != DefaultK {
+		t.Fatalf("k = %d, want default %d", a.k, DefaultK)
 	}
 }
 
@@ -46,7 +54,7 @@ func TestKAnonGuarantee(t *testing.T) {
 	// Every published point must be the center of a region visited by
 	// at least k background users — verified by recounting visitors.
 	bg := kanonBackground()
-	a, err := NewKAnon(3, bg)
+	a, err := NewKAnon(3, profile.New(bg, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +64,7 @@ func TestKAnonGuarantee(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, r := range out.Records {
-		size := a.RegionSize(in.Records[i].Point())
+		size := regionSize(a, in.Records[i].Point())
 		// Count distinct background users within the publishing region
 		// (the square around the published center).
 		visitors := 0
@@ -75,19 +83,19 @@ func TestKAnonGuarantee(t *testing.T) {
 }
 
 func TestKAnonDenseAreasGetFinerRegions(t *testing.T) {
-	a, err := NewKAnon(3, kanonBackground())
+	a, err := NewKAnon(3, profile.New(kanonBackground(), 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dense := a.RegionSize(downtown)                      // 6 users nearby
-	sparse := a.RegionSize(geo.Offset(origin, 30000, 0)) // 1 user
+	dense := regionSize(a, downtown)                      // 6 users nearby
+	sparse := regionSize(a, geo.Offset(origin, 30000, 0)) // 1 user
 	if dense >= sparse {
 		t.Fatalf("dense region %v m should be finer than sparse %v m", dense, sparse)
 	}
 }
 
 func TestKAnonPreservesStructure(t *testing.T) {
-	a, err := NewKAnon(3, kanonBackground())
+	a, err := NewKAnon(3, profile.New(kanonBackground(), 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,11 +116,11 @@ func TestKAnonPreservesStructure(t *testing.T) {
 
 func TestKAnonDeterministic(t *testing.T) {
 	in := clustered("victim", downtown, 30)
-	a1, err := NewKAnon(3, kanonBackground())
+	a1, err := NewKAnon(3, profile.New(kanonBackground(), 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := NewKAnon(3, kanonBackground())
+	a2, err := NewKAnon(3, profile.New(kanonBackground(), 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,22 +135,22 @@ func TestKAnonDeterministic(t *testing.T) {
 
 func TestKAnonHigherKCoarserRegions(t *testing.T) {
 	bg := kanonBackground()
-	loose, err := NewKAnon(2, bg)
+	loose, err := NewKAnon(2, profile.New(bg, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	strict, err := NewKAnon(7, bg)
+	strict, err := NewKAnon(7, profile.New(bg, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loose.RegionSize(downtown) > strict.RegionSize(downtown) {
+	if regionSize(loose, downtown) > regionSize(strict, downtown) {
 		t.Fatalf("k=2 region %v m coarser than k=7 region %v m",
-			loose.RegionSize(downtown), strict.RegionSize(downtown))
+			regionSize(loose, downtown), regionSize(strict, downtown))
 	}
 }
 
 func TestKAnonEmptyTrace(t *testing.T) {
-	a, err := NewKAnon(3, kanonBackground())
+	a, err := NewKAnon(3, profile.New(kanonBackground(), 0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,9 +39,6 @@ type Chain struct {
 
 var _ Mechanism = Chain{}
 
-// NewChain builds a composition from mechanisms in application order.
-func NewChain(mechs ...Mechanism) Chain { return Chain{Mechs: mechs} }
-
 // Name implements Mechanism; it joins member names with "→" in
 // application order.
 func (c Chain) Name() string {
@@ -71,40 +68,16 @@ func (c Chain) Obfuscate(rng *mathx.Rand, t trace.Trace) (trace.Trace, error) {
 	return cur, nil
 }
 
-// Compositions enumerates every ordered arrangement of 1..len(mechs)
-// distinct mechanisms — the paper's composition set C, of cardinality
-// Σ_{i=1..n} n!/(n−i)! (15 for n = 3). Singletons come first, then
-// longer compositions, matching Algorithm 1's "singles, then C − L"
-// search order.
-func Compositions(mechs []Mechanism) []Chain {
-	var out []Chain
-	for size := 1; size <= len(mechs); size++ {
-		out = append(out, arrangements(mechs, size)...)
-	}
-	return out
-}
-
-// CompositionsOnly returns the strict compositions C − L (length >= 2).
+// CompositionsOnly returns the strict compositions C − L (length >= 2):
+// the paper's composition set C, of cardinality Σ_{i=1..n} n!/(n−i)!
+// (15 for n = 3), less its n singletons, which Algorithm 1 tries first
+// as the plain mechanisms.
 func CompositionsOnly(mechs []Mechanism) []Chain {
 	var out []Chain
 	for size := 2; size <= len(mechs); size++ {
 		out = append(out, arrangements(mechs, size)...)
 	}
 	return out
-}
-
-// NumCompositions computes |C| = Σ_{i=1..n} n!/(n−i)! without
-// enumerating.
-func NumCompositions(n int) int {
-	total := 0
-	for i := 1; i <= n; i++ {
-		term := 1
-		for k := 0; k < i; k++ {
-			term *= n - k
-		}
-		total += term
-	}
-	return total
 }
 
 // arrangements returns all ordered selections of exactly size distinct

@@ -42,7 +42,7 @@ func mechs(names ...string) []Mechanism {
 }
 
 func TestChainAppliesInOrder(t *testing.T) {
-	c := NewChain(mechs("a", "b", "c")...)
+	c := Chain{Mechs: mechs("a", "b", "c")}
 	out, err := c.Obfuscate(rng(), walkTrace("u"))
 	if err != nil {
 		t.Fatal(err)
@@ -69,25 +69,39 @@ func (failingMech) Obfuscate(_ *mathx.Rand, _ trace.Trace) (trace.Trace, error) 
 }
 
 func TestChainPropagatesStageError(t *testing.T) {
-	c := NewChain(namedMech{"ok"}, failingMech{})
+	c := Chain{Mechs: []Mechanism{namedMech{"ok"}, failingMech{}}}
 	_, err := c.Obfuscate(rng(), walkTrace("u"))
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("err = %v, want stage name in error", err)
 	}
 }
 
+// numCompositions computes |C| = Σ_{i=1..n} n!/(n−i)! without
+// enumerating: the n singletons and CompositionsOnly's chains.
+func numCompositions(n int) int {
+	total := 0
+	for i := 1; i <= n; i++ {
+		term := 1
+		for k := 0; k < i; k++ {
+			term *= n - k
+		}
+		total += term
+	}
+	return total
+}
+
 func TestCompositionsCount(t *testing.T) {
-	// |C| = Σ n!/(n−i)!; the paper calls out 15 for n = 3.
+	// The paper calls out |C| = 15 for n = 3.
 	tests := []struct{ n, want int }{
 		{1, 1}, {2, 4}, {3, 15}, {4, 64},
 	}
 	for _, tt := range tests {
 		ms := mechs(letters(tt.n)...)
-		if got := len(Compositions(ms)); got != tt.want {
+		if got := tt.n + len(CompositionsOnly(ms)); got != tt.want {
 			t.Errorf("n=%d: %d compositions, want %d", tt.n, got, tt.want)
 		}
-		if got := NumCompositions(tt.n); got != tt.want {
-			t.Errorf("NumCompositions(%d) = %d, want %d", tt.n, got, tt.want)
+		if got := numCompositions(tt.n); got != tt.want {
+			t.Errorf("numCompositions(%d) = %d, want %d", tt.n, got, tt.want)
 		}
 	}
 }
@@ -95,7 +109,7 @@ func TestCompositionsCount(t *testing.T) {
 func TestNumCompositionsMatchesEnumerationProperty(t *testing.T) {
 	f := func(n uint8) bool {
 		nn := int(n%5) + 1 // 1..5
-		return len(Compositions(mechs(letters(nn)...))) == NumCompositions(nn)
+		return nn+len(CompositionsOnly(mechs(letters(nn)...))) == numCompositions(nn)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -112,7 +126,7 @@ func letters(n int) []string {
 
 func TestCompositionsDistinctAndOrdered(t *testing.T) {
 	ms := mechs("a", "b", "c")
-	all := Compositions(ms)
+	all := CompositionsOnly(ms)
 	seen := map[string]bool{}
 	for _, c := range all {
 		name := c.Name()
@@ -130,10 +144,10 @@ func TestCompositionsDistinctAndOrdered(t *testing.T) {
 			inner[p] = true
 		}
 	}
-	// Singletons first (Algorithm 1 tries singles before C − L).
-	for i := 0; i < 3; i++ {
-		if all[i].Len() != 1 {
-			t.Fatalf("composition %d is not a singleton: %q", i, all[i].Name())
+	// Shorter compositions first, as Algorithm 1 searches them.
+	for i := 1; i < len(all); i++ {
+		if all[i].Len() < all[i-1].Len() {
+			t.Fatalf("composition %d (%q) is shorter than the one before it", i, all[i].Name())
 		}
 	}
 }

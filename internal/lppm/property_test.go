@@ -57,7 +57,7 @@ func TestPropertyTRLTriplesRecords(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return out.Len() == 3*in.Len() && out.Sorted()
+		return out.Len() == 3*in.Len() && out.Validate() == nil
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -69,7 +69,7 @@ func TestPropertyChainDistortionAccumulates(t *testing.T) {
 	// much as a single pass (fixed seeds keep this deterministic).
 	in := randomTrace(99, 400)
 	single := NewGeoI()
-	double := NewChain(NewGeoI(), NewGeoI())
+	double := Chain{Mechs: []Mechanism{NewGeoI(), NewGeoI()}}
 
 	var sSum, dSum float64
 	for i := uint64(0); i < 10; i++ {
@@ -119,8 +119,8 @@ func TestPropertyHMCMassConserved(t *testing.T) {
 		if out.Len() != in.Len() {
 			return false
 		}
-		inHM := heatmap.FromTrace(h.Grid(), in)
-		outHM := heatmap.FromTrace(h.Grid(), out)
+		inHM := heatmap.FromTrace(h.grid, in)
+		outHM := heatmap.FromTrace(h.grid, out)
 		return outHM.Total() == inHM.Total() && outHM.Cells() <= inHM.Cells()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

@@ -84,7 +84,7 @@ func TestTRLOutputSorted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out.Sorted() {
-		t.Fatal("TRL output must stay time-sorted")
+	if err := out.Validate(); err != nil {
+		t.Fatalf("TRL output must stay time-sorted: %v", err)
 	}
 }

@@ -101,34 +101,6 @@ func Topsoe(p, q []float64) float64 {
 	return d
 }
 
-// Normalize scales xs in place so it sums to 1 and returns it. A zero or
-// empty vector is returned unchanged.
-func Normalize(xs []float64) []float64 {
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	if sum == 0 {
-		return xs
-	}
-	for i := range xs {
-		xs[i] /= sum
-	}
-	return xs
-}
-
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using
 // linear interpolation between closest ranks. It copies xs and is safe
 // on unsorted input; it returns 0 for an empty slice.

@@ -78,37 +78,14 @@ func TestTopsoeRaggedLengths(t *testing.T) {
 
 func TestJensenShannonBound(t *testing.T) {
 	f := func(a, b, c, d float64) bool {
-		p := Normalize([]float64{math.Abs(a) + 1e-9, math.Abs(b) + 1e-9})
-		q := Normalize([]float64{math.Abs(c) + 1e-9, math.Abs(d) + 1e-9})
+		a, b, c, d = math.Abs(a)+1e-9, math.Abs(b)+1e-9, math.Abs(c)+1e-9, math.Abs(d)+1e-9
+		p := []float64{a / (a + b), b / (a + b)}
+		q := []float64{c / (c + d), d / (c + d)}
 		js := Topsoe(p, q) / 2 // the Jensen-Shannon divergence
 		return js >= 0 && js <= math.Ln2+1e-12
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	xs := Normalize([]float64{2, 6})
-	if xs[0] != 0.25 || xs[1] != 0.75 {
-		t.Fatalf("Normalize = %v", xs)
-	}
-	zero := Normalize([]float64{0, 0})
-	if zero[0] != 0 || zero[1] != 0 {
-		t.Fatalf("Normalize zero vector = %v", zero)
-	}
-	if out := Normalize(nil); out != nil {
-		t.Fatalf("Normalize(nil) = %v", out)
-	}
-}
-
-func TestMeanStd(t *testing.T) {
-	if m := Mean(nil); m != 0 {
-		t.Fatalf("Mean(nil) = %v", m)
-	}
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if m := Mean(xs); m != 5 {
-		t.Fatalf("Mean = %v", m)
 	}
 }
 

@@ -72,8 +72,6 @@ func TestCoverageWorksAsEngineUtility(t *testing.T) {
 	// The Utility interface contract: metrics with opposite polarity
 	// must still drive selection correctly through Better.
 	var u Utility = CoverageUtility{}
-	best := Worst() // STD's worst is +Inf; coverage never reaches it...
-	_ = best
 	// Coverage uses its own scale; verify selection logic directly.
 	scores := []float64{0.2, 0.9, 0.5}
 	bestIdx := 0

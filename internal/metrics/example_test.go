@@ -17,11 +17,3 @@ func ExampleBandOf() {
 	// <5000m
 	// >=5000m
 }
-
-// Eq. 7: the share of records lost when unprotectable traces are erased.
-func ExampleDataLoss() {
-	lost := map[string]int{"orphan-1": 150, "orphan-2": 50}
-	fmt.Printf("%.0f%%\n", 100*metrics.DataLoss(lost, 1000))
-	// Output:
-	// 20%
-}

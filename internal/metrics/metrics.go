@@ -4,7 +4,6 @@
 package metrics
 
 import (
-	"math"
 	"sort"
 
 	"mood/internal/geo"
@@ -101,21 +100,6 @@ func BandOf(std float64) Band {
 // Bands lists the bands in ascending distortion order.
 func Bands() []Band { return []Band{BandLow, BandMedium, BandHigh, BandExtreme} }
 
-// DataLoss computes Eq. 7: the share of the dataset's records belonging
-// to traces that could not be protected. lostRecords maps each user to
-// the number of their records that had to be erased; total is |D|_r of
-// the original dataset.
-func DataLoss(lostRecords map[string]int, total int) float64 {
-	if total <= 0 {
-		return 0
-	}
-	var lost int
-	for _, n := range lostRecords {
-		lost += n
-	}
-	return float64(lost) / float64(total)
-}
-
 // Utility is the interface the Best-LPPM-Selection stage optimises over
 // (the paper's metric M). Better reports whether distortion a beats b.
 type Utility interface {
@@ -144,6 +128,3 @@ func (STDUtility) Measure(original, obfuscated trace.Trace) float64 {
 
 // Better implements Utility (lower distortion wins).
 func (STDUtility) Better(a, b float64) bool { return a < b }
-
-// Worst is a sentinel score that any real measurement beats.
-func Worst() float64 { return math.Inf(1) }

@@ -138,19 +138,6 @@ func TestBandOf(t *testing.T) {
 	}
 }
 
-func TestDataLoss(t *testing.T) {
-	lost := map[string]int{"a": 30, "b": 20}
-	if got := DataLoss(lost, 100); got != 0.5 {
-		t.Fatalf("DataLoss = %v, want 0.5", got)
-	}
-	if got := DataLoss(nil, 100); got != 0 {
-		t.Fatalf("DataLoss(nil) = %v", got)
-	}
-	if got := DataLoss(lost, 0); got != 0 {
-		t.Fatalf("DataLoss(total=0) = %v", got)
-	}
-}
-
 func TestSTDUtility(t *testing.T) {
 	u := STDUtility{}
 	if u.Name() != "STD" {
@@ -163,7 +150,7 @@ func TestSTDUtility(t *testing.T) {
 	if got := u.Measure(tr, tr); got > 0.001 {
 		t.Fatalf("Measure(T,T) = %v", got)
 	}
-	if !u.Better(1, Worst()) {
-		t.Fatal("any measurement must beat Worst()")
+	if !u.Better(1, math.Inf(1)) {
+		t.Fatal("any measurement must beat +Inf")
 	}
 }

@@ -155,7 +155,8 @@ func TestEmptyBackgrounds(t *testing.T) {
 			t.Fatalf("background %v: grid %v, %d users", bg, s.Grid(), len(s.Users()))
 		}
 	}
-	if s := New(background(mathx.NewRand(1), 8), 500); s.Grid().CellSize() != 500 {
-		t.Fatalf("cell size %v, want 500", s.Grid().CellSize())
+	s := New(background(mathx.NewRand(1), 8), 500)
+	if d := s.Grid().CellDistance(geo.Cell{}, geo.Cell{X: 1}); d != 500 {
+		t.Fatalf("cell size %v, want 500", d)
 	}
 }

@@ -179,7 +179,7 @@ func TestParallelUploadsShardedState(t *testing.T) {
 	if st.RecordsIn != users*uploadsPerUser*5 || st.RecordsPublished != st.RecordsIn {
 		t.Fatalf("record accounting = %+v", st)
 	}
-	if got := len(srv.Users()); got != users {
+	if got := len(serverUsers(srv)); got != users {
 		t.Fatalf("users = %d", got)
 	}
 	if got := len(srv.publishedSnapshot()); got != st.PublishedTraces {

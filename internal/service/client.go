@@ -12,8 +12,7 @@ import (
 	"mood/internal/trace"
 )
 
-// Client is the participant-side library: it chunks a user's mobility
-// into daily uploads (UploadChunks) and talks to the middleware.
+// Client is the participant-side library that talks to the middleware.
 type Client struct {
 	// BaseURL is the server root, e.g. "http://localhost:8080".
 	BaseURL string

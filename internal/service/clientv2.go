@@ -8,9 +8,6 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
-	"time"
-
-	"mood/internal/trace"
 )
 
 // The upload and listing side of the client: streaming batch uploads
@@ -262,48 +259,4 @@ func (c *Client) DatasetPages(q DatasetQuery) iter.Seq2[ClientDatasetPage, error
 			q.Cursor = page.NextCursor
 		}
 	}
-}
-
-// Jobs lists asynchronous upload jobs (GET /v2/jobs). Empty filters
-// select everything; limit 0 uses the server default.
-func (c *Client) Jobs(state, user string, limit int) (JobList, error) {
-	vals := url.Values{}
-	if state != "" {
-		vals.Set("state", state)
-	}
-	if user != "" {
-		vals.Set("user", user)
-	}
-	if limit > 0 {
-		vals.Set("limit", strconv.Itoa(limit))
-	}
-	u := c.BaseURL + "/v2/jobs"
-	if len(vals) > 0 {
-		u += "?" + vals.Encode()
-	}
-	resp, err := c.get(u)
-	return readJSON[JobList](resp, err, "jobs", "jobs")
-}
-
-// OpenAPI fetches the server's generated OpenAPI document.
-func (c *Client) OpenAPI() (map[string]any, error) {
-	resp, err := c.get(c.BaseURL + "/v2/openapi.json")
-	return readJSON[map[string]any](resp, err, "openapi", "openapi document")
-}
-
-// UploadChunks uploads the trace as daily chunks through one batch
-// request with per-chunk idempotency keys derived from keyPrefix
-// (keyPrefix-0, keyPrefix-1, ...); an empty prefix disables keying. The
-// paper's participants upload this way: one connection, one auth and
-// rate-limit check, per-chunk results.
-func (c *Client) UploadChunks(t trace.Trace, keyPrefix string) ([]BatchResult, error) {
-	chunks := t.Chunks(24 * time.Hour)
-	batch := make([]BatchChunk, len(chunks))
-	for i, ch := range chunks {
-		batch[i] = BatchChunk{User: ch.User, Records: ch.Records}
-		if keyPrefix != "" {
-			batch[i].Key = keyPrefix + "-" + strconv.Itoa(i)
-		}
-	}
-	return c.UploadBatch(batch)
 }

@@ -140,13 +140,10 @@ func observeState(t *testing.T, srv *Server, hs *httptest.Server) recoveryState 
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs, err := c.Jobs("", "", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	jobs := listJobs(t, c, "")
 	out := recoveryState{Stats: st, Users: map[string]UserStats{}, Jobs: jobs,
 		Dataset: getBody(t, hs.URL+"/v2/dataset?limit=1000"), History: srv.historySnapshot()}
-	for _, u := range srv.Users() {
+	for _, u := range serverUsers(srv) {
 		if out.Users[u], err = c.UserStats(u); err != nil {
 			t.Fatal(err)
 		}

@@ -163,7 +163,7 @@ func runStatsInvariantProperty(t *testing.T, seed uint64) {
 		// Per-user aggregation and the quarantine identity.
 		var sum ServerStats
 		pieces, piecesQuarantined := 0, 0
-		for _, u := range srv.Users() {
+		for _, u := range serverUsers(srv) {
 			us, err := userStatsOf(srv, u)
 			if err != nil {
 				t.Fatalf("step %d: %v", step, err)

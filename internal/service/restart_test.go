@@ -44,7 +44,7 @@ func TestRestartRecoveryEndToEnd(t *testing.T) {
 	}
 
 	wantStats := srv1.Stats()
-	wantUsers := srv1.Users()
+	wantUsers := serverUsers(srv1)
 	wantDataset := trace.NewDataset("published", srv1.publishedSnapshot())
 	_, _, wantUserStats := srv1.fullSnapshot()
 	if err := srv1.Close(); err != nil {
@@ -56,7 +56,7 @@ func TestRestartRecoveryEndToEnd(t *testing.T) {
 	if got := srv2.Stats(); !reflect.DeepEqual(got, wantStats) {
 		t.Fatalf("stats after restart:\n got %+v\nwant %+v", got, wantStats)
 	}
-	if got := srv2.Users(); !reflect.DeepEqual(got, wantUsers) {
+	if got := serverUsers(srv2); !reflect.DeepEqual(got, wantUsers) {
 		t.Fatalf("users after restart: %v want %v", got, wantUsers)
 	}
 	gotDataset := trace.NewDataset("published", srv2.publishedSnapshot())

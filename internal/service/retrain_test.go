@@ -131,8 +131,8 @@ func TestRetrainSwapsProtectorAndQuarantines(t *testing.T) {
 	}
 	mu.Lock()
 	for _, h := range seenHistory {
-		if !h.Sorted() {
-			t.Errorf("history trace %s not time-sorted", h.User)
+		if err := h.Validate(); err != nil {
+			t.Errorf("history trace %s not time-sorted: %v", h.User, err)
 		}
 	}
 	mu.Unlock()

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"mood/internal/attack"
 	"mood/internal/core"
@@ -57,6 +59,42 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)
 	return srv, hs
+}
+
+// serverUsers lists the server's known uploader IDs, sorted.
+func serverUsers(s *Server) []string {
+	var out []string
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		for u := range sh.users {
+			out = append(out, u)
+		}
+		sh.mu.Unlock()
+	}
+	sort.Strings(out)
+	return out
+}
+
+// listJobs lists the server's jobs through GET /v2/jobs?query.
+func listJobs(t *testing.T, c *Client, query string) JobList {
+	t.Helper()
+	resp, err := c.get(c.BaseURL + "/v2/jobs?" + query)
+	list, err := readJSON[JobList](resp, err, "jobs", "jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return list
+}
+
+// uploadDaily uploads t as daily chunks through one batch request, the
+// way the paper's participants upload.
+func uploadDaily(c *Client, t trace.Trace) ([]BatchResult, error) {
+	var batch []BatchChunk
+	for _, ch := range t.Chunks(24 * time.Hour) {
+		batch = append(batch, BatchChunk{User: ch.User, Records: ch.Records})
+	}
+	return c.UploadBatch(batch)
 }
 
 func sampleRecords(n int) []trace.Record {
@@ -241,7 +279,7 @@ func TestConcurrentUploads(t *testing.T) {
 	if st.Uploads != 16 || st.Users != 16 || st.RecordsPublished != 80 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if got := len(srv.Users()); got != 16 {
+	if got := len(serverUsers(srv)); got != 16 {
 		t.Fatalf("users = %d", got)
 	}
 }
@@ -255,7 +293,7 @@ func TestUploadDailyChunksClientSide(t *testing.T) {
 	for h := 0; h < 72; h++ {
 		rs = append(rs, trace.At(base, int64(h)*3600))
 	}
-	resps, err := c.UploadChunks(trace.New("chunker", rs), "")
+	resps, err := uploadDaily(c, trace.New("chunker", rs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +348,7 @@ func TestEndToEndWithRealEngine(t *testing.T) {
 
 	// One participant uploads their daily chunks.
 	victim := test.Traces[0]
-	resps, err := c.UploadChunks(victim, "")
+	resps, err := uploadDaily(c, victim)
 	if err != nil {
 		t.Fatal(err)
 	}

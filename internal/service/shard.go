@@ -114,21 +114,6 @@ func (s *Server) historySnapshot() []trace.Trace {
 	return out
 }
 
-// Users lists the known uploader IDs, sorted (diagnostics).
-func (s *Server) Users() []string {
-	var out []string
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for u := range sh.users {
-			out = append(out, u)
-		}
-		sh.mu.Unlock()
-	}
-	sort.Strings(out)
-	return out
-}
-
 // fullSnapshot captures the fragment list, the user accounting and the
 // per-user history while holding every shard lock at once, so the
 // persisted state is a single point in time: an upload committing

@@ -726,24 +726,15 @@ func TestJobsListAndPersistence(t *testing.T) {
 		}
 	}
 
-	list, err := c.Jobs("", "", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	list := listJobs(t, c, "")
 	if list.Total != 3 || len(list.Jobs) != 3 {
 		t.Fatalf("jobs list: %+v", list)
 	}
-	failed, err := c.Jobs(JobFailed, "", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	failed := listJobs(t, c, "state="+string(JobFailed))
 	if failed.Total != 1 || failed.Jobs[0].User != "boom-carol" {
 		t.Fatalf("failed filter: %+v", failed)
 	}
-	alice, err := c.Jobs("", "alice", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	alice := listJobs(t, c, "user=alice")
 	if alice.Total != 1 || alice.Jobs[0].ID != ids[0] {
 		t.Fatalf("user filter: %+v", alice)
 	}
@@ -773,10 +764,7 @@ func TestJobsListAndPersistence(t *testing.T) {
 			t.Fatalf("failed job after restart: %+v", j)
 		}
 	}
-	list2, err := c2.Jobs(JobDone, "", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	list2 := listJobs(t, c2, "state="+string(JobDone))
 	if list2.Total != 2 {
 		t.Fatalf("done jobs after restart: %+v", list2)
 	}
@@ -789,7 +777,8 @@ func TestJobsListAndPersistence(t *testing.T) {
 func TestOpenAPIMatchesRouteTable(t *testing.T) {
 	srv, hs := newTestServer(t)
 	c := NewClient(hs.URL)
-	doc, err := c.OpenAPI()
+	resp, err := c.get(hs.URL + "/v2/openapi.json")
+	doc, err := readJSON[map[string]any](resp, err, "openapi", "openapi document")
 	if err != nil {
 		t.Fatal(err)
 	}

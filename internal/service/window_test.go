@@ -295,7 +295,7 @@ func TestBatchRefusedGroupAppend(t *testing.T) {
 	if got := srv.Stats(); got != before {
 		t.Fatalf("a refused group changed the stats: %+v, was %+v", got, before)
 	}
-	if len(srv.Users()) != 0 || len(srv.publishedSnapshot()) != 0 {
+	if len(serverUsers(srv)) != 0 || len(srv.publishedSnapshot()) != 0 {
 		t.Fatal("a refused group left users or fragments behind")
 	}
 

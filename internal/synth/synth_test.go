@@ -111,8 +111,12 @@ func TestTaxiGeneration(t *testing.T) {
 			t.Fatalf("taxi %s has only %d records", tr.User, tr.Len())
 		}
 		// Taxis cover ground: path length far exceeds a commuter's.
-		if tr.PathLength() < 50000 {
-			t.Fatalf("taxi %s travelled only %.0f m", tr.User, tr.PathLength())
+		var path float64
+		for i := 1; i < tr.Len(); i++ {
+			path += geo.FastDistance(tr.Records[i-1].Point(), tr.Records[i].Point())
+		}
+		if path < 50000 {
+			t.Fatalf("taxi %s travelled only %.0f m", tr.User, path)
 		}
 	}
 }

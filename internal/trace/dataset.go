@@ -69,18 +69,6 @@ func (d Dataset) Trace(user string) (Trace, bool) {
 	return Trace{}, false
 }
 
-// Filter returns a dataset with only the traces for which keep returns
-// true.
-func (d Dataset) Filter(keep func(Trace) bool) Dataset {
-	out := make([]Trace, 0, len(d.Traces))
-	for _, t := range d.Traces {
-		if keep(t) {
-			out = append(out, t)
-		}
-	}
-	return Dataset{Name: d.Name, Traces: out}
-}
-
 // Map returns a dataset with f applied to every trace. Traces mapped to
 // empty are dropped.
 func (d Dataset) Map(f func(Trace) Trace) Dataset {

@@ -5,44 +5,36 @@ import (
 	"time"
 )
 
-// splitterInvariants checks the universal Splitter contract: no record
-// lost, no record duplicated, order preserved within sub-traces.
-func splitterInvariants(t *testing.T, s Splitter, tr Trace) {
+// splitInvariants checks the contract of the fine-grained stage's cuts
+// (SplitHalf and Chunks): no record lost, no record duplicated, order
+// preserved within sub-traces.
+func splitInvariants(t *testing.T, name string, tr Trace, parts []Trace) {
 	t.Helper()
-	parts := s.Split(tr)
 	var total int
 	for i, p := range parts {
 		if p.Empty() {
-			t.Fatalf("%s: part %d empty", s.Name(), i)
+			t.Fatalf("%s: part %d empty", name, i)
 		}
-		if !p.Sorted() {
-			t.Fatalf("%s: part %d unsorted", s.Name(), i)
+		if err := p.Validate(); err != nil {
+			t.Fatalf("%s: part %d: %v", name, i, err)
 		}
 		total += p.Len()
 	}
 	if total != tr.Len() {
-		t.Fatalf("%s: %d records in, %d out", s.Name(), tr.Len(), total)
+		t.Fatalf("%s: %d records in, %d out", name, tr.Len(), total)
 	}
 }
 
 func TestHalfSplitter(t *testing.T) {
-	s := HalfSplitter{}
 	tr := lineTrace("u", 50, 0, 120)
-	splitterInvariants(t, s, tr)
-	parts := s.Split(tr)
-	if len(parts) != 2 {
-		t.Fatalf("parts = %d, want 2", len(parts))
-	}
-	if s.Name() != "half" {
-		t.Fatalf("name = %q", s.Name())
-	}
+	a, b := tr.SplitHalf()
+	splitInvariants(t, "half", tr, []Trace{a, b})
 }
 
 func TestFixedDurationSplitter(t *testing.T) {
-	s := FixedDurationSplitter{D: time.Hour}
 	tr := lineTrace("u", 120, 0, 120) // 4 hours, 1 record / 2 min
-	splitterInvariants(t, s, tr)
-	parts := s.Split(tr)
+	parts := tr.Chunks(time.Hour)
+	splitInvariants(t, "chunks", tr, parts)
 	if len(parts) != 4 {
 		t.Fatalf("parts = %d, want 4", len(parts))
 	}
@@ -53,71 +45,23 @@ func TestFixedDurationSplitter(t *testing.T) {
 	}
 }
 
-func TestGapSplitter(t *testing.T) {
-	// Three bursts separated by > 1h gaps.
-	var rs []Record
-	for burst := 0; burst < 3; burst++ {
-		base := int64(burst) * 10000
-		for i := 0; i < 5; i++ {
-			rs = append(rs, At(lyon, base+int64(i)*60))
-		}
-	}
-	tr := New("u", rs)
-	s := GapSplitter{Gap: time.Hour}
-	splitterInvariants(t, s, tr)
-	parts := s.Split(tr)
-	if len(parts) != 3 {
-		t.Fatalf("parts = %d, want 3", len(parts))
-	}
-	// A gap larger than any spacing yields one part.
-	one := GapSplitter{Gap: 100 * time.Hour}.Split(tr)
-	if len(one) != 1 {
-		t.Fatalf("huge gap produced %d parts", len(one))
-	}
-}
-
-func TestDistanceSplitter(t *testing.T) {
-	// Records every 10 m; cut every 45 m -> parts of ~5 records.
-	tr := lineTrace("u", 20, 0, 60)
-	s := DistanceSplitter{D: 45}
-	splitterInvariants(t, s, tr)
-	parts := s.Split(tr)
-	if len(parts) < 3 {
-		t.Fatalf("parts = %d, want >= 3", len(parts))
-	}
-}
-
 func TestSplittersOnEmptyAndSingle(t *testing.T) {
-	splitters := []Splitter{
-		HalfSplitter{},
-		FixedDurationSplitter{D: time.Hour},
-		GapSplitter{Gap: time.Hour},
-		DistanceSplitter{D: 100},
+	empty, single := Trace{User: "u"}, lineTrace("u", 1, 42, 1)
+	if parts := empty.Chunks(time.Hour); len(parts) != 0 {
+		t.Errorf("chunks: empty trace produced %d parts", len(parts))
 	}
-	single := lineTrace("u", 1, 42, 1)
-	for _, s := range splitters {
-		if parts := s.Split(Trace{User: "u"}); len(parts) != 0 {
-			t.Errorf("%s: empty trace produced %d parts", s.Name(), len(parts))
-		}
-		parts := s.Split(single)
-		if len(parts) != 1 || parts[0].Len() != 1 {
-			t.Errorf("%s: single-record trace mishandled: %v", s.Name(), parts)
-		}
+	if a, b := empty.SplitHalf(); !a.Empty() || !b.Empty() {
+		t.Errorf("half: empty trace produced %d+%d records", a.Len(), b.Len())
 	}
-}
-
-func TestGapSplitterZeroGap(t *testing.T) {
-	tr := lineTrace("u", 5, 0, 60)
-	parts := GapSplitter{}.Split(tr)
-	if len(parts) != 1 || parts[0].Len() != 5 {
-		t.Fatalf("zero gap must return the whole trace, got %v parts", len(parts))
+	if parts := single.Chunks(time.Hour); len(parts) != 1 || parts[0].Len() != 1 {
+		t.Errorf("chunks: single-record trace mishandled: %v", parts)
 	}
 }
 
 func TestSubTraceIsCopy(t *testing.T) {
 	tr := lineTrace("u", 10, 0, 60)
-	parts := HalfSplitter{}.Split(tr)
-	parts[0].Records[0].Lat = -1
+	a, _ := tr.SplitHalf()
+	a.Records[0].Lat = -1
 	if tr.Records[0].Lat == -1 {
 		t.Fatal("split parts share storage with the source")
 	}

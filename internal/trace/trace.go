@@ -9,7 +9,6 @@
 package trace
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -17,12 +16,9 @@ import (
 	"mood/internal/geo"
 )
 
-// ErrEmptyTrace is returned by operations that need at least one record.
-var ErrEmptyTrace = errors.New("trace: empty trace")
-
 // Record is a single spatio-temporal sample of a user's position.
 // Timestamps are Unix seconds: hot paths iterate millions of records and
-// int64 comparisons keep them cheap; use Time for API-boundary conversion.
+// int64 comparisons keep them cheap.
 type Record struct {
 	Lat float64 `json:"lat"`
 	Lon float64 `json:"lon"`
@@ -31,9 +27,6 @@ type Record struct {
 
 // Point returns the spatial component of the record.
 func (r Record) Point() geo.Point { return geo.Point{Lat: r.Lat, Lon: r.Lon} }
-
-// Time returns the timestamp as a time.Time in UTC.
-func (r Record) Time() time.Time { return time.Unix(r.TS, 0).UTC() }
 
 // At builds a record from a point and a Unix timestamp.
 func At(p geo.Point, ts int64) Record { return Record{Lat: p.Lat, Lon: p.Lon, TS: ts} }
@@ -61,13 +54,6 @@ func New(user string, records []Record) Trace {
 // simultaneous records such as TRL dummies keep their relative order).
 func (t *Trace) SortInPlace() {
 	sort.SliceStable(t.Records, func(i, j int) bool {
-		return t.Records[i].TS < t.Records[j].TS
-	})
-}
-
-// Sorted reports whether the records are in ascending time order.
-func (t Trace) Sorted() bool {
-	return sort.SliceIsSorted(t.Records, func(i, j int) bool {
 		return t.Records[i].TS < t.Records[j].TS
 	})
 }
@@ -186,16 +172,6 @@ func (t Trace) Chunks(d time.Duration) []Trace {
 	return out
 }
 
-// Append returns t with extra records appended and re-sorted.
-func (t Trace) Append(records ...Record) Trace {
-	rs := make([]Record, 0, len(t.Records)+len(records))
-	rs = append(rs, t.Records...)
-	rs = append(rs, records...)
-	nt := Trace{User: t.User, Records: rs}
-	nt.SortInPlace()
-	return nt
-}
-
 // Merge combines several traces into one (records re-sorted). The user
 // label of the first non-empty trace is kept.
 func Merge(traces ...Trace) Trace {
@@ -223,15 +199,6 @@ func (t Trace) BBox() geo.BBox {
 		b = b.Extend(r.Point())
 	}
 	return b
-}
-
-// PathLength returns the cumulative travelled distance in meters.
-func (t Trace) PathLength() float64 {
-	var d float64
-	for i := 1; i < len(t.Records); i++ {
-		d += geo.FastDistance(t.Records[i-1].Point(), t.Records[i].Point())
-	}
-	return d
 }
 
 // Validate checks structural invariants: sorted timestamps and valid

@@ -27,8 +27,8 @@ func TestNewSortsRecords(t *testing.T) {
 		At(lyon, 200),
 	}
 	tr := New("u", rs)
-	if !tr.Sorted() {
-		t.Fatal("New must sort records")
+	if err := tr.Validate(); err != nil {
+		t.Fatalf("New must sort records: %v", err)
 	}
 	if tr.Start() != 100 || tr.End() != 300 {
 		t.Fatalf("start/end = %v/%v", tr.Start(), tr.End())
@@ -46,9 +46,6 @@ func TestEmptyTraceAccessors(t *testing.T) {
 	}
 	if tr.Start() != 0 || tr.End() != 0 || tr.Duration() != 0 {
 		t.Fatal("empty trace accessors should be zero")
-	}
-	if tr.PathLength() != 0 {
-		t.Fatal("empty path length")
 	}
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("empty trace must validate: %v", err)
@@ -195,30 +192,11 @@ func TestMerge(t *testing.T) {
 	if m.Len() != 6 {
 		t.Fatalf("merge len = %d", m.Len())
 	}
-	if !m.Sorted() {
-		t.Fatal("merge must sort")
+	if err := m.Validate(); err != nil {
+		t.Fatalf("merge must sort: %v", err)
 	}
 	if m.User != "u" {
 		t.Fatalf("merge user = %q", m.User)
-	}
-}
-
-func TestAppendKeepsSorted(t *testing.T) {
-	tr := lineTrace("u", 3, 100, 10)
-	tr2 := tr.Append(At(lyon, 50), At(lyon, 115))
-	if !tr2.Sorted() || tr2.Len() != 5 {
-		t.Fatalf("append broke ordering: %v", tr2.Records)
-	}
-	if tr.Len() != 3 {
-		t.Fatal("Append must not mutate the receiver")
-	}
-}
-
-func TestPathLength(t *testing.T) {
-	tr := lineTrace("u", 11, 0, 60) // 10 hops of 10 m
-	got := tr.PathLength()
-	if got < 95 || got > 105 {
-		t.Fatalf("PathLength = %v, want ~100", got)
 	}
 }
 
@@ -243,15 +221,5 @@ func TestCloneIndependence(t *testing.T) {
 	c.Records[0].Lat = 0
 	if tr.Records[0].Lat == 0 {
 		t.Fatal("Clone shares storage")
-	}
-}
-
-func TestRecordTime(t *testing.T) {
-	r := At(lyon, 1700000000)
-	if got := r.Time().Unix(); got != 1700000000 {
-		t.Fatalf("Time().Unix() = %d", got)
-	}
-	if r.Time().Location() != time.UTC {
-		t.Fatal("Time must be UTC")
 	}
 }

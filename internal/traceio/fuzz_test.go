@@ -92,7 +92,7 @@ func FuzzTraceIO(f *testing.F) {
 					d.NumUsers(), d.NumRecords(), d2.NumUsers(), d2.NumRecords())
 			}
 		}
-		// The gzipped container path (LoadFile's decode branch).
+		// The gzipped container path a .csv.gz file takes.
 		if zr, err := gzip.NewReader(bytes.NewReader(data)); err == nil {
 			if d, err := ReadCSV(zr, "fuzz"); err == nil {
 				if err := d.Validate(); err != nil {

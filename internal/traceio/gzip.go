@@ -1,7 +1,6 @@
 package traceio
 
 import (
-	"bufio"
 	"compress/gzip"
 	"fmt"
 	"io"
@@ -45,28 +44,4 @@ func SaveFile(path string, d trace.Dataset) (err error) {
 		}
 	}
 	return nil
-}
-
-// LoadFile reads a dataset from path, choosing the format from the
-// extension: .csv, .jsonl, and their gzipped variants.
-func LoadFile(path, name string) (trace.Dataset, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return trace.Dataset{}, fmt.Errorf("traceio: %w", err)
-	}
-	defer f.Close()
-
-	var r io.Reader = bufio.NewReader(f)
-	if strings.HasSuffix(path, ".gz") {
-		zr, err := gzip.NewReader(r)
-		if err != nil {
-			return trace.Dataset{}, fmt.Errorf("traceio: gzip: %w", err)
-		}
-		defer zr.Close()
-		r = zr
-	}
-	if strings.Contains(path, ".jsonl") {
-		return ReadJSONL(r, name)
-	}
-	return ReadCSV(r, name)
 }

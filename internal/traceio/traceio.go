@@ -171,27 +171,3 @@ func LoadCSVFile(path, name string) (trace.Dataset, error) {
 	defer f.Close()
 	return ReadCSV(bufio.NewReader(f), name)
 }
-
-// SaveJSONLFile writes the dataset to path in JSONL format.
-func SaveJSONLFile(path string, d trace.Dataset) (err error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("traceio: %w", err)
-	}
-	defer func() {
-		if cerr := f.Close(); cerr != nil && err == nil {
-			err = fmt.Errorf("traceio: close %s: %w", path, cerr)
-		}
-	}()
-	return WriteJSONL(f, d)
-}
-
-// LoadJSONLFile reads a dataset from path in JSONL format.
-func LoadJSONLFile(path, name string) (trace.Dataset, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return trace.Dataset{}, fmt.Errorf("traceio: %w", err)
-	}
-	defer f.Close()
-	return ReadJSONL(f, name)
-}

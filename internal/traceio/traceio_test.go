@@ -2,7 +2,9 @@ package traceio
 
 import (
 	"bytes"
+	"compress/gzip"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -90,14 +92,10 @@ func TestFileRoundTrips(t *testing.T) {
 	assertDatasetsEqual(t, d, got)
 
 	jsonPath := filepath.Join(dir, "d.jsonl")
-	if err := SaveJSONLFile(jsonPath, d); err != nil {
+	if err := SaveFile(jsonPath, d); err != nil {
 		t.Fatal(err)
 	}
-	got, err = LoadJSONLFile(jsonPath, "sample")
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertDatasetsEqual(t, d, got)
+	assertDatasetsEqual(t, d, loadFile(t, jsonPath))
 }
 
 func TestReadCSVErrors(t *testing.T) {
@@ -131,7 +129,7 @@ func TestReadCSVUnsortedInputGetsSorted(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr, ok := d.Trace("u")
-	if !ok || !tr.Sorted() {
+	if !ok || tr.Validate() != nil {
 		t.Fatal("records must come back sorted")
 	}
 }
@@ -198,6 +196,33 @@ func assertDatasetsEqual(t *testing.T, want, got trace.Dataset) {
 	}
 }
 
+// loadFile reads back a dataset SaveFile wrote to path, choosing the
+// format from the extension as SaveFile does.
+func loadFile(t *testing.T, path string) trace.Dataset {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var r io.Reader = f
+	if strings.HasSuffix(path, ".gz") {
+		if r, err = gzip.NewReader(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var d trace.Dataset
+	if strings.Contains(path, ".jsonl") {
+		d, err = ReadJSONL(r, "sample")
+	} else {
+		d, err = ReadCSV(r, "sample")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 func TestSaveLoadFileFormats(t *testing.T) {
 	d := sample()
 	dir := t.TempDir()
@@ -208,11 +233,7 @@ func TestSaveLoadFileFormats(t *testing.T) {
 			if err := SaveFile(path, d); err != nil {
 				t.Fatal(err)
 			}
-			got, err := LoadFile(path, "sample")
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertDatasetsEqual(t, d, got)
+			assertDatasetsEqual(t, d, loadFile(t, path))
 		})
 	}
 }
@@ -238,20 +259,5 @@ func TestGzipActuallyCompresses(t *testing.T) {
 	}
 	if zs.Size() >= ps.Size() {
 		t.Fatalf("gzip did not shrink: %d >= %d", zs.Size(), ps.Size())
-	}
-}
-
-func TestLoadFileMissing(t *testing.T) {
-	if _, err := LoadFile("/nonexistent/file.csv", "x"); err == nil {
-		t.Fatal("missing file must error")
-	}
-	// A non-gzip file with .gz suffix must fail cleanly.
-	dir := t.TempDir()
-	fake := filepath.Join(dir, "fake.csv.gz")
-	if err := os.WriteFile(fake, []byte("user,lat,lon,ts\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadFile(fake, "x"); err == nil {
-		t.Fatal("non-gzip content must error")
 	}
 }

@@ -94,7 +94,6 @@ type options struct {
 	chunk     time.Duration
 	epsilon   float64
 	trlRadius float64
-	cellSize  float64
 	greedy    bool
 	kanon     int
 	extraMech []Mechanism
@@ -121,10 +120,6 @@ func WithEpsilon(eps float64) Option { return func(o *options) { o.epsilon = eps
 
 // WithTRLRadius overrides TRL's assisted-location range (default 1 km).
 func WithTRLRadius(r float64) Option { return func(o *options) { o.trlRadius = r } }
-
-// WithCellSize overrides the heatmap cell size used by HMC and the
-// AP-attack (default 800 m).
-func WithCellSize(s float64) Option { return func(o *options) { o.cellSize = s } }
 
 // WithGreedySearch switches the composition search from the paper's
 // brute force to the §6 heuristic (fewer obfuscated compositions,
@@ -174,8 +169,9 @@ func NewPipeline(background []Trace, opts ...Option) (*Pipeline, error) {
 	}
 
 	// One profile set is H for both halves: HMC's imitation pool and the
-	// attacks' profiles share each user's features.
-	ps := profile.New(background, o.cellSize)
+	// attacks' profiles share each user's features, on the paper's 800 m
+	// grid.
+	ps := profile.New(background, 0)
 	hmc, err := lppm.NewHMCOn(ps)
 	if err != nil {
 		return nil, fmt.Errorf("mood: building HMC: %w", err)
@@ -186,7 +182,7 @@ func NewPipeline(background []Trace, opts ...Option) (*Pipeline, error) {
 		lppm.TRL{Radius: o.trlRadius, NumAssisted: 3},
 	}
 	if o.kanon > 0 {
-		ka, err := lppm.NewKAnon(o.kanon, background)
+		ka, err := lppm.NewKAnon(o.kanon, ps)
 		if err != nil {
 			return nil, fmt.Errorf("mood: building KAnon: %w", err)
 		}

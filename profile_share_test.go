@@ -33,7 +33,7 @@ func TestPipelineSharesProfiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	ap, hmc := p.atks[0].(*attack.AP), p.lppms[0].(*lppm.HMC)
-	if ap.Grid() != hmc.Grid() {
+	if reflect.ValueOf(ap.Grid()).Pointer() != reflect.ValueOf(hmc).Elem().FieldByName("grid").Pointer() {
 		t.Fatal("AP and HMC anchored separate grids")
 	}
 	apF, hmcF := frozenOf(ap), frozenOf(hmc)
