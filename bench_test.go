@@ -1,5 +1,5 @@
-// Ablation benchmarks of the engine's knobs and micro-benchmarks of the
-// hot components. Run with:
+// Ablation benchmarks of the engine's knobs and one user's protection
+// end to end. Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -15,8 +15,6 @@ import (
 	"mood/internal/attack"
 	"mood/internal/core"
 	"mood/internal/lppm"
-	"mood/internal/mathx"
-	"mood/internal/metrics"
 	"mood/internal/synth"
 	"mood/internal/trace"
 )
@@ -172,73 +170,9 @@ func budgetName(n int) string {
 }
 
 // ---------------------------------------------------------------------------
-// Micro-benchmarks of the hot components (real per-op costs).
-
-func benchWalk(n int) trace.Trace {
-	cfg := synth.PrivamovLike(synth.ScaleTiny, 5)
-	cfg.NumUsers = 1
-	cfg.Days = 4
-	d := synth.MustGenerate(cfg)
-	t := d.Traces[0]
-	if t.Len() > n {
-		t.Records = t.Records[:n]
-	}
-	return t
-}
-
-func BenchmarkGeoIObfuscate(b *testing.B) {
-	t := benchWalk(2000)
-	g := lppm.NewGeoI()
-	rng := mathx.NewRand(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := g.Obfuscate(rng, t); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(t.Len()), "records")
-}
-
-func BenchmarkTRLObfuscate(b *testing.B) {
-	t := benchWalk(2000)
-	mech := lppm.NewTRL()
-	rng := mathx.NewRand(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mech.Obfuscate(rng, t); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAttackIdentify(b *testing.B) {
-	env := ablation(b)
-	t := env.test.Traces[0]
-	for _, a := range env.atks {
-		a := a
-		b.Run(a.Name(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_ = a.Identify(t)
-			}
-		})
-	}
-}
-
-func BenchmarkSTDMetric(b *testing.B) {
-	t := benchWalk(4000)
-	obf, err := lppm.NewGeoI().Obfuscate(mathx.NewRand(2), t)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = metrics.STD(t, obf)
-	}
-}
+// The engine end to end on one user. The components' micro-benchmarks
+// sit beside their packages: lppm (GeoI, TRL), attack (Identify),
+// metrics (STD) and synth (Generate).
 
 func BenchmarkMoodProtectUser(b *testing.B) {
 	env := ablation(b)
@@ -247,18 +181,6 @@ func BenchmarkMoodProtectUser(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := engine.Protect(t); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSynthGenerate(b *testing.B) {
-	cfg := synth.MDCLike(synth.ScaleTiny, 9)
-	cfg.NumUsers = 4
-	cfg.Days = 4
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := synth.Generate(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -5,9 +5,12 @@
 //
 //	moodbench [-scale bench] [-seed 42] [-figure all] [-dataset name,...] [-search brute]
 //
-// Figures: table1, fig2, fig3, fig6, fig7, fig8, fig9, fig10, all.
-// fig6 uses the single-attack setting (AP only); everything else runs
-// the full attack set (AP + POI + PIT).
+// Figures: table1, fig2, fig3, fig6, fig7, fig8, fig9, fig10, all, and
+// dynamic (the §6 extension: static vs retrained verification over
+// publication rounds on mdc, a table only, so it refuses -json,
+// -dataset and any -search but brute). fig6 uses the single-attack setting (AP only);
+// everything else runs the full attack set (AP + POI + PIT). An unknown
+// figure is refused before anything is evaluated.
 package main
 
 import (
@@ -15,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -41,6 +45,24 @@ func run(args []string, out io.Writer) error {
 	jsonOut := fs.Bool("json", false, "emit a machine-readable JSON summary instead of tables")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if !slices.Contains(figures, *figure) {
+		return fmt.Errorf("unknown figure %q (want one of %s)", *figure, strings.Join(figures, ", "))
+	}
+	if *figure == "dynamic" {
+		var refused []string
+		if *jsonOut {
+			refused = append(refused, "-json")
+		}
+		if *datasets != "" {
+			refused = append(refused, "-dataset")
+		}
+		if *search != "brute" {
+			refused = append(refused, "-search")
+		}
+		if len(refused) > 0 {
+			return fmt.Errorf("-figure dynamic takes no %s", strings.Join(refused, ", "))
+		}
 	}
 
 	scale, err := synth.ParseScale(*scaleFlag)
@@ -115,8 +137,6 @@ func run(args []string, out io.Writer) error {
 		report.Figure9(out, multi)
 	case "fig10":
 		report.Figure10(out, multi)
-	default:
-		return fmt.Errorf("unknown figure %q", *figure)
 	}
 	//mood:allow clockdiscipline -- wall-clock elapsed line for the operator, outside every figure/report body
 	elapsed := time.Since(start).Round(time.Millisecond)
@@ -124,6 +144,9 @@ func run(args []string, out io.Writer) error {
 		scale, *seed, *search, elapsed)
 	return nil
 }
+
+// figures are the values -figure takes.
+var figures = []string{"table1", "fig2", "fig3", "fig6", "fig7", "fig8", "fig9", "fig10", "dynamic", "all"}
 
 // runDynamic executes the §6 dynamic-protection extension: static vs
 // retrained verification over publication rounds.

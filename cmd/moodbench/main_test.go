@@ -69,6 +69,42 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestRunRefusesWhatItCannotHonour: an unknown figure is refused before
+// anything is evaluated (with -json it used to print the whole run and
+// succeed; with an unknown dataset it failed on the dataset instead),
+// and the dynamic figure refuses the flags it has no use for rather
+// than dropping them — set to anything but their defaults.
+func TestRunRefusesWhatItCannotHonour(t *testing.T) {
+	tests := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-scale", "tiny", "-figure", "nosuch", "-json"}, `unknown figure "nosuch"`},
+		{[]string{"-figure", "nosuch", "-dataset", "nosuch"}, `unknown figure "nosuch"`},
+		{[]string{"-scale", "tiny", "-figure", "dynamic", "-json"}, "takes no -json"},
+		{[]string{"-scale", "tiny", "-figure", "dynamic", "-dataset", "mdc"}, "takes no -dataset"},
+		{[]string{"-scale", "tiny", "-figure", "dynamic", "-search", "greedy"}, "takes no -search"},
+		// Explicit defaults change nothing, so they are accepted.
+		{[]string{"-scale", "tiny", "-figure", "dynamic", "-json=false", "-dataset", "", "-search", "brute"}, ""},
+	}
+	for _, tc := range tests {
+		var buf bytes.Buffer
+		err := run(tc.args, &buf)
+		if tc.want == "" {
+			if err != nil {
+				t.Errorf("run(%v) = %v, want success", tc.args, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run(%v) = %v, want an error saying %q", tc.args, err, tc.want)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("run(%v) printed %d bytes before refusing", tc.args, buf.Len())
+		}
+	}
+}
+
 func TestRunGreedySearchFlag(t *testing.T) {
 	var buf bytes.Buffer
 	err := run([]string{"-scale", "tiny", "-figure", "fig7", "-dataset", "privamov", "-search", "greedy", "-seed", "3"}, &buf)

@@ -3,8 +3,11 @@ package cluster
 import (
 	"bytes"
 	"encoding/base64"
+	"errors"
 	"fmt"
+	"maps"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 
@@ -14,11 +17,20 @@ import (
 
 // GET /v2/dataset through the router: a scatter of the page request —
 // same cursor, same filters — to every member and a k-way merge of the
-// returned pages by published pseudonym. Each node's page is its first
-// `limit` matching traces after the cursor, so the smallest `limit` of
-// the union is exactly the global page and the cursor contract
-// (next_cursor = last emitted pseudonym, opaque base64) is preserved
-// bit-for-bit.
+// returned pages by published pseudonym, as a mediator splits a query
+// across its sources and merges what they return. A node's page is its
+// first matching traces after the cursor, so a merge that has a line
+// from every node with more to give emits the global page, and the
+// cursor contract (next_cursor = last emitted pseudonym, opaque base64)
+// holds bit for bit.
+//
+// Each node is asked for its share of the page, not the whole of it
+// (nodeShare: limit/N plus two standard deviations of a uniform key
+// split and one tie per other node, 86 of 200 on three nodes). When a
+// node's share runs out while it has more and the page is not full, the
+// page is rebuilt from one scatter at the full limit, which cannot run
+// short: on hash-keyed pseudonyms that takes a node far ahead of the
+// others, which a uniform key split all but rules out.
 //
 // The bytes of a trace cross this tier unparsed. The router asks the
 // nodes for the line-framed dialect (NDJSON: one trace line per trace,
@@ -40,8 +52,9 @@ func (rt *Router) handleDataset(w http.ResponseWriter, r *http.Request) {
 			"the cluster router serves application/json only (CSV/NDJSON are single-node formats)"))
 		return
 	}
+	query := r.URL.Query()
 	limit := service.DefaultPageLimit
-	if raw := r.URL.Query().Get("limit"); raw != "" {
+	if raw := query.Get("limit"); raw != "" {
 		n, err := strconv.Atoi(raw)
 		if err != nil || n < 1 || n > service.MaxPageLimit {
 			writeProblem(w, service.NewProblem(http.StatusBadRequest, service.CodeBadRequest,
@@ -50,15 +63,63 @@ func (rt *Router) handleDataset(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = n
 	}
-	path := "/v2/dataset"
-	if q := r.URL.RawQuery; q != "" {
-		path += "?" + q
-	}
 	ring, ok := rt.wholeCluster(w)
 	if !ok {
 		return
 	}
+	out := service.GetBuffer()
+	defer service.PutBuffer(out)
+	for _, k := range []int{nodeShare(limit, len(ring.Nodes())), limit} {
+		results, etag, ok := rt.gatherDataset(w, r, ring, datasetPath(query, k))
+		if !ok {
+			return
+		}
+		out.Reset()
+		err := spliceDatasetPage(out, results, k, limit)
+		freeBodies(results)
+		if errors.Is(err, errShareShort) && k < limit {
+			continue
+		}
+		if err != nil {
+			fmt.Fprintf(rt.log, "cluster: dataset merge refused: %v\n", err)
+			routingUnavailable(w, err.Error())
+			return
+		}
+		w.Header().Set("ETag", etag)
+		w.Header().Set("Vary", "Accept")
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", strconv.Itoa(out.Len()))
+		w.WriteHeader(http.StatusOK)
+		w.Write(out.Bytes()) //nolint:errcheck // headers are gone
+		return
+	}
+}
 
+// nodeShare is how many lines a page of limit asks of each of n nodes:
+// ⌈limit/n⌉, plus ⌈2·√(limit/n)⌉ for a uniform key split's spread, plus
+// one tie per other node — never more than the limit itself, which it
+// is for every limit up to 7.
+func nodeShare(limit, n int) int {
+	share := (limit + n - 1) / n
+	spread := 0
+	for spread*spread*n < 4*limit {
+		spread++
+	}
+	return min(limit, share+spread+n-1)
+}
+
+// datasetPath is the node request for n lines of the client's query.
+func datasetPath(query url.Values, n int) string {
+	q := maps.Clone(query)
+	q.Set("limit", strconv.Itoa(n))
+	return "/v2/dataset?" + q.Encode()
+}
+
+// gatherDataset scatters one page request and returns every node's
+// page and the cluster ETag they make, or answers the client itself and
+// reports false: a 304 when its validator still holds, the refusal of
+// an unanswered scatter otherwise.
+func (rt *Router) gatherDataset(w http.ResponseWriter, r *http.Request, ring *Ring, path string) ([]fanResult, string, bool) {
 	// Each node revalidates against its own part of the client's
 	// validator, so a polling consumer whose dataset has not moved costs
 	// the cluster N empty 304s, not N pages built, shipped and dropped.
@@ -73,16 +134,17 @@ func (rt *Router) handleDataset(w http.ResponseWriter, r *http.Request) {
 	}
 	inm := r.Header.Get("If-None-Match")
 	results := rt.fanout(r, ring.Nodes(), ring.Epoch(), http.MethodGet, path, ask(inm))
-	defer freeBodies(results) // sees the answers swapped in below: same backing array
 	if !allAnswered(w, results, http.StatusOK, http.StatusNotModified) {
-		return
+		freeBodies(results)
+		return nil, "", false
 	}
 	etag := clusterETag(results)
 	if service.ETagMatches(inm, etag) {
+		freeBodies(results)
 		w.Header().Set("ETag", etag)
 		w.Header().Set("Vary", "Accept")
 		w.WriteHeader(http.StatusNotModified)
-		return
+		return nil, "", false
 	}
 	// Some node moved on (or the validator was not ours): the nodes that
 	// answered 304 still owe their page. Only they are asked again.
@@ -92,33 +154,21 @@ func (rt *Router) handleDataset(w http.ResponseWriter, r *http.Request) {
 			stale = append(stale, fr.node)
 		}
 	}
-	if len(stale) > 0 {
-		again := rt.fanout(r, stale, ring.Epoch(), http.MethodGet, path, ask(""))
-		for i, j := 0, 0; i < len(results); i++ {
-			if results[i].status == http.StatusNotModified {
-				service.PutBuffer(results[i].body)
-				results[i], j = again[j], j+1
-			}
-		}
-		if !allAnswered(w, results, http.StatusOK) {
-			return
-		}
-		etag = clusterETag(results)
+	if len(stale) == 0 {
+		return results, etag, true
 	}
-
-	out := service.GetBuffer()
-	defer service.PutBuffer(out)
-	if err := spliceDatasetPage(out, results, limit); err != nil {
-		fmt.Fprintf(rt.log, "cluster: dataset merge refused: %v\n", err)
-		routingUnavailable(w, err.Error())
-		return
+	again := rt.fanout(r, stale, ring.Epoch(), http.MethodGet, path, ask(""))
+	for i, j := 0, 0; i < len(results); i++ {
+		if results[i].status == http.StatusNotModified {
+			service.PutBuffer(results[i].body)
+			results[i], j = again[j], j+1
+		}
 	}
-	w.Header().Set("ETag", etag)
-	w.Header().Set("Vary", "Accept")
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(out.Len()))
-	w.WriteHeader(http.StatusOK)
-	w.Write(out.Bytes()) //nolint:errcheck // headers are gone
+	if !allAnswered(w, results, http.StatusOK) {
+		freeBodies(results)
+		return nil, "", false
+	}
+	return results, clusterETag(results), true
 }
 
 // clusterETag concatenates the per-node validators in node-ID order: it
@@ -178,11 +228,11 @@ func framingError(n Node) error {
 }
 
 // openNodePage checks one gathered page's framing against its headers
-// and positions the merge on its first line. A page is refused when it
-// is not NDJSON, when it ends mid-line, when it holds more lines than
-// were asked for or than the node says match, or when the next cursor
-// does not name its limit-th line — each the signature of a body cut
-// short or padded on the way.
+// and the limit it was asked for, and positions the merge on its first
+// line. A page is refused when it is not NDJSON, when it ends mid-line,
+// when it holds more lines than were asked for or than the node says
+// match, or when the next cursor does not name its limit-th line — each
+// the signature of a body cut short or padded on the way.
 func openNodePage(fr fanResult, limit int) (p nodePage, totalUsers int, ok bool) {
 	body := fr.body.Bytes()
 	totalUsers, err := strconv.Atoi(fr.header.Get(service.TotalUsersHeader))
@@ -241,13 +291,20 @@ func (s *splice) emit(p *nodePage) bool {
 	return p.advance()
 }
 
-// spliceDatasetPage k-way merges the gathered node pages into out as
-// one DatasetPage body, capped at limit.
-func spliceDatasetPage(out *bytes.Buffer, results []fanResult, limit int) error {
+// errShareShort reports a node page that ran out while the node had
+// more and the merged page was not full.
+var errShareShort = errors.New("a node's share of the page ran short")
+
+// spliceDatasetPage k-way merges the gathered node pages, each asked
+// for share lines, into out as one DatasetPage body, capped at limit.
+// It refuses with errShareShort when a node's page runs out while the
+// node has more and the page is not full: what sorts next may be that
+// node's.
+func spliceDatasetPage(out *bytes.Buffer, results []fanResult, share, limit int) error {
 	pages := make([]nodePage, len(results))
 	totalUsers := 0
 	for i, fr := range results {
-		p, total, ok := openNodePage(fr, limit)
+		p, total, ok := openNodePage(fr, share)
 		if !ok {
 			return framingError(fr.node)
 		}
@@ -270,8 +327,12 @@ func spliceDatasetPage(out *bytes.Buffer, results []fanResult, limit int) error 
 		if best < 0 {
 			break
 		}
-		if !s.emit(&pages[best]) {
+		p := &pages[best]
+		if !s.emit(p) {
 			return framingError(results[best].node)
+		}
+		if p.line == nil && p.more && s.emitted < limit {
+			return errShareShort
 		}
 	}
 	// Never split a cross-node tie across the page boundary: each node
@@ -280,8 +341,10 @@ func spliceDatasetPage(out *bytes.Buffer, results []fanResult, limit int) error 
 	// means "resume strictly after this pseudonym" — cutting the page
 	// between tied entries would silently skip the unsent ones on
 	// resume. Within a node pseudonyms are unique and sorted, so every
-	// tied entry sits at a current head; draining them overflows the
-	// requested limit by at most one entry per remaining node.
+	// tied entry sits at a current head (a node whose run ended on the
+	// last line emitted holds nothing equal to it); draining them
+	// overflows the requested limit by at most one entry per remaining
+	// node.
 	more := false
 	for i := range pages {
 		p := &pages[i]

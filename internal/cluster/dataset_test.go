@@ -297,10 +297,30 @@ func seqPubs(from, to int) []published {
 	return pubs(names...)
 }
 
+// uniformPubs spreads count pseudonyms keyed like the echo engine's
+// (anon- and a hash) over n nodes at random, as user ownership does.
+func uniformPubs(seed uint64, count, n int) [][]published {
+	rng := mathx.NewRand(seed)
+	perNode := make([][]published, n)
+	for k := 0; k < count; k++ {
+		i := rng.Intn(n)
+		perNode[i] = append(perNode[i], pubs(fmt.Sprintf("anon-%016x", rng.Uint64()))...)
+	}
+	return perNode
+}
+
+// skewedPubs puts one node far ahead of the others, so that its share
+// runs out while the page is not full.
+func skewedPubs() [][]published {
+	return [][]published{seqPubs(1, 400), seqPubs(1, 20), seqPubs(350, 360)}
+}
+
 // TestRouterDatasetSpliceMatchesOracle is the differential property
 // test: over cluster sizes, tie groups, hostile pseudonyms, empty nodes,
 // every small limit and the user/from/to filters, each page of a full
-// scan is byte-identical to the decode-merge-encode oracle's.
+// scan is byte-identical to the decode-merge-encode oracle's. The
+// skewed and uniformly keyed clusters hold enough traces for limits
+// whose node share is below the limit, and for shares that run short.
 func TestRouterDatasetSpliceMatchesOracle(t *testing.T) {
 	cases := map[string][][]published{
 		"one node":           {seqPubs(1, 9)},
@@ -324,6 +344,21 @@ func TestRouterDatasetSpliceMatchesOracle(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			c := newMemCluster(t, perNode)
 			for _, limit := range []int{1, 2, 3, 4, 7, 100} {
+				for _, f := range filters {
+					c.checkScan(limit, f)
+				}
+			}
+		})
+	}
+	shared := map[string][][]published{
+		"skewed":                skewedPubs(),
+		"uniform keys, 3 nodes": uniformPubs(3, 600, 3),
+		"uniform keys, 5 nodes": uniformPubs(5, 600, 5),
+	}
+	for name, perNode := range shared {
+		t.Run(name, func(t *testing.T) {
+			c := newMemCluster(t, perNode)
+			for _, limit := range []int{50, 100, 200, 1000} {
 				for _, f := range filters {
 					c.checkScan(limit, f)
 				}
@@ -364,6 +399,17 @@ func FuzzRouterDatasetSplice(f *testing.F) {
 	f.Add(uint8(2), uint8(0), int64(1400), int64(1600), []byte("a\"\x00a\\\x00a\x00<b>&\x00\xe6\x97\xa5"))
 	f.Add(uint8(0), uint8(6), int64(5000), int64(0), []byte(""))
 	f.Add(uint8(1), uint8(1), int64(0), int64(1001), []byte("x\x00x\x00x\x00x\x00y\x00y"))
+	// Thirty names on one node of three and a limit of 20: that node's
+	// share (15) runs short and the page is scattered again.
+	var lopsided []string
+	for k := 0; k < 30; k++ {
+		name := fmt.Sprintf("n%02d", k)
+		for (k+len(name))%3 != 0 {
+			name += "x"
+		}
+		lopsided = append(lopsided, name)
+	}
+	f.Add(uint8(1), uint8(19), int64(0), int64(0), []byte(strings.Join(append(lopsided, "m", "o", "zz"), "\x00")))
 	f.Fuzz(func(t *testing.T, size, limit uint8, from, to int64, names []byte) {
 		perNode := make([][]published, []int{1, 3, 5}[int(size)%3])
 		seen := make([]map[string]bool, len(perNode))
@@ -385,7 +431,7 @@ func FuzzRouterDatasetSplice(f *testing.F) {
 			perNode[node] = append(perNode[node], published{pseudonym: p, ts: []int64{1000 + int64(k), 1500, 2000 + int64(k)}})
 		}
 		c := newMemCluster(t, perNode)
-		lim := 1 + int(limit)%7
+		lim := 1 + int(limit)%40
 		c.checkScan(lim, nil)
 		window := url.Values{}
 		if from != 0 {
@@ -402,6 +448,97 @@ func FuzzRouterDatasetSplice(f *testing.F) {
 			}
 		}
 	})
+}
+
+// ---------------------------------------------------------------------------
+// The node's share.
+
+// scanCosts pages through the router from after start and reports, for
+// each page, the node requests it took and the bytes the nodes sent and
+// the router delivered.
+func (c *memCluster) scanCosts(limit int, start string, page func(requests map[string]int, fetched, delivered int)) {
+	c.tb.Helper()
+	cursor := ""
+	if start != "" {
+		cursor = base64.RawURLEncoding.EncodeToString([]byte(start))
+	}
+	for {
+		q := url.Values{"limit": {strconv.Itoa(limit)}}
+		if cursor != "" {
+			q.Set("cursor", cursor)
+		}
+		c.resetCounters()
+		got := c.get(q.Encode(), nil)
+		if got.Code != http.StatusOK {
+			c.tb.Fatalf("query %q: status %d: %s", q.Encode(), got.Code, got.Body)
+		}
+		page(c.requests, c.bodyBytes, got.Body.Len())
+		var env struct {
+			NextCursor string `json:"next_cursor"`
+		}
+		if err := json.Unmarshal(got.Body.Bytes(), &env); err != nil {
+			c.tb.Fatal(err)
+		}
+		if cursor = env.NextCursor; cursor == "" {
+			return
+		}
+	}
+}
+
+// TestRouterDatasetFetchesItsShare holds the router to its share of a
+// page. On a cluster shaped like the benchmark's — three nodes, 5,000
+// traces keyed by hash, pages of 200 — full scans from eight starting
+// points move at most 1.3× the bytes they deliver from the nodes to the
+// router, and at most 2 % of their pages run a share short and scatter
+// again at the full limit. On the skewed cluster pages do, and none
+// asks a node more than twice.
+func TestRouterDatasetFetchesItsShare(t *testing.T) {
+	c := newMemCluster(t, uniformPubs(1, 5000, 3))
+	pages, rescattered, fetched, delivered := 0, 0, 0, 0
+	for _, start := range []string{"", "anon-2", "anon-4", "anon-6", "anon-8", "anon-a", "anon-c", "anon-e"} {
+		c.scanCosts(200, start, func(requests map[string]int, f, d int) {
+			pages++
+			if len(requests) != 3 {
+				t.Fatalf("a page asked %d nodes: %v", len(requests), requests)
+			}
+			for _, n := range requests {
+				if n > 1 {
+					rescattered++
+					break
+				}
+			}
+			fetched, delivered = fetched+f, delivered+d
+		})
+	}
+	ratio := float64(fetched) / float64(delivered)
+	t.Logf("%d pages, %d scattered again; the nodes sent %.3f× the bytes delivered", pages, rescattered, ratio)
+	if ratio > 1.3 {
+		t.Errorf("the nodes sent %d bytes for %d delivered: %.3f×, want ≤ 1.3×", fetched, delivered, ratio)
+	}
+	if rescattered*50 > pages {
+		t.Errorf("%d of %d pages scattered again, want ≤ 2 %%", rescattered, pages)
+	}
+
+	c = newMemCluster(t, skewedPubs())
+	rescattered = 0
+	for _, limit := range []int{50, 100, 200, 1000} {
+		c.scanCosts(limit, "", func(requests map[string]int, _, _ int) {
+			again := false
+			for id, n := range requests {
+				if n > 2 {
+					t.Fatalf("limit %d: node %s asked %d times for one page", limit, id, n)
+				}
+				again = again || n == 2
+			}
+			if again {
+				rescattered++
+			}
+		})
+	}
+	t.Logf("skewed cluster: %d pages scattered again", rescattered)
+	if rescattered == 0 {
+		t.Fatal("premise broken: no share of the skewed cluster ran short")
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -615,14 +752,17 @@ func TestRouterRefusesOversizeNodeBody(t *testing.T) {
 // The splice in isolation.
 
 // benchNodeResults are three nodes' NDJSON pages of the benchmark's
-// shape (200 traces of 50 records each, colliding pub-NNNNNN sequences),
-// as fetchOne gathers them, plus the same pages in the JSON dialect.
+// shape (200-trace pages of traces of 50 records each, colliding
+// pub-NNNNNN sequences) as fetchOne gathers them — each node's share of
+// the page, nodeShare(200, 3) lines — plus the same pages in the JSON
+// dialect.
 func benchNodeResults(tb testing.TB) (results []fanResult, jsonPages [][]byte, size int64) {
+	share := nodeShare(200, 3)
 	for n := 0; n < 3; n++ {
 		page := service.DatasetPage{Name: service.PublishedDatasetName, TotalUsers: 1700}
 		var ndjson bytes.Buffer
 		enc := json.NewEncoder(&ndjson)
-		for i := 0; i < 200; i++ {
+		for i := 0; i < share; i++ {
 			recs := make(trace.Records, 50)
 			for j := range recs {
 				recs[j] = trace.Record{
@@ -637,7 +777,7 @@ func benchNodeResults(tb testing.TB) (results []fanResult, jsonPages [][]byte, s
 				tb.Fatal(err)
 			}
 		}
-		page.NextCursor = base64.RawURLEncoding.EncodeToString([]byte(page.Traces[199].User))
+		page.NextCursor = base64.RawURLEncoding.EncodeToString([]byte(page.Traces[share-1].User))
 		raw, err := json.Marshal(page)
 		if err != nil {
 			tb.Fatal(err)
@@ -658,18 +798,19 @@ func benchNodeResults(tb testing.TB) (results []fanResult, jsonPages [][]byte, s
 	return results, jsonPages, size
 }
 
-// BenchmarkRouterDatasetMerge merges three 200-trace node pages into one
+// BenchmarkRouterDatasetMerge merges three nodes' shares into one
 // 200-trace page (the router's share of a read-dataset-cluster op): the
 // splice, and for the record the decode-merge-encode path it replaced.
 func BenchmarkRouterDatasetMerge(b *testing.B) {
 	results, jsonPages, size := benchNodeResults(b)
 	b.Run("splice", func(b *testing.B) {
 		var out bytes.Buffer
+		share := nodeShare(200, 3)
 		b.SetBytes(size)
 		b.ReportAllocs()
 		for b.Loop() {
 			out.Reset()
-			if err := spliceDatasetPage(&out, results, 200); err != nil {
+			if err := spliceDatasetPage(&out, results, share, 200); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -698,7 +839,7 @@ func BenchmarkRouterDatasetMerge(b *testing.B) {
 func TestBenchShapeSplicesLikeOracle(t *testing.T) {
 	results, jsonPages, _ := benchNodeResults(t)
 	var got, want bytes.Buffer
-	if err := spliceDatasetPage(&got, results, 200); err != nil {
+	if err := spliceDatasetPage(&got, results, nodeShare(200, 3), 200); err != nil {
 		t.Fatal(err)
 	}
 	pages := make([]service.DatasetPage, len(jsonPages))

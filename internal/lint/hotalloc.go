@@ -110,7 +110,7 @@ func DefaultHotAllocConfig() HotAllocConfig {
 				// encoder's record shape matched byte for byte: three
 				// numbers and three literals per record read.
 				"number": true, "digits": true,
-				"parseFloat": true, "parseInt64": true, "encodedRecord": true, "literal": true,
+				"parseFloat": true, "eiselLemire": true, "parseInt64": true, "encodedRecord": true, "literal": true,
 			},
 			"mood/internal/cluster": {
 				// The router's dataset splice: the line splitter runs once

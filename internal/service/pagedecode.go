@@ -10,10 +10,10 @@ import (
 // records, 640 KB, on the benchmark's cluster), which encoding/json
 // reads three times. scanDatasetPage reads the canonical shape — what
 // the node and the router's splice write — once, with trace's scanner,
-// which converts each coordinate as it checks its grammar: one exact
-// division when there is no exponent, at most 19 significant digits, a
-// mantissa below 2^53 and at most 22 fraction digits (four in five
-// published coordinates), strconv.ParseFloat on the token otherwise.
+// which converts each coordinate as it checks its grammar: with no
+// exponent, ≤ 19 significant digits and ≤ 22 fraction digits, one exact
+// division for a mantissa below 2^53 (four in five published ones), an
+// Eisel–Lemire step above; strconv.ParseFloat on the token otherwise.
 // Any other shape (escapes, non-UTF-8, unknown or repeated keys, nulls)
 // reports ok=false and encoding/json decides (FuzzDatasetPageDecode).
 

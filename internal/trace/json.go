@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"math/bits"
 	"strconv"
 	"unicode/utf8"
 )
@@ -26,11 +27,12 @@ import (
 //     malformed input) so the caller falls back to encoding/json and
 //     keeps its exact values and errors. It reads each number once:
 //     the loop that checks the grammar also builds the mantissa, and a
-//     float with no exponent, at most 19 significant digits, a mantissa
-//     below 2^53 and at most 22 fraction digits is one exact division;
-//     an integer below 2^63 is its mantissa; every other number goes to
-//     strconv. A record in the encoder's own bytes is matched literally,
-//     with no key lookup;
+//     float with no exponent, at most 19 significant digits and at most
+//     22 fraction digits converts from it — one exact division when the
+//     mantissa is below 2^53, an Eisel–Lemire step above; an integer
+//     below 2^63 is its mantissa; every other number, and the rare
+//     product Eisel–Lemire cannot round, goes to strconv. A record in
+//     the encoder's own bytes is matched literally, with no key lookup;
 //   - one key reader: LineKey, which reads a line's user out of the frame
 //     the encoder writes without decoding the rest.
 
@@ -584,25 +586,120 @@ var pow10 = [...]float64{
 }
 
 // parseFloat consumes a number and converts it exactly as
-// strconv.ParseFloat does. Clinger's fast path: with no exponent, a
-// mantissa below 2^53 and at most 22 fraction digits, both the mantissa
-// and 10^frac are exact float64s, so one IEEE division rounds the
-// quotient correctly — the bits strconv returns, -0 included. Anything
-// else goes to strconv on the token already delimited.
+// strconv.ParseFloat does. A number with no exponent, at most 19
+// significant digits and at most 22 fraction digits is mant·10^-frac
+// with mant exact, and converts without a second scan:
+//   - Clinger's fast path: with a mantissa below 2^53 both the mantissa
+//     and 10^frac are exact float64s, so one IEEE division rounds the
+//     quotient correctly — the bits strconv returns, -0 included;
+//   - otherwise (17-digit coordinates, one in five) the Eisel–Lemire
+//     step strconv itself takes next, on the mantissa already in hand.
+//
+// Anything else, and the rare product Eisel–Lemire cannot round, goes
+// to strconv on the token already delimited.
 func (s *Scanner) parseFloat() (float64, bool) {
 	n, ok := s.number()
 	if !ok {
 		return 0, false
 	}
-	if !n.exp && n.nd <= 19 && n.mant < 1<<53 && n.frac < len(pow10) {
-		f := float64(n.mant) / pow10[n.frac]
-		if n.neg {
-			f = -f
+	if !n.exp && n.nd <= 19 && n.frac < len(pow10) {
+		if n.mant < 1<<53 {
+			f := float64(n.mant) / pow10[n.frac]
+			if n.neg {
+				f = -f
+			}
+			return f, true
 		}
-		return f, true
+		if f, ok := eiselLemire(n.mant, n.frac, n.neg); ok {
+			return f, true
+		}
 	}
 	f, err := strconv.ParseFloat(string(n.tok), 64)
 	return f, err == nil
+}
+
+// eiselLemire converts man·10^-frac, man ≥ 2^53 and frac ≤ 22, to the
+// nearest float64 by Eisel and Lemire's algorithm (Lemire, "Number
+// Parsing at a Gigabyte per Second", 2021): a 64×128-bit product with a
+// truncated power of ten, whose top 54 bits give the result unless the
+// truncation could have moved the rounding, in which case ok is false.
+// It is strconv's eiselLemire64 for this exponent range, where neither
+// zero nor an exponent outside the float64 range can occur, so an ok
+// result is the bits strconv.ParseFloat returns.
+func eiselLemire(man uint64, frac int, neg bool) (f float64, ok bool) {
+	// Normalization.
+	clz := bits.LeadingZeros64(man)
+	man <<= uint(clz)
+	const float64ExponentBias = 1023
+	retExp2 := uint64(217706*-frac>>16+64+float64ExponentBias) - uint64(clz)
+
+	// Multiplication.
+	xHi, xLo := bits.Mul64(man, pow10Lemire[frac][1])
+
+	// Wider approximation.
+	if xHi&0x1FF == 0x1FF && xLo+man < man {
+		yHi, yLo := bits.Mul64(man, pow10Lemire[frac][0])
+		mergedHi, mergedLo := xHi, xLo+yHi
+		if mergedLo < xLo {
+			mergedHi++
+		}
+		if mergedHi&0x1FF == 0x1FF && mergedLo+1 == 0 && yLo+man < man {
+			return 0, false
+		}
+		xHi, xLo = mergedHi, mergedLo
+	}
+
+	// Shifting to 54 bits.
+	msb := xHi >> 63
+	retMantissa := xHi >> (msb + 9)
+	retExp2 -= 1 ^ msb
+
+	// Half-way ambiguity.
+	if xLo == 0 && xHi&0x1FF == 0 && retMantissa&3 == 1 {
+		return 0, false
+	}
+
+	// From 54 to 53 bits.
+	retMantissa += retMantissa & 1
+	retMantissa >>= 1
+	if retMantissa>>53 > 0 {
+		retMantissa >>= 1
+		retExp2++
+	}
+	retBits := retExp2<<52 | retMantissa&(1<<52-1)
+	if neg {
+		retBits |= 1 << 63
+	}
+	return math.Float64frombits(retBits), true
+}
+
+// pow10Lemire[i] is 10^-i as a 128-bit mantissa rounded down, {low,
+// high} with the high word's top bit set: the rows 1e0…1e-22 of
+// strconv's detailedPowersOfTen (TestPow10LemireRows recomputes them).
+var pow10Lemire = [len(pow10)][2]uint64{
+	{0x0000000000000000, 0x8000000000000000}, // 1e0
+	{0xCCCCCCCCCCCCCCCC, 0xCCCCCCCCCCCCCCCC}, // 1e-1
+	{0x3D70A3D70A3D70A3, 0xA3D70A3D70A3D70A}, // 1e-2
+	{0x645A1CAC083126E9, 0x83126E978D4FDF3B}, // 1e-3
+	{0xD3C36113404EA4A8, 0xD1B71758E219652B}, // 1e-4
+	{0x0FCF80DC33721D53, 0xA7C5AC471B478423}, // 1e-5
+	{0xA63F9A49C2C1B10F, 0x8637BD05AF6C69B5}, // 1e-6
+	{0x3D32907604691B4C, 0xD6BF94D5E57A42BC}, // 1e-7
+	{0xFDC20D2B36BA7C3D, 0xABCC77118461CEFC}, // 1e-8
+	{0x31680A88F8953030, 0x89705F4136B4A597}, // 1e-9
+	{0xB573440E5A884D1B, 0xDBE6FECEBDEDD5BE}, // 1e-10
+	{0xF78F69A51539D748, 0xAFEBFF0BCB24AAFE}, // 1e-11
+	{0xF93F87B7442E45D3, 0x8CBCCC096F5088CB}, // 1e-12
+	{0x2865A5F206B06FB9, 0xE12E13424BB40E13}, // 1e-13
+	{0x538484C19EF38C94, 0xB424DC35095CD80F}, // 1e-14
+	{0x0F9D37014BF60A10, 0x901D7CF73AB0ACD9}, // 1e-15
+	{0x4C2EBE687989A9B3, 0xE69594BEC44DE15B}, // 1e-16
+	{0x09BEFEB9FAD487C2, 0xB877AA3236A4B449}, // 1e-17
+	{0x3AFF322E62439FCF, 0x9392EE8E921D5D07}, // 1e-18
+	{0x2B31E9E3D06C32E5, 0xEC1E4A7DB69561A5}, // 1e-19
+	{0x88F4BB1CA6BCF584, 0xBCE5086492111AEA}, // 1e-20
+	{0xD3F6FC16EBCA5E03, 0x971DA05074DA7BEE}, // 1e-21
+	{0x5324C68B12DD6338, 0xF1C90080BAF72CB1}, // 1e-22
 }
 
 // parseInt64 consumes a number and converts it exactly as

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"math/big"
 	"regexp"
 	"strconv"
 	"strings"
@@ -132,4 +133,52 @@ func FuzzNumber(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in []byte) {
 		checkNumber(t, in)
 	})
+}
+
+// TestPow10LemireRows recomputes the Eisel–Lemire table from math/big:
+// row i is 10^-i scaled by the power of two that puts it in [2^127,
+// 2^128), rounded down.
+func TestPow10LemireRows(t *testing.T) {
+	for i, row := range pow10Lemire {
+		den := new(big.Int).Exp(big.NewInt(10), big.NewInt(int64(i)), nil)
+		want := new(big.Int)
+		for shift := uint(127); want.BitLen() != 128; shift++ {
+			want.Quo(new(big.Int).Lsh(big.NewInt(1), shift), den)
+		}
+		got := new(big.Int).Lsh(new(big.Int).SetUint64(row[1]), 64)
+		got.Or(got, new(big.Int).SetUint64(row[0]))
+		if got.Cmp(want) != 0 {
+			t.Errorf("row 1e-%d = %#x, want %#x", i, got, want)
+		}
+	}
+}
+
+// TestEiselLemireDecidesCoordinates keeps the 17-digit coordinates off
+// strconv: on the coordinates a random walk publishes, every one whose
+// mantissa is past Clinger's path converts in the Eisel–Lemire step, to
+// strconv's bits.
+func TestEiselLemireDecidesCoordinates(t *testing.T) {
+	rng := mathx.NewRand(7)
+	center := geo.Point{Lat: 46.2044, Lon: 6.1432}
+	var buf []byte
+	long := 0
+	for range 20_000 {
+		p := geo.Offset(center, rng.NormFloat64()*4000, rng.NormFloat64()*4000)
+		for _, f := range []float64{p.Lat, -p.Lon} {
+			buf, _ = appendJSONFloat(buf[:0], f)
+			s := NewScanner(buf)
+			n, ok := s.number()
+			if !ok || n.mant < 1<<53 {
+				continue
+			}
+			long++
+			got, ok := eiselLemire(n.mant, n.frac, n.neg)
+			if !ok || got != f || math.Signbit(got) != math.Signbit(f) {
+				t.Fatalf("eiselLemire(%s) = %v, %v; want %v", buf, got, ok, f)
+			}
+		}
+	}
+	if long < 4_000 {
+		t.Fatalf("only %d of 40000 coordinates have a mantissa past 2^53: the sample does not reach the step", long)
+	}
 }
