@@ -223,7 +223,9 @@ func (rt *Router) proxyTo(w http.ResponseWriter, r *http.Request, node Node, epo
 		hdr[k] = vs
 	}
 	w.WriteHeader(resp.StatusCode)
-	buf := make([]byte, 32<<10)
+	bp := copyBufs.Get().(*[]byte)
+	defer copyBufs.Put(bp)
+	buf := *bp
 	for {
 		n, rerr := resp.Body.Read(buf)
 		if n > 0 {
@@ -237,6 +239,10 @@ func (rt *Router) proxyTo(w http.ResponseWriter, r *http.Request, node Node, epo
 		}
 	}
 }
+
+// copyBufs recycles proxyTo's copy buffers: one per forwarded request,
+// dead once its response is relayed.
+var copyBufs = sync.Pool{New: func() any { b := make([]byte, 32<<10); return &b }}
 
 func isHopHeader(k string) bool {
 	for _, h := range hopHeaders {

@@ -16,6 +16,7 @@ import (
 	"mood/internal/clock"
 	"mood/internal/core"
 	"mood/internal/service"
+	"mood/internal/store"
 	"mood/internal/trace"
 )
 
@@ -785,6 +786,141 @@ func TestRouterAnswersUnmatchedLikeANode(t *testing.T) {
 		}
 		if router != node {
 			t.Errorf("%s %s: router answered %+v, node %+v", tc.method, tc.path, router, node)
+		}
+	}
+}
+
+// chunkProtector publishes every upload whole under a pseudonym of its
+// own (the dataset merges the fragments of one pseudonym into a trace).
+type chunkProtector struct{}
+
+func chunkPseudonym(user string, recs []trace.Record) string {
+	return fmt.Sprintf("anon-%s-%d", user, recs[0].TS)
+}
+
+func (chunkProtector) Protect(t trace.Trace) (core.Result, error) {
+	return core.Result{
+		User:         t.User,
+		TotalRecords: t.Len(),
+		Pieces: []core.Piece{{
+			Trace:         t.WithUser(chunkPseudonym(t.User, t.Records)),
+			Mechanism:     "echo",
+			SourceRecords: t.Len(),
+		}},
+	}, nil
+}
+
+// TestConcurrentUploadsComeBackFromTheLog: two clients upload keyed
+// batches at once through the router to three nodes on in-memory logs;
+// then every node crashes and reboots from its log alone. Every
+// acknowledged chunk must come back exactly as it was sent. A request
+// line, commit payload or WAL frame handed back to its pool while still
+// in use shows here as a chunk carrying another chunk's bytes.
+func TestConcurrentUploadsComeBackFromTheLog(t *testing.T) {
+	const nodes, clients, batches, perBatch = 3, 2, 4, 30
+	disks := make([]*store.MemFS, nodes)
+	crash := make([]*store.FaultFS, nodes)
+	boot := func(i int, fsys store.FS) string {
+		w, err := store.NewWAL(store.WALOptions{Dir: "wal", FS: fsys})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := service.New(chunkProtector{}, service.WithNodeID(fmt.Sprintf("n%02d", i)),
+			service.WithStore(w), service.WithCheckpointInterval(-1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Recover(); err != nil {
+			t.Fatal(err)
+		}
+		hs := httptest.NewServer(srv.Handler())
+		t.Cleanup(func() {
+			hs.Close()
+			srv.Close() //nolint:errcheck // a crashed node's log refuses the final checkpoint
+		})
+		return hs.URL
+	}
+	ring := make([]Node, nodes)
+	for i := range ring {
+		disks[i] = store.NewMemFS()
+		crash[i] = store.NewFaultFS(disks[i])
+		ring[i] = Node{ID: fmt.Sprintf("n%02d", i), URL: boot(i, crash[i])}
+	}
+	m, err := NewMembership(Config{Nodes: ring, FailThreshold: 1, Probe: func(Node) error { return nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := NewRouter(RouterConfig{Membership: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	router := httptest.NewServer(rt)
+	t.Cleanup(router.Close)
+
+	// Chunks of 1 to 40 records, so that pooled buffers are reused at
+	// every size; each record is unique to its chunk.
+	sent := make([][]service.BatchChunk, clients)
+	for c := range sent {
+		for b := 0; b < batches; b++ {
+			user := fmt.Sprintf("user-%d-%d", c, b)
+			for i := 0; i < perBatch; i++ {
+				recs := make(trace.Records, 1+(i*13+b*7)%40)
+				for r := range recs {
+					x := float64(((c*batches+b)*perBatch+i)*64 + r)
+					recs[r] = trace.Record{Lat: 45 + x/1e5 + 1.0/3, Lon: 4 + x/7e4, TS: int64(1700000000 + x*60)}
+				}
+				sent[c] = append(sent[c], service.BatchChunk{User: user, Records: recs, Key: fmt.Sprintf("k-%d", i)})
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for c := range sent {
+		wg.Add(1)
+		go func(chunks []service.BatchChunk) {
+			defer wg.Done()
+			cl := service.NewClient(router.URL)
+			for b := 0; b < batches; b++ {
+				results, err := cl.UploadBatch(chunks[b*perBatch : (b+1)*perBatch])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for _, r := range results {
+					if r.Status != http.StatusOK {
+						t.Errorf("%s chunk %d: %d %s %s", r.User, r.Index, r.Status, r.Code, r.Error)
+					}
+				}
+			}
+		}(sent[c])
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	want := map[string]int{}
+	for _, chunks := range sent {
+		for _, ch := range chunks {
+			want[fmt.Sprint(chunkPseudonym(ch.User, ch.Records), ch.Records)]++
+		}
+	}
+	got := map[string]int{}
+	for i := range disks {
+		crash[i].Kill()
+		d, err := service.NewClient(boot(i, disks[i])).Dataset()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tr := range d.Traces {
+			got[fmt.Sprint(tr.User, tr.Records)]++
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d distinct chunks came back from the logs, %d were acknowledged", len(got), len(want))
+	}
+	for k, n := range want {
+		if got[k] != n {
+			t.Fatalf("an acknowledged chunk came back %d times, want %d: %.120s", got[k], n, k)
 		}
 	}
 }

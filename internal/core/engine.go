@@ -281,6 +281,8 @@ type selection struct {
 	// verdict of the selection.
 	batch []trace.Trace
 	owner []string
+	// rng is reseeded for every candidate (see rand).
+	rng *mathx.Rand
 }
 
 // newSelection keys the candidates of user's fragment at path (empty for
@@ -298,11 +300,16 @@ func (e *Engine) selection(user, path string, depth int) *selection {
 	return newSelection(e.Attacks, e.utility(), e.Seed, "mood", user, path, depth)
 }
 
+// rand returns the stream of the candidate called name, which is the
+// stream DeriveRand keys to it. Candidates run one after the other, so
+// they share one generator, reseeded for each.
 func (s *selection) rand(name string) *mathx.Rand {
 	if s.path == "" {
-		return mathx.DeriveRand(s.seed, s.stream, s.user, name)
+		s.rng = mathx.Reseed(s.rng, s.seed, s.stream, s.user, name)
+	} else {
+		s.rng = mathx.Reseed(s.rng, s.seed, s.stream, s.user, s.path, name)
 	}
-	return mathx.DeriveRand(s.seed, s.stream, s.user, s.path, name)
+	return s.rng
 }
 
 // selectBest runs one tier of the Best LPPM Selection: it obfuscates t with

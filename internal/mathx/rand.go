@@ -22,15 +22,18 @@ func NewRand(seed uint64) *Rand {
 // every stochastic component of the pipeline be reproducible without
 // sharing mutable generator state across goroutines.
 func DeriveRand(seed uint64, labels ...string) *Rand {
-	h := fnv.New64a()
-	var buf [8]byte
-	putUint64(buf[:], seed)
-	h.Write(buf[:]) //nolint:errcheck // fnv never fails
-	for _, l := range labels {
-		h.Write([]byte(l))    //nolint:errcheck
-		h.Write([]byte{0x1f}) //nolint:errcheck // label separator
+	return NewRand(DeriveSeed(seed, labels...))
+}
+
+// Reseed returns r restarted as the stream DeriveRand(seed, labels...)
+// returns, without allocating a new generator (Seed resets the source
+// and the read position alike); a nil r gets a new one.
+func Reseed(r *Rand, seed uint64, labels ...string) *Rand {
+	if r == nil {
+		return DeriveRand(seed, labels...)
 	}
-	return NewRand(h.Sum64())
+	r.Seed(int64(mix(DeriveSeed(seed, labels...))))
+	return r
 }
 
 // DeriveSeed returns the derived seed itself, for callers that need to
@@ -39,10 +42,10 @@ func DeriveSeed(seed uint64, labels ...string) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
 	putUint64(buf[:], seed)
-	h.Write(buf[:]) //nolint:errcheck
+	h.Write(buf[:]) //nolint:errcheck // fnv never fails
 	for _, l := range labels {
 		h.Write([]byte(l))    //nolint:errcheck
-		h.Write([]byte{0x1f}) //nolint:errcheck
+		h.Write([]byte{0x1f}) //nolint:errcheck // label separator
 	}
 	return h.Sum64()
 }

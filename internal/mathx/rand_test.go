@@ -1,6 +1,7 @@
 package mathx
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -104,6 +105,30 @@ func TestChoice(t *testing.T) {
 	for _, s := range xs {
 		if seen[s] < 50 {
 			t.Fatalf("choice %q underrepresented: %v", s, seen)
+		}
+	}
+}
+
+// TestReseedMatchesDeriveRand: a generator reseeded for a label set
+// yields the stream DeriveRand builds for it, whatever the generator
+// drew before — including a partly consumed Read, whose position Seed
+// must reset too.
+func TestReseedMatchesDeriveRand(t *testing.T) {
+	var r *Rand
+	for i := 0; i < 1000; i++ {
+		labels := []string{"mood", fmt.Sprintf("user-%d", i%37), fmt.Sprintf("%d.b", i), "geoi"}
+		if i%2 == 0 {
+			labels = append(labels[:2], labels[3])
+		}
+		want := DeriveRand(uint64(i%5), labels...)
+		r = Reseed(r, uint64(i%5), labels...)
+		var a, b [3]byte
+		for k := 0; k < 20; k++ {
+			want.Read(a[:]) //nolint:errcheck // never fails
+			r.Read(b[:])    //nolint:errcheck
+			if a != b || want.Int63() != r.Int63() || want.Float64() != r.Float64() || want.NormFloat64() != r.NormFloat64() {
+				t.Fatalf("label set %d %q: reseeded stream departs from DeriveRand's at draw %d", i, labels, k)
+			}
 		}
 	}
 }

@@ -66,6 +66,10 @@ const (
 	maxGroupBytes = 4 << 20
 )
 
+// batchReaders recycles the request readers of batch uploads: each is a
+// 64 KiB buffer that one request uses from its first line to its last.
+var batchReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 64<<10) }}
+
 // BatchChunk is one line of the POST /v2/traces request stream.
 type BatchChunk struct {
 	User    string        `json:"user"`
@@ -139,15 +143,23 @@ func (s *Server) handleBatchUpload(w http.ResponseWriter, r *http.Request) {
 	http.NewResponseController(w).EnableFullDuplex() //nolint:errcheck
 
 	hdrUser := r.Header.Get(UserHeader)
-	br := bufio.NewReaderSize(r.Body, 64<<10)
+	br := batchReaders.Get().(*bufio.Reader)
+	br.Reset(r.Body)
+	defer func() {
+		br.Reset(nil)
+		batchReaders.Put(br)
+	}()
 
 	// Find the first chunk line; blank lines carry nothing and are
 	// skipped. An oversized first line is a chunk (it gets result line
-	// 0), not an unreadable stream.
+	// 0), not an unreadable stream. lb holds the line read last until a
+	// chunk takes it; the reader then reads into a fresh one.
+	lb := getBytes()
+	defer func() { putBytes(lb) }()
 	var line []byte
 	var readErr error
 	for {
-		line, readErr = readBatchLine(br)
+		line, readErr = readBatchLine(br, lb)
 		if len(bytes.TrimSpace(line)) > 0 || readErr != nil {
 			break
 		}
@@ -277,10 +289,11 @@ loop:
 				break loop
 			}
 			cw.dispatch()
-			go func(ln []byte) {
-				sl.res <- s.processBatchChunk(ctx, sl, ln, hdrUser)
-				budget.release(len(ln))
-			}(line)
+			go func(lb *[]byte, n int) {
+				sl.res <- s.processBatchChunk(ctx, sl, lb, hdrUser)
+				budget.release(n)
+			}(lb, len(line))
+			lb = getBytes()
 			idx++
 		}
 		if readErr != nil {
@@ -291,12 +304,12 @@ loop:
 			break
 		}
 		if lineBuffered(br) {
-			line, readErr = readBatchLine(br)
+			line, readErr = readBatchLine(br, lb)
 		} else {
 			// The next line is still on the wire (or never coming): the
 			// commit window need not wait for it.
 			cw.setIdle(true)
-			line, readErr = readBatchLine(br)
+			line, readErr = readBatchLine(br, lb)
 			cw.setIdle(false)
 		}
 	}
@@ -598,13 +611,15 @@ func (cw *commitWindow) close() {
 // aborting the whole stream.
 var errChunkTooLarge = errors.New("chunk line over the size limit")
 
-// readBatchLine reads one NDJSON line, bounding its size. io.EOF after
-// the final line is the normal termination; errChunkTooLarge rejects
-// just this line (already drained to its delimiter); any other error is
+// readBatchLine reads one NDJSON line into *lb, replacing what it held,
+// and bounds its size; the line it returns is *lb. io.EOF after the
+// final line is the normal termination; errChunkTooLarge rejects just
+// this line (already drained to its delimiter); any other error is
 // terminal for the stream. The returned line may hold content alongside
 // io.EOF (final line without a trailing newline).
-func readBatchLine(br *bufio.Reader) ([]byte, error) {
-	var buf []byte
+func readBatchLine(br *bufio.Reader, lb *[]byte) ([]byte, error) {
+	buf := (*lb)[:0]
+	defer func() { *lb = buf }()
 	for {
 		part, err := br.ReadSlice('\n')
 		buf = append(buf, part...)
@@ -614,13 +629,15 @@ func readBatchLine(br *bufio.Reader) ([]byte, error) {
 			for errors.Is(err, bufio.ErrBufferFull) {
 				_, err = br.ReadSlice('\n')
 			}
+			buf = buf[:0]
 			if err == nil || errors.Is(err, io.EOF) {
 				return nil, errChunkTooLarge
 			}
 			return nil, err
 		}
 		if err == nil {
-			return buf[:len(buf)-1], nil // strip the delimiter
+			buf = buf[:len(buf)-1] // strip the delimiter
+			return buf, nil
 		}
 		if errors.Is(err, io.EOF) {
 			return buf, io.EOF
@@ -632,11 +649,12 @@ func readBatchLine(br *bufio.Reader) ([]byte, error) {
 	}
 }
 
-// processBatchChunk validates and executes the chunk line in slot sl.
-// The chunk counts in its window's upstream tally on entry; a line
-// rejected here settles it, an accepted one passes it on to
-// executeChunk.
-func (s *Server) processBatchChunk(ctx context.Context, sl *batchSlot, line []byte, hdrUser string) BatchResult {
+// processBatchChunk validates and executes the chunk line *lb holds in
+// slot sl. The line goes back to the pool as soon as it is parsed:
+// both parsers copy what they keep out of it. The chunk counts in its
+// window's upstream tally on entry; a line rejected here settles it, an
+// accepted one passes it on to executeChunk.
+func (s *Server) processBatchChunk(ctx context.Context, sl *batchSlot, lb *[]byte, hdrUser string) BatchResult {
 	idx := sl.idx
 	rejected := true
 	defer func() {
@@ -644,15 +662,18 @@ func (s *Server) processBatchChunk(ctx context.Context, sl *batchSlot, line []by
 			sl.settle()
 		}
 	}()
-	c, ok := parseBatchChunkFast(line)
+	c, ok := parseBatchChunkFast(*lb)
+	var err error
 	if !ok {
 		// Non-canonical line (escapes, unknown fields, reordered
 		// nesting, garbage): the generic decoder is the arbiter, with
 		// its exact semantics and error text.
 		c = BatchChunk{}
-		if err := json.Unmarshal(line, &c); err != nil {
-			return batchError(idx, "", http.StatusBadRequest, CodeBadChunk, "undecodable chunk: "+err.Error())
-		}
+		err = json.Unmarshal(*lb, &c)
+	}
+	putBytes(lb)
+	if err != nil {
+		return batchError(idx, "", http.StatusBadRequest, CodeBadChunk, "undecodable chunk: "+err.Error())
 	}
 	if err := validateUserID(c.User); err != nil {
 		return batchError(idx, c.User, http.StatusBadRequest, CodeInvalidUser, err.Error())
@@ -667,7 +688,9 @@ func (s *Server) processBatchChunk(ctx context.Context, sl *batchSlot, line []by
 	if len(c.Records) == 0 {
 		return batchError(idx, c.User, http.StatusBadRequest, CodeEmptyChunk, "no records")
 	}
-	t := trace.New(c.User, c.Records)
+	// The records were parsed for this chunk alone: the trace owns them.
+	t := trace.Trace{User: c.User, Records: c.Records}
+	t.SortInPlace()
 	if err := t.Validate(); err != nil {
 		return batchError(idx, c.User, http.StatusBadRequest, CodeInvalidTrace, "invalid trace: "+err.Error())
 	}

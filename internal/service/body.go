@@ -36,6 +36,21 @@ func PutBuffer(buf *bytes.Buffer) {
 	}
 }
 
+// The upload path's transient byte slices — a request line until its
+// chunk is parsed, a commit payload until its frame is written — go
+// back to bytePool instead of to the collector.
+var bytePool = sync.Pool{New: func() any { return new([]byte) }}
+
+func getBytes() *[]byte { return bytePool.Get().(*[]byte) }
+
+// putBytes returns b to the pool emptied; nil is a no-op.
+func putBytes(b *[]byte) {
+	if b != nil && cap(*b) <= maxPooledBody {
+		*b = (*b)[:0]
+		bytePool.Put(b)
+	}
+}
+
 // ReadBody reads the whole response body into a pooled buffer (release
 // it with PutBuffer) and refuses, rather than truncates, a body longer
 // than limit bytes.

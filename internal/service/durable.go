@@ -167,8 +167,10 @@ func (s *Server) stageCommit(j *uploadJob, res core.Result) error {
 func (s *Server) commitRecords(j *uploadJob) error {
 	// The commit record is binary (walcodec.go): one per acked upload,
 	// so JSON float formatting of its coordinates would dominate the
-	// commit path's CPU.
-	j.recs = append(j.recBuf[:0], store.Record{Type: recUploadCommit, Payload: encodeUploadCommit(j.commit)})
+	// commit path's CPU. Its payload is pooled: commitGroup returns it.
+	j.payload = getBytes()
+	*j.payload = encodeUploadCommit(*j.payload, j.commit)
+	j.recs = append(j.recBuf[:0], store.Record{Type: recUploadCommit, Payload: *j.payload})
 	if j.idem != nil {
 		rec, err := encodeRec(recIdemComplete, persistedIdem{
 			Key: idemKey(j.commit.User, j.idemKey), FP: j.idem.fp, JobID: j.id, Resp: j.resp,
@@ -200,10 +202,13 @@ func (s *Server) commitRecords(j *uploadJob) error {
 // storageError (a retryable 503 with the key released) and, because no
 // frame exists, no retry can double-commit. A frame is atomic, so
 // recovery sees the whole group or none of it — and none of it was
-// acknowledged.
+// acknowledged. Once the append has returned, the store keeps nothing
+// of recs (see store.Store), so the commit payloads go back to the pool.
 func (s *Server) commitGroup(group []*uploadJob, recs []store.Record) {
 	err := s.appendAndApply(group, recs)
 	for _, j := range group {
+		putBytes(j.payload)
+		j.payload, j.recs = nil, nil
 		if err != nil {
 			s.finishJob(j, UploadResponse{}, err)
 			continue

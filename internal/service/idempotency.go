@@ -81,8 +81,12 @@ type idemStore struct {
 	entries map[string]*idemEntry
 	// order holds each entry's key once, in the order the entries began:
 	// a key released by a failure leaves order with its entry, so a
-	// retry under it is as young as its own begin.
-	order []string
+	// retry under it is as young as its own begin. Eviction blanks a
+	// key ("" is no user's key) instead of closing the gap; head skips
+	// the blanks in front, and the slice is compacted once dead blanks
+	// fill half of it, so an eviction costs O(1) amortised.
+	order      []string
+	head, dead int
 }
 
 func newIdemStore(capacity int) *idemStore {
@@ -149,7 +153,7 @@ func (st *idemStore) complete(user, key string, e *idemEntry, resp UploadRespons
 // dropOrderLocked removes k from order. A failed upload began recently,
 // so the scan runs from the newest key.
 func (st *idemStore) dropOrderLocked(k string) {
-	for i := len(st.order) - 1; i >= 0; i-- {
+	for i := len(st.order) - 1; i >= st.head; i-- {
 		if st.order[i] == k {
 			st.order = slices.Delete(st.order, i, i+1)
 			return
@@ -177,8 +181,8 @@ func (st *idemStore) snapshot() []persistedIdem {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	out := make([]persistedIdem, 0, len(st.entries))
-	for _, k := range st.order {
-		if e := st.entries[k]; e.completed && e.err == nil {
+	for _, k := range st.order[st.head:] {
+		if e := st.entries[k]; e != nil && e.completed && e.err == nil {
 			out = append(out, persistedIdem{Key: k, FP: e.fp, JobID: e.jobID, Resp: e.resp})
 		}
 	}
@@ -227,18 +231,20 @@ func (st *idemStore) outcome(e *idemEntry) (resp UploadResponse, completed bool,
 // depth + workers + in-flight handlers), so the map exceeds cap at most
 // transiently.
 func (st *idemStore) evictLocked() {
-	if len(st.entries) <= st.cap {
-		return
-	}
-	kept := st.order[:0]
-	for _, k := range st.order {
-		if len(st.entries) > st.cap && st.entries[k].completed {
+	for i := st.head; len(st.entries) > st.cap && i < len(st.order); i++ {
+		if k := st.order[i]; k != "" && st.entries[k].completed {
 			delete(st.entries, k)
-			continue
+			st.order[i] = ""
+			st.dead++
 		}
-		kept = append(kept, k)
 	}
-	st.order = kept
+	for st.head < len(st.order) && st.order[st.head] == "" {
+		st.head++
+	}
+	if 2*st.dead > len(st.order) {
+		st.order = slices.DeleteFunc(st.order, func(k string) bool { return k == "" })
+		st.head, st.dead = 0, 0
+	}
 }
 
 // replayChunk answers a chunk whose (user, key) already executed or is

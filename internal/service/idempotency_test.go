@@ -3,16 +3,19 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"mood/internal/core"
+	"mood/internal/mathx"
 	"mood/internal/trace"
 )
 
@@ -462,5 +465,119 @@ func TestIdempotencyAsyncReplayAfterJobEviction(t *testing.T) {
 	}
 	if st := srv.Stats(); st.Uploads != 1 {
 		t.Fatalf("replay committed again: %+v", st)
+	}
+}
+
+// naiveIdem is the dedupe window's reference: live keys and their
+// completion, in begin order, rebuilt by one full pass per eviction.
+type naiveIdem struct {
+	cap   int
+	done  map[string]bool
+	order []string
+}
+
+func (n *naiveIdem) begin(k string) bool {
+	if _, ok := n.done[k]; ok {
+		return false
+	}
+	n.done[k] = false
+	n.order = append(n.order, k)
+	if len(n.done) > n.cap {
+		kept := n.order[:0]
+		for _, k := range n.order {
+			if len(n.done) > n.cap && n.done[k] {
+				delete(n.done, k)
+				continue
+			}
+			kept = append(kept, k)
+		}
+		n.order = kept
+	}
+	return true
+}
+
+func (n *naiveIdem) complete(k string, failed bool) {
+	n.done[k] = true
+	if failed {
+		delete(n.done, k)
+		n.order = slices.DeleteFunc(n.order, func(o string) bool { return o == k })
+	}
+}
+
+// TestIdemStoreEvictionMatchesReference runs three windows' worth of
+// keyed begins — retries of earlier keys, failures, entries pending for
+// a few begins and one pending across thousands — and holds the live
+// key set and the snapshot order to the reference's throughout.
+func TestIdemStoreEvictionMatchesReference(t *testing.T) {
+	const n = 3 * idempotencyWindow
+	st := newIdemStore(idempotencyWindow)
+	ref := &naiveIdem{cap: idempotencyWindow, done: map[string]bool{}}
+	type open struct {
+		user, key string
+		e         *idemEntry
+	}
+	var pending []open
+	var held open
+	rng := mathx.NewRand(9)
+	finish := func(p open) {
+		var err error
+		if rng.Intn(10) == 0 {
+			err = errors.New("boom")
+		}
+		st.complete(p.user, p.key, p.e, UploadResponse{}, err)
+		ref.complete(idemKey(p.user, p.key), err != nil)
+	}
+	for i := 0; i < n; i++ {
+		user, key := fmt.Sprintf("u%d", rng.Intn(50)), fmt.Sprintf("k%d", i)
+		if i > 0 && rng.Intn(20) == 0 {
+			key = fmt.Sprintf("k%d", rng.Intn(i)) // a retry, or a key reused after eviction
+		}
+		e, isNew := st.begin(user, key, 0)
+		if isNew != ref.begin(idemKey(user, key)) {
+			t.Fatalf("begin %d: new = %v, reference disagrees", i, isNew)
+		}
+		switch {
+		case !isNew:
+		case i == idempotencyWindow/2:
+			held = open{user, key, e} // stays pending while the window turns over
+		default:
+			pending = append(pending, open{user, key, e})
+		}
+		for len(pending) > 8 || (len(pending) > 0 && rng.Intn(2) == 0) {
+			j := rng.Intn(len(pending))
+			finish(pending[j])
+			pending[j] = pending[len(pending)-1]
+			pending = pending[:len(pending)-1]
+		}
+		if i == 2*idempotencyWindow {
+			finish(held)
+		}
+		if i%101 != 0 && i != n-1 {
+			continue
+		}
+		st.mu.Lock()
+		live := len(st.entries)
+		for k := range ref.done {
+			if _, ok := st.entries[k]; !ok {
+				t.Fatalf("begin %d: key %q is live in the reference only", i, k)
+			}
+		}
+		st.mu.Unlock()
+		if live != len(ref.done) {
+			t.Fatalf("begin %d: %d live keys, reference has %d", i, live, len(ref.done))
+		}
+		var want []string
+		for _, k := range ref.order {
+			if ref.done[k] {
+				want = append(want, k)
+			}
+		}
+		var got []string
+		for _, pe := range st.snapshot() {
+			got = append(got, pe.Key)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("begin %d: snapshot order departs from the reference's", i)
+		}
 	}
 }

@@ -75,13 +75,15 @@ type uploadJob struct {
 	// protected on, what Protect cost on the server's clock, the commit
 	// record foldCommit applies, the client's response and the WAL
 	// records. recBuf backs recs, so staging allocates nothing beyond the
-	// payloads.
-	eng    *engineState
-	cost   time.Duration
-	commit walUploadCommit
-	resp   UploadResponse
-	recs   []store.Record
-	recBuf [3]store.Record
+	// payloads; payload is the pooled buffer the commit record is encoded
+	// in, held until commitGroup has appended it.
+	eng     *engineState
+	cost    time.Duration
+	commit  walUploadCommit
+	resp    UploadResponse
+	recs    []store.Record
+	recBuf  [3]store.Record
+	payload *[]byte
 }
 
 // workerPool runs uploads on a fixed set of goroutines fed by a bounded

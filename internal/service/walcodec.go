@@ -148,13 +148,17 @@ func (w *layoutWriter) records(recs []trace.Record) {
 	}
 }
 
-// encodeUploadCommit serialises one commit record into a buffer of
-// exactly its size: the layout (writeCommit) runs once to size, once to
-// append, as the snapshot's does.
-func encodeUploadCommit(c walUploadCommit) []byte {
+// encodeUploadCommit serialises one commit record into dst's spare
+// capacity, or into a new buffer of exactly its size when dst has too
+// little: the layout (writeCommit) runs once to size, once to append, as
+// the snapshot's does.
+func encodeUploadCommit(dst []byte, c walUploadCommit) []byte {
 	w := layoutWriter{sizing: true}
 	w.writeCommit(&c)
-	w.b = make([]byte, 0, w.size)
+	if cap(dst) < w.size {
+		dst = make([]byte, 0, w.size)
+	}
+	w.b = dst[:0]
 	w.sizing = false
 	w.writeCommit(&c)
 	return w.b

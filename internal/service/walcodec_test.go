@@ -30,7 +30,7 @@ func TestWALCommitCodecRoundTrip(t *testing.T) {
 		},
 	}
 	for i, c := range cases {
-		got, err := decodeUploadCommit(encodeUploadCommit(c))
+		got, err := decodeUploadCommit(encodeUploadCommit(nil, c))
 		if err != nil {
 			t.Fatalf("case %d: decode: %v", i, err)
 		}
@@ -81,14 +81,14 @@ func TestWALCommitEncodeExactlySized(t *testing.T) {
 			c.Frags = append(c.Frags, publishedFrag{Seq: int64(rng.Intn(1 << 30)), Owner: c.User,
 				Trace: trace.Trace{User: "anon-" + strings.Repeat("y", rng.Intn(12)), Records: recs(rng.Intn(100))}})
 		}
-		b := encodeUploadCommit(c)
+		b := encodeUploadCommit(nil, c)
 		if len(b) != cap(b) {
 			t.Fatalf("commit %d: %d bytes in a %d-byte buffer", i, len(b), cap(b))
 		}
 		if want := oracleEncodeUploadCommit(c); !bytes.Equal(b, want) {
 			t.Fatalf("commit %d: the sized encoder changed the layout", i)
 		}
-		if allocs := testing.AllocsPerRun(5, func() { encodeUploadCommit(c) }); allocs != 1 {
+		if allocs := testing.AllocsPerRun(5, func() { encodeUploadCommit(nil, c) }); allocs != 1 {
 			t.Fatalf("commit %d: %v allocations per encode, want 1", i, allocs)
 		}
 	}
@@ -98,7 +98,7 @@ func TestWALCommitEncodeExactlySized(t *testing.T) {
 // real record plus hostile lengths: it must return errors, never panic
 // or over-allocate.
 func TestWALCommitCodecCorruption(t *testing.T) {
-	full := encodeUploadCommit(walUploadCommit{
+	full := encodeUploadCommit(nil, walUploadCommit{
 		User: "alice", RecordsIn: 2, Accepted: 2,
 		Frags: []publishedFrag{{Seq: 1, Owner: "alice", Trace: trace.Trace{
 			User: "pub-000001", Records: []trace.Record{{Lat: 1, Lon: 2, TS: 3}, {Lat: 4, Lon: 5, TS: 6}},

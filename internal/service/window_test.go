@@ -10,6 +10,7 @@ import (
 	"io/fs"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -705,5 +706,88 @@ func TestServerCloseDuringBatch(t *testing.T) {
 	srvB, _ := newWALServer(t, disk, &fakeProtector{})
 	if st := srvB.Stats(); st.Uploads != acked {
 		t.Fatalf("%d chunks acknowledged, %d recovered", acked, st.Uploads)
+	}
+}
+
+// TestBatchUploadAllocBudget pins what the upload path allocates per
+// acknowledged chunk, from the request line to the synced WAL frame:
+// the request reader, line buffers, commit payloads and frames are
+// pooled, and a chunk's parsed records become its trace without a copy,
+// so what remains is mostly what the node keeps (and the in-memory
+// log's own growth). The budget is the measured cost, 10,300–10,500
+// bytes on amd64, with a little headroom for the collector emptying the
+// pools mid-run; before pooling the same batches cost 17,800 bytes a
+// chunk.
+func TestBatchUploadAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops pooled buffers at random")
+	}
+	const (
+		warm, batches, perBatch, nrec = 4, 24, 50, 50
+		budget                        = 11 << 10 // bytes per acked chunk
+	)
+	w, err := store.NewWAL(store.WALOptions{Dir: "wal", FS: store.NewMemFS()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(&fakeProtector{}, WithStore(w), WithCheckpointInterval(-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() }) //nolint:errcheck // in-memory log
+	h := srv.Handler()
+
+	bodies := make([]string, warm+batches)
+	for b := range bodies {
+		chunks := make([]BatchChunk, perBatch)
+		for i := range chunks {
+			recs := sampleRecords(nrec)
+			for r := range recs {
+				recs[r].TS += int64(b*perBatch+i) * 86400
+			}
+			chunks[i] = BatchChunk{User: fmt.Sprintf("user-%02d", b), Records: recs, Key: fmt.Sprintf("k-%03d", i)}
+		}
+		bodies[b] = batchBody(t, chunks)
+	}
+	recorders := make([]*httptest.ResponseRecorder, len(bodies))
+	serve := func(b int) {
+		recorders[b] = httptest.NewRecorder()
+		h.ServeHTTP(recorders[b], httptest.NewRequest(http.MethodPost, "/v2/traces", strings.NewReader(bodies[b])))
+	}
+	for b := 0; b < warm; b++ {
+		serve(b)
+	}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for b := warm; b < len(bodies); b++ {
+		serve(b)
+	}
+	runtime.ReadMemStats(&after)
+
+	acked := 0
+	for b, rec := range recorders[warm:] {
+		dec := json.NewDecoder(rec.Body)
+		for dec.More() {
+			var res BatchResult
+			if err := dec.Decode(&res); err != nil {
+				t.Fatalf("batch %d: %v", b, err)
+			}
+			if res.Status != http.StatusOK {
+				t.Fatalf("batch %d chunk %d: %+v", b, res.Index, res)
+			}
+			acked++
+		}
+	}
+	if acked != batches*perBatch {
+		t.Fatalf("%d chunks acknowledged, want %d", acked, batches*perBatch)
+	}
+	perChunk := float64(after.TotalAlloc-before.TotalAlloc) / float64(acked)
+	t.Logf("%.0f bytes allocated per acknowledged chunk of %d records", perChunk, nrec)
+	if perChunk > budget {
+		t.Fatalf("the upload path allocated %.0f bytes per acknowledged chunk, over its budget of %d", perChunk, budget)
 	}
 }

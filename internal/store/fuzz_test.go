@@ -16,11 +16,11 @@ func FuzzWALReplay(f *testing.F) {
 	// assorted tears — plus every committed file under testdata/fuzz.
 	f.Add([]byte{}, uint16(0))
 	f.Add([]byte("not a frame at all"), uint16(6))
-	one, err := encodeFrame([]Record{{Type: 1, Payload: []byte("seed-record")}})
+	one, err := encodeFrame(nil, []Record{{Type: 1, Payload: []byte("seed-record")}})
 	if err != nil {
 		f.Fatal(err)
 	}
-	two, err := encodeFrame([]Record{
+	two, err := encodeFrame(nil, []Record{
 		{Type: 2, Payload: []byte("batch-a")},
 		{Type: 3, Payload: nil},
 	})

@@ -56,6 +56,8 @@ type Store interface {
 	// returns nil the batch survives any subsequent crash (under the
 	// backend's fsync policy); when it returns an error nothing of the
 	// batch is promised and the caller must not apply its effects.
+	// As with io.Writer, Append must not keep recs or their payloads
+	// after it returns: the caller reuses their buffers.
 	Append(recs ...Record) error
 	// Load reads the backend: the latest snapshot (nil when none) and
 	// the records appended since it, in append order. Must be called

@@ -324,7 +324,8 @@ func (w *WAL) Append(recs ...Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	frame, err := encodeFrame(recs)
+	buf := frames.Get().(*[]byte)
+	frame, err := encodeFrame((*buf)[:0], recs)
 	if err != nil {
 		return err
 	}
@@ -334,6 +335,11 @@ func (w *WAL) Append(recs ...Record) error {
 		return err
 	}
 	seq, err := w.appendLocked(frame)
+	if cap(frame) <= maxPooledFrame {
+		// The segment's Write has returned: the frame is ours again.
+		*buf = frame
+		frames.Put(buf)
+	}
 	if err != nil {
 		w.mu.Unlock()
 		return err
@@ -630,8 +636,16 @@ func (w *WAL) Close() error {
 // ---------------------------------------------------------------------------
 // Framing.
 
-// encodeFrame serialises one Append batch.
-func encodeFrame(recs []Record) ([]byte, error) {
+// frames recycles Append's frame buffers: a frame is dead once the
+// segment's Write has returned. One larger than maxPooledFrame is left
+// to the collector rather than pinned in the pool.
+var frames = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledFrame = 8 << 20
+
+// encodeFrame serialises one Append batch into dst's spare capacity, or
+// into a new buffer of exactly its size when dst has too little.
+func encodeFrame(dst []byte, recs []Record) ([]byte, error) {
 	size := 0
 	for _, r := range recs {
 		size += 5 + len(r.Payload)
@@ -641,7 +655,10 @@ func encodeFrame(recs []Record) ([]byte, error) {
 	}
 	// One buffer: the header is reserved up front and patched once the
 	// payload it describes has been appended behind it.
-	frame := make([]byte, 8, 8+size)
+	if cap(dst) < 8+size {
+		dst = make([]byte, 0, 8+size)
+	}
+	frame := dst[:8]
 	for _, r := range recs {
 		frame = append(frame, r.Type)
 		frame = binary.LittleEndian.AppendUint32(frame, uint32(len(r.Payload)))

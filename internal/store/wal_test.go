@@ -111,12 +111,12 @@ func TestWALTornTailTruncated(t *testing.T) {
 		"garbage":      []byte("this is not a frame"),
 		"short header": {0x05, 0x00},
 		"bad crc": func() []byte {
-			f, _ := encodeFrame([]Record{rec(9, "doomed")})
+			f, _ := encodeFrame(nil, []Record{rec(9, "doomed")})
 			f[len(f)-1] ^= 0xff
 			return f
 		}(),
 		"truncated frame": func() []byte {
-			f, _ := encodeFrame([]Record{rec(9, "doomed")})
+			f, _ := encodeFrame(nil, []Record{rec(9, "doomed")})
 			return f[:len(f)-3]
 		}(),
 		"zero length": {0, 0, 0, 0, 0, 0, 0, 0},
@@ -160,10 +160,10 @@ func TestWALTornTailDropsLaterSegments(t *testing.T) {
 	if err := fsys.MkdirAll("wal", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	valid, _ := encodeFrame([]Record{rec(1, "kept")})
+	valid, _ := encodeFrame(nil, []Record{rec(1, "kept")})
 	torn := append(append([]byte(nil), valid...), "tear"...)
 	appendRaw(t, fsys, "wal/segment-00000000.wal", torn)
-	orphan, _ := encodeFrame([]Record{rec(2, "must not survive")})
+	orphan, _ := encodeFrame(nil, []Record{rec(2, "must not survive")})
 	appendRaw(t, fsys, "wal/segment-00000001.wal", orphan)
 
 	_, _, got := mustWAL(t, WALOptions{Dir: "wal", FS: fsys})
@@ -275,10 +275,10 @@ func TestWALHealsInterruptedCompaction(t *testing.T) {
 	}
 	appendRaw(t, fsys, "wal/snapshot-00000000.json", []byte(`{"old":true}`))
 	appendRaw(t, fsys, "wal/snapshot-00000002.json", []byte(`{"new":true}`))
-	covered, _ := encodeFrame([]Record{rec(1, "covered")})
+	covered, _ := encodeFrame(nil, []Record{rec(1, "covered")})
 	appendRaw(t, fsys, "wal/segment-00000000.wal", covered)
 	appendRaw(t, fsys, "wal/segment-00000001.wal", covered)
-	tail, _ := encodeFrame([]Record{rec(2, "tail")})
+	tail, _ := encodeFrame(nil, []Record{rec(2, "tail")})
 	appendRaw(t, fsys, "wal/segment-00000002.wal", tail)
 	appendRaw(t, fsys, "wal/snapshot-00000002.json.tmp", []byte("half-written"))
 
@@ -454,7 +454,7 @@ func TestEncodeFrameBuildsTheFrameOnce(t *testing.T) {
 		recs[i] = rec(byte(1+i%3), string(bytes.Repeat([]byte{0x78}, 100+i)))
 	}
 	var frame []byte
-	if allocs := testing.AllocsPerRun(20, func() { frame, _ = encodeFrame(recs) }); allocs != 1 {
+	if allocs := testing.AllocsPerRun(20, func() { frame, _ = encodeFrame(nil, recs) }); allocs != 1 {
 		t.Fatalf("encodeFrame allocated %.0f times, want the frame and nothing else", allocs)
 	}
 	got, frames, valid := parseFrames(frame)
@@ -469,8 +469,8 @@ func TestEncodeFrameBuildsTheFrameOnce(t *testing.T) {
 }
 
 func TestParseFramesStopsAtFirstInvalid(t *testing.T) {
-	a, _ := encodeFrame([]Record{rec(1, "a")})
-	b, _ := encodeFrame([]Record{rec(2, "b")})
+	a, _ := encodeFrame(nil, []Record{rec(1, "a")})
+	b, _ := encodeFrame(nil, []Record{rec(2, "b")})
 	data := append(append([]byte(nil), a...), b...)
 	for cut := 0; cut <= len(data); cut++ {
 		recs, _, valid := parseFrames(data[:cut])

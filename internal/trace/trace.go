@@ -9,7 +9,9 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -52,11 +54,14 @@ func New(user string, records []Record) Trace {
 
 // SortInPlace orders the records by ascending timestamp (stable, so
 // simultaneous records such as TRL dummies keep their relative order).
+// Records already in order, as an uploaded chunk's are, cost one scan.
 func (t *Trace) SortInPlace() {
-	sort.SliceStable(t.Records, func(i, j int) bool {
-		return t.Records[i].TS < t.Records[j].TS
-	})
+	if !slices.IsSortedFunc(t.Records, byTS) {
+		slices.SortStableFunc(t.Records, byTS)
+	}
 }
+
+func byTS(a, b Record) int { return cmp.Compare(a.TS, b.TS) }
 
 // Len returns the number of records.
 func (t Trace) Len() int { return len(t.Records) }

@@ -1,10 +1,12 @@
 package trace
 
 import (
+	"sort"
 	"testing"
 	"time"
 
 	"mood/internal/geo"
+	"mood/internal/mathx"
 )
 
 var lyon = geo.Point{Lat: 45.7640, Lon: 4.8357}
@@ -221,5 +223,33 @@ func TestCloneIndependence(t *testing.T) {
 	c.Records[0].Lat = 0
 	if tr.Records[0].Lat == 0 {
 		t.Fatal("Clone shares storage")
+	}
+}
+
+// TestSortInPlaceIsStable: SortInPlace orders exactly as a stable sort
+// by timestamp does — simultaneous records keep their input order — on
+// shuffled, sorted and reversed traces with repeated timestamps.
+func TestSortInPlaceIsStable(t *testing.T) {
+	rng := mathx.NewRand(3)
+	for i := 0; i < 500; i++ {
+		rs := make([]Record, rng.Intn(60))
+		for j := range rs {
+			rs[j] = Record{Lat: float64(j), TS: int64(rng.Intn(1 + len(rs)/3))}
+		}
+		switch i % 3 {
+		case 1:
+			sort.SliceStable(rs, func(a, b int) bool { return rs[a].TS < rs[b].TS })
+		case 2:
+			sort.SliceStable(rs, func(a, b int) bool { return rs[a].TS > rs[b].TS })
+		}
+		want := append([]Record(nil), rs...)
+		sort.SliceStable(want, func(a, b int) bool { return want[a].TS < want[b].TS })
+		got := Trace{Records: rs}
+		got.SortInPlace()
+		for j := range want {
+			if got.Records[j] != want[j] {
+				t.Fatalf("trace %d: record %d is %+v, want %+v", i, j, got.Records[j], want[j])
+			}
+		}
 	}
 }
