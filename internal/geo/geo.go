@@ -76,6 +76,24 @@ func LatGap(a, b Point) float64 {
 	return EarthRadius * math.Abs(deg2rad(b.Lat-a.Lat))
 }
 
+// SurelyWithin reports, without trigonometry, that FastDistance(a, b)
+// ≤ r: it is true only when EarthRadius·(|Δλ| + |Δφ|) < r·(1 − 2⁻⁴⁰),
+// from the radian differences FastDistance itself computes. Float for
+// float: math.Cos never exceeds 1, so FastDistance's east leg x =
+// Δλ·cos rounds to |x| ≤ |Δλ| (rounding is monotone); Hypot(x, y) =
+// p·sqrt(1+q²) is at most p + p·q = |x| + |y| before its five
+// roundings, and those with the sum, the margin's product and the two
+// EarthRadius products here and in FastDistance add a relative error
+// below 2⁻⁴⁹, which the margin 2⁻⁴⁰ absorbs with room to spare. A
+// true result therefore never disagrees with FastDistance(a, b) <= r,
+// and a scan may admit on it unmeasured. A NaN makes the sum NaN and an
+// infinite difference makes it +Inf; both fail the strict comparison,
+// so the caller measures.
+func SurelyWithin(a, b Point, r float64) bool {
+	l1 := math.Abs(deg2rad(b.Lon-a.Lon)) + math.Abs(deg2rad(b.Lat-a.Lat))
+	return EarthRadius*l1 < r*(1-0x1p-40)
+}
+
 // Destination returns the point reached by travelling dist meters from p
 // along the given bearing (degrees clockwise from north), on the sphere.
 // Each sine and cosine is computed once: GeoI and TRL call this per

@@ -272,3 +272,97 @@ func TestLatGapNeverExceedsFastDistance(t *testing.T) {
 		check(p, Point{Lat: -p.Lat, Lon: p.Lon})
 	}
 }
+
+// TestSurelyWithinNeverOverstates: Extract and BuildFromPOIs admit a
+// record on SurelyWithin without measuring it, which is sound only if a
+// true result implies FastDistance(a, b) <= r float for float. Over a
+// million pairs — city and world scale, equal points, ±89.9°, both
+// hemispheres, across the antimeridian — at radii on the boundary, one
+// ulp either side of it and at the margin, a true result must never
+// disagree; NaN coordinates and radii must give false; and below 40° a
+// radius of 2.1× the distance must be admitted (L1 ≤ √2·L2 and cos ≥
+// 0.76 there), so the bound decides what the scans need it to.
+func TestSurelyWithinNeverOverstates(t *testing.T) {
+	rng := mathx.NewRand(67)
+	lat := func() float64 { return rng.Float64()*179.8 - 89.9 }
+	lon := func() float64 { return rng.Float64()*360 - 180 }
+	pairs, admitted := 0, 0
+	check := func(a, b Point, r float64) {
+		t.Helper()
+		pairs++
+		if !SurelyWithin(a, b, r) {
+			return
+		}
+		admitted++
+		if d := FastDistance(a, b); !(d <= r) {
+			t.Fatalf("SurelyWithin(%v, %v, %v) but FastDistance = %v", a, b, r, d)
+		}
+	}
+	radii := func(a, b Point) {
+		t.Helper()
+		d := FastDistance(a, b)
+		for _, r := range []float64{d, math.Nextafter(d, 0), math.Nextafter(d, math.Inf(1)),
+			d * (1 + 0x1p-40), d * (1 + 0x1p-38), d * 1.5, 2.1 * d, 100, math.Inf(1)} {
+			check(a, b, r)
+		}
+	}
+	const rounds = 1 << 14 // seven pair shapes at nine radii a round: 1.03 M pairs
+	for i := 0; i < rounds; i++ {
+		a := Point{Lat: lat(), Lon: lon()}
+		radii(a, Point{Lat: lat(), Lon: lon()})
+		radii(a, Point{Lat: a.Lat + (rng.Float64()-0.5)*0.004, Lon: a.Lon + (rng.Float64()-0.5)*0.004})
+		radii(a, a)
+		radii(a, Point{Lat: math.Nextafter(a.Lat, 90), Lon: math.Nextafter(a.Lon, 180)})
+		pole := math.Copysign(89.9, rng.Float64()-0.5)
+		radii(Point{Lat: pole, Lon: lon()}, Point{Lat: pole - math.Copysign(rng.Float64()*1e-3, pole), Lon: lon()})
+		radii(Point{Lat: lat(), Lon: 180 - rng.Float64()*1e-3}, Point{Lat: lat(), Lon: -180 + rng.Float64()*1e-3})
+		radii(a, Point{Lat: -a.Lat, Lon: a.Lon})
+
+		// Below 40°, 2.1× the distance is always admitted.
+		c := Point{Lat: rng.Float64()*80 - 40, Lon: lon()}
+		e := Point{Lat: c.Lat + (rng.Float64()-0.5)*0.004, Lon: c.Lon + (rng.Float64()-0.5)*0.004}
+		if d := FastDistance(c, e); d > 0 && !SurelyWithin(c, e, 2.1*d) {
+			t.Fatalf("SurelyWithin(%v, %v, 2.1 × %v) is false", c, e, d)
+		}
+	}
+	nan := math.NaN()
+	for _, tt := range []struct {
+		a, b Point
+		r    float64
+	}{
+		{Point{nan, 0}, Point{0, 0}, math.Inf(1)},
+		{Point{0, nan}, Point{0, 0}, 1e9},
+		{Point{0, 0}, Point{nan, nan}, 1e9},
+		{Point{0, 0}, Point{0, 0}, nan},
+		{Point{0, math.Inf(1)}, Point{0, 0}, math.Inf(1)},
+		{Point{0, 0}, Point{0, 0}, 0},
+		{Point{0, 0}, Point{0, 0}, -1},
+	} {
+		pairs++
+		if SurelyWithin(tt.a, tt.b, tt.r) {
+			t.Errorf("SurelyWithin(%v, %v, %v) = true", tt.a, tt.b, tt.r)
+		}
+	}
+	if pairs < 1_000_000 || admitted < pairs/4 {
+		t.Fatalf("%d pairs, %d admitted: the sweep decides too little", pairs, admitted)
+	}
+}
+
+// FuzzSurelyWithin: on arbitrary coordinates and radii, a true
+// SurelyWithin never disagrees with FastDistance.
+func FuzzSurelyWithin(f *testing.F) {
+	f.Add(45.764, 4.8357, 45.765, 4.836, 200.0)
+	f.Add(89.9, 179.9999, 89.9, -179.9999, 1e7)
+	f.Add(0.0, 0.0, 0.0, 0.0, 0.0)
+	f.Add(-33.0, 151.0, -33.0, 151.0, 5e-324)
+	f.Add(1e-310, 0.0, 0.0, 3e-320, 1e-300)
+	f.Add(1e300, -1e300, 0.0, 0.0, math.Inf(1))
+	f.Fuzz(func(t *testing.T, aLat, aLon, bLat, bLon, r float64) {
+		a, b := Point{Lat: aLat, Lon: aLon}, Point{Lat: bLat, Lon: bLon}
+		if SurelyWithin(a, b, r) {
+			if d := FastDistance(a, b); !(d <= r) {
+				t.Fatalf("SurelyWithin(%v, %v, %v) but FastDistance = %v", a, b, r, d)
+			}
+		}
+	})
+}

@@ -77,8 +77,9 @@ func DefaultHotAllocConfig() HotAllocConfig {
 				// GeoI and TRL call it once per record.
 				"Destination": true,
 				// The nearest-place scans (MMC states, POI clusters and
-				// sets): once per record×POI pair, LatGap first.
-				"FastDistance": true, "LatGap": true,
+				// sets): once per record×POI pair, LatGap first, and
+				// SurelyWithin before measuring a dwelling record.
+				"FastDistance": true, "LatGap": true, "SurelyWithin": true,
 			},
 			"mood/internal/service": {
 				"parseBatchChunkFast": true,

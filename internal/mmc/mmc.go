@@ -44,51 +44,73 @@ func BuildFromPOIs(e poi.Extractor, pois []poi.POI, t trace.Trace) Chain {
 	n := len(pois)
 
 	// Assign every record to its nearest POI within the acceptance
-	// radius, producing the state-visit sequence. A POI whose LatGap
-	// exceeds the radius or reaches bestD cannot be that POI (LatGap
-	// never exceeds FastDistance), so the scan skips its distance: the
-	// first nearest POI within the radius is never skipped, and when no
-	// POI is within it none is assigned, exactly as in the full scan.
+	// radius and count the transitions of the state-visit sequence as
+	// it forms. A POI whose LatGap exceeds the radius or reaches bestD
+	// cannot be that POI (LatGap never exceeds FastDistance), so the
+	// scan skips its distance: the first nearest POI within the radius
+	// is never skipped, and when no POI is within it none is assigned,
+	// exactly as in the full scan. When a single POI survives the
+	// radius test, the full scan's answer is that POI exactly when its
+	// distance is within the radius, which SurelyWithin proves
+	// unmeasured for most records.
 	radius := e.MaxDiameter
 	if radius <= 0 {
 		radius = poi.DefaultMaxDiameter
 	}
-	seq := make([]int, 0, t.Len())
+	// counts is the n×n transition count matrix, row-major; it becomes
+	// the transition matrix in place.
+	counts := make([]float64, n*n)
+	prev := -1
 	for _, r := range t.Records {
-		best, bestD := -1, math.Inf(1)
 		p := r.Point()
+		first, survivors := -1, 0
 		for i, s := range pois {
-			if lb := geo.LatGap(s.Center, p); lb > radius || lb >= bestD {
+			if geo.LatGap(s.Center, p) > radius {
 				continue
 			}
-			if d := geo.FastDistance(s.Center, p); d < bestD {
-				best, bestD = i, d
+			if survivors++; survivors > 1 {
+				break
+			}
+			first = i
+		}
+		best := -1
+		switch {
+		case survivors == 0:
+		case survivors == 1 && geo.SurelyWithin(pois[first].Center, p, radius):
+			best = first
+		default:
+			bestD := math.Inf(1)
+			for i := first; i < n; i++ {
+				c := pois[i].Center
+				if lb := geo.LatGap(c, p); lb > radius || lb >= bestD {
+					continue
+				}
+				if d := geo.FastDistance(c, p); d < bestD {
+					best, bestD = i, d
+				}
+			}
+			if !(bestD <= radius) { // a NaN radius assigns nothing
+				best = -1
 			}
 		}
-		if best >= 0 && bestD <= radius {
-			// Collapse consecutive visits to the same state.
-			if len(seq) == 0 || seq[len(seq)-1] != best {
-				seq = append(seq, best)
+		// Consecutive visits to the same state collapse into one.
+		if best >= 0 && best != prev {
+			if prev >= 0 {
+				counts[prev*n+best]++
 			}
+			prev = best
 		}
 	}
 
-	counts := make([][]float64, n)
-	for i := range counts {
-		counts[i] = make([]float64, n)
-	}
-	for i := 1; i < len(seq); i++ {
-		counts[seq[i-1]][seq[i]]++
-	}
 	trans := make([][]float64, n)
-	for i := range counts {
-		row := make([]float64, n)
+	for i := range trans {
+		row := counts[i*n : (i+1)*n : (i+1)*n]
 		var sum float64
-		for _, c := range counts[i] {
+		for _, c := range row {
 			sum += c
 		}
 		if sum > 0 {
-			for j, c := range counts[i] {
+			for j, c := range row {
 				row[j] = c / sum
 			}
 		} else {

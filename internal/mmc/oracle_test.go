@@ -1,10 +1,12 @@
 package mmc
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"mood/internal/geo"
+	"mood/internal/mathx"
 	"mood/internal/poi"
 	"mood/internal/synth"
 	"mood/internal/trace"
@@ -187,5 +189,90 @@ func TestBuildFromPOIsMatchesExhaustive(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestBuildFromPOIsMatchesExhaustiveOnEdgeCases: the single-survivor
+// shortcut and the pruned scan agree with the exhaustive build on hand
+// placed POIs — latitude bands that hold exactly one POI (records in,
+// on and past the radius, east and west of it, and at the band's edge
+// where SurelyWithin's L1 bound is tightest), a NaN-centred POI
+// beside them and alone, NaN records — and on random POI layouts at
+// radii from a few meters to kilometers.
+func TestBuildFromPOIsMatchesExhaustiveOnEdgeCases(t *testing.T) {
+	check := func(name string, e poi.Extractor, pois []poi.POI, tr trace.Trace) {
+		t.Helper()
+		got, want := BuildFromPOIs(e, pois, tr), oracleBuildFromPOIs(e, pois, tr)
+		if len(got.Trans) != len(want.Trans) || !sameBits(got.Weights, want.Weights) {
+			t.Fatalf("%s: chain shape differs from the exhaustive build", name)
+		}
+		for i := range got.Trans {
+			if !sameBits(got.Trans[i], want.Trans[i]) {
+				t.Fatalf("%s: state %d: %v, exhaustive %v", name, i, got.Trans[i], want.Trans[i])
+			}
+		}
+	}
+	e := extractor()
+	radius := e.MaxDiameter
+	a := geo.Point{Lat: 45.76, Lon: 4.83}
+	b := geo.Offset(a, 0, 1200) // a's, b's and c's bands never overlap
+	c := geo.Offset(a, 0, -1200)
+	at := func(p geo.Point, dx float64) geo.Point { return geo.Offset(p, dx, 0) }
+	var recs []trace.Record
+	add := func(p geo.Point) {
+		recs = append(recs, trace.Record{Lat: p.Lat, Lon: p.Lon, TS: int64(len(recs)) * 60})
+	}
+	for _, dx := range []float64{0, 50, radius * 0.7, radius, radius * (1 - 1e-12), radius * 1.3, -radius, -3 * radius} {
+		add(at(a, dx))
+		add(at(b, dx))
+	}
+	// Exactly on the radius as FastDistance measures it, and one ulp out.
+	east := at(a, radius)
+	for geo.FastDistance(a, east) > radius {
+		east.Lon = math.Nextafter(east.Lon, a.Lon)
+	}
+	add(east)
+	add(geo.Point{Lat: east.Lat, Lon: math.Nextafter(east.Lon, 180)})
+	// Just inside a's band and just past the radius, a few meters east:
+	// the L1 bound is within 1 % of the distance there.
+	// Each sits between visits to b, which also moves to c, so
+	// assigning it would shift b's transition row.
+	add(b)
+	add(geo.Offset(a, radius*0.005, radius*(1-1e-6)))
+	add(b)
+	add(c)
+	add(b)
+	add(geo.Offset(a, -radius*0.005, -radius*(1-1e-6)))
+	add(b)
+	add(geo.Point{Lat: math.NaN(), Lon: a.Lon})
+	add(a)
+	tr := trace.Trace{User: "edge", Records: recs}
+
+	nanPOI := poi.POI{Center: geo.Point{Lat: math.NaN(), Lon: a.Lon}, Records: 1}
+	pa, pb, pc := poi.POI{Center: a, Records: 3}, poi.POI{Center: b, Records: 2}, poi.POI{Center: c, Records: 1}
+	for name, pois := range map[string][]poi.POI{
+		"one POI a band":   {pa, pb, pc},
+		"NaN beside them":  {pa, nanPOI, pb, pc},
+		"NaN first":        {nanPOI, pa, pb, pc},
+		"NaN alone":        {nanPOI},
+		"one POI in total": {pb},
+	} {
+		check(name, e, pois, tr)
+	}
+
+	rng := mathx.NewRand(71)
+	for round := 0; round < 300; round++ {
+		e := extractor()
+		e.MaxDiameter = math.Exp(rng.Float64()*7) + 1 // 2 m to 1.1 km
+		pois := make([]poi.POI, 1+rng.Intn(6))
+		for i := range pois {
+			pois[i] = poi.POI{Center: geo.Offset(a, rng.NormFloat64()*800, rng.NormFloat64()*800), Records: len(pois) - i}
+		}
+		recs := make([]trace.Record, 200)
+		for i := range recs {
+			p := geo.Offset(pois[rng.Intn(len(pois))].Center, rng.NormFloat64()*e.MaxDiameter, rng.NormFloat64()*e.MaxDiameter)
+			recs[i] = trace.Record{Lat: p.Lat, Lon: p.Lon, TS: int64(i) * 60}
+		}
+		check(fmt.Sprintf("random layout %d", round), e, pois, trace.Trace{User: "random", Records: recs})
 	}
 }

@@ -8,8 +8,9 @@
 package poi
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"mood/internal/geo"
@@ -76,41 +77,38 @@ func (e Extractor) Extract(t trace.Trace) []POI {
 		minDwell = int64(DefaultMinDwell / time.Second)
 	}
 
+	// The open cluster is its record count, first and last timestamp
+	// and running centroid: nothing else of its records is needed.
 	var pois []POI
-	var cluster []trace.Record
+	var count int
+	var first, last int64
 	var centroid geo.Point
 
 	flush := func() {
-		if len(cluster) == 0 {
-			return
-		}
-		first := cluster[0].TS
-		last := cluster[len(cluster)-1].TS
-		if last-first >= minDwell {
+		if count > 0 && last-first >= minDwell {
 			pois = append(pois, POI{
 				Center:  centroid,
-				Records: len(cluster),
+				Records: count,
 				Dwell:   time.Duration(last-first) * time.Second,
 				First:   first,
 				Last:    last,
 			})
 		}
-		cluster = cluster[:0]
 	}
 
+	half := maxD / 2
 	for _, r := range t.Records {
 		p := r.Point()
-		if len(cluster) == 0 {
-			cluster = append(cluster, r)
-			centroid = p
-			continue
-		}
 		// A record joins the cluster if it stays within MaxDiameter/2 of
 		// the running centroid (the streaming approximation of the diameter
-		// bound); LatGap ≤ FastDistance rejects most others unmeasured.
-		if geo.LatGap(centroid, p) <= maxD/2 && geo.FastDistance(centroid, p) <= maxD/2 {
-			cluster = append(cluster, r)
-			n := float64(len(cluster))
+		// bound). SurelyWithin admits most dwelling records unmeasured and
+		// LatGap ≤ FastDistance rejects most others; only the rest are
+		// measured.
+		if count > 0 && (geo.SurelyWithin(centroid, p, half) ||
+			geo.LatGap(centroid, p) <= half && geo.FastDistance(centroid, p) <= half) {
+			count++
+			last = r.TS
+			n := float64(count)
 			centroid = geo.Point{
 				Lat: centroid.Lat + (p.Lat-centroid.Lat)/n,
 				Lon: centroid.Lon + (p.Lon-centroid.Lon)/n,
@@ -118,25 +116,25 @@ func (e Extractor) Extract(t trace.Trace) []POI {
 			continue
 		}
 		flush()
-		cluster = append(cluster, r)
-		centroid = p
+		count, first, last, centroid = 1, r.TS, r.TS, p
 	}
 	flush()
 
 	pois = e.merge(pois)
-	sort.SliceStable(pois, func(i, j int) bool { return pois[i].Records > pois[j].Records })
+	slices.SortStableFunc(pois, func(a, b POI) int { return cmp.Compare(b.Records, a.Records) })
 	return pois
 }
 
 // merge fuses POIs whose centers are within MergeDist, accumulating
 // their weights; repeated daily visits to home/work then appear as a
-// single heavy POI.
+// single heavy POI. It reuses pois, which Extract has just made.
 func (e Extractor) merge(pois []POI) []POI {
 	dist := e.MergeDist
 	if dist <= 0 {
 		return pois
 	}
-	merged := make([]POI, 0, len(pois))
+	// Fused in place: merged never outgrows the POIs already read.
+	merged := pois[:0]
 	for _, p := range pois {
 		found := false
 		for i := range merged {

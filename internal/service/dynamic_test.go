@@ -2,6 +2,7 @@ package service
 
 import (
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"mood/internal/attack"
 	"mood/internal/eval"
 	"mood/internal/store"
+	"mood/internal/synth"
 	"mood/internal/trace"
 )
 
@@ -224,5 +226,73 @@ func TestRecoveryRestoresRetrainedAdversary(t *testing.T) {
 				t.Fatal("the restarted node published other bytes than a node that never restarted")
 			}
 		})
+	}
+}
+
+// TestRetrainPassAllocBudget pins what one retrain + re-audit pass
+// allocates through the real pipeline: H₀ ∪ history merged, the attack
+// set and HMC background rebuilt on it, every published fragment
+// re-audited. The pass reads the history in place instead of copying
+// it, keeps each open POI cluster as a count, timestamps and centroid,
+// and counts MMC transitions as it scans, so what remains is mostly
+// what the retrained engine keeps. The budget is the measured cost,
+// 960,000–1,000,000 bytes a pass on amd64, with a little headroom;
+// before those changes the same pass cost 1,930,000.
+func TestRetrainPassAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's allocations are not the pass's")
+	}
+	const (
+		passes = 3
+		budget = 1 << 20 // bytes per pass
+	)
+	// Training fans out on GOMAXPROCS workers, each with buffers of its
+	// own: two keep the count the same on every machine.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	sc := synth.MDCLike(synth.ScaleTiny, 11)
+	sc.NumUsers = 30
+	full, err := synth.Generate(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bg, test := full.SplitTrainTest(0.5, 20)
+	pipeline, err := mood.NewPipeline(bg.Traces, mood.WithSeed(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(pipeline, WithRetrainer(retrainerOf(pipeline), 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(hs.Close)
+	c := NewClient(hs.URL)
+	for _, tr := range test.Traces {
+		mustUpload(t, c, tr)
+	}
+	// The first pass quarantines what the retrained attacks re-identify;
+	// the measured passes then re-audit the same surviving fragments.
+	if _, err := srv.Retrain(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var report RetrainReport
+	for i := 0; i < passes; i++ {
+		if report, err = srv.Retrain(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if report.HistoryRecords == 0 || report.Audited == 0 {
+		t.Fatalf("the pass trained on %d history records and audited %d fragments", report.HistoryRecords, report.Audited)
+	}
+	perPass := float64(after.TotalAlloc-before.TotalAlloc) / passes
+	t.Logf("%.0f bytes allocated per pass (%d users, %d history records, %d fragments audited)",
+		perPass, report.HistoryUsers, report.HistoryRecords, report.Audited)
+	if perPass > budget {
+		t.Fatalf("a retrain pass allocated %.0f bytes, over its budget of %d", perPass, budget)
 	}
 }

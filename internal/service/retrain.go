@@ -57,7 +57,9 @@ type BatchAuditor = Auditor
 // the engine to hot-swap in and the auditor to re-audit the published
 // dataset with; a nil auditor skips the re-audit pass. Implementations
 // must not mutate the engine currently serving — the old protector keeps
-// running until the swap.
+// running until the swap. The history's record arrays are shared with
+// the server's state, not copied: they are read-only, and an engine may
+// keep them.
 type Retrainer interface {
 	Retrain(history []trace.Trace) (Protector, Auditor, error)
 }

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -604,4 +605,136 @@ func userStatsOf(s *Server, user string) (UserStats, error) {
 		return UserStats{}, fmt.Errorf("unknown user %q", user)
 	}
 	return *us, nil
+}
+
+// TestHistorySnapshotSharesStableRecords: historySnapshot hands the
+// retrainer the shards' own record arrays, which is sound only while
+// nothing writes a record a captured header covers. A snapshot taken
+// after the first uploads must still equal its deep copy after more
+// chunks append to the same histories in place, one user is pushed past
+// the history cap (a trim), and retrain passes read every history
+// concurrently — under -race, any write into a shared array is a
+// reported race. A user uploaded out of time order comes back sorted.
+func TestHistorySnapshotSharesStableRecords(t *testing.T) {
+	const histCap = 195
+	var passes atomic.Int64
+	started := make(chan struct{})
+	rt := RetrainerFunc(func(history []trace.Trace) (Protector, Auditor, error) {
+		var sum float64
+		for _, h := range history {
+			for _, r := range h.Records {
+				sum += r.Lat + float64(r.TS)
+			}
+		}
+		if sum == 0 && len(history) > 0 {
+			return nil, nil, fmt.Errorf("history reads as zeros")
+		}
+		if passes.Add(1) == 1 {
+			close(started)
+		}
+		return nil, nil, nil
+	})
+	srv, hs := newRetrainServer(t, rt, WithHistoryCap(histCap))
+	c := NewClient(hs.URL)
+	chunk := func(user string, n int, from int64) trace.Trace {
+		recs := sampleRecords(n)
+		for i := range recs {
+			recs[i].TS += from
+		}
+		return trace.Trace{User: user, Records: recs}
+	}
+	mustUpload(t, c, chunk("alice", 30, 0))
+	mustUpload(t, c, chunk("alice", 30, 3600))
+	mustUpload(t, c, chunk("bob", 190, 0))
+	mustUpload(t, c, chunk("carol", 20, 86400))
+	mustUpload(t, c, chunk("carol", 20, 0))
+
+	live := func(user string) []trace.Record {
+		sh := srv.shard(user)
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		return sh.history[user]
+	}
+	// Alice's history has room to append in place; bob's has room for
+	// the two chunks that take it past the cap, so a trim that wrote in
+	// place would overwrite what the snapshot captured.
+	aliceLive, bobLive := live("alice"), live("bob")
+	if cap(aliceLive) == len(aliceLive) || cap(bobLive) < 200 {
+		t.Fatalf("spare capacity %d and %d: the test would not append in place",
+			cap(aliceLive)-len(aliceLive), cap(bobLive)-len(bobLive))
+	}
+	snap := srv.historySnapshot()
+	deep := make([]trace.Trace, len(snap))
+	for i, h := range snap {
+		deep[i] = trace.Trace{User: h.User, Records: slices.Clone(h.Records)}
+	}
+	if len(snap) != 3 || snap[0].User != "alice" || snap[2].User != "carol" {
+		t.Fatalf("snapshot users %v", snap)
+	}
+	if &snap[0].Records[0] != &aliceLive[0] || cap(snap[0].Records) != len(snap[0].Records) {
+		t.Fatal("an in-order history must be shared by slice header, capacity clipped")
+	}
+	if carol := snap[2].Records; !slices.IsSortedFunc(carol, func(a, b trace.Record) int { return int(a.TS - b.TS) }) ||
+		len(carol) != 40 || &carol[0] == &live("carol")[0] {
+		t.Fatal("an out-of-order history must come back as a sorted copy")
+	}
+
+	// Alice's chunks fit her spare capacity, so each appends in place.
+	appends := min(cap(aliceLive)-len(aliceLive), 10)
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		<-started
+		for i := int64(0); i < 10; i++ {
+			chunks := []trace.Trace{chunk("bob", 5, 86400*(i+1)), chunk("carol", 3, 2*86400+i*600)}
+			if i < int64(appends) {
+				chunks = append(chunks, chunk("alice", 1, 7200+i*600))
+			}
+			for _, tr := range chunks {
+				if _, err := c.UploadBatch([]BatchChunk{{User: tr.User, Records: tr.Records}}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for {
+			if _, err := srv.Retrain(); err != nil && err != ErrRetrainInProgress {
+				t.Error(err)
+				return
+			}
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+	}()
+	for {
+		select {
+		case <-done:
+		default:
+			if !reflect.DeepEqual(snap, deep) {
+				t.Fatal("a captured history changed while uploads and retrains ran")
+			}
+			continue
+		}
+		break
+	}
+	wg.Wait()
+
+	if !reflect.DeepEqual(snap, deep) {
+		t.Fatal("a captured history changed under later uploads")
+	}
+	if a := live("alice"); len(a) != 60+appends || &a[0] != &aliceLive[0] {
+		t.Fatalf("alice's history (%d records) was not appended in place", len(a))
+	}
+	if b := live("bob"); len(b) != histCap || b[0] == snap[1].Records[0] {
+		t.Fatalf("bob's history (%d records) was not trimmed to the cap", len(b))
+	}
 }

@@ -1,8 +1,10 @@
 package service
 
 import (
+	"cmp"
 	"hash/fnv"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"mood/internal/trace"
@@ -98,19 +100,29 @@ func (s *Server) publishedSnapshot() []trace.Trace {
 }
 
 // historySnapshot assembles the accumulated raw upload history as one
-// trace per user (records copied and time-sorted). This is what the
-// retrainer trains on: the paper's H as it has grown since startup.
+// time-sorted trace per user. This is what the retrainer trains on: the
+// paper's H as it has grown since startup. The shard locks cover a map
+// walk: each history is captured by slice header with its capacity
+// clipped, since the records a header covers are never written again
+// (see fullSnapshot). The traces therefore share the shards' record
+// arrays and are read-only; only a history uploaded out of time order
+// is copied, to be sorted.
 func (s *Server) historySnapshot() []trace.Trace {
 	var out []trace.Trace
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		for u, recs := range sh.history {
-			out = append(out, trace.New(u, recs))
+			out = append(out, trace.Trace{User: u, Records: recs[:len(recs):len(recs)]})
 		}
 		sh.mu.Unlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].User < out[j].User })
+	for i, h := range out {
+		if !slices.IsSortedFunc(h.Records, func(a, b trace.Record) int { return cmp.Compare(a.TS, b.TS) }) {
+			out[i] = trace.New(h.User, h.Records)
+		}
+	}
+	slices.SortFunc(out, func(a, b trace.Trace) int { return strings.Compare(a.User, b.User) })
 	return out
 }
 
@@ -203,6 +215,9 @@ func (s *Server) resetShards(published []publishedFrag, history map[string][]tra
 
 // recordHistory appends an accepted upload's raw records to the user's
 // bounded history, dropping the oldest overflow. Callers hold sh.mu.
+// It never writes a record a captured header covers: it appends past
+// the length or trims into a fresh array, so historySnapshot and
+// fullSnapshot may share the arrays.
 func (sh *stateShard) recordHistory(user string, records []trace.Record, cap int) {
 	if cap <= 0 {
 		return
