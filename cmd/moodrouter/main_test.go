@@ -95,7 +95,7 @@ func TestRouterRoutesToRealNodes(t *testing.T) {
 
 	c := service.NewClient(base)
 	results, err := c.UploadBatch([]service.BatchChunk{
-		{User: "alice", Records: trace.Records{{Lat: 1, Lon: 2, TS: 1700000000}}, Key: "k-1"},
+		{User: "alice", Records: []trace.Record{{Lat: 1, Lon: 2, TS: 1700000000}}, Key: "k-1"},
 	})
 	if err != nil {
 		t.Fatalf("upload through the router: %v", err)

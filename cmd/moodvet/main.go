@@ -2,18 +2,15 @@
 // mechanical form of the disciplines earlier PRs established (see
 // README.md, "Static analysis").
 //
-// Two modes share one binary:
+//	go run ./cmd/moodvet ./...         # the CI gate
+//	go run ./cmd/moodvet -json ./...   # the same run as a JSON report
 //
-//	go vet -vettool=$(pwd)/moodvet ./...   # vet protocol, used by CI
-//	go run ./cmd/moodvet ./...             # standalone driver
+// It shells out to `go list -test -deps -export` for the packages,
+// their test files included, and type-checks them from the export data
+// in the build cache.
 //
-// The vet mode analyzes exactly what go vet analyzes (including test
-// files) with full type information from the build cache; the
-// standalone mode shells out to `go list -test -deps -export` to get
-// the same information without cmd/go orchestrating it.
-//
-// Exit status: 0 clean, non-zero when diagnostics were reported (2 in
-// vet mode, matching unitchecker) or the analysis itself failed.
+// Exit status: 0 clean, 2 when diagnostics were reported, 1 when the
+// analysis itself failed.
 package main
 
 import (
@@ -25,16 +22,12 @@ import (
 	"mood/internal/lint"
 	"mood/internal/lint/analysis"
 	"mood/internal/lint/load"
-	"mood/internal/lint/vetdriver"
 )
 
 const modulePath = "mood"
 
 func main() {
 	args := os.Args[1:]
-	if code := vetdriver.Main(modulePath, lint.Suite(), args, os.Stdout, os.Stderr); code >= 0 {
-		os.Exit(code)
-	}
 	asJSON := false
 	if len(args) > 0 && args[0] == "-json" {
 		asJSON = true
@@ -49,7 +42,6 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, "usage: moodvet [-json] <packages>   (e.g. moodvet ./...)")
-	fmt.Fprintln(os.Stderr, "   or: go vet -vettool=/path/to/moodvet <packages>")
 	fmt.Fprintln(os.Stderr, "\n-json writes the findings to stdout as a deterministic JSON report")
 	fmt.Fprintln(os.Stderr, "(sorted by file/line/column/analyzer) for CI artifacts.\n\nanalyzers:")
 	for _, a := range lint.Suite() {

@@ -131,7 +131,7 @@ func newMemCluster(tb testing.TB, perNode [][]published) *memCluster {
 		for k, pub := range pubs {
 			user := fmt.Sprintf("u%d", k)
 			table[user] = pub.pseudonym
-			recs := make(trace.Records, len(pub.ts))
+			recs := make([]trace.Record, len(pub.ts))
 			for j, ts := range pub.ts {
 				recs[j] = trace.Record{Lat: 45.5 + float64(j)*1.25e-3, Lon: 4.75 - float64(k)*3.5e-4, TS: ts}
 			}
@@ -763,7 +763,7 @@ func benchNodeResults(tb testing.TB) (results []fanResult, jsonPages [][]byte, s
 		var ndjson bytes.Buffer
 		enc := json.NewEncoder(&ndjson)
 		for i := 0; i < share; i++ {
-			recs := make(trace.Records, 50)
+			recs := make([]trace.Record, 50)
 			for j := range recs {
 				recs[j] = trace.Record{
 					Lat: 45.7 + float64(n*10000+i*50+j)*1.37e-5,

@@ -114,7 +114,7 @@ func (h *harness) jobs(t *testing.T, query string) service.JobList {
 // test on any non-200 chunk.
 func (h *harness) upload(user string, nrec int) {
 	h.t.Helper()
-	recs := make(trace.Records, nrec)
+	recs := make([]trace.Record, nrec)
 	for i := range recs {
 		recs[i] = trace.Record{Lat: 48.8, Lon: 2.3, TS: int64(1700000000 + i*60)}
 	}
@@ -506,7 +506,7 @@ func TestRouterAsyncJobsAcrossCluster(t *testing.T) {
 	h := newHarness(t, 3)
 	const user = "async-user-7"
 	results, err := h.client().UploadBatch([]service.BatchChunk{
-		{User: user, Records: trace.Records{{Lat: 1, Lon: 2, TS: 1700000000}}, Async: true},
+		{User: user, Records: []trace.Record{{Lat: 1, Lon: 2, TS: 1700000000}}, Async: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -563,7 +563,7 @@ func TestRouterJobsListDefaultLimit(t *testing.T) {
 		chunks := make([]service.BatchChunk, perUser)
 		for i := range chunks {
 			chunks[i] = service.BatchChunk{User: user, Async: true,
-				Records: trace.Records{{Lat: 1, Lon: 2, TS: int64(1700000000 + i)}}}
+				Records: []trace.Record{{Lat: 1, Lon: 2, TS: int64(1700000000 + i)}}}
 		}
 		results, err := h.client().UploadBatch(chunks)
 		if err != nil {
@@ -864,7 +864,7 @@ func TestConcurrentUploadsComeBackFromTheLog(t *testing.T) {
 		for b := 0; b < batches; b++ {
 			user := fmt.Sprintf("user-%d-%d", c, b)
 			for i := 0; i < perBatch; i++ {
-				recs := make(trace.Records, 1+(i*13+b*7)%40)
+				recs := make([]trace.Record, 1+(i*13+b*7)%40)
 				for r := range recs {
 					x := float64(((c*batches+b)*perBatch+i)*64 + r)
 					recs[r] = trace.Record{Lat: 45 + x/1e5 + 1.0/3, Lon: 4 + x/7e4, TS: int64(1700000000 + x*60)}

@@ -85,7 +85,7 @@ func TestHotPathEscapes(t *testing.T) {
 		{"encodeUploadCommit", "make([]byte"}, // the single sized output buffer, returned by design
 		{"frags", "make([]publishedFrag"},     // the single sized fragment slice
 		{"decodeUploadCommit", "payload[0]"},  // cold version-error branch, waived for hotalloc too
-		{"ParseRecords", "make(Records"},      // a chunk's or trace's single sized record slice, returned by design
+		{"ParseRecords", "make([]Record"},     // a chunk's or trace's single sized record slice, returned by design
 		{"ParseTraces", "make([]Trace"},       // the page's single sized trace slice, returned by design
 		{"selectBest", "make([]Piece"},        // a tier's candidates, ranked by utility
 		// A frozen heatmap's three result allocations, sized exactly.

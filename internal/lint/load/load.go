@@ -2,9 +2,7 @@
 // analysis targets using nothing but the standard library: the go
 // command resolves and compiles dependencies into the build cache, and
 // go/importer's gc importer reads their export data back. This is the
-// loader behind moodvet's standalone mode (`moodvet ./...`) and the
-// repo meta-test; the `go vet -vettool` path gets the same information
-// from vet's unitchecker config instead (see package vetdriver).
+// loader behind moodvet (`moodvet ./...`) and the repo meta-test.
 package load
 
 import (
@@ -154,8 +152,8 @@ func typecheck(p *listPackage, exports map[string]string) (analysis.Target, erro
 }
 
 // Check runs go/types over the files with a gc-export-data importer
-// fed by lookup. The vet driver calls it directly with vet's
-// PackageFile/ImportMap tables.
+// fed by lookup. The analyzer tests (package linttest) call it
+// directly on their fixtures.
 func Check(path string, fset *token.FileSet, files []*ast.File, lookup func(string) (io.ReadCloser, error)) (analysis.Target, error) {
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},

@@ -17,7 +17,7 @@ import (
 // TestRepoIsClean runs the full production suite over the entire module
 // (test files included) and demands zero diagnostics: the disciplines
 // moodvet enforces hold on moodvet's own repository, waivers included.
-// This is the same analysis CI runs via `go vet -vettool`.
+// This is the same analysis CI runs via `go run ./cmd/moodvet ./...`.
 func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module")

@@ -3,8 +3,8 @@ package lint
 import "mood/internal/lint/analysis"
 
 // Suite returns the full moodvet analyzer set with the repo's
-// production configuration — the set go vet -vettool and the standalone
-// driver both run.
+// production configuration — the set cmd/moodvet and TestRepoIsClean
+// run.
 func Suite() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		DefaultClockDiscipline(),

@@ -72,8 +72,8 @@ var batchReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 6
 
 // BatchChunk is one line of the POST /v2/traces request stream.
 type BatchChunk struct {
-	User    string        `json:"user"`
-	Records trace.Records `json:"records"`
+	User    string         `json:"user"`
+	Records []trace.Record `json:"records"`
 	// Key is the optional per-chunk idempotency key, scoped per user: a
 	// retry under the same key replays the original outcome.
 	Key string `json:"key,omitempty"`

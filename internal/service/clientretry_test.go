@@ -159,7 +159,7 @@ func TestClientDoesNotRetryServiceAnswers(t *testing.T) {
 }
 
 func TestKeyedBatchRetriesUnkeyedDoesNot(t *testing.T) {
-	recs := trace.Records{{Lat: 1, Lon: 2, TS: 1700000000}}
+	recs := []trace.Record{{Lat: 1, Lon: 2, TS: 1700000000}}
 
 	t.Run("keyed", func(t *testing.T) {
 		srv, hs := newTestServer(t)

@@ -28,7 +28,7 @@ func publishFrag(s *Server, tr trace.Trace) int64 {
 // pageTrace is a published trace of n records, one a minute from ts
 // 1000 + off, on coordinates that exercise the float formatting.
 func pageTrace(user string, n, off int) trace.Trace {
-	rs := make(trace.Records, n)
+	rs := make([]trace.Record, n)
 	for j := range rs {
 		rs[j] = trace.Record{
 			Lat: 45.7 + float64(off+j)*1.37e-5,

@@ -162,10 +162,10 @@ func TestBatchChunkFastParseMatchesGeneric(t *testing.T) {
 // TestBatchChunkLineMatchesEncoder pins the client's upload line to
 // json.Encoder's, byte for byte.
 func TestBatchChunkLineMatchesEncoder(t *testing.T) {
-	recs := trace.Records{{Lat: 45.7, Lon: 4.8, TS: 1000}, {Lat: -1e-9, Lon: 1e21, TS: -1}}
+	recs := []trace.Record{{Lat: 45.7, Lon: 4.8, TS: 1000}, {Lat: -1e-9, Lon: 1e21, TS: -1}}
 	for _, c := range []BatchChunk{
 		{User: "alice", Records: recs},
-		{User: "bob", Records: trace.Records{}, Key: "k-1", Async: true},
+		{User: "bob", Records: []trace.Record{}, Key: "k-1", Async: true},
 		{User: "<q\"uote>&\u2028\xff", Records: recs, Key: "<\n>"},
 		{User: "nil-records"},
 	} {

@@ -7,7 +7,6 @@ import (
 	"hash/fnv"
 	"math"
 	"net/http"
-	"slices"
 	"sync"
 
 	"mood/internal/trace"
@@ -73,24 +72,22 @@ func uploadFingerprint(t trace.Trace) uint64 {
 	return h.Sum64()
 }
 
-// idemStore is the bounded dedupe window: above cap entries, completed
-// entries are evicted in the order their entries began.
+// idemStore is the bounded dedupe window: above its capacity, completed
+// entries are evicted in the order their entries began. A key released
+// by a failure leaves the table with its entry, so a retry under it is
+// as young as its own begin.
 type idemStore struct {
 	mu      sync.Mutex
-	cap     int
-	entries map[string]*idemEntry
-	// order holds each entry's key once, in the order the entries began:
-	// a key released by a failure leaves order with its entry, so a
-	// retry under it is as young as its own begin. Eviction blanks a
-	// key ("" is no user's key) instead of closing the gap; head skips
-	// the blanks in front, and the slice is compacted once dead blanks
-	// fill half of it, so an eviction costs O(1) amortised.
-	order      []string
-	head, dead int
+	entries retention[*idemEntry]
 }
 
+// newIdemStore sizes the window. Evicting a completed entry only
+// forgets the dedupe — holders of the pointer still read its outcome.
+// Pending entries are never evicted: dropping one would let a retry
+// re-execute while the original is still in flight, the exact double
+// commit this window exists to prevent.
 func newIdemStore(capacity int) *idemStore {
-	return &idemStore{cap: capacity, entries: make(map[string]*idemEntry)}
+	return &idemStore{entries: newRetention(capacity, func(e *idemEntry) bool { return e.completed })}
 }
 
 // idemKey scopes a client key to its user. The user ID is
@@ -107,13 +104,11 @@ func (st *idemStore) begin(user, key string, fp uint64) (*idemEntry, bool) {
 	k := idemKey(user, key)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if e, ok := st.entries[k]; ok {
+	if e, ok := st.entries.m[k]; ok {
 		return e, false
 	}
 	e := &idemEntry{fp: fp, done: make(chan struct{})}
-	st.entries[k] = e
-	st.order = append(st.order, k)
-	st.evictLocked()
+	st.entries.put(k, e)
 	return e, true
 }
 
@@ -143,20 +138,8 @@ func (st *idemStore) complete(user, key string, e *idemEntry, resp UploadRespons
 	e.resp, e.err, e.completed = resp, err, true
 	close(e.done)
 	if err != nil {
-		if k := idemKey(user, key); st.entries[k] == e {
-			delete(st.entries, k)
-			st.dropOrderLocked(k)
-		}
-	}
-}
-
-// dropOrderLocked removes k from order. A failed upload began recently,
-// so the scan runs from the newest key.
-func (st *idemStore) dropOrderLocked(k string) {
-	for i := len(st.order) - 1; i >= st.head; i-- {
-		if st.order[i] == k {
-			st.order = slices.Delete(st.order, i, i+1)
-			return
+		if k := idemKey(user, key); st.entries.m[k] == e {
+			st.entries.remove(k)
 		}
 	}
 }
@@ -180,9 +163,9 @@ type persistedIdem struct {
 func (st *idemStore) snapshot() []persistedIdem {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	out := make([]persistedIdem, 0, len(st.entries))
-	for _, k := range st.order[st.head:] {
-		if e := st.entries[k]; e != nil && e.completed && e.err == nil {
+	out := make([]persistedIdem, 0, len(st.entries.m))
+	for k, e := range st.entries.all() {
+		if e.completed && e.err == nil {
 			out = append(out, persistedIdem{Key: k, FP: e.fp, JobID: e.jobID, Resp: e.resp})
 		}
 	}
@@ -200,12 +183,7 @@ func (st *idemStore) snapshot() []persistedIdem {
 func (st *idemStore) applyRestored(pe persistedIdem) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	_, existed := st.entries[pe.Key]
-	st.entries[pe.Key] = completedIdem(pe)
-	if !existed {
-		st.order = append(st.order, pe.Key)
-	}
-	st.evictLocked()
+	st.entries.put(pe.Key, completedIdem(pe))
 }
 
 // completedIdem rebuilds a persisted entry as a completed one.
@@ -220,31 +198,6 @@ func (st *idemStore) outcome(e *idemEntry) (resp UploadResponse, completed bool,
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return e.resp, e.completed, e.err
-}
-
-// evictLocked drops the *completed* entries that began longest ago above
-// the capacity. Evicting a completed entry only forgets the dedupe — holders of the
-// pointer still read its outcome. Pending entries are never evicted:
-// dropping one would let a retry re-execute while the original is still
-// in flight, the exact double commit this window exists to prevent. The
-// pending population is bounded by the upload pipeline itself (queue
-// depth + workers + in-flight handlers), so the map exceeds cap at most
-// transiently.
-func (st *idemStore) evictLocked() {
-	for i := st.head; len(st.entries) > st.cap && i < len(st.order); i++ {
-		if k := st.order[i]; k != "" && st.entries[k].completed {
-			delete(st.entries, k)
-			st.order[i] = ""
-			st.dead++
-		}
-	}
-	for st.head < len(st.order) && st.order[st.head] == "" {
-		st.head++
-	}
-	if 2*st.dead > len(st.order) {
-		st.order = slices.DeleteFunc(st.order, func(k string) bool { return k == "" })
-		st.head, st.dead = 0, 0
-	}
 }
 
 // replayChunk answers a chunk whose (user, key) already executed or is

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -266,10 +267,10 @@ func TestIdemStoreEviction(t *testing.T) {
 		}
 		st.complete(user, "k", e, UploadResponse{Accepted: i}, nil)
 	}
-	if len(st.entries) > 4 {
-		t.Fatalf("window grew to %d entries, cap 4", len(st.entries))
+	if len(st.entries.m) > 4 {
+		t.Fatalf("window grew to %d entries, cap 4", len(st.entries.m))
 	}
-	if _, ok := st.entries[idemKey("u0", "k")]; ok {
+	if _, ok := st.entries.m[idemKey("u0", "k")]; ok {
 		t.Fatal("oldest entry survived eviction")
 	}
 	// The evicted entry pointer still works for in-flight holders.
@@ -301,7 +302,7 @@ func TestIdemStoreRetryAgesFromLatestBegin(t *testing.T) {
 	run("B", nil)
 	run("K", nil)
 	run("C", nil)
-	if _, ok := st.entries[idemKey("B", "k")]; ok {
+	if _, ok := st.entries.m[idemKey("B", "k")]; ok {
 		t.Fatal("B survived: eviction ran by K's first, released begin")
 	}
 	if _, isNew := st.begin("K", "k", 0); isNew {
@@ -335,7 +336,7 @@ func TestIdemStoreFailureCompactsOrder(t *testing.T) {
 		st.complete(user, "k", e, UploadResponse{}, fmt.Errorf("boom"))
 	}
 	st.mu.Lock()
-	entries, order := len(st.entries), len(st.order)
+	entries, order := len(st.entries.m), len(st.entries.order)
 	st.mu.Unlock()
 	if entries != 0 {
 		t.Fatalf("failed entries retained: %d", entries)
@@ -504,11 +505,19 @@ func (n *naiveIdem) complete(k string, failed bool) {
 	}
 }
 
-// TestIdemStoreEvictionMatchesReference runs three windows' worth of
-// keyed begins — retries of earlier keys, failures, entries pending for
-// a few begins and one pending across thousands — and holds the live
-// key set and the snapshot order to the reference's throughout.
+// TestIdemStoreEvictionMatchesReference holds both tables that share
+// the retention table's eviction — the dedupe window and the job store
+// — to naive references that rescan the whole table on every eviction.
 func TestIdemStoreEvictionMatchesReference(t *testing.T) {
+	t.Run("dedupe window", testIdemWindowMatchesReference)
+	t.Run("job store", testJobStoreMatchesReference)
+}
+
+// testIdemWindowMatchesReference runs three windows' worth of keyed
+// begins — retries of earlier keys, failures, entries pending for a few
+// begins and one pending across thousands — and holds the live key set
+// and the snapshot order to the reference's throughout.
+func testIdemWindowMatchesReference(t *testing.T) {
 	const n = 3 * idempotencyWindow
 	st := newIdemStore(idempotencyWindow)
 	ref := &naiveIdem{cap: idempotencyWindow, done: map[string]bool{}}
@@ -556,9 +565,9 @@ func TestIdemStoreEvictionMatchesReference(t *testing.T) {
 			continue
 		}
 		st.mu.Lock()
-		live := len(st.entries)
+		live := len(st.entries.m)
 		for k := range ref.done {
-			if _, ok := st.entries[k]; !ok {
+			if _, ok := st.entries.m[k]; !ok {
 				t.Fatalf("begin %d: key %q is live in the reference only", i, k)
 			}
 		}
@@ -579,5 +588,208 @@ func TestIdemStoreEvictionMatchesReference(t *testing.T) {
 		if !slices.Equal(got, want) {
 			t.Fatalf("begin %d: snapshot order departs from the reference's", i)
 		}
+	}
+}
+
+// naiveJobs is the job store's reference: the map beside an
+// insertion-order slice that the store kept before it shared the dedupe
+// window's table, with its eviction pass (a rescan of the whole order
+// on every insert past the cap) and its lazily compacted remove.
+type naiveJobs struct {
+	cap   int
+	jobs  map[string]string // id → state
+	order []string
+}
+
+func (n *naiveJobs) put(id, state string) {
+	if _, ok := n.jobs[id]; !ok {
+		n.order = append(n.order, id)
+	}
+	n.jobs[id] = state
+	n.evictLocked()
+}
+
+// set moves a live job to state, as setRunning, setDone and setFailed do.
+func (n *naiveJobs) set(id, state string) {
+	if _, ok := n.jobs[id]; ok {
+		n.jobs[id] = state
+	}
+}
+
+func (n *naiveJobs) evictLocked() {
+	if len(n.jobs) <= n.cap {
+		return
+	}
+	kept := n.order[:0]
+	for _, id := range n.order {
+		state, ok := n.jobs[id]
+		if !ok {
+			continue
+		}
+		if len(n.jobs) > n.cap && (state == JobDone || state == JobFailed) {
+			delete(n.jobs, id)
+			continue
+		}
+		kept = append(kept, id)
+	}
+	n.order = kept
+}
+
+func (n *naiveJobs) remove(id string) {
+	delete(n.jobs, id)
+	if len(n.order) > 2*len(n.jobs)+16 {
+		kept := n.order[:0]
+		for _, oid := range n.order {
+			if _, ok := n.jobs[oid]; ok {
+				kept = append(kept, oid)
+			}
+		}
+		n.order = kept
+	}
+}
+
+// listed returns the live jobs whose state keep accepts, each once, in
+// insertion order.
+func (n *naiveJobs) listed(keep func(state string) bool) []string {
+	var out []string
+	seen := map[string]bool{}
+	for _, id := range n.order {
+		state, ok := n.jobs[id]
+		if !ok || seen[id] {
+			continue
+		}
+		seen[id] = true
+		if keep(state) {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// testJobStoreMatchesReference drives a job store with a small cap
+// through random creates, state changes, removals and restored terminal
+// jobs — new ones and overwrites of live ones — with one job left queued
+// while the table turns over, and holds the live jobs, their states and
+// the list and terminal orders to the reference's throughout.
+func testJobStoreMatchesReference(t *testing.T) {
+	const capacity, n = 256, 12 * 256
+	js := newJobStore()
+	js.jobs.cap = capacity
+	ref := &naiveJobs{cap: capacity, jobs: map[string]string{}}
+	rng := mathx.NewRand(11)
+	var open []string // queued or running jobs, in no order
+	var held string
+	take := func() string {
+		i := rng.Intn(len(open))
+		id := open[i]
+		open[i] = open[len(open)-1]
+		open = open[:len(open)-1]
+		return id
+	}
+	ids := func(jobs []JobStatus) []string {
+		out := make([]string, 0, len(jobs))
+		for _, j := range jobs {
+			out = append(out, j.ID)
+		}
+		return out
+	}
+	for i := 0; i < n; i++ {
+		switch r := rng.Intn(20); {
+		case r < 8 || len(open) == 0:
+			j := js.create(fmt.Sprintf("u%d", rng.Intn(10)))
+			ref.put(j.ID, JobQueued)
+			if i == capacity/2 {
+				held = j.ID
+			} else {
+				open = append(open, j.ID)
+			}
+		case r < 10:
+			id := open[rng.Intn(len(open))]
+			js.setRunning(id)
+			ref.set(id, JobRunning)
+		case r < 14:
+			id := take()
+			js.setDone(id, UploadResponse{Accepted: i})
+			ref.set(id, JobDone)
+		case r < 15:
+			id := take()
+			js.setFailed(id, errors.New("boom"))
+			ref.set(id, JobFailed)
+		case r < 16:
+			id := take()
+			js.remove(id)
+			ref.remove(id)
+		case r < 19:
+			// A terminal job restored from a snapshot or a WAL record.
+			id := fmt.Sprintf("job-restored-%d", i)
+			if r == 18 {
+				id = open[rng.Intn(len(open))] // a record newer than the live entry
+			}
+			state := JobDone
+			if rng.Intn(4) == 0 {
+				state = JobFailed
+			}
+			js.applyTerminal(JobStatus{ID: id, User: "r", State: state})
+			ref.put(id, state)
+		default:
+			// A late outcome for a job that may be gone.
+			js.setDone("job-gone", UploadResponse{})
+		}
+		if i == 8*capacity {
+			js.setDone(held, UploadResponse{})
+			ref.set(held, JobDone)
+		}
+		if i%37 != 0 && i != n-1 {
+			continue
+		}
+		js.mu.Lock()
+		live := len(js.jobs.m)
+		for id, state := range ref.jobs {
+			if j, ok := js.jobs.m[id]; !ok || j.State != state {
+				t.Fatalf("op %d: job %s is %s in the reference, store has %+v", i, id, state, j)
+			}
+		}
+		js.mu.Unlock()
+		if live != len(ref.jobs) {
+			t.Fatalf("op %d: %d live jobs, reference has %d", i, live, len(ref.jobs))
+		}
+		all := ref.listed(func(string) bool { return true })
+		if got := js.list("", "", math.MaxInt); !slices.Equal(ids(got.Jobs), all) || got.Total != len(all) {
+			t.Fatalf("op %d: list order departs from the reference's", i)
+		}
+		done := ref.listed(func(s string) bool { return s == JobDone })
+		if got := js.list(JobDone, "", math.MaxInt); !slices.Equal(ids(got.Jobs), done) {
+			t.Fatalf("op %d: done-filtered list departs from the reference's", i)
+		}
+		finished := ref.listed(func(s string) bool { return s == JobDone || s == JobFailed })
+		if got := ids(js.terminal()); !slices.Equal(got, finished) {
+			t.Fatalf("op %d: terminal order departs from the reference's", i)
+		}
+	}
+}
+
+// TestJobStoreCreateStaysCheapPastCap: past its cap, the job store
+// evicts its oldest finished job in O(1) amortised time, so an async
+// upload costs the same past the cap as below it, instead of a rescan
+// of the whole table under the lock every job poll takes.
+func TestJobStoreCreateStaysCheapPastCap(t *testing.T) {
+	if raceEnabled {
+		t.Skip("a wall-clock bound: the race detector slows map work several-fold")
+	}
+	js := newJobStore()
+	for i := 0; i < maxRetainedJobs; i++ {
+		js.setDone(js.create("u").ID, UploadResponse{})
+	}
+	start := time.Now()
+	for i := 0; i < 10000; i++ {
+		js.setDone(js.create("u").ID, UploadResponse{})
+	}
+	d := time.Since(start)
+	t.Logf("10000 creates past the cap: %v", d)
+	if d > 250*time.Millisecond {
+		t.Fatalf("10000 creates past the cap took %v, want under 250ms", d)
+	}
+	if n := len(js.jobs.m); n != maxRetainedJobs {
+		t.Fatalf("store holds %d jobs, cap %d", n, maxRetainedJobs)
 	}
 }

@@ -69,7 +69,7 @@ func runStatsInvariantProperty(t *testing.T, seed uint64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.idem.cap = 8
+	srv.idem.entries.cap = 8
 	t.Cleanup(func() { srv.Close() })
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)

@@ -79,7 +79,7 @@ func TestPageWriterMatchesEncoder(t *testing.T) {
 	for _, page := range []DatasetPage{
 		benchDatasetPage(3, 4),
 		{Name: PublishedDatasetName, Traces: []trace.Trace{}},
-		{Name: PublishedDatasetName, Traces: []trace.Trace{{User: "a", Records: trace.Records{}}}, TotalUsers: 1},
+		{Name: PublishedDatasetName, Traces: []trace.Trace{{User: "a", Records: []trace.Record{}}}, TotalUsers: 1},
 		hostile,
 	} {
 		var got, want bytes.Buffer
@@ -118,7 +118,7 @@ func benchDatasetPage(traces, nrec int) DatasetPage {
 	rng := mathx.NewRand(1)
 	center := geo.Point{Lat: 46.2044, Lon: 6.1432}
 	for i := 0; i < traces; i++ {
-		recs := make(trace.Records, nrec)
+		recs := make([]trace.Record, nrec)
 		p := geo.Offset(center, rng.NormFloat64()*4000, rng.NormFloat64()*4000)
 		for j := range recs {
 			p = geo.Offset(p, rng.NormFloat64()*60, rng.NormFloat64()*60)

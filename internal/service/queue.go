@@ -172,76 +172,46 @@ func (p *workerPool) close() {
 // Job store.
 
 // maxRetainedJobs bounds the job store; the oldest finished jobs are
-// evicted first so a long-lived server cannot leak memory one 202 at a
-// time.
+// evicted first, as the idempotency window evicts its oldest completed
+// entries, so a long-lived server cannot leak memory one 202 at a time.
 const maxRetainedJobs = 10000
 
 type jobStore struct {
-	mu    sync.Mutex
-	next  int
-	jobs  map[string]*JobStatus
-	order []string // insertion order, for eviction
+	mu   sync.Mutex
+	jobs retention[*JobStatus]
 }
 
 func newJobStore() *jobStore {
-	return &jobStore{jobs: make(map[string]*JobStatus)}
+	return &jobStore{jobs: newRetention(maxRetainedJobs, jobFinished)}
 }
+
+// jobFinished reports a terminal job: done or failed.
+func jobFinished(j *JobStatus) bool { return j.State == JobDone || j.State == JobFailed }
 
 // create registers a new queued job and returns its public status.
 func (js *jobStore) create(user string) JobStatus {
+	j := &JobStatus{ID: newJobID(), User: user, State: JobQueued}
 	js.mu.Lock()
 	defer js.mu.Unlock()
-	js.next++
-	j := &JobStatus{
-		ID:    newJobID(js.next),
-		User:  user,
-		State: JobQueued,
-	}
-	js.jobs[j.ID] = j
-	js.order = append(js.order, j.ID)
-	js.evictLocked()
+	js.jobs.put(j.ID, j)
 	return *j
 }
 
 // newJobID returns an unguessable job ID. A job handle is the only
 // credential for reading another participant's upload outcome (the
 // jobs endpoint is exempt from rate limiting), so sequential IDs would
-// let any client enumerate every uploader's identity and results. The
-// counter is a fallback for the never-in-practice case of the system
-// randomness source failing.
-func newJobID(seq int) string {
+// let any client enumerate every uploader's identity and results.
+func newJobID() string {
 	var b [16]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return fmt.Sprintf("job-%06d", seq)
-	}
+	rand.Read(b[:]) //nolint:errcheck // crypto/rand.Read never returns an error
 	return "job-" + hex.EncodeToString(b[:])
-}
-
-// evictLocked drops the oldest finished jobs above the retention cap.
-func (js *jobStore) evictLocked() {
-	if len(js.jobs) <= maxRetainedJobs {
-		return
-	}
-	kept := js.order[:0]
-	for _, id := range js.order {
-		j := js.jobs[id]
-		if j == nil {
-			continue
-		}
-		if len(js.jobs) > maxRetainedJobs && (j.State == JobDone || j.State == JobFailed) {
-			delete(js.jobs, id)
-			continue
-		}
-		kept = append(kept, id)
-	}
-	js.order = kept
 }
 
 // get returns a copy of the job's status.
 func (js *jobStore) get(id string) (JobStatus, bool) {
 	js.mu.Lock()
 	defer js.mu.Unlock()
-	j, ok := js.jobs[id]
+	j, ok := js.jobs.m[id]
 	if !ok {
 		return JobStatus{}, false
 	}
@@ -251,7 +221,7 @@ func (js *jobStore) get(id string) (JobStatus, bool) {
 func (js *jobStore) setRunning(id string) {
 	js.mu.Lock()
 	defer js.mu.Unlock()
-	if j, ok := js.jobs[id]; ok {
+	if j, ok := js.jobs.m[id]; ok {
 		j.State = JobRunning
 	}
 }
@@ -259,7 +229,7 @@ func (js *jobStore) setRunning(id string) {
 func (js *jobStore) setDone(id string, resp UploadResponse) {
 	js.mu.Lock()
 	defer js.mu.Unlock()
-	if j, ok := js.jobs[id]; ok {
+	if j, ok := js.jobs.m[id]; ok {
 		j.State = JobDone
 		j.Result = &resp
 	}
@@ -268,7 +238,7 @@ func (js *jobStore) setDone(id string, resp UploadResponse) {
 func (js *jobStore) setFailed(id string, err error) {
 	js.mu.Lock()
 	defer js.mu.Unlock()
-	if j, ok := js.jobs[id]; ok {
+	if j, ok := js.jobs.m[id]; ok {
 		j.State = JobFailed
 		j.Error = err.Error()
 	}
@@ -278,19 +248,7 @@ func (js *jobStore) setFailed(id string, err error) {
 func (js *jobStore) remove(id string) {
 	js.mu.Lock()
 	defer js.mu.Unlock()
-	delete(js.jobs, id)
-	// order keeps the dead ID until it drifts far from the map size;
-	// compacting lazily keeps remove O(1) amortised even when every
-	// async upload is being refused.
-	if len(js.order) > 2*len(js.jobs)+16 {
-		kept := js.order[:0]
-		for _, oid := range js.order {
-			if _, ok := js.jobs[oid]; ok {
-				kept = append(kept, oid)
-			}
-		}
-		js.order = kept
-	}
+	js.jobs.remove(id)
 }
 
 // ---------------------------------------------------------------------------
@@ -398,13 +356,7 @@ func (js *jobStore) list(state, user string, limit int) JobList {
 	js.mu.Lock()
 	defer js.mu.Unlock()
 	out := JobList{Jobs: []JobStatus{}}
-	seen := make(map[string]bool, len(js.jobs))
-	for _, id := range js.order {
-		j, ok := js.jobs[id]
-		if !ok || seen[id] {
-			continue
-		}
-		seen[id] = true
+	for _, j := range js.jobs.all() {
 		if state != "" && j.State != state {
 			continue
 		}
@@ -428,15 +380,9 @@ func (js *jobStore) list(state, user string, limit int) JobList {
 func (js *jobStore) terminal() []JobStatus {
 	js.mu.Lock()
 	defer js.mu.Unlock()
-	out := make([]JobStatus, 0, len(js.jobs))
-	seen := make(map[string]bool, len(js.jobs))
-	for _, id := range js.order {
-		j, ok := js.jobs[id]
-		if !ok || seen[id] {
-			continue
-		}
-		seen[id] = true
-		if j.State == JobDone || j.State == JobFailed {
+	out := make([]JobStatus, 0, len(js.jobs.m))
+	for _, j := range js.jobs.all() {
+		if jobFinished(j) {
 			out = append(out, *j)
 		}
 	}
@@ -447,15 +393,10 @@ func (js *jobStore) terminal() []JobStatus {
 // snapshot: insert-or-overwrite, so a record newer than a snapshot entry
 // wins. Installed in snapshot order, the jobs keep their eviction age.
 func (js *jobStore) applyTerminal(j JobStatus) {
-	if j.ID == "" || (j.State != JobDone && j.State != JobFailed) {
+	if j.ID == "" || !jobFinished(&j) {
 		return
 	}
 	js.mu.Lock()
 	defer js.mu.Unlock()
-	if _, ok := js.jobs[j.ID]; !ok {
-		js.order = append(js.order, j.ID)
-	}
-	cp := j
-	js.jobs[j.ID] = &cp
-	js.evictLocked()
+	js.jobs.put(j.ID, &j)
 }

@@ -36,17 +36,6 @@ import (
 //   - one key reader: LineKey, which reads a line's user out of the frame
 //     the encoder writes without decoding the rest.
 
-// Records is a JSON-accelerated []Record. It is a plain named slice —
-// every []Record value converts implicitly where a Records is expected
-// and vice versa.
-//
-// Only decoding is customised. A MarshalJSON (on the slice or the
-// element) would route encoding/json through an interface call plus a
-// re-validation pass over the produced bytes, which benchmarks ~2x
-// slower than the cached reflective struct encoder; AppendRecordsJSON
-// is the single-pass encoder for callers that write lines by hand.
-type Records []Record
-
 // AppendRecordsJSON appends the array rendered exactly as the generic
 // encoder would ({"lat":…,"lon":…,"ts":…} objects), in a single buffer
 // pass with no intermediate allocations. It errors on NaN/Inf like the
@@ -191,49 +180,11 @@ func appendJSONFloat(b []byte, f float64) ([]byte, error) {
 	return b, nil
 }
 
-// UnmarshalJSON parses a canonical record array in one pass into an
-// empty target. A target with elements or spare capacity goes to the
-// generic decoder, which decodes into what those elements hold; so does
-// anything non-canonical.
-func (rs *Records) UnmarshalJSON(data []byte) error {
-	if cap(*rs) == 0 {
-		s := NewScanner(data)
-		if out, ok := s.ParseRecords(); ok && s.End() {
-			*rs = out
-			return nil
-		}
-	}
-	return json.Unmarshal(data, (*[]Record)(rs))
-}
-
-// recordAlias decodes like Record but without the custom unmarshaller,
-// for the fallback path.
-type recordAlias struct {
-	Lat float64 `json:"lat"`
-	Lon float64 `json:"lon"`
-	TS  int64   `json:"ts"`
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (r *Record) UnmarshalJSON(data []byte) error {
-	s := NewScanner(data)
-	if rec, ok := s.parseRecord(*r); ok && s.End() {
-		*r = rec
-		return nil
-	}
-	a := recordAlias{Lat: r.Lat, Lon: r.Lon, TS: r.TS}
-	if err := json.Unmarshal(data, &a); err != nil {
-		return err
-	}
-	*r = Record{Lat: a.Lat, Lon: a.Lon, TS: a.TS}
-	return nil
-}
-
 // ScanRecords parses a canonical record array at the start of data
 // (leading whitespace allowed) and returns the records plus the number
 // of bytes consumed. ok=false means the input is not canonical and the
 // caller must fall back to the generic decoder; nothing is consumed.
-func ScanRecords(data []byte) (recs Records, n int, ok bool) {
+func ScanRecords(data []byte) (recs []Record, n int, ok bool) {
 	s := NewScanner(data)
 	if recs, ok = s.ParseRecords(); !ok {
 		return nil, 0, false
@@ -370,7 +321,7 @@ func (s *Scanner) ParseInt() (int, bool) {
 }
 
 // ParseRecords consumes a canonical record array.
-func (s *Scanner) ParseRecords() (Records, bool) {
+func (s *Scanner) ParseRecords() ([]Record, bool) {
 	s.skipWS()
 	if !s.eat('[') {
 		return nil, false
@@ -385,12 +336,12 @@ func (s *Scanner) ParseRecords() (Records, bool) {
 		return nil, false
 	}
 	count := min(bytes.Count(s.data[s.i:s.i+end], openBrace), end/len(`{"lat":0,"lon":0,"ts":0}`)+1)
-	out := make(Records, 0, count)
+	out := make([]Record, 0, count)
 	for i := 0; ; i++ {
 		if more, ok := s.elem(i); !more {
 			return out, ok
 		}
-		rec, ok := s.parseRecord(Record{})
+		rec, ok := s.parseRecord()
 		if !ok {
 			return nil, false
 		}
@@ -456,18 +407,17 @@ func (s *Scanner) parseTrace() (Trace, bool) {
 }
 
 // parseRecord consumes one canonical record object — exact-case
-// "lat"/"lon"/"ts" keys in any order with plain number values —
-// starting from base (the stdlib merges object fields into the existing
-// value). The shape AppendRecordsJSON writes is matched first, byte for
-// byte and with no key lookup; anything else rewinds the cursor and
-// goes through Field, key by key.
-func (s *Scanner) parseRecord(base Record) (Record, bool) {
+// "lat"/"lon"/"ts" keys in any order with plain number values; a
+// missing key reads as zero. The shape AppendRecordsJSON writes is
+// matched first, byte for byte and with no key lookup; anything else
+// rewinds the cursor and goes through Field, key by key.
+func (s *Scanner) parseRecord() (Record, bool) {
 	start := s.i
 	if rec, ok := s.encodedRecord(); ok {
 		return rec, true
 	}
 	s.i = start
-	rec := base
+	var rec Record
 	var seen uint
 	for {
 		key, ok := s.Field(&seen, "lat", "lon", "ts")

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -26,7 +27,7 @@ func TestRecordMarshalMatchesGeneric(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: %v", rec, err)
 		}
-		want, err := json.Marshal([]recordAlias{{Lat: rec.Lat, Lon: rec.Lon, TS: rec.TS}})
+		want, err := json.Marshal([]Record{rec})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,7 +36,7 @@ func TestRecordMarshalMatchesGeneric(t *testing.T) {
 		}
 	}
 
-	for _, bad := range []Records{{{Lat: math.NaN()}}, {{Lon: math.Inf(1)}}} {
+	for _, bad := range [][]Record{{{Lat: math.NaN()}}, {{Lon: math.Inf(1)}}} {
 		if _, err := AppendRecordsJSON(nil, bad); err == nil {
 			t.Errorf("%+v: NaN/Inf must fail like the generic encoder", bad)
 		}
@@ -48,7 +49,7 @@ func TestRecordMarshalMatchesGeneric(t *testing.T) {
 // TestRecordsArrayFastPaths pins the slice-level fast paths (the hot
 // wire shape) to the generic encoder and decoder.
 func TestRecordsArrayFastPaths(t *testing.T) {
-	cases := []Records{
+	cases := [][]Record{
 		nil,
 		{},
 		{{Lat: 45.7, Lon: 4.8, TS: 1000}},
@@ -59,38 +60,25 @@ func TestRecordsArrayFastPaths(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		alias := make([]recordAlias, len(rs))
-		for i, r := range rs {
-			alias[i] = recordAlias(r)
-		}
-		var want []byte
-		if rs == nil {
-			want = []byte("null")
-		} else {
-			if want, err = json.Marshal(alias); err != nil {
-				t.Fatal(err)
-			}
+		want, err := json.Marshal(rs)
+		if err != nil {
+			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
 			t.Errorf("marshal %v: fast %s != generic %s", rs, got, want)
 		}
-
-		var back Records
-		if err := json.Unmarshal(got, &back); err != nil {
-			t.Fatalf("unmarshal %s: %v", got, err)
+		if rs == nil {
+			continue // null is not a canonical array: the scanner leaves it to encoding/json
 		}
-		if len(back) != len(rs) {
-			t.Fatalf("round trip %s: %v", got, back)
+		back, ok := scanAll(got)
+		if !ok || !sameRecords(back, rs) {
+			t.Errorf("round trip %s: scanned %+v (ok %v), want %+v", got, back, ok, rs)
 		}
-		for i := range rs {
-			if back[i] != rs[i] {
-				t.Errorf("round trip %s: element %d = %+v, want %+v", got, i, back[i], rs[i])
-			}
-		}
+		scanMatchesGeneric(t, string(got))
 	}
 
-	// Non-canonical arrays must defer to the generic decoder, values
-	// and errors alike.
+	// Non-canonical arrays are refused, or read exactly as encoding/json
+	// reads them.
 	inputs := []string{
 		`null`,
 		`[{"LAT":1,"lon":2,"ts":3}]`,
@@ -101,119 +89,110 @@ func TestRecordsArrayFastPaths(t *testing.T) {
 		`  [ { "lat" : 1.5 } , {} ]  `,
 	}
 	for _, in := range inputs {
-		var fast Records
-		fastErr := json.Unmarshal([]byte(in), &fast)
-		var generic []recordAlias
-		genericErr := json.Unmarshal([]byte(in), &generic)
-		if (fastErr == nil) != (genericErr == nil) {
-			t.Errorf("%s: error mismatch: fast=%v generic=%v", in, fastErr, genericErr)
-			continue
-		}
-		if fastErr != nil {
-			continue
-		}
-		if len(fast) != len(generic) {
-			t.Errorf("%s: fast %v != generic %v", in, fast, generic)
-			continue
-		}
-		for i := range fast {
-			if fast[i] != (Record{Lat: generic[i].Lat, Lon: generic[i].Lon, TS: generic[i].TS}) {
-				t.Errorf("%s: element %d: fast %+v != generic %+v", in, i, fast[i], generic[i])
-			}
-		}
+		scanMatchesGeneric(t, in)
 	}
 }
 
-// TestRecordUnmarshalMatchesGeneric pins the fast parser (and its
-// fallback) to the generic decoder: same values on success, an error
-// exactly when the generic decoder errors.
+// scanAll reads data with the scanner alone: ok is false unless data is
+// one canonical record array and nothing else but whitespace.
+func scanAll(data []byte) ([]Record, bool) {
+	recs, n, ok := ScanRecords(data)
+	return recs, ok && len(bytes.Trim(data[n:], " \t\r\n")) == 0
+}
+
+// sameRecords compares records bit for bit, so that a -0 read as 0
+// differs.
+func sameRecords(a, b []Record) bool {
+	return slices.EqualFunc(a, b, func(x, y Record) bool {
+		return math.Float64bits(x.Lat) == math.Float64bits(y.Lat) &&
+			math.Float64bits(x.Lon) == math.Float64bits(y.Lon) && x.TS == y.TS
+	})
+}
+
+// scanMatchesGeneric holds the scanner to encoding/json on data: when
+// the scanner accepts it, encoding/json accepts it too and reads the
+// same records.
+func scanMatchesGeneric(t *testing.T, data string) {
+	t.Helper()
+	fast, ok := scanAll([]byte(data))
+	if !ok {
+		return
+	}
+	var generic []Record
+	if err := json.Unmarshal([]byte(data), &generic); err != nil {
+		t.Fatalf("%q: the scanner accepts what encoding/json refuses: %v", data, err)
+	}
+	if !sameRecords(fast, generic) {
+		t.Fatalf("%q: scanner %+v != generic %+v", data, fast, generic)
+	}
+}
+
+// TestRecordUnmarshalMatchesGeneric pins the scanner to the generic
+// decoder on single-record arrays: it reads the canonical shapes, and
+// whatever it accepts it reads as encoding/json does; everything else it
+// refuses, for encoding/json to decide.
 func TestRecordUnmarshalMatchesGeneric(t *testing.T) {
-	inputs := []string{
-		`{"lat":45.7,"lon":4.8,"ts":1000}`,
-		`{"ts":5,"lon":-1,"lat":2}`,          // any order
-		`{"lat":1e-7,"lon":-2.5E+3,"ts":-9}`, // exponents
-		`{"lat":1,"lon":2,"ts":3,"lat":9}`,   // duplicate key, last wins
-		`{}`,
-		`{"lat":0,"lon":0,"ts":0}`,
-		` { "lat" : 1 , "lon" : 2 , "ts" : 3 } `, // whitespace
-		`{"LAT":1,"lon":2,"ts":3}`,               // case folding (fallback)
-		`{"lat":1,"lon":2,"ts":3,"extra":"x"}`,   // unknown key (fallback)
-		`{"lat":"1","lon":2,"ts":3}`,             // string where number expected
-		`{"lat":+1,"lon":2,"ts":3}`,              // invalid JSON number
-		`{"lat":01,"lon":2,"ts":3}`,              // leading zero
-		`{"lat":.5,"lon":2,"ts":3}`,              // bare fraction
-		`{"lat":1,"lon":2,"ts":1.5}`,             // float into int64
-		`{"lat":1,"lon":2,"ts":1e2}`,             // exponent into int64
-		`{"lat":null,"lon":2,"ts":3}`,            // null (fallback: field untouched)
-		`{"lat":1`,                               // truncated
-		`[1,2,3]`,
-		`"not an object"`,
+	inputs := []struct {
+		in    string
+		scans bool
+	}{
+		{`{"lat":45.7,"lon":4.8,"ts":1000}`, true},
+		{`{"lat":0,"lon":0,"ts":0}`, true},
+		{`{"ts":5,"lon":-1,"lat":2}`, true},          // any order
+		{`{"lat":1e-7,"lon":-2.5E+3,"ts":-9}`, true}, // exponents
+		{`{"lat":-0,"lon":-0.0,"ts":-0}`, true},      // negative zeros
+		{`{"lat":1,"lon":2,"ts":3,"lat":9}`, false},  // duplicate key, last wins
+		{`{}`, true}, // missing keys read as zero
+		{` { "lat" : 1 , "lon" : 2 , "ts" : 3 } `, true}, // whitespace
+		{`{"LAT":1,"lon":2,"ts":3}`, false},              // case folding
+		{`{"lat":1,"lon":2,"ts":3,"extra":"x"}`, false},  // unknown key
+		{`{"lat":"1","lon":2,"ts":3}`, false},            // string where number expected
+		{`{"lat":+1,"lon":2,"ts":3}`, false},             // invalid JSON number
+		{`{"lat":01,"lon":2,"ts":3}`, false},             // leading zero
+		{`{"lat":.5,"lon":2,"ts":3}`, false},             // bare fraction
+		{`{"lat":1,"lon":2,"ts":1.5}`, false},            // float into int64
+		{`{"lat":1,"lon":2,"ts":1e2}`, false},            // exponent into int64
+		{`{"lat":null,"lon":2,"ts":3}`, false},           // null
+		{`{"lat":1`, false},                              // truncated
+		{`[1,2,3]`, false},
+		{`"not an object"`, false},
 	}
-	for _, in := range inputs {
-		var fast Record
-		fastErr := json.Unmarshal([]byte(in), &fast)
-		var generic recordAlias
-		genericErr := json.Unmarshal([]byte(in), &generic)
-		if (fastErr == nil) != (genericErr == nil) {
-			t.Errorf("%s: error mismatch: fast=%v generic=%v", in, fastErr, genericErr)
-			continue
+	for _, c := range inputs {
+		arr := "[" + c.in + "]"
+		if _, ok := scanAll([]byte(arr)); ok != c.scans {
+			t.Errorf("%s: scanner accepts = %v, want %v", arr, ok, c.scans)
 		}
-		if fastErr == nil && fast != (Record{Lat: generic.Lat, Lon: generic.Lon, TS: generic.TS}) {
-			t.Errorf("%s: fast %+v != generic %+v", in, fast, generic)
-		}
+		scanMatchesGeneric(t, arr)
 	}
 }
 
-// FuzzRecordJSON cross-checks the fast paths against the generic
-// decoder on arbitrary input, and round-trips every record the fast
-// marshaller emits.
+// FuzzRecordJSON cross-checks the scanner against the generic decoder
+// on arbitrary input, and the encoder against the generic encoder on
+// every record the generic decoder reads.
 func FuzzRecordJSON(f *testing.F) {
 	f.Add(`{"lat":45.7,"lon":4.8,"ts":1000}`)
 	f.Add(`{"lat":+1,"lon":.5,"ts":01}`)
 	f.Add(`{"LAT":1e-7,"lon":-2.5E+3,"ts":-9,"x":[]}`)
 	f.Add(`{"lat":0x1p-2,"lon":1,"ts":1}`)
 	f.Fuzz(func(t *testing.T, in string) {
-		var fast Record
-		fastErr := json.Unmarshal([]byte(in), &fast)
-		var generic recordAlias
-		genericErr := json.Unmarshal([]byte(in), &generic)
-		if (fastErr == nil) != (genericErr == nil) {
-			t.Fatalf("%q: error mismatch: fast=%v generic=%v", in, fastErr, genericErr)
-		}
-		if fastErr != nil {
+		// The scanner reads records inside an array, the shape it parses.
+		scanMatchesGeneric(t, "["+in+"]")
+		scanMatchesGeneric(t, "["+in+","+in+"]")
+
+		var rec Record
+		if err := json.Unmarshal([]byte(in), &rec); err != nil {
 			return
 		}
-		want := Record{Lat: generic.Lat, Lon: generic.Lon, TS: generic.TS}
-		if fast != want {
-			t.Fatalf("%q: fast %+v != generic %+v", in, fast, want)
-		}
-		out, err := AppendRecordsJSON(nil, Records{fast})
+		out, err := AppendRecordsJSON(nil, []Record{rec})
 		if err != nil {
 			return // NaN/Inf cannot appear from decode; other errors impossible
 		}
-		genericOut, err := json.Marshal([]recordAlias{recordAlias(fast)})
+		genericOut, err := json.Marshal([]Record{rec})
 		if err != nil {
 			t.Fatalf("generic remarshal: %v", err)
 		}
 		if !bytes.Equal(out, genericOut) {
 			t.Fatalf("%q: fast marshal %s != generic %s", in, out, genericOut)
-		}
-
-		// The array decoder must agree with the generic path too.
-		arr := []byte("[" + in + "," + in + "]")
-		var fastArr Records
-		fastArrErr := json.Unmarshal(arr, &fastArr)
-		var genericArr []recordAlias
-		genericArrErr := json.Unmarshal(arr, &genericArr)
-		if (fastArrErr == nil) != (genericArrErr == nil) {
-			t.Fatalf("%q: array error mismatch: fast=%v generic=%v", arr, fastArrErr, genericArrErr)
-		}
-		if fastArrErr == nil {
-			for i := range fastArr {
-				if fastArr[i] != (Record{Lat: genericArr[i].Lat, Lon: genericArr[i].Lon, TS: genericArr[i].TS}) {
-					t.Fatalf("%q: array element %d: fast %+v != generic %+v", arr, i, fastArr[i], genericArr[i])
-				}
-			}
 		}
 	})
 }

@@ -20,7 +20,7 @@ var lineUsers = []string{
 // lineTraces pairs every line user with records that cover the float
 // formats (both exponent forms, negative zero) and the empty array.
 func lineTraces() []Trace {
-	recs := []Records{
+	recs := [][]Record{
 		{},
 		{{Lat: 45.7, Lon: 4.8, TS: 1000}},
 		{{Lat: -1e-9, Lon: 1e21, TS: -5}, {Lat: math.Copysign(0, -1), Lon: 0.1 + 0.2, TS: math.MaxInt64}},
@@ -38,7 +38,7 @@ func TestAppendTraceJSONMatchesMarshal(t *testing.T) {
 	for _, tr := range lineTraces() {
 		checkLine(t, tr)
 	}
-	if _, err := AppendTraceJSON(nil, Trace{User: "u", Records: Records{{Lat: math.NaN()}}}); err == nil {
+	if _, err := AppendTraceJSON(nil, Trace{User: "u", Records: []Record{{Lat: math.NaN()}}}); err == nil {
 		t.Error("NaN must fail like the generic encoder")
 	}
 }
@@ -99,28 +99,6 @@ func TestLineKey(t *testing.T) {
 	}
 }
 
-// TestRecordsUnmarshalIntoExisting: a target that already holds
-// records decodes like encoding/json, field by field into them.
-func TestRecordsUnmarshalIntoExisting(t *testing.T) {
-	in := []byte(`[{"lat":5},{"ts":7},{"lon":9}]`)
-	got := Records{{Lat: 1, Lon: 2, TS: 3}, {Lat: 4, Lon: 5, TS: 6}}
-	want := []recordAlias{{Lat: 1, Lon: 2, TS: 3}, {Lat: 4, Lon: 5, TS: 6}}
-	if err := json.Unmarshal(in, &got); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(in, &want); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("got %+v, want %+v", got, want)
-	}
-	for i := range got {
-		if got[i] != Record(want[i]) {
-			t.Fatalf("record %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
-}
-
 // FuzzLineRoundTrip holds the line codec to encoding/json on arbitrary
 // users and finite records — the encoder's bytes equal json.Marshal's,
 // the scanner reads back what json.Unmarshal does, LineKey reads the
@@ -142,7 +120,7 @@ func FuzzLineRoundTrip(f *testing.F) {
 	f.Add("u", 1e-7, 1e21, int64(-1), uint8(2), []byte(`{"user":"a","user":"b","records":[]}`))
 	f.Add("u", 0.0, 0.0, int64(0), uint8(0), []byte(` { "records" : [ ] , "user" : "x" } trailing`))
 	f.Fuzz(func(t *testing.T, user string, lat, lon float64, ts int64, n uint8, raw []byte) {
-		recs := make(Records, n%5)
+		recs := make([]Record, n%5)
 		for i := range recs {
 			recs[i] = Record{Lat: lat / float64(i+1), Lon: lon * float64(i), TS: ts + int64(i)}
 		}

@@ -36,10 +36,8 @@ func At(p geo.Point, ts int64) Record { return Record{Lat: p.Lat, Lon: p.Lon, TS
 // Trace is the mobility trace of one user: records sorted by ascending
 // timestamp.
 type Trace struct {
-	User string `json:"user"`
-	// Records is a named slice solely for its JSON fast paths (see
-	// json.go); it assigns freely to and from []Record.
-	Records Records `json:"records"`
+	User    string   `json:"user"`
+	Records []Record `json:"records"`
 }
 
 // New returns a trace for user with its records sorted by time.

@@ -61,7 +61,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 // dataset page dialect — to json.Encoder's, byte for byte.
 func TestWriteJSONLMatchesEncoder(t *testing.T) {
 	d := sample()
-	d.Traces = append(d.Traces, trace.Trace{User: "<q\"uote>\u2028\xff", Records: trace.Records{{Lat: -1e-9, Lon: 1e21, TS: -1}}})
+	d.Traces = append(d.Traces, trace.Trace{User: "<q\"uote>\u2028\xff", Records: []trace.Record{{Lat: -1e-9, Lon: 1e21, TS: -1}}})
 	var got, want bytes.Buffer
 	if err := WriteJSONL(&got, d); err != nil {
 		t.Fatal(err)
