@@ -20,7 +20,7 @@ import (
 // codes clients can observe is closed, documented, and greppable.
 //
 // Codes travel indirectly, so three shapes are allowed beyond a direct
-// constant: a read of a carrier field (chunkOutcome.code and friends —
+// constant: a read of a carrier field (BatchResult.Code and friends —
 // its writes are themselves checked), a code parameter forwarded inside
 // another sink (writeError passing its own argument to newProblem), and
 // a local variable whose every assignment traces to the dialect —
@@ -43,8 +43,8 @@ type ProblemDialectConfig struct {
 }
 
 // DefaultProblemDialect encodes the repo shape: problem.go's Code*
-// constants, the three sinks, and the chunkOutcome/BatchResult/Problem
-// carriers, cross-checked against openapi.go.
+// constants, the three sinks, and the BatchResult/Problem carriers,
+// cross-checked against openapi.go.
 func DefaultProblemDialect() *analysis.Analyzer {
 	return ProblemDialect(ProblemDialectConfig{
 		PackagePath: "mood/internal/service",
@@ -58,9 +58,8 @@ func DefaultProblemDialect() *analysis.Analyzer {
 			"NewProblem": 1,
 		},
 		CarrierFields: map[string]map[string]bool{
-			"chunkOutcome": {"code": true},
-			"BatchResult":  {"Code": true},
-			"Problem":      {"Code": true},
+			"BatchResult": {"Code": true},
+			"Problem":     {"Code": true},
 		},
 		ConstPrefix: "Code",
 		OpenAPIFile: "openapi.go",

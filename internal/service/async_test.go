@@ -1,6 +1,7 @@
 package service
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -229,4 +230,73 @@ func TestServerCloseDrainsQueuedJobs(t *testing.T) {
 	if res := upload(t, c, trace.New("late", sampleRecords(3))); res.Status != http.StatusServiceUnavailable {
 		t.Fatalf("post-close upload = %+v, want 503", res)
 	}
+}
+
+// TestPoolCloseRacesBlockedEnqueuers: Close while chunks block for a
+// queue slot. Close closes the queue under the pool's write lock, so no
+// chunk sends on it closed: each one either ran and was acknowledged or
+// was refused queue_full, and none is lost.
+func TestPoolCloseRacesBlockedEnqueuers(t *testing.T) {
+	const n = 32
+	gp := &gatedProtector{started: make(chan string, n), gate: make(chan struct{})}
+	srv, err := New(gp, WithWorkers(1), WithQueueDepth(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	h := srv.Handler()
+	bodies := make([]string, n)
+	for i := range bodies {
+		bodies[i] = batchBody(t, []BatchChunk{{User: fmt.Sprintf("u%02d", i), Records: sampleRecords(3)}})
+	}
+	lines := make(chan string, n)
+	for _, body := range bodies {
+		go func() {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v2/traces", strings.NewReader(body)))
+			lines <- rec.Body.String()
+		}()
+	}
+	// The worker holds one chunk and the queue another; the rest block
+	// in enqueueWait, or are about to.
+	<-gp.started
+	for len(srv.pool.queue) < cap(srv.pool.queue) {
+		time.Sleep(time.Millisecond)
+	}
+	// Release the protector once Close has begun: chunks still outside
+	// enqueueWait then race Close for the pool's lock, and either side
+	// of it is a valid outcome for them.
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
+	for !srv.closed.Load() {
+		time.Sleep(time.Millisecond)
+	}
+	close(gp.gate)
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+
+	acked, refused := 0, 0
+	for i := 0; i < n; i++ {
+		var res BatchResult
+		line := <-lines
+		if err := json.Unmarshal([]byte(line), &res); err != nil {
+			t.Fatalf("result %q: %v", line, err)
+		}
+		switch {
+		case res.Status == http.StatusOK && res.Result != nil:
+			acked++
+		case res.Status == http.StatusServiceUnavailable && res.Code == CodeQueueFull:
+			refused++
+		default:
+			t.Fatalf("chunk %s: %+v", res.User, res)
+		}
+	}
+	if ran := 1 + len(gp.started); ran != acked {
+		t.Fatalf("%d chunks ran, %d acknowledged", ran, acked)
+	}
+	if st := srv.Stats(); st.Uploads != acked {
+		t.Fatalf("%d chunks acknowledged, %d applied", acked, st.Uploads)
+	}
+	t.Logf("%d acknowledged, %d refused", acked, refused)
 }

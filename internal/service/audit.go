@@ -28,18 +28,18 @@ import (
 // owner-seeded scan per attack over every fragment, see
 // attack.Set.ReIdentifiesBatch).
 
-// auditPublished re-checks every published fragment with a known owner
-// and quarantines the vulnerable ones. It returns how many fragments
-// were audited and how many were pulled.
+// auditPublished re-checks every published fragment and quarantines
+// the vulnerable ones. It returns how many fragments were audited and
+// how many were pulled.
 func (s *Server) auditPublished(a Auditor) (audited, quarantined int) {
 	var frags []publishedFrag
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
+		// One by one: on retrain-audit-node a bulk append per shard
+		// allocates about one more copy of the list per pass.
 		for _, f := range sh.published {
-			if f.Owner != "" {
-				frags = append(frags, f)
-			}
+			frags = append(frags, f)
 		}
 		sh.mu.Unlock()
 	}
@@ -48,9 +48,7 @@ func (s *Server) auditPublished(a Auditor) (audited, quarantined int) {
 
 // auditShardFrags re-audits specific fragments of one shard — the
 // commit path uses it for fragments that raced an engine swap.
-// Fragments already removed by a concurrent pass are skipped, as are
-// fragments without an owner (carried over from pre-owner snapshots),
-// which cannot be judged.
+// Fragments already removed by a concurrent pass are skipped.
 func (s *Server) auditShardFrags(sh *stateShard, a Auditor, frags []publishedFrag) (audited, quarantined int) {
 	want := make(map[int64]bool, len(frags))
 	for _, f := range frags {
@@ -59,7 +57,7 @@ func (s *Server) auditShardFrags(sh *stateShard, a Auditor, frags []publishedFra
 	sh.mu.Lock()
 	var live []publishedFrag
 	for _, f := range sh.published {
-		if want[f.Seq] && f.Owner != "" {
+		if want[f.Seq] {
 			live = append(live, f)
 		}
 	}

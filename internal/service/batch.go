@@ -105,26 +105,6 @@ type BatchResult struct {
 	Job *JobStatus `json:"job,omitempty"`
 }
 
-// batchOutcomeResult maps a chunk outcome onto the wire line.
-func batchOutcomeResult(idx int, user string, out chunkOutcome) BatchResult {
-	res := BatchResult{
-		Index:  idx,
-		User:   user,
-		Status: out.status,
-		Replay: out.replay,
-		Result: out.resp,
-		Job:    out.job,
-	}
-	if out.status >= 400 {
-		res.Code = out.code
-		res.Error = out.detail
-	}
-	if out.retryAfter {
-		res.RetryAfterSeconds = 1
-	}
-	return res
-}
-
 // batchError renders a chunk-level failure line.
 func batchError(idx int, user string, status int, code, detail string) BatchResult {
 	return BatchResult{Index: idx, User: user, Status: status, Code: code, Error: detail}
@@ -386,24 +366,6 @@ type batchSlot struct {
 	idx int
 }
 
-// settle counts the chunk out of its window's upstream tally: it will
-// not reach the window.
-func (sl *batchSlot) settle() { sl.cw.settle() }
-
-// replayed settles a chunk that turned out to be a retry, and stops its
-// window holding anything back from then on: a replay may wait for the
-// commit of an original that is parked in this window or in another
-// request's, and a window that held its group for the sake of a chunk
-// that waits on another window could wait in a circle. (Every other
-// settled chunk delivers its result without waiting on a commit.)
-func (sl *batchSlot) replayed() { sl.cw.replayed() }
-
-// submit hands the chunk's staged commit to its window; the committer
-// will make it durable, apply it and deliver the outcome. False means
-// the window no longer takes it — its request has finished — and the
-// caller commits the job itself.
-func (sl *batchSlot) submit(j *uploadJob) bool { return sl.cw.submit(j, sl.idx) }
-
 // commitWindow is the request-scoped group commit of one batch upload.
 // Workers still run Protect on the pool, but a synchronous chunk's
 // staged commit is handed to the window (submit) instead of being synced
@@ -516,8 +478,12 @@ func (cw *commitWindow) dispatch() { cw.note(func() { cw.upstream++ }) }
 // settle counts one chunk out: it will not reach the window.
 func (cw *commitWindow) settle() { cw.note(func() { cw.upstream-- }) }
 
-// replayed counts out a chunk that turned out to be a retry and turns
-// holding off for good (see batchSlot.replayed).
+// replayed counts out a chunk that turned out to be a retry, and stops
+// the window holding anything back from then on: a replay may wait for
+// the commit of an original that is parked in this window or in another
+// request's, and a window that held its group for the sake of a chunk
+// that waits on another window could wait in a circle. (Every other
+// settled chunk delivers its result without waiting on a commit.)
 func (cw *commitWindow) replayed() { cw.note(func() { cw.upstream--; cw.unheld = true }) }
 
 // setIdle records whether the reader is waiting for the wire.
@@ -531,7 +497,9 @@ func (cw *commitWindow) setStalled(stalled bool) { cw.note(func() { cw.stalled =
 func (cw *commitWindow) setAwaited(idx int) { cw.note(func() { cw.awaited = idx }) }
 
 // submit adds a staged commit (the chunk at stream index idx) to the
-// group; false once the window is closed.
+// group; the committer will make it durable, apply it and deliver the
+// outcome. False means the window is closed — its request has finished
+// — and the caller commits the job itself.
 func (cw *commitWindow) submit(j *uploadJob, idx int) (taken bool) {
 	cw.note(func() {
 		if cw.closed {
@@ -659,7 +627,7 @@ func (s *Server) processBatchChunk(ctx context.Context, sl *batchSlot, lb *[]byt
 	rejected := true
 	defer func() {
 		if rejected {
-			sl.settle()
+			sl.cw.settle()
 		}
 	}()
 	c, ok := parseBatchChunkFast(*lb)
@@ -699,7 +667,9 @@ func (s *Server) processBatchChunk(ctx context.Context, sl *batchSlot, lb *[]byt
 			"idempotency key exceeds "+strconv.Itoa(maxIdempotencyKeyLen)+" bytes")
 	}
 	rejected = false
-	return batchOutcomeResult(idx, c.User, s.executeChunk(ctx, t, c.Key, c.Async, sl))
+	res := s.executeChunk(ctx, t, c.Key, c.Async, sl)
+	res.Index, res.User = idx, c.User
+	return res
 }
 
 // parseBatchChunkFast parses the canonical batch line shape —

@@ -638,9 +638,9 @@ func (s *Server) statsPayload() StatsPayload {
 
 // storageOutcome maps a storage refusal onto the wire: retryable 503
 // with the stable storage code, never a fatal-looking 500.
-func storageOutcome(err error) chunkOutcome {
-	return chunkOutcome{status: http.StatusServiceUnavailable, code: CodeStorage,
-		detail: err.Error(), retryAfter: true}
+func storageOutcome(err error) BatchResult {
+	return BatchResult{Status: http.StatusServiceUnavailable, Code: CodeStorage,
+		Error: err.Error(), RetryAfterSeconds: 1}
 }
 
 // isStorageError reports whether err is a commit refused by the

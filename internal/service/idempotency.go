@@ -104,7 +104,7 @@ func (st *idemStore) begin(user, key string, fp uint64) (*idemEntry, bool) {
 	k := idemKey(user, key)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if e, ok := st.entries.m[k]; ok {
+	if e, ok := st.entries.get(k); ok {
 		return e, false
 	}
 	e := &idemEntry{fp: fp, done: make(chan struct{})}
@@ -138,7 +138,8 @@ func (st *idemStore) complete(user, key string, e *idemEntry, resp UploadRespons
 	e.resp, e.err, e.completed = resp, err, true
 	close(e.done)
 	if err != nil {
-		if k := idemKey(user, key); st.entries.m[k] == e {
+		k := idemKey(user, key)
+		if cur, _ := st.entries.get(k); cur == e {
 			st.entries.remove(k)
 		}
 	}
@@ -206,11 +207,11 @@ func (st *idemStore) outcome(e *idemEntry) (resp UploadResponse, completed bool,
 // original is still in flight (the retry-after-timeout case the
 // idempotency window exists for). Every outcome carries the replay
 // mark (the result line's "replay" field).
-func (s *Server) replayChunk(ctx context.Context, user string, e *idemEntry, async bool) chunkOutcome {
-	mark := func(out chunkOutcome) chunkOutcome { out.replay = true; return out }
+func (s *Server) replayChunk(ctx context.Context, user string, e *idemEntry, async bool) BatchResult {
+	mark := func(out BatchResult) BatchResult { out.Replay = true; return out }
 	if jid := s.idem.jobOf(e); jid != "" {
 		if j, ok := s.jobs.get(jid); ok {
-			return mark(chunkOutcome{status: http.StatusAccepted, job: &j})
+			return mark(BatchResult{Status: http.StatusAccepted, Job: &j})
 		}
 		// Job evicted from the job store. Async originals complete their
 		// entry before the job is marked finished (and only finished jobs
@@ -222,7 +223,7 @@ func (s *Server) replayChunk(ctx context.Context, user string, e *idemEntry, asy
 				if err != nil {
 					j = JobStatus{ID: jid, User: user, State: JobFailed, Error: err.Error()}
 				}
-				return mark(chunkOutcome{status: http.StatusOK, job: &j})
+				return mark(BatchResult{Status: http.StatusOK, Job: &j})
 			}
 		}
 		// Sync caller (or an impossible incomplete entry): fall through
@@ -234,8 +235,8 @@ func (s *Server) replayChunk(ctx context.Context, user string, e *idemEntry, asy
 		if resp, ok, err := s.idem.outcome(e); ok {
 			return mark(replayDone(resp, err))
 		}
-		return mark(chunkOutcome{status: http.StatusServiceUnavailable, code: CodeQueueFull,
-			detail: "original upload still in progress", retryAfter: true})
+		return mark(BatchResult{Status: http.StatusServiceUnavailable, Code: CodeQueueFull,
+			Error: "original upload still in progress", RetryAfterSeconds: 1})
 	}
 	select {
 	case <-e.done:
@@ -244,14 +245,14 @@ func (s *Server) replayChunk(ctx context.Context, user string, e *idemEntry, asy
 		// Same contract as the sync dispatch path: the original still
 		// runs; the key stays registered, so the next retry replays
 		// again.
-		return mark(chunkOutcome{status: http.StatusServiceUnavailable, code: CodeCancelled,
-			detail: "request cancelled before protection finished"})
+		return mark(BatchResult{Status: http.StatusServiceUnavailable, Code: CodeCancelled,
+			Error: "request cancelled before protection finished"})
 	case <-s.pool.drained:
 		if resp, ok, err := s.idem.outcome(e); ok {
 			return mark(replayDone(resp, err))
 		}
-		return mark(chunkOutcome{status: http.StatusServiceUnavailable, code: CodeShuttingDown,
-			detail: "server shutting down"})
+		return mark(BatchResult{Status: http.StatusServiceUnavailable, Code: CodeShuttingDown,
+			Error: "server shutting down"})
 	}
 }
 
@@ -262,15 +263,15 @@ func (s *Server) replayChunk(ctx context.Context, user string, e *idemEntry, asy
 // 503 too — nothing was committed and nothing acked — never a
 // fatal-looking 500, which retrying clients treat as fatal. Real engine
 // failures stay 500s.
-func replayDone(resp UploadResponse, err error) chunkOutcome {
+func replayDone(resp UploadResponse, err error) BatchResult {
 	switch {
 	case errors.Is(err, errUploadShed):
 		return shedOutcome()
 	case isStorageError(err):
 		return storageOutcome(err)
 	case err != nil:
-		return chunkOutcome{status: http.StatusInternalServerError, code: CodeInternal, detail: err.Error()}
+		return BatchResult{Status: http.StatusInternalServerError, Code: CodeInternal, Error: err.Error()}
 	default:
-		return chunkOutcome{status: http.StatusOK, resp: &resp}
+		return BatchResult{Status: http.StatusOK, Result: &resp}
 	}
 }

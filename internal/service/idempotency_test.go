@@ -270,7 +270,7 @@ func TestIdemStoreEviction(t *testing.T) {
 	if len(st.entries.m) > 4 {
 		t.Fatalf("window grew to %d entries, cap 4", len(st.entries.m))
 	}
-	if _, ok := st.entries.m[idemKey("u0", "k")]; ok {
+	if _, ok := st.entries.get(idemKey("u0", "k")); ok {
 		t.Fatal("oldest entry survived eviction")
 	}
 	// The evicted entry pointer still works for in-flight holders.
@@ -302,7 +302,7 @@ func TestIdemStoreRetryAgesFromLatestBegin(t *testing.T) {
 	run("B", nil)
 	run("K", nil)
 	run("C", nil)
-	if _, ok := st.entries.m[idemKey("B", "k")]; ok {
+	if _, ok := st.entries.get(idemKey("B", "k")); ok {
 		t.Fatal("B survived: eviction ran by K's first, released begin")
 	}
 	if _, isNew := st.begin("K", "k", 0); isNew {
@@ -326,23 +326,38 @@ func TestIdemStorePendingNeverEvicted(t *testing.T) {
 	}
 }
 
-// TestIdemStoreFailureCompactsOrder: repeated failures release their map
-// entries and must not leave the order slice growing without bound.
+// TestIdemStoreFailureCompactsOrder: repeated failures release their
+// entries, leaving none behind in the map or in the insertion order,
+// which walks to the same live keys from either end.
 func TestIdemStoreFailureCompactsOrder(t *testing.T) {
 	st := newIdemStore(64)
 	for i := 0; i < 10000; i++ {
 		user := fmt.Sprintf("u%d", i)
 		e, _ := st.begin(user, "k", 0)
-		st.complete(user, "k", e, UploadResponse{}, fmt.Errorf("boom"))
+		var err error
+		if i%7 != 0 {
+			err = fmt.Errorf("boom")
+		}
+		st.complete(user, "k", e, UploadResponse{}, err)
 	}
 	st.mu.Lock()
-	entries, order := len(st.entries.m), len(st.entries.order)
-	st.mu.Unlock()
-	if entries != 0 {
-		t.Fatalf("failed entries retained: %d", entries)
+	defer st.mu.Unlock()
+	var forward, backward []string
+	for e := st.entries.oldest; e != nil; e = e.newer {
+		forward = append(forward, e.key)
 	}
-	if order > 2*64+16+1 {
-		t.Fatalf("order slice leaked to %d dead keys", order)
+	for e := st.entries.newest; e != nil; e = e.older {
+		backward = append(backward, e.key)
+	}
+	slices.Reverse(backward)
+	if len(st.entries.m) > 64 || !slices.Equal(forward, backward) || len(forward) != len(st.entries.m) {
+		t.Fatalf("%d entries (cap 64), order %d forward and %d backward", len(st.entries.m), len(forward), len(backward))
+	}
+	for _, k := range forward {
+		e, ok := st.entries.get(k)
+		if !ok || e.err != nil {
+			t.Fatalf("key %q is in the order but not a live successful entry", k)
+		}
 	}
 }
 
@@ -567,7 +582,7 @@ func testIdemWindowMatchesReference(t *testing.T) {
 		st.mu.Lock()
 		live := len(st.entries.m)
 		for k := range ref.done {
-			if _, ok := st.entries.m[k]; !ok {
+			if _, ok := st.entries.get(k); !ok {
 				t.Fatalf("begin %d: key %q is live in the reference only", i, k)
 			}
 		}
@@ -745,7 +760,7 @@ func testJobStoreMatchesReference(t *testing.T) {
 		js.mu.Lock()
 		live := len(js.jobs.m)
 		for id, state := range ref.jobs {
-			if j, ok := js.jobs.m[id]; !ok || j.State != state {
+			if j, ok := js.jobs.get(id); !ok || j.State != state {
 				t.Fatalf("op %d: job %s is %s in the reference, store has %+v", i, id, state, j)
 			}
 		}
@@ -769,27 +784,36 @@ func testJobStoreMatchesReference(t *testing.T) {
 }
 
 // TestJobStoreCreateStaysCheapPastCap: past its cap, the job store
-// evicts its oldest finished job in O(1) amortised time, so an async
-// upload costs the same past the cap as below it, instead of a rescan
-// of the whole table under the lock every job poll takes.
+// evicts its oldest finished job in O(1) time, so an async upload costs
+// the same past the cap as below it, instead of a rescan of the whole
+// table under the lock every job poll takes. A job still queued at the
+// head of the store costs one step per eviction, not a rescan of what
+// was evicted behind it.
 func TestJobStoreCreateStaysCheapPastCap(t *testing.T) {
 	if raceEnabled {
 		t.Skip("a wall-clock bound: the race detector slows map work several-fold")
 	}
-	js := newJobStore()
-	for i := 0; i < maxRetainedJobs; i++ {
-		js.setDone(js.create("u").ID, UploadResponse{})
+	run := func(t *testing.T, queued int, bound time.Duration) {
+		js := newJobStore()
+		for i := 0; i < queued; i++ {
+			js.create("queued")
+		}
+		for i := 0; i < maxRetainedJobs; i++ {
+			js.setDone(js.create("u").ID, UploadResponse{})
+		}
+		start := time.Now()
+		for i := 0; i < 10000; i++ {
+			js.setDone(js.create("u").ID, UploadResponse{})
+		}
+		d := time.Since(start)
+		t.Logf("10000 creates past the cap behind %d queued jobs: %v", queued, d)
+		if d > bound {
+			t.Fatalf("10000 creates past the cap took %v, want under %v", d, bound)
+		}
+		if n := len(js.jobs.m); n != maxRetainedJobs {
+			t.Fatalf("store holds %d jobs, cap %d", n, maxRetainedJobs)
+		}
 	}
-	start := time.Now()
-	for i := 0; i < 10000; i++ {
-		js.setDone(js.create("u").ID, UploadResponse{})
-	}
-	d := time.Since(start)
-	t.Logf("10000 creates past the cap: %v", d)
-	if d > 250*time.Millisecond {
-		t.Fatalf("10000 creates past the cap took %v, want under 250ms", d)
-	}
-	if n := len(js.jobs.m); n != maxRetainedJobs {
-		t.Fatalf("store holds %d jobs, cap %d", n, maxRetainedJobs)
-	}
+	t.Run("finished jobs only", func(t *testing.T) { run(t, 0, 250*time.Millisecond) })
+	t.Run("behind a queued job", func(t *testing.T) { run(t, 1, 100*time.Millisecond) })
 }

@@ -90,7 +90,6 @@ type uploadJob struct {
 // queue.
 type workerPool struct {
 	queue chan *uploadJob
-	stop  chan struct{} // closed by Close: stop pulling new work
 	// drained is closed by Server.Close once every worker has exited AND
 	// every commit the workers parked in a batch's commit window has
 	// been settled: a waiter that sees it closed finds its job complete.
@@ -98,39 +97,21 @@ type workerPool struct {
 	wg      sync.WaitGroup
 
 	// stopMu fences intake against shutdown: enqueuers hold the read
-	// lock across their send, close() sets stopped under the write
-	// lock. Once close() holds the lock, no send is in flight, so the
-	// workers' final drain pass cannot strand an accepted job.
+	// lock across their send, close() sets stopped and closes queue
+	// under the write lock. Once close() holds the lock no send is in
+	// flight, and the workers run every job accepted before it.
 	stopMu  sync.RWMutex
 	stopped bool
 }
 
 func newWorkerPool(workers, depth int, run func(*uploadJob)) *workerPool {
-	p := &workerPool{
-		queue:   make(chan *uploadJob, depth),
-		stop:    make(chan struct{}),
-		drained: make(chan struct{}),
-	}
+	p := &workerPool{queue: make(chan *uploadJob, depth), drained: make(chan struct{})}
 	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go func() {
 			defer p.wg.Done()
-			for {
-				select {
-				case j := <-p.queue:
-					run(j)
-				case <-p.stop:
-					// Drain whatever made it into the queue before the
-					// stop so accepted async jobs are not lost.
-					for {
-						select {
-						case j := <-p.queue:
-							run(j)
-						default:
-							return
-						}
-					}
-				}
+			for j := range p.queue {
+				run(j)
 			}
 		}()
 	}
@@ -140,8 +121,8 @@ func newWorkerPool(workers, depth int, run func(*uploadJob)) *workerPool {
 // enqueueWait blocks until the job is accepted, the context ends or the
 // pool stops — the batch endpoint's backpressure. Holding the read
 // lock across the blocking send is safe: close() cannot take the write
-// lock until we return, and the workers keep draining the queue until
-// close() proceeds, so the send always completes or the context fires.
+// lock until we return, and the workers keep draining the queue
+// meanwhile, so the send always completes or the context fires.
 func (p *workerPool) enqueueWait(ctx context.Context, j *uploadJob) bool {
 	p.stopMu.RLock()
 	defer p.stopMu.RUnlock()
@@ -153,18 +134,17 @@ func (p *workerPool) enqueueWait(ctx context.Context, j *uploadJob) bool {
 		return true
 	case <-ctx.Done():
 		return false
-	case <-p.stop:
-		return false
 	}
 }
 
-// close stops intake, drains the queue and waits for the workers. The
-// caller closes drained once what the workers left behind is settled.
+// close stops intake, lets the workers drain the queue and waits for
+// them. The caller closes drained once what the workers left behind is
+// settled.
 func (p *workerPool) close() {
 	p.stopMu.Lock()
 	p.stopped = true
+	close(p.queue)
 	p.stopMu.Unlock()
-	close(p.stop)
 	p.wg.Wait()
 }
 
@@ -211,7 +191,7 @@ func newJobID() string {
 func (js *jobStore) get(id string) (JobStatus, bool) {
 	js.mu.Lock()
 	defer js.mu.Unlock()
-	j, ok := js.jobs.m[id]
+	j, ok := js.jobs.get(id)
 	if !ok {
 		return JobStatus{}, false
 	}
@@ -221,7 +201,7 @@ func (js *jobStore) get(id string) (JobStatus, bool) {
 func (js *jobStore) setRunning(id string) {
 	js.mu.Lock()
 	defer js.mu.Unlock()
-	if j, ok := js.jobs.m[id]; ok {
+	if j, ok := js.jobs.get(id); ok {
 		j.State = JobRunning
 	}
 }
@@ -229,7 +209,7 @@ func (js *jobStore) setRunning(id string) {
 func (js *jobStore) setDone(id string, resp UploadResponse) {
 	js.mu.Lock()
 	defer js.mu.Unlock()
-	if j, ok := js.jobs.m[id]; ok {
+	if j, ok := js.jobs.get(id); ok {
 		j.State = JobDone
 		j.Result = &resp
 	}
@@ -238,7 +218,7 @@ func (js *jobStore) setDone(id string, resp UploadResponse) {
 func (js *jobStore) setFailed(id string, err error) {
 	js.mu.Lock()
 	defer js.mu.Unlock()
-	if j, ok := js.jobs.m[id]; ok {
+	if j, ok := js.jobs.get(id); ok {
 		j.State = JobFailed
 		j.Error = err.Error()
 	}
@@ -272,12 +252,12 @@ func (s *Server) runJob(j *uploadJob) {
 	}
 	if err != nil {
 		if j.slot != nil {
-			j.slot.settle()
+			j.slot.cw.settle()
 		}
 		s.finishJob(j, UploadResponse{}, err)
 		return
 	}
-	if j.slot == nil || !j.slot.submit(j) {
+	if j.slot == nil || !j.slot.cw.submit(j, j.slot.idx) {
 		s.commitGroup([]*uploadJob{j}, j.recs)
 	}
 }

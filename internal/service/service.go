@@ -455,27 +455,8 @@ func (s *Server) Handler() http.Handler {
 // ---------------------------------------------------------------------------
 // The upload core. Every chunk of a POST /v2/traces batch funnels into
 // executeChunk, which runs one validated chunk through idempotency,
-// dispatch and the worker pool and reports an outcome the batch handler
-// renders as one NDJSON result line.
-
-// chunkOutcome is the result of one upload chunk.
-type chunkOutcome struct {
-	// status is the HTTP-equivalent status of the chunk.
-	status int
-	// code is the stable machine-readable problem code for errors.
-	code string
-	// detail is the human-readable error text.
-	detail string
-	// resp is set when the chunk completed synchronously (status 200).
-	resp *UploadResponse
-	// job is set when the chunk was accepted (202) or replayed
-	// asynchronously.
-	job *JobStatus
-	// replay marks an outcome served from the idempotency window.
-	replay bool
-	// retryAfter asks the client to back off (Retry-After: 1).
-	retryAfter bool
-}
+// dispatch and the worker pool and answers with the chunk's NDJSON
+// result line; the batch handler sets its Index and User.
 
 // executeChunk runs one validated chunk: idempotency begin/replay, then
 // sync or async dispatch. sl is the chunk's slot in its batch request.
@@ -484,19 +465,19 @@ type chunkOutcome struct {
 // bounced. The chunk counts in its commit window's upstream tally on
 // entry; every path that cannot end in the window settles it before it
 // blocks or returns.
-func (s *Server) executeChunk(ctx context.Context, t trace.Trace, key string, async bool, sl *batchSlot) chunkOutcome {
+func (s *Server) executeChunk(ctx context.Context, t trace.Trace, key string, async bool, sl *batchSlot) BatchResult {
 	var idem *idemEntry
 	if key != "" {
 		fp := uploadFingerprint(t)
 		e, isNew := s.idem.begin(t.User, key, fp)
 		if !isNew {
-			sl.replayed()
+			sl.cw.replayed()
 			if e.fp != fp {
 				// Key reuse with a different body is a client bug; answering
 				// with the first body's result would silently drop this
 				// upload behind a 200.
-				return chunkOutcome{status: http.StatusUnprocessableEntity, code: CodeKeyReuse,
-					detail: "idempotency key was already used with a different payload"}
+				return BatchResult{Status: http.StatusUnprocessableEntity, Code: CodeKeyReuse,
+					Error: "idempotency key was already used with a different payload"}
 			}
 			// Retry of an upload already accepted under this key: replay
 			// the original outcome instead of committing twice.
@@ -505,25 +486,25 @@ func (s *Server) executeChunk(ctx context.Context, t trace.Trace, key string, as
 		idem = e
 	}
 	if async {
-		sl.settle()
+		sl.cw.settle()
 		return s.asyncChunk(ctx, t, key, idem)
 	}
 	return s.syncChunk(ctx, t, key, idem, sl)
 }
 
 // shedOutcome is the canonical answer to a chunk the pool refused.
-func shedOutcome() chunkOutcome {
-	return chunkOutcome{status: http.StatusServiceUnavailable, code: CodeQueueFull,
-		detail: "upload queue full", retryAfter: true}
+func shedOutcome() BatchResult {
+	return BatchResult{Status: http.StatusServiceUnavailable, Code: CodeQueueFull,
+		Error: "upload queue full", RetryAfterSeconds: 1}
 }
 
 // syncChunk dispatches the chunk and waits for the outcome. Once
 // enqueued, the job carries its window's upstream count: the worker
 // settles it.
-func (s *Server) syncChunk(ctx context.Context, t trace.Trace, key string, idem *idemEntry, sl *batchSlot) chunkOutcome {
+func (s *Server) syncChunk(ctx context.Context, t trace.Trace, key string, idem *idemEntry, sl *batchSlot) BatchResult {
 	j := &uploadJob{trace: t, done: make(chan uploadOutcome, 1), idemKey: key, idem: idem, slot: sl}
 	if !s.pool.enqueueWait(ctx, j) {
-		sl.settle()
+		sl.cw.settle()
 		if idem != nil {
 			// The job never ran: release the key so the retry executes.
 			//mood:allow appendapply -- shed path: the upload was refused, so releasing the key is the absence of state, not an apply
@@ -540,23 +521,23 @@ func (s *Server) syncChunk(ctx context.Context, t trace.Trace, key string, idem 
 		// bare may publish the same chunk twice; retries carrying the same
 		// per-chunk key replay the original result instead (see
 		// idempotency.go).
-		return chunkOutcome{status: http.StatusServiceUnavailable, code: CodeCancelled,
-			detail: "request cancelled before protection finished"}
+		return BatchResult{Status: http.StatusServiceUnavailable, Code: CodeCancelled,
+			Error: "request cancelled before protection finished"}
 	case <-s.pool.drained:
-		// Server shut down mid-wait; the drain pass and the commit
+		// Server shut down mid-wait; the pool's drain and the commit
 		// windows behind it may have completed the job after all.
 		select {
 		case out := <-j.done:
 			return replayDone(out.resp, out.err)
 		default:
-			return chunkOutcome{status: http.StatusServiceUnavailable, code: CodeShuttingDown,
-				detail: "server shutting down"}
+			return BatchResult{Status: http.StatusServiceUnavailable, Code: CodeShuttingDown,
+				Error: "server shutting down"}
 		}
 	}
 }
 
 // asyncChunk queues the chunk and reports 202 with the job handle.
-func (s *Server) asyncChunk(ctx context.Context, t trace.Trace, key string, idem *idemEntry) chunkOutcome {
+func (s *Server) asyncChunk(ctx context.Context, t trace.Trace, key string, idem *idemEntry) BatchResult {
 	j := s.jobs.create(t.User)
 	if idem != nil {
 		// Registered before enqueue so replays can poll the same job.
@@ -576,7 +557,7 @@ func (s *Server) asyncChunk(ctx context.Context, t trace.Trace, key string, idem
 		}
 		return shedOutcome()
 	}
-	return chunkOutcome{status: http.StatusAccepted, job: &j}
+	return BatchResult{Status: http.StatusAccepted, Job: &j}
 }
 
 // maxUserIDLen bounds uploader IDs; they are path segments and map keys,

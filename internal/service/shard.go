@@ -193,14 +193,8 @@ func (s *Server) resetShards(published []publishedFrag, history map[string][]tra
 	for _, f := range published {
 		// Fragments live in their owner's shard (as the commit path
 		// stores them), so a quarantine updates the fragment list and
-		// the owner's accounting under one lock. Fragments carried over
-		// from pre-owner snapshots have no owner; they shard by their
-		// published label and are exempt from re-audit anyway.
-		key := f.Owner
-		if key == "" {
-			key = f.Trace.User
-		}
-		sh := s.shard(key)
+		// the owner's accounting under one lock.
+		sh := s.shard(f.Owner)
 		sh.mu.Lock()
 		sh.published = append(sh.published, f)
 		sh.mu.Unlock()

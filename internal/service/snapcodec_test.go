@@ -18,9 +18,9 @@ import (
 // randomState draws a snapshot state in the decoder's canonical form
 // (empty lists nil, maps non-nil as applySnapshot and captureState leave
 // them), covering what a capture can hold: empty sections, fragments
-// without an owner (carried over from pre-owner snapshots) or without records, quarantine accounting,
-// history at its cap, sync and async idempotency entries, done and
-// failed jobs.
+// without records, quarantine accounting, history at its cap, sync and
+// async idempotency entries, done and failed jobs — and fragments with
+// an empty owner, which no commit writes but the codec round-trips.
 func randomState(rng *mathx.Rand, historyCap int) persistedState {
 	str := func(prefix string) string { return fmt.Sprintf("%s-%d", prefix, rng.Intn(1000)) }
 	records := func(n int) []trace.Record {
@@ -59,7 +59,7 @@ func randomState(rng *mathx.Rand, historyCap int) persistedState {
 		f := publishedFrag{Seq: rng.Int63n(1 << 40), Owner: str("user"),
 			Trace: trace.Trace{User: str("pub"), Records: records(rng.Intn(60))}}
 		if rng.Intn(8) == 0 {
-			f.Owner = "" // a fragment a pre-owner snapshot brought in
+			f.Owner = "" // no commit writes one, but the codec carries it
 		}
 		st.Fragments = append(st.Fragments, f)
 	}

@@ -379,7 +379,7 @@ func TestFaultInjectionGroupFrame(t *testing.T) {
 				recovered := 0
 				for i, c := range chunks[b] {
 					srvB.idem.mu.Lock()
-					_, ok := srvB.idem.entries.m[idemKey(c.User, c.Key)]
+					_, ok := srvB.idem.entries.get(idemKey(c.User, c.Key))
 					srvB.idem.mu.Unlock()
 					if ok {
 						recovered++
@@ -639,7 +639,7 @@ func TestBatchCancelledMidBatch(t *testing.T) {
 	completed := 0
 	srv.idem.mu.Lock()
 	for _, c := range chunks {
-		if e, ok := srv.idem.entries.m[idemKey(c.User, c.Key)]; ok {
+		if e, ok := srv.idem.entries.get(idemKey(c.User, c.Key)); ok {
 			if !e.completed || e.err != nil {
 				srv.idem.mu.Unlock()
 				t.Fatalf("key %s is held by an entry that never completed", c.Key)
