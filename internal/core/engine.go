@@ -12,7 +12,9 @@ package core
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strconv"
+	"sync"
 	"time"
 
 	"mood/internal/attack"
@@ -270,7 +272,9 @@ func (e *Engine) searchTrace(t trace.Trace, user, path string, depth int) (Piece
 // selection is what one fragment's Best LPPM Selection (§3.5) needs: the
 // attacks a candidate must resist, the utility that ranks candidates,
 // and the key each candidate's randomness derives from — (seed, stream,
-// user, path, mechanism name), without path when it is empty.
+// user, path, mechanism name), without path when it is empty — plus the
+// scratch every fragment reuses. Selections come from a pool: take one
+// with newSelection, and end every fragment's search with done.
 type selection struct {
 	attacks            attack.Set
 	utility            metrics.Utility
@@ -281,23 +285,63 @@ type selection struct {
 	// verdict of the selection.
 	batch []trace.Trace
 	owner []string
-	// rng is reseeded for every candidate (see rand).
+	// rng is reseeded for every candidate that draws randomness (see
+	// rand), and kept from fragment to fragment.
 	rng *mathx.Rand
+	// ranked is a tier's candidates in utility order; every tier reuses
+	// it.
+	ranked []Piece
+	// spent lists the buffers of the pooled outputs the fragment's search
+	// made, the winner's among them; done hands them back.
+	spent [][]trace.Record
+	// memo is the output (or error) of the single tier's deterministic
+	// candidate on the fragment, which the chains that start with that
+	// mechanism reuse instead of running it again.
+	memo struct {
+		mech lppm.Mechanism
+		out  trace.Trace
+		err  error
+	}
 }
+
+var selections = sync.Pool{New: func() any {
+	return &selection{batch: make([]trace.Trace, 1), owner: make([]string, 1)}
+}}
 
 // newSelection keys the candidates of user's fragment at path (empty for
 // a whole-trace baseline) in the given random stream.
 func newSelection(attacks attack.Set, utility metrics.Utility, seed uint64, stream, user, path string, depth int) *selection {
-	return &selection{
-		attacks: attacks, utility: utility, seed: seed,
-		stream: stream, user: user, path: path, depth: depth,
-		batch: make([]trace.Trace, 1), owner: []string{user},
-	}
+	s := selections.Get().(*selection)
+	s.attacks, s.utility, s.seed = attacks, utility, seed
+	s.stream, s.user, s.path, s.depth = stream, user, path, depth
+	s.owner[0] = user
+	return s
 }
 
 // selection keys the engine's candidates for fragment path of user.
 func (e *Engine) selection(user, path string, depth int) *selection {
 	return newSelection(e.Attacks, e.utility(), e.Seed, "mood", user, path, depth)
+}
+
+// done ends the fragment's search with its outcome. The winner leaves
+// in an exactly-sized copy of its records that it owns; every pooled
+// output of the search goes back to lppm's pool, and s to its own.
+func (s *selection) done(p Piece, found bool, stats Stats) (Piece, bool, Stats) {
+	if found {
+		p.Trace = p.Trace.Clone()
+	}
+	for i, recs := range s.spent {
+		lppm.Recycle(recs)
+		s.spent[i] = nil
+	}
+	s.spent = s.spent[:0]
+	clear(s.ranked)
+	s.ranked = s.ranked[:0]
+	s.batch[0] = trace.Trace{}
+	s.memo.mech, s.memo.out, s.memo.err = nil, trace.Trace{}, nil
+	s.attacks, s.utility = nil, nil
+	selections.Put(s)
+	return p, found, stats
 }
 
 // rand returns the stream of the candidate called name, which is the
@@ -310,6 +354,56 @@ func (s *selection) rand(name string) *mathx.Rand {
 		s.rng = mathx.Reseed(s.rng, s.seed, s.stream, s.user, s.path, name)
 	}
 	return s.rng
+}
+
+// obfuscate runs candidate m, a mechanism or a chain of them, on t. A
+// chain runs stage by stage, as Chain.Obfuscate does, so that each
+// pooled stage output is spent, and a chain that starts with the
+// memoized mechanism starts from its memoized output. A candidate that
+// draws no randomness gets the stream unseeded; any other gets the one
+// keyed to its name, which the memoized stage does not touch.
+func (s *selection) obfuscate(m lppm.Mechanism, name string, t trace.Trace) (trace.Trace, error) {
+	stages := []lppm.Mechanism{m}
+	if c, ok := m.(lppm.Chain); ok {
+		if len(c.Mechs) == 0 {
+			return trace.Trace{}, lppm.ErrEmptyChain
+		}
+		stages = c.Mechs
+	}
+	rng := s.rng
+	for _, st := range stages {
+		if !lppm.IsDeterministic(st) {
+			rng = s.rand(name)
+			break
+		}
+	}
+	cur, start := t, 0
+	if len(stages) > 1 && s.memo.mech != nil && sameMechanism(stages[0], s.memo.mech) {
+		if s.memo.err != nil {
+			return trace.Trace{}, s.memo.err
+		}
+		cur, start = s.memo.out, 1
+	}
+	for _, st := range stages[start:] {
+		out, err := st.Obfuscate(rng, cur)
+		if err == nil && lppm.Pooled(st) {
+			s.spent = append(s.spent, out.Records)
+		}
+		if len(stages) == 1 && s.memo.mech == nil && lppm.IsDeterministic(st) {
+			s.memo.mech, s.memo.out, s.memo.err = st, out, err
+		}
+		if err != nil {
+			return trace.Trace{}, err
+		}
+		cur = out
+	}
+	return cur, nil
+}
+
+// sameMechanism reports whether a and b are one mechanism value. Only
+// pointers compare: == on two values of one incomparable type panics.
+func sameMechanism(a, b lppm.Mechanism) bool {
+	return reflect.TypeOf(a).Kind() == reflect.Pointer && a == b
 }
 
 // selectBest runs one tier of the Best LPPM Selection: it obfuscates t with
@@ -326,12 +420,17 @@ func (s *selection) rand(name string) *mathx.Rand {
 // candidates ranked behind the winner are never judged. This holds for
 // any Utility whose Better is a strict weak order (STD's < and
 // coverage's > on finite scores are).
+//
+// The piece returned still holds the search's buffers: done copies it.
 func (s *selection) selectBest(cands []lppm.Mechanism, t trace.Trace) (Piece, bool, Stats) {
 	stats := Stats{Candidates: len(cands)}
-	ranked := make([]Piece, 0, len(cands))
+	if cap(s.ranked) < len(cands) {
+		s.ranked = make([]Piece, 0, len(cands))
+	}
+	s.ranked = s.ranked[:0]
 	for _, m := range cands {
 		name := m.Name()
-		obf, err := m.Obfuscate(s.rand(name), t)
+		obf, err := s.obfuscate(m, name, t)
 		if err != nil || obf.Empty() {
 			// A mechanism that cannot process the fragment simply does not
 			// protect it; Algorithm 1 moves on to the next candidate.
@@ -345,19 +444,19 @@ func (s *selection) selectBest(cands []lppm.Mechanism, t trace.Trace) (Piece, bo
 			Composed:      chainLen(m) > 1,
 			Depth:         s.depth,
 		}
-		i := len(ranked)
-		ranked = append(ranked, p)
-		for ; i > 0 && s.utility.Better(p.Distortion, ranked[i-1].Distortion); i-- {
-			ranked[i] = ranked[i-1]
+		i := len(s.ranked)
+		s.ranked = append(s.ranked, p)
+		for ; i > 0 && s.utility.Better(p.Distortion, s.ranked[i-1].Distortion); i-- {
+			s.ranked[i] = s.ranked[i-1]
 		}
-		ranked[i] = p
+		s.ranked[i] = p
 	}
-	for i := range ranked {
+	for i := range s.ranked {
 		stats.Judged++
 		stats.AttackCalls += len(s.attacks)
-		s.batch[0] = ranked[i].Trace.WithUser("")
+		s.batch[0] = s.ranked[i].Trace.WithUser("")
 		if !s.attacks.ReIdentifiesBatch(s.batch, s.owner)[0].Hit {
-			return ranked[i], true, stats
+			return s.ranked[i], true, stats
 		}
 	}
 	return Piece{}, false, stats

@@ -43,7 +43,8 @@ func (h Hybrid) Protect(t trace.Trace) (Result, error) {
 		util = metrics.STDUtility{}
 	}
 
-	best, found, stats := newSelection(h.Attacks, util, h.Seed, "hybrid", t.User, "", 0).selectBest(h.LPPMs, t)
+	sel := newSelection(h.Attacks, util, h.Seed, "hybrid", t.User, "", 0)
+	best, found, stats := sel.done(sel.selectBest(h.LPPMs, t))
 	res := Result{User: t.User, TotalRecords: t.Len(), Stats: stats}
 	if found {
 		res.Pieces = []Piece{best}
@@ -101,7 +102,8 @@ func (s SingleLPPM) Protect(t trace.Trace) (Result, error) {
 	if util == nil {
 		util = metrics.STDUtility{}
 	}
-	p, found, stats := newSelection(s.Attacks, util, s.Seed, "single", t.User, "", 0).selectBest([]lppm.Mechanism{s.LPPM}, t)
+	sel := newSelection(s.Attacks, util, s.Seed, "single", t.User, "", 0)
+	p, found, stats := sel.done(sel.selectBest([]lppm.Mechanism{s.LPPM}, t))
 	res := Result{User: t.User, TotalRecords: t.Len(), Stats: stats}
 	if found {
 		res.Pieces = []Piece{p}

@@ -41,13 +41,13 @@ func (BruteForce) Search(e *Engine, t trace.Trace, user, path string, depth int)
 	// Lines 4-14: single LPPMs, best utility among the protecting ones.
 	best, found, stats := s.selectBest(e.LPPMs, t)
 	if found {
-		return best, true, stats
+		return s.done(best, true, stats)
 	}
 
 	// Lines 15-26: strict compositions C − L.
 	best, found, st := s.selectBest(mechanisms(lppm.CompositionsOnly(e.LPPMs)), t)
 	stats.add(st)
-	return best, found, stats
+	return s.done(best, found, stats)
 }
 
 // mechanisms widens chains to the candidate type of a tier.
@@ -82,14 +82,14 @@ func (Greedy) Search(e *Engine, t trace.Trace, user, path string, depth int) (Pi
 	// Single pass, as brute force's.
 	best, found, stats := s.selectBest(e.LPPMs, t)
 	if found {
-		return best, true, stats
+		return s.done(best, true, stats)
 	}
 
 	// No single protects: probe every mechanism's distortion as the
 	// heuristic signal; an un-measurable mechanism ranks last.
 	distortion := make(map[string]float64, len(e.LPPMs))
 	for _, m := range e.LPPMs {
-		distortion[m.Name()] = e.probeDistortion(m, t, user, path)
+		distortion[m.Name()] = s.probe(m, t)
 	}
 
 	chains := lppm.CompositionsOnly(e.LPPMs)
@@ -111,21 +111,32 @@ func (Greedy) Search(e *Engine, t trace.Trace, user, path string, depth int) (Pi
 		p, ok, st := s.selectBest([]lppm.Mechanism{r.chain}, t)
 		stats.add(st)
 		if ok {
-			return p, true, stats // first protecting composition wins
+			return s.done(p, true, stats) // first protecting composition wins
 		}
 	}
-	return Piece{}, false, stats
+	return s.done(Piece{}, false, stats)
 }
 
-// probeDistortion measures a mechanism's utility cost on t without any
-// attack evaluation (heuristic signal only).
-func (e *Engine) probeDistortion(m lppm.Mechanism, t trace.Trace, user, path string) float64 {
-	rng := mathx.DeriveRand(e.Seed, "probe", user, path, m.Name())
-	obf, err := m.Obfuscate(rng, t)
+// probe measures a mechanism's utility cost on t without any attack
+// evaluation (heuristic signal only), in the stream keyed to
+// ("probe", user, path, name). A deterministic mechanism's output is
+// the single tier's, which the memo holds.
+func (s *selection) probe(m lppm.Mechanism, t trace.Trace) float64 {
+	var obf trace.Trace
+	var err error
+	if s.memo.mech != nil && sameMechanism(m, s.memo.mech) {
+		obf, err = s.memo.out, s.memo.err
+	} else {
+		s.rng = mathx.Reseed(s.rng, s.seed, "probe", s.user, s.path, m.Name())
+		obf, err = m.Obfuscate(s.rng, t)
+		if err == nil && lppm.Pooled(m) {
+			s.spent = append(s.spent, obf.Records)
+		}
+	}
 	if err != nil || obf.Empty() {
 		return worstScore()
 	}
-	return e.utility().Measure(t, obf)
+	return s.utility.Measure(t, obf)
 }
 
 func worstScore() float64 { return 1e300 }

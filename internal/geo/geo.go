@@ -96,21 +96,37 @@ func SurelyWithin(a, b Point, r float64) bool {
 
 // Destination returns the point reached by travelling dist meters from p
 // along the given bearing (degrees clockwise from north), on the sphere.
-// Each sine and cosine is computed once: GeoI and TRL call this per
-// record.
+// GeoI calls this once per record; a caller that leaves one point
+// several times prepares it once with NewOrigin.
 func Destination(p Point, bearingDeg, dist float64) Point {
-	br := deg2rad(bearingDeg)
-	lat1 := deg2rad(p.Lat)
-	lon1 := deg2rad(p.Lon)
-	ad := dist / EarthRadius
-	sinLat1, cosLat1 := math.Sin(lat1), math.Cos(lat1)
-	sinAd, cosAd := math.Sin(ad), math.Cos(ad)
+	return NewOrigin(p).Destination(bearingDeg, dist)
+}
 
-	sinLat2 := sinLat1*cosAd + cosLat1*sinAd*math.Cos(br)
+// Origin is a start point prepared for Destination: the sine and cosine
+// of its latitude are computed once, for every bearing and distance
+// that leaves from it (TRL draws three assisted points per record).
+type Origin struct {
+	lon1, sinLat1, cosLat1 float64
+}
+
+// NewOrigin prepares p as a start point.
+func NewOrigin(p Point) Origin {
+	sinLat1, cosLat1 := math.Sincos(deg2rad(p.Lat))
+	return Origin{lon1: deg2rad(p.Lon), sinLat1: sinLat1, cosLat1: cosLat1}
+}
+
+// Destination is the package-level Destination from o, bit for bit:
+// each sine and cosine pair comes from one math.Sincos, whose argument
+// reduction and polynomials are math.Sin's and math.Cos's.
+func (o Origin) Destination(bearingDeg, dist float64) Point {
+	sinBr, cosBr := math.Sincos(deg2rad(bearingDeg))
+	sinAd, cosAd := math.Sincos(dist / EarthRadius)
+
+	sinLat2 := o.sinLat1*cosAd + o.cosLat1*sinAd*cosBr
 	lat2 := math.Asin(sinLat2)
-	y := math.Sin(br) * sinAd * cosLat1
-	x := cosAd - sinLat1*sinLat2
-	lon2 := lon1 + math.Atan2(y, x)
+	y := sinBr * sinAd * o.cosLat1
+	x := cosAd - o.sinLat1*sinLat2
+	lon2 := o.lon1 + math.Atan2(y, x)
 
 	// Normalize longitude to [-180, 180).
 	lon := math.Mod(rad2deg(lon2)+540, 360) - 180

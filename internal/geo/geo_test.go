@@ -348,6 +348,33 @@ func TestSurelyWithinNeverOverstates(t *testing.T) {
 	}
 }
 
+// FuzzDestination: several bearings and distances from one Origin land
+// on Destination's point and on the oracle's, bit for bit. A NaN
+// coordinate matches any NaN: math.Sin returns a NaN argument as it is,
+// payload and all, where math.Sincos returns the canonical NaN.
+func FuzzDestination(f *testing.F) {
+	f.Add(45.764, 4.8357, 0.0, 10.0, 137.5, 1000.0, 359.9, 50000.0)
+	f.Add(89.9, 179.9999, 90.0, 1e7, 270.0, 0.5, -45.0, 3e6)
+	f.Add(0.0, -180.0, 1e300, 1.0, -0.0, -1000.0, 720.0, 0.0)
+	f.Add(-90.0, 0.0, 5e-324, math.Inf(1), math.NaN(), 200.0, 180.0, 1e-310)
+	f.Fuzz(func(t *testing.T, lat, lon, b1, d1, b2, d2, b3, d3 float64) {
+		p := Point{Lat: lat, Lon: lon}
+		o := NewOrigin(p)
+		for _, leg := range [][2]float64{{b1, d1}, {b2, d2}, {b3, d3}} {
+			got := o.Destination(leg[0], leg[1])
+			for _, want := range []Point{Destination(p, leg[0], leg[1]), oracleDestination(p, leg[0], leg[1])} {
+				if !sameBits(got.Lat, want.Lat) || !sameBits(got.Lon, want.Lon) {
+					t.Fatalf("from %v, bearing %v, dist %v: Origin.Destination %v, want %v", p, leg[0], leg[1], got, want)
+				}
+			}
+		}
+	})
+}
+
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
 // FuzzSurelyWithin: on arbitrary coordinates and radii, a true
 // SurelyWithin never disagrees with FastDistance.
 func FuzzSurelyWithin(f *testing.F) {

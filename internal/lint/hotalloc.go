@@ -74,8 +74,10 @@ func DefaultHotAllocConfig() HotAllocConfig {
 				"pickTarget": true,
 			},
 			"mood/internal/geo": {
-				// GeoI and TRL call it once per record.
-				"Destination": true,
+				// The package-level Destination (GeoI: once per record)
+				// and Origin.Destination (TRL: once per assisted point)
+				// share the name; NewOrigin prepares each record.
+				"Destination": true, "NewOrigin": true,
 				// The nearest-place scans (MMC states, POI clusters and
 				// sets): once per record×POI pair, LatGap first, and
 				// SurelyWithin before measuring a dwelling record.

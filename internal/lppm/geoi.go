@@ -1,8 +1,6 @@
 package lppm
 
 import (
-	"fmt"
-
 	"mood/internal/geo"
 	"mood/internal/mathx"
 	"mood/internal/trace"
@@ -27,6 +25,11 @@ func NewGeoI() GeoI { return GeoI{Epsilon: DefaultEpsilon} }
 // Name implements Mechanism.
 func (GeoI) Name() string { return "GeoI" }
 
+// Validate reports an Epsilon Obfuscate refuses: one that is not a
+// positive, finite number (a NaN moves every record to NaN, and +Inf
+// publishes every record where it was).
+func (g GeoI) Validate() error { return positiveFinite("GeoI epsilon", g.Epsilon) }
+
 // Obfuscate implements Mechanism. The polar planar-Laplace sampler draws
 // an angle uniformly and a radius from the exact inverse CDF
 // C_ε^{-1}(p) = -(1/ε)(W₋₁((p−1)/e) + 1).
@@ -34,13 +37,12 @@ func (g GeoI) Obfuscate(rng *mathx.Rand, t trace.Trace) (trace.Trace, error) {
 	if t.Empty() {
 		return trace.Trace{}, ErrEmptyTrace
 	}
-	eps := g.Epsilon
-	if eps <= 0 {
-		return trace.Trace{}, fmt.Errorf("lppm: GeoI epsilon %v must be positive", eps)
+	if err := g.Validate(); err != nil {
+		return trace.Trace{}, err
 	}
-	out := make([]trace.Record, len(t.Records))
+	out := records(len(t.Records))
 	for i, r := range t.Records {
-		radius := mathx.SamplePlanarLaplaceRadius(rng, eps)
+		radius := mathx.SamplePlanarLaplaceRadius(rng, g.Epsilon)
 		bearing := rng.Float64() * 360
 		p := geo.Destination(r.Point(), bearing, radius)
 		out[i] = trace.At(p, r.TS)

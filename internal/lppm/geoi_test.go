@@ -116,3 +116,28 @@ func TestGeoIErrors(t *testing.T) {
 		t.Fatal("negative epsilon must error")
 	}
 }
+
+// TestNonFiniteParametersRefused: GeoI and TRL refuse every parameter
+// that is not a positive, finite number. A NaN passed the old `<= 0`
+// checks and moved every record to NaN; an infinite ε published every
+// raw location where it was.
+func TestNonFiniteParametersRefused(t *testing.T) {
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1} {
+		for _, m := range []interface {
+			Mechanism
+			Validate() error
+		}{GeoI{Epsilon: x}, TRL{Radius: x, NumAssisted: 3}} {
+			if m.Validate() == nil {
+				t.Errorf("%s with parameter %v: Validate accepted it", m.Name(), x)
+			}
+			if out, err := m.Obfuscate(rng(), walkTrace("u")); err == nil {
+				t.Errorf("%s with parameter %v: published %d records, want an error", m.Name(), x, out.Len())
+			}
+		}
+	}
+	for _, m := range []interface{ Validate() error }{NewGeoI(), NewTRL(), GeoI{Epsilon: math.MaxFloat64}, TRL{Radius: 5e-324}} {
+		if err := m.Validate(); err != nil {
+			t.Errorf("%+v: %v", m, err)
+		}
+	}
+}

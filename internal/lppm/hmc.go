@@ -111,6 +111,9 @@ func (h *HMC) SetMaxCells(n int) {
 // Name implements Mechanism.
 func (*HMC) Name() string { return "HMC" }
 
+// Deterministic implements Deterministic: HMC draws no randomness.
+func (*HMC) Deterministic() bool { return true }
+
 // Obfuscate implements Mechanism.
 func (h *HMC) Obfuscate(_ *mathx.Rand, t trace.Trace) (trace.Trace, error) {
 	if t.Empty() {
@@ -128,7 +131,7 @@ func (h *HMC) Obfuscate(_ *mathx.Rand, t trace.Trace) (trace.Trace, error) {
 func (h *HMC) imitate(t trace.Trace, src *heatmap.Frozen, target *hmcProfile) trace.Trace {
 	mapping := h.matchCells(src, target)
 
-	out := make([]trace.Record, len(t.Records))
+	out := records(len(t.Records))
 	for i, r := range t.Records {
 		p := r.Point()
 		c := h.grid.CellOf(p)

@@ -146,7 +146,7 @@ func (a *KAnon) Obfuscate(_ *mathx.Rand, t trace.Trace) (trace.Trace, error) {
 	if t.Empty() {
 		return trace.Trace{}, ErrEmptyTrace
 	}
-	out := make([]trace.Record, len(t.Records))
+	out := records(len(t.Records))
 	for i, r := range t.Records {
 		x, y := a.proj.ToXY(r.Point())
 		node := a.locate(x, y)

@@ -9,6 +9,7 @@ package lppm
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 
 	"mood/internal/mathx"
@@ -19,15 +20,44 @@ import (
 // no records.
 var ErrEmptyTrace = errors.New("lppm: empty trace")
 
+// ErrEmptyChain is returned when a chain of no mechanisms is applied.
+var ErrEmptyChain = errors.New("lppm: empty chain")
+
 // Mechanism obfuscates a mobility trace (the paper's L : T ↦ L(Υ, T)).
-// Implementations must not mutate the input trace; stochastic mechanisms
-// draw exclusively from the supplied random stream so callers control
-// reproducibility.
+// Implementations must not mutate the input trace, nor keep it once
+// Obfuscate returns (the engine reuses the buffers of the outputs it
+// does not publish); stochastic mechanisms draw exclusively from the
+// supplied random stream so callers control reproducibility.
 type Mechanism interface {
 	// Name identifies the mechanism in reports and composition labels.
 	Name() string
 	// Obfuscate returns a protected version of t.
 	Obfuscate(rng *mathx.Rand, t trace.Trace) (trace.Trace, error)
+}
+
+// Deterministic is implemented by a mechanism that can declare it draws
+// nothing from its random stream, so that its output is a function of
+// its input alone: a caller may then hand it any stream, nil included,
+// and reuse one output for one input. A wrapper forwards the answer of
+// the mechanism it wraps.
+type Deterministic interface {
+	Deterministic() bool
+}
+
+// IsDeterministic reports whether m declares that it draws no
+// randomness.
+func IsDeterministic(m Mechanism) bool {
+	d, ok := m.(Deterministic)
+	return ok && d.Deterministic()
+}
+
+// positiveFinite refuses a parameter that is not a positive, finite
+// number; a NaN fails every comparison, so it is refused too.
+func positiveFinite(what string, x float64) error {
+	if !(x > 0) || math.IsInf(x, 1) {
+		return fmt.Errorf("lppm: %s %v must be positive and finite", what, x)
+	}
+	return nil
 }
 
 // Chain is an ordered composition of mechanisms, applied first-to-last:
@@ -55,7 +85,7 @@ func (c Chain) Len() int { return len(c.Mechs) }
 // Obfuscate implements Mechanism.
 func (c Chain) Obfuscate(rng *mathx.Rand, t trace.Trace) (trace.Trace, error) {
 	if len(c.Mechs) == 0 {
-		return trace.Trace{}, errors.New("lppm: empty chain")
+		return trace.Trace{}, ErrEmptyChain
 	}
 	cur := t
 	for _, m := range c.Mechs {

@@ -1,8 +1,6 @@
 package lppm
 
 import (
-	"fmt"
-
 	"mood/internal/geo"
 	"mood/internal/mathx"
 	"mood/internal/trace"
@@ -33,28 +31,32 @@ func NewTRL() TRL { return TRL{Radius: DefaultTRLRadius, NumAssisted: 3} }
 // Name implements Mechanism.
 func (TRL) Name() string { return "TRL" }
 
+// Validate reports a Radius Obfuscate refuses: one that is not a
+// positive, finite number.
+func (t TRL) Validate() error { return positiveFinite("TRL radius", t.Radius) }
+
 // Obfuscate implements Mechanism.
 func (t TRL) Obfuscate(rng *mathx.Rand, tr trace.Trace) (trace.Trace, error) {
 	if tr.Empty() {
 		return trace.Trace{}, ErrEmptyTrace
 	}
-	if t.Radius <= 0 {
-		return trace.Trace{}, fmt.Errorf("lppm: TRL radius %v must be positive", t.Radius)
+	if err := t.Validate(); err != nil {
+		return trace.Trace{}, err
 	}
 	n := t.NumAssisted
 	if n <= 0 {
 		n = 3
 	}
-	out := make([]trace.Record, 0, len(tr.Records)*n)
+	out := records(len(tr.Records) * n)[:0]
 	for _, r := range tr.Records {
+		o := geo.NewOrigin(r.Point())
 		for k := 0; k < n; k++ {
 			// "In a range of r": distances concentrate toward r so the
 			// intersection geometry stays well-conditioned (the three
 			// circles must not collapse onto the target).
 			dist := t.Radius * (0.5 + 0.5*rng.Float64())
 			bearing := rng.Float64() * 360
-			p := geo.Destination(r.Point(), bearing, dist)
-			out = append(out, trace.At(p, r.TS))
+			out = append(out, trace.At(o.Destination(bearing, dist), r.TS))
 		}
 	}
 	return trace.Trace{User: tr.User, Records: out}, nil

@@ -115,10 +115,12 @@ func WithDelta(d time.Duration) Option { return func(o *options) { o.delta = d }
 // WithChunk overrides the initial fine-grained slice (default 24 h).
 func WithChunk(d time.Duration) Option { return func(o *options) { o.chunk = d } }
 
-// WithEpsilon overrides Geo-I's privacy parameter (default 0.01 /m).
+// WithEpsilon overrides Geo-I's privacy parameter (default 0.01 /m);
+// NewPipeline refuses one that is not positive and finite.
 func WithEpsilon(eps float64) Option { return func(o *options) { o.epsilon = eps } }
 
-// WithTRLRadius overrides TRL's assisted-location range (default 1 km).
+// WithTRLRadius overrides TRL's assisted-location range (default 1 km);
+// NewPipeline refuses one that is not positive and finite.
 func WithTRLRadius(r float64) Option { return func(o *options) { o.trlRadius = r } }
 
 // WithGreedySearch switches the composition search from the paper's
@@ -167,6 +169,11 @@ func NewPipeline(background []Trace, opts ...Option) (*Pipeline, error) {
 	for _, opt := range opts {
 		opt(&o)
 	}
+	geoi := lppm.GeoI{Epsilon: o.epsilon}
+	trl := lppm.TRL{Radius: o.trlRadius, NumAssisted: 3}
+	if err := errors.Join(geoi.Validate(), trl.Validate()); err != nil {
+		return nil, fmt.Errorf("mood: %w", err)
+	}
 
 	// One profile set is H for both halves: HMC's imitation pool and the
 	// attacks' profiles share each user's features, on the paper's 800 m
@@ -176,11 +183,7 @@ func NewPipeline(background []Trace, opts ...Option) (*Pipeline, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mood: building HMC: %w", err)
 	}
-	portfolio := []Mechanism{
-		hmc,
-		lppm.GeoI{Epsilon: o.epsilon},
-		lppm.TRL{Radius: o.trlRadius, NumAssisted: 3},
-	}
+	portfolio := []Mechanism{hmc, geoi, trl}
 	if o.kanon > 0 {
 		ka, err := lppm.NewKAnon(o.kanon, ps)
 		if err != nil {

@@ -2,6 +2,7 @@ package mood_test
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -100,6 +101,25 @@ func TestPipelineOptions(t *testing.T) {
 func TestPipelineErrors(t *testing.T) {
 	if _, err := mood.NewPipeline(nil); err == nil {
 		t.Fatal("empty background must error")
+	}
+}
+
+// TestPipelineRefusesNonFiniteParameters: NewPipeline refuses every
+// Geo-I ε and TRL radius the mechanisms would refuse at each call.
+func TestPipelineRefusesNonFiniteParameters(t *testing.T) {
+	d, err := mood.GenerateDataset("mdc", "tiny", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1} {
+		for _, o := range []struct {
+			name string
+			opt  mood.Option
+		}{{"WithEpsilon", mood.WithEpsilon(x)}, {"WithTRLRadius", mood.WithTRLRadius(x)}} {
+			if _, err := mood.NewPipeline(d.Traces, o.opt); err == nil {
+				t.Errorf("NewPipeline(%s(%v)) built a pipeline, want an error", o.name, x)
+			}
+		}
 	}
 }
 
