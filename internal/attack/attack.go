@@ -9,9 +9,9 @@
 // trained — profiles are immutable after Train.
 //
 // The paper's protection predicate (Eq. 4–6) has one implementation,
-// Set.ReIdentifiesBatch (batch.go): the engine's per-candidate check is
-// a batch of one (as is Set.ReIdentifies), and the service's re-audit
-// and eval's dynamic oracle pass whole batches.
+// the per-trace Set.ReIdentifies (batch.go): the engine asks it once
+// per candidate, and Set.ReIdentifiesBatch — the service's re-audit,
+// eval's dynamic oracle — is its parallel fan-out over many traces.
 //
 // Training is a view: the AP-, POI- and PIT-attacks read their profiles
 // from one profile.Set, which builds each user's heatmap, POIs and
@@ -94,16 +94,6 @@ func (s Set) TrainOn(ps *profile.Set) error {
 		}
 	}
 	return nil
-}
-
-// ReIdentifies reports whether any attack in the set links t back to
-// trueUser, and returns the name of the first attack that does.
-// This is the predicate of the paper's protection definitions (Eq. 4–6):
-// a trace is protected iff *no* attack re-identifies it. It is
-// ReIdentifiesBatch over a batch of one.
-func (s Set) ReIdentifies(t trace.Trace, trueUser string) (bool, string) {
-	r := s.ReIdentifiesBatch([]trace.Trace{t}, []string{trueUser})[0]
-	return r.Hit, r.Attack
 }
 
 // Names returns the attack names in order.

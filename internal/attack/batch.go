@@ -8,19 +8,18 @@ import (
 	"mood/internal/trace"
 )
 
-// Batch identification. The protection predicate and the
-// identification scans run over batches of anonymous traces — a batch of
-// one for the engine's per-candidate check, the whole published dataset
-// for a re-audit — and the batch shape is what makes them cheap:
+// The protection predicate and the identification scans. The predicate
+// runs trace by trace: Set.ReIdentifies asks the attacks in set order
+// over one per-trace state (anon) and stops at the first hit, and
+// ReIdentifiesBatch — a re-audit over the whole published dataset — is
+// its parallel fan-out. What keeps them cheap:
 //
-//   - each attack freezes (or POI-extracts) every anonymous trace of
-//     the batch exactly once;
-//   - the AP scan goes profile-major in cache-resident blocks, with a
-//     float32 quantized pruning pass (heatmap.Quant) ahead of the
-//     exact float64 kernel;
 //   - the predicate's question "does any profile beat the owner's" is
 //     answered by an owner-seeded scan that stops at the first beating
 //     profile instead of completing the argmin;
+//   - the AP scans prune with a float32 quantized pass (heatmap.Quant)
+//     ahead of the exact float64 kernel, and BatchIdentify's AP scan
+//     goes profile-major in cache-resident blocks;
 //   - one POI extraction per trace feeds both the POI- and PIT-attacks.
 //
 // Exactness rests on two facts proven in topTwo's comment: the
@@ -94,10 +93,17 @@ func (p apProfile) userID() string  { return p.user }
 func (p poiProfile) userID() string { return p.user }
 func (p pitProfile) userID() string { return p.user }
 
+// scoreFunc returns profile i's exact score, or any value >= bound once
+// the score provably reaches bound. A nil scoreFunc stands for a trace
+// the attack cannot profile: it gets no verdict and no hit.
+type scoreFunc func(i int, bound float64) float64
+
 // argmin is the POI- and PIT-attacks' Identify scan: every profile's
-// score folds through topTwo. score(i, bound) returns profile i's exact score, or any value
-// >= bound once the score provably reaches bound.
-func argmin[P userProfile](ps []P, score func(i int, bound float64) float64) Verdict {
+// score folds through topTwo.
+func argmin[P userProfile](ps []P, score scoreFunc) Verdict {
+	if score == nil {
+		return Verdict{}
+	}
 	k := newTopTwo()
 	for i := range ps {
 		bound := k.bound()
@@ -118,7 +124,10 @@ func argmin[P userProfile](ps []P, score func(i int, bound float64) float64) Ver
 // and cannot beat it, so the boolean equals Identify(t).OK && User ==
 // owner exactly — at a fraction of the cost when a beater exists. score
 // is argmin's.
-func ownerHit[P userProfile](ps []P, owner string, score func(i int, bound float64) float64) bool {
+func ownerHit[P userProfile](ps []P, owner string, score scoreFunc) bool {
+	if score == nil {
+		return false
+	}
 	so := math.Inf(1)
 	for i := range ps {
 		if ps[i].userID() != owner {
@@ -144,94 +153,51 @@ func ownerHit[P userProfile](ps []P, owner string, score func(i int, bound float
 	return true
 }
 
-// poiCache extracts the POIs of each anonymous trace of a batch once,
-// on first use: the POI- and PIT-attacks share the extraction.
-type poiCache struct {
-	ts   []trace.Trace
-	pois [][]poi.POI
-	done []bool
+// anon is one anonymous trace as the attacks see it. Its POIs are
+// extracted on first use and shared by the POI- and PIT-attacks.
+type anon struct {
+	t    trace.Trace
+	pois []poi.POI
+	done bool
 }
 
-// extract returns the POIs of every trace named in idxs (indices into
-// c.ts), extracting missing entries in parallel.
-func (c *poiCache) extract(idxs []int) [][]poi.POI {
-	if c.pois == nil {
-		c.pois, c.done = make([][]poi.POI, len(c.ts)), make([]bool, len(c.ts))
+// extract returns the trace's POIs, extracting them once.
+func (x *anon) extract() []poi.POI {
+	if !x.done {
+		x.pois, x.done = poi.NewExtractor().Extract(x.t), true
 	}
-	todo := make([]int, 0, len(idxs))
-	for _, i := range idxs {
-		if !c.done[i] {
-			todo = append(todo, i)
-		}
-	}
-	par.Each(len(todo), func(j int) {
-		i := todo[j]
-		c.pois[i] = poi.NewExtractor().Extract(c.ts[i])
-		c.done[i] = true
-	})
-	return c.pois
+	return x.pois
 }
 
-// indices returns 0, 1, …, n-1.
-func indices(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
-// BatchIdentify scores every trace against every attack of the set
-// with the batch kernels: out[ai][ti] is bit-identical to
-// s[ai].Identify(ts[ti]). One POI extraction per trace is shared by
-// the POI- and PIT-attacks; attacks without a kernel are called trace
-// by trace.
+// BatchIdentify scores every trace against every attack of the set:
+// out[ai][ti] is bit-identical to s[ai].Identify(ts[ti]). The AP-attack
+// runs its profile-major batch scan; the others run trace by trace,
+// one POI extraction per trace shared by the POI- and PIT-attacks, and
+// any other attack is asked through Identify.
 func BatchIdentify(s Set, ts []trace.Trace) [][]Verdict {
 	out := make([][]Verdict, len(s))
-	cache := poiCache{ts: ts}
-	all := indices(len(ts))
 	for ai, atk := range s {
-		identify := func(i int) Verdict { return atk.Identify(ts[i]) }
-		switch a := atk.(type) {
-		case *AP:
-			out[ai] = a.IdentifyBatch(ts)
-			continue
-		case *POIAttack:
-			if a.scans() {
-				ps := cache.extract(all)
-				identify = func(i int) Verdict { return a.identifyPOIs(ps[i]) }
-			}
-		case *PIT:
-			if a.scans() {
-				ps := cache.extract(all)
-				identify = func(i int) Verdict { return a.identifyChain(buildChain(ps[i], ts[i])) }
+		if ap, ok := atk.(*AP); ok {
+			out[ai] = ap.IdentifyBatch(ts)
+		} else {
+			out[ai] = make([]Verdict, len(ts))
+		}
+	}
+	par.Each(len(ts), func(i int) {
+		x := anon{t: ts[i]}
+		for ai, atk := range s {
+			switch a := atk.(type) {
+			case *AP: // scored by IdentifyBatch above
+			case *POIAttack:
+				out[ai][i] = argmin(a.profiles, a.scorer(&x))
+			case *PIT:
+				out[ai][i] = argmin(a.profiles, a.scorer(&x))
+			default:
+				out[ai][i] = atk.Identify(x.t)
 			}
 		}
-		vs := make([]Verdict, len(ts))
-		par.Spans(len(ts), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				vs[i] = identify(i)
-			}
-		})
-		out[ai] = vs
-	}
+	})
 	return out
-}
-
-// hit answers the predicate for trace i of a batch, ts[i] = t, with
-// atk's owner-seeded kernel; ps holds the batch's POIs for the POI- and
-// PIT-attacks. Any other Attack is asked through Identify.
-func hit(atk Attack, t trace.Trace, ps [][]poi.POI, i int, owner string) bool {
-	switch a := atk.(type) {
-	case *AP:
-		return a.hitOne(t, owner)
-	case *POIAttack:
-		return a.hitPOIs(ps[i], owner)
-	case *PIT:
-		return a.hitChain(buildChain(ps[i], t), owner)
-	}
-	v := atk.Identify(t)
-	return v.OK && v.User == owner
 }
 
 // ReIdent is one (trace, user) pair's outcome of the protection
@@ -242,53 +208,43 @@ type ReIdent struct {
 	Attack string
 }
 
-// ReIdentifiesBatch is the protection predicate of the paper (Eq. 4–6)
-// for many (trace, user) pairs in one pass: a pair is a hit iff some
-// attack's Identify would attribute the trace to the user. Attacks run
-// in set order and a trace leaves the batch at its first hit, so
-// Attack names the first attack that links it. The AP-, POI- and
-// PIT-attacks answer through their owner-seeded hit scans over one
-// freeze/extraction per trace (see the comment at the top of this
-// file); any other Attack — a custom set, a wrapper — is asked through
-// Identify.
+// ReIdentifies is the protection predicate of the paper (Eq. 4–6): it
+// reports whether any attack in the set links t back to owner — some
+// attack's Identify would attribute t to owner — and names the first
+// attack in set order that does. A trace is protected iff no attack
+// re-identifies it. The AP-, POI- and PIT-attacks answer through their
+// owner-seeded scans over one per-trace state; any other Attack — a
+// custom set, a wrapper — is asked through Identify.
+func (s Set) ReIdentifies(t trace.Trace, owner string) (bool, string) {
+	x := anon{t: t}
+	for _, atk := range s {
+		var hit bool
+		// A type switch, not an interface method: a dynamic call would
+		// move x to the heap.
+		switch a := atk.(type) {
+		case *AP:
+			hit = a.hitOne(t, owner)
+		case *POIAttack:
+			hit = ownerHit(a.profiles, owner, a.scorer(&x))
+		case *PIT:
+			hit = ownerHit(a.profiles, owner, a.scorer(&x))
+		default:
+			v := atk.Identify(t)
+			hit = v.OK && v.User == owner
+		}
+		if hit {
+			return true, atk.Name()
+		}
+	}
+	return false, ""
+}
+
+// ReIdentifiesBatch is ReIdentifies over many (trace, user) pairs, run
+// in parallel: out[i] is ReIdentifies(ts[i], users[i]).
 func (s Set) ReIdentifiesBatch(ts []trace.Trace, users []string) []ReIdent {
 	out := make([]ReIdent, len(ts))
-	cache := poiCache{ts: ts}
-	remaining := indices(len(ts))
-	for _, atk := range s {
-		if len(remaining) == 0 {
-			break
-		}
-		var ps [][]poi.POI
-		switch a := atk.(type) {
-		case *POIAttack:
-			if !a.scans() {
-				continue // no verdicts, no hits
-			}
-			ps = cache.extract(remaining)
-		case *PIT:
-			if !a.scans() {
-				continue
-			}
-			ps = cache.extract(remaining)
-		}
-		hits := make([]bool, len(remaining))
-		par.Spans(len(remaining), func(lo, hi int) {
-			for j := lo; j < hi; j++ {
-				i := remaining[j]
-				hits[j] = hit(atk, ts[i], ps, i, users[i])
-			}
-		})
-		name := atk.Name()
-		next := remaining[:0]
-		for j, i := range remaining {
-			if hits[j] {
-				out[i] = ReIdent{Hit: true, Attack: name}
-			} else {
-				next = append(next, i)
-			}
-		}
-		remaining = next
-	}
+	par.Each(len(ts), func(i int) {
+		out[i].Hit, out[i].Attack = s.ReIdentifies(ts[i], users[i])
+	})
 	return out
 }

@@ -2,6 +2,8 @@ package attack
 
 import (
 	"math"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"mood/internal/heatmap"
@@ -280,6 +282,72 @@ func TestReIdentifiesBatchMatchesScalar(t *testing.T) {
 			if oneHit, oneName := atks.ReIdentifies(ts[i], owners[i]); oneHit != hit || oneName != name {
 				t.Fatalf("seed %d, pair %d (owner %q): ReIdentifies (%v, %q) != oracle (%v, %q)",
 					seed, i, owners[i], oneHit, oneName, hit, name)
+			}
+		}
+	}
+}
+
+// forwarding hides an attack's concrete type behind the Attack
+// interface alone — the shape of an instrumenting wrapper — so the set
+// answers through Identify instead of the owner-seeded kernels.
+type forwarding struct{ inner Attack }
+
+func (f forwarding) Name() string                         { return f.inner.Name() }
+func (f forwarding) Train(background []trace.Trace) error { return f.inner.Train(background) }
+func (f forwarding) Identify(t trace.Trace) Verdict       { return f.inner.Identify(t) }
+
+// TestWrappedSetMatchesBare pins the Identify fallback to the kernels:
+// a set whose attacks are wrapped returns the same predicate answers
+// (ReIdentifies and ReIdentifiesBatch, true and wrong owners) and the
+// same BatchIdentify verdicts as the bare set, at one and two workers.
+func TestWrappedSetMatchesBare(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	train, test := testSplit(t, 23)
+	bare := DefaultSet()
+	if err := TrainAll(bare, train.Traces); err != nil {
+		t.Fatal(err)
+	}
+	wrapped := make(Set, len(bare))
+	for i, a := range bare {
+		wrapped[i] = forwarding{a}
+	}
+	ts := batchCandidates(test)
+	var owners []string
+	for i := range ts {
+		owners = append(owners, test.Traces[i%len(test.Traces)].User)
+	}
+	for i, tr := range test.Traces {
+		ts = append(ts, tr.WithUser(""))
+		owners = append(owners, test.Traces[(i+1)%len(test.Traces)].User)
+	}
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		w := bare.ReIdentifiesBatch(ts, owners)
+		if g := wrapped.ReIdentifiesBatch(ts, owners); !reflect.DeepEqual(g, w) {
+			t.Fatalf("procs %d: wrapped ReIdentifiesBatch %v != bare %v", procs, g, w)
+		}
+		hits := 0
+		for _, r := range w {
+			if r.Hit {
+				hits++
+			}
+		}
+		if hits == 0 || hits == len(w) {
+			t.Fatalf("procs %d: %d hits in %d pairs: the workload must both hit and miss", procs, hits, len(w))
+		}
+		for i := range ts {
+			gh, gn := wrapped.ReIdentifies(ts[i], owners[i])
+			wh, wn := bare.ReIdentifies(ts[i], owners[i])
+			if gh != wh || gn != wn {
+				t.Fatalf("procs %d, pair %d: wrapped ReIdentifies (%v, %q) != bare (%v, %q)", procs, i, gh, gn, wh, wn)
+			}
+		}
+		got, want := BatchIdentify(wrapped, ts), BatchIdentify(bare, ts)
+		for ai := range want {
+			for i := range ts {
+				if !verdictsEq(got[ai][i], want[ai][i]) {
+					t.Fatalf("procs %d, %s, trace %d: wrapped %+v != bare %+v", procs, bare[ai].Name(), i, got[ai][i], want[ai][i])
+				}
 			}
 		}
 	}

@@ -19,7 +19,6 @@ import (
 // that yields no POIs produces no verdict.
 type PIT struct {
 	profiles []pitProfile
-	trained  bool
 }
 
 type pitProfile struct {
@@ -57,51 +56,31 @@ func (a *PIT) trainOn(ps *profile.Set) error {
 			profiles = append(profiles, pitProfile{user: u.ID, chain: u.Chain, stat: u.Stationary})
 		}
 	}
-	a.profiles, a.trained = profiles, true
+	a.profiles = profiles
 	return nil
 }
 
-// scans reports whether Identify can ever produce a verdict.
-func (a *PIT) scans() bool { return a.trained && len(a.profiles) > 0 }
-
 // Identify implements Attack.
 func (a *PIT) Identify(t trace.Trace) Verdict {
-	if !a.scans() {
-		return Verdict{}
-	}
-	return a.identifyChain(mmc.Build(poi.NewExtractor(), t))
+	return argmin(a.profiles, a.scorer(&anon{t: t}))
 }
 
-// identifyChain is the profile scan over the anonymous chain, shared
-// by Identify and BatchIdentify. The chain's stationary distribution is
-// fixed across the scan, so it is computed once; StatsProxBounded
+// scorer is the PIT-attack's profile score over the chain of x's POIs,
+// which feeds both Identify's argmin and the predicate's ownerHit; nil
+// when there is nothing to score. The chain's stationary distribution
+// is fixed across the scan, so it is computed once; StatsProxBounded
 // abandons profiles whose stationary part alone reaches the bound.
-func (a *PIT) identifyChain(c mmc.Chain) Verdict {
+func (a *PIT) scorer(x *anon) scoreFunc {
+	if len(a.profiles) == 0 {
+		return nil
+	}
+	c := mmc.BuildFromPOIs(poi.NewExtractor(), x.extract(), x.t)
 	if c.Empty() {
-		return Verdict{}
+		return nil
 	}
 	stat := c.Stationary()
-	return argmin(a.profiles, func(i int, bound float64) float64 {
+	return func(i int, bound float64) float64 {
 		p := &a.profiles[i]
 		return mmc.StatsProxBounded(c, p.chain, stat, p.stat, bound)
-	})
-}
-
-// buildChain builds a trace's chain from pre-extracted POIs — the
-// Set-level batch paths extract once and share with the POI-attack.
-func buildChain(pois []poi.POI, t trace.Trace) mmc.Chain {
-	return mmc.BuildFromPOIs(poi.NewExtractor(), pois, t)
-}
-
-// hitChain answers the predicate for the trace behind chain c
-// (ownerHit).
-func (a *PIT) hitChain(c mmc.Chain, owner string) bool {
-	if c.Empty() {
-		return false
 	}
-	stat := c.Stationary()
-	return ownerHit(a.profiles, owner, func(i int, bound float64) float64 {
-		p := &a.profiles[i]
-		return mmc.StatsProxBounded(c, p.chain, stat, p.stat, bound)
-	})
 }

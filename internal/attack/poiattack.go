@@ -20,7 +20,6 @@ import (
 // re-identification.
 type POIAttack struct {
 	profiles []poiProfile
-	trained  bool
 }
 
 type poiProfile struct {
@@ -56,42 +55,30 @@ func (a *POIAttack) trainOn(ps *profile.Set) error {
 			profiles = append(profiles, poiProfile{user: u.ID, pois: u.POIs})
 		}
 	}
-	a.profiles, a.trained = profiles, true
+	a.profiles = profiles
 	return nil
 }
 
-// scans reports whether Identify can ever produce a verdict.
-func (a *POIAttack) scans() bool { return a.trained && len(a.profiles) > 0 }
-
 // Identify implements Attack.
 func (a *POIAttack) Identify(t trace.Trace) Verdict {
-	if !a.scans() {
-		return Verdict{}
-	}
-	return a.identifyPOIs(poi.NewExtractor().Extract(t))
+	return argmin(a.profiles, a.scorer(&anon{t: t}))
 }
 
-// identifyPOIs is the profile scan over pre-extracted anonymous POIs,
-// shared by Identify and BatchIdentify.
-func (a *POIAttack) identifyPOIs(pois []poi.POI) Verdict {
+// scorer is the POI-attack's profile score over x's POIs, which feeds
+// both Identify's argmin and the predicate's ownerHit; nil when there is
+// nothing to score.
+func (a *POIAttack) scorer(x *anon) scoreFunc {
+	if len(a.profiles) == 0 {
+		return nil
+	}
+	pois := x.extract()
 	if len(pois) == 0 {
-		return Verdict{}
+		return nil
 	}
 	weights := poi.Weights(pois)
-	return argmin(a.profiles, func(i int, bound float64) float64 {
+	return func(i int, bound float64) float64 {
 		return poiSetDistance(pois, weights, a.profiles[i].pois, bound)
-	})
-}
-
-// hitPOIs answers the predicate for a trace with these POIs (ownerHit).
-func (a *POIAttack) hitPOIs(pois []poi.POI, owner string) bool {
-	if len(pois) == 0 {
-		return false
 	}
-	weights := poi.Weights(pois)
-	return ownerHit(a.profiles, owner, func(i int, bound float64) float64 {
-		return poiSetDistance(pois, weights, a.profiles[i].pois, bound)
-	})
 }
 
 // poiSetDistance is the weighted mean distance from each anonymous POI

@@ -61,7 +61,6 @@ func oracleTrainPOI(a *POIAttack, background []trace.Trace) error {
 		}
 		a.profiles = append(a.profiles, poiProfile{user: t.User, pois: pois})
 	}
-	a.trained = true
 	return nil
 }
 
@@ -77,7 +76,6 @@ func oracleTrainPIT(a *PIT, background []trace.Trace) error {
 		}
 		a.profiles = append(a.profiles, pitProfile{user: t.User, chain: c, stat: c.Stationary()})
 	}
-	a.trained = true
 	return nil
 }
 

@@ -281,10 +281,6 @@ type selection struct {
 	seed               uint64
 	stream, user, path string
 	depth              int
-	// batch and owner are the predicate's batch of one, reused by every
-	// verdict of the selection.
-	batch []trace.Trace
-	owner []string
 	// rng is reseeded for every candidate that draws randomness (see
 	// rand), and kept from fragment to fragment.
 	rng *mathx.Rand
@@ -304,9 +300,7 @@ type selection struct {
 	}
 }
 
-var selections = sync.Pool{New: func() any {
-	return &selection{batch: make([]trace.Trace, 1), owner: make([]string, 1)}
-}}
+var selections = sync.Pool{New: func() any { return new(selection) }}
 
 // newSelection keys the candidates of user's fragment at path (empty for
 // a whole-trace baseline) in the given random stream.
@@ -314,7 +308,6 @@ func newSelection(attacks attack.Set, utility metrics.Utility, seed uint64, stre
 	s := selections.Get().(*selection)
 	s.attacks, s.utility, s.seed = attacks, utility, seed
 	s.stream, s.user, s.path, s.depth = stream, user, path, depth
-	s.owner[0] = user
 	return s
 }
 
@@ -337,7 +330,6 @@ func (s *selection) done(p Piece, found bool, stats Stats) (Piece, bool, Stats) 
 	s.spent = s.spent[:0]
 	clear(s.ranked)
 	s.ranked = s.ranked[:0]
-	s.batch[0] = trace.Trace{}
 	s.memo.mech, s.memo.out, s.memo.err = nil, trace.Trace{}, nil
 	s.attacks, s.utility = nil, nil
 	selections.Put(s)
@@ -454,8 +446,7 @@ func (s *selection) selectBest(cands []lppm.Mechanism, t trace.Trace) (Piece, bo
 	for i := range s.ranked {
 		stats.Judged++
 		stats.AttackCalls += len(s.attacks)
-		s.batch[0] = s.ranked[i].Trace.WithUser("")
-		if !s.attacks.ReIdentifiesBatch(s.batch, s.owner)[0].Hit {
+		if hit, _ := s.attacks.ReIdentifies(s.ranked[i].Trace.WithUser(""), s.user); !hit {
 			return s.ranked[i], true, stats
 		}
 	}

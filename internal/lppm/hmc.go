@@ -193,14 +193,14 @@ const hmcRankMatched = 6
 func (h *HMC) matchCells(src *heatmap.Frozen, target *hmcProfile) map[geo.Cell]geo.Cell {
 	srcCells := src.TopCells()
 	tgt := target.cells
-	used := make(map[geo.Cell]bool, len(tgt))
+	used := make([]bool, len(tgt)) // by index: a heatmap's cells are distinct
 	mapping := make(map[geo.Cell]geo.Cell, len(srcCells))
 	remaining := len(tgt)
 	total := src.Total()
 
-	take := func(c geo.Cell) {
-		if !used[c] {
-			used[c] = true
+	take := func(i int) {
+		if !used[i] {
+			used[i] = true
 			remaining--
 		}
 	}
@@ -218,7 +218,7 @@ func (h *HMC) matchCells(src *heatmap.Frozen, target *hmcProfile) map[geo.Cell]g
 		mapping[srcCells[i].Cell] = tgt[i].Cell
 		covered += srcCells[i].Weight
 		translated++
-		take(tgt[i].Cell)
+		take(i)
 	}
 
 	for _, sc := range srcCells[head:] {
@@ -230,7 +230,7 @@ func (h *HMC) matchCells(src *heatmap.Frozen, target *hmcProfile) map[geo.Cell]g
 		bestIdx := -1
 		bestD := math.Inf(1)
 		for i, tc := range tgt {
-			if remaining > 0 && used[tc.Cell] {
+			if remaining > 0 && used[i] {
 				continue
 			}
 			d := h.grid.CellDistance(sc.Cell, tc.Cell)
@@ -243,11 +243,10 @@ func (h *HMC) matchCells(src *heatmap.Frozen, target *hmcProfile) map[geo.Cell]g
 			mapping[sc.Cell] = sc.Cell
 			continue
 		}
-		chosen := tgt[bestIdx].Cell
-		mapping[sc.Cell] = chosen
+		mapping[sc.Cell] = tgt[bestIdx].Cell
 		covered += sc.Weight
 		translated++
-		take(chosen)
+		take(bestIdx)
 	}
 	return mapping
 }

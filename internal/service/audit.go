@@ -24,9 +24,8 @@ import (
 // Retrain serialises full passes against each other.
 //
 // Judging is batched: the whole pass — all shards — is assembled into
-// one task list and handed to the auditor's predicate in one call (one
-// owner-seeded scan per attack over every fragment, see
-// attack.Set.ReIdentifiesBatch).
+// one task list and handed to the auditor's predicate in one call, which
+// judges the fragments in parallel (see attack.Set.ReIdentifiesBatch).
 
 // auditPublished re-checks every published fragment and quarantines
 // the vulnerable ones. It returns how many fragments were audited and

@@ -290,8 +290,9 @@ type Classification = core.Classification
 func Classify(results []Result) Classification { return core.Classify(results) }
 
 // ReIdentifies reports whether any trained attack links t to user (the
-// protection predicate of Definitions 4-6); it is ReIdentifiesBatch
-// over a batch of one.
+// protection predicate of Definitions 4-6) and names the first attack
+// that does. It is the predicate's one implementation, asked trace by
+// trace: the engine checks each candidate with it.
 func (p *Pipeline) ReIdentifies(t Trace, user string) (bool, string) {
 	return p.atks.ReIdentifies(t, user)
 }
@@ -301,11 +302,9 @@ func (p *Pipeline) ReIdentifies(t Trace, user string) (bool, string) {
 type ReIdent = attack.ReIdent
 
 // ReIdentifiesBatch evaluates the protection predicate for many
-// (trace, user) pairs in one pass: each trace is frozen once per
-// attack, the AP scan runs with float32 pruning, and each attack's
-// question stops at the first profile beating the owner's score. The
-// engine checks each candidate as a batch of one; the service's
-// re-audit pass judges the whole published dataset in one call.
+// (trace, user) pairs: it is ReIdentifies fanned out in parallel, pair
+// by pair. The service's re-audit pass judges the whole published
+// dataset in one call.
 func (p *Pipeline) ReIdentifiesBatch(ts []Trace, users []string) []ReIdent {
 	return p.atks.ReIdentifiesBatch(ts, users)
 }
