@@ -94,16 +94,12 @@ func (p poiProfile) userID() string { return p.user }
 func (p pitProfile) userID() string { return p.user }
 
 // scoreFunc returns profile i's exact score, or any value >= bound once
-// the score provably reaches bound. A nil scoreFunc stands for a trace
-// the attack cannot profile: it gets no verdict and no hit.
+// the score provably reaches bound.
 type scoreFunc func(i int, bound float64) float64
 
 // argmin is the POI- and PIT-attacks' Identify scan: every profile's
 // score folds through topTwo.
 func argmin[P userProfile](ps []P, score scoreFunc) Verdict {
-	if score == nil {
-		return Verdict{}
-	}
 	k := newTopTwo()
 	for i := range ps {
 		bound := k.bound()
@@ -125,9 +121,6 @@ func argmin[P userProfile](ps []P, score scoreFunc) Verdict {
 // owner exactly — at a fraction of the cost when a beater exists. score
 // is argmin's.
 func ownerHit[P userProfile](ps []P, owner string, score scoreFunc) bool {
-	if score == nil {
-		return false
-	}
 	so := math.Inf(1)
 	for i := range ps {
 		if ps[i].userID() != owner {
@@ -189,9 +182,13 @@ func BatchIdentify(s Set, ts []trace.Trace) [][]Verdict {
 			switch a := atk.(type) {
 			case *AP: // scored by IdentifyBatch above
 			case *POIAttack:
-				out[ai][i] = argmin(a.profiles, a.scorer(&x))
+				if s, ok := a.scorer(&x); ok {
+					out[ai][i] = argmin(a.profiles, s.score)
+				}
 			case *PIT:
-				out[ai][i] = argmin(a.profiles, a.scorer(&x))
+				if s, ok := a.scorer(&x); ok {
+					out[ai][i] = argmin(a.profiles, s.score)
+				}
 			default:
 				out[ai][i] = atk.Identify(x.t)
 			}
@@ -225,9 +222,13 @@ func (s Set) ReIdentifies(t trace.Trace, owner string) (bool, string) {
 		case *AP:
 			hit = a.hitOne(t, owner)
 		case *POIAttack:
-			hit = ownerHit(a.profiles, owner, a.scorer(&x))
+			if s, ok := a.scorer(&x); ok {
+				hit = ownerHit(a.profiles, owner, s.score)
+			}
 		case *PIT:
-			hit = ownerHit(a.profiles, owner, a.scorer(&x))
+			if s, ok := a.scorer(&x); ok {
+				hit = ownerHit(a.profiles, owner, s.score)
+			}
 		default:
 			v := atk.Identify(t)
 			hit = v.OK && v.User == owner

@@ -62,25 +62,38 @@ func (a *PIT) trainOn(ps *profile.Set) error {
 
 // Identify implements Attack.
 func (a *PIT) Identify(t trace.Trace) Verdict {
-	return argmin(a.profiles, a.scorer(&anon{t: t}))
+	s, ok := a.scorer(&anon{t: t})
+	if !ok {
+		return Verdict{}
+	}
+	return argmin(a.profiles, s.score)
 }
 
-// scorer is the PIT-attack's profile score over the chain of x's POIs,
-// which feeds both Identify's argmin and the predicate's ownerHit; nil
-// when there is nothing to score. The chain's stationary distribution
-// is fixed across the scan, so it is computed once; StatsProxBounded
-// abandons profiles whose stationary part alone reaches the bound.
-func (a *PIT) scorer(x *anon) scoreFunc {
+// pitScorer is the PIT-attack's profile score over the chain of one
+// trace's POIs, as poiScorer is the POI-attack's. The chain's stationary
+// distribution is fixed across the scan, so it is computed once;
+// StatsProxBounded abandons profiles whose stationary part alone
+// reaches the bound.
+type pitScorer struct {
+	chain    mmc.Chain
+	stat     []float64
+	profiles []pitProfile
+}
+
+func (s *pitScorer) score(i int, bound float64) float64 {
+	p := &s.profiles[i]
+	return mmc.StatsProxBounded(s.chain, p.chain, s.stat, p.stat, bound)
+}
+
+// scorer returns the scorer over the chain of x's POIs; false when there
+// is nothing to score.
+func (a *PIT) scorer(x *anon) (pitScorer, bool) {
 	if len(a.profiles) == 0 {
-		return nil
+		return pitScorer{}, false
 	}
 	c := mmc.BuildFromPOIs(poi.NewExtractor(), x.extract(), x.t)
 	if c.Empty() {
-		return nil
+		return pitScorer{}, false
 	}
-	stat := c.Stationary()
-	return func(i int, bound float64) float64 {
-		p := &a.profiles[i]
-		return mmc.StatsProxBounded(c, p.chain, stat, p.stat, bound)
-	}
+	return pitScorer{chain: c, stat: c.Stationary(), profiles: a.profiles}, true
 }

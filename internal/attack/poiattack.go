@@ -61,24 +61,33 @@ func (a *POIAttack) trainOn(ps *profile.Set) error {
 
 // Identify implements Attack.
 func (a *POIAttack) Identify(t trace.Trace) Verdict {
-	return argmin(a.profiles, a.scorer(&anon{t: t}))
+	s, ok := a.scorer(&anon{t: t})
+	if !ok {
+		return Verdict{}
+	}
+	return argmin(a.profiles, s.score)
 }
 
-// scorer is the POI-attack's profile score over x's POIs, which feeds
-// both Identify's argmin and the predicate's ownerHit; nil when there is
-// nothing to score.
-func (a *POIAttack) scorer(x *anon) scoreFunc {
-	if len(a.profiles) == 0 {
-		return nil
+// poiScorer is the POI-attack's profile score over one trace's POIs,
+// which feeds both Identify's argmin and the predicate's ownerHit: a
+// struct, whose method value stays on its caller's stack.
+type poiScorer struct {
+	pois     []poi.POI
+	weights  []float64
+	profiles []poiProfile
+}
+
+func (s *poiScorer) score(i int, bound float64) float64 {
+	return poiSetDistance(s.pois, s.weights, s.profiles[i].pois, bound)
+}
+
+// scorer returns the scorer over x's POIs; false when there is nothing
+// to score.
+func (a *POIAttack) scorer(x *anon) (poiScorer, bool) {
+	if len(a.profiles) == 0 || len(x.extract()) == 0 {
+		return poiScorer{}, false
 	}
-	pois := x.extract()
-	if len(pois) == 0 {
-		return nil
-	}
-	weights := poi.Weights(pois)
-	return func(i int, bound float64) float64 {
-		return poiSetDistance(pois, weights, a.profiles[i].pois, bound)
-	}
+	return poiScorer{pois: x.pois, weights: poi.Weights(x.pois), profiles: a.profiles}, true
 }
 
 // poiSetDistance is the weighted mean distance from each anonymous POI

@@ -139,12 +139,24 @@ func cellLess(a, b geo.Cell) bool {
 // ascending (X, Y) — Heatmap.TopCells(0)'s order: a stable sort of the
 // (X, Y)-sorted support by weight alone.
 func (f *Frozen) TopCells() []CellWeight {
-	out := make([]CellWeight, len(f.cells))
+	return f.AppendTopCells(make([]CellWeight, 0, len(f.cells)))
+}
+
+// AppendTopCells appends TopCells' list to dst.
+func (f *Frozen) AppendTopCells(dst []CellWeight) []CellWeight {
+	at := len(dst)
 	for i, c := range f.cells {
-		out[i] = CellWeight{Cell: c, Weight: f.weights[i]}
+		dst = append(dst, CellWeight{Cell: c, Weight: f.weights[i]})
 	}
-	slices.SortStableFunc(out, func(a, b CellWeight) int { return cmp.Compare(b.Weight, a.Weight) })
-	return out
+	slices.SortStableFunc(dst[at:], func(a, b CellWeight) int { return cmp.Compare(b.Weight, a.Weight) })
+	return dst
+}
+
+// CellIndex returns c's index in the (X, Y)-sorted support, and whether
+// the support holds c.
+func (f *Frozen) CellIndex(c geo.Cell) (int, bool) {
+	i := sort.Search(len(f.cells), func(i int) bool { return !cellLess(f.cells[i], c) })
+	return i, i < len(f.cells) && f.cells[i] == c
 }
 
 // Total returns the accumulated weight.

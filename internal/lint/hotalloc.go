@@ -70,8 +70,9 @@ func DefaultHotAllocConfig() HotAllocConfig {
 			},
 			"mood/internal/lppm": {
 				// HMC's target scan: every background profile, once per
-				// HMC obfuscation.
-				"pickTarget": true,
+				// HMC obfuscation; and its cell matching, once per
+				// obfuscation, on pooled lists.
+				"pickTarget": true, "matchCells": true,
 			},
 			"mood/internal/geo": {
 				// The package-level Destination (GeoI: once per record)
@@ -86,7 +87,7 @@ func DefaultHotAllocConfig() HotAllocConfig {
 			"mood/internal/service": {
 				"parseBatchChunkFast": true,
 				"encodeUploadCommit":  true, "decodeUploadCommit": true,
-				"appendString": true, "appendRecords": true,
+				"appendString": true, "appendRecordBodies": true,
 				// The commit decoder's fragment loop (shared with the
 				// snapshot decoder).
 				"frags": true,

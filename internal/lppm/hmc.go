@@ -3,6 +3,8 @@ package lppm
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"mood/internal/geo"
 	"mood/internal/heatmap"
@@ -127,20 +129,36 @@ func (h *HMC) Obfuscate(_ *mathx.Rand, t trace.Trace) (trace.Trace, error) {
 	return h.imitate(t, src, target), nil
 }
 
+// hmcScratch is an HMC run's working memory, pooled: the source's cells
+// by rank, the target cells taken, and the mapping — each source cell's
+// destination, aligned with the source heatmap's (X, Y)-sorted cells.
+type hmcScratch struct {
+	top  []heatmap.CellWeight
+	used []bool
+	to   []geo.Cell
+}
+
+var hmcScratchPool = sync.Pool{New: func() any { return new(hmcScratch) }}
+
 // imitate translates t, whose heatmap is src, into target's cells.
 func (h *HMC) imitate(t trace.Trace, src *heatmap.Frozen, target *hmcProfile) trace.Trace {
-	mapping := h.matchCells(src, target)
+	s := hmcScratchPool.Get().(*hmcScratch)
+	defer hmcScratchPool.Put(s)
+	s.top = src.AppendTopCells(s.top[:0])
+	s.used = slices.Grow(s.used[:0], len(target.cells))[:len(target.cells)]
+	s.to = slices.Grow(s.to[:0], len(s.top))[:len(s.top)]
+	mapping := h.matchCells(s, src, target)
 
 	out := records(len(t.Records))
 	for i, r := range t.Records {
 		p := r.Point()
 		c := h.grid.CellOf(p)
-		dst, ok := mapping[c]
-		if !ok {
-			// Cells can be missing only if the trace changed between
-			// heatmap construction and translation, which would be a
-			// bug; fall back to identity to stay total.
-			dst = c
+		// Cells can be missing only if the trace changed between heatmap
+		// construction and translation, which would be a bug; fall back
+		// to identity to stay total.
+		dst := c
+		if k, ok := src.CellIndex(c); ok {
+			dst = mapping[k]
 		}
 		fx, fy := h.grid.Offsets(p)
 		out[i] = trace.At(h.grid.PointIn(dst, fx, fy), r.TS)
@@ -189,21 +207,15 @@ const hmcRankMatched = 6
 // but only until the translated cells cover the Cover fraction of the
 // source's record mass. The remaining tail maps to itself, modelling the
 // reconstruction loss of the original mechanism. Deterministic by
-// construction.
-func (h *HMC) matchCells(src *heatmap.Frozen, target *hmcProfile) map[geo.Cell]geo.Cell {
-	srcCells := src.TopCells()
-	tgt := target.cells
-	used := make([]bool, len(tgt)) // by index: a heatmap's cells are distinct
-	mapping := make(map[geo.Cell]geo.Cell, len(srcCells))
+// construction. It works in s, which holds src's cells by rank and is
+// sized for them and target's; the mapping it returns is s's, aligned
+// with src's (X, Y)-sorted cells.
+func (h *HMC) matchCells(s *hmcScratch, src *heatmap.Frozen, target *hmcProfile) []geo.Cell {
+	srcCells, tgt, mapping := s.top, target.cells, s.to
+	used := s.used // by index: a heatmap's cells are distinct
+	clear(used)
 	remaining := len(tgt)
 	total := src.Total()
-
-	take := func(i int) {
-		if !used[i] {
-			used[i] = true
-			remaining--
-		}
-	}
 
 	head := hmcRankMatched
 	if head > len(srcCells) {
@@ -215,16 +227,19 @@ func (h *HMC) matchCells(src *heatmap.Frozen, target *hmcProfile) map[geo.Cell]g
 	var covered float64
 	translated := 0
 	for i := 0; i < head; i++ {
-		mapping[srcCells[i].Cell] = tgt[i].Cell
+		at, _ := src.CellIndex(srcCells[i].Cell)
+		mapping[at] = tgt[i].Cell
 		covered += srcCells[i].Weight
 		translated++
-		take(i)
+		used[i] = true
+		remaining--
 	}
 
 	for _, sc := range srcCells[head:] {
+		at, _ := src.CellIndex(sc.Cell)
 		if (total > 0 && covered/total >= h.cover) || translated >= h.maxCells {
 			// Reconstruction budget exhausted: the tail stays put.
-			mapping[sc.Cell] = sc.Cell
+			mapping[at] = sc.Cell
 			continue
 		}
 		bestIdx := -1
@@ -240,13 +255,16 @@ func (h *HMC) matchCells(src *heatmap.Frozen, target *hmcProfile) map[geo.Cell]g
 			}
 		}
 		if bestIdx < 0 {
-			mapping[sc.Cell] = sc.Cell
+			mapping[at] = sc.Cell
 			continue
 		}
-		mapping[sc.Cell] = tgt[bestIdx].Cell
+		mapping[at] = tgt[bestIdx].Cell
 		covered += sc.Weight
 		translated++
-		take(bestIdx)
+		if !used[bestIdx] {
+			used[bestIdx] = true
+			remaining--
+		}
 	}
 	return mapping
 }

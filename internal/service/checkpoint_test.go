@@ -394,7 +394,7 @@ func TestCheckpointConcurrentWithCommits(t *testing.T) {
 		if u%2 == 1 {
 			user = "drift-" + user
 		}
-		if got, want := len(srvB.shard(user).history[user]), len(srvA.shard(user).history[user]); got != want || got != 40 {
+		if got, want := len(historyOf(srvB, user).join()), len(historyOf(srvA, user).join()); got != want || got != 40 {
 			t.Fatalf("%s: recovered %d history records, had %d", user, got, want)
 		}
 	}

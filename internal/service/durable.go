@@ -290,6 +290,8 @@ func (s *Server) foldCommit(c *walUploadCommit) {
 		// The raw chunk joins the user's bounded history: it is what a
 		// real adversary could have collected by now, so it is what the
 		// next retrain pass must train against (§6 dynamic protection).
+		// The history keeps the commit's own array — the chunk's parsed
+		// records, or a replayed record's decoded ones — as a segment.
 		// The generation bump lets the periodic loop skip ticks where
 		// nothing new arrived.
 		sh.recordHistory(c.User, c.History, s.opts.HistoryCap)

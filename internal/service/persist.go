@@ -1,10 +1,6 @@
 package service
 
-import (
-	"encoding/json"
-
-	"mood/internal/trace"
-)
+import "encoding/json"
 
 // persistedState is a snapshot of a Server: what captureState captures
 // and what the snapshot codec (walcodec.go) writes and reads. Its JSON
@@ -12,10 +8,10 @@ import (
 // capture and redistributed on load; no global stats are stored — they
 // are the sum of the user accounting (see Server.Stats).
 type persistedState struct {
-	Fragments []publishedFrag           `json:"fragments,omitempty"`
-	Users     map[string]*UserStats     `json:"users"`
-	Pseudo    int                       `json:"pseudo"`
-	History   map[string][]trace.Record `json:"history,omitempty"`
+	Fragments []publishedFrag       `json:"fragments,omitempty"`
+	Users     map[string]*UserStats `json:"users"`
+	Pseudo    int                   `json:"pseudo"`
+	History   map[string]segments   `json:"history,omitempty"`
 	// Idempotency carries the completed dedupe entries so a keyed retry
 	// that straddles a restart replays the original outcome instead of
 	// committing the chunk twice.
@@ -35,8 +31,9 @@ type persistedState struct {
 // captureState captures the server's state at one point in time for a
 // checkpoint, which calls it under the write side of the consistency
 // barrier. It copies no record: the state's record arrays are shared
-// with the live server by slice header (see fullSnapshot), so the
-// caller encodes it after every lock is released.
+// with the live server by slice header, each history as a clone of its
+// segment list (see fullSnapshot), so the caller encodes it after every
+// lock is released.
 func (s *Server) captureState() persistedState {
 	// Capture order is monotone with the pipeline's completion order:
 	// jobs first, then the idempotency table, then the shards. A job is

@@ -611,10 +611,12 @@ func userStatsOf(s *Server, user string) (UserStats, error) {
 // retrainer the shards' own record arrays, which is sound only while
 // nothing writes a record a captured header covers. A snapshot taken
 // after the first uploads must still equal its deep copy after more
-// chunks append to the same histories in place, one user is pushed past
-// the history cap (a trim), and retrain passes read every history
-// concurrently — under -race, any write into a shared array is a
-// reported race. A user uploaded out of time order comes back sorted.
+// chunks join the same histories, one user is pushed past the history
+// cap (a trim), and retrain passes read — and join — every history
+// concurrently: under -race, any write into a shared array is a
+// reported race. A one-segment history is shared as it is, a longer one
+// is joined once and the join is kept, and a user uploaded out of time
+// order comes back sorted.
 func TestHistorySnapshotSharesStableRecords(t *testing.T) {
 	const histCap = 195
 	var passes atomic.Int64
@@ -649,20 +651,13 @@ func TestHistorySnapshotSharesStableRecords(t *testing.T) {
 	mustUpload(t, c, chunk("carol", 20, 86400))
 	mustUpload(t, c, chunk("carol", 20, 0))
 
-	live := func(user string) []trace.Record {
-		sh := srv.shard(user)
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		return sh.history[user]
+	// Alice's history is two uploads, which the snapshot joins; bob's
+	// is one upload, shared as it is, with room for the two chunks that
+	// take it past the cap.
+	if a, b := historyOf(srv, "alice"), historyOf(srv, "bob"); len(a) != 2 || len(b) != 1 {
+		t.Fatalf("alice's history is %d segments, bob's %d: the test would not join or share", len(a), len(b))
 	}
-	// Alice's history has room to append in place; bob's has room for
-	// the two chunks that take it past the cap, so a trim that wrote in
-	// place would overwrite what the snapshot captured.
-	aliceLive, bobLive := live("alice"), live("bob")
-	if cap(aliceLive) == len(aliceLive) || cap(bobLive) < 200 {
-		t.Fatalf("spare capacity %d and %d: the test would not append in place",
-			cap(aliceLive)-len(aliceLive), cap(bobLive)-len(bobLive))
-	}
+	bobLive := historyOf(srv, "bob")[0]
 	snap := srv.historySnapshot()
 	deep := make([]trace.Trace, len(snap))
 	for i, h := range snap {
@@ -671,16 +666,19 @@ func TestHistorySnapshotSharesStableRecords(t *testing.T) {
 	if len(snap) != 3 || snap[0].User != "alice" || snap[2].User != "carol" {
 		t.Fatalf("snapshot users %v", snap)
 	}
-	if &snap[0].Records[0] != &aliceLive[0] || cap(snap[0].Records) != len(snap[0].Records) {
+	if &snap[1].Records[0] != &bobLive[0] || cap(snap[1].Records) != len(snap[1].Records) {
 		t.Fatal("an in-order history must be shared by slice header, capacity clipped")
 	}
+	if a := historyOf(srv, "alice"); len(a) != 1 || &a[0][0] != &snap[0].Records[0] ||
+		cap(snap[0].Records) != len(snap[0].Records) || len(snap[0].Records) != 60 {
+		t.Fatal("a joined in-order history must be shared, capacity clipped, and kept in place of its segments")
+	}
 	if carol := snap[2].Records; !slices.IsSortedFunc(carol, func(a, b trace.Record) int { return int(a.TS - b.TS) }) ||
-		len(carol) != 40 || &carol[0] == &live("carol")[0] {
+		len(carol) != 40 || &carol[0] == &historyOf(srv, "carol")[0][0] {
 		t.Fatal("an out-of-order history must come back as a sorted copy")
 	}
 
-	// Alice's chunks fit her spare capacity, so each appends in place.
-	appends := min(cap(aliceLive)-len(aliceLive), 10)
+	const appends = 10
 	var wg sync.WaitGroup
 	done := make(chan struct{})
 	wg.Add(2)
@@ -689,10 +687,7 @@ func TestHistorySnapshotSharesStableRecords(t *testing.T) {
 		defer close(done)
 		<-started
 		for i := int64(0); i < 10; i++ {
-			chunks := []trace.Trace{chunk("bob", 5, 86400*(i+1)), chunk("carol", 3, 2*86400+i*600)}
-			if i < int64(appends) {
-				chunks = append(chunks, chunk("alice", 1, 7200+i*600))
-			}
+			chunks := []trace.Trace{chunk("bob", 5, 86400*(i+1)), chunk("carol", 3, 2*86400+i*600), chunk("alice", 1, 7200+i*600)}
 			for _, tr := range chunks {
 				if _, err := c.UploadBatch([]BatchChunk{{User: tr.User, Records: tr.Records}}); err != nil {
 					t.Error(err)
@@ -731,10 +726,10 @@ func TestHistorySnapshotSharesStableRecords(t *testing.T) {
 	if !reflect.DeepEqual(snap, deep) {
 		t.Fatal("a captured history changed under later uploads")
 	}
-	if a := live("alice"); len(a) != 60+appends || &a[0] != &aliceLive[0] {
-		t.Fatalf("alice's history (%d records) was not appended in place", len(a))
+	if a := historyOf(srv, "alice").join(); len(a) != 60+appends || !slices.Equal(a[:60], deep[0].Records) {
+		t.Fatalf("alice's history (%d records) did not keep its first uploads and add the later ones", len(a))
 	}
-	if b := live("bob"); len(b) != histCap || b[0] == snap[1].Records[0] {
+	if b := historyOf(srv, "bob").join(); len(b) != histCap || b[0] == snap[1].Records[0] {
 		t.Fatalf("bob's history (%d records) was not trimmed to the cap", len(b))
 	}
 }

@@ -374,7 +374,7 @@ func New(p Protector, opts ...Option) (*Server, error) {
 	s.engine.Store(&engineState{p: p})
 	for i := range s.shards {
 		s.shards[i].users = make(map[string]*UserStats)
-		s.shards[i].history = make(map[string][]trace.Record)
+		s.shards[i].history = make(map[string]*userHistory)
 	}
 	s.pool = newWorkerPool(o.Workers, o.QueueDepth, s.runJob)
 	if o.Retrainer != nil && o.RetrainInterval > 0 {

@@ -2,6 +2,7 @@ package service
 
 import (
 	"cmp"
+	"encoding/json"
 	"hash/fnv"
 	"slices"
 	"strings"
@@ -43,7 +44,45 @@ type stateShard struct {
 	mu        sync.Mutex
 	published []publishedFrag
 	users     map[string]*UserStats
-	history   map[string][]trace.Record
+	history   map[string]*userHistory
+}
+
+// segments is a record list held as the arrays it was accepted in, back
+// to back. No record a segment covers is written again, so a list is
+// shared by cloning its headers. Its JSON form is the one array.
+type segments [][]trace.Record
+
+func (segs segments) len() int {
+	n := 0
+	for _, seg := range segs {
+		n += len(seg)
+	}
+	return n
+}
+
+// join returns the list as one array of exactly its length.
+func (segs segments) join() []trace.Record {
+	if segs.len() == 0 {
+		return nil
+	}
+	recs := make([]trace.Record, 0, segs.len())
+	for _, seg := range segs {
+		recs = append(recs, seg...)
+	}
+	return recs
+}
+
+func (segs segments) MarshalJSON() ([]byte, error) { return json.Marshal(segs.join()) }
+
+// userHistory is one user's raw upload history: the accepted uploads'
+// own record arrays, oldest first, capacity clipped. Appends leave the
+// head of the list as it was; the edits that change it — the cap
+// dropping or re-slicing head segments, historySnapshot joining them —
+// bump headEdits, so historySnapshot can tell a list it captured still
+// starts as it did.
+type userHistory struct {
+	segs      segments
+	headEdits int
 }
 
 // shardFor maps a user ID to its shard.
@@ -102,18 +141,42 @@ func (s *Server) publishedSnapshot() []trace.Trace {
 // historySnapshot assembles the accumulated raw upload history as one
 // time-sorted trace per user. This is what the retrainer trains on: the
 // paper's H as it has grown since startup. The shard locks cover a map
-// walk: each history is captured by slice header with its capacity
-// clipped, since the records a header covers are never written again
-// (see fullSnapshot). The traces therefore share the shards' record
-// arrays and are read-only; only a history uploaded out of time order
-// is copied, to be sorted.
+// walk that captures each history by header: its one segment, or a
+// clone of its segment list. A longer list is joined outside the locks,
+// once: the array goes back in place of exactly the segments it joins,
+// unless the head moved meanwhile, so the next pass shares it. The
+// traces therefore share the shards' record arrays and are read-only;
+// only a history uploaded out of time order is copied, to be sorted.
 func (s *Server) historySnapshot() []trace.Trace {
+	type join struct {
+		h     *userHistory
+		at    int
+		segs  segments
+		edits int
+	}
 	var out []trace.Trace
+	var joins []join
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		for u, recs := range sh.history {
-			out = append(out, trace.Trace{User: u, Records: recs[:len(recs):len(recs)]})
+		for u, h := range sh.history {
+			if len(h.segs) > 1 {
+				joins = append(joins, join{h: h, at: len(out), segs: slices.Clone(h.segs), edits: h.headEdits})
+			}
+			out = append(out, trace.Trace{User: u, Records: h.segs[0]})
+		}
+		sh.mu.Unlock()
+	}
+	slices.SortFunc(joins, func(a, b join) int { return a.at - b.at }) // in out's order
+	for _, j := range joins {
+		t := &out[j.at]
+		t.Records = j.segs.join()
+		sh := s.shard(t.User)
+		sh.mu.Lock()
+		if j.h.headEdits == j.edits && sh.history[t.User] == j.h {
+			j.h.segs[0] = t.Records
+			j.h.segs = slices.Delete(j.h.segs, 1, len(j.segs))
+			j.h.headEdits++
 		}
 		sh.mu.Unlock()
 	}
@@ -134,12 +197,11 @@ func (s *Server) historySnapshot() []trace.Trace {
 // paths lock one shard at a time, so this cannot deadlock.
 //
 // Only what is rewritten in place is copied — the fragment list
-// (removeCondemned compacts it) and the accounting structs. Record
-// arrays are captured by slice header: the records a header covers are
-// never written again (recordHistory appends past the captured length
-// or trims into a fresh array; a fragment's records are immutable once
-// published), so the caller may read them after the locks are gone.
-func (s *Server) fullSnapshot() (published []publishedFrag, history map[string][]trace.Record, users map[string]*UserStats) {
+// (removeCondemned compacts it), the accounting structs and each
+// history's segment list (headers only). Record arrays are captured by
+// slice header: no record a segment or a fragment covers is written
+// again, so the caller may read them after the locks are gone.
+func (s *Server) fullSnapshot() (published []publishedFrag, history map[string]segments, users map[string]*UserStats) {
 	for i := range s.shards {
 		//mood:allow lockscope -- deliberate full acquisition in index order for a point-in-time snapshot; see doc comment
 		s.shards[i].mu.Lock()
@@ -155,7 +217,7 @@ func (s *Server) fullSnapshot() (published []publishedFrag, history map[string][
 	}
 	published = make([]publishedFrag, 0, nFrags)
 	users = make(map[string]*UserStats)
-	history = make(map[string][]trace.Record)
+	history = make(map[string]segments)
 	for i := range s.shards {
 		sh := &s.shards[i]
 		published = append(published, sh.published...)
@@ -163,8 +225,8 @@ func (s *Server) fullSnapshot() (published []publishedFrag, history map[string][
 			cp := *us
 			users[u] = &cp
 		}
-		for u, recs := range sh.history {
-			history[u] = recs
+		for u, h := range sh.history {
+			history[u] = slices.Clone(h.segs)
 		}
 	}
 	return published, history, users
@@ -174,13 +236,13 @@ func (s *Server) fullSnapshot() (published []publishedFrag, history map[string][
 // whose slices it takes over. No snapshot carries global stats: they are
 // the sum of the user accounting. Fragment sequence numbers persist: WAL
 // quarantine records name them across restarts.
-func (s *Server) resetShards(published []publishedFrag, history map[string][]trace.Record, users map[string]*UserStats) {
+func (s *Server) resetShards(published []publishedFrag, history map[string]segments, users map[string]*UserStats) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		sh.published = nil
 		sh.users = make(map[string]*UserStats)
-		sh.history = make(map[string][]trace.Record)
+		sh.history = make(map[string]*userHistory)
 		sh.mu.Unlock()
 	}
 	for u, us := range users {
@@ -199,26 +261,39 @@ func (s *Server) resetShards(published []publishedFrag, history map[string][]tra
 		sh.published = append(sh.published, f)
 		sh.mu.Unlock()
 	}
-	for u, recs := range history {
+	for u, segs := range history {
 		sh := s.shard(u)
 		sh.mu.Lock()
-		sh.history[u] = recs
+		sh.history[u] = &userHistory{segs: segs}
 		sh.mu.Unlock()
 	}
 }
 
 // recordHistory appends an accepted upload's raw records to the user's
 // bounded history, dropping the oldest overflow. Callers hold sh.mu.
-// It never writes a record a captured header covers: it appends past
-// the length or trims into a fresh array, so historySnapshot and
-// fullSnapshot may share the arrays.
+// The records join as a segment of their own, the caller's array with
+// its capacity clipped (nothing writes it again). The cap drops head
+// segments and re-slices the one it cuts into: no record is copied,
+// below the cap or at it, and none a captured header covers is written.
 func (sh *stateShard) recordHistory(user string, records []trace.Record, cap int) {
 	if cap <= 0 {
 		return
 	}
-	h := append(sh.history[user], records...)
-	if len(h) > cap {
-		h = append([]trace.Record(nil), h[len(h)-cap:]...)
+	h := sh.history[user]
+	if h == nil {
+		h = &userHistory{}
+		sh.history[user] = h
 	}
-	sh.history[user] = h
+	h.segs = append(h.segs, records[:len(records):len(records)])
+	over := h.segs.len() - cap
+	if over <= 0 {
+		return
+	}
+	h.headEdits++
+	k := 0
+	for ; over >= len(h.segs[k]); k++ {
+		over -= len(h.segs[k])
+	}
+	h.segs[k] = h.segs[k][over:]
+	h.segs = slices.Delete(h.segs, 0, k)
 }

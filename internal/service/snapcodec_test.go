@@ -2,7 +2,9 @@ package service
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -71,13 +73,13 @@ func randomState(rng *mathx.Rand, historyCap int) persistedState {
 		}
 	}
 	if n := some(10); n > 0 {
-		st.History = map[string][]trace.Record{}
+		st.History = map[string]segments{}
 		for i := 0; i < n; i++ {
 			size := rng.Intn(historyCap)
 			if rng.Intn(3) == 0 {
 				size = historyCap
 			}
-			st.History[str("user")] = records(size)
+			st.History[str("user")] = segments{records(size)} // a history decodes as one segment
 		}
 	}
 	for i, n := 0, some(20); i < n; i++ {
@@ -152,7 +154,7 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 			shuffled.Users[u] = st.Users[u]
 		}
 		if st.History != nil {
-			shuffled.History = map[string][]trace.Record{}
+			shuffled.History = map[string]segments{}
 			keys := sortedKeys(st.History)
 			for j := len(keys) - 1; j >= 0; j-- {
 				shuffled.History[keys[j]] = st.History[keys[j]]
@@ -170,20 +172,55 @@ func TestSnapshotRecordsDoNotAlias(t *testing.T) {
 	st := persistedState{
 		Users:     map[string]*UserStats{},
 		Fragments: []publishedFrag{{Seq: 1, Trace: trace.New("pub-1", sampleRecords(3))}},
-		History:   map[string][]trace.Record{"alice": sampleRecords(2), "bob": sampleRecords(4)},
+		History:   map[string]segments{"alice": {sampleRecords(2)}, "bob": {sampleRecords(4)}},
 	}
 	got, err := decodeSnapshot(encodeSnapshot(&st))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, recs := range [][]trace.Record{got.Fragments[0].Trace.Records, got.History["alice"], got.History["bob"]} {
+	for _, recs := range [][]trace.Record{got.Fragments[0].Trace.Records, got.History["alice"][0], got.History["bob"][0]} {
 		if len(recs) != cap(recs) {
 			t.Fatalf("a decoded list of %d records has capacity %d", len(recs), cap(recs))
 		}
 	}
-	_ = append(got.History["alice"], trace.Record{Lat: -1, Lon: -1, TS: -1})
+	_ = append(got.History["alice"][0], trace.Record{Lat: -1, Lon: -1, TS: -1})
 	if !reflect.DeepEqual(got.History["bob"], st.History["bob"]) {
 		t.Fatal("appending to one history wrote into another")
+	}
+}
+
+// TestSnapshotSegmentsEncodeAsOneList: a history held as segments
+// encodes to the bytes of the same history in one array, and so to the
+// bytes the snapshot encoder wrote when a history was one array: over
+// 100 seeded states, each history cut into random segments (empty ones
+// included), the snapshots hash to the digest that encoder gave.
+func TestSnapshotSegmentsEncodeAsOneList(t *testing.T) {
+	const oneArrayDigest = "c2be019cb428624c7e4a3821d9bcff3801fcc06c9e630b56369d45ed027c0fd1"
+	rng, cuts := mathx.NewRand(49), mathx.NewRand(50)
+	h := sha256.New()
+	for i := 0; i < 100; i++ {
+		st := randomState(rng, 300)
+		whole := encodeSnapshot(&st)
+		for u, segs := range st.History {
+			recs := segs.join()
+			var cut segments
+			for len(recs) > 0 || cuts.Intn(4) == 0 {
+				n := cuts.Intn(len(recs) + 1)
+				cut, recs = append(cut, recs[:n]), recs[n:]
+			}
+			st.History[u] = cut
+		}
+		enc := encodeSnapshot(&st)
+		if !bytes.Equal(enc, whole) {
+			t.Fatalf("state %d: the segmented histories encode to other bytes than the joined ones", i)
+		}
+		if len(enc) != cap(enc) {
+			t.Fatalf("state %d: buffer of %d bytes for a snapshot of %d: the sizing pass is off", i, cap(enc), len(enc))
+		}
+		h.Write(enc)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != oneArrayDigest {
+		t.Fatalf("the snapshots hash to %s, the one-array encoder's to %s", got, oneArrayDigest)
 	}
 }
 

@@ -61,8 +61,10 @@ import (
 // remaining payload before allocation, so adversarial bytes cannot
 // balloon memory or panic. The snapshot's records are decoded into one
 // array of nRecords, each list a slice of it with capacity capped to its
-// length — an append to one (recordHistory) copies, never writes into
-// its neighbour.
+// length, so nothing that keeps a list can write into its neighbour. A
+// history is written as the concatenation of its segments and decodes
+// as one segment (recordHistory appends further uploads as segments of
+// their own).
 
 const (
 	walCommitVersion = 1
@@ -74,8 +76,9 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-func appendRecords(b []byte, recs []trace.Record) []byte {
-	b = binary.AppendUvarint(b, uint64(len(recs)))
+// appendRecordBodies appends the records of a records list, without its
+// count.
+func appendRecordBodies(b []byte, recs []trace.Record) []byte {
 	for _, r := range recs {
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(r.Lat))
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(r.Lon))
@@ -137,14 +140,21 @@ func (w *layoutWriter) string(s string) {
 	w.b = appendString(w.b, s)
 }
 
-func (w *layoutWriter) records(recs []trace.Record) {
-	if !w.sizing {
-		w.b = appendRecords(w.b, recs)
-		return
-	}
-	w.size += uvarintLen(uint64(len(recs))) + 16*len(recs)
-	for _, r := range recs {
-		w.varint(r.TS)
+func (w *layoutWriter) records(recs []trace.Record) { w.segments(segments{recs}) }
+
+// segments writes a segmented list as the one records list it stands
+// for: the count of them all, then each segment's records back to back.
+func (w *layoutWriter) segments(segs segments) {
+	w.uvarint(uint64(segs.len()))
+	for _, seg := range segs {
+		if !w.sizing {
+			w.b = appendRecordBodies(w.b, seg)
+			continue
+		}
+		w.size += 16 * len(seg)
+		for _, r := range seg {
+			w.varint(r.TS)
+		}
 	}
 }
 
@@ -374,8 +384,8 @@ func (w *layoutWriter) writeBody(st *persistedState, users, history []string) {
 	for i := range st.Fragments {
 		nRecords += len(st.Fragments[i].Trace.Records)
 	}
-	for _, recs := range st.History {
-		nRecords += len(recs)
+	for _, segs := range st.History {
+		nRecords += segs.len()
 	}
 	w.uvarint(uint64(st.Pseudo))
 	w.uvarint(uint64(st.Retrains))
@@ -400,7 +410,7 @@ func (w *layoutWriter) writeBody(st *persistedState, users, history []string) {
 	w.uvarint(uint64(len(history)))
 	for _, u := range history {
 		w.string(u)
-		w.records(st.History[u])
+		w.segments(st.History[u])
 	}
 	w.uvarint(uint64(len(st.Idempotency)))
 	for i := range st.Idempotency {
@@ -495,11 +505,11 @@ func decodeSnapshot(data []byte) (persistedState, error) {
 		st.Users[id] = us
 	}
 	if n = r.count(2); n > 0 {
-		st.History = make(map[string][]trace.Record, n)
+		st.History = make(map[string]segments, n)
 	}
 	for ; n > 0 && r.err == nil; n-- {
 		u := r.string()
-		st.History[u] = r.records()
+		st.History[u] = segments{r.records()}
 	}
 	if n = r.count(14); n > 0 {
 		st.Idempotency = make([]persistedIdem, n)

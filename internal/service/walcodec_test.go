@@ -53,9 +53,9 @@ func oracleEncodeUploadCommit(c walUploadCommit) []byte {
 		b = binary.AppendVarint(b, f.Seq)
 		b = appendString(b, f.Owner)
 		b = appendString(b, f.Trace.User)
-		b = appendRecords(b, f.Trace.Records)
+		b = appendRecordBodies(binary.AppendUvarint(b, uint64(len(f.Trace.Records))), f.Trace.Records)
 	}
-	return appendRecords(b, c.History)
+	return appendRecordBodies(binary.AppendUvarint(b, uint64(len(c.History))), c.History)
 }
 
 // TestWALCommitEncodeExactlySized pins the commit buffer to its content

@@ -719,18 +719,31 @@ func TestServerCloseDuringBatch(t *testing.T) {
 // pools mid-run; before pooling the same batches cost 17,800 bytes a
 // chunk.
 func TestBatchUploadAllocBudget(t *testing.T) {
+	batchUploadAllocBudget(t, 11<<10)
+}
+
+// TestBatchUploadAllocBudgetWithHistory runs the same batches on a node
+// with a retrainer, which keeps every accepted chunk in its user's
+// history. The history keeps the chunk's parsed records as they are, so
+// the chunk costs its commit record's history section (and the log's
+// growth for it) and a segment header: 17,600–17,900 bytes on amd64.
+// Copying the records into one growing array per user cost 22,600.
+func TestBatchUploadAllocBudgetWithHistory(t *testing.T) {
+	batchUploadAllocBudget(t, 19<<10, WithRetrainer(noRetrain, 0))
+}
+
+// batchUploadAllocBudget fails t when the batches cost more than budget
+// bytes per acknowledged chunk on a WAL node built with opts.
+func batchUploadAllocBudget(t *testing.T, budget float64, opts ...Option) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops pooled buffers at random")
 	}
-	const (
-		warm, batches, perBatch, nrec = 4, 24, 50, 50
-		budget                        = 11 << 10 // bytes per acked chunk
-	)
+	const warm, batches, perBatch, nrec = 4, 24, 50, 50
 	w, err := store.NewWAL(store.WALOptions{Dir: "wal", FS: store.NewMemFS()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(&fakeProtector{}, WithStore(w), WithCheckpointInterval(-1))
+	srv, err := New(&fakeProtector{}, append([]Option{WithStore(w), WithCheckpointInterval(-1)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -788,6 +801,6 @@ func TestBatchUploadAllocBudget(t *testing.T) {
 	perChunk := float64(after.TotalAlloc-before.TotalAlloc) / float64(acked)
 	t.Logf("%.0f bytes allocated per acknowledged chunk of %d records", perChunk, nrec)
 	if perChunk > budget {
-		t.Fatalf("the upload path allocated %.0f bytes per acknowledged chunk, over its budget of %d", perChunk, budget)
+		t.Fatalf("the upload path allocated %.0f bytes per acknowledged chunk, over its budget of %.0f", perChunk, budget)
 	}
 }
