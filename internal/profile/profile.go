@@ -65,12 +65,16 @@ func New(background []trace.Trace, cellSize float64) *Set {
 		cellSize = heatmap.DefaultCellSize
 	}
 	s := &Set{background: background, users: make([]User, 0, len(background))}
+	// The centres are computed on every core and folded in background
+	// order, so the anchor is the sequential fold's, bit for bit.
+	centres := make([]geo.Point, len(background))
+	par.Each(len(background), func(i int) { centres[i] = background[i].BBox().Center() })
 	box := geo.EmptyBBox()
-	for _, t := range background {
+	for i, t := range background {
 		if t.Empty() {
 			continue
 		}
-		box = box.Extend(t.BBox().Center())
+		box = box.Extend(centres[i])
 		s.users = append(s.users, User{ID: t.User, Trace: t})
 	}
 	if !box.Empty() {

@@ -2,6 +2,7 @@ package profile
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -97,6 +98,50 @@ func TestSetMatchesPerTraceBuilds(t *testing.T) {
 					t.Fatalf("seed %d, user %d: POIs differ from the paper extractor's", seed, i)
 				case !reflect.DeepEqual(u.Chain, c) || !reflect.DeepEqual(u.Stationary, c.Stationary()):
 					t.Fatalf("seed %d, user %d: chain differs from mmc.Build's", seed, i)
+				}
+			}
+		}
+	}
+}
+
+// gridBits is a grid's anchor and cell size as bits: reflect.DeepEqual
+// compares floats with ==, which takes -0 for +0.
+func gridBits(g *geo.Grid) [3]uint64 {
+	v := reflect.ValueOf(g).Elem()
+	origin := v.FieldByName("proj").Elem().FieldByName("origin")
+	return [3]uint64{
+		math.Float64bits(origin.FieldByName("Lat").Float()),
+		math.Float64bits(origin.FieldByName("Lon").Float()),
+		math.Float64bits(v.FieldByName("size").Float()),
+	}
+}
+
+// TestGridMatchesSequentialFold: the centres are computed in parallel,
+// yet the grid is anchored bit for bit where folding them one trace
+// after another in background order anchors it. A background of
+// records pinned at -0 and +0 makes the fold's order show in the
+// anchor's sign.
+func TestGridMatchesSequentialFold(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 7} {
+		runtime.GOMAXPROCS(procs)
+		for seed := uint64(1); seed <= 6; seed++ {
+			rng := mathx.NewRand(seed)
+			zeros := make([]trace.Trace, 12)
+			for i := range zeros {
+				z := math.Copysign(0, float64(rng.Intn(2)*2-1))
+				zeros[i] = trace.New(fmt.Sprintf("z%02d", i), []trace.Record{{Lat: z, Lon: z, TS: 1}})
+			}
+			for _, bg := range [][]trace.Trace{background(rng, 4+int(seed)*5), zeros} {
+				box := geo.EmptyBBox()
+				for _, tr := range bg {
+					if !tr.Empty() {
+						box = box.Extend(tr.BBox().Center())
+					}
+				}
+				want := gridBits(geo.NewGrid(box.Center(), heatmap.DefaultCellSize))
+				if got := gridBits(New(bg, 0).Grid()); got != want {
+					t.Fatalf("procs %d, seed %d: grid bits %x, want %x", procs, seed, got, want)
 				}
 			}
 		}

@@ -3,7 +3,6 @@ package synth
 import (
 	"mood/internal/geo"
 	"mood/internal/mathx"
-	"mood/internal/trace"
 )
 
 // courier is the behavioural program of a route worker: a fixed,
@@ -31,10 +30,9 @@ func newCourier(cfg Config, c *city, rng *mathx.Rand) courier {
 	return co
 }
 
-// simulateCourier runs the courier for the whole period.
-func simulateCourier(cfg Config, c *city, user string, rng *mathx.Rand) trace.Trace {
+// simulateCourier runs the courier for the whole period, sampling into s.
+func simulateCourier(cfg Config, c *city, s *sampler, rng *mathx.Rand) {
 	co := newCourier(cfg, c, rng)
-	s := newSampler(cfg, rng)
 	// Couriers carry a vehicle tracker that pings densely while driving,
 	// so the route corridor dominates their heatmap.
 	if s.movePeriod > 45 {
@@ -70,5 +68,4 @@ func simulateCourier(cfg Config, c *city, user string, rng *mathx.Rand) trace.Tr
 		t += travelSec(cur, co.home, co.speed)
 		s.dwell(co.home, t, dayStart+hourToSec(22.5))
 	}
-	return trace.New(user, s.records)
 }

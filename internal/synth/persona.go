@@ -54,10 +54,10 @@ func (p *persona) redraw(cfg Config, c *city, rng *mathx.Rand) {
 	}
 }
 
-// simulatePhoneUser runs the persona day by day and samples its position.
-func simulatePhoneUser(cfg Config, c *city, user string, rng *mathx.Rand) trace.Trace {
+// simulatePhoneUser runs the persona day by day and samples its position
+// into s.
+func simulatePhoneUser(cfg Config, c *city, s *sampler, rng *mathx.Rand) {
 	p := newPersona(cfg, c, rng)
-	s := newSampler(cfg, rng)
 
 	half := cfg.Days / 2
 	for day := 0; day < cfg.Days; day++ {
@@ -66,7 +66,6 @@ func simulatePhoneUser(cfg Config, c *city, user string, rng *mathx.Rand) trace.
 		}
 		simulateDay(cfg, &p, s, rng, day)
 	}
-	return trace.New(user, s.records)
 }
 
 // simulateDay appends one day of movement to the sampler.
@@ -152,7 +151,9 @@ type sampler struct {
 	lastTS      int64
 }
 
-func newSampler(cfg Config, rng *mathx.Rand) *sampler {
+// reset readies s for a new user drawing from rng, keeping the record
+// buffer's storage.
+func (s *sampler) reset(cfg Config, rng *mathx.Rand) {
 	dp := int64(cfg.DwellSample / time.Second)
 	if dp <= 0 {
 		dp = 600
@@ -161,7 +162,7 @@ func newSampler(cfg Config, rng *mathx.Rand) *sampler {
 	if mp <= 0 {
 		mp = 120
 	}
-	return &sampler{dwellPeriod: dp, movePeriod: mp, noise: cfg.GPSNoise, rng: rng}
+	*s = sampler{records: s.records[:0], dwellPeriod: dp, movePeriod: mp, noise: cfg.GPSNoise, rng: rng}
 }
 
 func (s *sampler) emit(p geo.Point, ts int64) {

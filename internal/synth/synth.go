@@ -14,17 +14,24 @@
 //     preferred zone of varying tightness, reproducing the "homogeneous
 //     fleet, half naturally protected" effect.
 //
-// Everything is deterministic in Config.Seed.
+// Everything is deterministic in Config.Seed, however the work is
+// scheduled: Generate simulates the users on every core (internal/par),
+// but each user draws only from its own stream, mathx.DeriveRand(seed,
+// "synth", name, user), reads only the city (drawn beforehand from a
+// stream of its own) and writes only its own index, so the output at any
+// GOMAXPROCS is that of a loop over the users.
 package synth
 
 import (
 	"fmt"
 	"math"
 	"strconv"
+	"sync"
 	"time"
 
 	"mood/internal/geo"
 	"mood/internal/mathx"
+	"mood/internal/par"
 	"mood/internal/trace"
 )
 
@@ -105,21 +112,27 @@ func Generate(cfg Config) (trace.Dataset, error) {
 
 	numTaxis := int(float64(cfg.NumUsers)*cfg.TaxiFraction + 0.5)
 	numCouriers := int(float64(cfg.NumUsers-numTaxis)*cfg.CourierFraction + 0.5)
-	traces := make([]trace.Trace, 0, cfg.NumUsers)
-	for i := 0; i < cfg.NumUsers; i++ {
+	traces := make([]trace.Trace, cfg.NumUsers)
+	// A sampler's record buffer outlives its user: a worker reuses it
+	// for the next one, so each user's records are copied once, by
+	// trace.New at their exact count.
+	samplers := sync.Pool{New: func() any { return new(sampler) }}
+	par.Each(cfg.NumUsers, func(i int) {
 		user := userID(cfg.Name, i)
 		rng := mathx.DeriveRand(cfg.Seed, "synth", cfg.Name, user)
-		var tr trace.Trace
+		s := samplers.Get().(*sampler)
+		s.reset(cfg, rng)
 		switch {
 		case i < numTaxis:
-			tr = simulateTaxi(cfg, city, user, rng)
+			simulateTaxi(cfg, city, s, rng)
 		case i < numTaxis+numCouriers:
-			tr = simulateCourier(cfg, city, user, rng)
+			simulateCourier(cfg, city, s, rng)
 		default:
-			tr = simulatePhoneUser(cfg, city, user, rng)
+			simulatePhoneUser(cfg, city, s, rng)
 		}
-		traces = append(traces, tr)
-	}
+		traces[i] = trace.New(user, s.records)
+		samplers.Put(s)
+	})
 	d := trace.NewDataset(cfg.Name, traces)
 	if err := d.Validate(); err != nil {
 		return trace.Dataset{}, fmt.Errorf("synth: generated invalid dataset: %w", err)

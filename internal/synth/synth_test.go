@@ -1,6 +1,10 @@
 package synth
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -29,6 +33,47 @@ func TestGenerateDeterministic(t *testing.T) {
 		for j := range at.Records {
 			if at.Records[j] != bt.Records[j] {
 				t.Fatalf("trace %d record %d differs", i, j)
+			}
+		}
+	}
+}
+
+// digest hashes every user ID and every record's bits, in order.
+func digest(tb testing.TB, cfg Config) uint64 {
+	tb.Helper()
+	h := fnv.New64a()
+	var buf [24]byte
+	for _, tr := range MustGenerate(cfg).Traces {
+		h.Write([]byte(tr.User))
+		for _, r := range tr.Records {
+			binary.LittleEndian.PutUint64(buf[0:], math.Float64bits(r.Lat))
+			binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(r.Lon))
+			binary.LittleEndian.PutUint64(buf[16:], uint64(r.TS))
+			h.Write(buf[:])
+		}
+	}
+	return h.Sum64()
+}
+
+// TestGenerateAcrossCores: the users are simulated on every core, yet
+// the records are the same at any GOMAXPROCS, and the same as the
+// one-user-after-another generator's (the pinned digests), for phone
+// users with drift and for a taxi/courier/phone mix.
+func TestGenerateAcrossCores(t *testing.T) {
+	phones := MDCLike(ScaleTiny, 5)
+	phones.NumUsers, phones.Days, phones.DriftFraction = 24, 8, 0.5
+	fleet := CabspottingLike(ScaleTiny, 6)
+	fleet.NumUsers, fleet.Days = 24, 4
+	fleet.TaxiFraction, fleet.CourierFraction = 0.5, 0.5
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, c := range []struct {
+		cfg  Config
+		want uint64
+	}{{phones, 0x54010fa6a68c3025}, {fleet, 0x9bc4650f59bf0067}} {
+		for _, procs := range []int{1, 2, 7} {
+			runtime.GOMAXPROCS(procs)
+			if got := digest(t, c.cfg); got != c.want {
+				t.Errorf("%s at GOMAXPROCS %d: digest %#x, want %#x", c.cfg.Name, procs, got, c.want)
 			}
 		}
 	}

@@ -5,7 +5,6 @@ import (
 
 	"mood/internal/geo"
 	"mood/internal/mathx"
-	"mood/internal/trace"
 )
 
 // taxi is the behavioural program of one cab. Unlike phone users, cabs
@@ -66,10 +65,9 @@ func (tx taxi) dropoff(cfg Config, c *city, rng *mathx.Rand) geo.Point {
 	return randInDisc(rng, cfg.Center, cfg.Radius)
 }
 
-// simulateTaxi runs one cab for the whole period.
-func simulateTaxi(cfg Config, c *city, user string, rng *mathx.Rand) trace.Trace {
+// simulateTaxi runs one cab for the whole period, sampling into s.
+func simulateTaxi(cfg Config, c *city, s *sampler, rng *mathx.Rand) {
 	tx := newTaxi(cfg, c, rng)
-	s := newSampler(cfg, rng)
 	// Cabs ping more often than phones while driving.
 	if s.movePeriod > 90 {
 		s.movePeriod = 90
@@ -106,5 +104,4 @@ func simulateTaxi(cfg Config, c *city, user string, rng *mathx.Rand) trace.Trace
 		t += travelSec(cur, tx.depot, tx.speed)
 		s.dwell(tx.depot, t, t+hourToSec(1.2))
 	}
-	return trace.New(user, s.records)
 }

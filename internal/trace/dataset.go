@@ -1,21 +1,30 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
+
+	"mood/internal/par"
 )
 
 // Dataset is a named collection of per-user traces. Traces are kept
 // sorted by user ID so every iteration order in the pipeline is
 // deterministic.
+//
+// NewDataset, Window, SplitTrainTest and Validate do their per-user work
+// on every core (internal/par): each user's result lands in its own
+// index, and the users that drop out are compacted away in order, so
+// the result equals a sequential loop's.
 type Dataset struct {
 	Name   string  `json:"name"`
 	Traces []Trace `json:"traces"`
 }
 
 // NewDataset builds a dataset from traces, sorting them by user ID.
-// Traces with duplicate user IDs are merged.
+// Traces with duplicate user IDs are merged, the users in parallel.
 func NewDataset(name string, traces []Trace) Dataset {
 	byUser := make(map[string][]Trace, len(traces))
 	users := make([]string, 0, len(traces))
@@ -26,15 +35,14 @@ func NewDataset(name string, traces []Trace) Dataset {
 		byUser[t.User] = append(byUser[t.User], t)
 	}
 	sort.Strings(users)
-	out := make([]Trace, 0, len(users))
-	for _, u := range users {
-		ts := byUser[u]
-		if len(ts) == 1 {
-			out = append(out, ts[0])
+	out := make([]Trace, len(users))
+	par.Each(len(users), func(i int) {
+		if ts := byUser[users[i]]; len(ts) == 1 {
+			out[i] = ts[0]
 		} else {
-			out = append(out, Merge(ts...))
+			out[i] = Merge(ts...)
 		}
-	}
+	})
 	return Dataset{Name: name, Traces: out}
 }
 
@@ -69,22 +77,12 @@ func (d Dataset) Trace(user string) (Trace, bool) {
 	return Trace{}, false
 }
 
-// Map returns a dataset with f applied to every trace. Traces mapped to
-// empty are dropped.
-func (d Dataset) Map(f func(Trace) Trace) Dataset {
-	out := make([]Trace, 0, len(d.Traces))
-	for _, t := range d.Traces {
-		if nt := f(t); !nt.Empty() {
-			out = append(out, nt)
-		}
-	}
-	return Dataset{Name: d.Name, Traces: out}
-}
-
-// Window restricts every trace to [from, to) and drops users that end up
-// empty.
+// Window restricts every trace to [from, to), user-parallel, and drops
+// users that end up empty.
 func (d Dataset) Window(from, to int64) Dataset {
-	return d.Map(func(t Trace) Trace { return t.Window(from, to) })
+	out := make([]Trace, len(d.Traces))
+	par.Each(len(out), func(i int) { out[i] = d.Traces[i].Window(from, to) })
+	return Dataset{Name: d.Name, Traces: slices.DeleteFunc(out, Trace.Empty)}
 }
 
 // TimeSpan returns the earliest start and the latest end across traces.
@@ -108,35 +106,39 @@ func (d Dataset) TimeSpan() (start, end int64) {
 // SplitTrainTest splits each user's trace chronologically at the given
 // fraction of the dataset's global time span and keeps only users active
 // in both halves, mirroring the paper's 15-day background / 15-day test
-// protocol (§4.2). minRecords is the activity threshold per half.
+// protocol (§4.2). minRecords is the activity threshold per half. The
+// users are split in parallel.
 func (d Dataset) SplitTrainTest(frac float64, minRecords int) (train, test Dataset) {
 	start, end := d.TimeSpan()
 	cut := start + int64(float64(end-start)*frac)
-	trainTraces := make([]Trace, 0, len(d.Traces))
-	testTraces := make([]Trace, 0, len(d.Traces))
-	for _, t := range d.Traces {
-		b, a := t.SplitAt(cut)
-		if b.Len() >= minRecords && a.Len() >= minRecords {
-			trainTraces = append(trainTraces, b)
-			testTraces = append(testTraces, a)
+	trainTraces := make([]Trace, len(d.Traces))
+	testTraces := make([]Trace, len(d.Traces))
+	par.Each(len(d.Traces), func(i int) { trainTraces[i], testTraces[i] = d.Traces[i].SplitAt(cut) })
+	kept := 0
+	for i := range d.Traces {
+		if trainTraces[i].Len() >= minRecords && testTraces[i].Len() >= minRecords {
+			trainTraces[kept], testTraces[kept] = trainTraces[i], testTraces[i]
+			kept++
 		}
 	}
-	return Dataset{Name: d.Name + "/train", Traces: trainTraces},
-		Dataset{Name: d.Name + "/test", Traces: testTraces}
+	return Dataset{Name: d.Name + "/train", Traces: trainTraces[:kept]},
+		Dataset{Name: d.Name + "/test", Traces: testTraces[:kept]}
 }
 
-// Validate checks every trace and that user IDs are unique and sorted.
+// Validate checks every trace, in parallel, and that user IDs are unique
+// and sorted; it returns the lowest-index error, as a sequential check would.
 func (d Dataset) Validate() error {
-	for i, t := range d.Traces {
+	errs := make([]error, len(d.Traces))
+	par.Each(len(d.Traces), func(i int) {
+		t := d.Traces[i]
 		if err := t.Validate(); err != nil {
-			return fmt.Errorf("dataset %q: %w", d.Name, err)
-		}
-		if i > 0 && d.Traces[i-1].User >= t.User {
-			return fmt.Errorf("dataset %q: traces not strictly sorted by user at index %d (%q >= %q)",
+			errs[i] = fmt.Errorf("dataset %q: %w", d.Name, err)
+		} else if i > 0 && d.Traces[i-1].User >= t.User {
+			errs[i] = fmt.Errorf("dataset %q: traces not strictly sorted by user at index %d (%q >= %q)",
 				d.Name, i, d.Traces[i-1].User, t.User)
 		}
-	}
-	return nil
+	})
+	return cmp.Or(errs...)
 }
 
 // String summarises the dataset.

@@ -60,17 +60,12 @@ func TestDatasetTraceLookup(t *testing.T) {
 	}
 }
 
-func TestDatasetFilterMap(t *testing.T) {
+func TestDatasetWindowDropsEmptied(t *testing.T) {
 	d := sampleDataset()
-	// Map that empties a trace drops the user.
-	emptied := d.Map(func(tr Trace) Trace {
-		if tr.User == "u1" {
-			return Trace{User: tr.User}
-		}
-		return tr
-	})
-	if emptied.NumUsers() != 2 {
-		t.Fatalf("map kept %d users, want 2", emptied.NumUsers())
+	// u2 starts at 600: a window that ends before it drops the user.
+	w := d.Window(0, 300)
+	if w.NumUsers() != 2 || w.Users()[0] != "u1" || w.Users()[1] != "u3" {
+		t.Fatalf("window kept users %v, want [u1 u3]", w.Users())
 	}
 }
 
