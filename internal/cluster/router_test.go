@@ -726,7 +726,7 @@ func TestRouterMetricsAndOpenAPIAndFallthrough(t *testing.T) {
 }
 
 // assertProblem checks status, media type and stable problem code.
-func assertProblem(t *testing.T, resp *http.Response, status int, code string) {
+func assertProblem(t *testing.T, resp *http.Response, status int, code service.Code) {
 	t.Helper()
 	if resp.StatusCode != status {
 		t.Fatalf("status = %d, want %d", resp.StatusCode, status)
@@ -750,8 +750,9 @@ func assertProblem(t *testing.T, resp *http.Response, status int, code string) {
 func TestRouterAnswersUnmatchedLikeANode(t *testing.T) {
 	h := newHarness(t, 2)
 	type answer struct {
-		Status            int
-		Allow, Type, Code string
+		Status      int
+		Allow, Type string
+		Code        service.Code
 	}
 	ask := func(base, method, path string) answer {
 		t.Helper()

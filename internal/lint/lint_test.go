@@ -177,15 +177,18 @@ func TestProblemDialect(t *testing.T) {
 		Dir:     "testdata/problemdialect",
 		PkgPath: "fixture/problemdialect",
 		Analyzers: []*analysis.Analyzer{lint.ProblemDialect(lint.ProblemDialectConfig{
-			PackagePath: "fixture/problemdialect",
-			Sinks:       map[string]int{"newProblem": 1, "writeError": 3},
-			CarrierFields: map[string]map[string]bool{
-				"chunkOutcome": {"code": true},
-				"Problem":      {"Code": true},
-			},
-			ConstPrefix: "Code",
-			OpenAPIFile: "openapi.go",
+			Package: "fixture/problemdialect",
 		})},
+	})
+}
+
+func TestProblemDialectOtherPackage(t *testing.T) {
+	// The production analyzer over a package that imports the service:
+	// the dialect is matched by its type, so it holds everywhere.
+	linttest.Run(t, linttest.Fixture{
+		Dir:       "testdata/problemdialect/peer",
+		PkgPath:   "fixture/problempeer",
+		Analyzers: []*analysis.Analyzer{lint.DefaultProblemDialect()},
 	})
 }
 

@@ -48,7 +48,7 @@ func DefaultRouteTable() *analysis.Analyzer {
 //     ErrorFiles: error statuses must flow through writeError so the
 //     body is a problem document;
 //   - writeProblem calls outside ErrorFiles: writeError is the one
-//     error sink, so the problemdialect analyzer sees every code.
+//     error sink, so every error status is answered with a typed Code.
 func RouteTable(cfg RouteTableConfig) *analysis.Analyzer {
 	a := &analysis.Analyzer{
 		Name: "routetable",

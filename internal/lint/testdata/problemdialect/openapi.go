@@ -2,6 +2,6 @@ package fixture
 
 // problemCodes is the generator's enum: every dialect constant must
 // appear here. CodeOrphan is deliberately missing.
-func problemCodes() []string {
-	return []string{CodeBadInput, CodeStorage}
+func problemCodes() []Code {
+	return []Code{CodeBadInput, CodeStorage}
 }

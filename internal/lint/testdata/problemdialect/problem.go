@@ -1,40 +1,53 @@
 // Package fixture exercises problemdialect with a miniature of the
-// service tier's error dialect: Code* constants, problem+json sinks,
-// carrier structs, and an OpenAPI generator file that must enumerate
-// every code.
+// service tier's error dialect: a Code type and its constants, a
+// problem+json sink, carrier structs, and an OpenAPI generator file
+// that must enumerate every code.
 package fixture
 
+// Code is the dialect's type.
+type Code string
+
 const (
-	CodeBadInput = "bad_input"
-	CodeStorage  = "storage"
+	CodeBadInput Code = "bad_input"
+	CodeStorage  Code = "storage"
 	// CodeOrphan is declared but never enumerated by the generator.
-	CodeOrphan = "orphan" // want `problemdialect: problem code CodeOrphan is not enumerated by the OpenAPI generator \(openapi\.go\)`
+	CodeOrphan Code = "orphan" // want `problemdialect: problem code CodeOrphan is not enumerated by the OpenAPI generator \(openapi\.go\)`
 )
 
-// notACode has no Code prefix and is outside the dialect entirely.
+// notACode is an untyped constant outside the dialect.
 const notACode = "whatever"
 
 // Problem is the wire shape; Code is a carrier field.
 type Problem struct {
-	Code   string
+	Code   Code
 	Detail string
 }
 
 // chunkOutcome carries a code from decision point to sink.
 type chunkOutcome struct {
-	code string
+	code Code
 	n    int
 }
 
-// newProblem is a sink: its second argument is the code.
-func newProblem(status int, code string, detail string) Problem {
-	// Forwarding the sink's own parameter is allowed: the obligation
-	// sits with the callers.
+// newProblem forwards its code parameter into the carrier.
+func newProblem(status int, code Code, detail string) Problem {
 	return Problem{Code: code, Detail: detail}
 }
 
-// writeError is a sink whose fourth argument is the code; forwarding it
-// into the inner sink is allowed.
-func writeError(w any, r any, status int, code string) {
+// writeError forwards its code parameter into the inner sink.
+func writeError(w any, r any, status int, code Code) {
 	_ = newProblem(status, code, "")
+}
+
+// localCode declares a code inside a function: the package scope, and
+// so the OpenAPI check, never sees it.
+func localCode() Code {
+	const CodeScratch Code = "scratch" // want `problemdialect: Code constant CodeScratch declared outside problem\.go`
+	return CodeScratch
+}
+
+// decodeCode is where a peer's code enters the type: conversions are
+// allowed in this file only.
+func decodeCode(s string) Code {
+	return Code(s)
 }

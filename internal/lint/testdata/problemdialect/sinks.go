@@ -7,7 +7,19 @@ func constantAtSink(w, r any) {
 
 // literalAtSink leaks an undeclared code onto the wire.
 func literalAtSink(w, r any) {
-	writeError(w, r, 400, "oops") // want `problemdialect: problem code reaching writeError is not a Code\* constant`
+	writeError(w, r, 400, "oops") // want `problemdialect: problem code "oops" is not a Code constant from problem\.go`
+}
+
+// namedAtSink: an untyped constant converts implicitly, and is still
+// not a dialect constant.
+func namedAtSink(w, r any) {
+	writeError(w, r, 400, notACode) // want `problemdialect: problem code notACode is not a Code constant`
+}
+
+// orphanAtSink: a declared constant is fine at a sink; that no
+// generator enumerates it is reported at its declaration.
+func orphanAtSink(w, r any) {
+	writeError(w, r, 409, CodeOrphan)
 }
 
 // emptyCodeAtSink: "" is the explicit no-code marker, not a dialect leak.
@@ -15,18 +27,16 @@ func emptyCodeAtSink(w, r any) {
 	writeError(w, r, 500, "")
 }
 
-// parseQ pins its second result to the dialect: every return is a Code*
-// constant or "".
-func parseQ(q string) (int, string) {
+// parseQ returns a code among other results.
+func parseQ(q string) (int, Code) {
 	if q == "" {
 		return 0, CodeBadInput
 	}
 	return 1, ""
 }
 
-// tracedVarAtSink: errCode's only assignment is a multi-value call
-// whose callee provably returns dialect codes at that position.
-func tracedVarAtSink(w, r any, q string) {
+// multiValueAtSink: the variable's type carries the dialect.
+func multiValueAtSink(w, r any, q string) {
 	n, errCode := parseQ(q)
 	if errCode != "" {
 		writeError(w, r, 400, errCode)
@@ -34,36 +44,30 @@ func tracedVarAtSink(w, r any, q string) {
 	_ = n
 }
 
-// freeQ does not pin its result: one return carries request input.
-func freeQ(q string) (int, string) {
-	if q == "" {
-		return 0, CodeBadInput
-	}
-	return 1, q
+// convertedAtSink mints a code from request input.
+func convertedAtSink(w, r any, q string) {
+	writeError(w, r, 400, Code(q)) // want `problemdialect: conversion to Code outside problem\.go`
 }
 
-// untracedVarAtSink: the variable may hold anything freeQ produced.
-func untracedVarAtSink(w, r any, q string) {
-	_, errCode := freeQ(q)
-	writeError(w, r, 400, errCode) // want `problemdialect: problem code reaching writeError is not a Code\* constant`
-}
+// CodeLocal is a dialect constant in the wrong file: the OpenAPI check
+// never sees it.
+const CodeLocal Code = "local" // want `problemdialect: Code constant CodeLocal declared outside problem\.go`
 
 // carrierLitConstant and carrierLitLiteral: composite literals of a
-// carrier type are checked at their keyed code fields.
+// carrier type.
 func carrierLitConstant() chunkOutcome {
 	return chunkOutcome{code: CodeStorage, n: 1}
 }
 
 func carrierLitLiteral() chunkOutcome {
-	return chunkOutcome{code: "disk_full", n: 0} // want `problemdialect: problem code reaching chunkOutcome\.code is not a Code\* constant`
+	return chunkOutcome{code: "disk_full", n: 0} // want `problemdialect: problem code "disk_full" is not a Code constant`
 }
 
-// carrierAssigns: field assignments are checked too, and reading a
-// carrier field back out is allowed (its writes were checked).
+// carrierAssigns: field assignments, and reading a carrier field back.
 func carrierAssigns(out *chunkOutcome, p *Problem) {
 	out.code = CodeStorage
 	p.Code = out.code
-	out.code = "late mutation" // want `problemdialect: problem code reaching chunkOutcome\.code is not a Code\* constant`
+	out.code = "late mutation" // want `problemdialect: problem code "late mutation" is not a Code constant`
 }
 
 // waivedLiteral is the sanctioned escape hatch.

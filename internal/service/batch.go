@@ -92,7 +92,7 @@ type BatchResult struct {
 	// Status is the HTTP-equivalent status of this chunk.
 	Status int `json:"status"`
 	// Code is the stable problem code when Status is an error.
-	Code string `json:"code,omitempty"`
+	Code Code `json:"code,omitempty"`
 	// Error is the human-readable error text.
 	Error string `json:"error,omitempty"`
 	// Replay marks a result served from the idempotency window.
@@ -106,7 +106,7 @@ type BatchResult struct {
 }
 
 // batchError renders a chunk-level failure line.
-func batchError(idx int, user string, status int, code, detail string) BatchResult {
+func batchError(idx int, user string, status int, code Code, detail string) BatchResult {
 	return BatchResult{Index: idx, User: user, Status: status, Code: code, Error: detail}
 }
 

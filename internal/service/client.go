@@ -166,7 +166,7 @@ type StatusError struct {
 	Msg  string
 	// ProblemCode is the stable machine-readable code of the
 	// problem+json error ("" when the body was not a problem).
-	ProblemCode string
+	ProblemCode Code
 }
 
 func (e *StatusError) Error() string {

@@ -225,7 +225,7 @@ func AppendPageTail(b []byte, nextCursor string, totalUsers int) []byte {
 }
 
 // parseDatasetQuery validates the pagination and filter parameters.
-func parseDatasetQuery(r *http.Request) (q datasetQuery, errCode, errDetail string) {
+func parseDatasetQuery(r *http.Request) (q datasetQuery, errCode Code, errDetail string) {
 	vals := r.URL.Query()
 	q.limit = DefaultPageLimit
 	if raw := vals.Get("limit"); raw != "" {

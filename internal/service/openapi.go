@@ -236,14 +236,10 @@ func schemaRef(name string) map[string]any {
 	return map[string]any{"schema": map[string]any{"$ref": "#/components/schemas/" + name}}
 }
 
-// openapiSchemas declares the wire types. Field lists mirror the Go
-// structs; the schemas are intentionally shallow (objects and their
-// scalar fields) — clients wanting exhaustive typing generate from this
-// document, not from Go.
 // problemCodes enumerates the full error dialect for the Problem
-// schema. Every Code* constant from problem.go must appear here — the
-// problemdialect analyzer cross-checks the two, so a new code cannot
-// ship without being documented.
+// schema. Every Code constant from problem.go must appear here: moodvet's
+// problemdialect analyzer reads the constants from the package scope and
+// fails on any this list omits, so a new code cannot ship undocumented.
 func problemCodes() []any {
 	return []any{
 		CodeBadRequest, CodeInvalidUser, CodeUserMismatch, CodeEmptyChunk,
@@ -256,6 +252,10 @@ func problemCodes() []any {
 	}
 }
 
+// openapiSchemas declares the wire types. Field lists mirror the Go
+// structs; the schemas are intentionally shallow (objects and their
+// scalar fields) — clients wanting exhaustive typing generate from this
+// document, not from Go.
 func openapiSchemas() map[string]any {
 	obj := func(props map[string]any) map[string]any {
 		return map[string]any{"type": "object", "properties": props}

@@ -25,50 +25,54 @@ type Problem struct {
 	Status int `json:"status"`
 	// Code is the stable machine-readable discriminator, unique per
 	// problem class. Clients should branch on it.
-	Code string `json:"code"`
+	Code Code `json:"code"`
 	// Detail is the human-readable, occurrence-specific explanation.
 	Detail string `json:"detail,omitempty"`
 }
 
+// Code is a problem code. Only the constants below ("" is none) are
+// minted: moodvet's problemdialect rejects other constants and casts.
+type Code string
+
 // Stable problem codes. These are wire contract: a code, once shipped,
 // never changes meaning.
 const (
-	CodeBadRequest        = "bad_request"
-	CodeInvalidUser       = "invalid_user"
-	CodeUserMismatch      = "user_mismatch"
-	CodeEmptyChunk        = "empty_chunk"
-	CodeInvalidTrace      = "invalid_trace"
-	CodeBadChunk          = "bad_chunk"
-	CodeEmptyBatch        = "empty_batch"
-	CodeChunkTooLarge     = "chunk_too_large"
-	CodeBatchTooLarge     = "batch_too_large"
-	CodeKeyTooLong        = "idempotency_key_too_long"
-	CodeKeyReuse          = "idempotency_key_reuse"
-	CodeQueueFull         = "queue_full"
-	CodeRateLimited       = "rate_limited"
-	CodeUnauthorized      = "unauthorized"
-	CodeNotFound          = "not_found"
-	CodeMethodNotAllowed  = "method_not_allowed"
-	CodeNotAcceptable     = "not_acceptable"
-	CodeBadCursor         = "bad_cursor"
-	CodeCancelled         = "cancelled"
-	CodeShuttingDown      = "shutting_down"
-	CodeTimeout           = "timeout"
-	CodeInternal          = "internal_error"
-	CodeRetrainInProgress = "retrain_in_progress"
-	CodeRetrainMissing    = "retrain_unconfigured"
-	CodeStorage           = "storage_unavailable"
+	CodeBadRequest        Code = "bad_request"
+	CodeInvalidUser       Code = "invalid_user"
+	CodeUserMismatch      Code = "user_mismatch"
+	CodeEmptyChunk        Code = "empty_chunk"
+	CodeInvalidTrace      Code = "invalid_trace"
+	CodeBadChunk          Code = "bad_chunk"
+	CodeEmptyBatch        Code = "empty_batch"
+	CodeChunkTooLarge     Code = "chunk_too_large"
+	CodeBatchTooLarge     Code = "batch_too_large"
+	CodeKeyTooLong        Code = "idempotency_key_too_long"
+	CodeKeyReuse          Code = "idempotency_key_reuse"
+	CodeQueueFull         Code = "queue_full"
+	CodeRateLimited       Code = "rate_limited"
+	CodeUnauthorized      Code = "unauthorized"
+	CodeNotFound          Code = "not_found"
+	CodeMethodNotAllowed  Code = "method_not_allowed"
+	CodeNotAcceptable     Code = "not_acceptable"
+	CodeBadCursor         Code = "bad_cursor"
+	CodeCancelled         Code = "cancelled"
+	CodeShuttingDown      Code = "shutting_down"
+	CodeTimeout           Code = "timeout"
+	CodeInternal          Code = "internal_error"
+	CodeRetrainInProgress Code = "retrain_in_progress"
+	CodeRetrainMissing    Code = "retrain_unconfigured"
+	CodeStorage           Code = "storage_unavailable"
 	// CodeRouting marks a retryable cluster-routing refusal: the owner
 	// of the request's key is failing over, the router could not reach
 	// it, or a stale ring stamped the wrong owner. Always 503 +
 	// Retry-After; clients retry exactly like a shed.
-	CodeRouting = "routing"
+	CodeRouting Code = "routing"
 )
 
 // newProblem assembles the RFC 7807 document for one occurrence.
-func newProblem(status int, code, detail string) Problem {
+func newProblem(status int, code Code, detail string) Problem {
 	return Problem{
-		Type:   "/v2/problems/" + code,
+		Type:   "/v2/problems/" + string(code),
 		Title:  http.StatusText(status),
 		Status: status,
 		Code:   code,
@@ -79,7 +83,7 @@ func newProblem(status int, code, detail string) Problem {
 // NewProblem assembles the RFC 7807 document for one occurrence. It is
 // the exported constructor for the cluster tier (internal/cluster),
 // which answers in the same closed dialect the service owns.
-func NewProblem(status int, code, detail string) Problem {
+func NewProblem(status int, code Code, detail string) Problem {
 	return newProblem(status, code, detail)
 }
 
@@ -93,13 +97,13 @@ func writeProblem(w http.ResponseWriter, p Problem) {
 
 // writeError answers an error as problem+json. It is the one way a
 // handler or middleware layer renders an error status.
-func writeError(w http.ResponseWriter, status int, code, detail string) {
+func writeError(w http.ResponseWriter, status int, code Code, detail string) {
 	writeProblem(w, newProblem(status, code, detail))
 }
 
 // problemBody renders the fixed problem document used where a body must
 // be prepared ahead of time (the timeout layer's canned 503).
-func problemBody(status int, code, detail string) string {
+func problemBody(status int, code Code, detail string) string {
 	b, _ := json.Marshal(newProblem(status, code, detail)) // strings and an int always marshal
 	return string(b)
 }

@@ -199,7 +199,7 @@ func TestUploadValidation(t *testing.T) {
 		name   string
 		line   string
 		status int
-		code   string
+		code   Code
 	}{
 		{"garbage", "{nope", http.StatusBadRequest, CodeBadChunk},
 		{"missing user", `{"records":[{"lat":45,"lon":4,"ts":1}]}`, http.StatusBadRequest, CodeInvalidUser},

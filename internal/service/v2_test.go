@@ -178,7 +178,7 @@ func TestBatchMixedValidityAndIdempotency(t *testing.T) {
 	if len(results) != len(lines) {
 		t.Fatalf("got %d results, want %d", len(results), len(lines))
 	}
-	wantCodes := []string{CodeBadChunk, CodeInvalidUser, CodeEmptyChunk, "", CodeKeyReuse, CodeKeyTooLong}
+	wantCodes := []Code{CodeBadChunk, CodeInvalidUser, CodeEmptyChunk, "", CodeKeyReuse, CodeKeyTooLong}
 	for i, want := range wantCodes {
 		if results[i].Code != want {
 			t.Fatalf("chunk %d: code = %q (%+v), want %q", i, results[i].Code, results[i], want)
@@ -289,7 +289,7 @@ func TestBatchOversizedChunkRejectedIndividually(t *testing.T) {
 }
 
 // assertProblem checks the response is problem+json with the code.
-func assertProblem(t *testing.T, resp *http.Response, wantCode string) Problem {
+func assertProblem(t *testing.T, resp *http.Response, wantCode Code) Problem {
 	t.Helper()
 	if ct := resp.Header.Get("Content-Type"); ct != ProblemContentType {
 		t.Fatalf("Content-Type = %q, want %q", ct, ProblemContentType)

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -714,10 +715,11 @@ func TestServerCloseDuringBatch(t *testing.T) {
 // the request reader, line buffers, commit payloads and frames are
 // pooled, and a chunk's parsed records become its trace without a copy,
 // so what remains is mostly what the node keeps (and the in-memory
-// log's own growth). The budget is the measured cost, 10,300–10,500
-// bytes on amd64, with a little headroom for the collector emptying the
-// pools mid-run; before pooling the same batches cost 17,800 bytes a
-// chunk.
+// log's own growth). The batches run on one P with the collector held
+// off, which makes the figure close to a count: 10,180 bytes on amd64,
+// 11,054 in the rare run where the log's buffer grows one step more
+// inside the window. Before pooling the same batches cost 17,800 bytes
+// a chunk.
 func TestBatchUploadAllocBudget(t *testing.T) {
 	batchUploadAllocBudget(t, 11<<10)
 }
@@ -726,7 +728,7 @@ func TestBatchUploadAllocBudget(t *testing.T) {
 // with a retrainer, which keeps every accepted chunk in its user's
 // history. The history keeps the chunk's parsed records as they are, so
 // the chunk costs its commit record's history section (and the log's
-// growth for it) and a segment header: 17,600–17,900 bytes on amd64.
+// growth for it) and a segment header: 17,330 bytes on amd64.
 // Copying the records into one growing array per user cost 22,600.
 func TestBatchUploadAllocBudgetWithHistory(t *testing.T) {
 	batchUploadAllocBudget(t, 19<<10, WithRetrainer(noRetrain, 0))
@@ -765,6 +767,11 @@ func batchUploadAllocBudget(t *testing.T, budget float64, opts ...Option) {
 		}
 		bodies[b] = batchBody(t, chunks)
 	}
+	// The batches run on one P: how the commit window groups the chunk
+	// goroutines' commits into frames, and so when the in-memory log's
+	// buffer grows, follows the scheduler, and with more Ps identical
+	// runs move by a kilobyte a chunk.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	recorders := make([]*httptest.ResponseRecorder, len(bodies))
 	serve := func(b int) {
 		recorders[b] = httptest.NewRecorder()
@@ -773,7 +780,11 @@ func batchUploadAllocBudget(t *testing.T, budget float64, opts ...Option) {
 	for b := 0; b < warm; b++ {
 		serve(b)
 	}
+	// The collector is held off while the batches run: a collection
+	// empties the request and frame pools at a random point, and the
+	// batches then refill them.
 	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for b := warm; b < len(bodies); b++ {
