@@ -5,22 +5,17 @@ import (
 	"go/types"
 )
 
-// Intra-package call graph. Each declared function or method of the
-// analyzed package is a node; an edge records one direct call from a
-// declaration body to another declaration of the same package (calls
-// through function values, interfaces that resolve outside the package,
-// or into other packages have no node and simply do not appear).
+// Intra-package call resolution. Each declared function or method of
+// the analyzed package is a node, and a call resolves to one when it
+// names a declaration of the same package directly (calls through
+// function values, interfaces that resolve outside the package, or into
+// other packages resolve to nothing).
 //
-// The graph is what lets an analyzer propagate a per-function summary
-// through one level of calls — "this helper always appends before
-// returning nil", "this go statement spawns that method's body" —
-// without whole-program analysis.
+// It lets an analyzer follow a call one level — "this go statement
+// spawns that method's body" — without whole-program analysis.
 
 // CallGraph indexes the package's function declarations.
 type CallGraph struct {
-	// Funcs holds one node per declaration, in file/declaration order.
-	Funcs []*FuncNode
-
 	byObj map[*types.Func]*FuncNode
 }
 
@@ -28,12 +23,9 @@ type CallGraph struct {
 type FuncNode struct {
 	Decl *ast.FuncDecl
 	Obj  *types.Func
-	// Calls lists the same-package declarations this body calls
-	// directly, deduplicated, in first-call order.
-	Calls []*FuncNode
 }
 
-// BuildCallGraph constructs the call graph of one type-checked package.
+// BuildCallGraph indexes the declarations of one type-checked package.
 func BuildCallGraph(files []*ast.File, info *types.Info) *CallGraph {
 	g := &CallGraph{byObj: map[*types.Func]*FuncNode{}}
 	for _, f := range files {
@@ -42,39 +34,12 @@ func BuildCallGraph(files []*ast.File, info *types.Info) *CallGraph {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			obj, ok := info.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
+			if obj, ok := info.Defs[fd.Name].(*types.Func); ok {
+				g.byObj[obj] = &FuncNode{Decl: fd, Obj: obj}
 			}
-			n := &FuncNode{Decl: fd, Obj: obj}
-			g.Funcs = append(g.Funcs, n)
-			g.byObj[obj] = n
 		}
 	}
-	for _, n := range g.Funcs {
-		seen := map[*FuncNode]bool{}
-		ast.Inspect(n.Decl.Body, func(node ast.Node) bool {
-			call, ok := node.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if callee := g.CalleeOf(info, call); callee != nil && !seen[callee] {
-				seen[callee] = true
-				n.Calls = append(n.Calls, callee)
-			}
-			return true
-		})
-	}
 	return g
-}
-
-// Lookup returns the node of a function object, nil when the object is
-// not a declaration of this package.
-func (g *CallGraph) Lookup(obj *types.Func) *FuncNode {
-	if obj == nil {
-		return nil
-	}
-	return g.byObj[obj]
 }
 
 // CalleeOf resolves a call expression to the package-local declaration
@@ -91,5 +56,5 @@ func (g *CallGraph) CalleeOf(info *types.Info, call *ast.CallExpr) *FuncNode {
 		return nil
 	}
 	obj, _ := info.Uses[id].(*types.Func)
-	return g.Lookup(obj)
+	return g.byObj[obj]
 }

@@ -201,3 +201,14 @@ func isChannel(t types.Type) bool {
 	_, ok := t.Underlying().(*types.Chan)
 	return ok
 }
+
+// exprObject resolves an ident or selector to its variable object.
+func exprObject(pass *analysis.Pass, e ast.Expr) types.Object {
+	switch e := e.(type) {
+	case *ast.Ident:
+		return pass.TypesInfo.Uses[e]
+	case *ast.SelectorExpr:
+		return pass.TypesInfo.Uses[e.Sel]
+	}
+	return nil
+}

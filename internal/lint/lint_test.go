@@ -136,15 +136,8 @@ func TestAppendApply(t *testing.T) {
 		Dir:     "testdata/appendapply",
 		PkgPath: "fixture/appendapply",
 		Analyzers: []*analysis.Analyzer{lint.AppendApply(lint.AppendApplyConfig{
-			PackagePath: "fixture/appendapply",
-			StateTypes:  map[string]bool{"stateShard": true, "UserStats": true},
-			ApplyMethods: map[string]map[string]bool{
-				"jobStore": {"setDone": true},
-			},
-			ApplyHelpers: map[string]bool{"applyCommit": true},
-			ExemptFuncs:  map[string]bool{"Recover": true},
-			AppendFuncs:  map[string]bool{"Append": true},
-			StoreNames:   map[string]bool{"store": true},
+			Package:    "fixture/appendapply",
+			StateTypes: map[string]bool{"stateShard": true, "UserStats": true},
 		})},
 	})
 }

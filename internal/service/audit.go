@@ -81,25 +81,8 @@ func (s *Server) auditFrags(a Auditor, frags []publishedFrag) (audited, quaranti
 		return len(frags), 0
 	}
 
-	// Log the quarantine and apply it under one read-hold of the
-	// consistency barrier, so a checkpoint cannot capture the removal
-	// while the record that justifies it is still unwritten. The record
-	// is best-effort (a lost quarantine re-derives on the next audit
-	// pass), so a poisoned store does not block the removal itself —
-	// but the refusal is recorded in the persistence health rather than
-	// swallowed (see noteAppend).
 	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	s.storeGate.RLock()
-	defer s.storeGate.RUnlock()
-	if s.store != nil {
-		rec, err := encodeRec(recQuarantine, walQuarantine{Seqs: seqs})
-		if err == nil {
-			err = s.store.Append(rec)
-		}
-		s.noteAppend(err)
-	}
-	//mood:allow appendapply -- quarantine WAL record above is advisory by contract: a crash before it lands re-runs the audit on recovery, which re-condemns the same fragments
-	return len(frags), s.quarantine(seqs)
+	return len(frags), s.quarantineAudited(seqs)
 }
 
 // judgeFrags evaluates the protection predicate for every fragment of
@@ -125,7 +108,7 @@ func (s *Server) judgeFrags(a Auditor, frags []publishedFrag) []bool {
 // removes them wherever they live and returns how many it removed.
 // Removal by seq is idempotent, so a record covering fragments a
 // snapshot already dropped is harmless.
-func (s *Server) quarantine(seqs []int64) (quarantined int) {
+func (s *Server) quarantine(d durable, seqs []int64) (quarantined int) {
 	if len(seqs) == 0 {
 		return 0
 	}
@@ -134,14 +117,14 @@ func (s *Server) quarantine(seqs []int64) (quarantined int) {
 		condemned[q] = true
 	}
 	for i := range s.shards {
-		quarantined += s.removeCondemned(&s.shards[i], condemned)
+		quarantined += s.removeCondemned(d, &s.shards[i], condemned)
 	}
 	return quarantined
 }
 
 // removeCondemned drops the condemned fragments (by seq) from one shard
 // and updates their owners' quarantine accounting.
-func (s *Server) removeCondemned(sh *stateShard, condemned map[int64]bool) (quarantined int) {
+func (s *Server) removeCondemned(_ durable, sh *stateShard, condemned map[int64]bool) (quarantined int) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	kept := sh.published[:0]

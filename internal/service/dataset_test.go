@@ -21,7 +21,7 @@ import (
 // audit sequence number (what a quarantine removes it by).
 func publishFrag(s *Server, tr trace.Trace) int64 {
 	seq := s.fragSeq.Add(1)
-	s.foldCommit(&walUploadCommit{User: "owner-" + tr.User, Frags: []publishedFrag{{Seq: seq, Trace: tr, Owner: "owner-" + tr.User}}})
+	s.foldCommit(durable{}, &walUploadCommit{User: "owner-" + tr.User, Frags: []publishedFrag{{Seq: seq, Trace: tr, Owner: "owner-" + tr.User}}})
 	return seq
 }
 
@@ -134,7 +134,7 @@ func TestDatasetPagesMatchEncoder(t *testing.T) {
 	check("fresh")
 	publishFrag(srv, pageTrace("pub-000011", 5, 40))
 	check("after commit")
-	if n := srv.quarantine([]int64{seqs["pub-000012"]}); n != 1 {
+	if n := srv.quarantine(durable{}, []int64{seqs["pub-000012"]}); n != 1 {
 		t.Fatalf("quarantined %d fragments, want 1", n)
 	}
 	check("after quarantine")

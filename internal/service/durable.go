@@ -100,6 +100,13 @@ type walRetrain struct {
 	Retrains int64 `json:"retrains"`
 }
 
+// durable witnesses that a state change is on the log: every apply takes
+// one first, so the compiler refuses an apply no append preceded. Only
+// this file mints one — appendAndApply once Append returned nil (or with
+// no store), Recover for replay, quarantineAudited for an advisory
+// record — and moodvet's appendapply keeps every other one a parameter.
+type durable struct{}
+
 // storageError marks a commit refused because its durability append
 // failed: nothing was applied, nothing acked. Callers map it to
 // 503 + storage_unavailable so clients retry instead of treating it as
@@ -245,7 +252,7 @@ func (s *Server) appendAndApply(group []*uploadJob, recs []store.Record) error {
 		s.commits.Add(int64(len(group)))
 	}
 	for _, j := range group {
-		s.applyCommit(j)
+		s.applyCommit(durable{}, j)
 	}
 	return nil
 }
@@ -255,13 +262,13 @@ func (s *Server) appendAndApply(group []*uploadJob, recs []store.Record) error {
 // load-bearing: shard first, then the idempotency entry, then the job
 // — the same monotone order the snapshot capture relies on (see
 // captureState).
-func (s *Server) applyCommit(j *uploadJob) {
-	s.foldCommit(&j.commit)
+func (s *Server) applyCommit(d durable, j *uploadJob) {
+	s.foldCommit(d, &j.commit)
 	if j.idem != nil {
-		s.idem.complete(j.trace.User, j.idemKey, j.idem, j.resp, nil)
+		s.idem.complete(d, j.idem, j.resp)
 	}
 	if j.id != "" {
-		s.jobs.setDone(j.id, j.resp)
+		s.jobs.setDone(d, j.id, j.resp)
 	}
 }
 
@@ -270,7 +277,7 @@ func (s *Server) applyCommit(j *uploadJob) {
 // fragments, the raw history, and the seq and pseudonym watermarks
 // (max semantics, so a live commit whose numbers came from the atomics
 // leaves them as they are).
-func (s *Server) foldCommit(c *walUploadCommit) {
+func (s *Server) foldCommit(d durable, c *walUploadCommit) {
 	if c.User == "" {
 		return
 	}
@@ -294,7 +301,7 @@ func (s *Server) foldCommit(c *walUploadCommit) {
 		// records, or a replayed record's decoded ones — as a segment.
 		// The generation bump lets the periodic loop skip ticks where
 		// nothing new arrived.
-		sh.recordHistory(c.User, c.History, s.opts.HistoryCap)
+		sh.recordHistory(d, c.User, c.History, s.opts.HistoryCap)
 		s.histGen.Add(1)
 	}
 	sh.published = append(sh.published, c.Frags...)
@@ -320,8 +327,7 @@ func (s *Server) finishJob(j *uploadJob, resp UploadResponse, err error) {
 		return
 	}
 	if j.idem != nil {
-		//mood:allow appendapply -- failure path releases the idempotency key so the retry re-executes: nothing was acked, so there is no state to make durable
-		s.idem.complete(j.trace.User, j.idemKey, j.idem, UploadResponse{}, err)
+		s.idem.release(j.trace.User, j.idemKey, j.idem, err)
 	}
 	if j.done != nil {
 		j.done <- uploadOutcome{err: err}
@@ -331,6 +337,25 @@ func (s *Server) finishJob(j *uploadJob, resp UploadResponse, err error) {
 	s.appendBestEffort(recJobTerminal, JobStatus{
 		ID: j.id, User: j.trace.User, State: JobFailed, Error: err.Error(),
 	})
+}
+
+// quarantineAudited logs a re-audit's quarantine and applies it under one
+// read-hold of the consistency barrier, so a checkpoint cannot capture
+// the removal before its record. The record is advisory: a crash before
+// it lands re-runs the audit on recovery, which re-condemns the same
+// fragments. So a refused append still mints the witness, and the
+// refusal goes to the persistence health (see noteAppend).
+func (s *Server) quarantineAudited(seqs []int64) int {
+	s.storeGate.RLock()
+	defer s.storeGate.RUnlock()
+	if s.store != nil {
+		rec, err := encodeRec(recQuarantine, walQuarantine{Seqs: seqs})
+		if err == nil {
+			err = s.store.Append(rec)
+		}
+		s.noteAppend(err)
+	}
+	return s.quarantine(durable{}, seqs)
 }
 
 // appendBestEffort appends a record whose loss a crash can tolerate
@@ -380,12 +405,12 @@ func (s *Server) Recover() error {
 		return &storageError{err: err}
 	}
 	if len(snap) > 0 {
-		if err := s.applySnapshot(snap); err != nil {
+		if err := s.applySnapshot(durable{}, snap); err != nil {
 			return err
 		}
 	}
 	for _, r := range recs {
-		s.applyRecord(r)
+		s.applyRecord(durable{}, r)
 	}
 	if s.opts.Retrainer != nil && s.retrains.Load() > 0 {
 		// The restored history already trained the engine the node
@@ -409,26 +434,26 @@ func (s *Server) Recover() error {
 // applyRecord replays one WAL record. Records are CRC-verified by the
 // store, so a payload that fails to decode is a schema difference, not
 // corruption — it is skipped, keeping recovery forward compatible.
-func (s *Server) applyRecord(r store.Record) {
+func (s *Server) applyRecord(d durable, r store.Record) {
 	switch r.Type {
 	case recUploadCommit:
 		if c, err := decodeUploadCommit(r.Payload); err == nil {
-			s.foldCommit(&c)
+			s.foldCommit(d, &c)
 		}
 	case recIdemComplete:
 		var pe persistedIdem
 		if json.Unmarshal(r.Payload, &pe) == nil {
-			s.idem.applyRestored(pe)
+			s.idem.applyRestored(d, pe)
 		}
 	case recJobTerminal:
 		var js JobStatus
 		if json.Unmarshal(r.Payload, &js) == nil {
-			s.jobs.applyTerminal(js)
+			s.jobs.applyTerminal(d, js)
 		}
 	case recQuarantine:
 		var q walQuarantine
 		if json.Unmarshal(r.Payload, &q) == nil {
-			s.quarantine(q.Seqs)
+			s.quarantine(d, q.Seqs)
 		}
 	case recRetrainEpoch:
 		var rr walRetrain

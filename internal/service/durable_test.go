@@ -355,7 +355,7 @@ func TestWALQuarantineReplay(t *testing.T) {
 	sh.mu.Unlock()
 	condemned := map[int64]bool{seq: true}
 	srvA.appendBestEffort(recQuarantine, walQuarantine{Seqs: []int64{seq}})
-	if got := srvA.removeCondemned(sh, condemned); got != 1 {
+	if got := srvA.removeCondemned(durable{}, sh, condemned); got != 1 {
 		t.Fatalf("removeCondemned = %d, want 1", got)
 	}
 	want := srvA.Stats()

@@ -3,7 +3,6 @@ package service
 import (
 	"net/http/httptest"
 	"runtime"
-	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -237,15 +236,14 @@ func TestRecoveryRestoresRetrainedAdversary(t *testing.T) {
 // it, keeps each open POI cluster as a count, timestamps and centroid,
 // and counts MMC transitions as it scans, so what remains is mostly
 // what the retrained engine keeps. The budget is the measured cost,
-// 958,000–975,000 bytes a pass on amd64 with the collector held off
-// (about half the runs log one and the same figure), with headroom;
-// before those changes the same pass cost 1,930,000.
+// 958,728 bytes for the cheapest of eight passes on amd64 (allocPerOp),
+// with headroom; before those changes the same pass cost 1,930,000.
 func TestRetrainPassAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's allocations are not the pass's")
 	}
 	const (
-		passes = 3
+		rounds = 8
 		budget = 1 << 20 // bytes per pass
 	)
 	// Training fans out on GOMAXPROCS workers, each with buffers of its
@@ -278,27 +276,17 @@ func TestRetrainPassAllocBudget(t *testing.T) {
 	if _, err := srv.Retrain(); err != nil {
 		t.Fatal(err)
 	}
-	// The collector is held off while the passes run: a collection
-	// empties the training and audit pools at a random point, and the
-	// pass then refills them, so with it on the figure moves by tens of
-	// kilobytes between identical runs.
-	runtime.GC()
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
 	var report RetrainReport
-	for i := 0; i < passes; i++ {
+	perPass := allocPerOp(t, "retrain pass", rounds, 1, nil, func(int) {
 		if report, err = srv.Retrain(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	runtime.ReadMemStats(&after)
+	})
 	if report.HistoryRecords == 0 || report.Audited == 0 {
 		t.Fatalf("the pass trained on %d history records and audited %d fragments", report.HistoryRecords, report.Audited)
 	}
-	perPass := float64(after.TotalAlloc-before.TotalAlloc) / passes
-	t.Logf("%.0f bytes allocated per pass (%d users, %d history records, %d fragments audited)",
-		perPass, report.HistoryUsers, report.HistoryRecords, report.Audited)
+	t.Logf("a pass over %d users, %d history records and %d fragments audited",
+		report.HistoryUsers, report.HistoryRecords, report.Audited)
 	if perPass > budget {
 		t.Fatalf("a retrain pass allocated %.0f bytes, over its budget of %d", perPass, budget)
 	}

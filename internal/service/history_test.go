@@ -3,7 +3,6 @@ package service
 import (
 	"bytes"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -31,12 +30,13 @@ func historyOf(srv *Server, user string) segments {
 }
 
 // TestHistoryAtCapCostsTheChunk: a user whose history is at its cap
-// commits 200 more uploads. The history keeps each upload's own array
-// and drops or re-slices head segments, so a commit's fold allocates
-// nothing for it; appending to one array and copying its last cap
-// records out cost 1,176 KiB an upload in this test.
+// commits three rounds of 200 more uploads. The history keeps each
+// upload's own array and drops or re-slices head segments, so a
+// commit's fold allocates nothing for it; appending to one array and
+// copying its last cap records out cost 1,176 KiB an upload in this
+// test.
 func TestHistoryAtCapCostsTheChunk(t *testing.T) {
-	const histCap, chunk, uploads = 50_000, 120, 200
+	const histCap, chunk, uploads, rounds = 50_000, 120, 200, 3
 	srv, err := New(&fakeProtector{}, WithRetrainer(noRetrain, 0), WithHistoryCap(histCap))
 	if err != nil {
 		t.Fatal(err)
@@ -53,23 +53,18 @@ func TestHistoryAtCapCostsTheChunk(t *testing.T) {
 	}
 	for i := 0; i <= histCap/chunk; i++ {
 		c := commit(i)
-		srv.foldCommit(&c)
+		srv.foldCommit(durable{}, &c)
 	}
-	commits := make([]walUploadCommit, uploads)
+	commits := make([]walUploadCommit, rounds*uploads)
 	for i := range commits {
 		commits[i] = commit(histCap/chunk + 1 + i)
 	}
 
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := range commits {
-		srv.foldCommit(&commits[i])
-	}
-	runtime.ReadMemStats(&after)
-
-	perUpload := float64(after.TotalAlloc-before.TotalAlloc) / uploads
-	t.Logf("%.0f bytes allocated per upload of %d records at a cap of %d", perUpload, chunk, histCap)
+	perUpload := allocPerOp(t, fmt.Sprintf("upload of %d records at a cap of %d", chunk, histCap), rounds, uploads, nil, func(round int) {
+		for i := round * uploads; i < (round+1)*uploads; i++ {
+			srv.foldCommit(durable{}, &commits[i])
+		}
+	})
 	if perUpload >= 1<<10 {
 		t.Fatalf("an upload at the cap allocated %.0f bytes: the history copies records", perUpload)
 	}

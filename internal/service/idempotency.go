@@ -126,22 +126,31 @@ func (st *idemStore) jobOf(e *idemEntry) string {
 	return e.jobID
 }
 
-// complete finalises an entry with the upload outcome and wakes every
-// replay waiter. A failed upload releases its key so the next retry
-// re-executes; a successful one stays in the window for replays.
-func (st *idemStore) complete(user, key string, e *idemEntry, resp UploadResponse, err error) {
+// complete finalises an entry with its committed upload's response and
+// wakes every replay waiter. The entry stays in the window for replays.
+func (st *idemStore) complete(_ durable, e *idemEntry, resp UploadResponse) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if !e.completed {
+		e.resp, e.completed = resp, true
+		close(e.done)
+	}
+}
+
+// release finalises an entry whose upload failed or was refused and
+// wakes every replay waiter. Nothing was committed, so it releases the
+// key as well: the next retry re-executes.
+func (st *idemStore) release(user, key string, e *idemEntry, err error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if e.completed {
 		return
 	}
-	e.resp, e.err, e.completed = resp, err, true
+	e.err, e.completed = err, true
 	close(e.done)
-	if err != nil {
-		k := idemKey(user, key)
-		if cur, _ := st.entries.get(k); cur == e {
-			st.entries.remove(k)
-		}
+	k := idemKey(user, key)
+	if cur, _ := st.entries.get(k); cur == e {
+		st.entries.remove(k)
 	}
 }
 
@@ -181,7 +190,7 @@ func (st *idemStore) snapshot() []persistedIdem {
 // entries in their eviction order. Overwrites are last-write-wins —
 // replay order is log order, so the latest record under a key is the
 // authoritative outcome.
-func (st *idemStore) applyRestored(pe persistedIdem) {
+func (st *idemStore) applyRestored(_ durable, pe persistedIdem) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.entries.put(pe.Key, completedIdem(pe))

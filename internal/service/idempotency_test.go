@@ -251,6 +251,16 @@ func TestIdempotencyKeyTooLong(t *testing.T) {
 	}
 }
 
+// settle finishes an entry as the service does: a committed upload
+// completes it, a failed one releases its key.
+func settle(st *idemStore, user, key string, e *idemEntry, resp UploadResponse, err error) {
+	if err != nil {
+		st.release(user, key, e, err)
+		return
+	}
+	st.complete(durable{}, e, resp)
+}
+
 // TestIdemStoreEviction: the dedupe window stays bounded and evicts
 // oldest-completed first.
 func TestIdemStoreEviction(t *testing.T) {
@@ -265,7 +275,7 @@ func TestIdemStoreEviction(t *testing.T) {
 		if i == 0 {
 			first = e
 		}
-		st.complete(user, "k", e, UploadResponse{Accepted: i}, nil)
+		settle(st, user, "k", e, UploadResponse{Accepted: i}, nil)
 	}
 	if len(st.entries.m) > 4 {
 		t.Fatalf("window grew to %d entries, cap 4", len(st.entries.m))
@@ -296,7 +306,7 @@ func TestIdemStoreRetryAgesFromLatestBegin(t *testing.T) {
 		if !isNew {
 			t.Fatalf("%s: begin replayed", user)
 		}
-		st.complete(user, "k", e, UploadResponse{}, err)
+		settle(st, user, "k", e, UploadResponse{}, err)
 	}
 	run("K", fmt.Errorf("boom"))
 	run("B", nil)
@@ -338,7 +348,7 @@ func TestIdemStoreFailureCompactsOrder(t *testing.T) {
 		if i%7 != 0 {
 			err = fmt.Errorf("boom")
 		}
-		st.complete(user, "k", e, UploadResponse{}, err)
+		settle(st, user, "k", e, UploadResponse{}, err)
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -548,7 +558,7 @@ func testIdemWindowMatchesReference(t *testing.T) {
 		if rng.Intn(10) == 0 {
 			err = errors.New("boom")
 		}
-		st.complete(p.user, p.key, p.e, UploadResponse{}, err)
+		settle(st, p.user, p.key, p.e, UploadResponse{}, err)
 		ref.complete(idemKey(p.user, p.key), err != nil)
 	}
 	for i := 0; i < n; i++ {
@@ -724,7 +734,7 @@ func testJobStoreMatchesReference(t *testing.T) {
 			ref.set(id, JobRunning)
 		case r < 14:
 			id := take()
-			js.setDone(id, UploadResponse{Accepted: i})
+			js.setDone(durable{}, id, UploadResponse{Accepted: i})
 			ref.set(id, JobDone)
 		case r < 15:
 			id := take()
@@ -744,14 +754,14 @@ func testJobStoreMatchesReference(t *testing.T) {
 			if rng.Intn(4) == 0 {
 				state = JobFailed
 			}
-			js.applyTerminal(JobStatus{ID: id, User: "r", State: state})
+			js.applyTerminal(durable{}, JobStatus{ID: id, User: "r", State: state})
 			ref.put(id, state)
 		default:
 			// A late outcome for a job that may be gone.
-			js.setDone("job-gone", UploadResponse{})
+			js.setDone(durable{}, "job-gone", UploadResponse{})
 		}
 		if i == 8*capacity {
-			js.setDone(held, UploadResponse{})
+			js.setDone(durable{}, held, UploadResponse{})
 			ref.set(held, JobDone)
 		}
 		if i%37 != 0 && i != n-1 {
@@ -799,11 +809,11 @@ func TestJobStoreCreateStaysCheapPastCap(t *testing.T) {
 			js.create("queued")
 		}
 		for i := 0; i < maxRetainedJobs; i++ {
-			js.setDone(js.create("u").ID, UploadResponse{})
+			js.setDone(durable{}, js.create("u").ID, UploadResponse{})
 		}
 		start := time.Now()
 		for i := 0; i < 10000; i++ {
-			js.setDone(js.create("u").ID, UploadResponse{})
+			js.setDone(durable{}, js.create("u").ID, UploadResponse{})
 		}
 		d := time.Since(start)
 		t.Logf("10000 creates past the cap behind %d queued jobs: %v", queued, d)

@@ -82,7 +82,7 @@ func SnapshotJSON(data []byte) ([]byte, error) {
 // the same appliers as their WAL records: snapshot keys are unique and
 // every entry is complete, so installing them one by one in snapshot
 // order rebuilds both windows, eviction age included.
-func (s *Server) applySnapshot(data []byte) error {
+func (s *Server) applySnapshot(d durable, data []byte) error {
 	state, err := decodeSnapshot(data)
 	if err != nil {
 		return err
@@ -92,12 +92,12 @@ func (s *Server) applySnapshot(data []byte) error {
 		maxSeq = max(maxSeq, f.Seq)
 	}
 	s.fragSeq.Store(maxSeq)
-	s.resetShards(state.Fragments, state.History, state.Users)
+	s.resetShards(d, state.Fragments, state.History, state.Users)
 	for _, pe := range state.Idempotency {
-		s.idem.applyRestored(pe)
+		s.idem.applyRestored(d, pe)
 	}
 	for _, j := range state.Jobs {
-		s.jobs.applyTerminal(j)
+		s.jobs.applyTerminal(d, j)
 	}
 	s.pseudo.Store(int64(state.Pseudo))
 	s.retrains.Store(state.Retrains)

@@ -206,7 +206,7 @@ func (js *jobStore) setRunning(id string) {
 	}
 }
 
-func (js *jobStore) setDone(id string, resp UploadResponse) {
+func (js *jobStore) setDone(_ durable, id string, resp UploadResponse) {
 	js.mu.Lock()
 	defer js.mu.Unlock()
 	if j, ok := js.jobs.get(id); ok {
@@ -372,7 +372,7 @@ func (js *jobStore) terminal() []JobStatus {
 // applyTerminal installs one terminal job from a WAL record or a
 // snapshot: insert-or-overwrite, so a record newer than a snapshot entry
 // wins. Installed in snapshot order, the jobs keep their eviction age.
-func (js *jobStore) applyTerminal(j JobStatus) {
+func (js *jobStore) applyTerminal(_ durable, j JobStatus) {
 	if j.ID == "" || !jobFinished(&j) {
 		return
 	}

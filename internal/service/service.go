@@ -373,8 +373,7 @@ func New(p Protector, opts ...Option) (*Server, error) {
 	}
 	s.engine.Store(&engineState{p: p})
 	for i := range s.shards {
-		s.shards[i].users = make(map[string]*UserStats)
-		s.shards[i].history = make(map[string]*userHistory)
+		s.shards[i] = stateShard{users: make(map[string]*UserStats), history: make(map[string]*userHistory)}
 	}
 	s.pool = newWorkerPool(o.Workers, o.QueueDepth, s.runJob)
 	if o.Retrainer != nil && o.RetrainInterval > 0 {
@@ -507,8 +506,7 @@ func (s *Server) syncChunk(ctx context.Context, t trace.Trace, key string, idem 
 		sl.cw.settle()
 		if idem != nil {
 			// The job never ran: release the key so the retry executes.
-			//mood:allow appendapply -- shed path: the upload was refused, so releasing the key is the absence of state, not an apply
-			s.idem.complete(t.User, key, idem, UploadResponse{}, errUploadShed)
+			s.idem.release(t.User, key, idem, errUploadShed)
 		}
 		return shedOutcome()
 	}
@@ -550,8 +548,7 @@ func (s *Server) asyncChunk(ctx context.Context, t trace.Trace, key string, idem
 			// must stay pollable: mark it failed rather than removing it,
 			// and release the key so the retry re-executes.
 			s.jobs.setFailed(j.ID, errUploadShed)
-			//mood:allow appendapply -- shed path: the upload was refused, so releasing the key is the absence of state, not an apply
-			s.idem.complete(t.User, key, idem, UploadResponse{}, errUploadShed)
+			s.idem.release(t.User, key, idem, errUploadShed)
 		} else {
 			s.jobs.remove(j.ID)
 		}

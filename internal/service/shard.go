@@ -236,7 +236,7 @@ func (s *Server) fullSnapshot() (published []publishedFrag, history map[string]s
 // whose slices it takes over. No snapshot carries global stats: they are
 // the sum of the user accounting. Fragment sequence numbers persist: WAL
 // quarantine records name them across restarts.
-func (s *Server) resetShards(published []publishedFrag, history map[string]segments, users map[string]*UserStats) {
+func (s *Server) resetShards(_ durable, published []publishedFrag, history map[string]segments, users map[string]*UserStats) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
@@ -275,7 +275,7 @@ func (s *Server) resetShards(published []publishedFrag, history map[string]segme
 // its capacity clipped (nothing writes it again). The cap drops head
 // segments and re-slices the one it cuts into: no record is copied,
 // below the cap or at it, and none a captured header covers is written.
-func (sh *stateShard) recordHistory(user string, records []trace.Record, cap int) {
+func (sh *stateShard) recordHistory(_ durable, user string, records []trace.Record, cap int) {
 	if cap <= 0 {
 		return
 	}

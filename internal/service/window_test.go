@@ -11,7 +11,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
-	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -715,11 +714,10 @@ func TestServerCloseDuringBatch(t *testing.T) {
 // the request reader, line buffers, commit payloads and frames are
 // pooled, and a chunk's parsed records become its trace without a copy,
 // so what remains is mostly what the node keeps (and the in-memory
-// log's own growth). The batches run on one P with the collector held
-// off, which makes the figure close to a count: 10,180 bytes on amd64,
-// 11,054 in the rare run where the log's buffer grows one step more
-// inside the window. Before pooling the same batches cost 17,800 bytes
-// a chunk.
+// log's own growth). The batches run on one P, in rounds that each
+// start on a fresh log segment, and the figure is the cheapest round's
+// (allocPerOp): 8,838 bytes on amd64. Before pooling the same batches
+// cost 17,800 bytes a chunk.
 func TestBatchUploadAllocBudget(t *testing.T) {
 	batchUploadAllocBudget(t, 11<<10)
 }
@@ -728,7 +726,7 @@ func TestBatchUploadAllocBudget(t *testing.T) {
 // with a retrainer, which keeps every accepted chunk in its user's
 // history. The history keeps the chunk's parsed records as they are, so
 // the chunk costs its commit record's history section (and the log's
-// growth for it) and a segment header: 17,330 bytes on amd64.
+// growth for it) and a segment header: 12,983 bytes on amd64.
 // Copying the records into one growing array per user cost 22,600.
 func TestBatchUploadAllocBudgetWithHistory(t *testing.T) {
 	batchUploadAllocBudget(t, 19<<10, WithRetrainer(noRetrain, 0))
@@ -740,7 +738,7 @@ func batchUploadAllocBudget(t *testing.T, budget float64, opts ...Option) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops pooled buffers at random")
 	}
-	const warm, batches, perBatch, nrec = 4, 24, 50, 50
+	const warm, rounds, batches, perBatch, nrec = 12, 16, 8, 50, 50
 	w, err := store.NewWAL(store.WALOptions{Dir: "wal", FS: store.NewMemFS()})
 	if err != nil {
 		t.Fatal(err)
@@ -755,7 +753,9 @@ func batchUploadAllocBudget(t *testing.T, budget float64, opts ...Option) {
 	t.Cleanup(func() { srv.Close() }) //nolint:errcheck // in-memory log
 	h := srv.Handler()
 
-	bodies := make([]string, warm+batches)
+	// Every batch has a user of its own, so each round's keys are fresh
+	// and its chunks commit rather than replay.
+	bodies := make([]string, warm+rounds*batches)
 	for b := range bodies {
 		chunks := make([]BatchChunk, perBatch)
 		for i := range chunks {
@@ -780,17 +780,18 @@ func batchUploadAllocBudget(t *testing.T, budget float64, opts ...Option) {
 	for b := 0; b < warm; b++ {
 		serve(b)
 	}
-	// The collector is held off while the batches run: a collection
-	// empties the request and frame pools at a random point, and the
-	// batches then refill them.
-	runtime.GC()
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for b := warm; b < len(bodies); b++ {
-		serve(b)
+	// Each round starts on a fresh log segment, so the in-memory log grows
+	// the same steps in every round; the warm-up batches fill the pools.
+	checkpoint := func() {
+		if err := srv.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	runtime.ReadMemStats(&after)
+	perChunk := allocPerOp(t, fmt.Sprintf("acknowledged chunk of %d records", nrec), rounds, batches*perBatch, checkpoint, func(round int) {
+		for b := warm + round*batches; b < warm+(round+1)*batches; b++ {
+			serve(b)
+		}
+	})
 
 	acked := 0
 	for b, rec := range recorders[warm:] {
@@ -800,17 +801,15 @@ func batchUploadAllocBudget(t *testing.T, budget float64, opts ...Option) {
 			if err := dec.Decode(&res); err != nil {
 				t.Fatalf("batch %d: %v", b, err)
 			}
-			if res.Status != http.StatusOK {
+			if res.Status != http.StatusOK || res.Replay {
 				t.Fatalf("batch %d chunk %d: %+v", b, res.Index, res)
 			}
 			acked++
 		}
 	}
-	if acked != batches*perBatch {
-		t.Fatalf("%d chunks acknowledged, want %d", acked, batches*perBatch)
+	if acked != rounds*batches*perBatch {
+		t.Fatalf("%d chunks acknowledged, want %d", acked, rounds*batches*perBatch)
 	}
-	perChunk := float64(after.TotalAlloc-before.TotalAlloc) / float64(acked)
-	t.Logf("%.0f bytes allocated per acknowledged chunk of %d records", perChunk, nrec)
 	if perChunk > budget {
 		t.Fatalf("the upload path allocated %.0f bytes per acknowledged chunk, over its budget of %.0f", perChunk, budget)
 	}
