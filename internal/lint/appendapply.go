@@ -22,7 +22,9 @@ import (
 //     field, result, *new(durable) or captured function literal holds
 //     one: a witness is passed down, never kept;
 //   - a field of a state type is written only in a function that has a
-//     witness parameter.
+//     witness parameter;
+//   - a function literal passed to locked or lockAll runs there and
+//     then, so it is checked as part of its caller.
 type AppendApplyConfig struct {
 	// Package declares durable, in durable.go.
 	Package string
@@ -32,11 +34,11 @@ type AppendApplyConfig struct {
 }
 
 // DefaultAppendApply encodes the repo shape: the service package, whose
-// stateShard and UserStats hold the committed state.
+// shardState and UserStats hold the committed state.
 func DefaultAppendApply() *analysis.Analyzer {
 	return AppendApply(AppendApplyConfig{
 		Package:    "mood/internal/service",
-		StateTypes: map[string]bool{"stateShard": true, "UserStats": true},
+		StateTypes: map[string]bool{"shardState": true, "UserStats": true},
 	})
 }
 
@@ -58,7 +60,8 @@ func AppendApply(cfg AppendApplyConfig) *analysis.Analyzer {
 		}
 		// walk checks one function body (or a package-level declaration,
 		// with ftyp nil) against its own parameters; a function literal
-		// inside it is walked on its own.
+		// inside it is walked on its own, but for a door's.
+		inline := map[*ast.FuncLit]bool{}
 		var walk func(ftyp *ast.FuncType, body ast.Node, inDurableGo bool)
 		walk = func(ftyp *ast.FuncType, body ast.Node, inDurableGo bool) {
 			params, witnessed := map[types.Object]bool{}, false
@@ -71,8 +74,17 @@ func AppendApply(cfg AppendApplyConfig) *analysis.Analyzer {
 				}
 			}
 			ast.Inspect(body, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok && isDoor(pass, call) {
+					for _, arg := range call.Args {
+						fl, _ := arg.(*ast.FuncLit)
+						inline[fl] = true
+					}
+				}
 				switch n := n.(type) {
 				case *ast.FuncLit:
+					if inline[n] {
+						return true
+					}
 					walk(n.Type, n.Body, inDurableGo)
 					return false
 				case *ast.AssignStmt:
@@ -113,18 +125,22 @@ func AppendApply(cfg AppendApplyConfig) *analysis.Analyzer {
 			}
 			inDurableGo := filepath.Base(pass.Fset.Position(f.Pos()).Filename) == "durable.go"
 			for _, decl := range f.Decls {
-				if fd, ok := decl.(*ast.FuncDecl); ok {
-					if fd.Body != nil {
-						walk(fd.Type, fd.Body, inDurableGo)
-					}
-				} else {
+				if fd, ok := decl.(*ast.FuncDecl); !ok {
 					walk(nil, decl, inDurableGo)
+				} else if fd.Body != nil {
+					walk(fd.Type, fd.Body, inDurableGo)
 				}
 			}
 		}
 		return nil
 	}
 	return a
+}
+
+// isDoor reports whether call is the package's own locked or lockAll.
+func isDoor(pass *analysis.Pass, call *ast.CallExpr) bool {
+	fn, _ := exprObject(pass, ast.Unparen(call.Fun)).(*types.Func)
+	return fn != nil && fn.Pkg() == pass.Pkg && (fn.Name() == "locked" || fn.Name() == "lockAll")
 }
 
 // reportStateWrite reports an assignment target that is a field of a
@@ -139,13 +155,9 @@ func reportStateWrite(pass *analysis.Pass, stateTypes map[string]bool, lhs ast.E
 		case *ast.ParenExpr:
 			e = x.X
 		case *ast.SelectorExpr:
-			t := pass.TypesInfo.TypeOf(x.X)
-			if p, ok := t.(*types.Pointer); ok {
-				t = p.Elem()
-			}
-			if n, ok := t.(*types.Named); ok && stateTypes[n.Obj().Name()] {
+			if name := typeName(pass.TypesInfo.TypeOf(x.X)); stateTypes[name] {
 				pass.Reportf(lhs.Pos(), "write to %s.%s in a function without a durable witness: "+
-					"committed state changes only behind an append", n.Obj().Name(), x.Sel.Name)
+					"committed state changes only behind an append", name, x.Sel.Name)
 				return
 			}
 			e = x.X

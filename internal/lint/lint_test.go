@@ -122,11 +122,7 @@ func TestLockScope(t *testing.T) {
 		Dir:     "testdata/lockscope",
 		PkgPath: "fixture/lockscope",
 		Analyzers: []*analysis.Analyzer{lint.LockScope(lint.LockScopeConfig{
-			Package:     "fixture/lockscope",
-			ShardType:   "stateShard",
-			MutexField:  "mu",
-			ServerType:  "Server",
-			WalkMethods: map[string]bool{"userIDs": true},
+			Package: "fixture/lockscope",
 		})},
 	})
 }

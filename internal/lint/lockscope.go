@@ -4,92 +4,165 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
+	"path"
+	"path/filepath"
 
 	"mood/internal/lint/analysis"
 )
 
-// LockScopeConfig scopes the lockscope analyzer.
-type LockScopeConfig struct {
-	// Package owns the shard type.
-	Package string
-	// ShardType is the struct whose mutex field guards a state shard.
-	ShardType string
-	// MutexField is the sync.Mutex field name on ShardType.
-	MutexField string
-	// ServerType is the aggregate whose Snapshot-style methods walk
-	// every shard (re-acquiring shard locks).
-	ServerType string
-	// WalkMethods are ServerType methods that acquire shard locks
-	// themselves; calling one while a shard lock is held is a lock-order
-	// hazard. Any ServerType method whose name ends in "Snapshot" is
-	// treated as a walk method regardless of this set.
-	WalkMethods map[string]bool
-}
+// The shard shape: a struct holding a mutex and the state it guards,
+// both reached only through the doors (isDoor) declared in shard.go.
+const shardType, stateType, doorsFile = "stateShard", "shardState", "shard.go"
 
-// DefaultLockScope is the repo rule from PR 1's sharding: a stateShard
-// mutex is a short, CPU-only critical section. Blocking under it —
-// channel operations, response writes, outbound HTTP, clock waits, or
-// re-entering the shard locks via a full-state walk — stalls every
-// user hashing to the shard (and, for walks, risks deadlock).
+// LockScopeConfig names the package that declares the shard shape.
+type LockScopeConfig struct{ Package string }
+
+// DefaultLockScope keeps the service's shard maps behind their mutexes
+// and its critical sections short and CPU-only: blocking there stalls
+// every user of the shard, and taking a shard lock again risks deadlock.
 func DefaultLockScope() *analysis.Analyzer {
-	return LockScope(LockScopeConfig{
-		Package:    "mood/internal/service",
-		ShardType:  "stateShard",
-		MutexField: "mu",
-		ServerType: "Server",
-		WalkMethods: map[string]bool{
-			"Stats": true, "Users": true,
-		},
-	})
+	return LockScope(LockScopeConfig{Package: "mood/internal/service"})
 }
 
-// LockScope builds the analyzer for the given scope. It tracks, per
-// function and in statement order, whether a ShardType.MutexField lock
-// is held, and flags while locked:
+// LockScope builds the analyzer. A type carries the lock: the doors,
+// locked (one shard) and lockAll (every shard, in index order), hand the
+// state to a function as a *shardState while the mutex is held. In the
+// package's non-test files the analyzer checks that
 //
-//   - channel sends, receives, selects and channel-range loops;
-//   - clock waits (time.Sleep/After/Tick and clock.Clock's
-//     Sleep/After/NewTicker) and sync.WaitGroup.Wait;
-//   - HTTP response writes (ResponseWriter.Write/WriteHeader,
-//     Flusher.Flush) and outbound HTTP (http.Client methods, package
-//     Get/Post/Head/PostForm);
-//   - acquiring another shard lock (loop bodies that lock are scanned
-//     twice, so multi-shard acquisition loops are seen) or calling a
-//     ServerType full-state walk method.
-//
-// The analysis is per-function and syntactic about control flow:
-// branch bodies are scanned with a copy of the lock state, function
-// literals are scanned as independent functions (a closure's blocking
-// is attributed to where it runs, which a per-function analysis cannot
-// know). Helpers documented as "callers hold sh.mu" are therefore not
-// checked at their call sites — the discipline for those stays in
-// review, and the waiver comment records the sanctioned exceptions.
+//   - a shard field, its mutex or its state, is selected only by the
+//     doors in shard.go;
+//   - no shardState value appears but a literal: a copy would share
+//     the shard's maps past the lock;
+//   - every other *shardState expression is an identifier naming a
+//     parameter or receiver of its innermost function: no variable,
+//     field, result or captured literal keeps the state past the lock;
+//   - a locked body (a function with a *shardState parameter or receiver,
+//     and what it nests but a go statement) does not block: no channel
+//     operation, clock wait, WaitGroup.Wait, response write or flush,
+//     outbound HTTP, door call (a lock-order hazard) or call of a
+//     function that takes a shard lock itself, however deep.
 func LockScope(cfg LockScopeConfig) *analysis.Analyzer {
 	a := &analysis.Analyzer{
 		Name: "lockscope",
-		Doc: "flag blocking operations (channel ops, response writes, outbound HTTP, full-state " +
-			"walks) while a shard mutex is held (shard-lock hygiene, PR 1)",
+		Doc: "keep shard state behind its lock: selected only by locked/lockAll, passed only as a " +
+			"parameter, never copied, never blocked on (channel ops, response writes, HTTP, clock waits, locks)",
 	}
 	a.Run = func(pass *analysis.Pass) error {
-		if pass.PkgPath() != cfg.Package {
+		info, shard, state := pass.TypesInfo, pass.Pkg.Scope().Lookup(shardType), pass.Pkg.Scope().Lookup(stateType)
+		if pass.PkgPath() != cfg.Package || shard == nil || state == nil {
 			return nil
 		}
-		for _, f := range pass.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
+		statePtr, shardFields := types.NewPointer(state.Type()), map[types.Object]bool{}
+		if s, ok := shard.Type().Underlying().(*types.Struct); ok {
+			for f := range s.Fields() {
+				shardFields[f] = true
+			}
+		}
+		// takers are the functions that take a shard lock: they call a
+		// door or another taker (not from a go statement).
+		takers := map[types.Object]bool{}
+		for grew := true; grew; {
+			grew = false
+			for _, f := range pass.Files {
+				for _, decl := range f.Decls {
+					if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil && !takers[info.Defs[fd.Name]] {
+						ast.Inspect(fd.Body, func(n ast.Node) bool {
+							if call, ok := n.(*ast.CallExpr); ok && (isDoor(pass, call) || takers[exprObject(pass, ast.Unparen(call.Fun))]) {
+								takers[info.Defs[fd.Name]], grew = true, true
+							}
+							_, spawn := n.(*ast.GoStmt)
+							return !spawn
+						})
+					}
+				}
+			}
+		}
+
+		// walk checks a body against the parameters its field lists
+		// declare; held says it runs under a shard lock, door that it is
+		// in locked or lockAll. A go statement's call is walked unheld.
+		var walk func(body ast.Node, door, held bool, lists ...*ast.FieldList)
+		walk = func(body ast.Node, door, held bool, lists ...*ast.FieldList) {
+			objs := map[types.Object]bool{}
+			for _, fl := range lists {
+				if fl == nil {
 					continue
 				}
-				scanLockedFunc(pass, cfg, fd.Body)
-				// Function literals are separate scopes: scan each with a
-				// fresh (unlocked) state.
-				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					if fl, ok := n.(*ast.FuncLit); ok {
-						scanLockedFunc(pass, cfg, fl.Body)
+				for _, field := range fl.List {
+					held = held || types.Identical(info.TypeOf(field.Type), statePtr)
+					for _, name := range field.Names {
+						objs[info.Defs[name]] = true
 					}
+				}
+			}
+			ast.Inspect(body, func(n ast.Node) bool {
+				desc := ""
+				switch n := n.(type) {
+				case *ast.GoStmt:
+					walk(n.Call, false, false)
+					return false
+				case *ast.FuncLit:
+					walk(n.Body, door, held, n.Type.Params)
+					return false
+				case *ast.SendStmt:
+					desc = "channel send"
+				case *ast.UnaryExpr:
+					if n.Op == token.ARROW {
+						desc = "channel receive"
+					}
+				case *ast.SelectStmt:
+					desc = "select (channel wait)"
+				case *ast.RangeStmt:
+					if isChannel(info.TypeOf(n.X)) {
+						desc = "ranging over a channel"
+					}
+				case *ast.CallExpr:
+					switch obj := exprObject(pass, ast.Unparen(n.Fun)); {
+					case isDoor(pass, n):
+						desc = "acquiring a shard lock (" + obj.Name() + ", a lock-order hazard)"
+					case takers[obj]:
+						desc = obj.Name() + " (re-enters the shard locks)"
+					default:
+						desc = blockingCall(obj)
+					}
+				}
+				if held && desc != "" {
+					pass.Reportf(n.Pos(), "%s while a shard lock is held", desc)
+				}
+				e, ok := n.(ast.Expr)
+				tv, typed := info.Types[e]
+				if !ok || door || !typed || tv.IsType() {
 					return true
-				})
+				}
+				sel, _ := e.(*ast.SelectorExpr)
+				_, lit := e.(*ast.CompositeLit)
+				switch id, ok := e.(*ast.Ident); {
+				case sel != nil && shardFields[info.Uses[sel.Sel]]:
+					pass.Reportf(e.Pos(), "%s selects a shard field outside locked and lockAll: "+
+						"they are the only way to its lock and state", types.ExprString(e))
+				case types.Identical(tv.Type, state.Type()) && !lit:
+					pass.Reportf(e.Pos(), "shard state %s is a value, not a literal: "+
+						"a copy shares the shard's maps past the lock", types.ExprString(e))
+				case types.Identical(tv.Type, statePtr) && (!ok || !objs[info.Uses[id]]):
+					pass.Reportf(e.Pos(), "shard state %s is not a parameter of its function: "+
+						"the state is handed to a locked body, never kept or captured", types.ExprString(e))
+					return false
+				}
+				return true
+			})
+		}
+		for _, f := range pass.Files {
+			if pass.InTestFile(f.Pos()) {
+				continue
+			}
+			inDoorsFile := filepath.Base(pass.Fset.Position(f.Pos()).Filename) == doorsFile
+			for _, decl := range f.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); !ok {
+					walk(decl, false, false)
+				} else if fd.Body != nil {
+					door := inDoorsFile && (fd.Name.Name == "locked" || fd.Name.Name == "lockAll")
+					walk(fd.Body, door, false, fd.Recv, fd.Type.Params)
+				}
 			}
 		}
 		return nil
@@ -97,261 +170,31 @@ func LockScope(cfg LockScopeConfig) *analysis.Analyzer {
 	return a
 }
 
-func scanLockedFunc(pass *analysis.Pass, cfg LockScopeConfig, body *ast.BlockStmt) {
-	s := &lockScanner{pass: pass, cfg: cfg}
-	s.stmts(body.List)
+// blockers are the calls that block a critical section, by package
+// path, receiver type and name.
+var blockers = map[string]string{
+	"time.Sleep": "clock wait", "time.After": "clock wait", "time.Tick": "clock wait",
+	"mood/internal/clock.Clock.Sleep": "clock wait", "mood/internal/clock.Clock.After": "clock wait",
+	"mood/internal/clock.Clock.NewTicker": "clock wait", "sync.WaitGroup.Wait": "goroutine wait",
+	"net/http.Get": "outbound HTTP", "net/http.Post": "outbound HTTP", "net/http.Head": "outbound HTTP",
+	"net/http.PostForm": "outbound HTTP", "net/http.Client.Do": "outbound HTTP", "net/http.Client.Get": "outbound HTTP",
+	"net/http.Client.Post": "outbound HTTP", "net/http.Client.Head": "outbound HTTP", "net/http.Client.PostForm": "outbound HTTP",
+	"net/http.ResponseWriter.Write": "response write", "net/http.ResponseWriter.WriteHeader": "response write",
+	"net/http.Flusher.Flush": "response flush",
 }
 
-type lockScanner struct {
-	pass   *analysis.Pass
-	cfg    LockScopeConfig
-	locked bool
-}
-
-func (s *lockScanner) stmts(list []ast.Stmt) {
-	for _, st := range list {
-		s.stmt(st)
-	}
-}
-
-func (s *lockScanner) stmt(st ast.Stmt) {
-	switch st := st.(type) {
-	case *ast.ExprStmt:
-		if call, ok := st.X.(*ast.CallExpr); ok {
-			switch s.mutexOp(call) {
-			case "Lock":
-				if s.locked {
-					s.pass.Reportf(st.Pos(),
-						"acquiring a shard lock while another shard lock is held: lock-order hazard (lockscope, PR 1)")
-				}
-				s.locked = true
-				return
-			case "Unlock":
-				s.locked = false
-				return
-			}
-		}
-		s.check(st.X)
-	case *ast.DeferStmt:
-		// A deferred Unlock releases at return; the section stays locked
-		// for the rest of the scan, which is what we want. The deferred
-		// call itself runs after the handler body — not scanned here
-		// (its FuncLit body, if any, is scanned as a separate scope).
-	case *ast.SendStmt:
-		if s.locked {
-			s.pass.Reportf(st.Pos(), "channel send while a shard lock is held (lockscope, PR 1)")
-			return
-		}
-	case *ast.SelectStmt:
-		if s.locked {
-			s.pass.Reportf(st.Pos(), "select (channel wait) while a shard lock is held (lockscope, PR 1)")
-			return
-		}
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				sub := *s
-				sub.stmts(cc.Body)
-			}
-		}
-	case *ast.BlockStmt:
-		s.stmts(st.List)
-	case *ast.IfStmt:
-		if st.Init != nil {
-			s.stmt(st.Init)
-		}
-		s.check(st.Cond)
-		then := *s
-		then.stmts(st.Body.List)
-		if st.Else != nil {
-			alt := *s
-			alt.stmt(st.Else)
-		}
-	case *ast.ForStmt:
-		if st.Init != nil {
-			s.stmt(st.Init)
-		}
-		if st.Cond != nil {
-			s.check(st.Cond)
-		}
-		s.loopBody(st.Body)
-	case *ast.RangeStmt:
-		if tv, ok := s.pass.TypesInfo.Types[st.X]; ok {
-			if _, isChan := tv.Type.Underlying().(*types.Chan); isChan && s.locked {
-				s.pass.Reportf(st.Pos(), "ranging over a channel while a shard lock is held (lockscope, PR 1)")
-				return
-			}
-		}
-		s.check(st.X)
-		s.loopBody(st.Body)
-	case *ast.SwitchStmt:
-		if st.Init != nil {
-			s.stmt(st.Init)
-		}
-		if st.Tag != nil {
-			s.check(st.Tag)
-		}
-		s.caseBodies(st.Body)
-	case *ast.TypeSwitchStmt:
-		s.caseBodies(st.Body)
-	case *ast.LabeledStmt:
-		s.stmt(st.Stmt)
-	case *ast.AssignStmt:
-		for _, e := range st.Rhs {
-			s.check(e)
-		}
-		for _, e := range st.Lhs {
-			s.check(e)
-		}
-	case *ast.ReturnStmt:
-		for _, e := range st.Results {
-			s.check(e)
-		}
-	case *ast.DeclStmt:
-		if s.locked {
-			ast.Inspect(st, func(n ast.Node) bool {
-				if e, ok := n.(ast.Expr); ok {
-					s.check(e)
-					return false
-				}
-				return true
-			})
-		}
-	case *ast.GoStmt:
-		// The goroutine runs concurrently; its body does not hold this
-		// lock (scanned separately as a FuncLit scope when literal).
-	case *ast.IncDecStmt:
-		s.check(st.X)
-	}
-}
-
-// loopBody scans a loop body; bodies that acquire the shard lock are
-// scanned twice so a second iteration's Lock is seen with the first
-// iteration's state (the multi-shard acquisition pattern).
-func (s *lockScanner) loopBody(body *ast.BlockStmt) {
-	locksInside := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok && s.mutexOp(call) == "Lock" {
-			locksInside = true
-		}
-		return true
-	})
-	s.stmts(body.List)
-	if locksInside {
-		s.stmts(body.List)
-	}
-}
-
-func (s *lockScanner) caseBodies(body *ast.BlockStmt) {
-	for _, c := range body.List {
-		if cc, ok := c.(*ast.CaseClause); ok {
-			sub := *s
-			sub.stmts(cc.Body)
-		}
-	}
-}
-
-// check inspects an expression for blocking operations while locked.
-// Function literals are skipped: they execute elsewhere.
-func (s *lockScanner) check(expr ast.Expr) {
-	if !s.locked || expr == nil {
-		return
-	}
-	ast.Inspect(expr, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				s.pass.Reportf(n.Pos(), "channel receive while a shard lock is held (lockscope, PR 1)")
-			}
-		case *ast.CallExpr:
-			if desc := s.blockingCall(n); desc != "" {
-				s.pass.Reportf(n.Pos(), "%s while a shard lock is held (lockscope, PR 1)", desc)
-			}
-		}
-		return true
-	})
-}
-
-// mutexOp reports whether the call is Lock/Unlock on the configured
-// shard mutex field, returning the method name ("" otherwise).
-func (s *lockScanner) mutexOp(call *ast.CallExpr) string {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || (sel.Sel.Name != "Lock" && sel.Sel.Name != "Unlock") {
-		return ""
-	}
-	field, ok := sel.X.(*ast.SelectorExpr)
-	if !ok || field.Sel.Name != s.cfg.MutexField {
-		return ""
-	}
-	tv, ok := s.pass.TypesInfo.Types[field.X]
-	if !ok {
-		return ""
-	}
-	t := tv.Type
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Name() != s.cfg.ShardType {
-		return ""
-	}
-	return sel.Sel.Name
-}
-
-// blockingCall classifies a call as blocking, returning a description
-// ("" when not blocking).
-func (s *lockScanner) blockingCall(call *ast.CallExpr) string {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return ""
-	}
-	fn, ok := s.pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+// blockingCall describes a call of obj as blocking ("" when it is not).
+func blockingCall(obj types.Object) string {
+	fn, ok := obj.(*types.Func)
 	if !ok || fn.Pkg() == nil {
 		return ""
 	}
-	name := fn.Name()
-	pkg := fn.Pkg().Path()
-	recv := fn.Signature().Recv()
-	if recv == nil {
-		switch {
-		case pkg == "time" && (name == "Sleep" || name == "After" || name == "Tick"):
-			return "time." + name + " (clock wait)"
-		case pkg == "net/http" && (name == "Get" || name == "Post" || name == "Head" || name == "PostForm"):
-			return "outbound HTTP (http." + name + ")"
-		}
-		return ""
+	name := fn.Pkg().Path() + "." + fn.Name()
+	if recv := fn.Signature().Recv(); recv != nil {
+		name = fn.Pkg().Path() + "." + typeName(recv.Type()) + "." + fn.Name()
 	}
-	rt := recvTypeName(recv)
-	switch {
-	case pkg == "mood/internal/clock" && (name == "Sleep" || name == "After" || name == "NewTicker"):
-		return "clock." + name + " (clock wait)"
-	case pkg == "sync" && rt == "WaitGroup" && name == "Wait":
-		return "sync.WaitGroup.Wait"
-	case pkg == "net/http" && rt == "Client":
-		return "outbound HTTP (http.Client." + name + ")"
-	case pkg == "net/http" && rt == "ResponseWriter" && (name == "Write" || name == "WriteHeader"):
-		return "HTTP response write (" + name + ")"
-	case pkg == "net/http" && rt == "Flusher" && name == "Flush":
-		return "HTTP response flush"
-	case s.isWalkMethod(fn):
-		return "full-state walk (" + name + " re-enters the shard locks)"
+	if what, ok := blockers[name]; ok {
+		return what + " (" + path.Base(name) + ")"
 	}
 	return ""
-}
-
-// isWalkMethod reports whether fn is a ServerType method that walks
-// every shard.
-func (s *lockScanner) isWalkMethod(fn *types.Func) bool {
-	recv := fn.Signature().Recv()
-	if recv == nil || recvTypeName(recv) != s.cfg.ServerType {
-		return false
-	}
-	if fn.Pkg() == nil || analysis.BasePkgPath(fn.Pkg().Path()) != s.cfg.Package {
-		return false
-	}
-	return s.cfg.WalkMethods[fn.Name()] || strings.HasSuffix(fn.Name(), "Snapshot")
 }

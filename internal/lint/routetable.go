@@ -110,14 +110,14 @@ func checkRouteCall(pass *analysis.Pass, cfg RouteTableConfig, file string, call
 					"http.%s outside %s: all routing is declared in the route table (routetable, PR 5)",
 					fn.Name(), fileList(cfg.MuxFiles))
 			}
-		case recv != nil && recvTypeName(recv) == "ServeMux" &&
+		case recv != nil && typeName(recv.Type()) == "ServeMux" &&
 			(fn.Name() == "Handle" || fn.Name() == "HandleFunc"):
 			if !cfg.MuxFiles[file] {
 				pass.Reportf(call.Pos(),
 					"ServeMux.%s outside %s: all routing is declared in the route table (routetable, PR 5)",
 					fn.Name(), fileList(cfg.MuxFiles))
 			}
-		case recv != nil && recvTypeName(recv) == "ResponseWriter" && fn.Name() == "WriteHeader":
+		case recv != nil && typeName(recv.Type()) == "ResponseWriter" && fn.Name() == "WriteHeader":
 			if cfg.ErrorFiles[file] || len(call.Args) != 1 {
 				return
 			}
@@ -130,10 +130,9 @@ func checkRouteCall(pass *analysis.Pass, cfg RouteTableConfig, file string, call
 	}
 }
 
-// recvTypeName returns the bare type name of a method receiver
-// (pointer and named wrappers stripped).
-func recvTypeName(recv *types.Var) string {
-	t := recv.Type()
+// typeName returns the bare name of a named type, or of the named type
+// a pointer points to ("" for any other type).
+func typeName(t types.Type) string {
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}

@@ -58,3 +58,22 @@ func (s *Server) bookkeepingOnly(id string) int {
 	s.jobs.setRunning(id)
 	return s.shard.count + len(s.shard.published)
 }
+
+// locked runs f on the shard there and then, under its lock.
+func (sh *stateShard) locked(f func(st *stateShard)) { f(sh) }
+
+// applyUnderLock writes state in a literal passed to locked: the literal
+// runs inside its caller, whose witness covers it. Silent.
+func (s *Server) applyUnderLock(d durable, id string, n int) {
+	s.shard.locked(func(st *stateShard) {
+		st.count += n
+		s.jobs.setDone(d, id, n)
+	})
+}
+
+// writeUnderLockWithoutWitness has no witness to share.
+func (s *Server) writeUnderLockWithoutWitness(n int) {
+	s.shard.locked(func(st *stateShard) {
+		st.count = n // want `appendapply: write to stateShard\.count in a function without a durable witness`
+	})
+}

@@ -33,14 +33,13 @@ import (
 func (s *Server) auditPublished(a Auditor) (audited, quarantined int) {
 	var frags []publishedFrag
 	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		// One by one: on retrain-audit-node a bulk append per shard
-		// allocates about one more copy of the list per pass.
-		for _, f := range sh.published {
-			frags = append(frags, f)
-		}
-		sh.mu.Unlock()
+		s.shards[i].locked(func(st *shardState) {
+			// One by one: on retrain-audit-node a bulk append per shard
+			// allocates about one more copy of the list per pass.
+			for _, f := range st.published {
+				frags = append(frags, f)
+			}
+		})
 	}
 	return s.auditFrags(a, frags)
 }
@@ -53,14 +52,14 @@ func (s *Server) auditShardFrags(sh *stateShard, a Auditor, frags []publishedFra
 	for _, f := range frags {
 		want[f.Seq] = true
 	}
-	sh.mu.Lock()
 	var live []publishedFrag
-	for _, f := range sh.published {
-		if want[f.Seq] {
-			live = append(live, f)
+	sh.locked(func(st *shardState) {
+		for _, f := range st.published {
+			if want[f.Seq] {
+				live = append(live, f)
+			}
 		}
-	}
-	sh.mu.Unlock()
+	})
 	return s.auditFrags(a, live)
 }
 
@@ -117,18 +116,25 @@ func (s *Server) quarantine(d durable, seqs []int64) (quarantined int) {
 		condemned[q] = true
 	}
 	for i := range s.shards {
-		quarantined += s.removeCondemned(d, &s.shards[i], condemned)
+		s.shards[i].locked(func(st *shardState) {
+			if n := st.removeCondemned(d, condemned); n > 0 {
+				// Quarantines change the published dataset without
+				// minting new fragment sequence numbers; the generation
+				// bump invalidates the dataset ETag and assembly cache
+				// (see dataset.go).
+				s.quarGen.Add(1)
+				quarantined += n
+			}
+		})
 	}
 	return quarantined
 }
 
 // removeCondemned drops the condemned fragments (by seq) from one shard
 // and updates their owners' quarantine accounting.
-func (s *Server) removeCondemned(_ durable, sh *stateShard, condemned map[int64]bool) (quarantined int) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	kept := sh.published[:0]
-	for _, f := range sh.published {
+func (st *shardState) removeCondemned(_ durable, condemned map[int64]bool) (quarantined int) {
+	kept := st.published[:0]
+	for _, f := range st.published {
 		if !condemned[f.Seq] {
 			kept = append(kept, f)
 			continue
@@ -136,22 +142,16 @@ func (s *Server) removeCondemned(_ durable, sh *stateShard, condemned map[int64]
 		quarantined++
 		// The owner's accounting lives in the same shard as the
 		// fragment (both keyed by the uploader ID).
-		if us, ok := sh.users[f.Owner]; ok {
+		if us, ok := st.users[f.Owner]; ok {
 			us.PiecesQuarantined++
 			us.RecordsQuarantined += f.Trace.Len()
 		}
 	}
 	// Zero the tail so quarantined fragment traces are not pinned by
 	// the backing array.
-	for j := len(kept); j < len(sh.published); j++ {
-		sh.published[j] = publishedFrag{}
+	for j := len(kept); j < len(st.published); j++ {
+		st.published[j] = publishedFrag{}
 	}
-	sh.published = kept
-	if quarantined > 0 {
-		// Quarantines change the published dataset without minting new
-		// fragment sequence numbers; the generation bump invalidates the
-		// dataset ETag and assembly cache (see dataset.go).
-		s.quarGen.Add(1)
-	}
+	st.published = kept
 	return quarantined
 }

@@ -281,31 +281,30 @@ func (s *Server) foldCommit(d durable, c *walUploadCommit) {
 	if c.User == "" {
 		return
 	}
-	sh := s.shard(c.User)
-	sh.mu.Lock()
-	us, ok := sh.users[c.User]
-	if !ok {
-		us = &UserStats{}
-		sh.users[c.User] = us
-	}
-	us.Uploads++
-	us.RecordsIn += c.RecordsIn
-	us.RecordsPublished += c.Accepted
-	us.RecordsRejected += c.Rejected
-	us.Pieces += len(c.Frags)
-	if len(c.History) > 0 && s.opts.Retrainer != nil && s.opts.HistoryCap > 0 {
-		// The raw chunk joins the user's bounded history: it is what a
-		// real adversary could have collected by now, so it is what the
-		// next retrain pass must train against (§6 dynamic protection).
-		// The history keeps the commit's own array — the chunk's parsed
-		// records, or a replayed record's decoded ones — as a segment.
-		// The generation bump lets the periodic loop skip ticks where
-		// nothing new arrived.
-		sh.recordHistory(d, c.User, c.History, s.opts.HistoryCap)
-		s.histGen.Add(1)
-	}
-	sh.published = append(sh.published, c.Frags...)
-	sh.mu.Unlock()
+	s.shard(c.User).locked(func(st *shardState) {
+		us, ok := st.users[c.User]
+		if !ok {
+			us = &UserStats{}
+			st.users[c.User] = us
+		}
+		us.Uploads++
+		us.RecordsIn += c.RecordsIn
+		us.RecordsPublished += c.Accepted
+		us.RecordsRejected += c.Rejected
+		us.Pieces += len(c.Frags)
+		if len(c.History) > 0 && s.opts.Retrainer != nil && s.opts.HistoryCap > 0 {
+			// The raw chunk joins the user's bounded history: it is what
+			// a real adversary could have collected by now, so it is what
+			// the next retrain pass must train against (§6 dynamic
+			// protection). The history keeps the commit's own array — the
+			// chunk's parsed records, or a replayed record's decoded ones
+			// — as a segment. The generation bump lets the periodic loop
+			// skip ticks where nothing new arrived.
+			st.recordHistory(d, c.User, c.History, s.opts.HistoryCap)
+			s.histGen.Add(1)
+		}
+		st.published = append(st.published, c.Frags...)
+	})
 	var maxSeq int64
 	for _, f := range c.Frags {
 		maxSeq = max(maxSeq, f.Seq)

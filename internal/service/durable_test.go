@@ -323,18 +323,21 @@ func TestFaultInjectionNoAckedLoss(t *testing.T) {
 func assertUniqueFragSeqs(t *testing.T, srv *Server, when string) {
 	t.Helper()
 	seen := make(map[int64]bool)
-	for s := range srv.shards {
-		sh := &srv.shards[s]
-		sh.mu.Lock()
-		for _, f := range sh.published {
-			if f.Seq == 0 || seen[f.Seq] {
-				sh.mu.Unlock()
-				t.Fatalf("%s: duplicate or zero frag seq %d", when, f.Seq)
-			}
-			seen[f.Seq] = true
+	for _, f := range allFrags(srv) {
+		if f.Seq == 0 || seen[f.Seq] {
+			t.Fatalf("%s: duplicate or zero frag seq %d", when, f.Seq)
 		}
-		sh.mu.Unlock()
+		seen[f.Seq] = true
 	}
+}
+
+// allFrags copies every shard's published fragments, shard by shard.
+func allFrags(srv *Server) []publishedFrag {
+	var out []publishedFrag
+	for i := range srv.shards {
+		srv.shards[i].locked(func(st *shardState) { out = append(out, st.published...) })
+	}
+	return out
 }
 
 // TestWALQuarantineReplay: a quarantine logged by the re-audit pass is
@@ -349,14 +352,10 @@ func TestWALQuarantineReplay(t *testing.T) {
 
 	// Condemn the fragment the way auditFrags does: durable record plus
 	// in-memory removal under the consistency barrier.
-	sh := srvA.shard("alice")
-	sh.mu.Lock()
-	seq := sh.published[0].Seq
-	sh.mu.Unlock()
-	condemned := map[int64]bool{seq: true}
+	seq := allFrags(srvA)[0].Seq
 	srvA.appendBestEffort(recQuarantine, walQuarantine{Seqs: []int64{seq}})
-	if got := srvA.removeCondemned(durable{}, sh, condemned); got != 1 {
-		t.Fatalf("removeCondemned = %d, want 1", got)
+	if got := srvA.quarantine(durable{}, []int64{seq}); got != 1 {
+		t.Fatalf("quarantine = %d, want 1", got)
 	}
 	want := srvA.Stats()
 	if want.QuarantinedTraces != 1 || want.RecordsQuarantined != 8 {

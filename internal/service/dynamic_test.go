@@ -86,18 +86,13 @@ func TestServerDynamicProtectionMirrorsRunDynamic(t *testing.T) {
 			}
 
 			// Count this round's fresh fragments the oracle re-identifies.
-			for j := range srv.shards {
-				sh := &srv.shards[j]
-				sh.mu.Lock()
-				for _, f := range sh.published {
-					if f.Seq <= prevSeq {
-						continue
-					}
-					if hit, _ := oracle.ReIdentifies(f.Trace.WithUser(""), f.Owner); hit {
-						leaks++
-					}
+			for _, f := range allFrags(srv) {
+				if f.Seq <= prevSeq {
+					continue
 				}
-				sh.mu.Unlock()
+				if hit, _ := oracle.ReIdentifies(f.Trace.WithUser(""), f.Owner); hit {
+					leaks++
+				}
 			}
 
 			attackerBG = trace.NewDataset("bg", slices.Concat(attackerBG, slice.Traces)).Traces

@@ -19,14 +19,13 @@ var noRetrain = RetrainerFunc(func([]trace.Trace) (Protector, Auditor, error) { 
 // historyOf returns user's history as its shard holds it — the
 // segment list, cloned under the shard lock — for tests that look at
 // its shape.
-func historyOf(srv *Server, user string) segments {
-	sh := srv.shard(user)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if h := sh.history[user]; h != nil {
-		return slices.Clone(h.segs)
-	}
-	return nil
+func historyOf(srv *Server, user string) (segs segments) {
+	srv.shard(user).locked(func(st *shardState) {
+		if h := st.history[user]; h != nil {
+			segs = slices.Clone(h.segs)
+		}
+	})
+	return segs
 }
 
 // TestHistoryAtCapCostsTheChunk: a user whose history is at its cap

@@ -5,7 +5,7 @@
 // server closes the same gap:
 //
 //  1. Every accepted upload's raw records join a bounded per-user
-//     history (see stateShard.history) — the growing H.
+//     history (see shardState.history) — the growing H.
 //  2. A retrain pass (periodic ticker and/or POST /v2/admin/retrain)
 //     hands that history to the configured Retrainer, which rebuilds the
 //     protection engine — in production, mood.Pipeline.RetrainWith, which

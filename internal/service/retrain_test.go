@@ -596,15 +596,14 @@ func TestCommitRacingSwapIsSelfAudited(t *testing.T) {
 }
 
 // userStatsOf reads one user's accounting directly off the shards.
-func userStatsOf(s *Server, user string) (UserStats, error) {
-	sh := s.shard(user)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	us, ok := sh.users[user]
-	if !ok {
-		return UserStats{}, fmt.Errorf("unknown user %q", user)
-	}
-	return *us, nil
+func userStatsOf(s *Server, user string) (out UserStats, err error) {
+	err = fmt.Errorf("unknown user %q", user)
+	s.shard(user).locked(func(st *shardState) {
+		if us := st.users[user]; us != nil {
+			out, err = *us, nil
+		}
+	})
+	return out, err
 }
 
 // TestHistorySnapshotSharesStableRecords: historySnapshot hands the

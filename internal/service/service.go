@@ -373,7 +373,7 @@ func New(p Protector, opts ...Option) (*Server, error) {
 	}
 	s.engine.Store(&engineState{p: p})
 	for i := range s.shards {
-		s.shards[i] = stateShard{users: make(map[string]*UserStats), history: make(map[string]*userHistory)}
+		s.shards[i] = stateShard{st: shardState{users: make(map[string]*UserStats), history: make(map[string]*userHistory)}}
 	}
 	s.pool = newWorkerPool(o.Workers, o.QueueDepth, s.runJob)
 	if o.Retrainer != nil && o.RetrainInterval > 0 {
@@ -597,14 +597,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // handleUserGet serves GET /v2/users/{id}.
 func (s *Server) handleUserGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	sh := s.shard(id)
-	sh.mu.Lock()
-	us, ok := sh.users[id]
 	var copyStats UserStats
-	if ok {
-		copyStats = *us
-	}
-	sh.mu.Unlock()
+	ok := false
+	s.shard(id).locked(func(st *shardState) {
+		if us := st.users[id]; us != nil {
+			copyStats, ok = *us, true
+		}
+	})
 	if !ok {
 		writeError(w, http.StatusNotFound, CodeNotFound, "unknown user")
 		return

@@ -65,12 +65,11 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 func serverUsers(s *Server) []string {
 	var out []string
 	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for u := range sh.users {
-			out = append(out, u)
-		}
-		sh.mu.Unlock()
+		s.shards[i].locked(func(st *shardState) {
+			for u := range st.users {
+				out = append(out, u)
+			}
+		})
 	}
 	sort.Strings(out)
 	return out

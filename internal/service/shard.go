@@ -35,16 +35,59 @@ type publishedFrag struct {
 	Owner string      `json:"owner"`
 }
 
-// stateShard holds one slice of the server state: the users that hash
-// here, their accounting, the fragments they published and their raw
-// upload history (the growing attacker-side knowledge the retrainer
-// learns from). The global counters are the sum of every participant's
-// accounting (see Stats).
+// stateShard is one slice of the server state behind its mutex. The
+// state is reached only through locked and lockAll, which hold the
+// mutex for exactly the call: lockscope refuses any other selection of
+// mu or st, so no code reads or writes a shard's maps without its lock.
 type stateShard struct {
-	mu        sync.Mutex
+	mu sync.Mutex
+	st shardState
+}
+
+// shardState is what a shard's mutex guards: the users that hash here,
+// their accounting, the fragments they published and their raw upload
+// history (the growing attacker-side knowledge the retrainer learns
+// from). The global counters are the sum of every participant's
+// accounting (see Stats). A *shardState lives only as a parameter of a
+// function that runs under the lock — lockscope refuses a variable,
+// field, result or captured closure that keeps one, and any shardState
+// value but a literal — and such a function must not block.
+type shardState struct {
 	published []publishedFrag
 	users     map[string]*UserStats
 	history   map[string]*userHistory
+}
+
+// locked runs f on the shard's state under its lock: one short,
+// CPU-only critical section on one shard.
+func (sh *stateShard) locked(f func(st *shardState)) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	f(&sh.st)
+}
+
+// lockAll takes every shard lock in index order, runs each pass over
+// every shard in index order, and releases them: one point in time
+// across the whole state. It is the only multi-shard acquisition, and
+// so the only place two locks are held: every other path holds one
+// shard at a time, and lockscope refuses a lock taken under another.
+// Index order is one fixed order, so two lockAll calls cannot deadlock
+// each other; a one-shard holder takes no second lock, so lockAll's
+// wait for it ends.
+func (s *Server) lockAll(passes ...func(i int, st *shardState)) {
+	for i := range s.shards {
+		s.shards[i].mu.Lock()
+	}
+	defer func() {
+		for i := range s.shards {
+			s.shards[i].mu.Unlock()
+		}
+	}()
+	for _, pass := range passes {
+		for i := range s.shards {
+			pass(i, &s.shards[i].st)
+		}
+	}
 }
 
 // segments is a record list held as the arrays it was accepted in, back
@@ -104,19 +147,18 @@ func (s *Server) shard(user string) *stateShard {
 func (s *Server) Stats() ServerStats {
 	var out ServerStats
 	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		out.Users += len(sh.users)
-		out.PublishedTraces += len(sh.published)
-		for _, us := range sh.users {
-			out.Uploads += us.Uploads
-			out.RecordsIn += us.RecordsIn
-			out.RecordsPublished += us.RecordsPublished
-			out.RecordsRejected += us.RecordsRejected
-			out.RecordsQuarantined += us.RecordsQuarantined
-			out.QuarantinedTraces += us.PiecesQuarantined
-		}
-		sh.mu.Unlock()
+		s.shards[i].locked(func(st *shardState) {
+			out.Users += len(st.users)
+			out.PublishedTraces += len(st.published)
+			for _, us := range st.users {
+				out.Uploads += us.Uploads
+				out.RecordsIn += us.RecordsIn
+				out.RecordsPublished += us.RecordsPublished
+				out.RecordsRejected += us.RecordsRejected
+				out.RecordsQuarantined += us.RecordsQuarantined
+				out.QuarantinedTraces += us.PiecesQuarantined
+			}
+		})
 	}
 	out.Retrains = int(s.retrains.Load())
 	return out
@@ -128,12 +170,11 @@ func (s *Server) Stats() ServerStats {
 func (s *Server) publishedSnapshot() []trace.Trace {
 	var out []trace.Trace
 	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for _, f := range sh.published {
-			out = append(out, f.Trace)
-		}
-		sh.mu.Unlock()
+		s.shards[i].locked(func(st *shardState) {
+			for _, f := range st.published {
+				out = append(out, f.Trace)
+			}
+		})
 	}
 	return out
 }
@@ -157,28 +198,26 @@ func (s *Server) historySnapshot() []trace.Trace {
 	var out []trace.Trace
 	var joins []join
 	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for u, h := range sh.history {
-			if len(h.segs) > 1 {
-				joins = append(joins, join{h: h, at: len(out), segs: slices.Clone(h.segs), edits: h.headEdits})
+		s.shards[i].locked(func(st *shardState) {
+			for u, h := range st.history {
+				if len(h.segs) > 1 {
+					joins = append(joins, join{h: h, at: len(out), segs: slices.Clone(h.segs), edits: h.headEdits})
+				}
+				out = append(out, trace.Trace{User: u, Records: h.segs[0]})
 			}
-			out = append(out, trace.Trace{User: u, Records: h.segs[0]})
-		}
-		sh.mu.Unlock()
+		})
 	}
 	slices.SortFunc(joins, func(a, b join) int { return a.at - b.at }) // in out's order
 	for _, j := range joins {
 		t := &out[j.at]
 		t.Records = j.segs.join()
-		sh := s.shard(t.User)
-		sh.mu.Lock()
-		if j.h.headEdits == j.edits && sh.history[t.User] == j.h {
-			j.h.segs[0] = t.Records
-			j.h.segs = slices.Delete(j.h.segs, 1, len(j.segs))
-			j.h.headEdits++
-		}
-		sh.mu.Unlock()
+		s.shard(t.User).locked(func(st *shardState) {
+			if j.h.headEdits == j.edits && st.history[t.User] == j.h {
+				j.h.segs[0] = t.Records
+				j.h.segs = slices.Delete(j.h.segs, 1, len(j.segs))
+				j.h.headEdits++
+			}
+		})
 	}
 	for i, h := range out {
 		if !slices.IsSortedFunc(h.Records, func(a, b trace.Record) int { return cmp.Compare(a.TS, b.TS) }) {
@@ -190,11 +229,9 @@ func (s *Server) historySnapshot() []trace.Trace {
 }
 
 // fullSnapshot captures the fragment list, the user accounting and the
-// per-user history while holding every shard lock at once, so the
-// persisted state is a single point in time: an upload committing
-// concurrently is either entirely in the snapshot or entirely absent,
-// never torn across sections. Shards lock in index order; all other
-// paths lock one shard at a time, so this cannot deadlock.
+// per-user history under lockAll, so the persisted state is a single
+// point in time: an upload committing concurrently is either entirely
+// in the snapshot or entirely absent, never torn across sections.
 //
 // Only what is rewritten in place is copied — the fragment list
 // (removeCondemned compacts it), the accounting structs and each
@@ -202,87 +239,67 @@ func (s *Server) historySnapshot() []trace.Trace {
 // slice header: no record a segment or a fragment covers is written
 // again, so the caller may read them after the locks are gone.
 func (s *Server) fullSnapshot() (published []publishedFrag, history map[string]segments, users map[string]*UserStats) {
-	for i := range s.shards {
-		//mood:allow lockscope -- deliberate full acquisition in index order for a point-in-time snapshot; see doc comment
-		s.shards[i].mu.Lock()
-	}
-	defer func() {
-		for i := range s.shards {
-			s.shards[i].mu.Unlock()
-		}
-	}()
 	nFrags := 0
-	for i := range s.shards {
-		nFrags += len(s.shards[i].published)
-	}
-	published = make([]publishedFrag, 0, nFrags)
-	users = make(map[string]*UserStats)
-	history = make(map[string]segments)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		published = append(published, sh.published...)
-		for u, us := range sh.users {
+	users, history = make(map[string]*UserStats), make(map[string]segments)
+	s.lockAll(func(_ int, st *shardState) { nFrags += len(st.published) }, func(_ int, st *shardState) {
+		if published == nil {
+			published = make([]publishedFrag, 0, nFrags)
+		}
+		published = append(published, st.published...)
+		for u, us := range st.users {
 			cp := *us
 			users[u] = &cp
 		}
-		for u, h := range sh.history {
+		for u, h := range st.history {
 			history[u] = slices.Clone(h.segs)
 		}
-	}
+	})
 	return published, history, users
 }
 
 // resetShards replaces the whole sharded state with a decoded snapshot,
-// whose slices it takes over. No snapshot carries global stats: they are
-// the sum of the user accounting. Fragment sequence numbers persist: WAL
-// quarantine records name them across restarts.
+// whose slices it takes over. The new shards' parts are built unlocked
+// and swapped in under lockAll. No snapshot carries global stats: they
+// are the sum of the user accounting. Fragment sequence numbers persist:
+// WAL quarantine records name them across restarts.
 func (s *Server) resetShards(_ durable, published []publishedFrag, history map[string]segments, users map[string]*UserStats) {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.published = nil
-		sh.users = make(map[string]*UserStats)
-		sh.history = make(map[string]*userHistory)
-		sh.mu.Unlock()
+	var frags [numShards][]publishedFrag
+	var accts [numShards]map[string]*UserStats
+	var hists [numShards]map[string]*userHistory
+	for i := range accts {
+		accts[i], hists[i] = make(map[string]*UserStats), make(map[string]*userHistory)
 	}
 	for u, us := range users {
-		sh := s.shard(u)
-		sh.mu.Lock()
 		cp := *us
-		sh.users[u] = &cp
-		sh.mu.Unlock()
+		accts[shardFor(u)][u] = &cp
 	}
 	for _, f := range published {
 		// Fragments live in their owner's shard (as the commit path
 		// stores them), so a quarantine updates the fragment list and
 		// the owner's accounting under one lock.
-		sh := s.shard(f.Owner)
-		sh.mu.Lock()
-		sh.published = append(sh.published, f)
-		sh.mu.Unlock()
+		k := shardFor(f.Owner)
+		frags[k] = append(frags[k], f)
 	}
 	for u, segs := range history {
-		sh := s.shard(u)
-		sh.mu.Lock()
-		sh.history[u] = &userHistory{segs: segs}
-		sh.mu.Unlock()
+		hists[shardFor(u)][u] = &userHistory{segs: segs}
 	}
+	s.lockAll(func(i int, st *shardState) { st.published, st.users, st.history = frags[i], accts[i], hists[i] })
 }
 
 // recordHistory appends an accepted upload's raw records to the user's
-// bounded history, dropping the oldest overflow. Callers hold sh.mu.
-// The records join as a segment of their own, the caller's array with
-// its capacity clipped (nothing writes it again). The cap drops head
-// segments and re-slices the one it cuts into: no record is copied,
-// below the cap or at it, and none a captured header covers is written.
-func (sh *stateShard) recordHistory(_ durable, user string, records []trace.Record, cap int) {
+// bounded history, dropping the oldest overflow. The records join as a
+// segment of their own, the caller's array with its capacity clipped
+// (nothing writes it again). The cap drops head segments and re-slices
+// the one it cuts into: no record is copied, below the cap or at it,
+// and none a captured header covers is written.
+func (st *shardState) recordHistory(_ durable, user string, records []trace.Record, cap int) {
 	if cap <= 0 {
 		return
 	}
-	h := sh.history[user]
+	h := st.history[user]
 	if h == nil {
 		h = &userHistory{}
-		sh.history[user] = h
+		st.history[user] = h
 	}
 	h.segs = append(h.segs, records[:len(records):len(records)])
 	over := h.segs.len() - cap

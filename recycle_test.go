@@ -1,8 +1,10 @@
 package mood_test
 
 import (
+	"math"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
@@ -28,14 +30,17 @@ func chunks(d mood.Dataset, span time.Duration) []mood.Trace {
 // chunk: the candidates that lose a fragment's selection go back to the
 // record pool, HMC runs once per fragment, and the selection (with its
 // random source) is reused. Before that the same chunks cost about
-// 42 KiB each.
+// 42 KiB each. It measures the way the service's allocation budgets do:
+// the collector is off, so no pool is emptied mid-round, and the
+// cheapest of the rounds is held to the budget, with the dearest logged
+// to keep the spread in sight.
 func TestProtectAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops pooled buffers at random")
 	}
 	const (
-		rounds = 3
-		budget = 16 << 10 // bytes per protected chunk
+		rounds = 5
+		budget = 10 << 10 // bytes per protected chunk
 	)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	p, test := env(t, 131)
@@ -49,14 +54,17 @@ func TestProtectAllocBudget(t *testing.T) {
 	}
 	protect() // warm the pools
 	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	perChunk, hi := uint64(math.MaxUint64), uint64(0)
 	for r := 0; r < rounds; r++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		protect()
+		runtime.ReadMemStats(&after)
+		n := (after.TotalAlloc - before.TotalAlloc) / uint64(len(days))
+		perChunk, hi = min(perChunk, n), max(hi, n)
 	}
-	runtime.ReadMemStats(&after)
-	perChunk := (after.TotalAlloc - before.TotalAlloc) / uint64(rounds*len(days))
-	t.Logf("%d chunks: %d bytes allocated per protected chunk", len(days), perChunk)
+	t.Logf("%d chunks: %d bytes allocated per protected chunk (at most %d) over %d rounds", len(days), perChunk, hi, rounds)
 	if perChunk > budget {
 		t.Fatalf("%d bytes allocated per protected chunk, budget %d", perChunk, budget)
 	}
